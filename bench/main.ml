@@ -90,6 +90,28 @@ top3 = topk(loud, k=3, key="rssi") window time 1s 1s
 agg  = sum(stream("cpu")) window time 5s 1s mode syncless
 |}
 
+(* Two packed sketch partials of the shape an mlq stub merges: b=11
+   HLL over ~300 hosts each (sparse), 4x32 Count-Min over enough keys to
+   be dense. *)
+let fixture_sketch_partials make =
+  lazy
+    (let rng = Rng.create 8 in
+     let part () = make (List.init 300 (fun _ -> Rng.int rng 1_000_000)) in
+     let a = part () in
+     (a, part ()))
+
+let fixture_hll =
+  fixture_sketch_partials (fun keys ->
+      let t = Mortar_sketch.Hll.create ~b:11 ~seed:5 in
+      List.iter (fun key -> Mortar_sketch.Hll.add t ~key) keys;
+      Mortar_sketch.Hll.to_string t)
+
+let fixture_cm =
+  fixture_sketch_partials (fun keys ->
+      let t = Mortar_sketch.Count_min.create ~depth:4 ~width:32 ~seed:5 in
+      List.iter (fun key -> Mortar_sketch.Count_min.add t ~key ~w:1) keys;
+      Mortar_sketch.Count_min.to_string t)
+
 (* ------------------------------------------------------------------ *)
 (* One kernel per figure. *)
 
@@ -194,6 +216,10 @@ let bench_fig18_trilat () =
 let bench_msl_parse () =
   Staged.stage (fun () -> ignore (Mortar_core.Msl.parse fixture_msl))
 
+let bench_sketch_merge merge fixture () =
+  let a, b = Lazy.force fixture in
+  Staged.stage (fun () -> ignore (merge a b))
+
 let kernels =
   [
     ("fig01:connectivity-trial", bench_fig01_connectivity_trial ());
@@ -209,6 +235,8 @@ let kernels =
     ("fig17:sibling-shuffle-179", bench_fig17_sibling_shuffle ());
     ("fig18:trilat-40-frames", bench_fig18_trilat ());
     ("msl:parse-3-statements", bench_msl_parse ());
+    ("sketch:hll-merge-sparse", bench_sketch_merge Mortar_sketch.Hll.merge_packed fixture_hll ());
+    ("sketch:cm-merge-dense", bench_sketch_merge Mortar_sketch.Count_min.merge_packed fixture_cm ());
   ]
 
 let tests = List.map (fun (name, staged) -> Test.make ~name staged) kernels

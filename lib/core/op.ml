@@ -228,77 +228,69 @@ let rec sketch_key v =
 
 let sketch_fault msg = Value.type_error "sketch: %s" msg
 
-(* Decode / re-encode around every structural operation: the string is
-   the partial. [decode] accepts the operator's own parameters only, so
-   a summary from a differently-parameterized query can never merge in
-   silently. *)
-let sketch_ops ~decode ~encode ~make ~add ~merge ~sub =
-  let dec = function
-    | Value.Str s -> (
-      try decode s with Failure msg -> sketch_fault msg)
-    | v -> Value.type_error "expected a packed sketch, got %s" (Value.show v)
-  in
-  let enc s = Value.Str (encode s) in
-  let guard f a b = try f a b with Failure msg -> sketch_fault msg in
-  let lift v =
-    let s = make () in
-    add s v;
-    enc s
-  in
+let sketch_bytes = function
+  | Value.Str s -> s
+  | v -> Value.type_error "expected a packed sketch, got %s" (Value.show v)
+
+(* Merge, retract and lift run on the packed bytes themselves (the
+   [Sketch] kernels), so no grid or register array is built per partial;
+   only finalize decodes. A kernel failure — malformed bytes, mismatched
+   parameters, 32-bit overflow — faults the query. [sub] comes with the
+   operator's empty sketch, which a retraction from [Null] starts from. *)
+let sketch_ops ~singleton ~merge ~sub =
+  let guard f = try Value.Str (f ()) with Failure msg -> sketch_fault msg in
+  let lift v = guard (fun () -> singleton (sketch_key v)) in
   let merge_v a b =
     match (a, b) with
     | Value.Null, x | x, Value.Null -> x
-    | a, b -> enc (guard merge (dec a) (dec b))
+    | a, b -> guard (fun () -> merge (sketch_bytes a) (sketch_bytes b))
   in
   let remove_v =
-    match sub with
-    | None -> None
-    | Some sub ->
-      Some
-        (fun a b ->
-          match (a, b) with
-          | x, Value.Null -> x
-          | a, b -> enc (guard sub (match a with Value.Null -> make () | a -> dec a) (dec b)))
+    Option.map
+      (fun (sub, empty) a b ->
+        match (a, b) with
+        | x, Value.Null -> x
+        | a, b ->
+          guard (fun () ->
+              sub (match a with Value.Null -> empty () | a -> sketch_bytes a) (sketch_bytes b)))
+      sub
   in
-  (lift, merge_v, remove_v, dec)
+  (lift, merge_v, remove_v)
+
+let sketch_decode of_string v =
+  let s = sketch_bytes v in
+  try of_string s with Failure msg -> sketch_fault msg
 
 let sketch_count_min_impl ~depth ~width ~seed =
-  let lift, merge, remove, _dec =
-    sketch_ops
-      ~decode:Sketch.Count_min.of_string ~encode:Sketch.Count_min.to_string
-      ~make:(fun () -> Sketch.Count_min.create ~depth ~width ~seed)
-      ~add:(fun s v -> Sketch.Count_min.add s ~key:(sketch_key v) ~w:1)
-      ~merge:Sketch.Count_min.merge ~sub:(Some Sketch.Count_min.sub)
+  let module Cm = Sketch.Count_min in
+  let lift, merge, remove =
+    sketch_ops ~singleton:(Cm.singleton ~depth ~width ~seed) ~merge:Cm.merge_packed
+      ~sub:(Some (Cm.sub_packed, fun () -> Cm.to_string (Cm.create ~depth ~width ~seed)))
   in
   (* Finalize keeps the packed sketch: the subscriber owns the point
      queries (and the exact total via Count_min.total). *)
   { init = Value.Null; lift; merge; remove; finalize = id }
 
 let sketch_agms_impl ~rows ~cols ~seed =
-  let lift, merge, remove, dec =
-    sketch_ops
-      ~decode:Sketch.Agms.of_string ~encode:Sketch.Agms.to_string
-      ~make:(fun () -> Sketch.Agms.create ~rows ~cols ~seed)
-      ~add:(fun s v -> Sketch.Agms.add s ~key:(sketch_key v) ~w:1)
-      ~merge:Sketch.Agms.merge ~sub:(Some Sketch.Agms.sub)
+  let module Agms = Sketch.Agms in
+  let lift, merge, remove =
+    sketch_ops ~singleton:(Agms.singleton ~rows ~cols ~seed) ~merge:Agms.merge_packed
+      ~sub:(Some (Agms.sub_packed, fun () -> Agms.to_string (Agms.create ~rows ~cols ~seed)))
   in
   let finalize = function
     | Value.Null -> Value.Float 0.0
-    | v -> Value.Float (Sketch.Agms.second_moment (dec v))
+    | v -> Value.Float (Agms.second_moment (sketch_decode Agms.of_string v))
   in
   { init = Value.Null; lift; merge; remove; finalize }
 
 let sketch_hll_impl ~b ~seed =
-  let lift, merge, remove, dec =
-    sketch_ops
-      ~decode:Sketch.Hll.of_string ~encode:Sketch.Hll.to_string
-      ~make:(fun () -> Sketch.Hll.create ~b ~seed)
-      ~add:(fun s v -> Sketch.Hll.add s ~key:(sketch_key v))
-      ~merge:Sketch.Hll.merge ~sub:None
+  let module Hll = Sketch.Hll in
+  let lift, merge, remove =
+    sketch_ops ~singleton:(Hll.singleton ~b ~seed) ~merge:Hll.merge_packed ~sub:None
   in
   let finalize = function
     | Value.Null -> Value.Float 0.0
-    | v -> Value.Float (Sketch.Hll.estimate (dec v))
+    | v -> Value.Float (Hll.estimate (sketch_decode Hll.of_string v))
   in
   { init = Value.Null; lift; merge; remove; finalize }
 

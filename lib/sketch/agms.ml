@@ -1,31 +1,32 @@
-type t = { rows : int; cols : int; seed : int; cells : int array }
+type t = Codec.grid
 
-let create ~rows ~cols ~seed =
-  if rows <= 0 || rows > 255 then Codec.fail "agms rows out of range";
-  if cols <= 0 || cols > 65535 then Codec.fail "agms cols out of range";
-  if seed < 0 then Codec.fail "agms seed must be non-negative";
-  { rows; cols; seed; cells = Array.make (rows * cols) 0 }
+let kind = Codec.grid_kind ~magic:'A' ~name:"agms" ~rows_label:"rows" ~cols_label:"cols"
 
-let rows t = t.rows
+let create ~rows ~cols ~seed = Codec.grid_create kind ~rows ~cols ~seed
 
-let cols t = t.cols
+let rows (t : t) = t.rows
 
-let seed t = t.seed
+let cols (t : t) = t.cols
+
+let seed (t : t) = t.seed
+
+let[@lint.hot] row_hash ~seed ~row key = Hash.hash_int ~seed:(Hash.row_seed ~seed ~row) key
 
 (* One avalanche per row serves both draws: the low bits pick the
    bucket, bit 40 the sign — independent enough after {!Hash.mix} and
    half the hashing cost of two seeded draws per row. *)
-let[@lint.hot] add t ~key ~w =
-  let rs = t.rows and cs = t.cols in
+let[@lint.hot] sign h w = if (h lsr 40) land 1 = 1 then w else -w
+
+let[@lint.hot] add (t : t) ~key ~w =
+  let cs = t.cols in
   let cells = t.cells in
-  for r = 0 to rs - 1 do
-    let h = Hash.hash_int ~seed:(Hash.row_seed ~seed:t.seed ~row:r) key in
-    let i = (r * cs) + (h mod cs) in
-    let signed = if (h lsr 40) land 1 = 1 then w else -w in
-    Array.unsafe_set cells i (Array.unsafe_get cells i + signed)
+  for row = 0 to t.rows - 1 do
+    let h = row_hash ~seed:t.seed ~row key in
+    let i = (row * cs) + (h mod cs) in
+    Array.unsafe_set cells i (Array.unsafe_get cells i + sign h w)
   done
 
-let second_moment t =
+let second_moment (t : t) =
   let per_row = Array.make t.rows 0.0 in
   for r = 0 to t.rows - 1 do
     let acc = ref 0.0 in
@@ -40,74 +41,26 @@ let second_moment t =
   if n land 1 = 1 then per_row.(n / 2)
   else (per_row.((n / 2) - 1) +. per_row.(n / 2)) /. 2.0
 
-let compatible a b =
-  Int.equal a.rows b.rows && Int.equal a.cols b.cols && Int.equal a.seed b.seed
+let merge a b = Codec.grid_merge kind a b
 
-let zip f a b =
-  if not (compatible a b) then Codec.fail "agms merge across mismatched parameters";
-  { a with cells = Array.mapi (fun i x -> f x b.cells.(i)) a.cells }
-
-let merge a b = zip ( + ) a b
-
-let sub a b = zip ( - ) a b
+let sub a b = Codec.grid_sub kind a b
 
 (* Same wire discipline as {!Count_min}: 'A' rows:u8 cols:u16 seed:i64
-   tag:u8, then dense i32 cells or sparse (count, index/value) pairs,
-   whichever is strictly smaller for these exact cell contents. *)
-let header_bytes = 13
+   tag:u8, then the {!Codec} i32 grid. *)
+let max_bytes ~rows ~cols = Codec.max_bytes kind.layout ~n:(rows * cols)
 
-let max_bytes ~rows ~cols = header_bytes + (4 * rows * cols)
+let to_string t = Codec.grid_to_string kind t
 
-let to_string t =
-  let n = Array.length t.cells in
-  let nnz = ref 0 in
-  Array.iter (fun c -> if c <> 0 then incr nnz) t.cells;
-  let sparse = 4 + (8 * !nnz) < 4 * n in
-  let b = Buffer.create (header_bytes + if sparse then 4 + (8 * !nnz) else 4 * n) in
-  Buffer.add_char b 'A';
-  Codec.put_u8 b t.rows;
-  Codec.put_u16 b t.cols;
-  Codec.put_i64 b t.seed;
-  if sparse then begin
-    Codec.put_u8 b 1;
-    Codec.put_i32 b !nnz;
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          Codec.put_i32 b i;
-          Codec.put_i32 b c
-        end)
-      t.cells
-  end
-  else begin
-    Codec.put_u8 b 0;
-    Array.iter (fun c -> Codec.put_i32 b c) t.cells
-  end;
-  Buffer.contents b
+let of_string s = Codec.grid_of_string kind s
 
-let of_string s =
-  let r = Codec.reader s in
-  if Codec.u8 r <> Char.code 'A' then Codec.fail "not an agms sketch";
-  let rows = Codec.u8 r in
-  let cols = Codec.u16 r in
-  let seed = Codec.i64 r in
-  let t = create ~rows ~cols ~seed in
-  let n = rows * cols in
-  (match Codec.u8 r with
-  | 0 ->
-    for i = 0 to n - 1 do
-      t.cells.(i) <- Codec.i32 r
-    done
-  | 1 ->
-    let nnz = Codec.i32 r in
-    if nnz < 0 || nnz > n then Codec.fail "bad sparse cell count";
-    let prev = ref (-1) in
-    for _ = 1 to nnz do
-      let i = Codec.i32 r in
-      if i <= !prev || i >= n then Codec.fail "sparse index out of order";
-      prev := i;
-      t.cells.(i) <- Codec.i32 r
-    done
-  | _ -> Codec.fail "unknown agms codec tag");
-  Codec.expect_end r;
-  t
+let merge_packed a b = Codec.combine kind.layout Codec.Add a b
+
+let sub_packed a b = Codec.combine kind.layout Codec.Sub a b
+
+let singleton ~rows ~cols ~seed key =
+  let o = Codec.grid_alloc kind ~rows ~cols ~seed ~nnz:rows in
+  for row = 0 to rows - 1 do
+    let h = row_hash ~seed ~row key in
+    Codec.put_cell kind.layout o ~k:row ((row * cols) + (h mod cols)) (sign h 1)
+  done;
+  Bytes.unsafe_to_string o

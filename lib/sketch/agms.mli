@@ -34,5 +34,16 @@ val to_string : t -> string
 val of_string : string -> t
 (** Raises [Failure] on malformed input. *)
 
+(** {2 Packed kernels} — as {!Count_min.merge_packed} and friends. *)
+
+val merge_packed : string -> string -> string
+(** [to_string (merge (of_string a) (of_string b))]. *)
+
+val sub_packed : string -> string -> string
+(** [to_string (sub (of_string a) (of_string b))]. *)
+
+val singleton : rows:int -> cols:int -> seed:int -> int -> string
+(** The packed sketch of one insert of the key with weight 1. *)
+
 val max_bytes : rows:int -> cols:int -> int
 (** Serialized-size cap (dense layout). *)

@@ -1,115 +1,62 @@
-type t = { depth : int; width : int; seed : int; cells : int array }
+type t = Codec.grid
 
-let create ~depth ~width ~seed =
-  if depth <= 0 || depth > 255 then Codec.fail "count-min depth out of range";
-  if width <= 0 || width > 65535 then Codec.fail "count-min width out of range";
-  if seed < 0 then Codec.fail "count-min seed must be non-negative";
-  { depth; width; seed; cells = Array.make (depth * width) 0 }
+let kind = Codec.grid_kind ~magic:'C' ~name:"count-min" ~rows_label:"depth" ~cols_label:"width"
 
-let depth t = t.depth
+let create ~depth ~width ~seed = Codec.grid_create kind ~rows:depth ~cols:width ~seed
 
-let width t = t.width
+let depth (t : t) = t.rows
 
-let seed t = t.seed
+let width (t : t) = t.cols
 
-let[@lint.hot] add t ~key ~w =
-  let d = t.depth and wd = t.width in
+let seed (t : t) = t.seed
+
+let[@lint.hot] cell ~width ~seed ~row key =
+  (row * width) + (Hash.hash_int ~seed:(Hash.row_seed ~seed ~row) key mod width)
+
+let[@lint.hot] add (t : t) ~key ~w =
   let cells = t.cells in
-  for r = 0 to d - 1 do
-    let h = Hash.hash_int ~seed:(Hash.row_seed ~seed:t.seed ~row:r) key in
-    let i = (r * wd) + (h mod wd) in
+  for row = 0 to t.rows - 1 do
+    let i = cell ~width:t.cols ~seed:t.seed ~row key in
     Array.unsafe_set cells i (Array.unsafe_get cells i + w)
   done
 
-let[@lint.hot] query t ~key =
-  let d = t.depth and wd = t.width in
+let[@lint.hot] query (t : t) ~key =
   let cells = t.cells in
   let best = ref max_int in
-  for r = 0 to d - 1 do
-    let h = Hash.hash_int ~seed:(Hash.row_seed ~seed:t.seed ~row:r) key in
-    let c = Array.unsafe_get cells ((r * wd) + (h mod wd)) in
+  for row = 0 to t.rows - 1 do
+    let c = Array.unsafe_get cells (cell ~width:t.cols ~seed:t.seed ~row key) in
     if c < !best then best := c
   done;
   if !best = max_int then 0 else !best
 
-let total t =
+let total (t : t) =
   let acc = ref 0 in
-  for i = 0 to t.width - 1 do
+  for i = 0 to t.cols - 1 do
     acc := !acc + t.cells.(i)
   done;
   !acc
 
-let compatible a b =
-  Int.equal a.depth b.depth && Int.equal a.width b.width && Int.equal a.seed b.seed
+let merge a b = Codec.grid_merge kind a b
 
-let zip f a b =
-  if not (compatible a b) then Codec.fail "count-min merge across mismatched parameters";
-  { a with cells = Array.mapi (fun i x -> f x b.cells.(i)) a.cells }
+let sub a b = Codec.grid_sub kind a b
 
-let merge a b = zip ( + ) a b
+(* Wire layout: 'C' depth:u8 width:u16 seed:i64 tag:u8, then the
+   {!Codec} i32 grid — dense cells or sparse index/value pairs. *)
+let max_bytes ~depth ~width = Codec.max_bytes kind.layout ~n:(depth * width)
 
-let sub a b = zip ( - ) a b
+let to_string t = Codec.grid_to_string kind t
 
-(* Wire layout: 'C' depth:u8 width:u16 seed:i64 tag:u8, then either the
-   dense grid (tag 0, row-major i32 cells) or the non-zero cells (tag 1,
-   count:i32 then ascending index:i32 value:i32 pairs). The tag is a
-   pure function of the cell contents (sparse iff strictly smaller), so
-   equal sketches — however their merges were ordered — share one wire
-   form. *)
-let header_bytes = 13
+let of_string s = Codec.grid_of_string kind s
 
-let max_bytes ~depth ~width = header_bytes + (4 * depth * width)
+let merge_packed a b = Codec.combine kind.layout Codec.Add a b
 
-let to_string t =
-  let n = Array.length t.cells in
-  let nnz = ref 0 in
-  Array.iter (fun c -> if c <> 0 then incr nnz) t.cells;
-  let sparse = 4 + (8 * !nnz) < 4 * n in
-  let b = Buffer.create (header_bytes + if sparse then 4 + (8 * !nnz) else 4 * n) in
-  Buffer.add_char b 'C';
-  Codec.put_u8 b t.depth;
-  Codec.put_u16 b t.width;
-  Codec.put_i64 b t.seed;
-  if sparse then begin
-    Codec.put_u8 b 1;
-    Codec.put_i32 b !nnz;
-    Array.iteri
-      (fun i c ->
-        if c <> 0 then begin
-          Codec.put_i32 b i;
-          Codec.put_i32 b c
-        end)
-      t.cells
-  end
-  else begin
-    Codec.put_u8 b 0;
-    Array.iter (fun c -> Codec.put_i32 b c) t.cells
-  end;
-  Buffer.contents b
+let sub_packed a b = Codec.combine kind.layout Codec.Sub a b
 
-let of_string s =
-  let r = Codec.reader s in
-  if Codec.u8 r <> Char.code 'C' then Codec.fail "not a count-min sketch";
-  let depth = Codec.u8 r in
-  let width = Codec.u16 r in
-  let seed = Codec.i64 r in
-  let t = create ~depth ~width ~seed in
-  let n = depth * width in
-  (match Codec.u8 r with
-  | 0 ->
-    for i = 0 to n - 1 do
-      t.cells.(i) <- Codec.i32 r
-    done
-  | 1 ->
-    let nnz = Codec.i32 r in
-    if nnz < 0 || nnz > n then Codec.fail "bad sparse cell count";
-    let prev = ref (-1) in
-    for _ = 1 to nnz do
-      let i = Codec.i32 r in
-      if i <= !prev || i >= n then Codec.fail "sparse index out of order";
-      prev := i;
-      t.cells.(i) <- Codec.i32 r
-    done
-  | _ -> Codec.fail "unknown count-min codec tag");
-  Codec.expect_end r;
-  t
+(* One unit cell per row, each in its own row's index range, so the
+   entries come out ascending and never collide. *)
+let singleton ~depth ~width ~seed key =
+  let o = Codec.grid_alloc kind ~rows:depth ~cols:width ~seed ~nnz:depth in
+  for row = 0 to depth - 1 do
+    Codec.put_cell kind.layout o ~k:row (cell ~width ~seed ~row key) 1
+  done;
+  Bytes.unsafe_to_string o

@@ -46,7 +46,24 @@ val to_string : t -> string
 
 val of_string : string -> t
 (** Raises [Failure] on malformed input. [of_string (to_string t)]
-    observably equals [t]. *)
+    observably equals [t]. The reference the packed kernels below are
+    tested against. *)
+
+(** {2 Packed kernels}
+
+    Work on the wire form directly, never unpacking a grid. Each equals
+    its decode → operate → encode composition byte for byte and raises
+    [Failure] on exactly the inputs that composition rejects. *)
+
+val merge_packed : string -> string -> string
+(** [to_string (merge (of_string a) (of_string b))]. *)
+
+val sub_packed : string -> string -> string
+(** [to_string (sub (of_string a) (of_string b))]. *)
+
+val singleton : depth:int -> width:int -> seed:int -> int -> string
+(** [singleton ~depth ~width ~seed key] is the packed sketch of one
+    insert of [key] with weight 1. *)
 
 val max_bytes : depth:int -> width:int -> int
 (** Serialized-size cap (the dense layout): what a planner should charge

@@ -1,8 +1,11 @@
 type t = { b : int; seed : int; regs : Bytes.t }
 
-let create ~b ~seed =
+let check ~b ~seed =
   if b < 4 || b > 16 then Codec.fail "hll precision out of range";
-  if seed < 0 then Codec.fail "hll seed must be non-negative";
+  if seed < 0 then Codec.fail "hll seed must be non-negative"
+
+let create ~b ~seed =
+  check ~b ~seed;
   { b; seed; regs = Bytes.make (1 lsl b) '\000' }
 
 let b t = t.b
@@ -22,11 +25,15 @@ let[@lint.hot] rho bits maxbits =
   done;
   if !r > maxbits then maxbits + 1 else !r
 
+(* An item's register is the low [b] bits of its hash, its rank the
+   first set bit above them. *)
+let[@lint.hot] register ~b h = h land ((1 lsl b) - 1)
+
+let[@lint.hot] rank ~b h = rho (h lsr b) (62 - b)
+
 let[@lint.hot] add t ~key =
   let h = Hash.hash_int ~seed:t.seed key in
-  let m = 1 lsl t.b in
-  let idx = h land (m - 1) in
-  let r = rho (h lsr t.b) (62 - t.b) in
+  let idx = register ~b:t.b h and r = rank ~b:t.b h in
   if r > Char.code (Bytes.unsafe_get t.regs idx) then
     Bytes.unsafe_set t.regs idx (Char.unsafe_chr r)
 
@@ -62,35 +69,48 @@ let merge a b =
 (* Wire layout: 'H' b:u8 seed:i64 tag:u8, then the raw register bytes
    (tag 0) or non-zero registers as index:u16 value:u8 triples behind a
    u16 count (tag 1), sparse iff strictly smaller. *)
-let header_bytes = 11
+let layout =
+  {
+    Codec.magic = 'H';
+    name = "hll";
+    header = 11;
+    count_w = 2;
+    idx_w = 2;
+    cell_w = 1;
+    sparse_min = 1;
+    cell_max = 63;
+    params =
+      (fun s ->
+        let b = String.get_uint8 s 1 in
+        check ~b ~seed:(Codec.seed_at s 2);
+        1 lsl b);
+  }
 
-let max_bytes ~b = header_bytes + (1 lsl b)
+let max_bytes ~b = Codec.max_bytes layout ~n:(1 lsl b)
+
+let alloc ~b ~seed ~nnz =
+  check ~b ~seed;
+  let o = Codec.alloc layout ~n:(1 lsl b) ~nnz in
+  Bytes.set_uint8 o 1 b;
+  Bytes.set_int64_be o 2 (Int64.of_int seed);
+  o
 
 let to_string t =
   let m = 1 lsl t.b in
   let nnz = ref 0 in
-  Bytes.iter (fun c -> if c <> '\000' then incr nnz) t.regs;
-  let sparse = 2 + (3 * !nnz) < m in
-  let buf = Buffer.create (header_bytes + if sparse then 2 + (3 * !nnz) else m) in
-  Buffer.add_char buf 'H';
-  Codec.put_u8 buf t.b;
-  Codec.put_i64 buf t.seed;
-  if sparse then begin
-    Codec.put_u8 buf 1;
-    Codec.put_u16 buf !nnz;
-    Bytes.iteri
-      (fun i c ->
-        if c <> '\000' then begin
-          Codec.put_u16 buf i;
-          Codec.put_u8 buf (Char.code c)
-        end)
-      t.regs
-  end
-  else begin
-    Codec.put_u8 buf 0;
-    Buffer.add_bytes buf t.regs
-  end;
-  Buffer.contents buf
+  for i = 0 to m - 1 do
+    if Bytes.get t.regs i <> '\000' then incr nnz
+  done;
+  let o = alloc ~b:t.b ~seed:t.seed ~nnz:!nnz in
+  let k = ref 0 in
+  for i = 0 to m - 1 do
+    let r = Char.code (Bytes.get t.regs i) in
+    if r <> 0 then begin
+      Codec.put_cell layout o ~k:!k i r;
+      incr k
+    end
+  done;
+  Bytes.unsafe_to_string o
 
 let of_string s =
   let r = Codec.reader s in
@@ -121,3 +141,12 @@ let of_string s =
   | _ -> Codec.fail "unknown hll codec tag");
   Codec.expect_end r;
   t
+
+let merge_packed a b = Codec.combine layout Codec.Max a b
+
+(* One non-zero register: sparse at every legal precision (2 + 3 < 16). *)
+let singleton ~b ~seed key =
+  let h = Hash.hash_int ~seed key in
+  let o = alloc ~b ~seed ~nnz:1 in
+  Codec.put_cell layout o ~k:0 (register ~b h) (rank ~b h);
+  Bytes.unsafe_to_string o

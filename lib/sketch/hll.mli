@@ -34,5 +34,20 @@ val to_string : t -> string
 val of_string : string -> t
 (** Raises [Failure] on malformed input. *)
 
+(** {2 Packed kernels}
+
+    Work on the wire form directly: a merge of two sparse partials is a
+    merge-join over their (index, value) entries and never builds the
+    [2^b] register array (2 KiB at b = 11, past the minor heap's
+    256-word allocation limit). Each equals its decode → operate →
+    encode composition byte for byte and raises [Failure] on exactly the
+    inputs that composition rejects. *)
+
+val merge_packed : string -> string -> string
+(** [to_string (merge (of_string a) (of_string b))]. *)
+
+val singleton : b:int -> seed:int -> int -> string
+(** The packed sketch of one insert of the key. *)
+
 val max_bytes : b:int -> int
 (** Serialized-size cap (dense layout: one byte per register). *)
