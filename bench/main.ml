@@ -19,10 +19,11 @@
       sends, and a short fig14-style aggregation round (on the sharded
       deployment; `--shards N` sets the domain count), writing the
       numbers as machine-readable JSON (default
-      `results/BENCH_PR7.json`). This is the evidence trail for the
-      multicore sharded engine: the 10000-host round must beat 3 s of
-      wall time at 8 domains, and the 100000-host round must complete
-      at full completeness.
+      `results/BENCH_SCALE.json`; committed runs are appended as rows of
+      `results/BENCH.jsonl`). The `"pr": 7` rows there are the evidence
+      trail for the multicore sharded engine: the 10000-host round must
+      beat 3 s of wall time at 8 domains, and the 100000-host round must
+      complete at full completeness.
 
    Usage:
      dune exec bench/main.exe                # micro + quick experiments
@@ -38,6 +39,7 @@ open Bechamel
 open Toolkit
 
 module Rng = Mortar_util.Rng
+module Obs_json = Mortar_obs.Obs_json
 
 (* ------------------------------------------------------------------ *)
 (* Kernel fixtures, built once. *)
@@ -455,111 +457,27 @@ module Scale = struct
     Buffer.add_string b "  ]\n}\n";
     Buffer.contents b
 
-  (* Minimal JSON reader, enough to validate what we just wrote (and to
-     fail CI if the writer ever emits something unparseable). *)
-  let validate_json s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = failwith (Printf.sprintf "bench JSON invalid at %d: %s" !pos msg) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        incr pos
-      done
+  (* Well-formedness plus schema: the file must parse, and every object
+     must carry, as its own members, the fields downstream tooling reads. *)
+  let validate s =
+    let json =
+      match Obs_json.parse s with Ok j -> j | Error e -> failwith ("bench JSON invalid " ^ e)
     in
-    let expect c =
-      skip_ws ();
-      match peek () with
-      | Some c' when c' = c -> incr pos
-      | _ -> fail (Printf.sprintf "expected %c" c)
+    let field j key =
+      match Obs_json.member key j with
+      | Some v -> v
+      | None -> failwith ("bench JSON missing key " ^ key)
     in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' -> obj ()
-      | Some '[' -> arr ()
-      | Some '"' -> string_lit ()
-      | Some ('t' | 'f') -> bool_lit ()
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> fail "value"
-    and obj () =
-      expect '{';
-      skip_ws ();
-      if peek () = Some '}' then incr pos
-      else begin
-        let rec members () =
-          string_lit ();
-          expect ':';
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            skip_ws ();
-            members ()
-          | Some '}' -> incr pos
-          | _ -> fail "object"
-        in
-        members ()
-      end
-    and arr () =
-      expect '[';
-      skip_ws ();
-      if peek () = Some ']' then incr pos
-      else begin
-        let rec elements () =
-          value ();
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            incr pos;
-            elements ()
-          | Some ']' -> incr pos
-          | _ -> fail "array"
-        in
-        elements ()
-      end
-    and string_lit () =
-      expect '"';
-      while !pos < n && s.[!pos] <> '"' do
-        incr pos
-      done;
-      if !pos >= n then fail "unterminated string";
-      incr pos
-    and bool_lit () =
-      let take w = String.length w <= n - !pos && String.sub s !pos (String.length w) = w in
-      if take "true" then pos := !pos + 4
-      else if take "false" then pos := !pos + 5
-      else fail "boolean"
-    and number () =
-      let start = !pos in
-      while
-        !pos < n
-        && match s.[!pos] with '-' | '+' | '.' | 'e' | 'E' | '0' .. '9' -> true | _ -> false
-      do
-        incr pos
-      done;
-      if !pos = start then fail "number"
-    in
-    value ();
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage"
-
-  (* Schema check on top of well-formedness: every row must carry the
-     fields downstream tooling reads, [shards] included. *)
-  let validate_schema s =
-    let contains key =
-      let kn = String.length key and n = String.length s in
-      let rec at i = i + kn <= n && (String.sub s i kn = key || at (i + 1)) in
-      at 0
-    in
-    List.iter
-      (fun key ->
-        if not (contains key) then failwith ("bench JSON missing key " ^ key))
-      [
-        "\"bench\""; "\"quick\""; "\"scales\""; "\"hosts\""; "\"routers\""; "\"shards\"";
-        "\"topology_build_s\""; "\"agg_round\""; "\"wall_s\""; "\"completeness\"";
-      ]
+    let require j keys = List.iter (fun k -> ignore (field j k)) keys in
+    require json [ "bench"; "quick" ];
+    match field json "scales" with
+    | Obs_json.Arr rows ->
+      List.iter
+        (fun r ->
+          require r [ "hosts"; "routers"; "shards"; "topology_build_s" ];
+          require (field r "agg_round") [ "wall_s"; "completeness" ])
+        rows
+    | _ -> failwith "bench JSON: scales is not an array"
 
   let run ~quick ~shards ~hosts ~out =
     (* The agg rounds allocate short-lived events and summaries at a high
@@ -591,8 +509,7 @@ module Scale = struct
         host_counts
     in
     let json = json_of_rows ~quick rows in
-    validate_json json;
-    validate_schema json;
+    validate json;
     (match Filename.dirname out with
     | "." | "" -> ()
     | dir -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755);
@@ -605,8 +522,7 @@ module Scale = struct
     let len = in_channel_length ic in
     let contents = really_input_string ic len in
     close_in ic;
-    validate_json contents;
-    validate_schema contents;
+    validate contents;
     Printf.printf "wrote %s (%d bytes, JSON ok)\n%!" out (String.length contents)
 end
 
@@ -646,10 +562,9 @@ let () =
      the fresh results file and the accumulated history. *)
   Option.iter
     (fun path ->
-      let contains line key =
-        let kn = String.length key and n = String.length line in
-        let rec at i = i + kn <= n && (String.sub line i kn = key || at (i + 1)) in
-        at 0
+      let bad row what =
+        Printf.eprintf "%s row %d %s\n" path row what;
+        exit 1
       in
       let ic = open_in path in
       let rows = ref 0 in
@@ -657,14 +572,15 @@ let () =
          while true do
            let line = input_line ic in
            if String.trim line <> "" then begin
-             Scale.validate_json line;
-             List.iter
-               (fun key ->
-                 if not (contains line key) then
-                   failwith
-                     (Printf.sprintf "%s row %d missing key %s" path (!rows + 1) key))
-               [ "\"pr\""; "\"bench\""; "\"hosts\"" ];
-             incr rows
+             incr rows;
+             match Obs_json.parse line with
+             | Error e -> bad !rows ("invalid JSON " ^ e)
+             | Ok j ->
+               List.iter
+                 (fun key ->
+                   if Option.is_none (Obs_json.member key j) then
+                     bad !rows ("missing key " ^ key))
+                 [ "pr"; "bench"; "hosts" ]
            end
          done
        with End_of_file -> ());
@@ -681,7 +597,7 @@ let () =
         (arg_opt "--hosts")
     in
     Scale.run ~quick:(has "--quick") ~shards ~hosts
-      ~out:(arg_value "--out" "results/BENCH_PR7.json")
+      ~out:(arg_value "--out" "results/BENCH_SCALE.json")
   else begin
     let micro_only = has "--micro" in
     let figures_only = has "--figures" in

@@ -19,7 +19,7 @@ let () =
   let hosts = 96 in
   let rng = Mortar_util.Rng.create 11 in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:12 ~hosts () in
-  let d = D.create ~seed:11 topo in
+  let d = D.create_sharded ~seed:11 topo in
   D.converge_coordinates d ();
 
   let program = {| port_entropy = entropy(stream("flows")) window time 5s 5s |} in

@@ -32,7 +32,7 @@ let () =
   let hosts = 120 in
   let rng = Mortar_util.Rng.create 31 in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:10 ~hosts () in
-  let d = D.create ~seed:31 topo in
+  let d = D.create_sharded ~seed:31 topo in
   D.converge_coordinates d ();
 
   let metas =

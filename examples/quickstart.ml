@@ -22,7 +22,7 @@ let () =
   let hosts = 64 in
   let rng = Mortar_util.Rng.create 2024 in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts () in
-  let d = D.create ~seed:2024 topo in
+  let d = D.create_sharded ~seed:2024 topo in
   print_endline "converging network coordinates...";
   D.converge_coordinates d ();
 

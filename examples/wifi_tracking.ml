@@ -36,7 +36,7 @@ let () =
     (Array.length sniffers) duration;
 
   let topo = Mortar_net.Topology.star ~link_delay:0.001 ~hosts in
-  let d = D.create ~seed:7 topo in
+  let d = D.create_sharded ~seed:7 topo in
   D.converge_coordinates d ();
 
   let statements = Mortar_core.Msl.parse program in

@@ -41,29 +41,19 @@ type sharded = {
   mutable ctl_sink : Obs.Reg.t;
 }
 
-(* [Single] is the original one-engine deployment, byte-for-byte: every
-   direct-API test and its pinned expectations run through it unchanged.
-   [Sharded] partitions hosts by stub domain into per-shard engines
-   driven by a conservative epoch loop; the CLI experiments and the
-   scale bench use it. The two backends share the peer logic and all
-   the scenario machinery below. *)
-type backend =
-  | Single
-  | Sharded of sharded
-
 type t = {
-  engine : Engine.t; (* the control engine in sharded mode *)
+  engine : Engine.t; (* control engine: fault windows, [at] callbacks *)
   topo : Topology.t;
-  (* In sharded mode this is shard 0's instance: liveness, handlers and
-     duplicate memory are shared across instances, so the up/seen
-     manipulation below works identically for both backends. *)
+  (* Shard 0's instance: liveness, handlers and duplicate memory are
+     shared across the per-shard instances, so [set_up], [up_hosts] and
+     [clear_seen] go through this one. *)
   transport : Mortar_core.Msg.payload Transport.t;
   faults : Faults.t;
   clocks : Clock.t array;
   peers : Peer.t array;
   rng : Rng.t;
   mutable vivaldi : Mortar_coords.Vivaldi.system option;
-  backend : backend;
+  sh : sharded;
 }
 
 let default_domains = ref 1
@@ -86,30 +76,6 @@ let make_runtime ~engine ~transport ~topo ~clock ~rng self : Peer.runtime =
     rng;
   }
 
-let create ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?offsets ?skews topo =
-  let n = Topology.hosts topo in
-  let rng = Rng.create seed in
-  let engine = Engine.create () in
-  let transport = Transport.create engine topo ~loss ~rng:(Rng.split rng) () in
-  let get arr i = match arr with Some a -> a.(i) | None -> 0.0 in
-  let clocks =
-    Array.init n (fun i -> Clock.create ~offset:(get offsets i) ~skew:(get skews i) ())
-  in
-  let peers =
-    Array.init n (fun i ->
-        let rt =
-          make_runtime ~engine ~transport ~topo ~clock:clocks.(i) ~rng:(Rng.split rng) i
-        in
-        Peer.create ~config rt)
-  in
-  Array.iteri (fun i peer -> Transport.register transport i (fun ~src m -> Peer.receive peer ~src m)) peers;
-  (* The fault table gets its own root stream: drawing it from [rng]
-     would shift the transport/peer/planner streams of every existing
-     seeded run, faults or not. *)
-  let faults = Faults.create ~hosts:n ~rng:(Rng.create (seed lxor 0x5f3759df)) () in
-  Transport.set_faults transport faults;
-  { engine; topo; transport; faults; clocks; peers; rng; vivaldi = None; backend = Single }
-
 let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?offsets ?skews
     ?domains topo =
   let domains =
@@ -119,10 +85,8 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let nshards = Topology.stub_count topo in
   let lookahead = Topology.lookahead topo in
   let shard_of = Array.init n (fun h -> Topology.stub_of topo h) in
-  (* RNG derivation mirrors [create] exactly where streams are shared:
-     one split for the transport root, then per-peer splits in host
-     order — so peer behaviour is seed-compatible with the single
-     backend. Only the transport root is then re-split per shard (the
+  (* RNG derivation: one split for the transport root, then per-peer
+     splits in host order. The transport root is re-split per shard (the
      loss stream must be private to the deciding domain); with the
      default [loss = 0.] no transport randomness is ever drawn. *)
   let rng = Rng.create seed in
@@ -158,8 +122,10 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
     (fun i peer ->
       Transport.register transports.(shard_of.(i)) i (fun ~src m -> Peer.receive peer ~src m))
     peers;
-  (* Same root constant as [create]; the root table only installs and
-     heals conditions, each shard decides through a private view. *)
+  (* The fault table gets its own root stream, so attaching faults never
+     shifts the transport/peer/planner streams of a seeded run. The root
+     table only installs and heals conditions; each shard decides through
+     a private view. *)
   let fmaster = Rng.create (seed lxor 0x5f3759df) in
   let faults = Faults.create ~hosts:n ~rng:fmaster () in
   Array.iter
@@ -187,27 +153,7 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
      still returns [default] off-slice once its run loop has exited. *)
   Obs.set_sink (fun () ->
       match Par.Ctx.get () with Some sid -> sh.regs.(sid) | None -> sh.ctl_sink);
-  {
-    engine;
-    topo;
-    transport = transports.(0);
-    faults;
-    clocks;
-    peers;
-    rng;
-    vivaldi = None;
-    backend = Sharded sh;
-  }
-
-let engine t = t.engine
-
-let transport t =
-  match t.backend with
-  | Single -> t.transport
-  | Sharded _ ->
-    invalid_arg
-      "Deployment.transport: sharded deployment has one transport per shard; use the \
-       aggregate accessors (total_bytes, bytes_series, kinds, messages_sent, ...)"
+  { engine; topo; transport = transports.(0); faults; clocks; peers; rng; vivaldi = None; sh }
 
 let topology t = t.topo
 
@@ -221,15 +167,12 @@ let rng t = t.rng
    callbacks (e.g. the harness result hooks) read coherent local time;
    everywhere else it is the control engine's. *)
 let now t =
-  match t.backend with
-  | Single -> Engine.now t.engine
-  | Sharded sh -> (
-    match Par.Ctx.get () with
-    | Some sid -> Engine.now sh.shards.(sid).s_engine
-    | None -> Engine.now t.engine)
+  match Par.Ctx.get () with
+  | Some sid -> Engine.now t.sh.shards.(sid).s_engine
+  | None -> Engine.now t.engine
 
 (* ------------------------------------------------------------------ *)
-(* The conservative epoch loop (sharded backend).
+(* The conservative epoch loop.
 
    Invariant: a cross-shard message sent at time E is delivered at
    E + latency >= E + lookahead. So with [ns] = the earliest queued
@@ -322,7 +265,8 @@ let flush_obs sh =
     Array.iter (fun r -> Obs.Reg.fold_into ~into:Obs.default r) sh.regs
   end
 
-let run_sharded t sh target =
+let run_until t target =
+  let sh = t.sh in
   let pool = Par.Pool.create ~domains:(min sh.domains (Array.length sh.shards)) in
   sh.ctl_sink <- sh.ctl_reg;
   Fun.protect
@@ -364,45 +308,27 @@ let run_sharded t sh target =
       done);
   flush_obs sh
 
-let run_until t time =
-  match t.backend with
-  | Single -> Engine.run ~until:time t.engine
-  | Sharded sh -> run_sharded t sh time
-
 let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
 
-let shard_count t =
-  match t.backend with Single -> 1 | Sharded sh -> Array.length sh.shards
+let shard_count t = Array.length t.sh.shards
 
-let domains t = match t.backend with Single -> 1 | Sharded sh -> sh.domains
+let domains t = t.sh.domains
 
-let lookahead t =
-  match t.backend with Single -> 0.0 | Sharded sh -> sh.lookahead
+let lookahead t = t.sh.lookahead
 
-let engine_of_host t i =
-  match t.backend with
-  | Single -> t.engine
-  | Sharded sh -> sh.shards.(sh.shard_of.(i)).s_engine
+let engine_of_host t i = t.sh.shards.(t.sh.shard_of.(i)).s_engine
 
-(* Aggregate transport accessors: in sharded mode the per-shard
-   instances each hold their own counters and bandwidth series, so the
-   deployment-level totals sum (or bucket-merge) across them. Every
-   experiment reads traffic through these rather than [transport]. *)
+(* Aggregate transport accessors: the per-shard instances each hold
+   their own counters and bandwidth series, so the deployment-level
+   totals sum (or bucket-merge) across them. *)
 
-let fold_transports t f acc =
-  match t.backend with
-  | Single -> f acc t.transport
-  | Sharded sh -> Array.fold_left (fun acc s -> f acc s.s_transport) acc sh.shards
+let fold_transports t f acc = Array.fold_left (fun acc s -> f acc s.s_transport) acc t.sh.shards
 
-let on_deliver t f =
-  match t.backend with
-  | Single -> Transport.on_deliver t.transport f
-  | Sharded sh ->
-    (* Deliveries (including drained cross-shard ones) run on the
-       destination's instance, so the observer goes on every one. With
-       [domains > 1] it fires concurrently from several domains — keep
-       observers effect-free or confine them to one host's traffic. *)
-    Array.iter (fun s -> Transport.on_deliver s.s_transport f) sh.shards
+(* Deliveries (including drained cross-shard ones) run on the
+   destination's instance, so the observer goes on every one. With
+   [domains > 1] it fires concurrently from several domains — keep
+   observers effect-free or confine them to one host's traffic. *)
+let on_deliver t f = Array.iter (fun s -> Transport.on_deliver s.s_transport f) t.sh.shards
 
 let messages_sent t = fold_transports t (fun acc tr -> acc + Transport.messages_sent tr) 0
 
@@ -410,10 +336,7 @@ let messages_delivered t =
   fold_transports t (fun acc tr -> acc + Transport.messages_delivered tr) 0
 
 let events_fired t =
-  let base = Engine.fired t.engine in
-  match t.backend with
-  | Single -> base
-  | Sharded sh -> Array.fold_left (fun acc s -> acc + Engine.fired s.s_engine) base sh.shards
+  Array.fold_left (fun acc s -> acc + Engine.fired s.s_engine) (Engine.fired t.engine) t.sh.shards
 
 let total_bytes t = fold_transports t (fun acc tr -> acc +. Transport.total_bytes tr) 0.0
 
@@ -424,23 +347,18 @@ let kinds t =
   fold_transports t (fun acc tr -> List.rev_append (Transport.kinds tr) acc) []
   |> List.sort_uniq compare
 
+(* Transports are created with the default 1-second bucket, so the
+   merged series uses the same width. *)
 let bytes_series t ~kind =
-  match t.backend with
-  | Single -> Transport.bytes_series t.transport ~kind
-  | Sharded sh ->
-    (* Transports are created with the default 1-second bucket, so the
-       merged series uses the same width. *)
-    Array.fold_left
-      (fun acc s ->
-        match Transport.bytes_series s.s_transport ~kind with
-        | None -> acc
-        | Some src ->
-          let dst =
-            match acc with Some d -> d | None -> Series.create ~bucket:1.0
-          in
-          Series.merge_into ~dst src;
-          Some dst)
-      None sh.shards
+  fold_transports t
+    (fun acc tr ->
+      match Transport.bytes_series tr ~kind with
+      | None -> acc
+      | Some src ->
+        let dst = match acc with Some d -> d | None -> Series.create ~bucket:1.0 in
+        Series.merge_into ~dst src;
+        Some dst)
+    None
 
 let set_up t node up =
   if !Obs.enabled && Transport.is_up t.transport node <> up then
@@ -665,17 +583,11 @@ let inject t ~node ~stream ?true_slot value =
 let sensor t ~node ~stream ~period ?(jitter = 0.0) ?truth_slide value =
   assert (period > 0.0);
   (* Ticks run on the node's shard engine, so jitter draws would race on
-     the deployment RNG across domains: sharded sensors split a private
-     stream up front (sequential, so it is a pure function of the
-     attachment order, not of the domain count). The single backend
-     keeps drawing from [t.rng] at tick time, byte-compatible with every
-     pinned run. *)
+     the deployment RNG across domains: a jittered sensor splits a
+     private stream up front (sequential, so it is a pure function of the
+     attachment order, not of the domain count). *)
   let engine = engine_of_host t node in
-  let jrng =
-    match t.backend with
-    | Single -> t.rng
-    | Sharded _ -> if jitter > 0.0 then Rng.split t.rng else t.rng
-  in
+  let jrng = if jitter > 0.0 then Rng.split t.rng else t.rng in
   let phase = Rng.float t.rng period in
   let counter = ref 0 in
   let rec tick () =

@@ -12,18 +12,6 @@
 
 type t
 
-val create :
-  ?seed:int ->
-  ?config:Mortar_core.Peer.config ->
-  ?loss:float ->
-  ?offsets:float array ->
-  ?skews:float array ->
-  Mortar_net.Topology.t ->
-  t
-(** [offsets]/[skews] (seconds / dimensionless, indexed by host) default to
-    perfectly synchronized clocks. Single-engine backend: one event loop
-    runs every host, exactly as before the parallel runtime existed. *)
-
 val create_sharded :
   ?seed:int ->
   ?config:Mortar_core.Peer.config ->
@@ -33,7 +21,7 @@ val create_sharded :
   ?domains:int ->
   Mortar_net.Topology.t ->
   t
-(** The conservative parallel backend: hosts are partitioned into one
+(** The deployment's one constructor. Hosts are partitioned into one
     logical shard per populated stub domain of the topology, each with
     its own event engine and transport instance, synchronized by a
     lookahead epoch loop ({!Mortar_net.Topology.lookahead}) with
@@ -45,44 +33,35 @@ val create_sharded :
     including [1]. On OCaml 4.14 the runtime is the sequential fallback
     shim and [domains] is effectively [1].
 
-    Peer RNG streams are seed-compatible with {!create}; transport-level
-    loss draws and fault randomness use per-shard streams, so runs with
-    [loss > 0] or active fault randomness are deterministic but not
-    stream-identical to the single backend. *)
+    [offsets]/[skews] (seconds / dimensionless, indexed by host) default
+    to perfectly synchronized clocks. Transport loss draws and fault
+    randomness use per-shard streams, so they too are independent of
+    [domains]. *)
 
 val default_domains : int ref
 (** Execution width used by {!create_sharded} when [?domains] is not
     given; the CLI's [--shards] flag sets it. Default [1]. *)
 
-val engine : t -> Mortar_sim.Engine.t
-(** The (control, in sharded mode) engine. *)
-
-val transport : t -> Mortar_core.Msg.payload Mortar_net.Transport.t
-(** The transport of a {!create} deployment. Raises [Invalid_argument]
-    on a sharded deployment — traffic lives on per-shard instances
-    there; use the aggregate accessors below. *)
-
 val shard_count : t -> int
-(** Logical shards ([1] for {!create}). *)
+(** Logical shards: populated stub domains of the topology. *)
 
 val domains : t -> int
-(** Execution width ([1] for {!create}). *)
+(** Execution width. *)
 
 val lookahead : t -> float
-(** The epoch lookahead ([0.] for {!create}). *)
+(** The epoch lookahead; [infinity] when the topology has one stub. *)
 
 (** {1 Aggregate traffic accessors}
 
-    Backend-independent reads of the transport counters and bandwidth
-    series: the single backend delegates, the sharded one sums (or
-    bucket-merges) across shard instances. *)
+    Reads of the transport counters and bandwidth series, summed (or
+    bucket-merged) across the per-shard transport instances. *)
 
 val on_deliver :
   t -> (src:Mortar_net.Topology.host -> dst:Mortar_net.Topology.host -> kind:string -> unit) -> unit
-(** Observe every message delivery, on any backend. In sharded mode the
-    observer is installed on each shard instance and fires on the
-    destination shard's domain — with [domains > 1] keep it effect-free
-    or confine mutation to per-host state. *)
+(** Observe every message delivery. The observer is installed on each
+    shard instance and fires on the destination shard's domain — with
+    [domains > 1] keep it effect-free or confine mutation to per-host
+    state. *)
 
 val messages_sent : t -> int
 
@@ -99,7 +78,7 @@ val kinds : t -> string list
 (** Sorted, duplicate-free union across shards. *)
 
 val bytes_series : t -> kind:string -> Mortar_sim.Series.t option
-(** Sharded mode returns a fresh merged series per call. *)
+(** A fresh merged series per call. *)
 
 val topology : t -> Mortar_net.Topology.t
 

@@ -43,20 +43,24 @@ type 'a t = {
   mutable kind_cache2 : (string * Mortar_sim.Series.t) option;
   mutable sent : int;
   mutable delivered : int;
-  (* Sharded mode: this instance serves the hosts of one logical shard.
-     A send whose destination maps to another shard is handed to
-     [remote] (the deployment's outbox) instead of scheduled locally;
-     [up]/[handlers]/[seen] are shared across all sibling instances
-     (indexed by host, each slot touched only by its owner shard). *)
-  shard : int; (* -1 = unsharded *)
-  shard_of : Topology.host -> int;
-  remote : 'a remote option;
+  remote : 'a cross option; (* [None]: a standalone instance *)
 }
 
-let no_shard (_ : Topology.host) = -1
+(* A sharded instance serves the hosts of one logical shard. A send whose
+   destination maps to another shard is handed to [post] (the
+   deployment's outbox) instead of scheduled locally; [up]/[handlers]/
+   [seen] are shared across all sibling instances (indexed by host, each
+   slot touched only by its owner shard). *)
+and 'a cross = {
+  shard : int;
+  shard_of : Topology.host -> int;
+  post : 'a remote;
+}
 
-let create engine topo ?(loss = 0.0) ?(bucket = 1.0) ?(seen_cap = 4096) ?faults ~rng () =
-  let n = Topology.hosts topo in
+(* Both constructors build through here. The per-host arrays are
+   parameters so sibling shard instances share them without allocating
+   throwaway copies. *)
+let make engine topo ~loss ~bucket ~seen_cap ~rng ~faults ~handlers ~up ~seen ~remote =
   {
     engine;
     topo;
@@ -65,52 +69,35 @@ let create engine topo ?(loss = 0.0) ?(bucket = 1.0) ?(seen_cap = 4096) ?faults 
     seen_cap = max 1 seen_cap;
     rng;
     faults;
-    handlers = Array.make n None;
+    handlers;
     observers = [||];
-    up = Array.make n true;
-    up_alive = n;
-    seen = Array.make n None;
+    up;
+    (* On sharded instances meaningful only on instance 0: the deployment
+       routes every [set_up] through it. *)
+    up_alive = Array.length up;
+    seen;
     by_kind = Hashtbl.create 8;
     kind_cache = None;
     kind_cache2 = None;
     sent = 0;
     delivered = 0;
-    shard = -1;
-    shard_of = no_shard;
-    remote = None;
+    remote;
   }
+
+let create engine topo ?(loss = 0.0) ?(bucket = 1.0) ?(seen_cap = 4096) ?faults ~rng () =
+  let n = Topology.hosts topo in
+  make engine topo ~loss ~bucket ~seen_cap ~rng ~faults ~handlers:(Array.make n None)
+    ~up:(Array.make n true) ~seen:(Array.make n None) ~remote:None
 
 let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) ?(bucket = 1.0)
     ?(seen_cap = 4096) () =
   let n = Topology.hosts topo in
-  let up = Array.make n true in
-  let handlers = Array.make n None in
-  let seen = Array.make n None in
-  Array.init (Array.length engines) (fun s ->
-      {
-        engine = engines.(s);
-        topo;
-        loss;
-        bucket;
-        seen_cap = max 1 seen_cap;
-        rng = rngs.(s);
-        faults = None;
-        handlers;
-        observers = [||];
-        up;
-        (* Meaningful only on instance 0: the deployment routes every
-           [set_up] through it, so its count tracks the shared array. *)
-        up_alive = n;
-        seen;
-        by_kind = Hashtbl.create 8;
-        kind_cache = None;
-        kind_cache2 = None;
-        sent = 0;
-        delivered = 0;
-        shard = s;
-        shard_of;
-        remote = Some (remote s);
-      })
+  let handlers = Array.make n None and up = Array.make n true and seen = Array.make n None in
+  Array.mapi
+    (fun shard engine ->
+      make engine topo ~loss ~bucket ~seen_cap ~rng:rngs.(shard) ~faults:None ~handlers ~up ~seen
+        ~remote:(Some { shard; shard_of; post = remote shard }))
+    engines
 
 let register t host f = t.handlers.(host) <- Some f
 
@@ -274,12 +261,12 @@ let[@lint.hot] send t ~src ~dst ~size ?(kind = "data") ?key payload =
       end;
       let delay = Topology.latency t.topo src dst +. verdict.Faults.extra_delay in
       match t.remote with
-      | Some post when t.shard_of dst <> t.shard ->
+      | Some r when r.shard_of dst <> r.shard ->
         (* Cross-shard: hand the message to the deployment's outbox
            rather than this engine. The lookahead bound guarantees
            [deliver_at] is still in the destination shard's future, and
            the outbox drain gives the merge a canonical total order. *)
-        post ~deliver_at:(Mortar_sim.Engine.now t.engine +. delay) ~src ~dst ~kind ~key payload
+        r.post ~deliver_at:(Mortar_sim.Engine.now t.engine +. delay) ~src ~dst ~kind ~key payload
       | _ ->
         ignore
           (* lint: allow D9 the deferred delivery closure IS the in-flight message *)

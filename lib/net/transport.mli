@@ -78,7 +78,7 @@ val deliver_msg :
 (** Delivery-time half of {!send}: destination-liveness check, duplicate
     suppression, handler dispatch. Exposed for the sharded deployment,
     which calls it on the {e destination} shard's instance when draining
-    cross-shard outboxes; single-engine users never need it. *)
+    cross-shard outboxes; standalone users never need it. *)
 
 val register : 'a t -> Topology.host -> (src:Topology.host -> 'a -> unit) -> unit
 (** Install the delivery handler for a host; replaces any previous one. *)

@@ -387,11 +387,10 @@ let default = Reg.create ()
 
 (* Where the module-level wrappers write. The resolver indirection lets
    the sharded runtime route instrumentation to a per-shard registry
-   (keyed off a domain-local context) while everything else — including
-   all single-engine deployments — keeps hitting [default]. Installed
-   once at startup by the sharded deployment; never called concurrently
-   with itself (each resolver invocation is on the domain doing the
-   write). *)
+   (keyed off a domain-local context) while everything else keeps
+   hitting [default]. Installed by each deployment; never called
+   concurrently with itself (each resolver invocation is on the domain
+   doing the write). *)
 let sink : (unit -> Reg.t) ref = ref (fun () -> default)
 
 let set_sink f = sink := f

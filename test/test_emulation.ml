@@ -9,7 +9,7 @@ module Rng = Mortar_util.Rng
 let deploy ?(hosts = 24) ?(seed = 61) ?offsets ?skews () =
   let rng = Rng.create (seed * 3) in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:6 ~hosts () in
-  D.create ~seed ?offsets ?skews topo
+  D.create_sharded ~seed ?offsets ?skews topo
 
 let test_deployment_basics () =
   let d = deploy () in

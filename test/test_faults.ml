@@ -219,7 +219,7 @@ let install_completeness ~retries ~loss =
   let rng = Rng.create 23 in
   let topo = Topology.transit_stub rng ~transits:4 ~stubs:6 ~hosts () in
   let config = { Peer.default_config with Peer.hb_period = 1e6; ctl_retries = retries } in
-  let d = D.create ~seed:29 ~config ~loss topo in
+  let d = D.create_sharded ~seed:29 ~config ~loss topo in
   D.converge_coordinates d ();
   let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
   let treeset = D.plan d ~bf:4 ~root:0 ~nodes () in
@@ -255,7 +255,7 @@ let test_ctl_ack_clears_in_flight () =
   let rng = Rng.create 31 in
   let topo = Topology.transit_stub rng ~transits:2 ~stubs:4 ~hosts () in
   let config = { Peer.default_config with Peer.ctl_retries = 4 } in
-  let d = D.create ~seed:37 ~config topo in
+  let d = D.create_sharded ~seed:37 ~config topo in
   D.converge_coordinates d ();
   let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
   let treeset = D.plan d ~bf:4 ~root:0 ~nodes () in

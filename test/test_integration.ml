@@ -12,7 +12,7 @@ module Window = Mortar_core.Window
 let make_deployment ?(seed = 7) ?(hosts = 64) ?config () =
   let rng = Mortar_util.Rng.create (seed * 131) in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts () in
-  let d = D.create ~seed ?config topo in
+  let d = D.create_sharded ~seed ?config topo in
   D.converge_coordinates d ();
   d
 
@@ -161,7 +161,7 @@ let test_with_packet_loss () =
   let run seed =
     let rng = Mortar_util.Rng.create seed in
     let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts:64 () in
-    let d = D.create ~seed ~loss:0.03 topo in
+    let d = D.create_sharded ~seed ~loss:0.03 topo in
     D.converge_coordinates d ();
     let nodes = Array.init 63 (fun i -> i + 1) in
     let meta, treeset = count_query d ~name:"ql" ~nodes ~mode:Query.Syncless in
@@ -227,7 +227,7 @@ let test_syncless_with_offsets () =
   let skews = Mortar_sim.Clock.planetlab_skews crng ~n:64 in
   let rng = Mortar_util.Rng.create 404 in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts:64 () in
-  let d = D.create ~seed:404 ~offsets ~skews topo in
+  let d = D.create_sharded ~seed:404 ~offsets ~skews topo in
   D.converge_coordinates d ();
   let nodes = Array.init 63 (fun i -> i + 1) in
   let meta, treeset = count_query d ~name:"qo" ~nodes ~mode:Query.Syncless in

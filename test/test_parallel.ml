@@ -10,9 +10,10 @@
    - Deployment: the observable simulation — metrics lines, trace
      lines, transport counters — is byte-identical whether the logical
      shards execute on 1 domain or 4. Checked on a loss-free
-     aggregation run (fig01-style) and on a fault-heavy run
-     (soak-style) whose per-shard fault RNG streams are the subtle
-     part. *)
+     aggregation run (fig01-style), on a fault-heavy run (soak-style)
+     whose per-shard fault RNG streams are the subtle part, and on a run
+     with constructor-level loss and jittered sensors, which draw from
+     the per-shard transport streams and the sensors' split streams. *)
 
 module Engine = Mortar_sim.Engine
 module Shard = Mortar_sim.Shard
@@ -92,7 +93,7 @@ type capture = {
 
 (* Run one seeded scenario at the given domain count with observability
    on, and capture everything externally visible. *)
-let run_scenario ~domains ~faults () =
+let run_scenario ~domains input =
   let saved = !Obs.enabled in
   Fun.protect
     ~finally:(fun () ->
@@ -104,7 +105,10 @@ let run_scenario ~domains ~faults () =
       let hosts = 48 in
       let rng = Rng.create 2718 in
       let topo = Topology.transit_stub rng ~hosts ~transits:3 ~stubs:6 () in
-      let d = D.create_sharded ~seed:2718 ~domains topo in
+      let noisy = input = `Noisy in
+      let loss = if noisy then 0.05 else 0.0 in
+      let jitter = if noisy then 0.2 else 0.0 in
+      let d = D.create_sharded ~seed:2718 ~loss ~domains topo in
       let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
       let treeset = D.plan_random d ~bf:8 ~root:0 ~nodes () in
       let meta =
@@ -114,13 +118,13 @@ let run_scenario ~domains ~faults () =
           ~aggregate:true ()
       in
       for i = 0 to hosts - 1 do
-        D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Mortar_core.Value.Int 1)
+        D.sensor d ~node:i ~stream:"ones" ~period:1.0 ~jitter (fun _ -> Mortar_core.Value.Int 1)
       done;
       let results = ref [] in
       Mortar_core.Peer.on_result (D.peer d 0) (fun (r : Mortar_core.Peer.result) ->
           results := (D.now d, r.count) :: !results);
       D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
-      if faults then
+      if input = `Faults then
         D.schedule_faults d
           [
             D.Partition_stub { stub = 2; from = 3.0; until = 6.0 };
@@ -147,15 +151,8 @@ let check_identical name a b =
   Alcotest.(check bool) (name ^ ": nonempty trace") true (a.trace <> []);
   Alcotest.(check bool) (name ^ ": root got results") true (List.length a.results > 0)
 
-let test_domains_identical_cleanrun () =
-  let a = run_scenario ~domains:1 ~faults:false () in
-  let b = run_scenario ~domains:4 ~faults:false () in
-  check_identical "clean" a b
-
-let test_domains_identical_faultrun () =
-  let a = run_scenario ~domains:1 ~faults:true () in
-  let b = run_scenario ~domains:4 ~faults:true () in
-  check_identical "faulty" a b
+let test_domains_identical name input () =
+  check_identical name (run_scenario ~domains:1 input) (run_scenario ~domains:4 input)
 
 (* Sketch queries extend the contract: the packed partial bytes the
    root delivers — not just the counts — must be identical across
@@ -206,8 +203,12 @@ let tests =
     Alcotest.test_case "stamped canonical order" `Quick test_stamped_order;
     Alcotest.test_case "outbox drain canonical" `Quick test_outbox_drain_canonical;
     Alcotest.test_case "run_before strict bound" `Quick test_run_before_strict;
-    Alcotest.test_case "1 vs 4 domains identical (clean)" `Quick test_domains_identical_cleanrun;
-    Alcotest.test_case "1 vs 4 domains identical (faults)" `Quick test_domains_identical_faultrun;
+    Alcotest.test_case "1 vs 4 domains identical (clean)" `Quick
+      (test_domains_identical "clean" `Clean);
+    Alcotest.test_case "1 vs 4 domains identical (faults)" `Quick
+      (test_domains_identical "faulty" `Faults);
     Alcotest.test_case "1 vs 4 domains identical (sketch bytes)" `Quick
       test_domains_identical_sketch;
+    Alcotest.test_case "1 vs 4 domains identical (loss + jitter)" `Quick
+      (test_domains_identical "noisy" `Noisy);
   ]

@@ -12,7 +12,7 @@ module Op = Mortar_core.Op
 let deploy ?(seed = 41) ?(hosts = 32) ?offsets () =
   let rng = Mortar_util.Rng.create (seed * 17) in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:6 ~hosts () in
-  let d = D.create ~seed ?offsets topo in
+  let d = D.create_sharded ~seed ?offsets topo in
   D.converge_coordinates d ();
   d
 

@@ -22,7 +22,7 @@ let fixture =
   lazy
     (let rng = Rng.create 31 in
      let topo = Topology.transit_stub rng ~transits:3 ~stubs:6 ~hosts:120 () in
-     let d = D.create ~seed:31 topo in
+     let d = D.create_sharded ~seed:31 topo in
      D.converge_coordinates d ();
      (topo, d))
 
@@ -187,7 +187,7 @@ let test_refcount_lifecycle () =
   let hosts = 48 in
   let rng = Rng.create 77 in
   let topo = Topology.transit_stub rng ~transits:3 ~stubs:6 ~hosts () in
-  let d = D.create ~seed:77 topo in
+  let d = D.create_sharded ~seed:77 topo in
   D.converge_coordinates d ();
   let ctx = Place.ctx ~topo ~coords:(D.coordinates d) ~bf:4 ~degree:2 ~seed:5 () in
   let reg = Registry.create ~ctx () in
@@ -260,7 +260,7 @@ let test_readmission_after_remove () =
   let hosts = 48 in
   let rng = Rng.create 78 in
   let topo = Topology.transit_stub rng ~transits:3 ~stubs:6 ~hosts () in
-  let d = D.create ~seed:78 topo in
+  let d = D.create_sharded ~seed:78 topo in
   D.converge_coordinates d ();
   let ctx = Place.ctx ~topo ~coords:(D.coordinates d) ~bf:4 ~degree:2 ~seed:5 () in
   let reg = Registry.create ~ctx () in
