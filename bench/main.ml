@@ -287,6 +287,7 @@ module Scale = struct
   module Transport = Mortar_net.Transport
   module Engine = Mortar_sim.Engine
   module D = Mortar_emul.Deployment
+  module Score = Mortar_experiments.Score
 
   type row = {
     hosts : int;
@@ -373,10 +374,10 @@ module Scale = struct
       D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Mortar_core.Value.Int 1)
     done;
     let results = ref 0 in
-    let emissions = ref [] in
+    let score = Score.create () in
     Mortar_core.Peer.on_result (D.peer d 0) (fun (r : Mortar_core.Peer.result) ->
         incr results;
-        emissions := (r.slot, r.count, D.now d) :: !emissions);
+        ignore (Score.offer score ~at:(D.now d) ~slot:r.slot r.count));
     D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
     (* Collect the other layers' garbage before timing, so the round
        measures the engine rather than inherited major-heap debt. *)
@@ -392,22 +393,14 @@ module Scale = struct
        the last leaves install about a window later, so the threshold is
        correspondingly later). *)
     let warmup = if hosts >= 50_000 then 7.0 else 5.0 in
-    let slots =
-      List.fold_left
-        (fun acc (slot, count, at) ->
-          match List.assoc_opt slot acc with
-          | Some (first_at, best) ->
-            (slot, (min first_at at, max best count)) :: List.remove_assoc slot acc
-          | None -> (slot, (at, count)) :: acc)
-        [] !emissions
+    let steady =
+      List.filter
+        (fun slot ->
+          match Score.first_at score slot with Some at -> at >= warmup | None -> false)
+        (Score.slots score)
     in
-    let steady = List.filter (fun (_, (first_at, _)) -> first_at >= warmup) slots in
     let completeness =
-      match steady with
-      | [] -> 0.0
-      | _ ->
-        let counted = List.fold_left (fun s (_, (_, c)) -> s + c) 0 steady in
-        float_of_int counted /. float_of_int (List.length steady * hosts)
+      match steady with [] -> 0.0 | _ -> Score.mean (Score.best score) ~denom:hosts steady
     in
     (wall, !results, completeness)
 

@@ -16,30 +16,14 @@ module Engine = Mortar_sim.Engine
 
 let window = 5.0
 
-(* True completeness: for each true window, the largest fraction of its
-   tuples that landed together in a single reported result. *)
-let true_completeness per_result_prov ~expected_per_slot ~slot_range =
-  let best : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (_, prov) ->
-      List.iter
-        (fun (slot, n) ->
-          let cur = Option.value (Hashtbl.find_opt best slot) ~default:0 in
-          if n > cur then Hashtbl.replace best slot n)
-        prov)
-    per_result_prov;
-  let lo, hi = slot_range in
-  let fracs =
-    List.filter_map
-      (fun slot ->
-        if slot < lo || slot > hi then None
-        else begin
-          let b = Option.value (Hashtbl.find_opt best slot) ~default:0 in
-          Some (float_of_int b /. float_of_int expected_per_slot)
-        end)
-      (List.init (hi - lo + 1) (fun i -> lo + i))
-  in
-  Mortar_util.Stats.mean (Array.of_list fracs)
+(* True completeness: for each true window in [lo, hi], the largest
+   fraction of its tuples that landed together in a single reported
+   result. *)
+let true_completeness prov ~expected_per_slot ~slot_range:(lo, hi) =
+  Score.mean
+    (Score.best (Score.of_prov prov))
+    ~denom:expected_per_slot
+    (List.init (hi - lo + 1) (fun i -> lo + i))
 
 (* Result latency: emission time minus the due time of the result's
    majority true window. *)

@@ -63,13 +63,7 @@ let run ~quick =
   Printf.printf "path length under 40%% failures: mean %.2f, max %.2f (paper: +3 extra hops)\n"
     (Harness.mean_path_length h (f40.start +. 10.0) (f40.start +. 50.0))
     (Harness.mean_max_path_length h (f40.start +. 10.0) (f40.start +. 50.0));
-  (* Recovery time after the 40% failure: first bucket whose completeness
-     reaches the live-node level. *)
   let last = List.nth phases 3 in
-  let live_frac =
-    float_of_int (Harness.live_hosts h) /. float_of_int hosts
-  in
-  ignore live_frac;
   (* Recovery time: first instant after the failure's effect shows in the
      result stream (result latency lags ~5 s) at which completeness is back
      at the live-node level and stays there for two consecutive seconds. *)

@@ -190,25 +190,23 @@ let attach_sensors d specs =
    re-installs the physical query, so the two incarnations' slots are
    not comparable. *)
 
-type sink = (string, (int, int) Hashtbl.t) Hashtbl.t
+type sink = (string, Score.t) Hashtbl.t
 
-(* Every logical query's table is created up-front (single-threaded) and
+(* Every logical query's score is created up-front (single-threaded) and
    then mutated only from its one delivery host, so the sharded backend
    can run delivery callbacks on different domains without the outer
    table ever being written concurrently. *)
 let sink_for specs : sink =
   let sink = Hashtbl.create 64 in
-  List.iter (fun (s : Spec.t) -> Hashtbl.replace sink s.Spec.name (Hashtbl.create 32)) specs;
+  List.iter (fun (s : Spec.t) -> Hashtbl.replace sink s.Spec.name (Score.create ())) specs;
   sink
 
-let bucket ~now ~age = int_of_float (Float.round (now -. age))
-
-let record (sink : sink) name slot count =
-  match Hashtbl.find_opt sink name with
-  | None -> ()
-  | Some tbl ->
-    let cur = Option.value (Hashtbl.find_opt tbl slot) ~default:0 in
-    if count > cur then Hashtbl.replace tbl slot count
+let record d (sink : sink) name ~age count =
+  let now = D.now d in
+  ignore
+    (Score.offer (Hashtbl.find sink name) ~at:now
+       ~slot:(int_of_float (Float.round (now -. age)))
+       count)
 
 (* Mean delivered completeness over the window-due range [lo, hi): the
    window born at integer w (1 s windows) is due around w + 1; a window
@@ -216,22 +214,11 @@ let record (sink : sink) name slot count =
    completeness denominator. *)
 let completeness (sink : sink) specs ~denom ~lo ~hi =
   let lo_s = int_of_float lo - 1 and hi_s = int_of_float hi - 2 in
-  let nslots = hi_s - lo_s + 1 in
-  if nslots <= 0 || specs = [] then nan
+  if hi_s < lo_s || specs = [] then nan
   else begin
+    let slots = List.init (hi_s - lo_s + 1) (fun i -> lo_s + i) in
     let per_spec (s : Spec.t) =
-      let dn = max 1 (denom s) in
-      let tbl = Hashtbl.find_opt sink s.Spec.name in
-      let acc = ref 0.0 in
-      for slot = lo_s to hi_s do
-        let c =
-          match tbl with
-          | None -> 0
-          | Some t -> Option.value (Hashtbl.find_opt t slot) ~default:0
-        in
-        acc := !acc +. (float_of_int (min c dn) /. float_of_int dn)
-      done;
-      !acc /. float_of_int nslots
+      Score.mean (Score.best (Hashtbl.find sink s.Spec.name)) ~denom:(max 1 (denom s)) slots
     in
     List.fold_left (fun acc s -> acc +. per_spec s) 0.0 specs
     /. float_of_int (List.length specs)
@@ -311,7 +298,7 @@ let setup ~mode ~q p =
         in
         Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
             if r.query = s.Spec.name then
-              record sink s.Spec.name (bucket ~now:(D.now d) ~age:r.age) r.count);
+              record d sink s.Spec.name ~age:r.age r.count);
         D.at d (install_at i (List.length specs)) (fun () ->
             Peer.install_query (D.peer d root) meta treeset))
       specs;
@@ -353,7 +340,7 @@ let setup ~mode ~q p =
             List.iter
               (fun (phys, name) ->
                 if r.query = phys then
-                  record sink name (bucket ~now:(D.now d) ~age:r.age) r.count)
+                  record d sink name ~age:r.age r.count)
               pairs))
       (sorted at_root);
     List.iter
@@ -362,9 +349,7 @@ let setup ~mode ~q p =
             List.iter
               (fun (phys, name) ->
                 if rr.Peer.r_query = phys then
-                  record sink name
-                    (bucket ~now:(D.now d) ~age:rr.Peer.r_age)
-                    rr.Peer.r_count)
+                  record d sink name ~age:rr.Peer.r_age rr.Peer.r_count)
               pairs))
       (sorted remote);
     st

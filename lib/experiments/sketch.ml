@@ -145,29 +145,23 @@ let draw_value cdf ~host ~k =
   !lo
 
 (* ------------------------------------------------------------------ *)
-(* Per-slot delivered answers, best result (highest participant count)
-   per window slot. Tables are created single-threaded before the run
-   and mutated only from the root host's delivery callback. *)
+(* Per-slot delivered answers: the best result (highest participant
+   count, tallied by each query's [Score.t]) per window slot. Tables are
+   created single-threaded before the run and mutated only from the root
+   host's delivery callback. *)
 
-type exact_row = {
-  xquality : int;
-  xcount : float;
-  xdistinct : float;
-  xf2 : float;
-  xhot : float array;
-}
+type exact_row = { xcount : float; xdistinct : float; xf2 : float; xhot : float array }
 
-type est_row = { equality : int; est : float }
-
-type cm_row = { cquality : int; ctotal : float; chot : float array }
+type cm_row = { ctotal : float; chot : float array }
 
 (* ------------------------------------------------------------------ *)
 
 type side = {
   d : D.t;
+  score : string -> Score.t; (* per query name *)
   exact : (int, exact_row) Hashtbl.t; (* filled in exact mode *)
-  hll : (int, est_row) Hashtbl.t;
-  agms : (int, est_row) Hashtbl.t;
+  hll : (int, float) Hashtbl.t;
+  agms : (int, float) Hashtbl.t;
   cm : (int, cm_row) Hashtbl.t;
 }
 
@@ -204,16 +198,13 @@ let setup ~mode p =
   let hll = Hashtbl.create 64 in
   let agms = Hashtbl.create 64 in
   let cm = Hashtbl.create 64 in
-  let quality = Hashtbl.create 256 in
-  (* keyed (query, slot) *)
-  let best name slot q make =
-    let better =
-      match Hashtbl.find_opt quality (name, slot) with None -> true | Some c -> q > c
-    in
-    if better then begin
-      Hashtbl.replace quality (name, slot) q;
-      make ()
-    end
+  let scores = Hashtbl.create 4 in
+  List.iter
+    (fun name -> Hashtbl.replace scores name (Score.create ()))
+    [ "xunion"; "scm"; "shll"; "sagms" ];
+  let score = Hashtbl.find scores in
+  let on_best name slot n make =
+    if Score.offer (score name) ~at:(D.now d) ~slot n then make ()
   in
   (match mode with
   | `Exact ->
@@ -221,7 +212,7 @@ let setup ~mode p =
     Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
         match r.Peer.value with
         | Value.List vals when r.Peer.query = "xunion" ->
-          best "xunion" r.Peer.slot r.Peer.count (fun () ->
+          on_best "xunion" r.Peer.slot r.Peer.count (fun () ->
               let freq = Hashtbl.create 1024 in
               List.iter
                 (fun v ->
@@ -238,7 +229,6 @@ let setup ~mode p =
               in
               Hashtbl.replace exact r.Peer.slot
                 {
-                  xquality = r.Peer.count;
                   xcount = float_of_int (List.length vals);
                   xdistinct = float_of_int (Hashtbl.length freq);
                   xf2 = f2;
@@ -254,20 +244,19 @@ let setup ~mode p =
     Peer.on_result (D.peer d root) (fun (r : Peer.result) ->
         match (r.Peer.query, r.Peer.value) with
         | "scm", Value.Str packed ->
-          best "scm" r.Peer.slot r.Peer.count (fun () ->
+          on_best "scm" r.Peer.slot r.Peer.count (fun () ->
               let s = Cm.of_string packed in
               let hot =
                 Array.init p.nhot (fun i ->
                     float_of_int (Cm.query s ~key:(Op.sketch_key (Value.Int i))))
               in
-              Hashtbl.replace cm r.Peer.slot
-                { cquality = r.Peer.count; ctotal = float_of_int (Cm.total s); chot = hot })
+              Hashtbl.replace cm r.Peer.slot { ctotal = float_of_int (Cm.total s); chot = hot })
         | "shll", Value.Float est ->
-          best "shll" r.Peer.slot r.Peer.count (fun () ->
-              Hashtbl.replace hll r.Peer.slot { equality = r.Peer.count; est })
+          on_best "shll" r.Peer.slot r.Peer.count (fun () ->
+              Hashtbl.replace hll r.Peer.slot est)
         | "sagms", Value.Float est ->
-          best "sagms" r.Peer.slot r.Peer.count (fun () ->
-              Hashtbl.replace agms r.Peer.slot { equality = r.Peer.count; est })
+          on_best "sagms" r.Peer.slot r.Peer.count (fun () ->
+              Hashtbl.replace agms r.Peer.slot est)
         | _ -> ()));
   (* Identical composed churn in both deployments: the schedule is a
      pure function of (topology, rng) and this rng is dedicated. *)
@@ -278,7 +267,7 @@ let setup ~mode p =
       ~burst_len:2.5 ~kill_period:8.0 ~kill_fraction:0.25 ~kill_len:3.0 ()
   in
   D.schedule_faults d faults;
-  { d; exact; hll; agms; cm }
+  { d; score; exact; hll; agms; cm }
 
 (* ------------------------------------------------------------------ *)
 
@@ -290,10 +279,16 @@ let mbps d lo hi =
   in
   List.fold_left (fun acc k -> acc +. bytes k) 0.0 (D.kinds d) *. 8.0 /. (hi -. lo) /. 1e6
 
+(* A window is due at the end of its slot and its results reach the
+   root about 4 s later, after the eviction ladder has drained, so
+   windows due after [run_end - drain] are still in flight when the run
+   stops. Scoring them would read "not delivered" as "lost". *)
+let drain = 5.0
+
 let steady_slots p =
   let w = p.window in
   let lo = int_of_float (p.steady_lo /. w) + 1 in
-  let hi = int_of_float (p.steady_hi /. w) - 1 in
+  let hi = min (int_of_float (p.steady_hi /. w)) (int_of_float ((p.run_end -. drain) /. w)) - 1 in
   List.init (max 0 (hi - lo + 1)) (fun i -> lo + i)
 
 (* Mean of (exact, estimate) pairs over the slots where both sides
@@ -336,25 +331,24 @@ let run ~quick =
      counts per participating host instead: subtree loss hits numerator
      and denominator together and cancels, leaving actual approximation
      error. Completeness is reported separately, nothing is hidden. *)
+  let xq = Score.best (x.score "xunion") and cq = Score.best (s.score "scm") in
   let count_err =
     mean_over slots (fun slot ->
         match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.cm slot) with
-        | Some xr, Some cr when xr.xquality > 0 && cr.cquality > 0 ->
-          Some
-            ( xr.xcount /. float_of_int xr.xquality,
-              cr.ctotal /. float_of_int cr.cquality )
+        | Some xr, Some cr when xq slot > 0 && cq slot > 0 ->
+          Some (xr.xcount /. float_of_int (xq slot), cr.ctotal /. float_of_int (cq slot))
         | _ -> None)
   in
   let distinct_err =
     mean_over slots (fun slot ->
         match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.hll slot) with
-        | Some xr, Some er -> Some (xr.xdistinct, er.est)
+        | Some xr, Some est -> Some (xr.xdistinct, est)
         | _ -> None)
   in
   let f2_err =
     mean_over slots (fun slot ->
         match (Hashtbl.find_opt x.exact slot, Hashtbl.find_opt s.agms slot) with
-        | Some xr, Some er -> Some (xr.xf2, er.est)
+        | Some xr, Some est -> Some (xr.xf2, est)
         | _ -> None)
   in
   (* Hot-key point queries: mean over keys of mean-over-slots error. *)
@@ -371,32 +365,34 @@ let run ~quick =
   in
   let xmean get = mean_of slots (fun sl -> Option.map get (Hashtbl.find_opt x.exact sl)) in
   let smean tbl get = mean_of slots (fun sl -> Option.map get (Hashtbl.find_opt tbl sl)) in
+  let per_host tbl q get =
+    mean_of slots (fun sl ->
+        Option.map (fun r -> get r /. float_of_int (max 1 (q sl))) (Hashtbl.find_opt tbl sl))
+  in
   let xbw = mbps x.d p.steady_lo p.steady_hi in
   let sbw = mbps s.d p.steady_lo p.steady_hi in
-  let total = float_of_int p.hosts in
-  let xcompl = xmean (fun r -> float_of_int r.xquality /. total) in
-  let scompl = smean s.hll (fun (r : est_row) -> float_of_int r.equality /. total) in
+  let xcompl = Score.mean xq ~denom:p.hosts slots in
+  let scompl = Score.mean (Score.best (s.score "shll")) ~denom:p.hosts slots in
   Common.table
     ~columns:[ "metric"; "exact"; "sketch"; "rel err" ]
     (fun () ->
       [
         [
           "count/host";
-          Common.cell_f (xmean (fun r -> r.xcount /. float_of_int (max 1 r.xquality)));
-          Common.cell_f
-            (smean s.cm (fun (r : cm_row) -> r.ctotal /. float_of_int (max 1 r.cquality)));
+          Common.cell_f (per_host x.exact xq (fun r -> r.xcount));
+          Common.cell_f (per_host s.cm cq (fun (r : cm_row) -> r.ctotal));
           Common.cell_pct count_err;
         ];
         [
           "distinct";
           Common.cell_f (xmean (fun r -> r.xdistinct));
-          Common.cell_f (smean s.hll (fun (r : est_row) -> r.est));
+          Common.cell_f (smean s.hll Fun.id);
           Common.cell_pct distinct_err;
         ];
         [
           "f2";
           Common.cell_f (xmean (fun r -> r.xf2));
-          Common.cell_f (smean s.agms (fun (r : est_row) -> r.est));
+          Common.cell_f (smean s.agms Fun.id);
           Common.cell_pct f2_err;
         ];
         [

@@ -153,31 +153,17 @@ let soak_row ~quick ~self_heal =
      for that window — delivered completeness, which is what a blackhole
      destroys (the paper's single-result "true completeness" also moves
      with split windows, which repair does not promise to prevent). Slot
-     [s] of the 1 s sensor window is due at [s + 1]. *)
-  let total = Hashtbl.create 256 in
-  List.iter
-    (fun (_, prov) ->
-      List.iter
-        (fun (slot, n) ->
-          Hashtbl.replace total slot
-            (n + Option.value (Hashtbl.find_opt total slot) ~default:0))
-        prov)
-    (Harness.provenance_results h);
+     [s] of the 1 s sensor window is due at [s + 1], so the windows due
+     in [lo, hi) are slots [ceil lo - 1] to [ceil hi - 2]. *)
+  let score = Score.of_prov (Harness.provenance_results h) in
   let true_compl lo hi =
-    let slots = ref 0
-    and acc = ref 0.0 in
-    Hashtbl.iter
-      (fun slot n ->
-        let due = float_of_int (slot + 1) in
-        if due >= lo && due < hi then begin
-          incr slots;
-          acc := !acc +. (float_of_int (min n hosts) /. float_of_int hosts)
-        end)
-      total;
-    if !slots = 0 then 0.0 else !acc /. float_of_int !slots
+    let first = int_of_float (Float.ceil lo) - 1 and last = int_of_float (Float.ceil hi) - 2 in
+    Score.mean (Score.total score) ~denom:hosts
+      (List.init (max 0 (last - first + 1)) (fun i -> first + i))
   in
-  let overcount = ref 0 in
-  Hashtbl.iter (fun _ n -> if n > hosts then incr overcount) total;
+  let overcount =
+    List.length (List.filter (fun s -> Score.total score s > hosts) (Score.slots score))
+  in
   let floor_viol = ref 0 in
   let e = ref (chaos_from +. epoch) in
   while !e <= chaos_until +. 0.001 do
@@ -221,7 +207,7 @@ let soak_row ~quick ~self_heal =
       floor_viol = !floor_viol;
       steady_viol;
       monotone_viol = !monotone_viol;
-      overcount = !overcount;
+      overcount;
     },
     counters )
 
