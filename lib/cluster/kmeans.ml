@@ -43,18 +43,14 @@ let seed_plus_plus rng ~k points =
   done;
   chosen
 
-let nearest centroids p =
-  let best = ref 0 and best_d = ref infinity in
-  Array.iteri
-    (fun i c ->
-      let d = Vec.dist_sq p c in
-      if d < !best_d then begin
-        best_d := d;
-        best := i
-      end)
-    centroids;
-  (!best, !best_d)
-
+(* Lloyd iterations. The kernel allocates nothing per point: the nearest
+   centroid search is inlined and the per-cluster sums accumulate in
+   place. Its float operations run in the order of the plain [Vec] code
+   ([dist_sq] summed left to right, sums added point by point from
+   zero, centroids scaled by [1 / count]), so clusterings are
+   bit-identical to it. Centroids may alias input points (k-means++
+   seeds and empty-cluster re-seeds store them), so a centroid is only
+   ever replaced, never written in place. *)
 let cluster rng ~k ?(max_iter = 50) points =
   assert (k >= 1);
   let n = Array.length points in
@@ -69,49 +65,65 @@ let cluster rng ~k ?(max_iter = 50) points =
     let centroids = seed_plus_plus rng ~k points in
     let assignment = Array.make n (-1) in
     let dim = Vec.dim points.(0) in
+    let sums = Array.make_matrix k dim 0.0 in
+    let counts = Array.make k 0 in
     let changed = ref true in
     let iters = ref 0 in
     while !changed && !iters < max_iter do
       incr iters;
       changed := false;
       (* Assignment step. *)
-      Array.iteri
-        (fun i p ->
-          let c, _ = nearest centroids p in
-          if c <> assignment.(i) then begin
-            assignment.(i) <- c;
-            changed := true
-          end)
-        points;
+      for i = 0 to n - 1 do
+        let p = points.(i) in
+        let best = ref 0 and best_d = ref infinity in
+        for c = 0 to k - 1 do
+          let q = centroids.(c) in
+          let d = ref 0.0 in
+          for j = 0 to Array.length p - 1 do
+            let x = p.(j) -. q.(j) in
+            d := !d +. (x *. x)
+          done;
+          if !d < !best_d then begin
+            best_d := !d;
+            best := c
+          end
+        done;
+        if !best <> assignment.(i) then begin
+          assignment.(i) <- !best;
+          changed := true
+        end
+      done;
       (* Update step. *)
-      let sums = Array.init k (fun _ -> Vec.zero dim) in
-      let counts = Array.make k 0 in
-      Array.iteri
-        (fun i p ->
-          let c = assignment.(i) in
-          sums.(c) <- Vec.add sums.(c) p;
-          counts.(c) <- counts.(c) + 1)
-        points;
-      Array.iteri
-        (fun c count ->
-          if count > 0 then centroids.(c) <- Vec.scale (1.0 /. float_of_int count) sums.(c)
-          else begin
-            (* Re-seed an empty cluster on the point farthest from its
-               centroid, the standard fix-up. *)
-            let far = ref 0 and far_d = ref neg_infinity in
-            Array.iteri
-              (fun i p ->
-                let d = Vec.dist_sq p centroids.(assignment.(i)) in
-                if d > !far_d then begin
-                  far_d := d;
-                  far := i
-                end)
-              points;
-            centroids.(c) <- points.(!far);
-            assignment.(!far) <- c;
-            changed := true
-          end)
-        counts
+      Array.iter (fun s -> Array.fill s 0 dim 0.0) sums;
+      Array.fill counts 0 k 0;
+      for i = 0 to n - 1 do
+        let p = points.(i) and c = assignment.(i) in
+        let s = sums.(c) in
+        for j = 0 to dim - 1 do
+          s.(j) <- s.(j) +. p.(j)
+        done;
+        counts.(c) <- counts.(c) + 1
+      done;
+      for c = 0 to k - 1 do
+        let count = counts.(c) in
+        if count > 0 then centroids.(c) <- Vec.scale (1.0 /. float_of_int count) sums.(c)
+        else begin
+          (* Re-seed an empty cluster on the point farthest from its
+             centroid, the standard fix-up. *)
+          let far = ref 0 and far_d = ref neg_infinity in
+          Array.iteri
+            (fun i p ->
+              let d = Vec.dist_sq p centroids.(assignment.(i)) in
+              if d > !far_d then begin
+                far_d := d;
+                far := i
+              end)
+            points;
+          centroids.(c) <- points.(!far);
+          assignment.(!far) <- c;
+          changed := true
+        end
+      done
     done;
     let inertia =
       let acc = ref 0.0 in
@@ -120,6 +132,14 @@ let cluster rng ~k ?(max_iter = 50) points =
     in
     { centroids; assignment; inertia }
   end
+
+let buckets result =
+  let b = Array.make (Array.length result.centroids) [] in
+  for i = Array.length result.assignment - 1 downto 0 do
+    let c = result.assignment.(i) in
+    b.(c) <- i :: b.(c)
+  done;
+  b
 
 let members result c =
   let acc = ref [] in

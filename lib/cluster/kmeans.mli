@@ -25,6 +25,10 @@ val cluster :
 val members : result -> int -> int list
 (** Point indices assigned to the given cluster. *)
 
+val buckets : result -> int list array
+(** [buckets r] is every cluster's {!members} at once, in one pass over
+    the assignment: [(buckets r).(c) = members r c]. *)
+
 val medoid_of : Mortar_util.Vec.t array -> int list -> int
 (** [medoid_of points idxs] is the member of [idxs] closest to the centroid
     of those members — used to pick a real node to host an operator.

@@ -79,7 +79,10 @@ let lex source =
       (match suffix with
       | "" ->
         if String.contains number '.' then push (Float_lit (value ()))
-        else push (Int_lit (int_of_string number))
+        else (
+          match int_of_string_opt number with
+          | Some i -> push (Int_lit i)
+          | None -> error !line "integer out of range %S" number)
       | "ms" -> push (Duration (value () /. 1000.0))
       | "s" -> push (Duration (value ()))
       | "m" -> push (Duration (value () *. 60.0))
@@ -281,16 +284,25 @@ let const_of st e =
   | Expr.Const v -> v
   | _ -> error st.last_line "expected a constant argument"
 
-let kw st args key =
+(* Argument and clause values are checked by the functions they feed
+   ([Value.to_int], [Window.time], ...); their rejections become parse
+   errors at the statement's line. *)
+let checked st f =
+  match f () with
+  | v -> v
+  | exception (Value.Type_error message | Invalid_argument message) ->
+    error st.last_line "%s" message
+
+let kw st args key conv =
   List.find_map (function Keyword (k, e) when k = key -> Some e | _ -> None) args
   |> function
-  | Some e -> const_of st e
+  | Some e -> checked st (fun () -> conv (const_of st e))
   | None -> error st.last_line "missing argument %s=" key
 
-let kw_opt st args key ~default =
+let kw_opt st args key ~default conv =
   match List.find_map (function Keyword (k, e) when k = key -> Some e | _ -> None) args with
-  | Some e -> const_of st e
-  | None -> default
+  | Some e -> checked st (fun () -> conv (const_of st e))
+  | None -> conv default
 
 (* ------------------------------------------------------------------ *)
 (* Statements.                                                          *)
@@ -354,36 +366,36 @@ let parse_opcall st ~defined ~name =
     | "max" -> `Agg Op.Max
     | "entropy" -> `Agg Op.Entropy
     | "topk" ->
-      let k = Value.to_int (kw st args "k") in
-      let key = Value.to_string (kw st args "key") in
+      let k = kw st args "k" Value.to_int in
+      let key = kw st args "key" Value.to_string in
       `Agg (Op.Top_k { k; key })
     | "union" ->
-      let cap = Value.to_int (kw_opt st args "cap" ~default:(Value.Int 0)) in
+      let cap = kw_opt st args "cap" ~default:(Value.Int 0) Value.to_int in
       `Agg (Op.Union { cap })
     | "histogram" ->
-      let lo = Value.to_float (kw st args "lo") in
-      let hi = Value.to_float (kw st args "hi") in
-      let bins = Value.to_int (kw st args "bins") in
+      let lo = kw st args "lo" Value.to_float in
+      let hi = kw st args "hi" Value.to_float in
+      let bins = kw st args "bins" Value.to_int in
       `Agg (Op.Histogram { lo; hi; bins })
     | "quantile" ->
-      let q = Value.to_float (kw st args "q") in
-      let lo = Value.to_float (kw st args "lo") in
-      let hi = Value.to_float (kw st args "hi") in
-      let bins = Value.to_int (kw_opt st args "bins" ~default:(Value.Int 64)) in
+      let q = kw st args "q" Value.to_float in
+      let lo = kw st args "lo" Value.to_float in
+      let hi = kw st args "hi" Value.to_float in
+      let bins = kw_opt st args "bins" ~default:(Value.Int 64) Value.to_int in
       `Agg (Op.Quantile { q; lo; hi; bins })
     | "cm" ->
-      let depth = Value.to_int (kw_opt st args "depth" ~default:(Value.Int 4)) in
-      let width = Value.to_int (kw_opt st args "width" ~default:(Value.Int 256)) in
-      let seed = Value.to_int (kw_opt st args "seed" ~default:(Value.Int 7)) in
+      let depth = kw_opt st args "depth" ~default:(Value.Int 4) Value.to_int in
+      let width = kw_opt st args "width" ~default:(Value.Int 256) Value.to_int in
+      let seed = kw_opt st args "seed" ~default:(Value.Int 7) Value.to_int in
       `Agg (Op.Sketch_count_min { depth; width; seed })
     | "agms" ->
-      let rows = Value.to_int (kw_opt st args "rows" ~default:(Value.Int 5)) in
-      let cols = Value.to_int (kw_opt st args "cols" ~default:(Value.Int 128)) in
-      let seed = Value.to_int (kw_opt st args "seed" ~default:(Value.Int 7)) in
+      let rows = kw_opt st args "rows" ~default:(Value.Int 5) Value.to_int in
+      let cols = kw_opt st args "cols" ~default:(Value.Int 128) Value.to_int in
+      let seed = kw_opt st args "seed" ~default:(Value.Int 7) Value.to_int in
       `Agg (Op.Sketch_agms { rows; cols; seed })
     | "hll" ->
-      let b = Value.to_int (kw_opt st args "b" ~default:(Value.Int 11)) in
-      let seed = Value.to_int (kw_opt st args "seed" ~default:(Value.Int 7)) in
+      let b = kw_opt st args "b" ~default:(Value.Int 11) Value.to_int in
+      let seed = kw_opt st args "seed" ~default:(Value.Int 7) Value.to_int in
       `Agg (Op.Sketch_hll { b; seed })
     | custom ->
       if not (Op.registered custom) then error st.last_line "unknown operator %s" custom;
@@ -412,7 +424,7 @@ let parse_clauses st =
         in
         let range = dur () in
         let slide = dur () in
-        window := Some (Window.time ~range ~slide);
+        window := Some (checked st (fun () -> Window.time ~range ~slide));
         loop ()
       | Ident "tuples" ->
         let count () =
@@ -422,7 +434,7 @@ let parse_clauses st =
         in
         let range = count () in
         let slide = count () in
-        window := Some (Window.tuples ~range ~slide);
+        window := Some (checked st (fun () -> Window.tuples ~range ~slide));
         loop ()
       | _ -> error st.last_line "window expects 'time' or 'tuples'")
     | Some (Ident "mode") -> (

@@ -63,7 +63,10 @@ val parse : string -> program
 (** Parse and compile a program. Statement order is significant: sources
     must be defined (or be [stream(...)]) before use.
     @raise Parse_error with a line number on any lexical, syntactic, or
-    semantic error (unknown operator, undefined source, bad clause). *)
+    semantic error (unknown operator, undefined source, bad clause). It
+    is the only exception [parse] raises: an out-of-range integer, a
+    window the {!Window} constructors reject, and a mistyped operator
+    argument are parse errors at the statement's line too. *)
 
 val query_metas :
   program ->

@@ -24,9 +24,8 @@ let plan_primary rng ~coords ~bf ~root ~nodes =
     else begin
       let points = Array.map (fun i -> coords.(i)) set in
       let clustering = Mortar_cluster.Kmeans.cluster rng ~k:bf points in
-      let k = Array.length clustering.centroids in
-      for c = 0 to k - 1 do
-        match Mortar_cluster.Kmeans.members clustering c with
+      Array.iter
+        (function
         | [] -> ()
         | members ->
           let head_local = Mortar_cluster.Kmeans.medoid_of points members in
@@ -38,8 +37,8 @@ let plan_primary rng ~coords ~bf ~root ~nodes =
             |> List.map (fun i -> set.(i))
             |> Array.of_list
           in
-          go head rest
-      done
+          go head rest)
+        (Mortar_cluster.Kmeans.buckets clustering)
     end
   in
   go root nodes;

@@ -1,6 +1,7 @@
 module Topology = Mortar_net.Topology
 module Treeset = Mortar_overlay.Treeset
 module Rng = Mortar_util.Rng
+module Obs = Mortar_obs.Obs
 
 type group = {
   key : string;
@@ -134,27 +135,29 @@ let slots usage h = Option.value (Hashtbl.find_opt usage h) ~default:0
 let feasible ctx ~usage ts =
   List.for_all (fun h -> slots usage h < ctx.model.op_budget) (Cost.interior_load ts)
 
-(* Cost and rank every candidate; the cheapest budget-feasible one wins,
-   falling back to the cheapest overall when the budget is saturated
-   everywhere (soft constraint: better an overloaded host than an
-   unserved query). *)
-let choose ctx ~usage ?force_root g =
+(* Build and cost every candidate root's tree set, cheapest first (ties
+   on the smaller root). A tree set is a pure function of (seed, phys,
+   root, publishers, coords), so one scoring serves every pass. *)
+let score ctx ?force_root g =
   let cands = match force_root with Some r -> [ r ] | None -> candidate_roots ctx g in
   let subs = subscribers g in
-  let scored =
-    List.map
-      (fun root ->
-        ctx.n_evals <- ctx.n_evals + 1;
-        let ts = build_treeset ctx g root in
-        let cost =
-          Cost.treeset_cost ctx.model ~op:g.op ctx.topo ~window:g.window ts
-          +. Cost.fanout_cost ctx.model ~op:g.op ctx.topo ~window:g.window ~root subs
-        in
-        (cost, root, ts))
-      cands
-    |> List.sort (fun (a, ra, _) (b, rb, _) ->
-           match Float.compare a b with 0 -> compare ra rb | c -> c)
-  in
+  List.map
+    (fun root ->
+      ctx.n_evals <- ctx.n_evals + 1;
+      let ts = build_treeset ctx g root in
+      let cost =
+        Cost.treeset_cost ctx.model ~op:g.op ctx.topo ~window:g.window ts
+        +. Cost.fanout_cost ctx.model ~op:g.op ctx.topo ~window:g.window ~root subs
+      in
+      (cost, root, ts))
+    cands
+  |> List.sort (fun (a, ra, _) (b, rb, _) ->
+         match Float.compare a b with 0 -> compare ra rb | c -> c)
+
+(* The cheapest budget-feasible scored candidate wins, falling back to
+   the cheapest overall when the budget is saturated everywhere (soft
+   constraint: better an overloaded host than an unserved query). *)
+let pick ctx ~usage g scored =
   match List.find_opt (fun (_, _, ts) -> feasible ctx ~usage ts) scored with
   | Some (cost, root, treeset) -> ({ group = g; root; treeset; cost }, true)
   | None ->
@@ -162,7 +165,7 @@ let choose ctx ~usage ?force_root g =
     let cost, root, treeset = List.hd scored in
     ({ group = g; root; treeset; cost }, false)
 
-let place_group ctx ~usage ?force_root g = fst (choose ctx ~usage ?force_root g)
+let place_group ctx ~usage ?force_root g = fst (pick ctx ~usage g (score ctx ?force_root g))
 
 let charge usage p =
   List.iter (fun h -> Hashtbl.replace usage h (slots usage h + 1)) (Cost.interior_load p.treeset)
@@ -182,9 +185,10 @@ let plan ctx ?(usage = []) ?(passes = 2) specs =
   let placed =
     List.map
       (fun g ->
-        let p, _ = choose ctx ~usage:use g in
+        let scored = score ctx g in
+        let p, _ = pick ctx ~usage:use g scored in
         charge use p;
-        ref p)
+        (scored, ref p))
       groups
   in
   (* Local search: with everyone else's load fixed, re-site each group if
@@ -192,17 +196,19 @@ let plan ctx ?(usage = []) ?(passes = 2) specs =
      in canonical key order, so the sweep is deterministic. *)
   for _pass = 1 to passes do
     List.iter
-      (fun pr ->
+      (fun (scored, pr) ->
         discharge use !pr;
-        let p', ok = choose ctx ~usage:use !pr.group in
+        let p', ok = pick ctx ~usage:use !pr.group scored in
         if ok && p'.cost +. 1e-9 < !pr.cost then pr := p';
         charge use !pr)
       placed
   done;
-  let placements = List.map (fun pr -> !pr) placed in
+  let placements = List.map (fun (_, pr) -> !pr) placed in
+  let evals = ctx.n_evals - evals0 in
+  if !Obs.enabled then Obs.incr ~by:evals "planner.evals";
   {
     placements;
     total_cost = List.fold_left (fun acc p -> acc +. p.cost) 0.0 placements;
-    evals = ctx.n_evals - evals0;
+    evals;
     budget_overflows = ctx.n_overflows - overflows0;
   }

@@ -9,7 +9,9 @@
     candidate whose interior hosts all have operator-slot headroom wins
     (per-node operator-count budget). A bounded local-search pass then
     revisits each placement with the others' load fixed and re-sites it
-    when a strictly cheaper feasible candidate exists.
+    when a strictly cheaper feasible candidate exists. Each class's
+    candidates are built and costed once; the passes only re-check
+    their feasibility against the current load.
 
     Everything is deterministic: groups and candidate lists are
     canonically sorted, ties break on the smaller host id, and the
@@ -36,10 +38,12 @@ type placement = {
 type t = {
   placements : placement list;  (** Key-sorted, one per sharing class. *)
   total_cost : float;
-  evals : int;  (** Candidate tree sets costed. *)
+  evals : int;
+      (** Distinct candidate tree sets built and costed: each class's
+          candidates are scored once, whatever the number of passes. *)
   budget_overflows : int;
-      (** Groups placed with no budget-feasible candidate (best-effort
-          cheapest chosen instead). *)
+      (** Picks, greedy or in a pass, that found no budget-feasible
+          candidate (best-effort cheapest chosen instead). *)
 }
 
 type ctx
@@ -73,7 +77,8 @@ val subscribers : group -> int list
 
 val place_group :
   ctx -> usage:(int, int) Hashtbl.t -> ?force_root:int -> group -> placement
-(** Site one group against the given operator-slot usage (not mutated).
+(** Site one group against the given operator-slot usage (not mutated):
+    score its candidates, then pick the cheapest budget-feasible one.
     [force_root] skips the candidate search and builds/costs that root
     only — used by incremental re-planning to reuse a surviving root. *)
 
@@ -85,4 +90,4 @@ val discharge : (int, int) Hashtbl.t -> placement -> unit
 val plan : ctx -> ?usage:(int * int) list -> ?passes:int -> Spec.t list -> t
 (** Greedy placement over all sharing classes plus [passes] (default 2)
     local-search improvement sweeps. [usage] seeds pre-existing operator
-    load. *)
+    load. Emits the [planner.evals] counter when {!Mortar_obs.Obs.enabled}. *)

@@ -64,6 +64,169 @@ let test_kmeans_medoid () =
   Alcotest.check_raises "empty members" (Invalid_argument "Kmeans.medoid_of: empty member list")
     (fun () -> ignore (Kmeans.medoid_of points []))
 
+(* Differential oracle: the plain [Vec] k-means (one [Vec.add] array per
+   point, [nearest] returning a tuple, [members] per cluster) that the
+   allocation-free kernel replaced. Both must produce the same
+   clustering to the bit. [reseeds] counts empty-cluster re-seeds so the
+   tests can show that path is exercised. *)
+module Oracle = struct
+  let reseeds = ref 0
+
+  let seed_plus_plus rng ~k points =
+    let n = Array.length points in
+    let chosen = Array.make k points.(0) in
+    chosen.(0) <- points.(Rng.int rng n);
+    let d2 = Array.map (fun p -> Vec.dist_sq p chosen.(0)) points in
+    for c = 1 to k - 1 do
+      let total = Array.fold_left ( +. ) 0.0 d2 in
+      let next =
+        if total <= 0.0 then Rng.int rng n
+        else begin
+          let target = Rng.float rng total in
+          let acc = ref 0.0 and idx = ref (n - 1) in
+          (try
+             for i = 0 to n - 1 do
+               acc := !acc +. d2.(i);
+               if !acc >= target then begin
+                 idx := i;
+                 raise Exit
+               end
+             done
+           with Exit -> ());
+          !idx
+        end
+      in
+      chosen.(c) <- points.(next);
+      Array.iteri
+        (fun i p ->
+          let d = Vec.dist_sq p chosen.(c) in
+          if d < d2.(i) then d2.(i) <- d)
+        points
+    done;
+    chosen
+
+  let nearest centroids p =
+    let best = ref 0 and best_d = ref infinity in
+    Array.iteri
+      (fun i c ->
+        let d = Vec.dist_sq p c in
+        if d < !best_d then begin
+          best_d := d;
+          best := i
+        end)
+      centroids;
+    (!best, !best_d)
+
+  let cluster rng ~k ?(max_iter = 50) points =
+    let n = Array.length points in
+    if n = 0 then ([||], [||], 0.0)
+    else if k >= n then (Array.copy points, Array.init n (fun i -> i), 0.0)
+    else begin
+      let centroids = seed_plus_plus rng ~k points in
+      let assignment = Array.make n (-1) in
+      let dim = Vec.dim points.(0) in
+      let changed = ref true in
+      let iters = ref 0 in
+      while !changed && !iters < max_iter do
+        incr iters;
+        changed := false;
+        Array.iteri
+          (fun i p ->
+            let c, _ = nearest centroids p in
+            if c <> assignment.(i) then begin
+              assignment.(i) <- c;
+              changed := true
+            end)
+          points;
+        let sums = Array.init k (fun _ -> Vec.zero dim) in
+        let counts = Array.make k 0 in
+        Array.iteri
+          (fun i p ->
+            let c = assignment.(i) in
+            sums.(c) <- Vec.add sums.(c) p;
+            counts.(c) <- counts.(c) + 1)
+          points;
+        Array.iteri
+          (fun c count ->
+            if count > 0 then centroids.(c) <- Vec.scale (1.0 /. float_of_int count) sums.(c)
+            else begin
+              incr reseeds;
+              let far = ref 0 and far_d = ref neg_infinity in
+              Array.iteri
+                (fun i p ->
+                  let d = Vec.dist_sq p centroids.(assignment.(i)) in
+                  if d > !far_d then begin
+                    far_d := d;
+                    far := i
+                  end)
+                points;
+              centroids.(c) <- points.(!far);
+              assignment.(!far) <- c;
+              changed := true
+            end)
+          counts
+      done;
+      let inertia =
+        let acc = ref 0.0 in
+        Array.iteri
+          (fun i p -> acc := !acc +. Vec.dist_sq p centroids.(assignment.(i)))
+          points;
+        !acc
+      in
+      (centroids, assignment, inertia)
+    end
+end
+
+let bits = Array.map (Array.map Int64.bits_of_float)
+
+let same_as_oracle ~seed ~k points =
+  let r = Kmeans.cluster (Rng.create seed) ~k points in
+  let centroids, assignment, inertia = Oracle.cluster (Rng.create seed) ~k points in
+  r.Kmeans.assignment = assignment
+  && bits r.Kmeans.centroids = bits centroids
+  && Int64.equal (Int64.bits_of_float r.Kmeans.inertia) (Int64.bits_of_float inertia)
+  && Array.for_all2 ( = ) (Kmeans.buckets r)
+       (Array.init (Array.length r.Kmeans.centroids) (Kmeans.members r))
+
+(* Coordinates on a coarse grid repeat often, so k-means++ draws
+   coincident seeds and Lloyd has to re-seed empty clusters. *)
+let kmeans_input_gen =
+  QCheck.Gen.(
+    let* dim = int_range 2 3 in
+    let* n = int_range 0 40 in
+    let* k = int_range 1 12 in
+    let* coarse = bool in
+    let coord =
+      if coarse then map float_of_int (int_range 0 2) else float_range (-50.0) 50.0
+    in
+    let* points = array_size (return n) (array_size (return dim) coord) in
+    let* seed = int_bound 10_000 in
+    return (seed, k, points))
+
+let prop_kmeans_matches_oracle =
+  QCheck.Test.make ~name:"kmeans kernel = Vec oracle (bits)" ~count:400
+    (QCheck.make
+       ~print:(fun (seed, k, points) ->
+         Printf.sprintf "seed=%d k=%d n=%d" seed k (Array.length points))
+       kmeans_input_gen)
+    (fun (seed, k, points) -> same_as_oracle ~seed ~k points)
+
+let test_kmeans_reseed_matches_oracle () =
+  (* Six copies each of three points: seeds collide and clusters empty. *)
+  let points =
+    Array.init 18 (fun i -> [| float_of_int (i mod 3); float_of_int (i mod 3 * 2); 0.5 |])
+  in
+  Oracle.reseeds := 0;
+  for seed = 0 to 99 do
+    List.iter
+      (fun k ->
+        if not (same_as_oracle ~seed ~k points) then
+          Alcotest.failf "seed %d k %d differs from the oracle" seed k)
+      [ 2; 3; 4; 5; 17; 18; 30 ]
+  done;
+  Alcotest.(check bool) "empty-cluster re-seed exercised" true (!Oracle.reseeds > 0);
+  Alcotest.(check bool) "n = 0" true (same_as_oracle ~seed:1 ~k:3 [||])
+
 let test_xmeans_finds_three () =
   let rng = Rng.create 25 in
   let points = blobs rng ~per_blob:50 in
@@ -140,4 +303,6 @@ let tests =
     Alcotest.test_case "vivaldi converges" `Quick test_vivaldi_converges;
     Alcotest.test_case "vivaldi coordinates move" `Quick test_vivaldi_error_estimates_shrink;
     Alcotest.test_case "vivaldi predicts neighbors" `Quick test_vivaldi_predicts_neighbors;
+    QCheck_alcotest.to_alcotest prop_kmeans_matches_oracle;
+    Alcotest.test_case "kmeans re-seed = Vec oracle" `Quick test_kmeans_reseed_matches_oracle;
   ]

@@ -181,6 +181,66 @@ let test_trace_roundtrip () =
       Alcotest.(check bool) "event round-trips" true (e = e'))
     evs back
 
+(* Fuzzing: the JSON reader and the two line decoders read files back
+   from disk, so arbitrary bytes and mutated valid dump lines must come
+   back as [Error], never as an exception. *)
+let dump_lines =
+  lazy
+    (let r = Obs.Reg.create () in
+     Obs.Reg.incr r ~scope:(Obs.Node 7) ~by:3 "sent";
+     Obs.Reg.set_gauge r ~scope:(Obs.Query "q\"1") "load" 0.125;
+     Obs.Reg.observe r ~buckets:[| 1.0; 2.0 |] "age" 9.0;
+     List.iter
+       (fun (t, e) -> Obs.Reg.trace r ~t e)
+       [
+         (0.25, Obs.Tuple_send { src = 1; dst = 2; kind = "data"; size = 96 });
+         (1.0, Obs.Window_close { slot = -3; count = 12 });
+         ( 2.0,
+           Obs.Result
+             {
+               query = "peer-count";
+               slot = 2;
+               count = 24;
+               value = 1e-7;
+               hops = 3;
+               hops_max = 5;
+               age = 0.75;
+               prov = [ (2, 20); (3, 4) ];
+             } );
+         (3.0, Obs.Mark { name = "phase"; detail = "tab\tand \\u" });
+       ];
+     Array.of_list (Obs.Reg.metrics_lines r @ Obs.Reg.trace_lines r))
+
+let mutate_line =
+  QCheck.Gen.(
+    let* i = int_bound (Array.length (Lazy.force dump_lines) - 1) in
+    let w = (Lazy.force dump_lines).(i) in
+    let n = String.length w in
+    let splice i j mid = String.sub w 0 i ^ mid ^ String.sub w j (n - j) in
+    frequency
+      [
+        (2, map (fun k -> String.sub w 0 k) (int_bound n));
+        (4, map2 (fun i c -> splice i (min n (i + 1)) (String.make 1 c)) (int_bound n) char);
+        ( 3,
+          map2
+            (fun i f -> splice i i f)
+            (int_bound n)
+            (oneofl
+               [ "\\u"; "\\u00"; "\\u0fff"; "\\"; "\""; "["; "]"; "{"; "}"; ","; ":"; "-";
+                 "1e400"; "null"; "-." ]) );
+        (2, map2 (fun i len -> splice i (min n (i + len)) "") (int_bound n) (int_range 1 8));
+        (1, string_size ~gen:char (int_range 0 60));
+      ])
+
+let prop_obs_json_fuzz =
+  QCheck.Test.make ~name:"obs_json fuzz: decoders never raise" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutate_line)
+    (fun line ->
+      ignore (J.parse line);
+      ignore (J.metric_of_line line);
+      ignore (J.event_of_line line);
+      true)
+
 let test_harness_figures_from_registry () =
   (* The harness's figure accessors must agree with its registry: same
      result stream, no second bookkeeping path to drift from. *)
@@ -220,4 +280,5 @@ let tests =
     Alcotest.test_case "metrics sink round-trip" `Quick test_metrics_roundtrip;
     Alcotest.test_case "trace sink round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "harness figures from registry" `Slow test_harness_figures_from_registry;
+    QCheck_alcotest.to_alcotest prop_obs_json_fuzz;
   ]

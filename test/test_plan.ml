@@ -169,6 +169,118 @@ let test_budget_pressure () =
   Alcotest.(check bool) "candidates were costed" true (plan.Place.evals > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Score once, pick per pass: [Place.plan] scores each sharing class's
+   candidates once and only re-checks feasibility in its local-search
+   passes. The oracle is the per-pass re-scoring planner it replaced:
+   every greedy and local-search visit re-sites the class from scratch
+   with [place_group], and a pick counts as feasible when every interior
+   host still has a free operator slot. *)
+
+let oracle_plan ctx ~budget ~passes specs =
+  let use = Hashtbl.create 64 in
+  let slots h = Option.value (Hashtbl.find_opt use h) ~default:0 in
+  let overflows = ref 0 in
+  let choose g =
+    let p = Place.place_group ctx ~usage:use g in
+    let ok =
+      List.for_all (fun h -> slots h < budget) (Mortar_plan.Cost.interior_load p.Place.treeset)
+    in
+    if not ok then incr overflows;
+    (p, ok)
+  in
+  let placed =
+    List.map
+      (fun g ->
+        let p, _ = choose g in
+        Place.charge use p;
+        ref p)
+      (Place.group_specs specs)
+  in
+  for _pass = 1 to passes do
+    List.iter
+      (fun pr ->
+        Place.discharge use !pr;
+        let p', ok = choose !pr.Place.group in
+        if ok && p'.Place.cost +. 1e-9 < !pr.Place.cost then pr := p';
+        Place.charge use !pr)
+      placed
+  done;
+  let placements = List.map ( ! ) placed in
+  (placements, List.fold_left (fun acc p -> acc +. p.Place.cost) 0.0 placements, !overflows)
+
+(* A small topology with Vivaldi coordinates, and a handful of specs
+   over overlapping publisher ranges so classes compete for slots. *)
+let equivalence_gen =
+  QCheck.Gen.(
+    let* topo_seed = int_bound 1000 in
+    let* hosts = int_range 24 60 in
+    let* plan_seed = int_bound 1000 in
+    let* budget = oneofl [ 1; 2; 4 ] in
+    let* passes = int_range 0 3 in
+    let spec i =
+      let* lo = int_bound (hosts - 6) in
+      let* len = int_range 2 (min 30 (hosts - lo)) in
+      let* sub = int_bound (hosts - 1) in
+      let* source = oneofl [ "cpu"; "mem" ] in
+      let* op = oneofl [ Op.Sum; Op.Max ] in
+      return
+        (mk ~name:(Printf.sprintf "e%d" i) ~source ~op
+           ~publishers:(Array.init len (fun j -> lo + j))
+           ~subscriber:sub ())
+    in
+    let* n = int_range 1 6 in
+    let* specs = flatten_l (List.init n spec) in
+    return (topo_seed, hosts, plan_seed, budget, passes, specs))
+
+let bits f = Int64.bits_of_float f
+
+let prop_score_once_equivalent (topo_seed, hosts, plan_seed, budget, passes, specs) =
+  let topo =
+    Topology.transit_stub (Rng.create topo_seed) ~transits:2 ~stubs:4 ~hosts ()
+  in
+  let viv = Mortar_coords.Vivaldi.create topo ~rng:(Rng.create (topo_seed + 1)) () in
+  Mortar_coords.Vivaldi.converge viv ~rounds:8 ~samples:6;
+  let coords = Mortar_coords.Vivaldi.coordinates viv in
+  let ctx () =
+    Place.ctx ~topo ~coords
+      ~model:{ Mortar_plan.Cost.default with Mortar_plan.Cost.op_budget = budget }
+      ~bf:4 ~degree:2 ~seed:plan_seed ()
+  in
+  let got = Place.plan (ctx ()) ~passes specs in
+  let want, want_total, want_overflows = oracle_plan (ctx ()) ~budget ~passes specs in
+  let same (a : Place.placement) (b : Place.placement) =
+    a.Place.group.Place.phys = b.Place.group.Place.phys
+    && a.Place.root = b.Place.root
+    && Treeset.union_edges a.Place.treeset = Treeset.union_edges b.Place.treeset
+    && Int64.equal (bits a.Place.cost) (bits b.Place.cost)
+  in
+  if List.length got.Place.placements <> List.length want
+     || not (List.for_all2 same got.Place.placements want)
+  then QCheck.Test.fail_report "placements differ from the re-scoring oracle";
+  if not (Int64.equal (bits got.Place.total_cost) (bits want_total)) then
+    QCheck.Test.fail_report "total_cost differs from the re-scoring oracle";
+  if got.Place.budget_overflows <> want_overflows then
+    QCheck.Test.fail_reportf "budget_overflows %d, oracle %d" got.Place.budget_overflows
+      want_overflows;
+  (* Each candidate tree set is built and costed once, however many
+     passes run. *)
+  let greedy = Place.plan (ctx ()) ~passes:0 specs in
+  if got.Place.evals <> greedy.Place.evals then
+    QCheck.Test.fail_reportf "evals %d at %d passes, %d greedy-only" got.Place.evals passes
+      greedy.Place.evals;
+  true
+
+let test_score_once_equivalent =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:40 ~name:"score-once plan = re-scoring oracle"
+       (QCheck.make
+          ~print:(fun (ts, hosts, ps, budget, passes, specs) ->
+            Printf.sprintf "topo=%d hosts=%d seed=%d budget=%d passes=%d specs=%d" ts hosts ps
+              budget passes (List.length specs))
+          equivalence_gen)
+       prop_score_once_equivalent)
+
+(* ------------------------------------------------------------------ *)
 (* Registry lifecycle: install -> share -> remove -> remove reclaims
    everything (the plan/tree refcount leak regression).                *)
 
@@ -453,4 +565,5 @@ let tests =
     Alcotest.test_case "loss retires dead subscribers" `Quick test_loss_drops_dead_subscribers;
     Alcotest.test_case "shared trees never overcount" `Quick test_provenance_no_overcount;
     Alcotest.test_case "shards 1 = shards 4" `Quick test_sharded_identical;
+    test_score_once_equivalent;
   ]

@@ -220,6 +220,74 @@ let test_msl_error_line_numbers () =
   | exception Msl.Parse_error { line; _ } -> Alcotest.(check int) "line 2" 2 line
   | _ -> Alcotest.fail "expected error"
 
+(* Values the parser hands to a validating constructor (window bounds,
+   integer literals, typed operator arguments) are rejected as parse
+   errors at the statement's line, never as the constructor's own
+   exception. *)
+let test_msl_constructor_errors () =
+  let expect_line line text =
+    match Msl.parse text with
+    | exception Msl.Parse_error { line = got; _ } ->
+      Alcotest.(check int) (Printf.sprintf "line of %S" text) line got
+    | _ -> Alcotest.fail (Printf.sprintf "expected a parse error for %S" text)
+  in
+  expect_line 1 {|q = sum(stream("s")) window time 1s 5s|};
+  expect_line 1 {|q = sum(stream("s")) window time 0s 0s|};
+  expect_line 1 {|q = sum(stream("s")) window tuples 2 5|};
+  expect_line 1 {|q = sum(stream("s")) window tuples 99999999999999999999 1|};
+  expect_line 2 "a = sum(stream(\"s\"))\nq = sum(stream(\"s\")) window time 1s 5s";
+  expect_line 2 "a = sum(stream(\"s\"))\nq = topk(stream(\"s\"), k=\"three\", key=\"v\")";
+  expect_line 1 {|q = hll(stream("s"), b="x")|}
+
+(* ------------------------------------------------------------------ *)
+(* Fuzzing: arbitrary bytes and mutated valid programs. [Parse_error]
+   is the only exception [Msl.parse] may raise. *)
+
+let corpus =
+  [
+    {|q = sum(stream("cpu")) window time 5s 1s mode timestamp|};
+    {|loud = select(stream("frames"), rssi > -90.0 && mac == "aa")
+top  = topk(loud, k=3, key="rssi") window time 1s 1s
+where = max(top) window time 1s 1s on [0, 1]|};
+    {|q = avg(stream("s")) window tuples 20 10 striping byindex|};
+    {|q = quantile(stream("lat"), q=0.99, lo=0.0, hi=1000.0, bins=32)|};
+    {|m = map(stream("s"), celsius=(value - 32) / 1.8 % 2)
+h = histogram(m, lo=0, hi=100, bins=10) window time 500ms 250ms|};
+    {|c = cm(stream("k"), depth=4, width=32)  # sketch
+u = union(stream("k"), cap=5) mode syncless on all|};
+  ]
+
+(* Fragments that reach the clause and argument checks more often than
+   uniform bytes do. *)
+let fragments =
+  [ " window time "; " window tuples "; "0s "; "1s "; "5s "; "2 "; "5 "; "-1";
+    "99999999999999999999"; "1.5.5"; "k="; "\""; "("; ")"; ","; "["; "]"; "=";
+    " on ["; " mode "; "&&"; "stream("; "\n"; "#"; "1e9"; "3x" ]
+
+let mutate_program =
+  QCheck.Gen.(
+    oneofl corpus >>= fun w ->
+    let n = String.length w in
+    let splice i j mid = String.sub w 0 i ^ mid ^ String.sub w j (n - j) in
+    frequency
+      [
+        (2, map (fun k -> String.sub w 0 k) (int_bound n));
+        (3, map2 (fun i c -> splice i (min n (i + 1)) (String.make 1 c)) (int_bound n) char);
+        (4, map2 (fun i f -> splice i i f) (int_bound n) (oneofl fragments));
+        ( 2,
+          map2
+            (fun i len -> splice i (min n (i + len)) "")
+            (int_bound n) (int_range 1 8) );
+        (1, string_size ~gen:char (int_range 0 60));
+        (1, string_size ~gen:printable (int_range 0 60));
+      ])
+
+let prop_msl_fuzz =
+  QCheck.Test.make ~name:"msl fuzz: only Parse_error escapes" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutate_program)
+    (fun text ->
+      match Msl.parse text with _ -> true | exception Msl.Parse_error _ -> true)
+
 let test_msl_query_metas () =
   let program =
     Msl.parse
@@ -259,4 +327,6 @@ let tests =
     Alcotest.test_case "msl errors" `Quick test_msl_errors;
     Alcotest.test_case "msl error lines" `Quick test_msl_error_line_numbers;
     Alcotest.test_case "msl query metas" `Quick test_msl_query_metas;
+    Alcotest.test_case "msl constructor errors" `Quick test_msl_constructor_errors;
+    QCheck_alcotest.to_alcotest prop_msl_fuzz;
   ]
