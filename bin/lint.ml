@@ -4,7 +4,7 @@
 
    PATHs default to the four source roots. Directories are scanned
    recursively (skipping _build and the lint fixtures); files are linted
-   as given. Two phases run: the syntactic rules (D1-D6) over the
+   as given. Two phases run: the syntactic rules (D1-D6, D10) over the
    Parsetree of every .ml, and the typed rules (D7-D9) over every
    compiler .cmt artifact found under the same roots (or under
    _build/default/<root> when invoked from the repo root) — build first,

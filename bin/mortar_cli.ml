@@ -148,7 +148,10 @@ let list_cmd =
 
 let run_cmd =
   let file =
-    Arg.(required & pos 0 (some file) None & info [] ~docv:"QUERY.msl" ~doc:"MSL program.")
+    Arg.(
+      required
+      & pos 0 (some non_dir_file) None
+      & info [] ~docv:"QUERY.msl" ~doc:"MSL program.")
   in
   let hosts =
     Arg.(value & opt int 64 & info [ "hosts" ] ~doc:"Number of simulated peers.")

@@ -1,4 +1,6 @@
-module Itbl = Mortar_util.Int_tbl
+module Lazy_tbl = Mortar_util.Lazy_tbl
+module Fmap = Mortar_util.Int_float_map
+module Engine = Mortar_sim.Engine
 module Rng = Mortar_util.Rng
 module Ewma = Mortar_util.Ewma
 module Obs = Mortar_obs.Obs
@@ -7,7 +9,7 @@ module Obs = Mortar_obs.Obs
    and the default decade buckets would lump everything into one. *)
 let hop_buckets = [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |]
 
-type timer = { cancel : unit -> unit }
+type timer = Engine.handle
 
 type runtime = {
   self : int;
@@ -124,8 +126,7 @@ type instance = {
          over-waiting only delays a result. *)
   t_ref_base : float; (* basis time = local_time - t_ref_base *)
   mutable stripe : int;
-  emitted : float Itbl.t; (* evicted local slot -> eviction basis time *)
-  mutable max_emitted : int;
+  emitted : Fmap.t; (* evicted local slot -> eviction basis time *)
   mutable emitted_te : float; (* eviction watermark (tuple windows) *)
   mutable raws : raw list; (* newest first; time windows *)
   mutable tw_buffer : raw list; (* newest first; tuple windows, length <= range *)
@@ -140,17 +141,6 @@ type instance = {
   mutable orphaned_since : float option;
       (* local time the failure detector first saw every union parent dead;
          cleared once a repaired parent is confirmed live (self-healing) *)
-}
-
-type partner = {
-  mutable refcount : int;
-  mutable last_heard : float;
-      (* optimistic: refreshed on retain/adopt so a new partner gets a full
-         timeout window before being declared dead *)
-  mutable last_confirmed : float;
-      (* pessimistic: only actual receipt from the partner updates this —
-         repair completion requires a confirmed-live parent *)
-  mutable last_reconcile : float;
 }
 
 (* One unacked reliable control message (§6-style install/remove/view
@@ -186,25 +176,28 @@ type warmup_entry = {
 type t = {
   rt : runtime;
   cfg : config;
+  (* [instances] is written on every host that hosts a query; every other
+     table below stays empty on most hosts and is allocated on first
+     write (DESIGN.md "Host memory layout"). *)
   instances : (string, instance) Hashtbl.t;
-  removed : (string, int) Hashtbl.t; (* name -> latest removal seqno *)
-  not_mine : (string, int) Hashtbl.t; (* queries we learned do not include us *)
-  partners : partner Itbl.t;
-  plans : (string, Query.meta * Mortar_overlay.Treeset.t option) Hashtbl.t;
+  removed : (string, int) Lazy_tbl.t; (* name -> latest removal seqno *)
+  not_mine : (string, int) Lazy_tbl.t; (* queries we learned do not include us *)
+  partners : Partner_set.t;
+  plans : (string, Query.meta * Mortar_overlay.Treeset.t option) Lazy_tbl.t;
       (* injector only; [None] is a removal tombstone — it keeps the
          seqno lineage for the name without retaining the tree set, so
          removing the last query sharing a tree actually frees it *)
-  pending_views : (string, float) Hashtbl.t; (* name -> last request local time *)
-  warmup : (string, warmup_entry Queue.t) Hashtbl.t; (* name -> buffered data *)
-  fast_resync : (string, float) Hashtbl.t; (* name -> last warm-up resync time *)
+  pending_views : (string, float) Lazy_tbl.t; (* name -> last request local time *)
+  warmup : (string, warmup_entry Queue.t) Lazy_tbl.t; (* name -> buffered data *)
+  fast_resync : (string, float) Lazy_tbl.t; (* name -> last warm-up resync time *)
   mutable warmup_len : int; (* entries across all queries, <= cfg.warmup_buffer *)
-  ctl_pending : (int, pending_ctl) Hashtbl.t; (* token -> unacked ctl msg *)
-  seen_ctl : (int * int, unit) Hashtbl.t; (* (src, token) already processed *)
+  ctl_pending : (int, pending_ctl) Lazy_tbl.t; (* token -> unacked ctl msg *)
+  seen_ctl : (int * int, unit) Lazy_tbl.t; (* (src, token) already processed *)
   seen_ctl_order : (int * int) Queue.t; (* FIFO pruning for seen_ctl *)
   ctl_rng : Rng.t;
       (* Dedicated stream for retry jitter: control-plane draws must not
          perturb the main rng the data path (striping, routing) uses. *)
-  result_fwds : (string, int list) Hashtbl.t;
+  result_fwds : (string, int list) Lazy_tbl.t;
       (* shared-tree fan-out: query -> subscriber hosts the root forwards
          finished results to (multi-query planner; root only) *)
   mutable next_token : int;
@@ -253,7 +246,7 @@ let digest t =
       Hashtbl.fold (fun name inst acc -> (name, inst.meta.Query.seqno) :: acc) t.instances []
       |> List.sort compare
     in
-    let removed = Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare in
+    let removed = Lazy_tbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare in
     let buf = Buffer.create 128 in
     List.iter (fun (n, s) -> Buffer.add_string buf (Printf.sprintf "i:%s#%d;" n s)) installed;
     List.iter (fun (n, s) -> Buffer.add_string buf (Printf.sprintf "r:%s#%d;" n s)) removed;
@@ -282,46 +275,13 @@ let sorted_instances t =
 (* ------------------------------------------------------------------ *)
 (* Heartbeat partner bookkeeping.                                      *)
 
-let partner_of t node =
-  match Itbl.find_opt t.partners node with
-  | Some p -> p
-  | None ->
-    let p =
-      { refcount = 0; last_heard = now_local t; last_confirmed = neg_infinity;
-        last_reconcile = neg_infinity }
-    in
-    Itbl.replace t.partners node p;
-    p
+let retain_partner t node = Partner_set.retain t.partners node ~now:(now_local t)
 
-let retain_partner t node =
-  let p = partner_of t node in
-  p.refcount <- p.refcount + 1;
-  p.last_heard <- now_local t
+let release_partner t node = Partner_set.release t.partners node
 
-let release_partner t node =
-  match Itbl.find_opt t.partners node with
-  | None -> ()
-  | Some p ->
-    p.refcount <- p.refcount - 1;
-    if p.refcount <= 0 then Itbl.remove t.partners node
+let alive_neighbor t node = Partner_set.alive t.partners node ~now:(now_local t)
 
-let alive_neighbor t node =
-  match Itbl.find_opt t.partners node with
-  | None -> true
-  | Some p -> now_local t -. p.last_heard < t.cfg.hb_timeout_factor *. t.cfg.hb_period
-
-let heard_from t src =
-  match Itbl.find_opt t.partners src with
-  | Some p ->
-    let local = now_local t in
-    p.last_heard <- local;
-    p.last_confirmed <- local
-  | None -> ()
-
-let confirmed_alive t node =
-  match Itbl.find_opt t.partners node with
-  | None -> false
-  | Some p -> now_local t -. p.last_confirmed < t.cfg.hb_timeout_factor *. t.cfg.hb_period
+let confirmed_alive t node = Partner_set.confirmed_alive t.partners node ~now:(now_local t)
 
 (* ------------------------------------------------------------------ *)
 (* Sending helpers.                                                    *)
@@ -376,11 +336,11 @@ let rec ctl_attempt t p =
 
 and ctl_expire t p =
   p.ctl_timer <- None;
-  if Hashtbl.mem t.ctl_pending p.ctl_token then begin
+  if Lazy_tbl.mem t.ctl_pending p.ctl_token then begin
     if p.ctl_attempts > t.cfg.ctl_retries then begin
       (* Budget exhausted: give up and let reconciliation (§6.1) repair
          whatever state the destination missed. *)
-      Hashtbl.remove t.ctl_pending p.ctl_token;
+      Lazy_tbl.remove t.ctl_pending p.ctl_token;
       t.n_ctl_abandoned <- t.n_ctl_abandoned + 1;
       if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_abandoned"
     end
@@ -396,15 +356,15 @@ let send_ctl t ~dst payload =
       { ctl_dst = dst; ctl_payload = payload; ctl_token = token; ctl_born = now_local t;
         ctl_attempts = 0; ctl_timer = None }
     in
-    Hashtbl.replace t.ctl_pending token p;
+    Lazy_tbl.replace t.ctl_pending token p;
     ctl_attempt t p
   end
 
 let ctl_ack t ~src ~token =
-  match Hashtbl.find_opt t.ctl_pending token with
+  match Lazy_tbl.find_opt t.ctl_pending token with
   | Some p when p.ctl_dst = src ->
-    (match p.ctl_timer with Some h -> h.cancel () | None -> ());
-    Hashtbl.remove t.ctl_pending token;
+    Option.iter Engine.cancel p.ctl_timer;
+    Lazy_tbl.remove t.ctl_pending token;
     t.n_ctl_acked <- t.n_ctl_acked + 1;
     if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_acked"
   | _ -> () (* late, duplicate, or forged ack *)
@@ -416,12 +376,12 @@ let ctl_seen_cap = 1024
    would re-forward its whole chunk). *)
 let ctl_duplicate t ~src ~token =
   let k = (src, token) in
-  if Hashtbl.mem t.seen_ctl k then true
+  if Lazy_tbl.mem t.seen_ctl k then true
   else begin
-    Hashtbl.replace t.seen_ctl k ();
+    Lazy_tbl.replace t.seen_ctl k ();
     Queue.push k t.seen_ctl_order;
-    while Hashtbl.length t.seen_ctl > ctl_seen_cap do
-      Hashtbl.remove t.seen_ctl (Queue.pop t.seen_ctl_order)
+    while Lazy_tbl.length t.seen_ctl > ctl_seen_cap do
+      Lazy_tbl.remove t.seen_ctl (Queue.pop t.seen_ctl_order)
     done;
     false
   end
@@ -433,7 +393,7 @@ let installed_triples t =
   |> List.sort compare
 
 let removed_pairs t =
-  Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare
+  Lazy_tbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare
 
 let slide_of (meta : Query.meta) =
   match meta.window with
@@ -450,7 +410,7 @@ let slide_of (meta : Query.meta) =
    sequence number and reorder simultaneous events — measurably shifting
    seeded experiment tables — so the timer is always refreshed. *)
 let rec arm_eviction t inst =
-  (match inst.eviction_timer with Some h -> h.cancel () | None -> ());
+  Option.iter Engine.cancel inst.eviction_timer;
   match Ts_list.next_deadline inst.ts with
   | None -> inst.eviction_timer <- None
   | Some deadline ->
@@ -471,20 +431,12 @@ and mark_emitted t inst (s : Summary.t) =
     let slide = slide_of inst.meta in
     let slot = Index.slot ~slide (s.index.Index.tb +. (slide /. 2.0)) in
     let b = basis inst ~local:(now_local t) in
-    Itbl.replace inst.emitted slot b;
-    if slot > inst.max_emitted then inst.max_emitted <- slot;
+    Fmap.replace inst.emitted slot b;
     (* Prune by age, not slot distance: under clock offset (timestamp
        mode) slot labels from different nodes are far apart, and a
        distance-based watermark would discard every slower cluster. *)
     let horizon = float_of_int t.cfg.emitted_horizon *. slide in
-    (* Two-pass collect-then-remove: mutating under [Hashtbl.iter] is
-       unspecified, and the old [Hashtbl.copy] here allocated a fresh
-       table on every eviction of every host. *)
-    let stale =
-      Itbl.fold (fun old at acc -> if b -. at > horizon then old :: acc else acc)
-        inst.emitted []
-    in
-    List.iter (Itbl.remove inst.emitted) stale
+    Fmap.remove_stale inst.emitted ~now:b ~horizon
   | Window.Tuples _ -> ());
   if s.index.Index.te > inst.emitted_te then inst.emitted_te <- s.index.Index.te
 
@@ -605,7 +557,7 @@ and report_result t inst (s : Summary.t) =
      itself (multi-query planner), forward the finished result to each.
      Boundary-only results carry no data and are not forwarded. *)
   (if not s.boundary then
-     match Hashtbl.find_opt t.result_fwds meta.Query.name with
+     match Lazy_tbl.find_opt t.result_fwds meta.Query.name with
      | None -> ()
      | Some dsts ->
        List.iter
@@ -856,7 +808,7 @@ let already_emitted t inst (s : Summary.t) =
   match inst.meta.Query.window with
   | Window.Time { slide; _ } ->
     let slot = Index.slot ~slide (s.index.Index.tb +. (slide /. 2.0)) in
-    Itbl.mem inst.emitted slot
+    Fmap.mem inst.emitted slot
   | Window.Tuples _ -> s.index.Index.te <= inst.emitted_te
 
 (* Warm-up (crash-rejoin): a summary for a query we have not (re)installed
@@ -865,20 +817,20 @@ let already_emitted t inst (s : Summary.t) =
    rejoined peer dark for up to [reconcile_every] heartbeat periods. *)
 let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
   let removed =
-    match Hashtbl.find_opt t.removed query with Some s -> s >= seqno | None -> false
+    match Lazy_tbl.find_opt t.removed query with Some s -> s >= seqno | None -> false
   in
   let not_mine =
-    match Hashtbl.find_opt t.not_mine query with Some s -> s >= seqno | None -> false
+    match Lazy_tbl.find_opt t.not_mine query with Some s -> s >= seqno | None -> false
   in
   if (not removed) && not not_mine then begin
     let local = now_local t in
     let recently =
-      match Hashtbl.find_opt t.fast_resync query with
+      match Lazy_tbl.find_opt t.fast_resync query with
       | Some at -> local -. at < t.cfg.hb_period
       | None -> false
     in
     if not recently then begin
-      Hashtbl.replace t.fast_resync query local;
+      Lazy_tbl.replace t.fast_resync query local;
       if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.fast_resyncs";
       send_msg t ~dst:src
         (Msg.Reconcile_request { installed = installed_triples t; removed = removed_pairs t })
@@ -889,11 +841,11 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
     end
     else begin
       let q =
-        match Hashtbl.find_opt t.warmup query with
+        match Lazy_tbl.find_opt t.warmup query with
         | Some q -> q
         | None ->
           let q = Queue.create () in
-          Hashtbl.replace t.warmup query q;
+          Lazy_tbl.replace t.warmup query q;
           q
       in
       if Queue.length q >= t.cfg.warmup_buffer then begin
@@ -915,11 +867,11 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
   end
 
 let drop_warmup t name =
-  match Hashtbl.find_opt t.warmup name with
+  match Lazy_tbl.find_opt t.warmup name with
   | None -> ()
   | Some q ->
     t.warmup_len <- t.warmup_len - Queue.length q;
-    Hashtbl.remove t.warmup name
+    Lazy_tbl.remove t.warmup name
 
 let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
   t.n_received <- t.n_received + 1;
@@ -976,10 +928,10 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
    bumped by the buffering delay so syncless relabeling files each one
    into the window it was originally destined for. *)
 let replay_warmup t name =
-  match Hashtbl.find_opt t.warmup name with
+  match Lazy_tbl.find_opt t.warmup name with
   | None -> ()
   | Some q ->
-    Hashtbl.remove t.warmup name;
+    Lazy_tbl.remove t.warmup name;
     let local = now_local t in
     Queue.iter
       (fun e ->
@@ -997,9 +949,9 @@ let replay_warmup t name =
 (* Install / remove.                                                   *)
 
 let cancel_instance_timers inst =
-  (match inst.eviction_timer with Some h -> h.cancel () | None -> ());
-  (match inst.slide_timer with Some h -> h.cancel () | None -> ());
-  (match inst.boundary_timer with Some h -> h.cancel () | None -> ());
+  Option.iter Engine.cancel inst.eviction_timer;
+  Option.iter Engine.cancel inst.slide_timer;
+  Option.iter Engine.cancel inst.boundary_timer;
   inst.eviction_timer <- None;
   inst.slide_timer <- None;
   inst.boundary_timer <- None
@@ -1012,15 +964,15 @@ let remove_local t ~name ~seqno =
     List.iter (release_partner t) (Query.neighbors inst.view);
     invalidate_digest t
   | _ -> ());
-  let prev = Option.value (Hashtbl.find_opt t.removed name) ~default:min_int in
+  let prev = Option.value (Lazy_tbl.find_opt t.removed name) ~default:min_int in
   if seqno > prev then begin
-    Hashtbl.replace t.removed name seqno;
+    Lazy_tbl.replace t.removed name seqno;
     invalidate_digest t
   end;
   drop_warmup t name
 
 let install_local t (meta : Query.meta) view ~install_age =
-  let removed_seqno = Option.value (Hashtbl.find_opt t.removed meta.name) ~default:min_int in
+  let removed_seqno = Option.value (Lazy_tbl.find_opt t.removed meta.name) ~default:min_int in
   if meta.seqno <= removed_seqno then ()
   else begin
     let stale =
@@ -1074,8 +1026,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           netdist_hi = 0.0;
           t_ref_base;
           stripe = Rng.int t.rt.rng (max 1 meta.degree);
-          emitted = Itbl.create 64;
-          max_emitted = min_int;
+          emitted = Fmap.create ();
           emitted_te = neg_infinity;
           raws = [];
           tw_buffer = [];
@@ -1109,7 +1060,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           Some (t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst)));
       (* Crash-rejoin warm-up: summaries that arrived while this query was
          uninstalled re-enter the striping rotation now. *)
-      Hashtbl.remove t.fast_resync meta.name;
+      Lazy_tbl.remove t.fast_resync meta.name;
       replay_warmup t meta.name
     end
   end
@@ -1173,7 +1124,7 @@ let install_query t (meta : Query.meta) treeset =
     invalid_arg "Peer.install_query: peer is not the plan root";
   if meta.Query.root <> t.rt.self then
     invalid_arg "Peer.install_query: meta.root is not this peer";
-  Hashtbl.replace t.plans meta.Query.name (meta, Some treeset);
+  Lazy_tbl.replace t.plans meta.Query.name (meta, Some treeset);
   let chunks =
     Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:t.cfg.install_chunks
   in
@@ -1187,7 +1138,7 @@ let install_query t (meta : Query.meta) treeset =
     chunks
 
 let replan_query t ~name treeset =
-  match Hashtbl.find_opt t.plans name with
+  match Lazy_tbl.find_opt t.plans name with
   | None -> invalid_arg "Peer.replan_query: no plan for this query (not the injector)"
   | Some (meta, _) ->
     (* §3.2: large changes in network coordinates require query
@@ -1201,7 +1152,7 @@ let replan_query t ~name treeset =
     install_query t meta treeset
 
 let remove_query t ~name =
-  match Hashtbl.find_opt t.plans name with
+  match Lazy_tbl.find_opt t.plans name with
   | None | Some (_, None) ->
     invalid_arg "Peer.remove_query: no plan for this query (not the injector)"
   | Some (meta, Some treeset) ->
@@ -1212,8 +1163,8 @@ let remove_query t ~name =
        reinstall under the same name supersedes every straggler, but drop
        the tree set itself — the plan table must not leak the last
        sharer's tree (and its heartbeat-partner obligations) forever. *)
-    Hashtbl.replace t.plans name ({ meta with Query.seqno }, None);
-    Hashtbl.remove t.result_fwds name;
+    Lazy_tbl.replace t.plans name ({ meta with Query.seqno }, None);
+    Lazy_tbl.remove t.result_fwds name;
     remove_local t ~name ~seqno;
     List.iter (fun c -> send_ctl t ~dst:c (Msg.Remove { name; seqno })) children
 
@@ -1223,12 +1174,12 @@ let remove_query t ~name =
 let request_view t ~name ~root =
   let local = now_local t in
   let recently =
-    match Hashtbl.find_opt t.pending_views name with
+    match Lazy_tbl.find_opt t.pending_views name with
     | Some at -> local -. at < float_of_int t.cfg.reconcile_every *. t.cfg.hb_period
     | None -> false
   in
   if not recently then begin
-    Hashtbl.replace t.pending_views name local;
+    Lazy_tbl.replace t.pending_views name local;
     t.n_view_requests <- t.n_view_requests + 1;
     send_ctl t ~dst:root (Msg.View_request { name })
   end
@@ -1238,7 +1189,7 @@ let apply_remote_sets t ~installed ~removed =
   List.iter
     (fun (name, seqno, root) ->
       let locally_removed =
-        match Hashtbl.find_opt t.removed name with Some s -> s >= seqno | None -> false
+        match Lazy_tbl.find_opt t.removed name with Some s -> s >= seqno | None -> false
       in
       let locally_installed =
         match Hashtbl.find_opt t.instances name with
@@ -1246,7 +1197,7 @@ let apply_remote_sets t ~installed ~removed =
         | None -> false
       in
       let known_not_mine =
-        match Hashtbl.find_opt t.not_mine name with Some s -> s >= seqno | None -> false
+        match Lazy_tbl.find_opt t.not_mine name with Some s -> s >= seqno | None -> false
       in
       if (not locally_removed) && (not locally_installed) && not known_not_mine then
         if root = t.rt.self then () (* we are the topology server; nothing to fetch *)
@@ -1257,11 +1208,9 @@ let apply_remote_sets t ~installed ~removed =
 
 let maybe_reconcile t ~src ~remote_digest =
   if remote_digest <> digest t then begin
-    let p = partner_of t src in
     let local = now_local t in
     let min_gap = float_of_int t.cfg.reconcile_every *. t.cfg.hb_period in
-    if local -. p.last_reconcile >= min_gap then begin
-      p.last_reconcile <- local;
+    if Partner_set.reconcile_due t.partners src ~now:local ~min_gap then begin
       t.n_reconciliations <- t.n_reconciliations + 1;
       if !Obs.enabled then begin
         Obs.incr ~scope:(Obs.Node t.rt.self) "peer.reconciliations";
@@ -1385,24 +1334,15 @@ let repair_instance t name inst =
 let sweep_idle t =
   let local = now_local t in
   let horizon = 4.0 *. t.cfg.hb_timeout_factor *. t.cfg.hb_period in
-  let stale =
-    Itbl.fold
-      (fun n p acc ->
-        if p.refcount <= 0 && local -. p.last_heard > horizon then n :: acc else acc)
-      t.partners []
-    |> List.sort compare
-  in
-  List.iter (Itbl.remove t.partners) stale;
-  (match stale with
-  | [] -> ()
-  | l ->
-    t.n_partners_swept <- t.n_partners_swept + List.length l;
-    if !Obs.enabled then
-      Obs.incr ~scope:(Obs.Node t.rt.self) ~by:(List.length l) "peer.partners_swept");
+  let swept = Partner_set.sweep t.partners ~now:local ~horizon in
+  if swept > 0 then begin
+    t.n_partners_swept <- t.n_partners_swept + swept;
+    if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) ~by:swept "peer.partners_swept"
+  end;
   let sweep_gate tbl =
-    Hashtbl.fold (fun k at acc -> if local -. at > horizon then k :: acc else acc) tbl []
+    Lazy_tbl.fold (fun k at acc -> if local -. at > horizon then k :: acc else acc) tbl []
     |> List.sort compare
-    |> List.iter (Hashtbl.remove tbl)
+    |> List.iter (Lazy_tbl.remove tbl)
   in
   sweep_gate t.pending_views;
   sweep_gate t.fast_resync
@@ -1410,21 +1350,16 @@ let sweep_idle t =
 (* ------------------------------------------------------------------ *)
 (* Heartbeats.                                                         *)
 
-let heartbeat_targets t =
-  (* The partner table already holds one refcount per (instance, distinct
-     neighbor) — install retains, remove/repair/adopt release through
-     [update_partner_refs] — so [refcount > 0] is exactly "neighbor of
-     some installed view". Folding it beats rebuilding the union of every
-     view's neighbor list on each tick; sorted for D3, same set, same
-     order as before. *)
-  Itbl.fold (fun n p acc -> if p.refcount > 0 then n :: acc else acc) t.partners []
-  |> List.sort compare
-
+(* Heartbeat targets: the partner set holds one refcount per (instance,
+   distinct neighbor) — install retains, remove/repair/adopt release
+   through [update_partner_refs] — so [refcount > 0] is exactly "neighbor
+   of some installed view", visited in ascending id order (D3). Every
+   target gets the same immutable payload. *)
 let rec heartbeat_tick t =
   t.hb_counter <- t.hb_counter + 1;
   let with_digest = t.hb_counter mod t.cfg.reconcile_every = 0 in
-  let d = if with_digest then Some (digest t) else None in
-  List.iter (fun dst -> send_msg t ~dst (Msg.Heartbeat { digest = d })) (heartbeat_targets t);
+  let hb = Msg.Heartbeat { digest = (if with_digest then Some (digest t) else None) } in
+  Partner_set.iter_targets (fun dst -> send_msg t ~dst hb) t.partners;
   if t.cfg.self_heal then
     (* Sorted instance order: repair decisions send messages, so the order
        across instances is simulation-visible (D3). *)
@@ -1438,8 +1373,19 @@ let rec heartbeat_tick t =
 (* Message dispatch.                                                   *)
 
 let rec receive t ~src payload =
-  heard_from t src;
+  (match payload with
+  | Msg.Heartbeat _ ->
+    (* An unsolicited heartbeat creates a partner entry, so that the
+       sender's liveness is tracked symmetrically: one probe covers the
+       create and both liveness stamps. *)
+    Partner_set.heartbeat t.partners src ~now:(now_local t)
+  | Msg.Reliable _ | Msg.Ack _ | Msg.Data _ | Msg.Reconcile_request _ | Msg.Reconcile_reply _
+  | Msg.Install _ | Msg.Remove _ | Msg.View_request _ | Msg.View_reply _ | Msg.Result_fwd _
+  | Msg.Adopt _ ->
+    Partner_set.heard t.partners src ~now:(now_local t));
   match payload with
+  | Msg.Heartbeat { digest = Some d } -> maybe_reconcile t ~src ~remote_digest:d
+  | Msg.Heartbeat { digest = None } -> ()
   | Msg.Reliable { token; inner } ->
     (* Always ack — even a duplicate means our previous ack was lost. *)
     send_msg t ~dst:src (Msg.Ack { token });
@@ -1448,17 +1394,6 @@ let rec receive t ~src payload =
   | Msg.Data { query; seqno; tree; summary; visited; path; ttl_down; digest = remote } ->
     maybe_reconcile t ~src ~remote_digest:remote;
     handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down
-  | Msg.Heartbeat { digest = remote } -> (
-    (* Make sure unsolicited heartbeats create a partner entry, so that the
-       sender's liveness is tracked symmetrically. One lookup covers the
-       create + both liveness stamps ([heard_from] on a fresh entry). *)
-    let p = partner_of t src in
-    let local = now_local t in
-    p.last_heard <- local;
-    p.last_confirmed <- local;
-    match remote with
-    | Some d -> maybe_reconcile t ~src ~remote_digest:d
-    | None -> ())
   | Msg.Reconcile_request { installed; removed } ->
     apply_remote_sets t ~installed ~removed;
     send_msg t ~dst:src
@@ -1477,7 +1412,7 @@ let rec receive t ~src payload =
     | _ -> ());
     remove_local t ~name ~seqno
   | Msg.View_request { name } -> (
-    match Hashtbl.find_opt t.plans name with
+    match Lazy_tbl.find_opt t.plans name with
     | None -> ()
     | Some (meta, None) ->
       (* Removal tombstone: tell the asker the query no longer includes
@@ -1492,11 +1427,11 @@ let rec receive t ~src payload =
       in
       send_ctl t ~dst:src (Msg.View_reply { meta; view; age = 0.0 }))
   | Msg.View_reply { meta; view; age } -> (
-    Hashtbl.remove t.pending_views meta.Query.name;
+    Lazy_tbl.remove t.pending_views meta.Query.name;
     match view with
     | Some v -> install_local t meta v ~install_age:(age +. t.rt.latency_to src)
     | None ->
-      Hashtbl.replace t.not_mine meta.Query.name meta.Query.seqno;
+      Lazy_tbl.replace t.not_mine meta.Query.name meta.Query.seqno;
       drop_warmup t meta.Query.name)
   | Msg.Result_fwd { query; slot; value; count; age } ->
     if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.results_fwd_received";
@@ -1531,23 +1466,23 @@ let create ?(config = default_config) rt =
       rt;
       cfg = config;
       instances = Hashtbl.create 8;
-      removed = Hashtbl.create 8;
-      not_mine = Hashtbl.create 8;
-      partners = Itbl.create 32;
-      plans = Hashtbl.create 4;
-      pending_views = Hashtbl.create 8;
-      warmup = Hashtbl.create 8;
-      fast_resync = Hashtbl.create 8;
+      removed = Lazy_tbl.create 8;
+      not_mine = Lazy_tbl.create 8;
+      partners = Partner_set.create ~timeout:(config.hb_timeout_factor *. config.hb_period);
+      plans = Lazy_tbl.create 4;
+      pending_views = Lazy_tbl.create 8;
+      warmup = Lazy_tbl.create 8;
+      fast_resync = Lazy_tbl.create 8;
       warmup_len = 0;
-      ctl_pending = Hashtbl.create 16;
-      seen_ctl = Hashtbl.create 64;
+      ctl_pending = Lazy_tbl.create 16;
+      seen_ctl = Lazy_tbl.create 64;
       seen_ctl_order = Queue.create ();
       ctl_rng = Rng.create (0x51ab5 + (7919 * rt.self));
       (* Tokens count up and survive {!crash}, so they never collide
          across process restarts (a stale ack must not cancel a fresh
          retransmission, and the receiver's dup table must not suppress a
          fresh message). *)
-      result_fwds = Hashtbl.create 4;
+      result_fwds = Lazy_tbl.create 4;
       next_token = 0;
       result_handlers = [];
       remote_handlers = [];
@@ -1585,11 +1520,11 @@ let on_remote_result t f = t.remote_handlers <- f :: t.remote_handlers
 
 let set_result_forwards t ~query dsts =
   let dsts = List.sort_uniq compare (List.filter (fun d -> d <> t.rt.self) dsts) in
-  if dsts = [] then Hashtbl.remove t.result_fwds query
-  else Hashtbl.replace t.result_fwds query dsts
+  if dsts = [] then Lazy_tbl.remove t.result_fwds query
+  else Lazy_tbl.replace t.result_fwds query dsts
 
 let plan_cached t ~name =
-  match Hashtbl.find_opt t.plans name with Some (_, Some _) -> true | _ -> false
+  match Lazy_tbl.find_opt t.plans name with Some (_, Some _) -> true | _ -> false
 
 let installed t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.instances [] |> List.sort compare
@@ -1606,25 +1541,23 @@ let crash t =
   end;
   Hashtbl.iter (fun _ inst -> cancel_instance_timers inst) t.instances;
   Hashtbl.reset t.instances;
-  Hashtbl.reset t.removed;
-  Hashtbl.reset t.not_mine;
-  Itbl.reset t.partners;
-  Hashtbl.reset t.plans;
-  Hashtbl.reset t.result_fwds;
-  Hashtbl.reset t.pending_views;
-  Hashtbl.reset t.warmup;
-  Hashtbl.reset t.fast_resync;
+  Lazy_tbl.reset t.removed;
+  Lazy_tbl.reset t.not_mine;
+  Partner_set.reset t.partners;
+  Lazy_tbl.reset t.plans;
+  Lazy_tbl.reset t.result_fwds;
+  Lazy_tbl.reset t.pending_views;
+  Lazy_tbl.reset t.warmup;
+  Lazy_tbl.reset t.fast_resync;
   t.warmup_len <- 0;
   if t.cfg.self_heal && !Obs.enabled then
     Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
-  Hashtbl.iter
-    (fun _ p -> match p.ctl_timer with Some h -> h.cancel () | None -> ())
-    t.ctl_pending;
-  Hashtbl.reset t.ctl_pending;
-  Hashtbl.reset t.seen_ctl;
+  Lazy_tbl.iter (fun _ p -> Option.iter Engine.cancel p.ctl_timer) t.ctl_pending;
+  Lazy_tbl.reset t.ctl_pending;
+  Lazy_tbl.reset t.seen_ctl;
   Queue.clear t.seen_ctl_order;
   invalidate_digest t;
-  (match t.hb_timer with Some h -> h.cancel () | None -> ());
+  Option.iter Engine.cancel t.hb_timer;
   t.hb_timer <- Some (t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t))
 
 let stats t =
@@ -1654,7 +1587,7 @@ let netdist t ~query =
 let ts_length t ~query =
   Option.map (fun inst -> Ts_list.length inst.ts) (Hashtbl.find_opt t.instances query)
 
-let ctl_in_flight t = Hashtbl.length t.ctl_pending
+let ctl_in_flight t = Lazy_tbl.length t.ctl_pending
 
 let current_parents t ~query =
   Option.map
@@ -1665,4 +1598,4 @@ let orphaned_for t ~query =
   Option.bind (Hashtbl.find_opt t.instances query) (fun inst ->
       Option.map (fun since -> now_local t -. since) inst.orphaned_since)
 
-let partner_count t = Itbl.length t.partners
+let partner_count t = Partner_set.length t.partners

@@ -27,7 +27,10 @@
     clock {e offset} cancels and only skew remains — the syncless design
     point of §5. *)
 
-type timer = { cancel : unit -> unit }
+type timer = Mortar_sim.Engine.handle
+(** A scheduled callback, cancelled with {!Mortar_sim.Engine.cancel}: the
+    runtime hands back the engine's own handle, with no wrapper record or
+    closure per arm (timers are re-armed after every TS-list insert). *)
 
 type runtime = {
   self : int;

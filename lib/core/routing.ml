@@ -73,10 +73,7 @@ let route ?(avoid = []) ~(view : Query.node_view) ~alive ~rng ~visited ~arrival_
           (* Stage 4: flex down. A uniform choice over all eligible
              children explores the pocket's boundary; restricting to the
              shallowest tree funnels every retry down the same dead end. *)
-          if ttl_down >= max_ttl_down then begin
-            if Sys.getenv_opt "MORTAR_TRACE" <> None then Printf.eprintf "DROP ttl\n";
-            Drop
-          end
+          if ttl_down >= max_ttl_down then Drop
           else begin
             let children_satisfying pred =
               List.concat
@@ -96,10 +93,7 @@ let route ?(avoid = []) ~(view : Query.node_view) ~alive ~rng ~visited ~arrival_
               if candidates = [] then children_satisfying (fun _ -> true) else candidates
             in
             match candidates with
-            | [] ->
-              if Sys.getenv_opt "MORTAR_TRACE" <> None then
-                Printf.eprintf "DROP no-candidates ttl=%d\n" ttl_down;
-              Drop
+            | [] -> Drop
             | _ ->
               let x, c = Mortar_util.Rng.pick_list rng candidates in
               Forward { dst = c; tree = x; descended = true }

@@ -70,9 +70,7 @@ let make_runtime ~engine ~transport ~topo ~clock ~rng self : Peer.runtime =
       (fun ~after f ->
         (* [after] is local seconds; a fast clock (positive skew) fires its
            timers early in true time. *)
-        let true_delay = after /. (1.0 +. Clock.skew clock) in
-        let h = Engine.schedule engine ~after:true_delay f in
-        { Peer.cancel = (fun () -> Engine.cancel h) });
+        Engine.schedule engine ~after:(after /. (1.0 +. Clock.skew clock)) f);
     rng;
   }
 

@@ -36,9 +36,7 @@ let build ~hosts ~seed =
                 Transport.send transport ~src:i ~dst ~size ~kind msg);
             local_time = (fun () -> Engine.now engine);
             set_timer =
-              (fun ~after f ->
-                let h = Engine.schedule engine ~after f in
-                { Sdims.cancel = (fun () -> Engine.cancel h) });
+              (fun ~after f -> Engine.schedule engine ~after f);
             rng = Mortar_util.Rng.split rng;
           }
         in

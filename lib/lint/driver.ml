@@ -1,7 +1,7 @@
 (* File discovery, parsing, the two analysis phases, suppression and
    baseline filtering, reporting.
 
-   Phase 1 (syntactic, D1-D6): directories given to [run] are scanned
+   Phase 1 (syntactic, D1-D6 and D10): directories given to [run] are scanned
    recursively for [.ml] files, skipping build products and the
    deliberately-broken lint fixtures; files given explicitly are always
    linted (that is how the fixture tests exercise the rules).

@@ -1,4 +1,4 @@
-(* The six mortar-lint rules, implemented as one Ast_iterator pass per
+(* The seven syntactic mortar-lint rules, implemented as one Ast_iterator pass per
    file over the Parsetree (compiler-libs.common only — no typing, so
    every rule is syntactic and errs on the side of precision; anything
    it cannot see, it does not flag).
@@ -11,7 +11,8 @@
        Random.self_init). All randomness must flow through the seeded
        splitmix Util.Rng so a run is a pure function of its seed.
    D3  hash-order escaping into an ordered data structure, two forms:
-       (a) Hashtbl.fold / Hashtbl.iter whose callback builds a list (a
+       (a) Hashtbl.fold / Hashtbl.iter (or Lazy_tbl.fold / iter, the
+       Hashtbl wrapper in lib/util) whose callback builds a list (a
        [::] cons anywhere in the callback, whatever the argument's
        label or position — MoreLabels-style [~f:] callbacks count);
        (b) Hashtbl.to_seq / to_seq_keys / to_seq_values materialized
@@ -32,6 +33,12 @@
        Domain.spawn bypasses the epoch barrier that makes the sharded
        simulation deterministic; everything else must go through
        Par.Pool / Par.Ctx, whose fallback build is sequential.
+
+   D10 environment reads (Sys.getenv, Sys.getenv_opt, Unix.getenv) in
+       every linted tree. An environment variable is a hidden knob: a
+       run's behaviour (or its output) then depends on more than its
+       command line and seed. Configuration flows through flags and
+       config records.
 
    D5 needs a cross-file phase 1: [collect_types] gathers every record
    type declaring a float(ish) field, over all files in the run, before
@@ -111,12 +118,14 @@ let is_pipe e =
   match path_of e with Some [ ("|>" | "@@") ] -> true | _ -> false
 
 (* Hashtbl.fold/iter under any module path spelling (Hashtbl.fold,
-   MoreLabels.Hashtbl.fold, ...). *)
+   MoreLabels.Hashtbl.fold, ...), and the same calls on Util.Lazy_tbl,
+   the allocate-on-first-write Hashtbl wrapper. *)
 let hashtbl_iter_fold e =
   match path_of e with
   | Some p -> (
     match List.rev p with
-    | (("fold" | "iter") as which) :: "Hashtbl" :: _ -> Some which
+    | (("fold" | "iter") as which) :: (("Hashtbl" | "Lazy_tbl") as m) :: _ ->
+      Some (m ^ "." ^ which)
     | _ -> None)
   | None -> None
 
@@ -219,6 +228,12 @@ let check_expr ctx (e : expression) =
            "raw multicore primitive '%s' outside lib/par; shared state crossing domains \
             bypasses the deterministic epoch barrier — use Par.Pool / Par.Ctx"
            (String.concat "." (Longident.flatten txt)))
+    | [ "Sys"; ("getenv" | "getenv_opt") ] | [ "Unix"; "getenv" ] ->
+      add ctx ~code:"D10" ~loc
+        (Printf.sprintf
+           "environment read '%s' is a hidden knob; pass configuration through flags or \
+            config records"
+           (String.concat "." (Longident.flatten txt)))
     | _ -> ())
   | Pexp_try (_, cases) ->
     List.iter
@@ -237,7 +252,7 @@ let check_expr ctx (e : expression) =
            && List.exists (fun (_, cb) -> is_fun cb && builds_list cb) args ->
       add ctx ~code:"D3" ~loc:e.pexp_loc
         (Printf.sprintf
-           "Hashtbl.%s builds a list in hash order; sort the escaping result (e.g. '|> \
+           "%s builds a list in hash order; sort the escaping result (e.g. '|> \
             List.sort compare') or keep it commutative"
            which)
     | _ -> ());

@@ -6,7 +6,9 @@
    then one or more rule codes, then a free-form reason. Several codes
    may be listed in one comment; the code list is the leading run of
    D<digits> tokens (the reason never re-opens it, so prose mentioning a
-   rule by name does not widen the suppression).
+   rule by name does not widen the suppression). The codes in use are
+   D1-D6 and D10 (syntactic) and D7-D9 (typed); multi-digit codes such
+   as D10 parse like any other.
 
    Every parsed comment is tracked: [allows] marks the codes that
    actually shield a finding, so the driver can report the ones that no

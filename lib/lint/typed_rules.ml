@@ -1,5 +1,5 @@
 (* The typed mortar-lint rules (D7-D9), run over compiler [.cmt]
-   artifacts with [Tast_iterator] — unlike D1-D6 these see resolved
+   artifacts with [Tast_iterator] — unlike D1-D6 and D10 these see resolved
    paths and inferred types, so they can reason about mutability and
    constructor coverage instead of surface syntax.
 
@@ -35,7 +35,7 @@
        which are sanctioned cold paths.
 
    All three degrade gracefully where artifacts are missing: no cmt,
-   no typed findings (the syntactic D1-D6 pass still runs). On 4.14
+   no typed findings (the syntactic D1-D6 and D10 pass still runs). On 4.14
    the parallel runtime is the sequential fallback but exposes the
    same [Par.Pool] paths, so D7 analyzes identical call sites. *)
 
@@ -89,7 +89,7 @@ let parent_short parent =
   | None -> None
   | Some p -> ( match short_of_modname p with Some s -> Some s | None -> Some p)
 
-let mutable_stdlib_containers = [ "Hashtbl"; "Buffer"; "Queue"; "Stack"; "Atomic"; "Bytes"; "Int_tbl"; "Itbl" ]
+let mutable_stdlib_containers = [ "Hashtbl"; "Buffer"; "Queue"; "Stack"; "Atomic"; "Bytes" ]
 
 let rec type_is_mutable env ty =
   match Types.get_desc ty with

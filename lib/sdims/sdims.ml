@@ -23,7 +23,7 @@ let msg_size = function
   | Leafset_request -> 96
   | Leafset_reply { members } -> 256 + (16 * List.length members)
 
-type timer = { cancel : unit -> unit }
+type timer = Mortar_sim.Engine.handle
 
 type runtime = {
   self : int;

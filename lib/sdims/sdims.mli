@@ -37,7 +37,9 @@ type msg =
 
 val msg_size : msg -> int
 
-type timer = { cancel : unit -> unit }
+type timer = Mortar_sim.Engine.handle
+(** The engine's own handle for a scheduled callback; cancel it with
+    {!Mortar_sim.Engine.cancel}. *)
 
 type runtime = {
   self : int;

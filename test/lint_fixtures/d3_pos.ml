@@ -28,3 +28,6 @@ let count tbl = Hashtbl.fold (fun _ n acc -> max n acc) tbl 0
 
 (* ... or the sequence stays transient (never materialized). *)
 let sum tbl = Seq.fold_left ( + ) 0 (Hashtbl.to_seq_values tbl)
+
+(* The allocate-on-first-write wrapper iterates in hash order too. *)
+let lazy_keys tbl = Mortar_util.Lazy_tbl.fold (fun k () acc -> k :: acc) tbl []

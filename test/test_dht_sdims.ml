@@ -124,9 +124,7 @@ let build_world ~hosts =
             send = (fun ~dst ~size ~kind m -> Transport.send transport ~src:i ~dst ~size ~kind m);
             local_time = (fun () -> Engine.now engine);
             set_timer =
-              (fun ~after f ->
-                let h = Engine.schedule engine ~after f in
-                { Sdims.cancel = (fun () -> Engine.cancel h) });
+              (fun ~after f -> Engine.schedule engine ~after f);
             rng = Rng.split rng;
           }
         in

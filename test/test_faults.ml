@@ -293,9 +293,7 @@ let test_ctl_budget_abandons () =
         local_time = (fun () -> Engine.now e);
         latency_to = (fun _ -> 0.005);
         set_timer =
-          (fun ~after fn ->
-            let h = Engine.schedule e ~after fn in
-            { Peer.cancel = (fun () -> Engine.cancel h) });
+          (fun ~after fn -> Engine.schedule e ~after fn);
         rng = Rng.create 7;
       }
   in

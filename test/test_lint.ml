@@ -22,6 +22,8 @@ let fixture_files =
     "lint_fixtures/d5_neg.ml";
     "lint_fixtures/d6_pos.ml";
     "lint_fixtures/d6_neg.ml";
+    "lint_fixtures/d10_pos.ml";
+    "lint_fixtures/d10_neg.ml";
   ]
 
 let read_file path =
@@ -49,7 +51,7 @@ let test_all_rules_fire () =
         (Printf.sprintf "rule %s fires on its fixture" code)
         true
         (List.exists (fun (d : Diag.t) -> d.code = code) report.Driver.findings))
-    [ "D1"; "D2"; "D3"; "D4"; "D5"; "D6" ]
+    [ "D1"; "D2"; "D3"; "D4"; "D5"; "D6"; "D10" ]
 
 (* ... and the suppressed negatives are completely silent. *)
 let test_suppressions_silence () =

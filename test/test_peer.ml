@@ -369,6 +369,245 @@ let test_stats_counters () =
   let some_leaf = Peer.stats (D.peer d (hosts - 1)) in
   Alcotest.(check bool) "leaves sent tuples" true (some_leaf.Peer.tuples_sent > 10)
 
+(* ------------------------------------------------------------------ *)
+(* Host footprint and the flat partner set.                            *)
+
+module Engine = Mortar_sim.Engine
+module Partner_set = Mortar_core.Partner_set
+
+(* A peer on a bare engine: no transport, no topology, so the reachable
+   words are the peer's own state plus the engine and its queued
+   timers. *)
+let lone_peer () =
+  let e = Engine.create () in
+  let rt =
+    {
+      Peer.self = 0;
+      send = (fun ~dst:_ ~size:_ ~kind:_ _ -> ());
+      local_time = (fun () -> Engine.now e);
+      latency_to = (fun _ -> 0.01);
+      set_timer = (fun ~after f -> Engine.schedule e ~after f);
+      rng = Mortar_util.Rng.create 5;
+    }
+  in
+  (Peer.create rt, e)
+
+(* Upper bounds on reachable words (64-bit, OCaml 5.1). An idle peer
+   measures 253 words and a one-instance root after 10 s 901; with
+   eagerly built cold tables, a hashed partner table and closure-wrapped
+   timers they measured 538 and 1 307. Each bound leaves less slack than
+   the smallest regression costs: wrapping each engine handle in a
+   record plus closure adds 5 words per timer the engine still holds
+   (the idle peer has one), an eager empty [Hashtbl] 22. *)
+let idle_peer_words = 256
+
+let one_instance_words = 905
+
+let test_footprint () =
+  let p, e = lone_peer () in
+  let idle = Obj.reachable_words (Obj.repr p) in
+  Alcotest.(check bool)
+    (Printf.sprintf "idle peer %d words <= %d" idle idle_peer_words)
+    true (idle <= idle_peer_words);
+  let rng = Mortar_util.Rng.create 3 in
+  let treeset = Mortar_overlay.Treeset.random rng ~bf:2 ~d:2 ~root:0 ~nodes:[| 1; 2; 3; 4 |] in
+  let meta =
+    Query.make_meta ~name:"fp" ~source:"s" ~op:Op.Sum ~window:(Window.tumbling 1.0) ~root:0
+      ~total_nodes:5 ()
+  in
+  Peer.install_query p meta treeset;
+  Engine.run ~until:10.0 e;
+  Alcotest.(check (list string)) "installed" [ "fp" ] (Peer.installed p);
+  let one = Obj.reachable_words (Obj.repr p) in
+  Alcotest.(check bool)
+    (Printf.sprintf "one-instance peer %d words <= %d" one one_instance_words)
+    true (one <= one_instance_words)
+
+(* The oracle: the partner table as it was before the flat layout — one
+   mutable record per partner in an int-keyed hash table, targets and
+   sweeps folded and sorted. *)
+module Partner_oracle = struct
+  type partner = {
+    mutable refcount : int;
+    mutable last_heard : float;
+    mutable last_confirmed : float;
+    mutable last_reconcile : float;
+  }
+
+  type t = { tbl : (int, partner) Hashtbl.t; timeout : float }
+
+  let create ~timeout = { tbl = Hashtbl.create 32; timeout }
+
+  let partner_of t node ~now =
+    match Hashtbl.find_opt t.tbl node with
+    | Some p -> p
+    | None ->
+      let p =
+        { refcount = 0; last_heard = now; last_confirmed = neg_infinity;
+          last_reconcile = neg_infinity }
+      in
+      Hashtbl.replace t.tbl node p;
+      p
+
+  let retain t node ~now =
+    let p = partner_of t node ~now in
+    p.refcount <- p.refcount + 1;
+    p.last_heard <- now
+
+  let release t node =
+    match Hashtbl.find_opt t.tbl node with
+    | None -> ()
+    | Some p ->
+      p.refcount <- p.refcount - 1;
+      if p.refcount <= 0 then Hashtbl.remove t.tbl node
+
+  let alive t node ~now =
+    match Hashtbl.find_opt t.tbl node with
+    | None -> true
+    | Some p -> now -. p.last_heard < t.timeout
+
+  let heard t node ~now =
+    match Hashtbl.find_opt t.tbl node with
+    | Some p ->
+      p.last_heard <- now;
+      p.last_confirmed <- now
+    | None -> ()
+
+  let confirmed_alive t node ~now =
+    match Hashtbl.find_opt t.tbl node with
+    | None -> false
+    | Some p -> now -. p.last_confirmed < t.timeout
+
+  let heartbeat t node ~now =
+    heard t node ~now;
+    let p = partner_of t node ~now in
+    p.last_heard <- now;
+    p.last_confirmed <- now
+
+  let reconcile_due t node ~now ~min_gap =
+    let p = partner_of t node ~now in
+    if now -. p.last_reconcile >= min_gap then begin
+      p.last_reconcile <- now;
+      true
+    end
+    else false
+
+  let targets t =
+    Hashtbl.fold (fun n p acc -> if p.refcount > 0 then n :: acc else acc) t.tbl []
+    |> List.sort compare
+
+  let sweep t ~now ~horizon =
+    let stale =
+      Hashtbl.fold
+        (fun n p acc -> if p.refcount <= 0 && now -. p.last_heard > horizon then n :: acc else acc)
+        t.tbl []
+      |> List.sort compare
+    in
+    List.iter (Hashtbl.remove t.tbl) stale;
+    List.length stale
+
+  let length t = Hashtbl.length t.tbl
+
+  let crash t = Hashtbl.reset t.tbl
+end
+
+type partner_op =
+  | Retain of int
+  | Release of int
+  | Heard of int
+  | Heartbeat of int
+  | Reconcile of int
+  | Sweep
+  | Crash
+
+let show_partner_op (dt, op) =
+  Printf.sprintf "+%g %s" dt
+    (match op with
+    | Retain n -> Printf.sprintf "retain %d" n
+    | Release n -> Printf.sprintf "release %d" n
+    | Heard n -> Printf.sprintf "heard %d" n
+    | Heartbeat n -> Printf.sprintf "heartbeat %d" n
+    | Reconcile n -> Printf.sprintf "reconcile %d" n
+    | Sweep -> "sweep"
+    | Crash -> "crash")
+
+let gen_partner_op =
+  QCheck.Gen.(
+    pair
+      (oneofl [ 0.0; 0.5; 1.0; 2.0; 3.0; 6.0; 13.0; 25.0 ])
+      (frequency
+         [
+           (4, map (fun n -> Retain n) (int_bound 11));
+           (3, map (fun n -> Release n) (int_bound 11));
+           (3, map (fun n -> Heard n) (int_bound 11));
+           (3, map (fun n -> Heartbeat n) (int_bound 11));
+           (2, map (fun n -> Reconcile n) (int_bound 11));
+           (2, return Sweep);
+           (1, return Crash);
+         ]))
+
+(* Peer's constants at the default config: timeout = factor * period,
+   sweep horizon = 4 * factor * period, reconcile gap = every * period. *)
+let prop_partner_set_matches_oracle =
+  let cfg = Peer.default_config in
+  let timeout = cfg.Peer.hb_timeout_factor *. cfg.Peer.hb_period in
+  let horizon = 4.0 *. cfg.Peer.hb_timeout_factor *. cfg.Peer.hb_period in
+  let min_gap = float_of_int cfg.Peer.reconcile_every *. cfg.Peer.hb_period in
+  QCheck.Test.make ~name:"partner set = Hashtbl + record oracle" ~count:400
+    QCheck.(
+      make ~print:(fun l -> String.concat "; " (List.map show_partner_op l))
+        Gen.(list_size (int_bound 80) gen_partner_op))
+    (fun ops ->
+      let ps = Partner_set.create ~timeout and o = Partner_oracle.create ~timeout in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (dt, op) ->
+          now := !now +. dt;
+          let now = !now in
+          let same_result =
+            match op with
+            | Retain n ->
+              Partner_set.retain ps n ~now;
+              Partner_oracle.retain o n ~now;
+              true
+            | Release n ->
+              Partner_set.release ps n;
+              Partner_oracle.release o n;
+              true
+            | Heard n ->
+              Partner_set.heard ps n ~now;
+              Partner_oracle.heard o n ~now;
+              true
+            | Heartbeat n ->
+              Partner_set.heartbeat ps n ~now;
+              Partner_oracle.heartbeat o n ~now;
+              true
+            | Reconcile n ->
+              Partner_set.reconcile_due ps n ~now ~min_gap
+              = Partner_oracle.reconcile_due o n ~now ~min_gap
+            | Sweep ->
+              Partner_set.sweep ps ~now ~horizon = Partner_oracle.sweep o ~now ~horizon
+            | Crash ->
+              Partner_set.reset ps;
+              Partner_oracle.crash o;
+              true
+          in
+          let targets =
+            let acc = ref [] in
+            Partner_set.iter_targets (fun n -> acc := n :: !acc) ps;
+            List.rev !acc
+          in
+          same_result
+          && targets = Partner_oracle.targets o
+          && Partner_set.length ps = Partner_oracle.length o
+          && List.for_all
+               (fun n ->
+                 Partner_set.alive ps n ~now = Partner_oracle.alive o n ~now
+                 && Partner_set.confirmed_alive ps n ~now
+                    = Partner_oracle.confirmed_alive o n ~now)
+               (List.init 13 Fun.id))
+        ops)
+
 let tests =
   [
     Alcotest.test_case "timestamp mode, synced clocks" `Slow test_timestamp_mode_synced_clocks;
@@ -385,4 +624,6 @@ let tests =
     Alcotest.test_case "type faults survive" `Quick test_type_faults_survive;
     Alcotest.test_case "replan query" `Slow test_replan_query;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
+    Alcotest.test_case "host footprint" `Quick test_footprint;
+    QCheck_alcotest.to_alcotest prop_partner_set_matches_oracle;
   ]

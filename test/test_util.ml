@@ -1,10 +1,13 @@
-(* Unit and property tests for Mortar_util: rng, heap, ewma, stats, vec. *)
+(* Unit and property tests for Mortar_util: rng, heap, ewma, stats, vec,
+   and the peer's lean tables (lazy_tbl, int_float_map). *)
 
 module Rng = Mortar_util.Rng
 module Heap = Mortar_util.Heap
 module Ewma = Mortar_util.Ewma
 module Stats = Mortar_util.Stats
 module Vec = Mortar_util.Vec
+module Lazy_tbl = Mortar_util.Lazy_tbl
+module Int_float_map = Mortar_util.Int_float_map
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -231,6 +234,97 @@ let test_vec_unit_or () =
   let f = Vec.unit_or [| 0.0; 0.0 |] ~fallback:[| 1.0; 0.0 |] in
   Alcotest.(check (array (float 1e-9))) "fallback" [| 1.0; 0.0 |] f
 
+(* Lazy_tbl against the Hashtbl it wraps: the same operation sequence
+   gives the same bindings, length and (sorted) fold at every step, and
+   the wrapper is allocated exactly when a write happened since the last
+   reset. Keys come from a small range so hits, misses and overwrites
+   all occur. *)
+type tbl_op = Find of int | Replace of int * int | Remove of int | Reset
+
+let gen_tbl_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun k -> Find k) (int_bound 9));
+        (4, map2 (fun k v -> Replace (k, v)) (int_bound 9) (int_bound 100));
+        (2, map (fun k -> Remove k) (int_bound 9));
+        (1, return Reset);
+      ])
+
+let show_tbl_op = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Reset -> "reset"
+
+let prop_lazy_tbl_matches_hashtbl =
+  QCheck.Test.make ~name:"lazy_tbl = Hashtbl" ~count:300
+    QCheck.(
+      make ~print:(fun l -> String.concat "; " (List.map show_tbl_op l))
+        Gen.(list_size (int_bound 60) gen_tbl_op))
+    (fun ops ->
+      let lt = Lazy_tbl.create 8 and h = Hashtbl.create 8 in
+      let written = ref false in
+      let sorted_fold fold tbl = fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+      List.for_all
+        (fun op ->
+          let found =
+            match op with
+            | Find k -> Lazy_tbl.find_opt lt k = Hashtbl.find_opt h k
+            | Replace (k, v) ->
+              Lazy_tbl.replace lt k v;
+              Hashtbl.replace h k v;
+              written := true;
+              true
+            | Remove k ->
+              Lazy_tbl.remove lt k;
+              Hashtbl.remove h k;
+              true
+            | Reset ->
+              Lazy_tbl.reset lt;
+              Hashtbl.reset h;
+              written := false;
+              true
+          in
+          found
+          && Lazy_tbl.allocated lt = !written
+          && Lazy_tbl.length lt = Hashtbl.length h
+          && sorted_fold Lazy_tbl.fold lt = sorted_fold Hashtbl.fold h
+          && List.for_all
+               (fun k -> Lazy_tbl.mem lt k = Hashtbl.mem h k)
+               (List.init 10 Fun.id))
+        ops)
+
+(* Int_float_map against a Hashtbl model: replace, age pruning and
+   lookups agree, and the bindings come out in ascending key order. Keys
+   span negative and positive slots (timestamp-mode slot labels can be
+   negative); values are whole numbers so ages land exactly on the
+   horizon. *)
+let prop_int_float_map_matches_model =
+  QCheck.Test.make ~name:"int_float_map = Hashtbl model" ~count:300
+    QCheck.(
+      list_of_size (Gen.int_bound 80)
+        (pair (int_range (-20) 20) (pair (map float_of_int (int_range 0 100)) bool)))
+    (fun ops ->
+      let m = Int_float_map.create () and h = Hashtbl.create 8 in
+      List.for_all
+        (fun (k, (v, prune)) ->
+          if prune then begin
+            let horizon = 30.0 in
+            Int_float_map.remove_stale m ~now:v ~horizon;
+            Hashtbl.filter_map_inplace (fun _ at -> if v -. at > horizon then None else Some at) h
+          end
+          else begin
+            Int_float_map.replace m k v;
+            Hashtbl.replace h k v
+          end;
+          let model = Hashtbl.fold (fun k v acc -> (k, v) :: acc) h [] |> List.sort compare in
+          Int_float_map.to_list m = model
+          && Int_float_map.length m = Hashtbl.length h
+          && Int_float_map.mem m k = Hashtbl.mem h k
+          && Int_float_map.mem m (k + 1) = Hashtbl.mem h (k + 1))
+        ops)
+
 let tests =
   [
     Alcotest.test_case "rng deterministic" `Quick test_rng_deterministic;
@@ -263,4 +357,6 @@ let tests =
     Alcotest.test_case "vec dist" `Quick test_vec_dist;
     Alcotest.test_case "vec centroid" `Quick test_vec_centroid;
     Alcotest.test_case "vec unit_or" `Quick test_vec_unit_or;
+    QCheck_alcotest.to_alcotest prop_lazy_tbl_matches_hashtbl;
+    QCheck_alcotest.to_alcotest prop_int_float_map_matches_model;
   ]
