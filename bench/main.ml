@@ -327,9 +327,8 @@ module Scale = struct
     in
     wall *. 1e9 /. float_of_int inserts
 
-  (* Transport send+deliver cost across random host pairs (keyed, so the
-     duplicate-suppression path is exercised too). Per-send ns, including
-     the engine's delivery events. *)
+  (* Transport send+deliver cost across random host pairs. Per-send ns,
+     including the engine's delivery events. *)
   let bench_transport topo ~sends =
     let rng = Rng.create 11 in
     let engine = Engine.create () in
@@ -344,8 +343,7 @@ module Scale = struct
           for i = 0 to sends - 1 do
             let src = Rng.int rng n and dst = Rng.int rng n in
             let kind = if i land 7 = 0 then "heartbeat" else "data" in
-            Transport.send transport ~src ~dst ~size:64 ~kind
-              ~key:(string_of_int i) ();
+            Transport.send transport ~src ~dst ~size:64 ~kind ()
           done;
           Engine.run engine)
     in

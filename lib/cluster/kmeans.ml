@@ -43,6 +43,8 @@ let seed_plus_plus rng ~k points =
   done;
   chosen
 
+let max_iter = 50
+
 (* Lloyd iterations. The kernel allocates nothing per point: the nearest
    centroid search is inlined and the per-cluster sums accumulate in
    place. Its float operations run in the order of the plain [Vec] code
@@ -51,7 +53,7 @@ let seed_plus_plus rng ~k points =
    bit-identical to it. Centroids may alias input points (k-means++
    seeds and empty-cluster re-seeds store them), so a centroid is only
    ever replaced, never written in place. *)
-let cluster rng ~k ?(max_iter = 50) points =
+let cluster rng ~k points =
   assert (k >= 1);
   let n = Array.length points in
   if n = 0 then { centroids = [||]; assignment = [||]; inertia = 0.0 }

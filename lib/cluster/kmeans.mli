@@ -11,14 +11,9 @@ type result = {
   inertia : float; (** Sum of squared distances to assigned centroids. *)
 }
 
-val cluster :
-  Mortar_util.Rng.t ->
-  k:int ->
-  ?max_iter:int ->
-  Mortar_util.Vec.t array ->
-  result
-(** [cluster rng ~k points] runs k-means++ seeding followed by Lloyd
-    iterations (default [max_iter] 50) until assignments stabilise.
+val cluster : Mortar_util.Rng.t -> k:int -> Mortar_util.Vec.t array -> result
+(** [cluster rng ~k points] runs k-means++ seeding followed by at most 50
+    Lloyd iterations, stopping early once assignments stabilise.
     Requires [1 <= k]. When [k >= Array.length points], each point gets its
     own cluster. Empty clusters are re-seeded on the farthest point. *)
 

@@ -3,13 +3,14 @@ module Rng = Mortar_util.Rng
 
 let c_c = 0.25 (* timestep constant *)
 let c_e = 0.25 (* error-estimate smoothing constant *)
+let dim = 3 (* Bamboo's coordinate space *)
 
 type node = {
   mutable coord : Vec.t;
   mutable error : float;
 }
 
-let node_create ?(dim = 3) rng =
+let node_create rng =
   (* Small random start breaks the symmetry of an all-zeros system. *)
   { coord = Array.init dim (fun _ -> Rng.uniform rng (-0.001) 0.001); error = 1.0 }
 
@@ -46,9 +47,9 @@ type system = {
   rng : Rng.t;
 }
 
-let create topo ?(dim = 3) ~rng () =
+let create topo ~rng () =
   let n = Mortar_net.Topology.hosts topo in
-  { topo; nodes = Array.init n (fun _ -> node_create ~dim rng); rng }
+  { topo; nodes = Array.init n (fun _ -> node_create rng); rng }
 
 let round s ~samples =
   let n = Array.length s.nodes in

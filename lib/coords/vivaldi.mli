@@ -13,8 +13,8 @@
 type node
 (** Per-node Vivaldi state. *)
 
-val node_create : ?dim:int -> Mortar_util.Rng.t -> node
-(** Fresh node state at a small random position ([dim] defaults to 3). *)
+val node_create : Mortar_util.Rng.t -> node
+(** Fresh node state at a small random 3-dimensional position. *)
 
 val coordinate : node -> Mortar_util.Vec.t
 
@@ -31,7 +31,7 @@ val observe :
 type system
 (** A set of Vivaldi nodes converging against a topology. *)
 
-val create : Mortar_net.Topology.t -> ?dim:int -> rng:Mortar_util.Rng.t -> unit -> system
+val create : Mortar_net.Topology.t -> rng:Mortar_util.Rng.t -> unit -> system
 
 val round : system -> samples:int -> unit
 (** One gossip round: each node measures latency to [samples] random peers

@@ -16,7 +16,6 @@ type xmsg = {
   x_src : int;
   x_dst : int;
   x_kind : string;
-  x_key : string option;
   x_payload : Mortar_core.Msg.payload;
 }
 
@@ -44,9 +43,9 @@ type sharded = {
 type t = {
   engine : Engine.t; (* control engine: fault windows, [at] callbacks *)
   topo : Topology.t;
-  (* Shard 0's instance: liveness, handlers and duplicate memory are
-     shared across the per-shard instances, so [set_up], [up_hosts] and
-     [clear_seen] go through this one. *)
+  (* Shard 0's instance: liveness and handlers are shared across the
+     per-shard instances, so [set_up] and [up_hosts] go through this
+     one. *)
   transport : Mortar_core.Msg.payload Transport.t;
   faults : Faults.t;
   clocks : Clock.t array;
@@ -93,11 +92,11 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let t_root = Rng.split rng in
   let t_rngs = Array.init nshards (fun _ -> Rng.split t_root) in
   let outboxes = Array.init nshards (fun s -> Shard.create_outbox ~src_shard:s ~shards:nshards) in
-  let remote s ~deliver_at ~src ~dst ~kind ~key payload =
+  let remote s ~deliver_at ~src ~dst ~kind payload =
     Shard.post outboxes.(s)
       ~dst_shard:shard_of.(dst)
       ~time:deliver_at
-      { x_src = src; x_dst = dst; x_kind = kind; x_key = key; x_payload = payload }
+      { x_src = src; x_dst = dst; x_kind = kind; x_payload = payload }
   in
   let transports =
     Transport.create_sharded ~engines ~shard_of:(fun h -> shard_of.(h)) ~rngs:t_rngs ~remote
@@ -213,7 +212,7 @@ let drain_outboxes sh =
           ignore
             (Engine.schedule_at s.s_engine ~at:st.Shard.time (fun () ->
                  Transport.deliver_msg s.s_transport ~src:m.x_src ~dst:m.x_dst ~kind:m.x_kind
-                   ~key:m.x_key m.x_payload)))
+                   m.x_payload)))
         msgs
   done
 
@@ -345,15 +344,15 @@ let kinds t =
   fold_transports t (fun acc tr -> List.rev_append (Transport.kinds tr) acc) []
   |> List.sort_uniq compare
 
-(* Transports are created with the default 1-second bucket, so the
-   merged series uses the same width. *)
 let bytes_series t ~kind =
   fold_transports t
     (fun acc tr ->
       match Transport.bytes_series tr ~kind with
       | None -> acc
       | Some src ->
-        let dst = match acc with Some d -> d | None -> Series.create ~bucket:1.0 in
+        let dst =
+          match acc with Some d -> d | None -> Series.create ~bucket:Transport.bucket_width
+        in
         Series.merge_into ~dst src;
         Some dst)
     None
@@ -443,7 +442,6 @@ let crash_window t ~node ~at:down_at ~recover_at =
   at t down_at (fun () -> set_up t node false);
   at t recover_at (fun () ->
       Peer.crash t.peers.(node);
-      Transport.clear_seen t.transport ~dst:node;
       set_up t node true)
 
 let schedule_fault t = function
@@ -478,7 +476,6 @@ let schedule_fault t = function
             Array.iter
               (fun v ->
                 Peer.crash t.peers.(v);
-                Transport.clear_seen t.transport ~dst:v;
                 set_up t v true)
               victims))
 

@@ -105,9 +105,8 @@ let finalize g ~attach ~access ~stub ~n_hosts =
   done;
   { n_hosts; r_lat; r_hop; attach; access; stub; max_lat = !max_lat; edges = g.edges }
 
-let transit_stub rng ?(transits = 8) ?(stubs = 34) ?extra_stub_links ~hosts () =
+let transit_stub rng ?(transits = 8) ?(stubs = 34) ~hosts () =
   assert (transits > 0 && stubs > 0 && hosts > 0);
-  let extra_stub_links = Option.value extra_stub_links ~default:(stubs / 4) in
   let g = graph_create () in
   let transit = Array.init transits (fun _ -> add_vertex g) in
   (* Transit core: a ring (guarantees connectivity) plus random chords. *)
@@ -125,7 +124,7 @@ let transit_stub rng ?(transits = 8) ?(stubs = 34) ?extra_stub_links ~hosts () =
     (fun s -> add_edge g s transit.(Mortar_util.Rng.int rng transits) (ms 10.0))
     stub_router;
   (* Occasional stub-stub shortcuts, as Inet topologies exhibit. *)
-  for _ = 1 to extra_stub_links do
+  for _ = 1 to stubs / 4 do
     let a = Mortar_util.Rng.int rng stubs and b = Mortar_util.Rng.int rng stubs in
     if a <> b then add_edge g stub_router.(a) stub_router.(b) (ms 2.0)
   done;

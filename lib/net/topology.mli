@@ -31,15 +31,13 @@ val transit_stub :
   Mortar_util.Rng.t ->
   ?transits:int ->
   ?stubs:int ->
-  ?extra_stub_links:int ->
   hosts:int ->
   unit ->
   t
 (** [transit_stub rng ~hosts ()] builds a random transit-stub topology.
     [transits] (default 8) transit routers form a random connected ring plus
     chords; [stubs] (default 34) stub routers each attach to a random
-    transit; [extra_stub_links] (default [stubs / 4]) random stub-stub
-    shortcut links are added; [hosts] end hosts are spread uniformly across
+    transit; [stubs / 4] random stub-stub shortcut links are added; [hosts] end hosts are spread uniformly across
     stubs. Latencies follow the paper's classes. *)
 
 val star : link_delay:float -> hosts:int -> t

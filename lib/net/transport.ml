@@ -1,40 +1,24 @@
 module Obs = Mortar_obs.Obs
 
-(* Per-destination duplicate-suppression memory, bounded: keys are
-   remembered FIFO and the oldest forgotten beyond [cap], so a long
-   simulation cannot leak (§4.3 only needs recent keys — retransmits
-   arrive within a handful of RTTs). *)
-type seen = {
-  tbl : (string, unit) Hashtbl.t;
-  order : string Queue.t;
-}
+let bucket_width = 1.0
 
-(* Hosts are dense indices, so the per-host state (handler, liveness,
-   duplicate memory) lives in flat arrays rather than hash tables: the
-   send/deliver path is the innermost loop of every experiment and at
-   10k hosts the hashing dominated it. *)
+(* Hosts are dense indices, so the per-host state (handler, liveness)
+   lives in flat arrays rather than hash tables: the send/deliver path is
+   the innermost loop of every experiment and at 10k hosts the hashing
+   dominated it. *)
 type 'a remote =
-  deliver_at:float ->
-  src:Topology.host ->
-  dst:Topology.host ->
-  kind:string ->
-  key:string option ->
-  'a ->
-  unit
+  deliver_at:float -> src:Topology.host -> dst:Topology.host -> kind:string -> 'a -> unit
 
 type 'a t = {
   engine : Mortar_sim.Engine.t;
   topo : Topology.t;
   loss : float;
-  bucket : float;
-  seen_cap : int;
   rng : Mortar_util.Rng.t;
   mutable faults : Faults.t option;
   handlers : (src:Topology.host -> 'a -> unit) option array;
   mutable observers : (src:Topology.host -> dst:Topology.host -> kind:string -> unit) array;
   up : bool array;
   mutable up_alive : int; (* invariant: number of [true] slots in [up] *)
-  seen : seen option array;
   by_kind : (string, Mortar_sim.Series.t) Hashtbl.t;
   (* Two-slot memo for [account]: steady-state traffic interleaves two
      kinds (data and heartbeat), so a single-slot cache thrashed on
@@ -48,9 +32,9 @@ type 'a t = {
 
 (* A sharded instance serves the hosts of one logical shard. A send whose
    destination maps to another shard is handed to [post] (the
-   deployment's outbox) instead of scheduled locally; [up]/[handlers]/
-   [seen] are shared across all sibling instances (indexed by host, each
-   slot touched only by its owner shard). *)
+   deployment's outbox) instead of scheduled locally; [up]/[handlers]
+   are shared across all sibling instances (indexed by host, each slot
+   touched only by its owner shard). *)
 and 'a cross = {
   shard : int;
   shard_of : Topology.host -> int;
@@ -60,13 +44,11 @@ and 'a cross = {
 (* Both constructors build through here. The per-host arrays are
    parameters so sibling shard instances share them without allocating
    throwaway copies. *)
-let make engine topo ~loss ~bucket ~seen_cap ~rng ~faults ~handlers ~up ~seen ~remote =
+let make engine topo ~loss ~rng ~faults ~handlers ~up ~remote =
   {
     engine;
     topo;
     loss;
-    bucket;
-    seen_cap = max 1 seen_cap;
     rng;
     faults;
     handlers;
@@ -75,7 +57,6 @@ let make engine topo ~loss ~bucket ~seen_cap ~rng ~faults ~handlers ~up ~seen ~r
     (* On sharded instances meaningful only on instance 0: the deployment
        routes every [set_up] through it. *)
     up_alive = Array.length up;
-    seen;
     by_kind = Hashtbl.create 8;
     kind_cache = None;
     kind_cache2 = None;
@@ -84,18 +65,17 @@ let make engine topo ~loss ~bucket ~seen_cap ~rng ~faults ~handlers ~up ~seen ~r
     remote;
   }
 
-let create engine topo ?(loss = 0.0) ?(bucket = 1.0) ?(seen_cap = 4096) ?faults ~rng () =
+let create engine topo ?(loss = 0.0) ?faults ~rng () =
   let n = Topology.hosts topo in
-  make engine topo ~loss ~bucket ~seen_cap ~rng ~faults ~handlers:(Array.make n None)
-    ~up:(Array.make n true) ~seen:(Array.make n None) ~remote:None
+  make engine topo ~loss ~rng ~faults ~handlers:(Array.make n None) ~up:(Array.make n true)
+    ~remote:None
 
-let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) ?(bucket = 1.0)
-    ?(seen_cap = 4096) () =
+let create_sharded ~engines ~shard_of ~rngs ~remote topo ?(loss = 0.0) () =
   let n = Topology.hosts topo in
-  let handlers = Array.make n None and up = Array.make n true and seen = Array.make n None in
+  let handlers = Array.make n None and up = Array.make n true in
   Array.mapi
     (fun shard engine ->
-      make engine topo ~loss ~bucket ~seen_cap ~rng:rngs.(shard) ~faults:None ~handlers ~up ~seen
+      make engine topo ~loss ~rng:rngs.(shard) ~faults:None ~handlers ~up
         ~remote:(Some { shard; shard_of; post = remote shard }))
     engines
 
@@ -133,7 +113,7 @@ let account t ~kind ~bytes =
           match Hashtbl.find_opt t.by_kind kind with
           | Some s -> s
           | None ->
-            let s = Mortar_sim.Series.create ~bucket:t.bucket in
+            let s = Mortar_sim.Series.create ~bucket:bucket_width in
             Hashtbl.replace t.by_kind kind s;
             s
         in
@@ -143,69 +123,31 @@ let account t ~kind ~bytes =
   in
   Mortar_sim.Series.incr series ~time:(Mortar_sim.Engine.now t.engine) bytes
 
-let duplicate t ~dst ~key =
-  let entry =
-    match t.seen.(dst) with
-    | Some e -> e
-    | None ->
-      let e = { tbl = Hashtbl.create 256; order = Queue.create () } in
-      t.seen.(dst) <- Some e;
-      e
-  in
-  if Hashtbl.mem entry.tbl key then true
-  else begin
-    Hashtbl.replace entry.tbl key ();
-    Queue.push key entry.order;
-    while Hashtbl.length entry.tbl > t.seen_cap do
-      Hashtbl.remove entry.tbl (Queue.pop entry.order)
-    done;
-    false
-  end
-
-let seen_keys t ~dst =
-  match t.seen.(dst) with None -> 0 | Some e -> Hashtbl.length e.tbl
-
-(* A process restart loses its duplicate-suppression memory with the rest
-   of its state; dropping the table also keeps multi-hour churn runs from
-   holding [seen_cap] keys for every host that ever crashed. Fresh keys
-   are never suppressed by this: senders' keys are globally unique. *)
-let clear_seen t ~dst = t.seen.(dst) <- None
-
 (* Delivery-time half of [send]. Split out of the in-flight closure so
    the sharded deployment can invoke it directly when a cross-shard
    message drains from an outbox into the destination shard's engine —
-   [t] is then the {e destination} shard's instance, so its counters and
-   duplicate memory are the ones that see the message. *)
-let[@lint.hot] deliver_msg t ~src ~dst ~kind ~key payload =
+   [t] is then the {e destination} shard's instance, so its counters are
+   the ones that see the message. *)
+let[@lint.hot] deliver_msg t ~src ~dst ~kind payload =
   (* Only the destination's liveness matters at delivery time: a
      datagram already in flight outlives its sender's crash. *)
   if t.up.(dst) then begin
-    let dup = match key with Some k -> duplicate t ~dst ~key:k | None -> false in
-    if dup then begin
+    match t.handlers.(dst) with
+    | Some f ->
+      t.delivered <- t.delivered + 1;
       if !Obs.enabled then begin
-        Obs.incr "transport.dup_suppressed";
+        Obs.incr "transport.delivered";
         Obs.trace
           ~t:(Mortar_sim.Engine.now t.engine)
-          (Obs.Dup_suppressed { dst; kind })
-      end
-    end
-    else
-      match t.handlers.(dst) with
-      | Some f ->
-        t.delivered <- t.delivered + 1;
-        if !Obs.enabled then begin
-          Obs.incr "transport.delivered";
-          Obs.trace
-            ~t:(Mortar_sim.Engine.now t.engine)
-            (Obs.Tuple_recv { src; dst; kind })
-        end;
-        (* Indexed loop, not Array.iter: the iter callback would be a
-           fresh closure allocation on every single delivery. *)
-        for i = 0 to Array.length t.observers - 1 do
-          t.observers.(i) ~src ~dst ~kind
-        done;
-        f ~src payload
-      | None -> ()
+          (Obs.Tuple_recv { src; dst; kind })
+      end;
+      (* Indexed loop, not Array.iter: the iter callback would be a
+         fresh closure allocation on every single delivery. *)
+      for i = 0 to Array.length t.observers - 1 do
+        t.observers.(i) ~src ~dst ~kind
+      done;
+      f ~src payload
+    | None -> ()
   end
   else if !Obs.enabled then begin
     Obs.incr "transport.dropped.down_at_delivery";
@@ -218,7 +160,7 @@ let[@lint.hot] deliver_msg t ~src ~dst ~kind ~key payload =
    exactly — the loss draw happens only when both endpoints are up, and
    [Faults.decide] only when the loss draw passes — so seeded replays
    consume the RNG in the same order whether or not Obs is enabled. *)
-let[@lint.hot] send t ~src ~dst ~size ?(kind = "data") ?key payload =
+let[@lint.hot] send t ~src ~dst ~size ?(kind = "data") payload =
   t.sent <- t.sent + 1;
   if not (t.up.(src) && t.up.(dst)) then begin
     if !Obs.enabled then begin
@@ -266,12 +208,12 @@ let[@lint.hot] send t ~src ~dst ~size ?(kind = "data") ?key payload =
            rather than this engine. The lookahead bound guarantees
            [deliver_at] is still in the destination shard's future, and
            the outbox drain gives the merge a canonical total order. *)
-        r.post ~deliver_at:(Mortar_sim.Engine.now t.engine +. delay) ~src ~dst ~kind ~key payload
+        r.post ~deliver_at:(Mortar_sim.Engine.now t.engine +. delay) ~src ~dst ~kind payload
       | _ ->
         ignore
           (* lint: allow D9 the deferred delivery closure IS the in-flight message *)
           (Mortar_sim.Engine.schedule t.engine ~after:delay (fun () ->
-               deliver_msg t ~src ~dst ~kind ~key payload))
+               deliver_msg t ~src ~dst ~kind payload))
     end
   end
 

@@ -25,7 +25,6 @@ type event =
   | Tuple_send of { src : int; dst : int; kind : string; size : int }
   | Tuple_recv of { src : int; dst : int; kind : string }
   | Tuple_drop of { src : int; dst : int; kind : string; reason : string }
-  | Dup_suppressed of { dst : int; kind : string }
   | Ts_merge of { node : int; query : string }
   | Tree_repair of { node : int; query : string }
   | Orphaned of { node : int; query : string }
@@ -332,7 +331,6 @@ module Reg = struct
     | Tuple_drop { src; dst; kind; reason } ->
       ( "tuple_drop",
         [ field_i "src" src; field_i "dst" dst; field_s "kind" kind; field_s "reason" reason ] )
-    | Dup_suppressed { dst; kind } -> ("dup_suppressed", [ field_i "dst" dst; field_s "kind" kind ])
     | Ts_merge { node; query } -> ("ts_merge", [ field_i "node" node; field_s "query" query ])
     | Tree_repair { node; query } -> ("tree_repair", [ field_i "node" node; field_s "query" query ])
     | Orphaned { node; query } -> ("orphaned", [ field_i "node" node; field_s "query" query ])

@@ -45,8 +45,6 @@ type event =
   | Tuple_drop of { src : int; dst : int; kind : string; reason : string }
       (** Lost: ["down"], ["loss"], ["fault"], ["down_at_delivery"],
           or ["routing"] (no live route toward the root). *)
-  | Dup_suppressed of { dst : int; kind : string }
-      (** Keyed duplicate absorbed by the destination's seen-table. *)
   | Ts_merge of { node : int; query : string }
       (** A summary inserted/merged into a TS list. *)
   | Tree_repair of { node : int; query : string }

@@ -263,10 +263,6 @@ let event_of_line line =
       let* kind = str_field j "kind" in
       let* reason = str_field j "reason" in
       Ok (Obs.Tuple_drop { src; dst; kind; reason })
-    | "dup_suppressed" ->
-      let* dst = int_field j "dst" in
-      let* kind = str_field j "kind" in
-      Ok (Obs.Dup_suppressed { dst; kind })
     | "ts_merge" ->
       let* node = int_field j "node" in
       let* query = str_field j "query" in
@@ -275,6 +271,18 @@ let event_of_line line =
       let* node = int_field j "node" in
       let* query = str_field j "query" in
       Ok (Obs.Tree_repair { node; query })
+    | "orphaned" ->
+      let* node = int_field j "node" in
+      let* query = str_field j "query" in
+      Ok (Obs.Orphaned { node; query })
+    | "reparent" ->
+      let* node = int_field j "node" in
+      let* query = str_field j "query" in
+      let* tree = int_field j "tree" in
+      let* from_parent = int_field j "from_parent" in
+      let* to_parent = int_field j "to_parent" in
+      let* donor = str_field j "donor" in
+      Ok (Obs.Reparent { node; query; tree; from_parent; to_parent; donor })
     | "reconcile_round" ->
       let* node = int_field j "node" in
       let* partner = int_field j "partner" in

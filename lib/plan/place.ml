@@ -136,36 +136,34 @@ let feasible ctx ~usage ts =
   List.for_all (fun h -> slots usage h < ctx.model.op_budget) (Cost.interior_load ts)
 
 (* Build and cost every candidate root's tree set, cheapest first (ties
-   on the smaller root). A tree set is a pure function of (seed, phys,
-   root, publishers, coords), so one scoring serves every pass. *)
-let score ctx ?force_root g =
+   on the smaller root). The cheapest budget-feasible one wins, falling
+   back to the cheapest overall when the budget is saturated everywhere
+   (soft constraint: better an overloaded host than an unserved query). *)
+let place_group ctx ~usage ?force_root g =
   let cands = match force_root with Some r -> [ r ] | None -> candidate_roots ctx g in
   let subs = subscribers g in
-  List.map
-    (fun root ->
-      ctx.n_evals <- ctx.n_evals + 1;
-      let ts = build_treeset ctx g root in
-      let cost =
-        Cost.treeset_cost ctx.model ~op:g.op ctx.topo ~window:g.window ts
-        +. Cost.fanout_cost ctx.model ~op:g.op ctx.topo ~window:g.window ~root subs
-      in
-      (cost, root, ts))
-    cands
-  |> List.sort (fun (a, ra, _) (b, rb, _) ->
-         match Float.compare a b with 0 -> compare ra rb | c -> c)
-
-(* The cheapest budget-feasible scored candidate wins, falling back to
-   the cheapest overall when the budget is saturated everywhere (soft
-   constraint: better an overloaded host than an unserved query). *)
-let pick ctx ~usage g scored =
-  match List.find_opt (fun (_, _, ts) -> feasible ctx ~usage ts) scored with
-  | Some (cost, root, treeset) -> ({ group = g; root; treeset; cost }, true)
-  | None ->
-    ctx.n_overflows <- ctx.n_overflows + 1;
-    let cost, root, treeset = List.hd scored in
-    ({ group = g; root; treeset; cost }, false)
-
-let place_group ctx ~usage ?force_root g = fst (pick ctx ~usage g (score ctx ?force_root g))
+  let scored =
+    List.map
+      (fun root ->
+        ctx.n_evals <- ctx.n_evals + 1;
+        let ts = build_treeset ctx g root in
+        let cost =
+          Cost.treeset_cost ctx.model ~op:g.op ctx.topo ~window:g.window ts
+          +. Cost.fanout_cost ctx.model ~op:g.op ctx.topo ~window:g.window ~root subs
+        in
+        (cost, root, ts))
+      cands
+    |> List.sort (fun (a, ra, _) (b, rb, _) ->
+           match Float.compare a b with 0 -> compare ra rb | c -> c)
+  in
+  let cost, root, treeset =
+    match List.find_opt (fun (_, _, ts) -> feasible ctx ~usage ts) scored with
+    | Some c -> c
+    | None ->
+      ctx.n_overflows <- ctx.n_overflows + 1;
+      List.hd scored
+  in
+  { group = g; root; treeset; cost }
 
 let charge usage p =
   List.iter (fun h -> Hashtbl.replace usage h (slots usage h + 1)) (Cost.interior_load p.treeset)
@@ -177,33 +175,18 @@ let discharge usage p =
       if v <= 0 then Hashtbl.remove usage h else Hashtbl.replace usage h v)
     (Cost.interior_load p.treeset)
 
-let plan ctx ?(usage = []) ?(passes = 2) specs =
+let plan ctx ?(usage = []) specs =
   let evals0 = ctx.n_evals and overflows0 = ctx.n_overflows in
   let use = Hashtbl.create 64 in
   List.iter (fun (h, c) -> Hashtbl.replace use h c) usage;
-  let groups = group_specs specs in
-  let placed =
+  let placements =
     List.map
       (fun g ->
-        let scored = score ctx g in
-        let p, _ = pick ctx ~usage:use g scored in
+        let p = place_group ctx ~usage:use g in
         charge use p;
-        (scored, ref p))
-      groups
+        p)
+      (group_specs specs)
   in
-  (* Local search: with everyone else's load fixed, re-site each group if
-     a strictly cheaper feasible candidate exists. Placements are visited
-     in canonical key order, so the sweep is deterministic. *)
-  for _pass = 1 to passes do
-    List.iter
-      (fun (scored, pr) ->
-        discharge use !pr;
-        let p', ok = pick ctx ~usage:use !pr.group scored in
-        if ok && p'.cost +. 1e-9 < !pr.cost then pr := p';
-        charge use !pr)
-      placed
-  done;
-  let placements = List.map (fun (_, pr) -> !pr) placed in
   let evals = ctx.n_evals - evals0 in
   if !Obs.enabled then Obs.incr ~by:evals "planner.evals";
   {

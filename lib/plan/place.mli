@@ -7,11 +7,10 @@
     subscribers that are publishers themselves, every candidate is costed
     with {!Cost.treeset_cost} + {!Cost.fanout_cost}, and the cheapest
     candidate whose interior hosts all have operator-slot headroom wins
-    (per-node operator-count budget). A bounded local-search pass then
-    revisits each placement with the others' load fixed and re-sites it
-    when a strictly cheaper feasible candidate exists. Each class's
-    candidates are built and costed once; the passes only re-check
-    their feasibility against the current load.
+    (per-node operator-count budget). There is no local-search pass: a
+    revisit would see every other class's load charged, a superset of
+    what the greedy visit saw, so it could never find a strictly cheaper
+    feasible candidate.
 
     Everything is deterministic: groups and candidate lists are
     canonically sorted, ties break on the smaller host id, and the
@@ -39,11 +38,10 @@ type t = {
   placements : placement list;  (** Key-sorted, one per sharing class. *)
   total_cost : float;
   evals : int;
-      (** Distinct candidate tree sets built and costed: each class's
-          candidates are scored once, whatever the number of passes. *)
+      (** Candidate tree sets built and costed, once per class. *)
   budget_overflows : int;
-      (** Picks, greedy or in a pass, that found no budget-feasible
-          candidate (best-effort cheapest chosen instead). *)
+      (** Classes that found no budget-feasible candidate (best-effort
+          cheapest chosen instead). *)
 }
 
 type ctx
@@ -78,7 +76,8 @@ val subscribers : group -> int list
 val place_group :
   ctx -> usage:(int, int) Hashtbl.t -> ?force_root:int -> group -> placement
 (** Site one group against the given operator-slot usage (not mutated):
-    score its candidates, then pick the cheapest budget-feasible one.
+    build and cost its candidates, then pick the cheapest budget-feasible
+    one.
     [force_root] skips the candidate search and builds/costs that root
     only — used by incremental re-planning to reuse a surviving root. *)
 
@@ -87,7 +86,6 @@ val charge : (int, int) Hashtbl.t -> placement -> unit
 
 val discharge : (int, int) Hashtbl.t -> placement -> unit
 
-val plan : ctx -> ?usage:(int * int) list -> ?passes:int -> Spec.t list -> t
-(** Greedy placement over all sharing classes plus [passes] (default 2)
-    local-search improvement sweeps. [usage] seeds pre-existing operator
-    load. Emits the [planner.evals] counter when {!Mortar_obs.Obs.enabled}. *)
+val plan : ctx -> ?usage:(int * int) list -> Spec.t list -> t
+(** Greedy placement over all sharing classes in key order. [usage] seeds
+    pre-existing operator load. Emits the [planner.evals] counter when {!Mortar_obs.Obs.enabled}. *)

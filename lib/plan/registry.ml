@@ -6,7 +6,6 @@ type entry = { mutable placement : Place.placement }
 
 type t = {
   ctx : Place.ctx;
-  passes : int;
   track_provenance : bool;
   entries : (string, entry) Hashtbl.t; (* canonical key -> entry *)
   by_name : (string, string) Hashtbl.t; (* logical name -> canonical key *)
@@ -36,10 +35,9 @@ type action =
       subscribers : int list;
     }
 
-let create ~ctx ?(passes = 2) ?(track_provenance = false) () =
+let create ~ctx ?(track_provenance = false) () =
   {
     ctx;
-    passes;
     track_provenance;
     entries = Hashtbl.create 32;
     by_name = Hashtbl.create 64;
@@ -142,7 +140,7 @@ let add_batch t specs =
       let seeded =
         Hashtbl.fold (fun h c acc -> (h, c) :: acc) t.usage [] |> List.sort compare
       in
-      let planned = Place.plan t.ctx ~usage:seeded ~passes:t.passes fresh_specs in
+      let planned = Place.plan t.ctx ~usage:seeded fresh_specs in
       List.map
         (fun (p : Place.placement) ->
           let g = p.Place.group in

@@ -1,10 +1,10 @@
-type t = { offset : float; skew : float; epoch : float }
+type t = { offset : float; skew : float }
 
-let synchronized = { offset = 0.0; skew = 0.0; epoch = 0.0 }
+let synchronized = { offset = 0.0; skew = 0.0 }
 
-let create ?(offset = 0.0) ?(skew = 0.0) ?(epoch = 0.0) () = { offset; skew; epoch }
+let create ?(offset = 0.0) ?(skew = 0.0) () = { offset; skew }
 
-let local_time t ~now = ((now -. t.epoch) *. (1.0 +. t.skew)) +. t.epoch +. t.offset
+let local_time t ~now = (now *. (1.0 +. t.skew)) +. t.offset
 
 let offset t = t.offset
 

@@ -4,7 +4,7 @@
     and {e skew} (difference in clock frequency), borrowing the definitions
     from Moon et al. A node's local clock reads
 
-    {v local(t) = (t - epoch) * (1 + skew) + epoch + offset v}
+    {v local(t) = t * (1 + skew) + offset v}
 
     where [t] is true (simulation) time. A perfectly synchronized node has
     [offset = 0] and [skew = 0].
@@ -19,10 +19,10 @@ type t
 val synchronized : t
 (** A perfect clock: [local now = now]. *)
 
-val create : ?offset:float -> ?skew:float -> ?epoch:float -> unit -> t
-(** [offset] in seconds (default [0.]), [skew] as a dimensionless frequency
-    error (default [0.]; [1e-5] means 10 ppm fast), [epoch] the true time at
-    which the clock started counting (default [0.]). *)
+val create : ?offset:float -> ?skew:float -> unit -> t
+(** [offset] in seconds (default [0.]) and [skew] as a dimensionless
+    frequency error (default [0.]; [1e-5] means 10 ppm fast). Every clock
+    starts counting at true time [0.]. *)
 
 val local_time : t -> now:float -> float
 (** Local reading at true time [now]. *)

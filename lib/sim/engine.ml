@@ -6,7 +6,6 @@ type handle = {
   counter : int ref; (* that engine's cancelled-but-queued count *)
 }
 
-
 type t = {
   queue : handle Event_heap.t;
   mutable clock : float;
@@ -49,40 +48,27 @@ let cancel h =
 
 let cancelled h = h.cancelled
 
-let every t ?phase ~period f =
-  assert (period > 0.0);
-  let phase = Option.value phase ~default:period in
-  (* The caller cancels via the outer handle; each tick checks it before
-     re-arming, so cancellation takes effect at the next tick boundary. *)
-  (* Never queued itself, so its cancellation must not touch any queue
-     counter: give it a private one. *)
-  let outer = { cancelled = false; queued = false; counter = ref 0 } in
-  let rec tick () =
-    if not outer.cancelled then begin
-      f ();
-      if not outer.cancelled then ignore (schedule t ~after:period tick)
-    end
-  in
-  ignore (schedule t ~after:phase tick);
-  outer
+(* Retire a popped event and fire it unless it was cancelled; [true]
+   when it fired. *)
+let[@inline] fire t (ev : handle Event_heap.event) =
+  t.live <- t.live - 1;
+  ev.h.queued <- false;
+  if ev.h.cancelled then begin
+    decr t.cancelled_live;
+    false
+  end
+  else begin
+    t.clock <- ev.time;
+    t.fired <- t.fired + 1;
+    if !Obs.enabled then Obs.incr "engine.events_fired";
+    ev.action ();
+    true
+  end
 
 let[@lint.hot] rec step t =
   match Event_heap.pop t.queue with
   | None -> false
-  | Some ev ->
-    t.live <- t.live - 1;
-    ev.h.queued <- false;
-    if ev.h.cancelled then begin
-      decr t.cancelled_live;
-      step t
-    end
-    else begin
-      t.clock <- ev.time;
-      t.fired <- t.fired + 1;
-      if !Obs.enabled then Obs.incr "engine.events_fired";
-      ev.action ();
-      true
-    end
+  | Some ev -> fire t ev || step t
 
 let[@lint.hot] run ?until t =
   match until with
@@ -96,16 +82,7 @@ let[@lint.hot] run ?until t =
     while Event_heap.top_time t.queue <= stop do
       match Event_heap.pop t.queue with
       | None -> assert false (* top_time <= stop implies non-empty *)
-      | Some ev ->
-        t.live <- t.live - 1;
-        ev.h.queued <- false;
-        if ev.h.cancelled then decr t.cancelled_live
-        else begin
-          t.clock <- ev.time;
-          t.fired <- t.fired + 1;
-          if !Obs.enabled then Obs.incr "engine.events_fired";
-          ev.action ()
-        end
+      | Some ev -> ignore (fire t ev)
     done;
     if t.clock < stop then t.clock <- stop
 
@@ -119,16 +96,7 @@ let[@lint.hot] run_before t bound =
   while Event_heap.top_time t.queue < bound do
     match Event_heap.pop t.queue with
     | None -> assert false (* top_time < bound implies non-empty *)
-    | Some ev ->
-      t.live <- t.live - 1;
-      ev.h.queued <- false;
-      if ev.h.cancelled then decr t.cancelled_live
-      else begin
-        t.clock <- ev.time;
-        t.fired <- t.fired + 1;
-        if !Obs.enabled then Obs.incr "engine.events_fired";
-        ev.action ()
-      end
+    | Some ev -> ignore (fire t ev)
   done;
   if t.clock < bound then t.clock <- bound
 

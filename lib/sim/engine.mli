@@ -34,11 +34,6 @@ val cancel : handle -> unit
 
 val cancelled : handle -> bool
 
-val every : t -> ?phase:float -> period:float -> (unit -> unit) -> handle
-(** [every t ~phase ~period f] runs [f] at [now + phase], then every
-    [period] seconds. Cancelling the returned handle stops the recurrence.
-    [phase] defaults to [period]. *)
-
 val step : t -> bool
 (** Fire the next event; [false] when the queue is empty. *)
 

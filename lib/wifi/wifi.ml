@@ -14,10 +14,14 @@ let in_building x y =
   (x >= 0.0 && x <= wing_length && y >= 0.0 && y <= wing_width)
   || (x >= 0.0 && x <= wing_width && y >= 0.0 && y <= wing_length)
 
-let building_sniffers ?(per_floor = 47) ?(floors = 4) () =
+let floors = 4
+
+let sniffers_per_floor = 47
+
+let building_sniffers () =
   (* Walk a grid over the L's bounding square and keep in-building points
-     until we have [per_floor]; the grid pitch is chosen so the L contains
-     comfortably more candidates than needed. *)
+     until we have [sniffers_per_floor]; the grid pitch is chosen so the L
+     contains comfortably more candidates than needed. *)
   let acc = ref [] in
   for floor = 0 to floors - 1 do
     let count = ref 0 in
@@ -27,10 +31,10 @@ let building_sniffers ?(per_floor = 47) ?(floors = 4) () =
        for i = 0 to steps do
          for j = 0 to steps do
            let x = float_of_int i *. pitch and y = float_of_int j *. pitch in
-           if in_building x y && !count < per_floor then begin
+           if in_building x y && !count < sniffers_per_floor then begin
              acc := { x; y; floor } :: !acc;
              incr count;
-             if !count = per_floor then raise Exit
+             if !count = sniffers_per_floor then raise Exit
            end
          done
        done
@@ -41,7 +45,6 @@ let building_sniffers ?(per_floor = 47) ?(floors = 4) () =
 (* The walk: per floor, go along one wing then the other (the L), then take
    the stairs down. Time is split evenly across floors. *)
 let l_path ~t ~duration =
-  let floors = 4 in
   let per_floor = duration /. float_of_int floors in
   let t = max 0.0 (min t (duration -. 1e-6)) in
   let floor_idx = int_of_float (t /. per_floor) in

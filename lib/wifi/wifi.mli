@@ -14,9 +14,9 @@
 
 type sniffer = { x : float; y : float; floor : int }
 
-val building_sniffers : ?per_floor:int -> ?floors:int -> unit -> sniffer array
-(** Sniffer grid over an L-shaped floor plan (two 60 m x 15 m wings).
-    Defaults: 4 floors, 47 sniffers per floor = 188 total. *)
+val building_sniffers : unit -> sniffer array
+(** Sniffer grid over an L-shaped floor plan (two 60 m x 15 m wings):
+    4 floors, 47 sniffers per floor = 188 total. *)
 
 val l_path : t:float -> duration:float -> float * float * int
 (** The scripted walk: position (x, y, floor) at time [t] of a walk of

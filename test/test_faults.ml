@@ -1,5 +1,5 @@
 (* Tests for the fault-injection subsystem (lib/net/faults.ml), the
-   transport's fault hook and bounded dedup memory, and the reliable
+   transport's fault hook and delivery-time liveness, and the reliable
    control plane: the ISSUE's partition-and-heal acceptance scenario
    lives here. *)
 
@@ -127,31 +127,13 @@ let prop_partition_separates =
       !ok)
 
 (* ------------------------------------------------------------------ *)
-(* Transport: bounded dedup memory, dst-only delivery liveness. *)
+(* Transport: dst-only delivery liveness. *)
 
-let make_transport ?(hosts = 4) ?seen_cap () =
+let make_transport () =
   let e = Engine.create () in
-  let topo = Topology.star ~link_delay:0.001 ~hosts in
-  let tr = Transport.create e topo ?seen_cap ~rng:(Rng.create 11) () in
+  let topo = Topology.star ~link_delay:0.001 ~hosts:4 in
+  let tr = Transport.create e topo ~rng:(Rng.create 11) () in
   (e, tr)
-
-let test_seen_cap_fifo () =
-  let e, tr = make_transport ~seen_cap:2 () in
-  let got = ref [] in
-  Transport.register tr 1 (fun ~src:_ m -> got := m :: !got);
-  let send key = Transport.send tr ~src:0 ~dst:1 ~size:10 ~key key in
-  send "a";
-  send "b";
-  send "c";
-  Engine.run e;
-  Alcotest.(check (list string)) "first pass all delivered" [ "a"; "b"; "c" ] (List.rev !got);
-  Alcotest.(check int) "memory bounded" 2 (Transport.seen_keys tr ~dst:1);
-  (* "c" is still remembered and suppressed; "a" was the oldest key, has
-     been forgotten, and is delivered again. *)
-  send "c";
-  send "a";
-  Engine.run e;
-  Alcotest.(check (list string)) "evicted key redelivers" [ "a"; "b"; "c"; "a" ] (List.rev !got)
 
 let test_in_flight_outlives_sender () =
   let e, tr = make_transport () in
@@ -324,7 +306,6 @@ let tests =
     Alcotest.test_case "bursty extremes" `Quick test_bursty_extremes;
     Alcotest.test_case "jitter delays" `Quick test_jitter_delays;
     QCheck_alcotest.to_alcotest prop_partition_separates;
-    Alcotest.test_case "seen cap FIFO" `Quick test_seen_cap_fifo;
     Alcotest.test_case "in-flight outlives sender" `Quick test_in_flight_outlives_sender;
     Alcotest.test_case "partition and heal scenario" `Slow test_partition_and_heal;
     Alcotest.test_case "retries improve installs" `Slow test_retries_improve_install_completeness;

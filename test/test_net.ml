@@ -115,16 +115,6 @@ let test_transport_down_source_drops () =
   Engine.run engine;
   Alcotest.(check int) "disconnected source sends nothing" 0 !got
 
-let test_transport_dedup () =
-  let engine, _, transport = make_world () in
-  let got = ref 0 in
-  Transport.register transport 1 (fun ~src:_ _ -> incr got);
-  Transport.send transport ~src:0 ~dst:1 ~size:10 ~key:"k1" "x";
-  Transport.send transport ~src:0 ~dst:1 ~size:10 ~key:"k1" "x";
-  Transport.send transport ~src:0 ~dst:1 ~size:10 ~key:"k2" "x";
-  Engine.run engine;
-  Alcotest.(check int) "duplicate suppressed" 2 !got
-
 let test_transport_loss () =
   let topo = make_topo () in
   let engine = Engine.create () in
@@ -186,7 +176,6 @@ let tests =
     Alcotest.test_case "transport delivery latency" `Quick test_transport_delivery_latency;
     Alcotest.test_case "transport down drops" `Quick test_transport_down_drops;
     Alcotest.test_case "transport down source" `Quick test_transport_down_source_drops;
-    Alcotest.test_case "transport dedup" `Quick test_transport_dedup;
     Alcotest.test_case "transport loss" `Quick test_transport_loss;
     Alcotest.test_case "transport bandwidth" `Quick test_transport_bandwidth_accounting;
     Alcotest.test_case "transport counts" `Quick test_transport_counts;

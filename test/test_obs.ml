@@ -143,13 +143,58 @@ let test_metrics_roundtrip () =
   let keys = List.map (fun m -> (J.metric_scope m, J.metric_name m)) parsed in
   Alcotest.(check bool) "sorted (scope, name)" true (keys = List.sort compare keys)
 
+(* Position of each constructor in [Obs.event]. No wildcard: a new
+   constructor does not compile until it has a case here, and then the
+   round-trip below needs a sample of it. *)
+let event_ordinal : Obs.event -> int = function
+  | Obs.Tuple_send _ -> 0
+  | Obs.Tuple_recv _ -> 1
+  | Obs.Tuple_drop _ -> 2
+  | Obs.Ts_merge _ -> 3
+  | Obs.Tree_repair _ -> 4
+  | Obs.Orphaned _ -> 5
+  | Obs.Reparent _ -> 6
+  | Obs.Reconcile_round _ -> 7
+  | Obs.Query_install _ -> 8
+  | Obs.Window_close _ -> 9
+  | Obs.Node_down _ -> 10
+  | Obs.Node_up _ -> 11
+  | Obs.Crash _ -> 12
+  | Obs.Fault_start _ -> 13
+  | Obs.Fault_stop _ -> 14
+  | Obs.Result _ -> 15
+  | Obs.Mark _ -> 16
+
+let event_constructors = 17
+
 let test_trace_roundtrip () =
   let r = Obs.Reg.create () in
   let evs =
     [
       (0.25, Obs.Tuple_send { src = 1; dst = 2; kind = "data"; size = 96 });
+      (0.3, Obs.Tuple_recv { src = 2; dst = 1; kind = "heartbeat" });
       (0.5, Obs.Tuple_drop { src = 4; dst = -1; kind = "data"; reason = "routing" });
+      (0.5, Obs.Ts_merge { node = 5; query = "q\"1" });
+      (0.625, Obs.Tree_repair { node = 6; query = "peer-count" });
+      (0.75, Obs.Orphaned { node = 7; query = "peer-count" });
+      ( 0.875,
+        Obs.Reparent
+          {
+            node = 8;
+            query = "peer-count";
+            tree = 1;
+            from_parent = 3;
+            to_parent = 12;
+            donor = "sibling";
+          } );
       (1.0, Obs.Reconcile_round { node = 3; partner = 9 });
+      (1.125, Obs.Query_install { node = 0; query = "cpu/sum" });
+      (1.25, Obs.Window_close { slot = 7; count = 188 });
+      (1.5, Obs.Node_down { node = 11 });
+      (1.75, Obs.Node_up { node = 11 });
+      (1.875, Obs.Crash { node = 11 });
+      (1.9, Obs.Fault_start { fault = "partition_stub:3" });
+      (1.95, Obs.Fault_stop { fault = "partition_stub:3" });
       ( 2.0,
         Obs.Result
           {
@@ -165,6 +210,9 @@ let test_trace_roundtrip () =
       (3.0, Obs.Mark { name = "phase"; detail = "fail \"half\"" });
     ]
   in
+  Alcotest.(check (list int)) "one sample per constructor"
+    (List.init event_constructors Fun.id)
+    (List.sort_uniq compare (List.map (fun (_, e) -> event_ordinal e) evs));
   List.iter (fun (t, e) -> Obs.Reg.trace r ~t e) evs;
   let back =
     List.map

@@ -169,12 +169,13 @@ let test_budget_pressure () =
   Alcotest.(check bool) "candidates were costed" true (plan.Place.evals > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Score once, pick per pass: [Place.plan] scores each sharing class's
-   candidates once and only re-checks feasibility in its local-search
-   passes. The oracle is the per-pass re-scoring planner it replaced:
-   every greedy and local-search visit re-sites the class from scratch
-   with [place_group], and a pick counts as feasible when every interior
-   host still has a free operator slot. *)
+(* Local search cannot move a placement: [Place.plan] is the greedy
+   visit alone. The oracle is the planner with local-search passes:
+   after the greedy visit, each pass re-sites every class from scratch
+   with [place_group] against everyone else's load and keeps a strictly
+   cheaper feasible pick, where a pick counts as feasible when every
+   interior host still has a free operator slot. Whatever the number of
+   passes, the oracle must end where the greedy visit did. *)
 
 let oracle_plan ctx ~budget ~passes specs =
   let use = Hashtbl.create 64 in
@@ -246,8 +247,9 @@ let prop_score_once_equivalent (topo_seed, hosts, plan_seed, budget, passes, spe
       ~model:{ Mortar_plan.Cost.default with Mortar_plan.Cost.op_budget = budget }
       ~bf:4 ~degree:2 ~seed:plan_seed ()
   in
-  let got = Place.plan (ctx ()) ~passes specs in
-  let want, want_total, want_overflows = oracle_plan (ctx ()) ~budget ~passes specs in
+  let got = Place.plan (ctx ()) specs in
+  let want, want_total, _ = oracle_plan (ctx ()) ~budget ~passes specs in
+  let _, _, want_overflows = oracle_plan (ctx ()) ~budget ~passes:0 specs in
   let same (a : Place.placement) (b : Place.placement) =
     a.Place.group.Place.phys = b.Place.group.Place.phys
     && a.Place.root = b.Place.root
@@ -256,18 +258,12 @@ let prop_score_once_equivalent (topo_seed, hosts, plan_seed, budget, passes, spe
   in
   if List.length got.Place.placements <> List.length want
      || not (List.for_all2 same got.Place.placements want)
-  then QCheck.Test.fail_report "placements differ from the re-scoring oracle";
+  then QCheck.Test.fail_report "placements differ from the local-search oracle";
   if not (Int64.equal (bits got.Place.total_cost) (bits want_total)) then
-    QCheck.Test.fail_report "total_cost differs from the re-scoring oracle";
+    QCheck.Test.fail_report "total_cost differs from the local-search oracle";
   if got.Place.budget_overflows <> want_overflows then
-    QCheck.Test.fail_reportf "budget_overflows %d, oracle %d" got.Place.budget_overflows
+    QCheck.Test.fail_reportf "budget_overflows %d, greedy oracle %d" got.Place.budget_overflows
       want_overflows;
-  (* Each candidate tree set is built and costed once, however many
-     passes run. *)
-  let greedy = Place.plan (ctx ()) ~passes:0 specs in
-  if got.Place.evals <> greedy.Place.evals then
-    QCheck.Test.fail_reportf "evals %d at %d passes, %d greedy-only" got.Place.evals passes
-      greedy.Place.evals;
   true
 
 let test_score_once_equivalent =

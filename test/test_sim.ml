@@ -62,14 +62,6 @@ let test_engine_nested_schedule () =
   Engine.run e;
   Alcotest.(check (list (float 1e-9))) "nested" [ 1.0; 2.0 ] (List.rev !times)
 
-let test_engine_every () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let h = Engine.every e ~period:1.0 (fun () -> incr count) in
-  ignore (Engine.schedule e ~after:5.5 (fun () -> Engine.cancel h));
-  Engine.run e;
-  Alcotest.(check int) "five periods" 5 !count
-
 let test_engine_negative_delay_clamped () =
   let e = Engine.create () in
   let fired = ref false in
@@ -92,15 +84,6 @@ let test_engine_pending_counts_cancellations () =
   Alcotest.(check int) "after partial run" 4 (Engine.pending e);
   Engine.run e;
   Alcotest.(check int) "drained" 0 (Engine.pending e)
-
-let test_engine_pending_every () =
-  (* A recurring timer's outer handle is never queued itself; cancelling
-     it must not corrupt the pending count. *)
-  let e = Engine.create () in
-  let h = Engine.every e ~period:1.0 ignore in
-  ignore (Engine.schedule e ~after:3.5 (fun () -> Engine.cancel h));
-  Engine.run e;
-  Alcotest.(check int) "empty after cancel" 0 (Engine.pending e)
 
 let test_clock_offset_skew () =
   let c = Clock.create ~offset:10.0 ~skew:0.01 () in
@@ -160,10 +143,8 @@ let tests =
     Alcotest.test_case "engine cancel" `Quick test_engine_cancel;
     Alcotest.test_case "engine run until" `Quick test_engine_run_until;
     Alcotest.test_case "engine nested schedule" `Quick test_engine_nested_schedule;
-    Alcotest.test_case "engine every" `Quick test_engine_every;
     Alcotest.test_case "engine negative delay" `Quick test_engine_negative_delay_clamped;
     Alcotest.test_case "engine pending counter" `Quick test_engine_pending_counts_cancellations;
-    Alcotest.test_case "engine pending with every" `Quick test_engine_pending_every;
     Alcotest.test_case "clock offset/skew" `Quick test_clock_offset_skew;
     Alcotest.test_case "clock synchronized" `Quick test_clock_synchronized;
     Alcotest.test_case "clock planetlab distribution" `Quick test_clock_planetlab_distribution;
