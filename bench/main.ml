@@ -5,7 +5,9 @@
    1. Bechamel micro-benchmarks — one per figure of the paper's
       evaluation, timing the computational kernel that the figure's
       experiment stresses (tree planning for Fig 17, TS-list merging for
-      Figs 9/10, the routing decision for Fig 12, ...).
+      Figs 9/10, the routing decision for Fig 12, ...), plus the
+      simulator's own per-event kernels (the engine queue at depth, the
+      cross-shard batch merge).
 
    2. The figure-regeneration experiments themselves
       (Mortar_experiments) — every table and figure of the evaluation
@@ -183,6 +185,48 @@ let bench_fig15_engine_round () =
       done;
       Mortar_sim.Engine.run e)
 
+(* The engine at a realistic depth: ~2k pending events (a 10k-host
+   shard's timers and in-flight messages). One run schedules an event
+   and cancels it, schedules another, and pops until one fires, so the
+   depth holds steady while every queue operation is exercised. *)
+let bench_engine_depth () =
+  let e = Mortar_sim.Engine.create () in
+  let k = ref 0 in
+  let delay () =
+    incr k;
+    float_of_int (!k * 7919 mod 2000) *. 0.001
+  in
+  for _ = 1 to 2000 do
+    ignore (Mortar_sim.Engine.schedule e ~after:(delay ()) ignore)
+  done;
+  Staged.stage (fun () ->
+      Mortar_sim.Engine.cancel e (Mortar_sim.Engine.schedule e ~after:(delay ()) ignore);
+      ignore (Mortar_sim.Engine.schedule e ~after:(delay ()) ignore);
+      ignore (Mortar_sim.Engine.step e))
+
+(* One epoch's cross-shard merge at agg-10k's shard count: every one of
+   34 sources posts two messages to each of 34 destinations, then every
+   destination drains its batches in canonical order. *)
+let bench_shard_drain () =
+  let n = 34 in
+  let b = Mortar_sim.Shard.create ~shards:n in
+  let count = ref 0 in
+  let sink _ _ = incr count in
+  Staged.stage (fun () ->
+      for src = 0 to n - 1 do
+        for dst = 0 to n - 1 do
+          for j = 0 to 1 do
+            Mortar_sim.Shard.post b ~src_shard:src ~dst_shard:dst
+              ~time:(float_of_int ((src * 31) + (dst * 7) + j) *. 1e-4)
+              ~src ~dst ~kind:"data" j
+          done
+        done
+      done;
+      Mortar_sim.Shard.flip b;
+      for dst = 0 to n - 1 do
+        Mortar_sim.Shard.drain b ~dst_shard:dst sink
+      done)
+
 let bench_fig16_dht_next_hop () =
   let st = Lazy.force fixture_routing_state in
   let key = Mortar_dht.Node_id.hash_name "peer-count" in
@@ -232,6 +276,8 @@ let kernels =
     ("fig13:unique-children", bench_fig13_unique_children ());
     ("fig14:merge-fold-680", bench_fig14_merge_fold ());
     ("fig15:engine-100-events", bench_fig15_engine_round ());
+    ("engine:schedule-cancel-pop-2k", bench_engine_depth ());
+    ("shard:drain-34x34", bench_shard_drain ());
     ("fig16:dht-next-hop", bench_fig16_dht_next_hop ());
     ("fig17:plan-primary-179", bench_fig17_plan_primary ());
     ("fig17:sibling-shuffle-179", bench_fig17_sibling_shuffle ());

@@ -1,6 +1,5 @@
 module Lazy_tbl = Mortar_util.Lazy_tbl
 module Fmap = Mortar_util.Int_float_map
-module Engine = Mortar_sim.Engine
 module Rng = Mortar_util.Rng
 module Ewma = Mortar_util.Ewma
 module Obs = Mortar_obs.Obs
@@ -9,7 +8,9 @@ module Obs = Mortar_obs.Obs
    and the default decade buckets would lump everything into one. *)
 let hop_buckets = [| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |]
 
-type timer = Engine.handle
+type timer = Mortar_sim.Engine.handle
+
+let no_timer = Mortar_sim.Engine.no_handle
 
 type runtime = {
   self : int;
@@ -17,6 +18,7 @@ type runtime = {
   local_time : unit -> float;
   latency_to : int -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
+  cancel_timer : timer -> unit;
   rng : Rng.t;
 }
 
@@ -135,9 +137,9 @@ type instance = {
   mutable raw_seen : bool; (* since the last boundary check *)
   mutable age_max_period : float; (* max received age since the last fold *)
   mutable next_slot : int; (* next slide boundary to close (time windows) *)
-  mutable eviction_timer : timer option;
-  mutable slide_timer : timer option;
-  mutable boundary_timer : timer option;
+  mutable eviction_timer : timer;
+  mutable slide_timer : timer;
+  mutable boundary_timer : timer;
   mutable orphaned_since : float option;
       (* local time the failure detector first saw every union parent dead;
          cleared once a repaired parent is confirmed live (self-healing) *)
@@ -153,7 +155,7 @@ type pending_ctl = {
   ctl_token : int;
   ctl_born : float; (* local time of the first attempt *)
   mutable ctl_attempts : int;
-  mutable ctl_timer : timer option;
+  mutable ctl_timer : timer;
 }
 
 (* A data summary that arrived for a query we have not (re)installed yet:
@@ -204,7 +206,7 @@ type t = {
   mutable result_handlers : (result -> unit) list;
   mutable remote_handlers : (remote_result -> unit) list;
   mutable hb_counter : int;
-  mutable hb_timer : timer option;
+  mutable hb_timer : timer;
   mutable digest_cache : string option;
   mutable instances_sorted : (string * instance) list option;
       (* name-sorted cache of [instances]; rebuilt lazily after
@@ -332,10 +334,10 @@ let rec ctl_attempt t p =
     if t.cfg.ctl_jitter > 0.0 then rto *. (1.0 +. Rng.float t.ctl_rng t.cfg.ctl_jitter)
     else rto
   in
-  p.ctl_timer <- Some (t.rt.set_timer ~after:rto (fun () -> ctl_expire t p))
+  p.ctl_timer <- t.rt.set_timer ~after:rto (fun () -> ctl_expire t p)
 
 and ctl_expire t p =
-  p.ctl_timer <- None;
+  p.ctl_timer <- no_timer;
   if Lazy_tbl.mem t.ctl_pending p.ctl_token then begin
     if p.ctl_attempts > t.cfg.ctl_retries then begin
       (* Budget exhausted: give up and let reconciliation (§6.1) repair
@@ -354,7 +356,7 @@ let send_ctl t ~dst payload =
     t.next_token <- t.next_token + 1;
     let p =
       { ctl_dst = dst; ctl_payload = payload; ctl_token = token; ctl_born = now_local t;
-        ctl_attempts = 0; ctl_timer = None }
+        ctl_attempts = 0; ctl_timer = no_timer }
     in
     Lazy_tbl.replace t.ctl_pending token p;
     ctl_attempt t p
@@ -363,7 +365,7 @@ let send_ctl t ~dst payload =
 let ctl_ack t ~src ~token =
   match Lazy_tbl.find_opt t.ctl_pending token with
   | Some p when p.ctl_dst = src ->
-    Option.iter Engine.cancel p.ctl_timer;
+    t.rt.cancel_timer p.ctl_timer;
     Lazy_tbl.remove t.ctl_pending token;
     t.n_ctl_acked <- t.n_ctl_acked + 1;
     if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_acked"
@@ -410,16 +412,16 @@ let slide_of (meta : Query.meta) =
    sequence number and reorder simultaneous events — measurably shifting
    seeded experiment tables — so the timer is always refreshed. *)
 let rec arm_eviction t inst =
-  Option.iter Engine.cancel inst.eviction_timer;
+  t.rt.cancel_timer inst.eviction_timer;
   match Ts_list.next_deadline inst.ts with
-  | None -> inst.eviction_timer <- None
+  | None -> inst.eviction_timer <- no_timer
   | Some deadline ->
     let b = basis inst ~local:(now_local t) in
     let delay = max 0.0 (deadline -. b) in
-    inst.eviction_timer <- Some (t.rt.set_timer ~after:delay (fun () -> evict t inst))
+    inst.eviction_timer <- t.rt.set_timer ~after:delay (fun () -> evict t inst)
 
 and evict t inst =
-  inst.eviction_timer <- None;
+  inst.eviction_timer <- no_timer;
   let b = basis inst ~local:(now_local t) in
   let due = Ts_list.pop_due inst.ts ~now:b in
   List.iter (fun s -> dispatch_evicted t inst s) due;
@@ -684,7 +686,7 @@ and close_slide t inst =
     inst.next_slot <- inst.next_slot + 1;
     let next_fire = float_of_int inst.next_slot *. slide in
     inst.slide_timer <-
-      Some (t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst))
+      t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst)
 
 and emit_tuple_window t inst =
   match inst.meta.Query.window with
@@ -743,7 +745,7 @@ and boundary_check t inst =
     end);
   inst.raw_seen <- false;
   inst.boundary_timer <-
-    Some (t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst))
+    t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst)
 
 and inject t ~stream ?true_slot payload =
   (* Sorted instance order: a tuple-window emit fired from here sends
@@ -948,18 +950,18 @@ let replay_warmup t name =
 (* ------------------------------------------------------------------ *)
 (* Install / remove.                                                   *)
 
-let cancel_instance_timers inst =
-  Option.iter Engine.cancel inst.eviction_timer;
-  Option.iter Engine.cancel inst.slide_timer;
-  Option.iter Engine.cancel inst.boundary_timer;
-  inst.eviction_timer <- None;
-  inst.slide_timer <- None;
-  inst.boundary_timer <- None
+let cancel_instance_timers t inst =
+  t.rt.cancel_timer inst.eviction_timer;
+  t.rt.cancel_timer inst.slide_timer;
+  t.rt.cancel_timer inst.boundary_timer;
+  inst.eviction_timer <- no_timer;
+  inst.slide_timer <- no_timer;
+  inst.boundary_timer <- no_timer
 
 let remove_local t ~name ~seqno =
   (match Hashtbl.find_opt t.instances name with
   | Some inst when inst.meta.Query.seqno <= seqno ->
-    cancel_instance_timers inst;
+    cancel_instance_timers t inst;
     Hashtbl.remove t.instances name;
     List.iter (release_partner t) (Query.neighbors inst.view);
     invalidate_digest t
@@ -983,7 +985,7 @@ let install_local t (meta : Query.meta) view ~install_age =
     if not stale then begin
       (match Hashtbl.find_opt t.instances meta.name with
       | Some old ->
-        cancel_instance_timers old;
+        cancel_instance_timers t old;
         List.iter (release_partner t) (Query.neighbors old.view);
         Hashtbl.remove t.instances meta.name
       | None -> ());
@@ -1035,9 +1037,9 @@ let install_local t (meta : Query.meta) view ~install_age =
           raw_seen = false;
           age_max_period = neg_infinity;
           next_slot = 0;
-          eviction_timer = None;
-          slide_timer = None;
-          boundary_timer = None;
+          eviction_timer = no_timer;
+          slide_timer = no_timer;
+          boundary_timer = no_timer;
           orphaned_since = None;
         }
       in
@@ -1054,10 +1056,10 @@ let install_local t (meta : Query.meta) view ~install_age =
         inst.next_slot <- Index.slot ~slide b + 1;
         let next_fire = float_of_int inst.next_slot *. slide in
         inst.slide_timer <-
-          Some (t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst))
+          t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst)
       | Window.Tuples _ ->
         inst.boundary_timer <-
-          Some (t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst)));
+          t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst));
       (* Crash-rejoin warm-up: summaries that arrived while this query was
          uninstalled re-enter the striping rotation now. *)
       Lazy_tbl.remove t.fast_resync meta.name;
@@ -1367,7 +1369,7 @@ let rec heartbeat_tick t =
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     |> List.iter (fun (name, inst) -> repair_instance t name inst);
   sweep_idle t;
-  t.hb_timer <- Some (t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t))
+  t.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch.                                                   *)
@@ -1487,7 +1489,7 @@ let create ?(config = default_config) rt =
       result_handlers = [];
       remote_handlers = [];
       hb_counter = 0;
-      hb_timer = None;
+      hb_timer = no_timer;
       digest_cache = None;
       instances_sorted = None;
       n_results = 0;
@@ -1511,7 +1513,7 @@ let create ?(config = default_config) rt =
   in
   (* Desynchronise heartbeat phases across peers. *)
   let phase = Rng.float rt.rng config.hb_period in
-  t.hb_timer <- Some (rt.set_timer ~after:phase (fun () -> heartbeat_tick t));
+  t.hb_timer <- rt.set_timer ~after:phase (fun () -> heartbeat_tick t);
   t
 
 let on_result t f = t.result_handlers <- f :: t.result_handlers
@@ -1539,7 +1541,7 @@ let crash t =
     Obs.incr ~scope:(Obs.Node t.rt.self) "peer.crashes";
     Obs.trace ~t:(now_local t) (Obs.Crash { node = t.rt.self })
   end;
-  Hashtbl.iter (fun _ inst -> cancel_instance_timers inst) t.instances;
+  Hashtbl.iter (fun _ inst -> cancel_instance_timers t inst) t.instances;
   Hashtbl.reset t.instances;
   Lazy_tbl.reset t.removed;
   Lazy_tbl.reset t.not_mine;
@@ -1552,13 +1554,13 @@ let crash t =
   t.warmup_len <- 0;
   if t.cfg.self_heal && !Obs.enabled then
     Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
-  Lazy_tbl.iter (fun _ p -> Option.iter Engine.cancel p.ctl_timer) t.ctl_pending;
+  Lazy_tbl.iter (fun _ p -> t.rt.cancel_timer p.ctl_timer) t.ctl_pending;
   Lazy_tbl.reset t.ctl_pending;
   Lazy_tbl.reset t.seen_ctl;
   Queue.clear t.seen_ctl_order;
   invalidate_digest t;
-  Option.iter Engine.cancel t.hb_timer;
-  t.hb_timer <- Some (t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t))
+  t.rt.cancel_timer t.hb_timer;
+  t.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 let stats t =
   {

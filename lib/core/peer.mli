@@ -28,9 +28,12 @@
     point of §5. *)
 
 type timer = Mortar_sim.Engine.handle
-(** A scheduled callback, cancelled with {!Mortar_sim.Engine.cancel}: the
-    runtime hands back the engine's own handle, with no wrapper record or
-    closure per arm (timers are re-armed after every TS-list insert). *)
+(** A scheduled callback: the engine's own handle, an immediate int, so
+    arming a timer allocates no wrapper (timers are re-armed after every
+    TS-list insert). The peer keeps each armed timer in a plain field and
+    uses {!Mortar_sim.Engine.no_handle} for "none armed"; it cancels
+    through the runtime's [cancel_timer] and never calls the engine
+    itself. *)
 
 type runtime = {
   self : int;
@@ -40,6 +43,11 @@ type runtime = {
       (** One-way latency estimate to a neighbor (UdpCC RTT/2 in the
           prototype); used to account network delay into tuple ages. *)
   set_timer : after:float -> (unit -> unit) -> timer; (** [after] is in local seconds. *)
+  cancel_timer : timer -> unit;
+      (** Drop an armed timer's callback. A no-op on a fired or cancelled
+          timer and on {!Mortar_sim.Engine.no_handle}. The simulator
+          passes [Engine.cancel] of the engine [set_timer] schedules
+          on. *)
   rng : Mortar_util.Rng.t;
 }
 

@@ -10,15 +10,6 @@ module Rng = Mortar_util.Rng
 module Obs = Mortar_obs.Obs
 module Par = Mortar_par.Par
 
-(* A cross-shard message after the send-side checks: what the destination
-   shard needs to finish delivery ({!Transport.deliver_msg}). *)
-type xmsg = {
-  x_src : int;
-  x_dst : int;
-  x_kind : string;
-  x_payload : Mortar_core.Msg.payload;
-}
-
 type shard = {
   sid : int;
   s_engine : Engine.t;
@@ -27,7 +18,7 @@ type shard = {
 
 type sharded = {
   shards : shard array; (* one per populated stub domain of the topology *)
-  outboxes : xmsg Shard.outbox array; (* indexed by source shard *)
+  batches : Mortar_core.Msg.payload Shard.t; (* cross-shard messages in flight *)
   lookahead : float; (* min cross-stub latency; infinity when <= 1 stub *)
   domains : int; (* execution width; never affects output *)
   shard_of : int array; (* host -> logical shard *)
@@ -70,6 +61,7 @@ let make_runtime ~engine ~transport ~topo ~clock ~rng self : Peer.runtime =
         (* [after] is local seconds; a fast clock (positive skew) fires its
            timers early in true time. *)
         Engine.schedule engine ~after:(after /. (1.0 +. Clock.skew clock)) f);
+    cancel_timer = Engine.cancel engine;
     rng;
   }
 
@@ -91,15 +83,9 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let engines = Array.init nshards (fun _ -> Engine.create ()) in
   let t_root = Rng.split rng in
   let t_rngs = Array.init nshards (fun _ -> Rng.split t_root) in
-  let outboxes = Array.init nshards (fun s -> Shard.create_outbox ~src_shard:s ~shards:nshards) in
-  let remote s ~deliver_at ~src ~dst ~kind payload =
-    Shard.post outboxes.(s)
-      ~dst_shard:shard_of.(dst)
-      ~time:deliver_at
-      { x_src = src; x_dst = dst; x_kind = kind; x_payload = payload }
-  in
+  let batches = Shard.create ~shards:nshards in
   let transports =
-    Transport.create_sharded ~engines ~shard_of:(fun h -> shard_of.(h)) ~rngs:t_rngs ~remote
+    Transport.create_sharded ~engines ~shard_of:(fun h -> shard_of.(h)) ~rngs:t_rngs ~batches
       topo ~loss ()
   in
   let get arr i = match arr with Some a -> a.(i) | None -> 0.0 in
@@ -135,7 +121,7 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let sh =
     {
       shards;
-      outboxes;
+      batches;
       lookahead;
       domains;
       shard_of;
@@ -172,9 +158,10 @@ let now t =
 (* The conservative epoch loop.
 
    Invariant: a cross-shard message sent at time E is delivered at
-   E + latency >= E + lookahead. So with [ns] = the earliest queued
-   event over all shards and [nc] = the control engine's earliest
-   event, every shard may run all events strictly before
+   E + latency >= E + lookahead. So with [ns] = the earliest pending
+   shard event (queued, or posted last epoch and not merged yet) and
+   [nc] = the control engine's earliest event, every shard may run all
+   events strictly before
 
        bound = min (ns + lookahead) nc
 
@@ -185,46 +172,41 @@ let now t =
    one: control fires inclusively at the barrier, between epochs, on
    the caller's thread.
 
+   Cross-shard messages posted in epoch k (and by control events at the
+   barrier before it) sit in batch set k mod 2 ({!Shard}). At the
+   barrier the sets flip, and each destination merges set k mod 2 into
+   its engine at the start of its epoch-(k+1) slice, in parallel, while
+   the sources post to the other set. Nothing else schedules on a shard
+   engine between the barrier and that slice, so each message gets the
+   same engine sequence number as if it had been merged at the barrier.
+   Two barriers still merge serially, before anything else runs: one at
+   which control events fire (they may schedule on shard engines
+   directly), and the last one of [run_until] (the caller may, before
+   the next call).
+
    The epoch structure depends only on event times and the topology's
    lookahead — never on [domains] — which is what makes `--shards N`
    byte-identical to `--shards 1`. *)
 
 let min_next_shard sh =
   Array.fold_left
-    (fun acc s ->
-      match Engine.next_time s.s_engine with Some x -> Float.min acc x | None -> acc)
-    infinity sh.shards
+    (fun acc s -> Float.min acc (Engine.next_time s.s_engine))
+    (Shard.pending_min sh.batches) sh.shards
 
-(* Drain every mailbox at the barrier (single-threaded) and schedule the
-   messages on their destination engines in canonical
-   (time, src_shard, seq) order — the engine's FIFO tie-break then makes
-   same-instant deliveries fire in exactly that order. *)
-let drain_outboxes sh =
-  let nshards = Array.length sh.shards in
-  for d = 0 to nshards - 1 do
-    match Shard.drain sh.outboxes ~dst_shard:d with
-    | [] -> ()
-    | msgs ->
-      let s = sh.shards.(d) in
-      List.iter
-        (fun (st : xmsg Shard.stamped) ->
-          let m = st.Shard.msg in
-          ignore
-            (Engine.schedule_at s.s_engine ~at:st.Shard.time (fun () ->
-                 Transport.deliver_msg s.s_transport ~src:m.x_src ~dst:m.x_dst ~kind:m.x_kind
-                   m.x_payload)))
-        msgs
-  done
+let merge_serially sh = Array.iter (fun s -> Transport.merge_inbox s.s_transport) sh.shards
 
 (* Run [f] over every shard, possibly on several domains, with the
    domain-local context naming the shard so Obs writes and [now] resolve
-   to the right stream. The pool barrier gives the control thread a
-   happens-before edge over every shard mutation. *)
+   to the right stream. Each shard first merges its pending cross-shard
+   messages. The pool barrier gives the control thread a happens-before
+   edge over every shard mutation. *)
 let par_shards sh pool f =
   Par.Pool.run pool ~n:(Array.length sh.shards) (fun i ->
       Par.Ctx.set (Some i);
-      (* lint: allow D7 disjoint slices: worker i only touches shards.(i); pool barrier orders ctl_sink *)
-      f sh.shards.(i);
+      (* lint: allow D7 worker i only touches shards.(i); its merge reads only the pending batch set, which no source posts to until the next flip at the barrier *)
+      let s = sh.shards.(i) in
+      Transport.merge_inbox s.s_transport;
+      f s;
       Par.Ctx.set None)
 
 (* Fold the per-shard (and control) Obs registries into the default one
@@ -274,9 +256,7 @@ let run_until t target =
       let continue_ = ref true in
       while !continue_ do
         let ns = min_next_shard sh in
-        let nc =
-          match Engine.next_time t.engine with Some x -> x | None -> infinity
-        in
+        let nc = Engine.next_time t.engine in
         if Float.min ns nc > target then begin
           (* Nothing left at or before [target]: advance every clock. *)
           par_shards sh pool (fun s -> Engine.run ~until:target s.s_engine);
@@ -290,13 +270,15 @@ let run_until t target =
                at or before [target] precedes [bound], and anything sent
                lands past [target]. Finish inclusively. *)
             par_shards sh pool (fun s -> Engine.run ~until:target s.s_engine);
-            drain_outboxes sh;
+            Shard.flip sh.batches;
+            merge_serially sh;
             Engine.run ~until:target t.engine;
             continue_ := false
           end
           else begin
             par_shards sh pool (fun s -> Engine.run_before s.s_engine bound);
-            drain_outboxes sh;
+            Shard.flip sh.batches;
+            if nc <= bound then merge_serially sh;
             (* Fires control events at exactly [bound] (if [nc = bound])
                and keeps the control clock abreast of the shards. *)
             Engine.run ~until:bound t.engine

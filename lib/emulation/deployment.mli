@@ -25,7 +25,7 @@ val create_sharded :
     logical shard per populated stub domain of the topology, each with
     its own event engine and transport instance, synchronized by a
     lookahead epoch loop ({!Mortar_net.Topology.lookahead}) with
-    cross-shard messages merged at epoch barriers in the canonical
+    cross-shard messages merged before each epoch in the canonical
     (time, src_shard, seq) order. [domains] (default {!default_domains})
     sets how many OS-level domains execute shard slices — it scales
     wall-clock only; the logical decomposition, and therefore every

@@ -11,12 +11,12 @@
        the parallel runtime ([Par.Pool.run]-style entry points, plus
        the deployment's [par_shards] wrapper) is a potential data race:
        it is visible both to the shard slice and to the merge loop.
-       The sanctioned escape hatch is the timestamped outbox API: a
+       The sanctioned escape hatch is the cross-shard batch API: a
        capture consumed directly by an allow-listed [Shard] accessor
-       ([Shard.post] / [Shard.drain] / [Shard.create_outbox]) is the
-       canonical cross-shard channel and is not flagged. Everything
-       else needs an inline allow comment explaining why the access is
-       race-free (e.g. "item i touches only shards.(i)").
+       ([Shard.post] / [Shard.drain]) is the canonical cross-shard
+       channel and is not flagged. Everything else needs an inline
+       allow comment explaining why the access is race-free (e.g.
+       "item i touches only shards.(i)").
 
    D8  protocol exhaustiveness. A [match] (or [function]) over a
        protocol sum type — [Msg.payload], the peer wire protocol, or
@@ -180,12 +180,12 @@ let is_par_entry p =
   let last = last_part p in
   (List.mem "Pool" parts && List.mem last [ "run"; "map"; "iter" ]) || last = "par_shards"
 
-(* D7: the sanctioned outbox API — a mutable capture handed straight to
-   one of these is the canonical cross-shard channel. *)
+(* D7: the sanctioned batch API — a mutable capture handed straight to
+   one of these is the canonical cross-shard channel. [flip] and
+   [pending_min] are barrier-only and stay flagged. *)
 let is_outbox_accessor p =
   let parts = path_parts p in
-  List.mem "Shard" parts
-  && List.mem (last_part p) [ "post"; "drain"; "create_outbox"; "compare_stamped" ]
+  List.mem "Shard" parts && List.mem (last_part p) [ "post"; "drain" ]
 
 (* D8: protocol sum types whose dispatch must stay exhaustive. *)
 let protocol_type ty =

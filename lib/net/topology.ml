@@ -151,7 +151,7 @@ let star ~link_delay ~hosts =
 
 let hosts t = t.n_hosts
 
-let latency t a b =
+let[@inline] latency t a b =
   if a = b then 0.0 else t.r_lat.(t.attach.(a)).(t.attach.(b)) +. t.access
 
 let hops t a b = if a = b then 0 else t.r_hop.(t.attach.(a)).(t.attach.(b)) + 1

@@ -33,17 +33,11 @@ val create :
 (** [loss] is a per-message drop probability (default [0.]); [faults]
     attaches a fault table consulted on every send. *)
 
-type 'a remote =
-  deliver_at:float -> src:Topology.host -> dst:Topology.host -> kind:string -> 'a -> unit
-(** A cross-shard post: a message that survived the send-side checks
-    (liveness, loss, faults, accounting) and must be delivered on another
-    shard's engine at absolute time [deliver_at]. *)
-
 val create_sharded :
   engines:Mortar_sim.Engine.t array ->
   shard_of:(Topology.host -> int) ->
   rngs:Mortar_util.Rng.t array ->
-  remote:(int -> 'a remote) ->
+  batches:'a Mortar_sim.Shard.t ->
   Topology.t ->
   ?loss:float ->
   unit ->
@@ -52,18 +46,21 @@ val create_sharded :
     liveness/handler store (indexed by host; each slot is only ever
     touched from its owner shard's domain, or from the control thread at
     an epoch barrier). Instance [s] runs on
-    [engines.(s)] and draws from [rngs.(s)]; a send whose destination
-    lives on another shard is handed to [remote s] instead of being
-    scheduled locally. Route every {!set_up} through instance [0] so its
-    {!up_count} tracks the shared array; {!register} on the owning
-    instance. Fault tables are attached per instance ({!Faults.shard_view}). *)
+    [engines.(s)] and draws from [rngs.(s)]; a message that survives the
+    send-side checks (liveness, loss, faults, accounting) and whose
+    destination lives on another shard is posted to [batches] with its
+    absolute delivery time instead of being scheduled locally, and
+    {!merge_inbox} on the destination's instance schedules it. Route
+    every {!set_up} through instance [0] so its {!up_count} tracks the
+    shared array; {!register} on the owning instance. Fault tables are
+    attached per instance ({!Faults.shard_view}). *)
 
-val deliver_msg :
-  'a t -> src:Topology.host -> dst:Topology.host -> kind:string -> 'a -> unit
-(** Delivery-time half of {!send}: destination-liveness check, handler
-    dispatch. Exposed for the sharded deployment, which calls it on the
-    {e destination} shard's instance when draining cross-shard outboxes;
-    standalone users never need it. *)
+val merge_inbox : _ t -> unit
+(** Schedule on this instance's engine, in the canonical
+    (time, src_shard, seq) order, every message the other shards posted
+    to its shard before the last {!Mortar_sim.Shard.flip}, and clear
+    them ({!Mortar_sim.Shard.drain}). A no-op on a standalone
+    instance. *)
 
 val register : 'a t -> Topology.host -> (src:Topology.host -> 'a -> unit) -> unit
 (** Install the delivery handler for a host; replaces any previous one. *)

@@ -2,8 +2,10 @@
    par_multicore.ml; Pool.run executes every item on the calling thread
    in index order, and Ctx is a plain ref (a single thread cannot see
    anyone else's context). Simulations built on the sharded runtime
-   produce byte-identical output on either backend: item order only
-   affects wall-clock interleaving, never per-item event streams. *)
+   produce byte-identical output on either backend: which worker runs an
+   item, and in what order (the multicore backend hands items out from a
+   shared counter), only affects wall-clock interleaving, never per-item
+   event streams. *)
 
 let multicore = false
 

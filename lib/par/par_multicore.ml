@@ -2,9 +2,9 @@
    sequential twin; the two must expose identical signatures.
 
    Determinism note: nothing in here may influence simulation output.
-   Work items are partitioned statically (item [i] runs on worker
-   [i mod size]) and every item owns disjoint state, so scheduling jitter
-   between domains can reorder wall-clock execution but never the
+   Workers claim items dynamically from a shared counter, so which
+   worker runs an item depends on timing, but every item owns disjoint
+   state: scheduling can reorder wall-clock execution, never the
    per-item event streams. *)
 
 let multicore = true
@@ -24,7 +24,7 @@ module Ctx = struct
 end
 
 module Pool = struct
-  type job = { f : int -> unit; n : int }
+  type job = { f : int -> unit; n : int; next : int Atomic.t (* next unclaimed item *) }
 
   type t = {
     size : int; (* workers including the calling thread *)
@@ -37,14 +37,16 @@ module Pool = struct
     mutable stop : bool;
   }
 
-  let run_slice t { f; n } ~rank =
-    let i = ref rank in
+  (* Claim items until none is left: a worker that finishes a light
+     shard takes the next one instead of idling behind a heavy one. *)
+  let run_slice { f; n; next } =
+    let i = ref (Atomic.fetch_and_add next 1) in
     while !i < n do
       f !i;
-      i := !i + t.size
+      i := Atomic.fetch_and_add next 1
     done
 
-  let worker t rank () =
+  let worker t () =
     let gen = ref 0 in
     let running = ref true in
     while !running do
@@ -60,7 +62,7 @@ module Pool = struct
         gen := t.generation;
         let job = Option.get t.job in
         Mutex.unlock t.m;
-        run_slice t job ~rank;
+        run_slice job;
         Mutex.lock t.m;
         t.done_count <- t.done_count + 1;
         Condition.broadcast t.cv;
@@ -71,8 +73,8 @@ module Pool = struct
   let create ~domains =
     (* Clamp to the hardware: domains beyond the core count only add
        scheduling and barrier overhead (the epoch loop hits the barrier
-       thousands of times per run). Results cannot change — the slice
-       partition is deterministic and work items own disjoint state. *)
+       thousands of times per run). Results cannot change — work items
+       own disjoint state. *)
     let size = max 1 (min domains (Domain.recommended_domain_count ())) in
     let t =
       {
@@ -86,7 +88,7 @@ module Pool = struct
         stop = false;
       }
     in
-    t.workers <- Array.init (size - 1) (fun i -> Domain.spawn (worker t (i + 1)));
+    t.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (worker t));
     t
 
   let size t = t.size
@@ -97,14 +99,14 @@ module Pool = struct
         f i
       done
     else begin
-      let job = { f; n } in
+      let job = { f; n; next = Atomic.make 0 } in
       Mutex.lock t.m;
       t.job <- Some job;
       t.done_count <- 0;
       t.generation <- t.generation + 1;
       Condition.broadcast t.cv;
       Mutex.unlock t.m;
-      run_slice t job ~rank:0;
+      run_slice job;
       (* Barrier: wait for every helper before returning; the join gives
          the caller a happens-before edge over all shard mutations. *)
       Mutex.lock t.m;

@@ -25,11 +25,14 @@ let msg_size = function
 
 type timer = Mortar_sim.Engine.handle
 
+let no_timer = Mortar_sim.Engine.no_handle
+
 type runtime = {
   self : int;
   send : dst:int -> size:int -> kind:string -> msg -> unit;
   local_time : unit -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
+  cancel_timer : timer -> unit;
   rng : Rng.t;
 }
 
@@ -57,7 +60,7 @@ type cached = { value : float; count : int; expires : float }
 type attribute = {
   mutable local : float;
   children : (int64, cached) Hashtbl.t; (* child id -> partial *)
-  mutable publish_timer : timer option;
+  mutable publish_timer : timer; (* [no_timer] until the first publish *)
 }
 
 type t = {
@@ -112,7 +115,7 @@ let attribute t query =
   match Hashtbl.find_opt t.attrs query with
   | Some a -> a
   | None ->
-    let a = { local = 0.0; children = Hashtbl.create 8; publish_timer = None } in
+    let a = { local = 0.0; children = Hashtbl.create 8; publish_timer = no_timer } in
     Hashtbl.replace t.attrs query a;
     a
 
@@ -148,19 +151,17 @@ let push_up t query =
 let rec publish_tick t query =
   push_up t query;
   let a = attribute t query in
-  a.publish_timer <-
-    Some (t.rt.set_timer ~after:t.cfg.publish_period (fun () -> publish_tick t query))
+  a.publish_timer <- t.rt.set_timer ~after:t.cfg.publish_period (fun () -> publish_tick t query)
 
 let set_local t ~query v =
   let a = attribute t query in
   a.local <- v;
-  if a.publish_timer = None then
+  if a.publish_timer = no_timer then
     (* Desynchronise publishers. *)
     a.publish_timer <-
-      Some
-        (t.rt.set_timer
-           ~after:(Rng.float t.rt.rng t.cfg.publish_period)
-           (fun () -> publish_tick t query))
+      t.rt.set_timer
+        ~after:(Rng.float t.rt.rng t.cfg.publish_period)
+        (fun () -> publish_tick t query)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance.                                                         *)

@@ -38,14 +38,18 @@ type msg =
 val msg_size : msg -> int
 
 type timer = Mortar_sim.Engine.handle
-(** The engine's own handle for a scheduled callback; cancel it with
-    {!Mortar_sim.Engine.cancel}. *)
+(** The engine's own handle for a scheduled callback, an immediate int;
+    {!Mortar_sim.Engine.no_handle} stands for "none armed". *)
 
 type runtime = {
   self : int;
   send : dst:int -> size:int -> kind:string -> msg -> unit;
   local_time : unit -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
+  cancel_timer : timer -> unit;
+      (** Drop an armed timer's callback (a no-op once it fired); the
+          simulator passes [Engine.cancel] of the engine [set_timer]
+          schedules on. *)
   rng : Mortar_util.Rng.t;
 }
 

@@ -1,90 +1,166 @@
 module Obs = Mortar_obs.Obs
 
-type handle = {
-  mutable cancelled : bool;
-  mutable queued : bool; (* still sitting in some engine's queue *)
-  counter : int ref; (* that engine's cancelled-but-queued count *)
-}
+(* Event storage. The heap ({!Event_heap}) holds only keys
+   [(time, seq, slot)]; each queued event's action sits once in a slab
+   indexed by slot: a thunk for [schedule]d events, or a function plus an
+   int argument for [post]ed ones (one preallocated function per caller,
+   so a post allocates nothing). A scheduled event keeps its [seq] in
+   [args]; free slots are chained through [args].
+
+   A handle packs [seq lsl slot_bits lor slot]. Sequence numbers are
+   never reused, so a handle whose event fired (or was cancelled and
+   popped) no longer matches its slot, even after the slot is reused:
+   the generation is the sequence number itself. It keeps 38 bits, so a
+   stale handle could only match again after 2.7e11 more events on one
+   engine.
+
+   Cancelling drops the action at once (the slot's thunk becomes [noop])
+   but leaves the key queued until it reaches the top, so [next_time],
+   and with it every epoch bound, does not depend on which events were
+   cancelled. [cancelled] counts such corpses so [pending] stays O(1). *)
+
+type handle = int
+
+let slot_bits = 24
+
+let slot_mask = (1 lsl slot_bits) - 1
+
+let seq_mask = max_int lsr slot_bits
+
+let no_handle = -1
+
+let noop () = ()
+
+let no_call (_ : int) = ()
+
+(* A float-only record is stored flat, so advancing the clock writes an
+   unboxed word instead of allocating a box. *)
+type clock = { mutable now : float }
 
 type t = {
-  queue : handle Event_heap.t;
-  mutable clock : float;
+  queue : Event_heap.t;
+  clock : clock;
+  mutable thunks : (unit -> unit) array;
+  mutable calls : (int -> unit) array;
+  mutable args : int array; (* a post's argument, a schedule's seq; the next free slot while free *)
+  mutable free : int; (* head of the free-slot chain; -1 when empty *)
   mutable next_seq : int;
-  mutable live : int;
-  cancelled_live : int ref;
+  mutable cancelled : int; (* cancelled events whose keys are still queued *)
   mutable fired : int;
 }
 
 let create () =
   {
     queue = Event_heap.create ();
-    clock = 0.0;
+    clock = { now = 0.0 };
+    thunks = [||];
+    calls = [||];
+    args = [||];
+    free = -1;
     next_seq = 0;
-    live = 0;
-    cancelled_live = ref 0;
+    cancelled = 0;
     fired = 0;
   }
 
-let now t = t.clock
+let[@inline] now t = t.clock.now
 
-let schedule_at t ~at f =
-  let at = if at < t.clock then t.clock else at in
-  let h = { cancelled = false; queued = true; counter = t.cancelled_live } in
-  let ev = { Event_heap.time = at; seq = t.next_seq; action = f; h } in
-  t.next_seq <- t.next_seq + 1;
-  t.live <- t.live + 1;
-  Event_heap.push t.queue ev;
-  h
+(* Double the slab (from two slots) and chain the new slots onto the
+   free list. *)
+let grow t =
+  let cap = Array.length t.args in
+  let ncap = if cap = 0 then 2 else cap * 2 in
+  if ncap > slot_mask + 1 then failwith "Engine: more queued events than handle slots";
+  let extend a fill =
+    let b = Array.make ncap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.thunks <- extend t.thunks noop;
+  t.calls <- extend t.calls no_call;
+  t.args <- extend t.args (-1);
+  for s = ncap - 1 downto cap do
+    t.args.(s) <- t.free;
+    t.free <- s
+  done
 
-let schedule t ~after f =
+let claim t thunk call arg =
+  if t.free < 0 then grow t;
+  let slot = t.free in
+  t.free <- t.args.(slot);
+  t.thunks.(slot) <- thunk;
+  t.calls.(slot) <- call;
+  t.args.(slot) <- arg;
+  slot
+
+(* Queue [slot]'s key under the next sequence number, which it returns.
+   Times in the past are clamped to now. Inlined so [at] reaches the
+   heap's float array without being boxed. *)
+let[@inline] enqueue t ~at slot =
+  let at = if at < t.clock.now then t.clock.now else at in
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  Event_heap.push t.queue at ~seq ~slot;
+  seq
+
+let[@inline] schedule_at t ~at f =
+  let slot = claim t f no_call 0 in
+  let seq = enqueue t ~at slot in
+  t.args.(slot) <- seq;
+  ((seq land seq_mask) lsl slot_bits) lor slot
+
+let[@inline] schedule t ~after f =
   let after = if after < 0.0 then 0.0 else after in
-  schedule_at t ~at:(t.clock +. after) f
+  schedule_at t ~at:(t.clock.now +. after) f
 
-let cancel h =
-  if not h.cancelled then begin
-    h.cancelled <- true;
-    if h.queued then incr h.counter
+let[@inline][@lint.hot] post t ~at f arg = ignore (enqueue t ~at (claim t noop f arg))
+
+let cancel t h =
+  let slot = h land slot_mask in
+  if
+    h >= 0
+    && slot < Array.length t.args
+    && t.thunks.(slot) != noop
+    && t.args.(slot) land seq_mask = h lsr slot_bits
+  then begin
+    t.thunks.(slot) <- noop;
+    t.cancelled <- t.cancelled + 1
   end
 
-let cancelled h = h.cancelled
-
-(* Retire a popped event and fire it unless it was cancelled; [true]
-   when it fired. *)
-let[@inline] fire t (ev : handle Event_heap.event) =
-  t.live <- t.live - 1;
-  ev.h.queued <- false;
-  if ev.h.cancelled then begin
-    decr t.cancelled_live;
+(* Pop the earliest event, free its slot, and run it unless it was
+   cancelled; [true] when it fired. The slot is freed before the action
+   runs, so whatever the action schedules may reuse it. *)
+let[@lint.hot] fire t =
+  let time = Event_heap.top_time t.queue in
+  let slot = Event_heap.pop t.queue in
+  let thunk = t.thunks.(slot) and call = t.calls.(slot) and arg = t.args.(slot) in
+  t.thunks.(slot) <- noop;
+  t.calls.(slot) <- no_call;
+  t.args.(slot) <- t.free;
+  t.free <- slot;
+  if call == no_call && thunk == noop then begin
+    t.cancelled <- t.cancelled - 1;
     false
   end
   else begin
-    t.clock <- ev.time;
+    t.clock.now <- time;
     t.fired <- t.fired + 1;
     if !Obs.enabled then Obs.incr "engine.events_fired";
-    ev.action ();
+    if call == no_call then thunk () else call arg;
     true
   end
 
-let[@lint.hot] rec step t =
-  match Event_heap.pop t.queue with
-  | None -> false
-  | Some ev -> fire t ev || step t
+let[@lint.hot] rec step t = Event_heap.length t.queue > 0 && (fire t || step t)
 
 let[@lint.hot] run ?until t =
   match until with
   | None -> while step t do () done
   | Some stop ->
-    (* Boundary check via [top_time] (O(1), allocation-free), pop only
-       what actually fires: the old pop-then-push-back paid a double
-       O(log n) sift at every boundary hit, which the epoch scheduler
-       reaches thousands of times per run. [top_time] is [infinity] on
-       an empty heap, so exhaustion falls out of the same test. *)
+    (* Probe the top with [top_time] ([infinity] when empty) and pop only
+       what fires, so a boundary hit costs no sift. *)
     while Event_heap.top_time t.queue <= stop do
-      match Event_heap.pop t.queue with
-      | None -> assert false (* top_time <= stop implies non-empty *)
-      | Some ev -> ignore (fire t ev)
+      ignore (fire t)
     done;
-    if t.clock < stop then t.clock <- stop
+    if t.clock.now < stop then t.clock.now <- stop
 
 let[@lint.hot] run_before t bound =
   (* Strict-bound twin of [run ~until]: events with [time < bound] fire,
@@ -94,25 +170,14 @@ let[@lint.hot] run_before t bound =
      so an inclusive stop would steal events that canonically belong to
      the next epoch. *)
   while Event_heap.top_time t.queue < bound do
-    match Event_heap.pop t.queue with
-    | None -> assert false (* top_time < bound implies non-empty *)
-    | Some ev -> ignore (fire t ev)
+    ignore (fire t)
   done;
-  if t.clock < bound then t.clock <- bound
+  if t.clock.now < bound then t.clock.now <- bound
 
-let next_time t =
-  (* Time of the earliest queued event, cancelled or not. Cancelled
-     events only make this an under-estimate of the next *fired* time,
-     which is safe for epoch bounds (a shard wakes up, pops the corpse,
-     and sleeps again). *)
-  match Event_heap.peek t.queue with
-  | None -> None
-  | Some ev -> Some ev.time
+(* Includes cancelled-but-queued keys: an under-estimate of the next
+   event that fires, which is the safe side for epoch bounds. *)
+let[@inline] next_time t = Event_heap.top_time t.queue
 
-let pending t =
-  (* [live] counts queued events including cancelled ones that have not
-     been popped yet; [cancelled_live] tracks exactly those, so the
-     difference is O(1) where a heap scan used to be O(n). *)
-  t.live - !(t.cancelled_live)
+let pending t = Event_heap.length t.queue - t.cancelled
 
 let fired t = t.fired

@@ -13,8 +13,14 @@
 
 type t
 
-type handle
-(** A cancellation token for a scheduled event. *)
+type handle [@@immediate]
+(** A cancellation token for a scheduled event: an int packing the
+    event's queue slot and sequence number, so it costs no allocation and
+    goes stale once its event has left the queue. *)
+
+val no_handle : handle
+(** A handle that matches no event; cancelling it is a no-op. Use it as
+    the "no timer armed" value of a handle field. *)
 
 val create : unit -> t
 
@@ -29,10 +35,19 @@ val schedule_at : t -> at:float -> (unit -> unit) -> handle
 (** [schedule_at t ~at f] runs [f] at absolute virtual time [at]; times in
     the past are clamped to [now t]. *)
 
-val cancel : handle -> unit
-(** Cancelling an already-fired or already-cancelled event is a no-op. *)
+val post : t -> at:float -> (int -> unit) -> int -> unit
+(** [post t ~at f arg] runs [f arg] at absolute time [at] (clamped to
+    [now t]), ordered with {!schedule}d events by the same
+    (time, scheduling order) rule. Allocation-free: the caller passes one
+    preallocated [f] and names its own state with [arg] (the transport
+    passes its in-flight message slot). Posted events cannot be
+    cancelled. *)
 
-val cancelled : handle -> bool
+val cancel : t -> handle -> unit
+(** [cancel t h] drops the event's action at once. Its queue entry stays
+    until it reaches the top, so {!next_time} still counts it. [h] must
+    come from [t]. Cancelling a fired or cancelled event, or
+    {!no_handle}, is a no-op. *)
 
 val step : t -> bool
 (** Fire the next event; [false] when the queue is empty. *)
@@ -46,12 +61,12 @@ val run_before : t -> float -> unit
 (** [run_before t bound] fires every event with [time < bound] — strictly:
     an event at exactly [bound] stays queued — then sets [now t] to
     [bound]. The conservative epoch scheduler drives each shard's engine
-    with this; cross-shard messages merged at the epoch barrier are
+    with this; cross-shard messages merged before the next epoch are
     stamped [>= bound] by the lookahead bound, so they land ahead of the
     clock, never behind it. *)
 
-val next_time : t -> float option
-(** Time of the earliest queued event, or [None] on an empty queue.
+val next_time : t -> float
+(** Time of the earliest queued event, or [infinity] on an empty queue.
     Includes cancelled-but-queued events, so it may under-estimate the
     next event that will actually fire — a safe lower bound for
     epoch-boundary computations. *)

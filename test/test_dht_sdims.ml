@@ -125,6 +125,7 @@ let build_world ~hosts =
             local_time = (fun () -> Engine.now engine);
             set_timer =
               (fun ~after f -> Engine.schedule engine ~after f);
+            cancel_timer = Engine.cancel engine;
             rng = Rng.split rng;
           }
         in

@@ -276,6 +276,7 @@ let test_ctl_budget_abandons () =
         latency_to = (fun _ -> 0.005);
         set_timer =
           (fun ~after fn -> Engine.schedule e ~after fn);
+        cancel_timer = Engine.cancel e;
         rng = Rng.create 7;
       }
   in

@@ -387,18 +387,20 @@ let lone_peer () =
       local_time = (fun () -> Engine.now e);
       latency_to = (fun _ -> 0.01);
       set_timer = (fun ~after f -> Engine.schedule e ~after f);
+      cancel_timer = Engine.cancel e;
       rng = Mortar_util.Rng.create 5;
     }
   in
   (Peer.create rt, e)
 
 (* Upper bounds on reachable words (64-bit, OCaml 5.1). An idle peer
-   measures 253 words and a one-instance root after 10 s 901; with
-   eagerly built cold tables, a hashed partner table and closure-wrapped
-   timers they measured 538 and 1 307. Each bound leaves less slack than
-   the smallest regression costs: wrapping each engine handle in a
-   record plus closure adds 5 words per timer the engine still holds
-   (the idle peer has one), an eager empty [Hashtbl] 22. *)
+   measures 224 words and a one-instance root after 10 s 843, with each
+   timer an immediate handle; with [option]-wrapped handle records they
+   measured 253 and 901, and with eagerly built cold tables, a hashed
+   partner table and closure-wrapped timers 538 and 1 307. The bounds
+   stay just above the [option]-wrapped figures, which leaves 32 and 62
+   words of slack: two eager empty [Hashtbl]s (22 words each) on the
+   idle peer still break the first. *)
 let idle_peer_words = 256
 
 let one_instance_words = 905

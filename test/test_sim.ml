@@ -35,10 +35,19 @@ let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
   let h = Engine.schedule e ~after:1.0 (fun () -> fired := true) in
-  Engine.cancel h;
+  Engine.cancel e h;
+  Alcotest.(check int) "no longer pending" 0 (Engine.pending e);
   Engine.run e;
   Alcotest.(check bool) "cancelled" false !fired;
-  Alcotest.(check bool) "cancelled flag" true (Engine.cancelled h)
+  (* The handle is stale once its event left the queue: cancelling it
+     again must not hit the event that now reuses its slot. *)
+  let later = ref false in
+  ignore (Engine.schedule e ~after:1.0 (fun () -> later := true));
+  Engine.cancel e h;
+  Engine.cancel e Engine.no_handle;
+  Alcotest.(check int) "stale cancel is a no-op" 1 (Engine.pending e);
+  Engine.run e;
+  Alcotest.(check bool) "reused slot fires" true !later
 
 let test_engine_run_until () =
   let e = Engine.create () in
@@ -74,9 +83,9 @@ let test_engine_pending_counts_cancellations () =
   let e = Engine.create () in
   let handles = Array.init 10 (fun i -> Engine.schedule e ~after:(float_of_int (i + 1)) ignore) in
   Alcotest.(check int) "all queued" 10 (Engine.pending e);
-  Engine.cancel handles.(3);
-  Engine.cancel handles.(7);
-  Engine.cancel handles.(7);
+  Engine.cancel e handles.(3);
+  Engine.cancel e handles.(7);
+  Engine.cancel e handles.(7);
   (* double cancel must not double count *)
   Alcotest.(check int) "cancelled excluded" 8 (Engine.pending e);
   Engine.run ~until:5.0 e;
@@ -84,6 +93,146 @@ let test_engine_pending_counts_cancellations () =
   Alcotest.(check int) "after partial run" 4 (Engine.pending e);
   Engine.run e;
   Alcotest.(check int) "drained" 0 (Engine.pending e)
+
+(* Differential check of the engine against a sorted-list model. Each
+   queued event is [(time, seq, id, live)]; the model pops in
+   (time, seq) order, drops cancelled entries without touching the clock,
+   and clamps past times to now, as the engine's contract says. Cancels
+   name any handle ever issued, so they cover live, stale (fired or
+   popped), double and sentinel cancels. *)
+type op =
+  | Sched of int (* delay in quarter seconds; negative clamps to now *)
+  | Post of int
+  | Cancel of int (* index into the handles issued so far; -1 = no_handle *)
+  | Run_until of int
+  | Run_before of int
+  | Step
+  | Run_all
+
+let show_op = function
+  | Sched d -> Printf.sprintf "Sched %d" d
+  | Post d -> Printf.sprintf "Post %d" d
+  | Cancel i -> Printf.sprintf "Cancel %d" i
+  | Run_until t -> Printf.sprintf "Run_until %d" t
+  | Run_before t -> Printf.sprintf "Run_before %d" t
+  | Step -> "Step"
+  | Run_all -> "Run_all"
+
+type model = {
+  mutable m_now : float;
+  mutable queue : (float * int * int * bool ref) list; (* sorted by (time, seq) *)
+  mutable m_seq : int;
+  mutable m_fired : int;
+  mutable m_log : int list;
+}
+
+let model_add m at id =
+  let at = if at < m.m_now then m.m_now else at in
+  let live = ref true in
+  let entry = (at, m.m_seq, id, live) in
+  m.m_seq <- m.m_seq + 1;
+  m.queue <-
+    List.merge (fun (t1, s1, _, _) (t2, s2, _, _) -> compare (t1, s1) (t2, s2)) m.queue [ entry ];
+  live
+
+(* Pop the head; [true] when it was live (and so fired). *)
+let model_pop m =
+  match m.queue with
+  | [] -> false
+  | (at, _, id, live) :: rest ->
+    m.queue <- rest;
+    if !live then begin
+      live := false;
+      m.m_now <- at;
+      m.m_fired <- m.m_fired + 1;
+      m.m_log <- id :: m.m_log;
+      true
+    end
+    else false
+
+let model_next m = match m.queue with [] -> infinity | (at, _, _, _) :: _ -> at
+
+let model_run_while m keep =
+  while (not (List.is_empty m.queue)) && keep (model_next m) do
+    ignore (model_pop m)
+  done
+
+let prop_engine_model =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun d -> Sched d) (int_range (-2) 12));
+          (3, map (fun d -> Post d) (int_range (-2) 12));
+          (4, map (fun i -> Cancel i) (int_range (-1) 30));
+          (2, map (fun t -> Run_until t) (int_bound 40));
+          (2, map (fun t -> Run_before t) (int_bound 40));
+          (2, return Step);
+          (1, return Run_all);
+        ])
+  in
+  QCheck.Test.make ~name:"engine = sorted-list model" ~count:500
+    (QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (int_bound 80) op_gen))
+    (fun ops ->
+      let e = Engine.create () in
+      let m = { m_now = 0.0; queue = []; m_seq = 0; m_fired = 0; m_log = [] } in
+      let log = ref [] in
+      let handles = ref [||] and lives = ref [||] in
+      let next_id = ref 0 in
+      let on_post id = log := id :: !log in
+      let quarter d = float_of_int d /. 4.0 in
+      let apply = function
+        | Sched d ->
+          let id = !next_id in
+          incr next_id;
+          let h = Engine.schedule e ~after:(quarter d) (fun () -> log := id :: !log) in
+          let after = Float.max 0.0 (quarter d) in
+          let live = model_add m (m.m_now +. after) id in
+          handles := Array.append !handles [| h |];
+          lives := Array.append !lives [| live |];
+          true
+        | Post d ->
+          let id = !next_id in
+          incr next_id;
+          Engine.post e ~at:(Engine.now e +. quarter d) on_post id;
+          ignore (model_add m (m.m_now +. quarter d) id);
+          true
+        | Cancel i ->
+          if i < 0 then Engine.cancel e Engine.no_handle
+          else if i < Array.length !handles then begin
+            Engine.cancel e !handles.(i);
+            !lives.(i) := false
+          end;
+          true
+        | Run_until t ->
+          let stop = quarter t in
+          Engine.run ~until:stop e;
+          model_run_while m (fun at -> at <= stop);
+          if m.m_now < stop then m.m_now <- stop;
+          true
+        | Run_before t ->
+          let bound = quarter t in
+          Engine.run_before e bound;
+          model_run_while m (fun at -> at < bound);
+          if m.m_now < bound then m.m_now <- bound;
+          true
+        | Step ->
+          let rec go () = (not (List.is_empty m.queue)) && (model_pop m || go ()) in
+          Engine.step e = go ()
+        | Run_all ->
+          Engine.run e;
+          model_run_while m (fun _ -> true);
+          true
+      in
+      List.for_all
+        (fun op ->
+          apply op
+          && Float.equal (Engine.now e) m.m_now
+          && Float.equal (Engine.next_time e) (model_next m)
+          && Engine.pending e = List.length (List.filter (fun (_, _, _, l) -> !l) m.queue)
+          && Engine.fired e = m.m_fired
+          && !log = m.m_log)
+        ops)
 
 let test_clock_offset_skew () =
   let c = Clock.create ~offset:10.0 ~skew:0.01 () in
@@ -151,4 +300,5 @@ let tests =
     Alcotest.test_case "series buckets" `Quick test_series_buckets;
     Alcotest.test_case "series between" `Quick test_series_between;
     Alcotest.test_case "series incr" `Quick test_series_incr;
+    QCheck_alcotest.to_alcotest prop_engine_model;
   ]
