@@ -90,14 +90,60 @@ type remote_result = {
   r_from : int; (* the forwarding root *)
 }
 
+type counter =
+  | Results | Results_forwarded | Results_fwd_received | Received | Late | Dropped
+  | Ts_inserts | Type_faults | Reconciliations | Ctl_acked | Ctl_retransmits | Ctl_abandoned
+  | Installs | Tree_repairs | Repairs | Reparent_edges | Adoptions | Fast_resyncs
+  | Warmup_buffered | Warmup_replayed | Warmup_drops | Partners_swept | Crashes
+
+let counters =
+  [| Results; Results_forwarded; Results_fwd_received; Received; Late; Dropped; Ts_inserts;
+     Type_faults; Reconciliations; Ctl_acked; Ctl_retransmits; Ctl_abandoned; Installs;
+     Tree_repairs; Repairs; Reparent_edges; Adoptions; Fast_resyncs; Warmup_buffered;
+     Warmup_replayed; Warmup_drops; Partners_swept; Crashes |]
+
+(* The counter's index in a peer's [counts]: its position in [counters]. *)
+let slot = function
+  | Results -> 0 | Results_forwarded -> 1 | Results_fwd_received -> 2 | Received -> 3
+  | Late -> 4 | Dropped -> 5 | Ts_inserts -> 6 | Type_faults -> 7 | Reconciliations -> 8
+  | Ctl_acked -> 9 | Ctl_retransmits -> 10 | Ctl_abandoned -> 11 | Installs -> 12
+  | Tree_repairs -> 13 | Repairs -> 14 | Reparent_edges -> 15 | Adoptions -> 16
+  | Fast_resyncs -> 17 | Warmup_buffered -> 18 | Warmup_replayed -> 19 | Warmup_drops -> 20
+  | Partners_swept -> 21 | Crashes -> 22
+
+let () = Array.iteri (fun i c -> assert (slot c = i)) counters
+
+let counter_name = function
+  | Results -> "peer.results"
+  | Results_forwarded -> "peer.results_forwarded"
+  | Results_fwd_received -> "peer.results_fwd_received"
+  | Received -> "peer.received"
+  | Late -> "peer.late"
+  | Dropped -> "peer.dropped"
+  | Ts_inserts -> "peer.ts_inserts"
+  | Type_faults -> "peer.type_faults"
+  | Reconciliations -> "peer.reconciliations"
+  | Ctl_acked -> "peer.ctl_acked"
+  | Ctl_retransmits -> "peer.ctl_retransmits"
+  | Ctl_abandoned -> "peer.ctl_abandoned"
+  | Installs -> "peer.installs"
+  | Tree_repairs -> "peer.tree_repairs"
+  | Repairs -> "peer.repairs"
+  | Reparent_edges -> "peer.reparent_edges"
+  | Adoptions -> "peer.adoptions"
+  | Fast_resyncs -> "peer.fast_resyncs"
+  | Warmup_buffered -> "peer.warmup_buffered"
+  | Warmup_replayed -> "peer.warmup_replayed"
+  | Warmup_drops -> "peer.warmup_drops"
+  | Partners_swept -> "peer.partners_swept"
+  | Crashes -> "peer.crashes"
+
 type stats = {
   results_emitted : int;
-  tuples_sent : int;
   tuples_received : int;
   tuples_late : int;
   tuples_dropped : int;
   reconciliations : int;
-  view_requests : int;
   type_faults : int; (** Tuples dropped because an operator or transform
                          raised {!Value.Type_error} on them. *)
   ctl_acked : int;
@@ -211,27 +257,16 @@ type t = {
   mutable instances_sorted : (string * instance) list option;
       (* name-sorted cache of [instances]; rebuilt lazily after
          install/remove — [inject] walks it on every source tick *)
-  (* counters *)
-  mutable n_results : int;
-  mutable n_sent : int;
-  mutable n_received : int;
-  mutable n_late : int;
-  mutable n_dropped : int;
-  mutable n_reconciliations : int;
-  mutable n_view_requests : int;
-  mutable n_type_faults : int;
-  mutable n_ctl_acked : int;
-  mutable n_ctl_retx : int;
-  mutable n_ctl_abandoned : int;
-  mutable n_repairs : int;
-  mutable n_reparent_edges : int;
-  mutable n_warmup_buffered : int;
-  mutable n_warmup_replayed : int;
-  mutable n_warmup_dropped : int;
-  mutable n_partners_swept : int;
+  counts : int array; (* one slot per {!counter}; never reset, not even by {!crash} *)
 }
 
 let self t = t.rt.self
+
+let add t c n = t.counts.(slot c) <- t.counts.(slot c) + n
+
+let bump t c = add t c 1
+
+let count t c = t.counts.(slot c)
 
 let now_local t = t.rt.local_time ()
 
@@ -320,10 +355,7 @@ let aged_payload t p =
 
 let rec ctl_attempt t p =
   p.ctl_attempts <- p.ctl_attempts + 1;
-  if p.ctl_attempts > 1 then begin
-    t.n_ctl_retx <- t.n_ctl_retx + 1;
-    if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_retransmits"
-  end;
+  if p.ctl_attempts > 1 then bump t Ctl_retransmits;
   send_msg t ~dst:p.ctl_dst (Msg.Reliable { token = p.ctl_token; inner = aged_payload t p });
   (* RTO: a floor covering several round trips to this destination, then
      doubled (by default) per attempt, with uniform jitter so retry storms
@@ -343,8 +375,7 @@ and ctl_expire t p =
       (* Budget exhausted: give up and let reconciliation (§6.1) repair
          whatever state the destination missed. *)
       Lazy_tbl.remove t.ctl_pending p.ctl_token;
-      t.n_ctl_abandoned <- t.n_ctl_abandoned + 1;
-      if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_abandoned"
+      bump t Ctl_abandoned
     end
     else ctl_attempt t p
   end
@@ -367,8 +398,7 @@ let ctl_ack t ~src ~token =
   | Some p when p.ctl_dst = src ->
     t.rt.cancel_timer p.ctl_timer;
     Lazy_tbl.remove t.ctl_pending token;
-    t.n_ctl_acked <- t.n_ctl_acked + 1;
-    if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ctl_acked"
+    bump t Ctl_acked
   | _ -> () (* late, duplicate, or forged ack *)
 
 let ctl_seen_cap = 1024
@@ -482,16 +512,14 @@ and route_and_send t inst (s : Summary.t) ?(path = []) ~visited ~arrival_tree ~t
   with
   | Routing.Deliver_root -> report_result t inst s
   | Routing.Drop ->
-    t.n_dropped <- t.n_dropped + 1;
+    bump t Dropped;
     if !Obs.enabled then begin
-      Obs.incr ~scope:(Obs.Node t.rt.self) "peer.dropped";
       (* dst = -1: the summary died here, no next hop existed. *)
       Obs.trace ~t:(now_local t)
         (Obs.Tuple_drop { src = t.rt.self; dst = -1; kind = "data"; reason = "routing" })
     end
   | Routing.Forward { dst; tree; descended } ->
     let ttl_down = if descended then ttl_down + 1 else ttl_down in
-    t.n_sent <- t.n_sent + 1;
     send_msg t ~dst
       (Msg.Data
          {
@@ -528,10 +556,9 @@ and report_result t inst (s : Summary.t) =
       emitted_at_local = now_local t;
     }
   in
-  t.n_results <- t.n_results + 1;
+  bump t Results;
   if !Obs.enabled then begin
     let name = meta.Query.name in
-    Obs.incr ~scope:(Obs.Node t.rt.self) "peer.results";
     Obs.incr ~scope:(Obs.Query name) "results";
     Obs.observe ~scope:(Obs.Query name) "result_age" s.age;
     Obs.observe ~scope:(Obs.Query name) ~buckets:hop_buckets "result_hops"
@@ -564,7 +591,7 @@ and report_result t inst (s : Summary.t) =
      | Some dsts ->
        List.iter
          (fun dst ->
-           if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.results_forwarded";
+           bump t Results_forwarded;
            send_msg t ~dst
              (Msg.Result_fwd
                 { query = meta.Query.name; slot = slide_slot; value; count = s.count; age = s.age }))
@@ -615,11 +642,9 @@ and ts_insert t inst (s : Summary.t) =
     | _ -> b +. max t.cfg.min_timeout (nd -. s.age +. t.cfg.timeout_slack)
   in
   Ts_list.insert inst.ts ~now:b ~deadline s;
-  if !Obs.enabled then begin
-    Obs.incr ~scope:(Obs.Node t.rt.self) "peer.ts_inserts";
-    Obs.trace ~t:(now_local t)
-      (Obs.Ts_merge { node = t.rt.self; query = inst.meta.Query.name })
-  end;
+  bump t Ts_inserts;
+  if !Obs.enabled then
+    Obs.trace ~t:(now_local t) (Obs.Ts_merge { node = t.rt.self; query = inst.meta.Query.name });
   arm_eviction t inst
 
 (* A summary created locally (source slide or tuple-window emission). *)
@@ -665,8 +690,7 @@ and close_slide t inst =
             (fun acc r ->
               try inst.op.Op.merge acc (inst.op.Op.lift r.payload)
               with Value.Type_error _ ->
-                t.n_type_faults <- t.n_type_faults + 1;
-                (if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults");
+                bump t Type_faults;
                 acc)
             inst.op.Op.init raws
         in
@@ -711,8 +735,7 @@ and emit_tuple_window t inst =
           (fun acc r ->
             try inst.op.Op.merge acc (inst.op.Op.lift r.payload)
             with Value.Type_error _ ->
-              t.n_type_faults <- t.n_type_faults + 1;
-                (if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults");
+              bump t Type_faults;
               acc)
           inst.op.Op.init window_raws
       in
@@ -757,8 +780,7 @@ and inject t ~stream ?true_slot payload =
         match
           (try Expr.apply inst.meta.Query.pre payload
            with Value.Type_error _ ->
-             t.n_type_faults <- t.n_type_faults + 1;
-                (if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.type_faults");
+             bump t Type_faults;
              None)
         with
         | None -> ()
@@ -833,14 +855,11 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
     in
     if not recently then begin
       Lazy_tbl.replace t.fast_resync query local;
-      if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.fast_resyncs";
+      bump t Fast_resyncs;
       send_msg t ~dst:src
         (Msg.Reconcile_request { installed = installed_triples t; removed = removed_pairs t })
     end;
-    if t.cfg.warmup_buffer <= 0 then begin
-      t.n_warmup_dropped <- t.n_warmup_dropped + 1;
-      if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.warmup_drops"
-    end
+    if t.cfg.warmup_buffer <= 0 then bump t Warmup_drops
     else begin
       let q =
         match Lazy_tbl.find_opt t.warmup query with
@@ -855,16 +874,14 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
            ones still inside their windows when the install lands. *)
         ignore (Queue.pop q);
         t.warmup_len <- t.warmup_len - 1;
-        t.n_warmup_dropped <- t.n_warmup_dropped + 1;
-        if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.warmup_drops"
+        bump t Warmup_drops
       end;
       Queue.push
         { wu_src = src; wu_seqno = seqno; wu_tree = tree; wu_summary = summary;
           wu_visited = visited; wu_path = path; wu_ttl = ttl_down; wu_at = local }
         q;
       t.warmup_len <- t.warmup_len + 1;
-      t.n_warmup_buffered <- t.n_warmup_buffered + 1;
-      if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.warmup_buffered"
+      bump t Warmup_buffered
     end
   end
 
@@ -876,8 +893,7 @@ let drop_warmup t name =
     Lazy_tbl.remove t.warmup name
 
 let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
-  t.n_received <- t.n_received + 1;
-  if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.received";
+  bump t Received;
   match Hashtbl.find_opt t.instances query with
   | None ->
     (* Not installed (yet); reconciliation will catch us up. With
@@ -914,8 +930,7 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
     end
     else if already_emitted t inst s then begin
       (* Late tuple: pass through toward the root without merging. *)
-      t.n_late <- t.n_late + 1;
-      if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.late";
+      bump t Late;
       if t.rt.self = inst.meta.Query.root then () (* window already reported *)
       else begin
         let visited =
@@ -938,8 +953,7 @@ let replay_warmup t name =
     Queue.iter
       (fun e ->
         t.warmup_len <- t.warmup_len - 1;
-        t.n_warmup_replayed <- t.n_warmup_replayed + 1;
-        if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.warmup_replayed";
+        bump t Warmup_replayed;
         let summary =
           { e.wu_summary with Summary.age = e.wu_summary.Summary.age +. (local -. e.wu_at) }
         in
@@ -1046,10 +1060,9 @@ let install_local t (meta : Query.meta) view ~install_age =
       Hashtbl.replace t.instances meta.name inst;
       List.iter (retain_partner t) (Query.neighbors view);
       invalidate_digest t;
-      if !Obs.enabled then begin
-        Obs.incr ~scope:(Obs.Node t.rt.self) "peer.installs";
-        Obs.trace ~t:local (Obs.Query_install { node = t.rt.self; query = meta.name })
-      end;
+      bump t Installs;
+      if !Obs.enabled then
+        Obs.trace ~t:local (Obs.Query_install { node = t.rt.self; query = meta.name });
       (match meta.window with
       | Window.Time { slide; _ } ->
         let b = basis inst ~local in
@@ -1147,10 +1160,9 @@ let replan_query t ~name treeset =
        re-deployment. A higher sequence number supersedes the old plan on
        every peer; stragglers catch up through reconciliation. *)
     let meta = { meta with Query.seqno = meta.Query.seqno + 1 } in
-    if !Obs.enabled then begin
-      Obs.incr ~scope:(Obs.Node t.rt.self) "peer.tree_repairs";
-      Obs.trace ~t:(now_local t) (Obs.Tree_repair { node = t.rt.self; query = name })
-    end;
+    bump t Tree_repairs;
+    if !Obs.enabled then
+      Obs.trace ~t:(now_local t) (Obs.Tree_repair { node = t.rt.self; query = name });
     install_query t meta treeset
 
 let remove_query t ~name =
@@ -1182,7 +1194,6 @@ let request_view t ~name ~root =
   in
   if not recently then begin
     Lazy_tbl.replace t.pending_views name local;
-    t.n_view_requests <- t.n_view_requests + 1;
     send_ctl t ~dst:root (Msg.View_request { name })
   end
 
@@ -1213,11 +1224,9 @@ let maybe_reconcile t ~src ~remote_digest =
     let local = now_local t in
     let min_gap = float_of_int t.cfg.reconcile_every *. t.cfg.hb_period in
     if Partner_set.reconcile_due t.partners src ~now:local ~min_gap then begin
-      t.n_reconciliations <- t.n_reconciliations + 1;
-      if !Obs.enabled then begin
-        Obs.incr ~scope:(Obs.Node t.rt.self) "peer.reconciliations";
-        Obs.trace ~t:local (Obs.Reconcile_round { node = t.rt.self; partner = src })
-      end;
+      bump t Reconciliations;
+      if !Obs.enabled then
+        Obs.trace ~t:local (Obs.Reconcile_round { node = t.rt.self; partner = src });
       send_msg t ~dst:src
         (Msg.Reconcile_request
            { installed = installed_triples t; removed = removed_pairs t })
@@ -1269,7 +1278,7 @@ let attempt_reparent t name inst =
     | [] -> ()
     | edges ->
       update_partner_refs t ~before ~after:(Query.neighbors view);
-      t.n_reparent_edges <- t.n_reparent_edges + List.length edges;
+      add t Reparent_edges (List.length edges);
       List.iter
         (fun (x, old, c, kind) ->
           (* The donor must learn it has a new child: that restores the
@@ -1277,8 +1286,7 @@ let attempt_reparent t name inst =
              downward (flex-down) reachability into our subtree. *)
           send_ctl t ~dst:c
             (Msg.Adopt { query = name; seqno = inst.meta.Query.seqno; tree = x });
-          if !Obs.enabled then begin
-            Obs.incr ~scope:(Obs.Node t.rt.self) "peer.reparent_edges";
+          if !Obs.enabled then
             Obs.trace ~t:(now_local t)
               (Obs.Reparent
                  {
@@ -1288,8 +1296,7 @@ let attempt_reparent t name inst =
                    from_parent = old;
                    to_parent = c;
                    donor = (match kind with `Grand -> "grand" | `Sib -> "sibling");
-                 })
-          end)
+                 }))
         edges
   end
 
@@ -1318,9 +1325,8 @@ let repair_instance t name inst =
          the blackhole is closed. MTTR runs from first detection to this
          confirmation, not to the optimistic adoption. *)
       inst.orphaned_since <- None;
-      t.n_repairs <- t.n_repairs + 1;
+      bump t Repairs;
       if !Obs.enabled then begin
-        Obs.incr ~scope:(Obs.Node t.rt.self) "peer.repairs";
         Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
         Obs.observe ~buckets:mttr_buckets "peer.repair_mttr" (local -. since)
       end
@@ -1337,10 +1343,7 @@ let sweep_idle t =
   let local = now_local t in
   let horizon = 4.0 *. t.cfg.hb_timeout_factor *. t.cfg.hb_period in
   let swept = Partner_set.sweep t.partners ~now:local ~horizon in
-  if swept > 0 then begin
-    t.n_partners_swept <- t.n_partners_swept + swept;
-    if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) ~by:swept "peer.partners_swept"
-  end;
+  add t Partners_swept swept;
   let sweep_gate tbl =
     Lazy_tbl.fold (fun k at acc -> if local -. at > horizon then k :: acc else acc) tbl []
     |> List.sort compare
@@ -1436,7 +1439,7 @@ let rec receive t ~src payload =
       Lazy_tbl.replace t.not_mine meta.Query.name meta.Query.seqno;
       drop_warmup t meta.Query.name)
   | Msg.Result_fwd { query; slot; value; count; age } ->
-    if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.results_fwd_received";
+    bump t Results_fwd_received;
     List.iter
       (fun f ->
         f { r_query = query; r_slot = slot; r_value = value; r_count = count; r_age = age; r_from = src })
@@ -1455,7 +1458,7 @@ let rec receive t ~src payload =
         let before = Query.neighbors inst.view in
         inst.view.Query.children.(tree) <- List.sort compare (src :: kids);
         update_partner_refs t ~before ~after:(Query.neighbors inst.view);
-        if !Obs.enabled then Obs.incr ~scope:(Obs.Node t.rt.self) "peer.adoptions"
+        bump t Adoptions
       end
     | _ -> ())
 
@@ -1492,23 +1495,7 @@ let create ?(config = default_config) rt =
       hb_timer = no_timer;
       digest_cache = None;
       instances_sorted = None;
-      n_results = 0;
-      n_sent = 0;
-      n_received = 0;
-      n_late = 0;
-      n_dropped = 0;
-      n_reconciliations = 0;
-      n_view_requests = 0;
-      n_type_faults = 0;
-      n_ctl_acked = 0;
-      n_ctl_retx = 0;
-      n_ctl_abandoned = 0;
-      n_repairs = 0;
-      n_reparent_edges = 0;
-      n_warmup_buffered = 0;
-      n_warmup_replayed = 0;
-      n_warmup_dropped = 0;
-      n_partners_swept = 0;
+      counts = Array.make (Array.length counters) 0;
     }
   in
   (* Desynchronise heartbeat phases across peers. *)
@@ -1537,10 +1524,8 @@ let query_seqno t name =
   Option.map (fun inst -> inst.meta.Query.seqno) (Hashtbl.find_opt t.instances name)
 
 let crash t =
-  if !Obs.enabled then begin
-    Obs.incr ~scope:(Obs.Node t.rt.self) "peer.crashes";
-    Obs.trace ~t:(now_local t) (Obs.Crash { node = t.rt.self })
-  end;
+  bump t Crashes;
+  if !Obs.enabled then Obs.trace ~t:(now_local t) (Obs.Crash { node = t.rt.self });
   Hashtbl.iter (fun _ inst -> cancel_instance_timers t inst) t.instances;
   Hashtbl.reset t.instances;
   Lazy_tbl.reset t.removed;
@@ -1563,24 +1548,23 @@ let crash t =
   t.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 let stats t =
+  let c = count t in
   {
-    results_emitted = t.n_results;
-    tuples_sent = t.n_sent;
-    tuples_received = t.n_received;
-    tuples_late = t.n_late;
-    tuples_dropped = t.n_dropped;
-    reconciliations = t.n_reconciliations;
-    view_requests = t.n_view_requests;
-    type_faults = t.n_type_faults;
-    ctl_acked = t.n_ctl_acked;
-    ctl_retransmits = t.n_ctl_retx;
-    ctl_abandoned = t.n_ctl_abandoned;
-    repairs = t.n_repairs;
-    reparent_edges = t.n_reparent_edges;
-    warmup_buffered = t.n_warmup_buffered;
-    warmup_replayed = t.n_warmup_replayed;
-    warmup_dropped = t.n_warmup_dropped;
-    partners_swept = t.n_partners_swept;
+    results_emitted = c Results;
+    tuples_received = c Received;
+    tuples_late = c Late;
+    tuples_dropped = c Dropped;
+    reconciliations = c Reconciliations;
+    type_faults = c Type_faults;
+    ctl_acked = c Ctl_acked;
+    ctl_retransmits = c Ctl_retransmits;
+    ctl_abandoned = c Ctl_abandoned;
+    repairs = c Repairs;
+    reparent_edges = c Reparent_edges;
+    warmup_buffered = c Warmup_buffered;
+    warmup_replayed = c Warmup_replayed;
+    warmup_dropped = c Warmup_drops;
+    partners_swept = c Partners_swept;
   }
 
 let netdist t ~query =

@@ -117,30 +117,58 @@ type result = {
   emitted_at_local : float;
 }
 
+(** Per-host event counts, one always-live slot each: {!stats} and
+    {!count} read them, and the deployment exports them to the Obs dump
+    under {!counter_name} and the host's [Node] scope. A new count is a
+    new constructor here, not a new field or an inline [Obs.incr]. *)
+type counter =
+  | Results  (** Root results emitted. *)
+  | Results_forwarded  (** Results forwarded to shared-tree subscribers. *)
+  | Results_fwd_received  (** Forwarded results received as a subscriber. *)
+  | Received  (** Data summaries received. *)
+  | Late  (** Arrived after local eviction; passed through. *)
+  | Dropped  (** Routing policy exhausted (stage 5). *)
+  | Ts_inserts  (** Summaries merged into a TS list. *)
+  | Type_faults  (** Tuples an operator or transform failed on ({!Value.Type_error}). *)
+  | Reconciliations  (** Digest mismatches that started an exchange. *)
+  | Ctl_acked  (** Reliable control messages acknowledged. *)
+  | Ctl_retransmits  (** Control retransmissions sent. *)
+  | Ctl_abandoned  (** Control messages whose retry budget ran out. *)
+  | Installs  (** Query instances (re)installed locally. *)
+  | Tree_repairs  (** Re-deployments issued by {!replan_query}. *)
+  | Repairs  (** Orphanings closed by a confirmed-live parent. *)
+  | Reparent_edges  (** Individual per-tree adoption decisions. *)
+  | Adoptions  (** Repairing orphans adopted as children. *)
+  | Fast_resyncs  (** Reconciliations started by data for an unknown query. *)
+  | Warmup_buffered  (** Summaries held for replay during warm-up. *)
+  | Warmup_replayed  (** Buffered summaries re-entered after install. *)
+  | Warmup_drops  (** Warm-up arrivals lost (no or full buffer). *)
+  | Partners_swept  (** Idle zero-refcount partner entries reclaimed. *)
+  | Crashes  (** Process restarts ({!crash}). *)
+
+val counters : counter array
+(** Every counter, once each. *)
+
+val counter_name : counter -> string
+(** The metric name in the observability dump, e.g. ["peer.late"]. *)
+
+(** Some of the {!counter}s, by field. *)
 type stats = {
   results_emitted : int;
-  tuples_sent : int;
   tuples_received : int;
-  tuples_late : int; (** Arrived after local eviction; passed through. *)
-  tuples_dropped : int; (** Routing policy exhausted (stage 5). *)
+  tuples_late : int;
+  tuples_dropped : int;
   reconciliations : int;
-  view_requests : int;
   type_faults : int;
-      (** Tuples dropped because an operator or pre-transform raised
-          {!Value.Type_error} — a query fault, never a peer crash. *)
-  ctl_acked : int; (** Reliable control messages acknowledged. *)
-  ctl_retransmits : int; (** Control retransmissions sent. *)
+  ctl_acked : int;
+  ctl_retransmits : int;
   ctl_abandoned : int;
-      (** Control messages whose retry budget ran out; reconciliation is
-          left to repair the destination. *)
   repairs : int;
-      (** Orphanings closed by a confirmed-live (repaired or recovered)
-          parent. *)
-  reparent_edges : int; (** Individual per-tree adoption decisions. *)
-  warmup_buffered : int; (** Summaries held for replay during warm-up. *)
-  warmup_replayed : int; (** Buffered summaries re-entered after install. *)
-  warmup_dropped : int; (** Warm-up arrivals lost (no or full buffer). *)
-  partners_swept : int; (** Idle zero-refcount partner entries reclaimed. *)
+  reparent_edges : int;
+  warmup_buffered : int;
+  warmup_replayed : int;
+  warmup_dropped : int;
+  partners_swept : int;
 }
 
 type t
@@ -218,6 +246,9 @@ val crash : t -> unit
 (** {1 Introspection} *)
 
 val stats : t -> stats
+
+val count : t -> counter -> int
+(** Since {!create}; {!crash} does not reset counts. *)
 
 val netdist : t -> query:string -> float option
 

@@ -44,6 +44,9 @@ type t = {
   rng : Rng.t;
   mutable vivaldi : Mortar_coords.Vivaldi.system option;
   sh : sharded;
+  (* Peer counts already in [Obs.default], host-major by [Peer.counters];
+     allocated by the first enabled flush. *)
+  mutable exported : int array;
 }
 
 let default_domains = ref 1
@@ -136,7 +139,8 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
      still returns [default] off-slice once its run loop has exited. *)
   Obs.set_sink (fun () ->
       match Par.Ctx.get () with Some sid -> sh.regs.(sid) | None -> sh.ctl_sink);
-  { engine; topo; transport = transports.(0); faults; clocks; peers; rng; vivaldi = None; sh }
+  { engine; topo; transport = transports.(0); faults; clocks; peers; rng; vivaldi = None; sh;
+    exported = [||] }
 
 let topology t = t.topo
 
@@ -217,9 +221,31 @@ let par_shards sh pool f =
    interleave (a run's events are all stamped at or after the previous
    run's target), so sorting one run's worth keeps the whole trace
    ordered without ever re-touching it. Deterministic in the shard
-   partition, never in the domain count. *)
-let flush_obs sh =
+   partition, never in the domain count.
+
+   Peers count into their own always-live tables; the flush adds what
+   each count gained since the previous flush under the host's [Node]
+   scope, skipping zeros so a counter that never moved has no line. *)
+let export_counts t =
+  let k = Array.length Peer.counters in
+  if Array.length t.exported = 0 then t.exported <- Array.make (k * Array.length t.peers) 0;
+  Array.iteri
+    (fun h p ->
+      Array.iteri
+        (fun i c ->
+          let v = Peer.count p c in
+          let gained = v - t.exported.((h * k) + i) in
+          if gained <> 0 then begin
+            Obs.Reg.incr Obs.default ~scope:(Obs.Node h) ~by:gained (Peer.counter_name c);
+            t.exported.((h * k) + i) <- v
+          end)
+        Peer.counters)
+    t.peers
+
+let flush_obs t =
   if !Obs.enabled then begin
+    let sh = t.sh in
+    export_counts t;
     let tagged = ref [] in
     List.iteri
       (fun i (time, ev) -> tagged := (time, -1, i, ev) :: !tagged)
@@ -285,7 +311,7 @@ let run_until t target =
           end
         end
       done);
-  flush_obs sh
+  flush_obs t
 
 let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
 

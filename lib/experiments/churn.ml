@@ -95,7 +95,7 @@ let install_completeness ~hosts ~loss ~retries =
   and abandoned = ref 0 in
   for i = 0 to hosts - 1 do
     if Peer.has_query (D.peer d i) "q" then incr installed;
-    abandoned := !abandoned + (Peer.stats (D.peer d i)).Peer.ctl_abandoned
+    abandoned := !abandoned + Peer.count (D.peer d i) Peer.Ctl_abandoned
   done;
   (float_of_int !installed /. float_of_int hosts, !abandoned)
 

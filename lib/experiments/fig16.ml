@@ -37,7 +37,6 @@ let build ~hosts ~seed =
             local_time = (fun () -> Engine.now engine);
             set_timer =
               (fun ~after f -> Engine.schedule engine ~after f);
-            cancel_timer = Engine.cancel engine;
             rng = Mortar_util.Rng.split rng;
           }
         in

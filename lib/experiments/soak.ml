@@ -178,23 +178,15 @@ let soak_row ~quick ~self_heal =
      run stops. *)
   let settle_compl = true_compl (settle_until -. 17.0) (settle_until -. 4.0) in
   let steady_viol = if settle_compl < 0.95 then 1 else 0 in
-  let sum_stats f =
-    let acc = ref 0 in
-    for i = 0 to hosts - 1 do
-      acc := !acc + f (Peer.stats (D.peer d i))
-    done;
-    !acc
+  let total c =
+    List.fold_left (fun acc i -> acc + Peer.count (D.peer d i) c) 0 (List.init hosts Fun.id)
   in
   let counters =
     Printf.sprintf
       "repairs=%d reparent_edges=%d warmup_replayed=%d warmup_dropped=%d \
        partners_swept=%d ctl_abandoned=%d"
-      (sum_stats (fun s -> s.Peer.repairs))
-      (sum_stats (fun s -> s.Peer.reparent_edges))
-      (sum_stats (fun s -> s.Peer.warmup_replayed))
-      (sum_stats (fun s -> s.Peer.warmup_dropped))
-      (sum_stats (fun s -> s.Peer.partners_swept))
-      (sum_stats (fun s -> s.Peer.ctl_abandoned))
+      (total Peer.Repairs) (total Peer.Reparent_edges) (total Peer.Warmup_replayed)
+      (total Peer.Warmup_drops) (total Peer.Partners_swept) (total Peer.Ctl_abandoned)
   in
   ( {
       warm_compl;

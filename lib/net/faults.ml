@@ -19,9 +19,9 @@ type condition = { cid : id; scope : scope; eff : effect_ }
 
 (* The condition list and id counter live behind refs shared by every
    shard view (below): a fault window installed by the control schedule
-   is visible to all shards, while randomness, Gilbert–Elliott chain
-   state and drop counters stay per-view so concurrent shards never race
-   and each shard's draw stream is independent of the others. *)
+   is visible to all shards, while randomness and Gilbert–Elliott chain
+   state stay per-view so concurrent shards never race and each shard's
+   draw stream is independent of the others. *)
 type t = {
   hosts : int;
   rng : Rng.t;
@@ -30,9 +30,6 @@ type t = {
   conditions : condition list ref; (* oldest first *)
   next_id : int ref;
   bursty_state : (int * int * int, bool ref) Hashtbl.t; (* (cid, src, dst) -> in bad state *)
-  mutable cut_drops : int;
-  mutable loss_drops : int;
-  mutable delayed : int;
 }
 
 let create ~hosts ~rng () =
@@ -42,9 +39,6 @@ let create ~hosts ~rng () =
     conditions = ref [];
     next_id = ref 0;
     bursty_state = Hashtbl.create 64;
-    cut_drops = 0;
-    loss_drops = 0;
-    delayed = 0;
   }
 
 let shard_view t ~rng =
@@ -54,9 +48,6 @@ let shard_view t ~rng =
     conditions = t.conditions;
     next_id = t.next_id;
     bursty_state = Hashtbl.create 64;
-    cut_drops = 0;
-    loss_drops = 0;
-    delayed = 0;
   }
 
 let hosts t = t.hosts
@@ -112,12 +103,10 @@ let apply t ~src ~dst acc c =
   else
     match c.eff with
     | Cut ->
-      t.cut_drops <- t.cut_drops + 1;
       if !Obs.enabled then Obs.incr "faults.cut_drops";
       { acc with drop = true }
     | Loss rate ->
       if Rng.float t.rng 1.0 < rate then begin
-        t.loss_drops <- t.loss_drops + 1;
         if !Obs.enabled then Obs.incr "faults.loss_drops";
         { acc with drop = true }
       end
@@ -139,14 +128,12 @@ let apply t ~src ~dst acc c =
        else if Rng.float t.rng 1.0 < p_enter then bad := true);
       let rate = if !bad then loss_bad else loss_good in
       if rate > 0.0 && Rng.float t.rng 1.0 < rate then begin
-        t.loss_drops <- t.loss_drops + 1;
         if !Obs.enabled then Obs.incr "faults.loss_drops";
         { acc with drop = true }
       end
       else acc
     | Delay { extra; prob } ->
       if prob >= 1.0 || Rng.float t.rng 1.0 < prob then begin
-        t.delayed <- t.delayed + 1;
         if !Obs.enabled then Obs.incr "faults.delayed";
         { acc with extra_delay = acc.extra_delay +. Rng.float t.rng extra }
       end
@@ -158,9 +145,3 @@ let decide t ~src ~dst =
   | conditions ->
     List.fold_left (fun acc c -> if acc.drop then acc else apply t ~src ~dst acc c) pass
       conditions
-
-let cut_drops t = t.cut_drops
-
-let loss_drops t = t.loss_drops
-
-let delayed t = t.delayed

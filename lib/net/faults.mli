@@ -42,8 +42,8 @@ val create : hosts:int -> rng:Mortar_util.Rng.t -> unit -> t
 val shard_view : t -> rng:Mortar_util.Rng.t -> t
 (** A per-shard view of the same fault table: the condition set (and id
     counter) is shared — install/{!clear} through any view and all see
-    it — while randomness, Gilbert–Elliott chain state and the drop
-    counters are private to the view. The sharded transport gives each
+    it — while randomness and Gilbert–Elliott chain state are private to
+    the view. The sharded transport gives each
     shard its own view so concurrent {!decide} calls never race and each
     shard's draw stream is independent of the domain count. Chains
     become per (condition, src, dst, {e deciding shard}); since a given
@@ -110,15 +110,5 @@ val pass : decision
 val decide : t -> src:int -> dst:int -> decision
 (** Evaluate every active condition against one message. Advances
     Gilbert–Elliott chains and draws loss/jitter randomness, so call
-    exactly once per send. With no active conditions this is O(1). *)
-
-(** {1 Introspection} *)
-
-val cut_drops : t -> int
-(** Messages dropped by cuts/partitions since creation. *)
-
-val loss_drops : t -> int
-(** Messages dropped by i.i.d. or bursty loss since creation. *)
-
-val delayed : t -> int
-(** Messages given extra delay since creation. *)
+    exactly once per send. With no active conditions this is O(1).
+    Outcomes are counted only in the global [faults.*] Obs counters. *)

@@ -32,7 +32,6 @@ type runtime = {
   send : dst:int -> size:int -> kind:string -> msg -> unit;
   local_time : unit -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
-  cancel_timer : timer -> unit;
   rng : Rng.t;
 }
 

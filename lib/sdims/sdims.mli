@@ -46,10 +46,6 @@ type runtime = {
   send : dst:int -> size:int -> kind:string -> msg -> unit;
   local_time : unit -> float;
   set_timer : after:float -> (unit -> unit) -> timer;
-  cancel_timer : timer -> unit;
-      (** Drop an armed timer's callback (a no-op once it fired); the
-          simulator passes [Engine.cancel] of the engine [set_timer]
-          schedules on. *)
   rng : Mortar_util.Rng.t;
 }
 

@@ -125,7 +125,6 @@ let build_world ~hosts =
             local_time = (fun () -> Engine.now engine);
             set_timer =
               (fun ~after f -> Engine.schedule engine ~after f);
-            cancel_timer = Engine.cancel engine;
             rng = Rng.split rng;
           }
         in

@@ -13,23 +13,40 @@ module Peer = Mortar_core.Peer
 module Query = Mortar_core.Query
 module Window = Mortar_core.Window
 module Rng = Mortar_util.Rng
+module Obs = Mortar_obs.Obs
 
 let make_faults ?(hosts = 8) ?(seed = 5) () = Faults.create ~hosts ~rng:(Rng.create seed) ()
 
 (* ------------------------------------------------------------------ *)
 (* Fault table unit tests. *)
 
+(* Run [f] with observability on and a fresh default registry, so the
+   global [faults.*] counters can be read back; restore on exit. *)
+let with_obs f =
+  let saved = !Obs.enabled in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.enabled := saved;
+      Obs.Reg.clear Obs.default)
+    (fun () ->
+      Obs.Reg.clear Obs.default;
+      Obs.enabled := true;
+      f ())
+
 let test_cut_and_heal () =
-  let f = make_faults () in
-  Alcotest.(check bool) "clean table passes" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-  let id = Faults.cut f ~src:[ 0 ] ~dst:[ 1 ] in
-  Alcotest.(check bool) "cut drops" true (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-  Alcotest.(check bool) "cut is directed" false (Faults.decide f ~src:1 ~dst:0).Faults.drop;
-  Alcotest.(check bool) "other pair unaffected" false (Faults.decide f ~src:2 ~dst:3).Faults.drop;
-  Faults.clear f id;
-  Alcotest.(check bool) "healed" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-  Alcotest.(check int) "one cut drop counted" 1 (Faults.cut_drops f);
-  Faults.clear f id (* double-clear is a no-op *)
+  with_obs (fun () ->
+      let f = make_faults () in
+      Alcotest.(check bool) "clean table passes" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
+      let id = Faults.cut f ~src:[ 0 ] ~dst:[ 1 ] in
+      Alcotest.(check bool) "cut drops" true (Faults.decide f ~src:0 ~dst:1).Faults.drop;
+      Alcotest.(check bool) "cut is directed" false (Faults.decide f ~src:1 ~dst:0).Faults.drop;
+      Alcotest.(check bool) "other pair unaffected" false
+        (Faults.decide f ~src:2 ~dst:3).Faults.drop;
+      Faults.clear f id;
+      Alcotest.(check bool) "healed" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
+      Alcotest.(check int) "one cut drop counted" 1
+        (Obs.Reg.counter_value Obs.default "faults.cut_drops");
+      Faults.clear f id (* double-clear is a no-op *))
 
 let test_partition_symmetric () =
   let f = make_faults () in
@@ -89,17 +106,18 @@ let test_bursty_extremes () =
   done
 
 let test_jitter_delays () =
-  let f = make_faults () in
-  let _id = Faults.jitter f ~src:[ 0 ] ~dst:[ 1 ] ~extra:0.5 () in
-  for _ = 1 to 20 do
-    let d = Faults.decide f ~src:0 ~dst:1 in
-    Alcotest.(check bool) "never drops" false d.Faults.drop;
-    Alcotest.(check bool) "delay in [0, 0.5]" true
-      (d.Faults.extra_delay >= 0.0 && d.Faults.extra_delay <= 0.5)
-  done;
-  Alcotest.(check int) "all counted" 20 (Faults.delayed f);
-  Alcotest.(check bool) "unscoped pair undelayed" true
-    (Float.equal (Faults.decide f ~src:2 ~dst:3).Faults.extra_delay 0.0)
+  with_obs (fun () ->
+      let f = make_faults () in
+      let _id = Faults.jitter f ~src:[ 0 ] ~dst:[ 1 ] ~extra:0.5 () in
+      for _ = 1 to 20 do
+        let d = Faults.decide f ~src:0 ~dst:1 in
+        Alcotest.(check bool) "never drops" false d.Faults.drop;
+        Alcotest.(check bool) "delay in [0, 0.5]" true
+          (d.Faults.extra_delay >= 0.0 && d.Faults.extra_delay <= 0.5)
+      done;
+      Alcotest.(check int) "all counted" 20 (Obs.Reg.counter_value Obs.default "faults.delayed");
+      Alcotest.(check bool) "unscoped pair undelayed" true
+        (Float.equal (Faults.decide f ~src:2 ~dst:3).Faults.extra_delay 0.0))
 
 let prop_partition_separates =
   (* Property: for any random split of the host set, a partition drops

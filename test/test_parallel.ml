@@ -188,8 +188,10 @@ type capture = {
 }
 
 (* Run one seeded scenario at the given domain count with observability
-   on, and capture everything externally visible. *)
-let run_scenario ~domains input =
+   on, calling [run_until] at each of [stops] in turn, and hand the
+   deployment and the root's results to [k] before the registry is
+   cleared. *)
+let with_scenario ~domains ?(stops = [ 11.0 ]) input k =
   let saved = !Obs.enabled in
   Fun.protect
     ~finally:(fun () ->
@@ -228,13 +230,18 @@ let run_scenario ~domains input =
               { src = [ 1; 2; 3 ]; dst = [ 0 ]; rate = 0.5; sym = true; from = 2.0; until = 9.0 };
             D.Crash_recover { node = 5; at = 4.0; recover_at = 7.0 };
           ];
-      D.run_until d 11.0;
+      List.iter (D.run_until d) stops;
+      k d (List.rev !results))
+
+(* Everything externally visible. *)
+let run_scenario ~domains input =
+  with_scenario ~domains input (fun d results ->
       {
         metrics = Obs.Reg.metrics_lines Obs.default;
         trace = Obs.Reg.trace_lines Obs.default;
         sent = D.messages_sent d;
         delivered = D.messages_delivered d;
-        results = List.rev !results;
+        results;
       })
 
 let check_identical name a b =
@@ -249,6 +256,44 @@ let check_identical name a b =
 
 let test_domains_identical name input () =
   check_identical name (run_scenario ~domains:1 input) (run_scenario ~domains:4 input)
+
+(* Peer counts reach the dump only through the deployment's end-of-run
+   flush, as what each count gained since the previous flush. With the
+   fault scenario cut into several runs (one of them empty), every
+   host's exported counter must still equal the peer's own count, and a
+   counter that stayed 0 must have no dump line at all. *)
+let test_counter_export_exact () =
+  let module Peer = Mortar_core.Peer in
+  List.iter
+    (fun domains ->
+      with_scenario ~domains ~stops:[ 2.5; 4.0; 4.0; 7.3; 11.0 ] `Faults (fun d _ ->
+          let lines = Obs.Reg.metrics_lines Obs.default in
+          let zeros = ref 0 and counted = ref 0 in
+          for h = 0 to D.hosts d - 1 do
+            Array.iter
+              (fun c ->
+                let name = Peer.counter_name c in
+                let own = Peer.count (D.peer d h) c in
+                let what = Printf.sprintf "domains %d, host %d, %s" domains h name in
+                Alcotest.(check int) what own
+                  (Obs.Reg.counter_value Obs.default ~scope:(Obs.Node h) name);
+                if own = 0 then begin
+                  incr zeros;
+                  let prefix =
+                    Printf.sprintf {|{"metric":"counter","scope":"node:%d","name":"%s",|} h name
+                  in
+                  Alcotest.(check bool) (what ^ ": no line") false
+                    (List.exists (String.starts_with ~prefix) lines)
+                end
+                else incr counted)
+              Peer.counters
+          done;
+          (* Not vacuous: both branches above ran, and the scripted
+             crash was counted once. *)
+          Alcotest.(check int) "host 5 crashed once" 1 (Peer.count (D.peer d 5) Peer.Crashes);
+          Alcotest.(check bool) "some counts exported" true (!counted > 0);
+          Alcotest.(check bool) "some counts stayed 0" true (!zeros > 0)))
+    [ 1; 4 ]
 
 (* Sketch queries extend the contract: the packed partial bytes the
    root delivers — not just the counts — must be identical across
@@ -353,4 +398,6 @@ let tests =
     Alcotest.test_case "cross-shard delivery allocation" `Quick test_cross_shard_alloc;
     Alcotest.test_case "control barrier merges before control events" `Quick
       test_control_barrier_merge_first;
+    Alcotest.test_case "peer counters export exactly across flushes" `Quick
+      test_counter_export_exact;
   ]

@@ -351,23 +351,43 @@ let test_type_faults_survive () =
     (Printf.sprintf "faults counted (%d)" total_faults)
     true (total_faults > 10)
 
+module Obs = Mortar_obs.Obs
+
 let test_stats_counters () =
-  let d = deploy ~seed:52 ~hosts:16 () in
-  let hosts = D.hosts d in
-  let meta =
-    Query.make_meta ~name:"st" ~source:"ones" ~op:Op.Sum ~window:(Window.tumbling 1.0)
-      ~root:0 ~total_nodes:hosts ()
-  in
-  for i = 0 to hosts - 1 do
-    D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
-  done;
-  install d meta;
-  D.run_until d 30.0;
-  let root_stats = Peer.stats (D.peer d 0) in
-  Alcotest.(check bool) "root emitted results" true (root_stats.Peer.results_emitted > 10);
-  Alcotest.(check bool) "root received tuples" true (root_stats.Peer.tuples_received > 10);
-  let some_leaf = Peer.stats (D.peer d (hosts - 1)) in
-  Alcotest.(check bool) "leaves sent tuples" true (some_leaf.Peer.tuples_sent > 10)
+  let saved = !Obs.enabled in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.enabled := saved;
+      Obs.Reg.clear Obs.default)
+    (fun () ->
+      Obs.Reg.clear Obs.default;
+      Obs.enabled := true;
+      let d = deploy ~seed:52 ~hosts:16 () in
+      let hosts = D.hosts d in
+      let meta =
+        Query.make_meta ~name:"st" ~source:"ones" ~op:Op.Sum ~window:(Window.tumbling 1.0)
+          ~root:0 ~total_nodes:hosts ()
+      in
+      for i = 0 to hosts - 1 do
+        D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
+      done;
+      install d meta;
+      D.run_until d 30.0;
+      let root_stats = Peer.stats (D.peer d 0) in
+      Alcotest.(check bool) "root emitted results" true (root_stats.Peer.results_emitted > 10);
+      Alcotest.(check bool) "root received tuples" true (root_stats.Peer.tuples_received > 10);
+      let leaf = hosts - 1 in
+      let leaf_data_sends =
+        List.length
+          (List.filter
+             (function
+               | _, Obs.Tuple_send { src; kind = "data"; _ } -> src = leaf
+               | _ -> false)
+             (Obs.Reg.events Obs.default))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "leaves sent tuples (%d)" leaf_data_sends)
+        true (leaf_data_sends > 10))
 
 (* ------------------------------------------------------------------ *)
 (* Host footprint and the flat partner set.                            *)
