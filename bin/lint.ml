@@ -4,11 +4,14 @@
 
    PATHs default to the four source roots. Directories are scanned
    recursively (skipping _build and the lint fixtures); files are linted
-   as given. Two phases run: the syntactic rules (D1-D6, D10) over the
-   Parsetree of every .ml, and the typed rules (D7-D9) over every
-   compiler .cmt artifact found under the same roots (or under
-   _build/default/<root> when invoked from the repo root) — build first,
-   or pass --no-typed, to control the typed pass. Exit status: 0 clean,
+   as given. Three phases run: the syntactic rules (D1-D6, D10) over the
+   Parsetree of every .ml, the typed rules (D7-D9) over every compiler
+   .cmt artifact found under the same roots (or under
+   _build/default/<root> when invoked from the repo root), and the
+   dead-export rule (D11), which checks each .cmti under those roots
+   against the references of every .cmt in the build root — build
+   first (dune build @check writes the .cmt of every executable), or
+   pass --no-typed, to control the typed passes. Exit status: 0 clean,
    1 findings, 2 errors.
 
    Findings are suppressed inline with an allow comment (the marker
@@ -51,7 +54,7 @@ let () =
       ( "--strict-suppressions",
         Arg.Set strict_supp,
         " fail (exit 1) on stale or malformed suppressions" );
-      ("--no-typed", Arg.Set no_typed, " skip the typed pass (D7-D9) entirely");
+      ("--no-typed", Arg.Set no_typed, " skip the typed passes (D7-D9, D11) entirely");
       ( "--source-root",
         Arg.Set_string source_root,
         "DIR resolve cmt-recorded source paths against DIR (default .)" );
@@ -73,8 +76,20 @@ let () =
         paths
       |> List.filter Sys.file_exists
   in
+  (* D11 counts callers across the whole build root, found the same
+     way: the working directory inside dune, _build/default outside. *)
+  let universe =
+    if !no_typed then None
+    else
+      let build_root = Filename.concat "_build" "default" in
+      Some
+        {
+          Mortar_lint.Driver.roots = [ (if Sys.file_exists build_root then build_root else ".") ];
+          test_dir = "test";
+        }
+  in
   let report =
-    Mortar_lint.Driver.run ?baseline_file:!baseline ~cmt_paths
+    Mortar_lint.Driver.run ?baseline_file:!baseline ~cmt_paths ?universe
       ~source_root:!source_root ~paths ()
   in
   List.iter (fun e -> Printf.eprintf "lint: %s\n" e) report.errors;
@@ -134,10 +149,13 @@ let () =
       | f, b ->
         Printf.printf "lint: %d finding(s), %d baselined\n" (List.length f)
           (List.length b));
+      if report.units_without_cmt > 0 then
+        Printf.printf "lint: D11 skipped — %d units without .cmt (run dune build @check)\n"
+          report.units_without_cmt;
       if report.typed_modules = 0 && not !no_typed then
         print_endline
-          "lint: typed pass (D7-D9) covered 0 modules — build first so .cmt artifacts \
-           exist"
+          "lint: typed passes (D7-D9, D11) covered 0 modules — build first so .cmt \
+           artifacts exist"
       else if not !quiet then
         Printf.printf "lint: typed pass covered %d module(s)\n" report.typed_modules
     end;

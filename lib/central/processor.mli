@@ -33,5 +33,5 @@ val drain : t -> now:float -> unit
 
 val on_result : t -> (result -> unit) -> unit
 
-val results : t -> result list
+val results : t -> result list (* lint: allow D11 oracle: test/test_central_wifi.ml "processor windows" *)
 (** All reported windows, oldest first. *)

@@ -7,11 +7,11 @@
     the Bayesian Information Criterion improves, until [k_max] is reached
     or no split helps. *)
 
-val bic : Mortar_util.Vec.t array -> Kmeans.result -> float
+val bic : Mortar_util.Vec.t array -> Kmeans.result -> float (* lint: allow D11 test-only, deletion deferred: test/test_cluster_coords.ml "xmeans bic ordering" *)
 (** BIC score of a clustering under the identical-spherical-Gaussian model
     of the X-Means paper. Higher is better. *)
 
-val cluster :
+val cluster : (* lint: allow D11 test-only, deletion deferred: test/test_cluster_coords.ml "xmeans finds three blobs" *)
   Mortar_util.Rng.t ->
   k_min:int ->
   k_max:int ->

@@ -14,10 +14,10 @@ let node_create rng =
   (* Small random start breaks the symmetry of an all-zeros system. *)
   { coord = Array.init dim (fun _ -> Rng.uniform rng (-0.001) 0.001); error = 1.0 }
 
-let coordinate n = n.coord
-
-let error_estimate n = n.error
-
+(* Fold in one latency sample to a remote node: the standard Vivaldi
+   update with adaptive timestep [delta = c_c * w] where
+   [w = e_local / (e_local + e_remote)]. [rtt] is the measured one-way
+   latency in seconds (the name follows the original paper). *)
 let observe n ~rng ~remote ~remote_error ~rtt =
   let w =
     let denom = n.error +. remote_error in
@@ -51,6 +51,8 @@ let create topo ~rng () =
   let n = Mortar_net.Topology.hosts topo in
   { topo; nodes = Array.init n (fun _ -> node_create rng); rng }
 
+(* One gossip round: each node measures latency to [samples] random peers
+   and updates its coordinate. *)
 let round s ~samples =
   let n = Array.length s.nodes in
   Array.iteri

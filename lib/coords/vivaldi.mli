@@ -13,29 +13,10 @@
 type node
 (** Per-node Vivaldi state. *)
 
-val node_create : Mortar_util.Rng.t -> node
-(** Fresh node state at a small random 3-dimensional position. *)
-
-val coordinate : node -> Mortar_util.Vec.t
-
-val error_estimate : node -> float
-(** Local relative error estimate in [\[0, 1\]] (starts at 1). *)
-
-val observe :
-  node -> rng:Mortar_util.Rng.t -> remote:Mortar_util.Vec.t -> remote_error:float -> rtt:float -> unit
-(** Fold in one latency sample to a remote node: the standard Vivaldi
-    update with adaptive timestep [delta = c_c * w] where
-    [w = e_local / (e_local + e_remote)]. [rtt] is the measured one-way
-    latency in seconds (the name follows the original paper). *)
-
 type system
 (** A set of Vivaldi nodes converging against a topology. *)
 
 val create : Mortar_net.Topology.t -> rng:Mortar_util.Rng.t -> unit -> system
-
-val round : system -> samples:int -> unit
-(** One gossip round: each node measures latency to [samples] random peers
-    and updates its coordinate. *)
 
 val converge : system -> rounds:int -> samples:int -> unit
 (** Run several rounds; the paper lets Vivaldi run "for at least ten
@@ -44,6 +25,6 @@ val converge : system -> rounds:int -> samples:int -> unit
 val coordinates : system -> Mortar_util.Vec.t array
 (** Current coordinate of every host, indexed by host id. *)
 
-val relative_error : system -> float
+val relative_error : system -> float (* lint: allow D11 oracle: test/test_cluster_coords.ml "vivaldi converges" *)
 (** Median relative error of coordinate-predicted vs true latency over a
     random sample of pairs — a convergence diagnostic. *)

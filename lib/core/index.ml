@@ -21,8 +21,6 @@ let overlaps a b = a.tb < b.te -. eps && b.tb < a.te -. eps
 let intersect a b =
   if overlaps a b then Some { tb = max a.tb b.tb; te = min a.te b.te } else None
 
-let contains t x = t.tb -. eps <= x && x < t.te -. eps
-
 type split = { before : t option; overlap : t; after : t option }
 
 let split a b =
@@ -37,5 +35,3 @@ let split a b =
 let compare_by_start a b =
   let c = Float.compare a.tb b.tb in
   if c <> 0 then c else Float.compare a.te b.te
-
-let pp ppf t = Format.fprintf ppf "[%.3f, %.3f)" t.tb t.te

@@ -28,21 +28,17 @@ val overlaps : t -> t -> bool
 
 val intersect : t -> t -> t option
 
-val contains : t -> float -> bool
-
 type split = {
   before : t option; (** Non-overlapping leading region, if any. *)
   overlap : t;       (** The merged region [\[max tb, min te)]. *)
   after : t option;  (** Non-overlapping trailing region, if any. *)
 }
 
-val split : t -> t -> split option
+val split : t -> t -> split option (* lint: allow D11 oracle: test/test_core_data.ml "index split" *)
 (** [split a b] decomposes the union of two overlapping intervals into the
     shared region plus up to two residues (§4.2: values are counted only
     once for any given interval of time). [None] when they don't overlap.
     Each residue remembers nothing about which input it came from; use
     {!intersect} against the originals to attribute values. *)
 
-val compare_by_start : t -> t -> int
-
-val pp : Format.formatter -> t -> unit
+val compare_by_start : t -> t -> int (* lint: allow D11 oracle: test/test_ts_list_diff.ml "differential: random overlaps" *)

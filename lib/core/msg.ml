@@ -61,21 +61,3 @@ let rec kind = function
   | Reconcile_request _ | Reconcile_reply _ | Install _ | Remove _ | View_request _
   | View_reply _ | Adopt _ | Ack _ ->
     "control"
-
-let rec pp ppf = function
-  | Data { query; tree; summary; _ } ->
-    Format.fprintf ppf "data[%s tree=%d %a]" query tree Summary.pp summary
-  | Heartbeat { digest } ->
-    Format.fprintf ppf "heartbeat[%s]" (if digest = None then "-" else "digest")
-  | Reconcile_request _ -> Format.fprintf ppf "reconcile-request"
-  | Reconcile_reply _ -> Format.fprintf ppf "reconcile-reply"
-  | Install { meta; members; _ } ->
-    Format.fprintf ppf "install[%s, %d members]" meta.Query.name (List.length members)
-  | Remove { name; seqno } -> Format.fprintf ppf "remove[%s#%d]" name seqno
-  | View_request { name } -> Format.fprintf ppf "view-request[%s]" name
-  | View_reply { meta; _ } -> Format.fprintf ppf "view-reply[%s]" meta.Query.name
-  | Adopt { query; seqno; tree } -> Format.fprintf ppf "adopt[%s#%d tree=%d]" query seqno tree
-  | Result_fwd { query; slot; count; _ } ->
-    Format.fprintf ppf "result-fwd[%s slot=%d count=%d]" query slot count
-  | Reliable { token; inner } -> Format.fprintf ppf "reliable#%d[%a]" token pp inner
-  | Ack { token } -> Format.fprintf ppf "ack#%d" token

@@ -66,5 +66,3 @@ val kind : payload -> string
 (** Traffic class for bandwidth accounting: ["data"], ["heartbeat"],
     ["result"] ({!Result_fwd} fan-out) or ["control"]. A {!Reliable}
     envelope takes its inner payload's kind; {!Ack}s are ["control"]. *)
-
-val pp : Format.formatter -> payload -> unit

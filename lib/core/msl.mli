@@ -83,4 +83,4 @@ val query_metas :
 
 val statement_name : statement -> string
 
-val pp_statement : Format.formatter -> statement -> unit
+val pp_statement : Format.formatter -> statement -> unit (* lint: allow D11 test-only, deletion deferred: test/test_edge_cases.ml "msl pp" *)

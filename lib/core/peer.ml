@@ -260,8 +260,6 @@ type t = {
   counts : int array; (* one slot per {!counter}; never reset, not even by {!crash} *)
 }
 
-let self t = t.rt.self
-
 let add t c n = t.counts.(slot c) <- t.counts.(slot c) + n
 
 let bump t c = add t c 1
@@ -316,6 +314,7 @@ let retain_partner t node = Partner_set.retain t.partners node ~now:(now_local t
 
 let release_partner t node = Partner_set.release t.partners node
 
+(* Liveness belief from heartbeats (true for unknown nodes). *)
 let alive_neighbor t node = Partner_set.alive t.partners node ~now:(now_local t)
 
 let confirmed_alive t node = Partner_set.confirmed_alive t.partners node ~now:(now_local t)
@@ -1567,9 +1566,6 @@ let stats t =
     partners_swept = c Partners_swept;
   }
 
-let netdist t ~query =
-  Option.bind (Hashtbl.find_opt t.instances query) (fun inst -> Ewma.value inst.netdist)
-
 let ts_length t ~query =
   Option.map (fun inst -> Ts_list.length inst.ts) (Hashtbl.find_opt t.instances query)
 
@@ -1579,9 +1575,5 @@ let current_parents t ~query =
   Option.map
     (fun inst -> Array.copy inst.view.Query.parents)
     (Hashtbl.find_opt t.instances query)
-
-let orphaned_for t ~query =
-  Option.bind (Hashtbl.find_opt t.instances query) (fun inst ->
-      Option.map (fun since -> now_local t -. since) inst.orphaned_since)
 
 let partner_count t = Partner_set.length t.partners

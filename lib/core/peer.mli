@@ -175,8 +175,6 @@ type t
 
 val create : ?config:config -> runtime -> t
 
-val self : t -> int
-
 (** {1 Wiring} *)
 
 val receive : t -> src:int -> Msg.payload -> unit
@@ -224,7 +222,7 @@ val remove_query : t -> name:string -> unit
 (** Multicast removal down the primary tree; requires the full plan (only
     the injector has it). *)
 
-val replan_query : t -> name:string -> Mortar_overlay.Treeset.t -> unit
+val replan_query : t -> name:string -> Mortar_overlay.Treeset.t -> unit (* lint: allow D11 test-only, deletion deferred: test/test_peer.ml "replan query" *)
 (** Re-deploy an installed query over a fresh tree set (e.g. after network
     coordinates drift, §3.2): the same metadata is re-issued with a higher
     sequence number, superseding the old plan everywhere; peers that miss
@@ -234,7 +232,7 @@ val installed : t -> string list
 
 val has_query : t -> string -> bool
 
-val query_seqno : t -> string -> int option
+val query_seqno : t -> string -> int option (* lint: allow D11 oracle: test/test_peer.ml "reinstall supersedes" *)
 
 (** {1 Failure injection} *)
 
@@ -250,27 +248,17 @@ val stats : t -> stats
 val count : t -> counter -> int
 (** Since {!create}; {!crash} does not reset counts. *)
 
-val netdist : t -> query:string -> float option
-
 val ts_length : t -> query:string -> int option
 
-val ctl_in_flight : t -> int
+val ctl_in_flight : t -> int (* lint: allow D11 oracle: test/test_faults.ml "acks clear in-flight" *)
 (** Reliable control messages currently awaiting an ack. *)
-
-val alive_neighbor : t -> int -> bool
-(** Liveness belief from heartbeats (true for unknown nodes). *)
 
 val current_parents : t -> query:string -> int option array option
 (** The instance's {e current} per-tree parents — the static plan's, as
     mutated by any repair adoptions. For the soak harness's ground-truth
     reachability check. *)
 
-val orphaned_for : t -> query:string -> float option
-(** How long (local seconds) the failure detector has considered this
-    query's instance blackholed — every union parent dead and no repaired
-    parent confirmed yet. [None] when not orphaned or not installed. *)
-
-val partner_count : t -> int
+val partner_count : t -> int (* lint: allow D11 oracle: test/test_plan.ml "refcount lifecycle reclaims state" *)
 (** Heartbeat-partner table size (sweep diagnostics). *)
 
 val plan_cached : t -> name:string -> bool
@@ -278,5 +266,5 @@ val plan_cached : t -> name:string -> bool
     [false] after {!remove_query} (only a seqno tombstone remains) — the
     regression guard for the plan-table leak. *)
 
-val digest : t -> string
+val digest : t -> string (* lint: allow D11 oracle: test/test_peer.ml "digest agreement" *)
 (** Current MD5 digest over installed and removed query state (§6.1). *)

@@ -64,18 +64,9 @@ let view_of_treeset ?(repair_meta = false) ts node =
        else [||]);
   }
 
-let views_of_treeset ?repair_meta ts =
-  Array.to_list (Treeset.nodes ts)
-  |> List.map (fun n -> (n, view_of_treeset ?repair_meta ts n))
-
 let neighbors view =
   let seen = Hashtbl.create 16 in
   Array.iter (function Some p -> Hashtbl.replace seen p () | None -> ()) view.parents;
-  Array.iter (List.iter (fun c -> Hashtbl.replace seen c ())) view.children;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
-
-let unique_children view =
-  let seen = Hashtbl.create 16 in
   Array.iter (List.iter (fun c -> Hashtbl.replace seen c ())) view.children;
   Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
 
@@ -150,9 +141,3 @@ let view_wire_size view =
     (Array.length view.grands * 6) + (sibs * 4)
   in
   (Array.length view.parents * 14) + (children * 4) + repair
-
-let pp_meta ppf meta =
-  Format.fprintf ppf "query %s#%d: %a over %s window %a mode %s root %d D=%d" meta.name
-    meta.seqno Op.pp_spec meta.op meta.source Window.pp meta.window
-    (match meta.mode with Syncless -> "syncless" | Timestamp -> "timestamp")
-    meta.root meta.degree

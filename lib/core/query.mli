@@ -84,14 +84,8 @@ val view_of_treeset : ?repair_meta:bool -> Mortar_overlay.Treeset.t -> int -> no
     grandparent and sibling set, enabling failure-driven tree repair at the
     cost of shipping the extra ids in the install ({!view_wire_size}). *)
 
-val views_of_treeset :
-  ?repair_meta:bool -> Mortar_overlay.Treeset.t -> (int * node_view) list
-(** A view for every member node. *)
-
 val neighbors : node_view -> int list
 (** Distinct parents and children across trees (heartbeat partners). *)
-
-val unique_children : node_view -> int list
 
 type chunk = {
   entry : int; (** The component node the injector contacts directly. *)
@@ -109,5 +103,3 @@ val chunk_plan :
 val meta_wire_size : meta -> int
 
 val view_wire_size : node_view -> int
-
-val pp_meta : Format.formatter -> meta -> unit

@@ -26,7 +26,7 @@ type decision =
   | Deliver_root (** The local operator is the query root. *)
   | Drop
 
-val max_ttl_down : int
+val max_ttl_down : int (* lint: allow D11 oracle: test/test_routing.ml "stage 4 TTL" *)
 (** The paper stops flex-down after 3 backward steps (§3.3); with the
     path vector preventing revisits, a longer leash (6) lets stranded
     pocket aggregates find the union-graph escape route the paper's

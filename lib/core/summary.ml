@@ -27,15 +27,3 @@ let merge_prov a b =
 let wire_size t =
   (* index (2 floats) + count + age + flags + value + provenance *)
   16 + 4 + 8 + 1 + 3 + Value.wire_size t.value + (12 * List.length t.prov)
-
-(* Packed sketch partials are multi-KB binary strings; render their size
-   instead of escaping every byte into the log line. *)
-let pp_value ppf = function
-  | Value.Str s when String.length s > 32 ->
-    Format.fprintf ppf "<packed %d bytes>" (String.length s)
-  | v -> Value.pp ppf v
-
-let pp ppf t =
-  Format.fprintf ppf "%a%s count=%d age=%.3f %a" Index.pp t.index
-    (if t.boundary then " boundary" else "")
-    t.count t.age pp_value t.value

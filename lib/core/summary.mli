@@ -57,5 +57,3 @@ val merge_prov : (int * int) list -> (int * int) list -> (int * int) list
 (** Pointwise addition of provenance maps. *)
 
 val wire_size : t -> int
-
-val pp : Format.formatter -> t -> unit

@@ -62,5 +62,5 @@ val force_pop : t -> now:float -> Summary.t list
 
 val length : t -> int
 
-val entries : t -> (Index.t * Value.t * int * float) list
+val entries : t -> (Index.t * Value.t * int * float) list (* lint: allow D11 oracle: test/test_ts_list_diff.ml "differential: random overlaps" *)
 (** (index, partial value, count, deadline) snapshots, for inspection. *)

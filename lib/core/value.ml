@@ -70,11 +70,6 @@ let field v name =
     | None -> type_error "missing field %s in %s" name (show v))
   | _ -> type_error "expected record with field %s, got %s" name (show v)
 
-let record_set v name x =
-  match v with
-  | Record fields -> Record ((name, x) :: List.remove_assoc name fields)
-  | _ -> type_error "expected record, got %s" (show v)
-
 let rank = function
   | Null -> 0
   | Bool _ -> 1

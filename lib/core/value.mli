@@ -45,10 +45,7 @@ val field : t -> string -> t
 
 val field_opt : t -> string -> t option
 
-val record_set : t -> string -> t -> t
-(** Functional field update (adds the field when absent). *)
-
-val equal : t -> t -> bool
+val equal : t -> t -> bool (* lint: allow D11 oracle: test/test_core_data.ml "value compare" *)
 
 val compare : t -> t -> int
 (** Total order: structural, with numeric cross-comparison of [Int] and

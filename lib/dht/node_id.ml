@@ -46,9 +46,3 @@ let distance a b =
   (* The short way around: min(d, 2^64 - d) as unsigned magnitudes. *)
   let neg = Int64.neg d in
   if ucompare d neg <= 0 then d else neg
-
-let clockwise_between a b c =
-  let db = Int64.sub b a and dc = Int64.sub c a in
-  ucompare db dc < 0
-
-let pp ppf id = Format.fprintf ppf "%016Lx" id

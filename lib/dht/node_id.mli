@@ -35,10 +35,4 @@ val distance : t -> t -> int64
 val compare_ring : t -> t -> int
 (** Total order by unsigned id value. *)
 
-val clockwise_between : t -> t -> t -> bool
-(** [clockwise_between a b c]: walking clockwise (increasing ids, with
-    wraparound) from [a], do we meet [b] before [c]? *)
-
 val equal : t -> t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -132,5 +132,3 @@ let next_hop t key =
         | None -> None)
     end
   end
-
-let is_root_of t key = next_hop t key = None

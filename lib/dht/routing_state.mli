@@ -34,6 +34,3 @@ val next_hop : t -> Node_id.t -> Node_id.t option
     the routing-table entry sharing a longer prefix; otherwise any known
     node numerically closer to the key than [self]; [None] when [self] is
     the closest known — i.e. this node is the key's root. *)
-
-val is_root_of : t -> Node_id.t -> bool
-(** [next_hop] returns [None]. *)

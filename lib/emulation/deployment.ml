@@ -317,8 +317,6 @@ let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
 
 let shard_count t = Array.length t.sh.shards
 
-let domains t = t.sh.domains
-
 let lookahead t = t.sh.lookahead
 
 let engine_of_host t i = t.sh.shards.(t.sh.shard_of.(i)).s_engine
@@ -344,9 +342,6 @@ let events_fired t =
   Array.fold_left (fun acc s -> acc + Engine.fired s.s_engine) (Engine.fired t.engine) t.sh.shards
 
 let total_bytes t = fold_transports t (fun acc tr -> acc +. Transport.total_bytes tr) 0.0
-
-let total_bytes_of_kind t ~kind =
-  fold_transports t (fun acc tr -> acc +. Transport.total_bytes_of_kind tr ~kind) 0.0
 
 let kinds t =
   fold_transports t (fun acc tr -> List.rev_append (Transport.kinds tr) acc) []

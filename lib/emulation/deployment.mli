@@ -45,9 +45,6 @@ val default_domains : int ref
 val shard_count : t -> int
 (** Logical shards: populated stub domains of the topology. *)
 
-val domains : t -> int
-(** Execution width. *)
-
 val lookahead : t -> float
 (** The epoch lookahead; [infinity] when the topology has one stub. *)
 
@@ -71,8 +68,6 @@ val events_fired : t -> int
 (** Events executed across every engine (shards + control). *)
 
 val total_bytes : t -> float
-
-val total_bytes_of_kind : t -> kind:string -> float
 
 val kinds : t -> string list
 (** Sorted, duplicate-free union across shards. *)

@@ -73,8 +73,6 @@ let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) 
 
 let deployment t = t.d
 
-let treeset t = t.treeset
-
 let registry t = t.reg
 
 let run_until t time = D.run_until t.d time

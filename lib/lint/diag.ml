@@ -2,7 +2,7 @@
    Rendering is one line per finding so golden tests can diff output. *)
 
 type t = {
-  code : string; (* "D1".."D9", or "S1".."S3" for suppression hygiene *)
+  code : string; (* "D1".."D11", or "S1".."S3" for suppression hygiene *)
   file : string;
   line : int;
   col : int;

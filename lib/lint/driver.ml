@@ -1,10 +1,12 @@
-(* File discovery, parsing, the two analysis phases, suppression and
+(* File discovery, parsing, the analysis phases, suppression and
    baseline filtering, reporting.
 
    Phase 1 (syntactic, D1-D6 and D10): directories given to [run] are scanned
    recursively for [.ml] files, skipping build products and the
    deliberately-broken lint fixtures; files given explicitly are always
-   linted (that is how the fixture tests exercise the rules).
+   linted (that is how the fixture tests exercise the rules). The
+   [.mli] files found the same way are not parsed, but their allow
+   comments join the suppression tables (D11 findings sit in them).
 
    Phase 2 (typed, D7-D9): the same roots (or [cmt_paths], when given)
    are scanned for compiler [.cmt] artifacts — dune keeps them under
@@ -16,13 +18,21 @@
    [typed_modules] reports 0, which callers can surface ("typed pass
    skipped: build first").
 
+   Phase 3 (D11, dead exports, only when a [universe] is given): every
+   [val] in an interface ([.cmti]) under the typed roots is checked
+   against the value references of every [.cmt] in the universe — the
+   whole build tree, so units outside the lint roots count as callers.
+   If any unit in the universe was compiled without its [.cmt] the
+   reference set would be incomplete, so the phase is skipped and
+   [units_without_cmt] says why.
+
    Suppression hygiene: every allow comment and baseline entry is
-   usage-tracked across both phases; the ones shielding nothing are
+   usage-tracked across all phases; the ones shielding nothing are
    reported as stale warnings (S2 allow comments, S3 baseline entries),
    and comments carrying the lint marker that fail to parse are
    reported as malformed (S1) instead of being silently ignored. Allow
-   comments for D7-D9 are only judged stale in files the typed pass
-   actually covered. *)
+   comments for D7-D9 and D11 are only judged stale in files the pass
+   for their rule actually covered. *)
 
 let skip_dirs = [ "_build"; ".git"; "lint_fixtures" ]
 
@@ -41,7 +51,8 @@ let rec scan acc path =
            if List.mem entry skip_dirs then acc
            else scan acc (Filename.concat path entry))
          acc
-  else if Filename.check_suffix path ".ml" then path :: acc
+  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then
+    path :: acc
   else acc
 
 let expand paths =
@@ -77,12 +88,19 @@ let canonical path =
   in
   strip path
 
+(* Where D11 looks for callers. *)
+type universe = {
+  roots : string list; (* every [.cmt] under these is a potential caller *)
+  test_dir : string; (* callers whose source lies under this directory are tests *)
+}
+
 type report = {
   findings : Diag.t list; (* unsuppressed, not in baseline: these fail the build *)
   baselined : Diag.t list; (* present but grandfathered by the baseline file *)
   stale : Diag.t list; (* S1 malformed / S2 stale allow comments, S3 stale baseline *)
   errors : string list; (* unreadable / unparseable files *)
   typed_modules : int; (* modules the typed pass covered (0 = no cmts found) *)
+  units_without_cmt : int; (* > 0: D11 was skipped, its reference set would be partial *)
 }
 
 (* Per-source-file suppression state shared by both phases. *)
@@ -92,8 +110,10 @@ type file_supp = {
   mutable typed_seen : bool; (* did the typed pass cover this file? *)
 }
 
-let run ?baseline_file ?cmt_paths ?(source_root = ".") ~paths () =
-  let files = expand paths in
+let run ?baseline_file ?cmt_paths ?universe ?(source_root = ".") ~paths () =
+  let files, interfaces =
+    List.partition (fun f -> Filename.check_suffix f ".ml") (expand paths)
+  in
   let parsed, errors =
     List.fold_left
       (fun (ok, errs) file ->
@@ -123,6 +143,27 @@ let run ?baseline_file ?cmt_paths ?(source_root = ".") ~paths () =
       Hashtbl.add supps key fs;
       fs
   in
+  (* Recorded source paths resolve as recorded, then relative to
+     [source_root]. Generated sources (e.g. dune's module aliases)
+     resolve to nothing and simply carry no suppressions. *)
+  let supp_of_source source =
+    let text =
+      List.find_map
+        (fun p -> if Sys.file_exists p then Some (read_file p) else None)
+        [ source; Filename.concat source_root source ]
+    in
+    supp_of ~display:source (Option.value text ~default:"")
+  in
+  let errors =
+    List.fold_left
+      (fun errs file ->
+        match read_file file with
+        | text ->
+          ignore (supp_of ~display:file text);
+          errs
+        | exception Sys_error e -> Printf.sprintf "%s: %s" file e :: errs)
+      errors interfaces
+  in
   (* ---- phase 1: syntactic rules ---------------------------------- *)
   let syntactic =
     List.concat_map
@@ -143,7 +184,7 @@ let run ?baseline_file ?cmt_paths ?(source_root = ".") ~paths () =
       (fun (ok, errs) path ->
         match Cmt_loader.load path with
         | Cmt_loader.Ok_impl l -> (l :: ok, errs)
-        | Cmt_loader.Not_impl -> (ok, errs)
+        | Cmt_loader.Ok_intf _ | Cmt_loader.Not_impl -> (ok, errs)
         | Cmt_loader.Unreadable e -> (ok, e :: errs))
       ([], errors) cmts
   in
@@ -171,33 +212,60 @@ let run ?baseline_file ?cmt_paths ?(source_root = ".") ~paths () =
           Typed_rules.run_rules tenv ~allow_multicore:(multicore_allowed l.source)
             l.structure
         in
-        (* Resolve the recorded source path for suppression comments:
-           as recorded, then relative to [source_root]. Generated
-           sources (e.g. dune's module aliases) resolve to nothing and
-           simply carry no suppressions. *)
-        let text =
-          let candidates = [ l.source; Filename.concat source_root l.source ] in
-          List.find_map
-            (fun p -> if Sys.file_exists p then Some (read_file p) else None)
-            candidates
-        in
-        let fs =
-          match text with
-          | Some text -> supp_of ~display:l.source text
-          | None -> supp_of ~display:l.source ""
-        in
+        let fs = supp_of_source l.source in
         fs.typed_seen <- true;
         List.filter
           (fun (d : Diag.t) -> not (Suppress.allows fs.supp ~line:d.line ~code:d.code))
           diags)
       loaded
   in
+  (* ---- phase 3: dead exports over the whole build ---------------- *)
+  let units_without_cmt, dead, errors =
+    match universe with
+    | None -> (0, [], errors)
+    | Some u -> (
+      match Cmt_loader.units_without_cmt u.roots with
+      | n when n > 0 -> (n, [], errors)
+      | _ ->
+        let refs = Typed_rules.empty_refs () in
+        let intfs, errors =
+          List.fold_left
+            (fun (intfs, errs) path ->
+              match Cmt_loader.load path with
+              | Cmt_loader.Ok_impl l ->
+                Typed_rules.collect_refs refs ~modname:l.modname ~source:l.source
+                  l.structure;
+                (intfs, errs)
+              | Cmt_loader.Ok_intf i -> (i :: intfs, errs)
+              | Cmt_loader.Not_impl -> (intfs, errs)
+              | Cmt_loader.Unreadable e -> (intfs, e :: errs))
+            ([], errors)
+            (Cmt_loader.scan u.roots @ Cmt_loader.scan ~exts:[ ".cmti" ] cmt_roots)
+        in
+        let intfs =
+          List.sort_uniq
+            (fun (a : Cmt_loader.interface) b -> compare a.intf_source b.intf_source)
+            intfs
+        in
+        List.iter
+          (fun (i : Cmt_loader.interface) -> (supp_of_source i.intf_source).typed_seen <- true)
+          intfs;
+        let is_test = String.starts_with ~prefix:(u.test_dir ^ "/") in
+        let dead =
+          Typed_rules.dead_exports refs ~is_test
+            (List.map (fun (i : Cmt_loader.interface) -> (i.intf_modname, i.signature)) intfs)
+          |> List.filter (fun (d : Diag.t) ->
+                 not (Suppress.allows (supp_of_source d.file).supp ~line:d.line ~code:d.code))
+        in
+        (0, dead, errors))
+  in
+  let d11_ran = universe <> None && units_without_cmt = 0 in
   (* ---- baseline partition ---------------------------------------- *)
   let grandfathered, fresh =
-    List.partition (Suppress.baselined baseline) (syntactic @ typed)
+    List.partition (Suppress.baselined baseline) (syntactic @ typed @ dead)
   in
   (* ---- suppression hygiene --------------------------------------- *)
-  let typed_codes = [ "D7"; "D8"; "D9" ] in
+  let typed_codes = [ "D7"; "D8"; "D9"; "D11" ] in
   let stale = ref [] in
   let all_supps =
     Hashtbl.fold (fun _ fs acc -> fs :: acc) supps []
@@ -252,11 +320,13 @@ let run ?baseline_file ?cmt_paths ?(source_root = ".") ~paths () =
         }
         :: !stale)
     (Suppress.stale_baseline baseline
-       ~checkable:(fun code -> typed_ran || not (List.mem code typed_codes)));
+       ~checkable:(fun code ->
+         if code = "D11" then d11_ran else typed_ran || not (List.mem code typed_codes)));
   {
     findings = List.sort Diag.order fresh;
     baselined = List.sort Diag.order grandfathered;
     stale = List.sort Diag.order !stale;
     errors = List.rev errors;
     typed_modules = List.length loaded;
+    units_without_cmt;
   }

@@ -1,7 +1,7 @@
-(* The typed mortar-lint rules (D7-D9), run over compiler [.cmt]
+(* The typed mortar-lint rules (D7-D9, D11), run over compiler [.cmt]
    artifacts with [Tast_iterator] — unlike D1-D6 and D10 these see resolved
-   paths and inferred types, so they can reason about mutability and
-   constructor coverage instead of surface syntax.
+   paths and inferred types, so they can reason about mutability,
+   constructor coverage and callers instead of surface syntax.
 
    D7  cross-shard mutable escape. A value of mutable type — [ref],
        [array], [Bytes.t], [Hashtbl.t], [Buffer.t], [Queue.t],
@@ -34,7 +34,16 @@
        disabled-by-default flag (a condition reading [...enabled]),
        which are sanctioned cold paths.
 
-   All three degrade gracefully where artifacts are missing: no cmt,
+   D11 dead export. A [val] in an interface that no other compilation
+       unit refers to (drop it from the interface, and delete it if its
+       module does not use it either), or that only test code refers
+       to (delete it with its tests, or keep it with an allow comment
+       naming the test that uses it as an oracle). References are
+       resolved value paths from every [.cmt] of the build, so callers
+       outside the lint roots count; a record label or constructor of
+       the same name is not a reference.
+
+   All four degrade gracefully where artifacts are missing: no cmt,
    no typed findings (the syntactic D1-D6 and D10 pass still runs). On 4.14
    the parallel runtime is the sequential fallback but exposes the
    same [Par.Pool] paths, so D7 analyzes identical call sites. *)
@@ -432,3 +441,175 @@ let run_rules env ~allow_multicore (str : structure) =
   let it = { Tast_iterator.default_iterator with expr; structure_item } in
   it.structure it str;
   List.rev ctx.out
+
+(* ---- D11 --------------------------------------------------------- *)
+
+(* Value references across the whole build, for the dead-export rule.
+   A reference is a resolved [Texp_ident] path flattened to its
+   components ("Mortar_core__"; "Peer"; "digest"). Local module aliases
+   ([module D = ...], [let module D = ... in]) are followed while the
+   unit is read; global ones — dune's alias modules and any top-level
+   [module M = P] — once every unit is in, by [canonical]. [open]
+   needs nothing: the typer already resolved the path. *)
+type refs = {
+  aliases : (string, string list) Hashtbl.t; (* "Unit.M" -> target *)
+  mutable values : (string list * string) list; (* path, referencing unit's source *)
+  mutable modules : (string list * string) list;
+      (* modules used whole (functor argument, [include], packing): every
+         export under them counts as referenced *)
+}
+
+let empty_refs () = { aliases = Hashtbl.create 256; values = []; modules = [] }
+
+let rec strip_constraints (me : module_expr) =
+  match me.mod_desc with Tmod_constraint (m, _, _, _) -> strip_constraints m | _ -> me
+
+let alias_target me =
+  match (strip_constraints me).mod_desc with Tmod_ident (p, _) -> Some p | _ -> None
+
+let rec flatten locals (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+    match Hashtbl.find_opt locals (Ident.unique_name id) with
+    | Some target -> flatten locals target
+    | None -> if Ident.global id then Some [ Ident.name id ] else None)
+  | Path.Pdot (q, s) -> Option.map (fun parts -> parts @ [ s ]) (flatten locals q)
+  | _ -> None
+
+let collect_refs refs ~modname ~source (str : structure) =
+  let locals = Hashtbl.create 16 and values = ref [] and modules = ref [] in
+  let add_local id p = Hashtbl.replace locals (Ident.unique_name id) p in
+  let module_binding it (mb : module_binding) =
+    match (mb.mb_id, alias_target mb.mb_expr) with
+    | Some id, Some p -> add_local id p
+    | _ -> Tast_iterator.default_iterator.module_binding it mb
+  in
+  let expr it (e : expression) =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> values := p :: !values
+    | Texp_letmodule (Some id, _, _, me, body) when alias_target me <> None ->
+      add_local id (Option.get (alias_target me));
+      it.Tast_iterator.expr it body
+    | _ -> Tast_iterator.default_iterator.expr it e
+  in
+  let module_expr it (me : module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> modules := p :: !modules
+    | _ -> Tast_iterator.default_iterator.module_expr it me
+  in
+  let open_declaration it (od : open_declaration) =
+    match od.open_expr.mod_desc with
+    | Tmod_ident _ -> ()
+    | _ -> Tast_iterator.default_iterator.open_declaration it od
+  in
+  let it =
+    { Tast_iterator.default_iterator with module_binding; expr; module_expr; open_declaration }
+  in
+  it.structure it str;
+  (* Aliases other units can reach: [Unit.M] and [Unit.Sub.M]. *)
+  let rec globals prefix (items : structure_item list) =
+    List.iter
+      (fun (item : structure_item) ->
+        match item.str_desc with
+        | Tstr_module mb -> binding prefix mb
+        | _ -> ())
+      items
+  and binding prefix (mb : module_binding) =
+    match mb.mb_id with
+    | None -> ()
+    | Some id -> (
+      let name = prefix ^ "." ^ Ident.name id in
+      match (alias_target mb.mb_expr, (strip_constraints mb.mb_expr).mod_desc) with
+      | Some p, _ -> Option.iter (Hashtbl.replace refs.aliases name) (flatten locals p)
+      | None, Tmod_structure s -> globals name s.str_items
+      | None, _ -> ())
+  in
+  globals modname str.str_items;
+  let resolve acc ps =
+    List.fold_left
+      (fun acc p ->
+        match flatten locals p with Some parts -> (parts, source) :: acc | None -> acc)
+      acc ps
+  in
+  refs.values <- resolve refs.values !values;
+  refs.modules <- resolve refs.modules !modules
+
+(* Rewrite alias prefixes until the head is the defining unit:
+   ["Mortar_core"; "Peer"; "digest"] -> ["Mortar_core__Peer"; "digest"]. *)
+let canonical aliases parts =
+  let rec go fuel parts =
+    let n = List.length parts in
+    let rec try_prefix k =
+      if k > n || fuel = 0 then parts
+      else
+        let pre = List.filteri (fun i _ -> i < k) parts in
+        match Hashtbl.find_opt aliases (String.concat "." pre) with
+        | Some target -> go (fuel - 1) (target @ List.filteri (fun i _ -> i >= k) parts)
+        | None -> try_prefix (k + 1)
+    in
+    try_prefix 2
+  in
+  go 32 parts
+
+(* The [val]s of one interface, nested module signatures included. *)
+let exports ~modname (sg : signature) =
+  let short = Option.value (short_of_modname modname) ~default:modname in
+  let rec items key name (sg : signature) =
+    List.concat_map
+      (fun (item : signature_item) ->
+        match item.sig_desc with
+        | Tsig_value vd ->
+          let v = vd.val_name.Location.txt in
+          [ (key ^ "." ^ v, name ^ "." ^ v, vd.val_loc) ]
+        | Tsig_module { md_id = Some id; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+          let m = Ident.name id in
+          items (key ^ "." ^ m) (name ^ "." ^ m) sg
+        | _ -> [])
+      sg.sig_items
+  in
+  items modname short sg
+
+(* D11: an exported value that no other compilation unit refers to, or
+   that only test code ([is_test] on the referencing unit's source)
+   refers to. [interfaces] are (modname, signature) pairs. *)
+let dead_exports refs ~is_test interfaces =
+  let prod = Hashtbl.create 4096 and tests = Hashtbl.create 1024 in
+  (* A unit cannot name itself, so every resolved path is another unit's. *)
+  let record ~whole (parts, source) =
+    let key = (if whole then "module " else "") ^ String.concat "." (canonical refs.aliases parts) in
+    if is_test source then Hashtbl.add tests key source else Hashtbl.replace prod key ()
+  in
+  List.iter (record ~whole:false) refs.values;
+  List.iter (record ~whole:true) refs.modules;
+  (* The export's own key, then a "module P" key per enclosing module. *)
+  let keys key =
+    let parts = String.split_on_char '.' key in
+    key
+    :: List.init
+         (List.length parts - 1)
+         (fun k -> "module " ^ String.concat "." (List.filteri (fun i _ -> i <= k) parts))
+  in
+  List.concat_map
+    (fun (modname, sg) ->
+      List.filter_map
+        (fun (key, name, loc) ->
+          let keys = keys key in
+          if List.exists (Hashtbl.mem prod) keys then None
+          else
+            let message =
+              match List.concat_map (Hashtbl.find_all tests) keys |> List.sort_uniq compare with
+              | [] ->
+                Printf.sprintf
+                  "exported value '%s' is not referenced outside its module; drop it from \
+                   the interface (and delete it if the module does not use it either)"
+                  name
+              | users ->
+                Printf.sprintf
+                  "exported value '%s' is referenced only from test code (%s); delete it \
+                   with the tests that exercise it, or allow it inline naming the test \
+                   that uses it as an oracle"
+                  name (String.concat ", " users)
+            in
+            Some (Diag.make ~code:"D11" ~loc ~message))
+        (exports ~modname sg))
+    interfaces

@@ -50,8 +50,6 @@ let shard_view t ~rng =
     bursty_state = Hashtbl.create 64;
   }
 
-let hosts t = t.hosts
-
 let set_of t members =
   let s = Array.make t.hosts false in
   List.iter

@@ -50,14 +50,12 @@ val shard_view : t -> rng:Mortar_util.Rng.t -> t
     (src, dst) pair is always decided by src's shard, per-pair chain
     semantics are preserved. *)
 
-val hosts : t -> int
-
 (** {1 Installing conditions}
 
     Host-set arguments are lists of host indices. [sym] (default [false])
     applies the condition to both directions of the pair. *)
 
-val cut : t -> src:int list -> dst:int list -> id
+val cut : t -> src:int list -> dst:int list -> id (* lint: allow D11 test-only, deletion deferred: test/test_faults.ml "cut and heal" *)
 (** Drop every message from a host in [src] to a host in [dst]. *)
 
 val partition : t -> a:int list -> b:int list -> id
@@ -96,9 +94,9 @@ val jitter : t -> ?sym:bool -> ?prob:float -> src:int list -> dst:int list -> ex
 val clear : t -> id -> unit
 (** Remove a condition; unknown or already-cleared ids are a no-op. *)
 
-val clear_all : t -> unit
+val clear_all : t -> unit (* lint: allow D11 test-only, deletion deferred: test/test_faults.ml "loss rates" *)
 
-val active : t -> int
+val active : t -> int (* lint: allow D11 oracle: test/test_faults.ml "isolate" *)
 (** Number of currently active conditions. *)
 
 (** {1 The transport hook} *)

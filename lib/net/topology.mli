@@ -55,7 +55,7 @@ val latency : t -> host -> host -> float
 val hops : t -> host -> host -> int
 (** Number of physical links on the (latency-)shortest path. *)
 
-val max_latency : t -> float
+val max_latency : t -> float (* lint: allow D11 oracle: test/test_net.ml "topology max latency" *)
 (** Largest host-to-host one-way latency. *)
 
 val stub_of : t -> host -> int
@@ -80,12 +80,12 @@ val lookahead : t -> float
 val routers : t -> int
 (** Number of routers (transit + stub; [1] for {!star}). *)
 
-val attachment : t -> host -> int
+val attachment : t -> host -> int (* lint: allow D11 oracle: test/test_topology_equiv.ml "router matrices = per-host dijkstra (defaults)" *)
 (** Router vertex ([0 .. routers - 1]) a host's access link attaches to. *)
 
-val access_latency : t -> float
+val access_latency : t -> float (* lint: allow D11 oracle: test/test_topology_equiv.ml "router matrices = per-host dijkstra (defaults)" *)
 (** One-way latency of every host access link. *)
 
-val router_edges : t -> (int * int * float) list
+val router_edges : t -> (int * int * float) list (* lint: allow D11 oracle: test/test_topology_equiv.ml "router matrices = per-host dijkstra (defaults)" *)
 (** Undirected router-level edges [(u, v, one-way latency)], each listed
     once. *)

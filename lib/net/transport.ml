@@ -195,8 +195,6 @@ let on_deliver t f = t.observers <- Array.append [| f |] t.observers
 
 let set_faults t faults = t.faults <- Some faults
 
-let faults t = t.faults
-
 let set_up t host b =
   if t.up.(host) <> b then begin
     t.up.(host) <- b;

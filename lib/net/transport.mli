@@ -74,8 +74,6 @@ val on_deliver :
 val set_faults : _ t -> Faults.t -> unit
 (** Attach (or replace) the fault table. *)
 
-val faults : _ t -> Faults.t option
-
 val send :
   'a t ->
   src:Topology.host ->
@@ -104,7 +102,7 @@ val bytes_series : _ t -> kind:string -> Mortar_sim.Series.t option
 val total_bytes : _ t -> float
 (** All link-bytes since creation, across kinds. *)
 
-val total_bytes_of_kind : _ t -> kind:string -> float
+val total_bytes_of_kind : _ t -> kind:string -> float (* lint: allow D11 oracle: test/test_net.ml "transport bandwidth" *)
 
 val kinds : _ t -> string list
 

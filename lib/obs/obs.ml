@@ -173,9 +173,6 @@ module Reg = struct
   let counter_value t ?(scope = Global) name =
     match Hashtbl.find_opt t.metrics (scope, name) with Some (Counter r) -> !r | _ -> 0
 
-  let gauge_value t ?(scope = Global) name =
-    match Hashtbl.find_opt t.metrics (scope, name) with Some (Gauge r) -> Some !r | _ -> None
-
   let snapshot h =
     {
       h_buckets = Array.copy h.edges;

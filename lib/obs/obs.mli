@@ -28,10 +28,10 @@ type scope =
   | Node of int  (** a simulated host *)
   | Query of string  (** a query name, or any string label (e.g. a scheme) *)
 
-val scope_to_string : scope -> string
+val scope_to_string : scope -> string (* lint: allow D11 oracle: test/test_obs.ml "scope strings" *)
 (** ["global"], ["node:17"], ["query:peer-count"]. *)
 
-val scope_of_string : string -> scope option
+val scope_of_string : string -> scope option (* lint: allow D11 oracle: test/test_obs.ml "scope strings" *)
 (** Inverse of {!scope_to_string}. *)
 
 (** The event taxonomy (see DESIGN.md "Observability"). Events carry the
@@ -98,9 +98,6 @@ type hist = {
   h_count : int;
 }
 
-val default_buckets : float array
-(** Decades from 1e-3 to 1e3. *)
-
 module Reg : sig
   type t
 
@@ -113,7 +110,7 @@ module Reg : sig
   (** {2 Writing} *)
 
   val incr : t -> ?scope:scope -> ?by:int -> string -> unit
-  val set_gauge : t -> ?scope:scope -> string -> float -> unit
+  val set_gauge : t -> ?scope:scope -> string -> float -> unit (* lint: allow D11 oracle: test/test_obs.ml "metrics sink round-trip" *)
 
   val observe : t -> ?scope:scope -> ?buckets:float array -> string -> float -> unit
   (** [buckets] is honoured on the first observation of a [(scope,
@@ -124,16 +121,15 @@ module Reg : sig
 
   (** {2 Reading} *)
 
-  val counter_value : t -> ?scope:scope -> string -> int
+  val counter_value : t -> ?scope:scope -> string -> int (* lint: allow D11 oracle: test/test_obs.ml "scope merging" *)
   (** 0 when absent. *)
 
-  val gauge_value : t -> ?scope:scope -> string -> float option
-  val histogram : t -> ?scope:scope -> string -> hist option
+  val histogram : t -> ?scope:scope -> string -> hist option (* lint: allow D11 oracle: test/test_obs.ml "harness figures from registry" *)
 
-  val counter_total : t -> string -> int
+  val counter_total : t -> string -> int (* lint: allow D11 oracle: test/test_obs.ml "scope merging" *)
   (** Scope merging: the sum of [name]'s counters over every scope. *)
 
-  val histogram_total : t -> string -> hist option
+  val histogram_total : t -> string -> hist option (* lint: allow D11 oracle: test/test_obs.ml "scope merging" *)
   (** Scope merging for histograms: element-wise sum over every scope
       holding [name]. Raises [Invalid_argument] if bucket edges differ
       across scopes. *)
@@ -141,7 +137,7 @@ module Reg : sig
   val events : t -> (float * event) list
   (** Oldest first. *)
 
-  val trace_dropped : t -> int
+  val trace_dropped : t -> int (* lint: allow D11 oracle: test/test_obs.ml "trace cap" *)
 
   val drain_trace : t -> (float * event) list
   (** Oldest first, and empties the trace (the dropped count stays). The
@@ -201,6 +197,3 @@ val write_lines : string -> string list -> unit
 val json_float : float -> string
 (** Shortest-round-trip float rendering; non-finite values become
     [null]. Fixed across runs, so dumps diff byte-for-byte. *)
-
-val json_string : string -> string
-(** Quoted and escaped. *)

@@ -40,5 +40,5 @@ val metric_name : metric -> string
 
 val metric_of_line : string -> (metric, string) result
 
-val event_of_line : string -> (float * Obs.event, string) result
+val event_of_line : string -> (float * Obs.event, string) result (* lint: allow D11 oracle: test/test_obs.ml "obs_json fuzz: decoders never raise" *)
 (** Inverse of {!Obs.Reg.trace_lines}'s per-line encoding. *)

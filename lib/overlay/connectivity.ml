@@ -117,14 +117,6 @@ let measure rng ~trees ~dead ~link_failure scheme =
 let completeness rng ~trees ~link_failure scheme =
   measure rng ~trees ~dead:(Hashtbl.create 1) ~link_failure scheme
 
-let completeness_node_failures rng ~trees ~node_failure scheme =
-  let root = Tree.root trees.(0) in
-  let dead = Hashtbl.create 64 in
-  Array.iter
-    (fun n -> if n <> root && Rng.float rng 1.0 < node_failure then Hashtbl.replace dead n ())
-    (Tree.nodes trees.(0));
-  measure rng ~trees ~dead ~link_failure:0.0 scheme
-
 let union_reachable trees ~dead =
   let dead_tbl = Hashtbl.create 64 in
   Array.iter

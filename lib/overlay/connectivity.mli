@@ -39,11 +39,6 @@ val completeness :
     return completeness in [\[0, 1\]] over non-root nodes. The scheme uses
     the first [D] trees of [trees]. *)
 
-val completeness_node_failures :
-  Mortar_util.Rng.t -> trees:Tree.t array -> node_failure:float -> scheme -> float
-(** Like {!completeness} but fails nodes (never the root); completeness is
-    measured over the {e live} non-root nodes, matching §7.2. *)
-
 val union_reachable : Tree.t array -> dead:(int -> bool) -> int list
 (** Live nodes that can reach the root in the union graph of the trees'
     edges restricted to live nodes — the upper bound ("optimal") on what

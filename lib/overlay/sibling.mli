@@ -45,7 +45,7 @@ val repair_donors :
     concurrent repairs can never stitch the per-tree parent graph into a
     cycle — two mutually orphaned siblings cannot both adopt each other. *)
 
-val interior_overlap : Tree.t -> Tree.t -> float
+val interior_overlap : Tree.t -> Tree.t -> float (* lint: allow D11 oracle: test/test_overlay.ml "sibling diversity" *)
 (** Fraction of one tree's internal node labels that are also internal in
     the other — a diagnostic for path diversity ([1.] = identical
     interiors, [0.] = interior-node disjoint). *)

@@ -114,22 +114,3 @@ let map_nodes t f =
   let root = f t.root in
   let edge_list = List.map (fun (c, p) -> (f c, f p)) (edges t) in
   of_parents ~root edge_list
-
-let swap_labels t a b =
-  if a = b then t
-  else begin
-    if not (mem t a && mem t b) then invalid_arg "Tree.swap_labels: non-member";
-    let f n = if n = a then b else if n = b then a else n in
-    map_nodes t f
-  end
-
-let pp ppf t =
-  let rec go ppf n =
-    match children t n with
-    | [] -> Format.fprintf ppf "%d" n
-    | cs ->
-      Format.fprintf ppf "%d(%a)" n
-        (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf " ") go)
-        cs
-  in
-  go ppf t.root

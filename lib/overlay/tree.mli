@@ -44,17 +44,11 @@ val internal_nodes : t -> node list
 val post_order : t -> node list
 (** Children before parents; the root is last. *)
 
-val path_to_root : t -> node -> node list
+val path_to_root : t -> node -> node list (* lint: allow D11 oracle: test/test_overlay.ml "tree path to root" *)
 (** The node itself first, then ancestors up to and including the root. *)
 
 val edges : t -> (node * node) list
 (** All [(child, parent)] pairs. *)
 
-val swap_labels : t -> node -> node -> t
-(** Exchange the tree positions of two member nodes (used by sibling
-    derivation's rotations, §3.2). *)
-
-val map_nodes : t -> (node -> node) -> t
+val map_nodes : t -> (node -> node) -> t (* lint: allow D11 oracle: test/test_edge_cases.ml "map_nodes by bijection preserves structure" *)
 (** Relabel every node through a bijection. *)
-
-val pp : Format.formatter -> t -> unit

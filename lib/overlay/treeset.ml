@@ -58,15 +58,6 @@ let siblings t ~tree n =
   | None -> []
   | Some p -> List.filter (fun c -> c <> n) (Tree.children t.all.(tree) p)
 
-let unique_neighbors t n =
-  let seen = Hashtbl.create 16 in
-  Array.iter
-    (fun tr ->
-      (match Tree.parent tr n with Some p -> Hashtbl.replace seen p () | None -> ());
-      List.iter (fun c -> Hashtbl.replace seen c ()) (Tree.children tr n))
-    t.all;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
-
 let unique_children t n =
   let seen = Hashtbl.create 16 in
   Array.iter (fun tr -> List.iter (fun c -> Hashtbl.replace seen c ()) (Tree.children tr n)) t.all;

@@ -7,7 +7,7 @@
 
 type t
 
-val create : primary:Tree.t -> siblings:Tree.t list -> t
+val create : primary:Tree.t -> siblings:Tree.t list -> t (* lint: allow D11 oracle: test/test_overlay.ml "treeset validation" *)
 (** @raise Invalid_argument when a sibling's root or node set differs from
     the primary's. *)
 
@@ -58,14 +58,10 @@ val siblings : t -> tree:int -> int -> int list
     (ascending) order — the second class of repair donors. Empty for the
     root. *)
 
-val unique_neighbors : t -> int -> int list
-(** All distinct parents and children of a node across the tree set — the
-    peers it must exchange heartbeats with (§3.3, Fig 13). *)
-
 val unique_children : t -> int -> int list
 (** Distinct children across the set (the heartbeat fan-out of Fig 13). *)
 
-val union_edges : t -> (int * int) list
+val union_edges : t -> (int * int) list (* lint: allow D11 oracle: test/test_plan.ml "score-once plan = re-scoring oracle" *)
 (** All distinct [(child, parent)] edges across the tree set, canonically
     sorted — the link set a bandwidth cost model charges for. *)
 

@@ -69,10 +69,6 @@ let logical_count t = Hashtbl.length t.by_name
 
 let physical_count t = Hashtbl.length t.entries
 
-let sharing_factor t =
-  if physical_count t = 0 then nan
-  else float_of_int (logical_count t) /. float_of_int (physical_count t)
-
 let replans t = t.n_replans
 
 let mapping t =
@@ -83,8 +79,6 @@ let mapping t =
       | Some e -> (name, e.placement.Place.group.Place.phys, e.placement.Place.root) :: acc)
     t.by_name []
   |> List.sort compare
-
-let placements t = List.map (fun (_, e) -> e.placement) (sorted_entries t)
 
 let obs_gauges t =
   if !Obs.enabled then begin

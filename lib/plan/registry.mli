@@ -52,7 +52,7 @@ val add_batch : t -> Spec.t list -> action list
     refcount. Actions come out in canonical key order.
     @raise Invalid_argument on a duplicate logical name. *)
 
-val remove : t -> name:string -> action list
+val remove : t -> name:string -> action list (* lint: allow D11 oracle: test/test_plan.ml "refcount lifecycle reclaims state" *)
 (** Remove one logical query. Emits nothing while other queries still
     share the physical tree set; {!action-Remove} when the refcount hits
     zero. @raise Invalid_argument for an unknown name. *)
@@ -67,12 +67,9 @@ val handle_loss : t -> dead:int list -> action list
     re-subscribe through {!add_batch}; a class left with no live
     subscriber is retired even when publishers survive. *)
 
-val logical_count : t -> int
+val logical_count : t -> int (* lint: allow D11 oracle: test/test_plan.ml "refcount lifecycle reclaims state" *)
 
 val physical_count : t -> int
-
-val sharing_factor : t -> float
-(** [logical / physical]; [nan] when empty. *)
 
 val replans : t -> int
 (** Physical re-installs issued by {!handle_loss} so far. *)
@@ -80,6 +77,3 @@ val replans : t -> int
 val mapping : t -> (string * string * int) list
 (** [(logical name, physical name, root)] for every live logical query,
     name-sorted. *)
-
-val placements : t -> Place.placement list
-(** Live placements, key-sorted. *)

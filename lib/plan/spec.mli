@@ -41,7 +41,3 @@ val physical_name : t -> string
     (["mq-<digest prefix>"]): every spec in one sharing class maps to the
     same physical name, and distinct classes collide with digest
     probability only. *)
-
-val op_key : Mortar_core.Op.spec -> string
-(** Deterministic textual form of an operator spec (used inside
-    {!canonical_key}). *)

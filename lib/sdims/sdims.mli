@@ -35,8 +35,6 @@ type msg =
   | Leafset_request
   | Leafset_reply of { members : int list } (** Host indices. *)
 
-val msg_size : msg -> int
-
 type timer = Mortar_sim.Engine.handle
 (** The engine's own handle for a scheduled callback, an immediate int;
     {!Mortar_sim.Engine.no_handle} stands for "none armed". *)
@@ -58,8 +56,6 @@ type config = {
   ping_timeout : float;
 }
 
-val default_config : config
-
 type t
 
 val create : ?config:config -> runtime -> t
@@ -80,7 +76,7 @@ val probe : t -> query:string -> unit
 
 val on_probe_reply : t -> (query:string -> value:float -> count:int -> unit) -> unit
 
-val is_root : t -> query:string -> bool
+val is_root : t -> query:string -> bool (* lint: allow D11 oracle: test/test_dht_sdims.ml "sdims aggregates" *)
 
-val root_value : t -> query:string -> (float * int) option
+val root_value : t -> query:string -> (float * int) option (* lint: allow D11 oracle: test/test_dht_sdims.ml "sdims aggregates" *)
 (** The root's current aggregate (own + live cached children). *)

@@ -6,8 +6,6 @@ let create ?(offset = 0.0) ?(skew = 0.0) () = { offset; skew }
 
 let local_time t ~now = (now *. (1.0 +. t.skew)) +. t.offset
 
-let offset t = t.offset
-
 let skew t = t.skew
 
 (* Mixture calibrated to the PlanetLab observations cited in §5: most nodes

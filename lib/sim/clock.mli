@@ -16,7 +16,7 @@
 
 type t
 
-val synchronized : t
+val synchronized : t (* lint: allow D11 oracle: test/test_sim.ml "clock synchronized" *)
 (** A perfect clock: [local now = now]. *)
 
 val create : ?offset:float -> ?skew:float -> unit -> t
@@ -26,8 +26,6 @@ val create : ?offset:float -> ?skew:float -> unit -> t
 
 val local_time : t -> now:float -> float
 (** Local reading at true time [now]. *)
-
-val offset : t -> float
 
 val skew : t -> float
 

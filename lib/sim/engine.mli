@@ -71,7 +71,7 @@ val next_time : t -> float
     next event that will actually fire — a safe lower bound for
     epoch-boundary computations. *)
 
-val pending : t -> int
+val pending : t -> int (* lint: allow D11 oracle: test/test_sim.ml "engine pending counter" *)
 (** Number of queued (uncancelled) events. O(1): the engine tracks
     cancellations live rather than scanning the queue. *)
 

@@ -75,10 +75,6 @@ let fold_between t t0 t1 =
   done;
   (!count, !sum)
 
-let mean_between t t0 t1 =
-  let count, sum = fold_between t t0 t1 in
-  if count = 0 then nan else sum /. float_of_int count
-
 let sum_between t t0 t1 = snd (fold_between t t0 t1)
 
 let merge_into ~dst src =

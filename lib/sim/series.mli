@@ -9,7 +9,7 @@ type t
 val create : bucket:float -> t
 (** [create ~bucket] accumulates samples into buckets of [bucket] seconds. *)
 
-val add : t -> time:float -> float -> unit
+val add : t -> time:float -> float -> unit (* lint: allow D11 oracle: test/test_sim.ml "series buckets" *)
 (** Record a sample at the given virtual time. *)
 
 val incr : t -> time:float -> float -> unit
@@ -27,9 +27,6 @@ type row = {
 val rows : t -> row list
 (** All buckets from time 0 through the last touched bucket, in order;
     untouched buckets appear with [count = 0]. *)
-
-val mean_between : t -> float -> float -> float
-(** Mean of samples with time in [\[t0, t1)]; [nan] if none. *)
 
 val sum_between : t -> float -> float -> float
 

@@ -4,12 +4,6 @@ let kind = Codec.grid_kind ~magic:'A' ~name:"agms" ~rows_label:"rows" ~cols_labe
 
 let create ~rows ~cols ~seed = Codec.grid_create kind ~rows ~cols ~seed
 
-let rows (t : t) = t.rows
-
-let cols (t : t) = t.cols
-
-let seed (t : t) = t.seed
-
 let[@lint.hot] row_hash ~seed ~row key = Hash.hash_int ~seed:(Hash.row_seed ~seed ~row) key
 
 (* One avalanche per row serves both draws: the low bits pick the

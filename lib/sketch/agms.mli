@@ -13,21 +13,15 @@ type t
 val create : rows:int -> cols:int -> seed:int -> t
 (** Requires [0 < rows <= 255] and [0 < cols <= 65535]. *)
 
-val rows : t -> int
-
-val cols : t -> int
-
-val seed : t -> int
-
-val add : t -> key:int -> w:int -> unit
+val add : t -> key:int -> w:int -> unit (* lint: allow D11 oracle: test/test_sketch.ml "agms f2 accuracy" *)
 
 val second_moment : t -> float
 (** Median-of-rows F2 estimate. [0.] for an empty sketch. *)
 
-val merge : t -> t -> t
+val merge : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernel edge cases" *)
 (** Raises [Failure] on mismatched parameters. *)
 
-val sub : t -> t -> t
+val sub : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernels cross both forms" *)
 
 val to_string : t -> string
 

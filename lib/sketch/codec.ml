@@ -18,6 +18,7 @@ let u16 r =
   r.pos <- r.pos + 2;
   v
 
+(* Signed 32-bit cell value. *)
 let i32 r =
   need r 4;
   let v = Int32.to_int (String.get_int32_be r.s r.pos) in

@@ -23,9 +23,6 @@ val u8 : reader -> int
 
 val u16 : reader -> int
 
-val i32 : reader -> int
-(** Signed 32-bit cell value. *)
-
 val i64 : reader -> int
 (** Seeds travel as 64 bits and must fit a non-negative native int. *)
 

@@ -4,12 +4,6 @@ let kind = Codec.grid_kind ~magic:'C' ~name:"count-min" ~rows_label:"depth" ~col
 
 let create ~depth ~width ~seed = Codec.grid_create kind ~rows:depth ~cols:width ~seed
 
-let depth (t : t) = t.rows
-
-let width (t : t) = t.cols
-
-let seed (t : t) = t.seed
-
 let[@lint.hot] cell ~width ~seed ~row key =
   (row * width) + (Hash.hash_int ~seed:(Hash.row_seed ~seed ~row) key mod width)
 

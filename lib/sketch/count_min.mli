@@ -16,12 +16,6 @@ type t
 val create : depth:int -> width:int -> seed:int -> t
 (** Requires [0 < depth <= 255] and [0 < width <= 65535]. *)
 
-val depth : t -> int
-
-val width : t -> int
-
-val seed : t -> int
-
 val add : t -> key:int -> w:int -> unit
 (** Add weight [w] (may be negative) under item [key]. In place. *)
 
@@ -32,11 +26,11 @@ val query : t -> key:int -> int
 val total : t -> int
 (** Exact total inserted weight (row-0 sum — the sketch is linear). *)
 
-val merge : t -> t -> t
+val merge : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernels cross both forms" *)
 (** Cell-wise sum into a fresh sketch. Commutative and associative.
     Raises [Failure] on mismatched parameters. *)
 
-val sub : t -> t -> t
+val sub : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernel edge cases" *)
 (** Cell-wise difference ([merge]'s inverse) into a fresh sketch. *)
 
 val to_string : t -> string

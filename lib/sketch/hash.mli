@@ -7,11 +7,6 @@
     outputs are non-negative 62-bit values (the native-int sign bit is
     cleared), so callers can reduce them with [mod] or [land] freely. *)
 
-val mix : int -> int
-(** SplitMix-style avalanche finalizer over the native int width. A
-    bijection up to the sign-bit clear: single-bit input changes flip
-    about half the output bits. *)
-
 val hash_int : seed:int -> int -> int
 (** Hash one integer item under [seed]. Distinct seeds give independent
     hash functions over the same items (the per-row functions of a

@@ -8,10 +8,6 @@ let create ~b ~seed =
   check ~b ~seed;
   { b; seed; regs = Bytes.make (1 lsl b) '\000' }
 
-let b t = t.b
-
-let seed t = t.seed
-
 (* Rank of the first set bit (1-based) in the low [maxbits] bits of
    [bits]; [maxbits + 1] when they are all zero. Trailing rather than
    leading zeros — the geometric distribution is the same and the loop

@@ -14,10 +14,6 @@ type t
 val create : b:int -> seed:int -> t
 (** [2^b] registers; requires [4 <= b <= 16]. *)
 
-val b : t -> int
-
-val seed : t -> int
-
 val add : t -> key:int -> unit
 (** Insert an item. In place, idempotent. *)
 
@@ -25,7 +21,7 @@ val estimate : t -> float
 (** Distinct-count estimate with the small-range (linear counting)
     correction. [0.] for an empty sketch. *)
 
-val merge : t -> t -> t
+val merge : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernels cross both forms" *)
 (** Register-wise max into a fresh sketch; [merge t t] observably equals
     [t]. Raises [Failure] on mismatched parameters. *)
 

@@ -68,7 +68,3 @@ let pop_exn t =
   | None -> invalid_arg "Heap.pop_exn: empty heap"
 
 let clear t = t.size <- 0
-
-let to_list t =
-  let rec loop i acc = if i < 0 then acc else loop (i - 1) (t.data.(i) :: acc) in
-  loop (t.size - 1) []

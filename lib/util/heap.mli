@@ -10,11 +10,11 @@ val create : cmp:('a -> 'a -> int) -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
+val is_empty : 'a t -> bool (* lint: allow D11 oracle: test/test_util.ml "heap empty" *)
 
 val push : 'a t -> 'a -> unit
 
-val peek : 'a t -> 'a option
+val peek : 'a t -> 'a option (* lint: allow D11 oracle: test/test_util.ml "heap peek stable" *)
 (** Minimum element without removing it. *)
 
 val pop : 'a t -> 'a option
@@ -23,7 +23,4 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
 
-val clear : 'a t -> unit
-
-val to_list : 'a t -> 'a list
-(** Heap contents in arbitrary order (for inspection and tests). *)
+val clear : 'a t -> unit (* lint: allow D11 test-only, deletion deferred: test/test_util.ml "heap clear" *)

@@ -11,7 +11,7 @@ type t
 
 val create : unit -> t
 
-val length : t -> int
+val length : t -> int (* lint: allow D11 oracle: test/test_util.ml "int_float_map = Hashtbl model" *)
 
 val mem : t -> int -> bool
 
@@ -21,7 +21,7 @@ val remove_stale : t -> now:float -> horizon:float -> unit
 (** Drop every binding whose value [v] has [now -. v > horizon], keeping
     the rest in order. Allocation-free. *)
 
-val to_list : t -> (int * float) list
+val to_list : t -> (int * float) list (* lint: allow D11 oracle: test/test_util.ml "int_float_map = Hashtbl model" *)
 (** Bindings in ascending key order. *)
 
 val search : int array -> int -> int -> int

@@ -17,8 +17,6 @@ let split t =
   let s = bits64 t in
   { state = s }
 
-let copy t = { state = t.state }
-
 let int t bound =
   assert (bound > 0);
   (* Keep 62 bits so the value fits OCaml's 63-bit int without wrapping. *)

@@ -16,10 +16,7 @@ val split : t -> t
 (** [split t] derives an independent generator from [t], advancing [t].
     Use this to give each simulated node its own stream. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state without advancing [t]. *)
-
-val bits64 : t -> int64
+val bits64 : t -> int64 (* lint: allow D11 oracle: test/test_util.ml "rng deterministic" *)
 (** Next raw 64-bit output. *)
 
 val int : t -> int -> int
@@ -37,7 +34,7 @@ val uniform : t -> float -> float -> float
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate via Box-Muller. *)
 
-val exponential : t -> rate:float -> float
+val exponential : t -> rate:float -> float (* lint: allow D11 test-only, deletion deferred: test/test_util.ml "rng exponential positive" *)
 (** Exponential deviate with the given rate (mean [1. /. rate]). *)
 
 val pareto : t -> xm:float -> alpha:float -> float

@@ -30,52 +30,3 @@ let percentile xs p =
   end
 
 let median xs = percentile xs 50.0
-
-let minimum xs = Array.fold_left min infinity xs
-
-let maximum xs = Array.fold_left max neg_infinity xs
-
-let histogram xs ~bins =
-  assert (bins > 0);
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let lo = minimum xs and hi = maximum xs in
-    let width = if hi > lo then (hi -. lo) /. float_of_int bins else 1.0 in
-    let counts = Array.make bins 0 in
-    Array.iter
-      (fun x ->
-        let i = int_of_float ((x -. lo) /. width) in
-        let i = if i >= bins then bins - 1 else if i < 0 then 0 else i in
-        counts.(i) <- counts.(i) + 1)
-      xs;
-    Array.mapi (fun i c -> (lo +. (float_of_int i *. width), c)) counts
-  end
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  max : float;
-}
-
-let summarize xs =
-  {
-    n = Array.length xs;
-    mean = mean xs;
-    stddev = stddev xs;
-    min = minimum xs;
-    p50 = percentile xs 50.0;
-    p90 = percentile xs 90.0;
-    p99 = percentile xs 99.0;
-    max = maximum xs;
-  }
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "n=%d mean=%.3f std=%.3f min=%.3f p50=%.3f p90=%.3f p99=%.3f max=%.3f" s.n
-    s.mean s.stddev s.min s.p50 s.p90 s.p99 s.max

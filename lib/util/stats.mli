@@ -15,28 +15,3 @@ val percentile : float array -> float -> float
     between closest ranks. Does not mutate the input. [nan] when empty. *)
 
 val median : float array -> float
-
-val minimum : float array -> float
-
-val maximum : float array -> float
-
-val sum : float array -> float
-
-val histogram : float array -> bins:int -> (float * int) array
-(** [histogram xs ~bins] buckets samples into equal-width bins over
-    [\[min, max\]]; returns [(bin_left_edge, count)] pairs. *)
-
-type summary = {
-  n : int;
-  mean : float;
-  stddev : float;
-  min : float;
-  p50 : float;
-  p90 : float;
-  p99 : float;
-  max : float;
-}
-
-val summarize : float array -> summary
-
-val pp_summary : Format.formatter -> summary -> unit

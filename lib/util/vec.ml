@@ -40,10 +40,3 @@ let centroid vs =
     let acc = zero (dim v) in
     let acc = List.fold_left add acc vs in
     scale (1.0 /. float_of_int (List.length vs)) acc
-
-let pp ppf v =
-  Format.fprintf ppf "(%a)"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-       (fun ppf x -> Format.fprintf ppf "%.2f" x))
-    (Array.to_list v)

@@ -6,7 +6,7 @@
 
 type t = float array
 
-val zero : int -> t
+val zero : int -> t (* lint: allow D11 oracle: test/test_cluster_coords.ml "kmeans medoid" *)
 (** Zero vector of the given dimension. *)
 
 val dim : t -> int
@@ -17,9 +17,9 @@ val sub : t -> t -> t
 
 val scale : float -> t -> t
 
-val dot : t -> t -> float
+val dot : t -> t -> float (* lint: allow D11 oracle: test/test_util.ml "vec arithmetic" *)
 
-val norm : t -> float
+val norm : t -> float (* lint: allow D11 oracle: test/test_util.ml "vec arithmetic" *)
 (** Euclidean length. *)
 
 val dist : t -> t -> float
@@ -32,5 +32,3 @@ val unit_or : t -> fallback:t -> t
 
 val centroid : t list -> t
 (** Mean of a non-empty list of equal-dimension vectors. *)
-
-val pp : Format.formatter -> t -> unit

@@ -23,7 +23,7 @@ val l_path : t:float -> duration:float -> float * float * int
     total [duration] seconds that descends from floor 3 to floor 0 while
     tracing the L on each floor. *)
 
-val rssi :
+val rssi : (* lint: allow D11 oracle: test/test_central_wifi.ml "rssi decays" *)
   Mortar_util.Rng.t ->
   sniffer:sniffer ->
   x:float ->
@@ -46,10 +46,10 @@ val frame :
 (** The frame record a sniffer would emit for this transmission, if it
     hears it. *)
 
-val estimate_distance : float -> float
+val estimate_distance : float -> float (* lint: allow D11 oracle: test/test_central_wifi.ml "estimate distance" *)
 (** Invert the path-loss model: expected distance in metres for an RSSI. *)
 
-val trilaterate : (float * float * float) list -> (float * float) option
+val trilaterate : (float * float * float) list -> (float * float) option (* lint: allow D11 oracle: test/test_central_wifi.ml "trilaterate recovers" *)
 (** [(x, y, rssi)] observations to a position estimate: an
     inverse-distance-squared weighted centroid over the loudest
     observations (the paper's "simple trilateration"; it also could not

@@ -100,16 +100,23 @@ let test_real_tree_clean () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Typed rules (D7-D9) over the compiled fixture library's cmts.       *)
+(* Typed rules (D7-D9, D11) over the compiled fixture libraries' cmts.  *)
 
 let typed_cmt_dir = "lint_fixtures/typed/.lint_typed_fixtures.objs/byte"
 
+(* D11's callers: every fixture library, with d11_tests/ as test code. *)
+let fixture_universe roots =
+  { Driver.roots; test_dir = "test/lint_fixtures/typed/d11_tests" }
+
 (* The fixture cmts exist whenever the test itself was built by dune
-   (the library is a link dependency); the guard keeps ad-hoc runs from
-   odd working directories from failing spuriously. *)
+   (the libraries are link dependencies); the guard keeps ad-hoc runs
+   from odd working directories from failing spuriously. *)
 let with_typed_report f =
   if Sys.file_exists typed_cmt_dir then
-    f (Driver.run ~cmt_paths:[ typed_cmt_dir ] ~source_root:".." ~paths:[] ())
+    f
+      (Driver.run ~cmt_paths:[ typed_cmt_dir ]
+         ~universe:(fixture_universe [ "lint_fixtures/typed" ])
+         ~source_root:".." ~paths:[] ())
 
 let test_typed_golden () =
   with_typed_report (fun report ->
@@ -162,6 +169,95 @@ let test_typed_negatives_silent () =
       (Diag.render report.Driver.findings)
   end
 
+(* A D11 allow on an export that has since gained a production caller
+   is stale (S2): d11_outside/stale.mli allows [has_caller], which
+   outside_user.ml calls. *)
+let test_d11_stale_allow () =
+  let dir = "lint_fixtures/typed/d11_outside/.lint_d11_outside.objs/byte" in
+  if Sys.file_exists dir then begin
+    let report =
+      Driver.run ~cmt_paths:[ dir ]
+        ~universe:(fixture_universe [ "lint_fixtures/typed" ])
+        ~source_root:".." ~paths:[] ()
+    in
+    Alcotest.(check string) "the called export is not a finding" ""
+      (Diag.render report.Driver.findings);
+    Alcotest.(check (list string)) "the allow on it is stale"
+      [ "test/lint_fixtures/typed/d11_outside/stale.mli:1 S2" ]
+      (List.map
+         (fun (d : Diag.t) -> Printf.sprintf "%s:%d %s" d.file d.line d.code)
+         report.Driver.stale)
+  end
+
+(* A unit compiled without its .cmt (an executable after a plain [dune
+   build]) would hide its calls, so D11 reports nothing and judges no
+   D11 allow stale until the build is complete. *)
+let test_d11_skips_incomplete_build () =
+  if Sys.file_exists typed_cmt_dir then begin
+    let tmp = Filename.concat (Filename.get_temp_dir_name ()) "lint_d11_guard" in
+    let native = Filename.concat (Filename.concat tmp ".exe.eobjs") "native" in
+    List.iter
+      (fun d -> if not (Sys.file_exists d) then Sys.mkdir d 0o755)
+      [ tmp; Filename.dirname native; native ];
+    let cmx = Filename.concat native "dune__exe__Main.cmx" in
+    close_out (open_out cmx);
+    let report =
+      Driver.run ~cmt_paths:[ typed_cmt_dir ]
+        ~universe:(fixture_universe [ "lint_fixtures/typed"; tmp ])
+        ~source_root:".." ~paths:[] ()
+    in
+    Sys.remove cmx;
+    List.iter Sys.rmdir [ native; Filename.dirname native; tmp ];
+    Alcotest.(check int) "one unit without .cmt" 1 report.Driver.units_without_cmt;
+    let d11 = List.filter (fun (d : Diag.t) -> d.code = "D11") in
+    Alcotest.(check string) "no D11 findings" "" (Diag.render (d11 report.Driver.findings));
+    Alcotest.(check string) "no D11 allow judged" "" (Diag.render report.Driver.stale);
+    Alcotest.(check bool) "D7-D9 still ran" true
+      (List.exists (fun (d : Diag.t) -> d.code = "D7") report.Driver.findings)
+  end
+
+(* Every D11 allow in lib/ names its test as [<file> "<test name>"], and
+   that test exists. *)
+let test_d11_allows_name_tests () =
+  let root = Filename.concat (Sys.getcwd ()) ".." in
+  let lib = Filename.concat root "lib" in
+  if Sys.file_exists lib then begin
+    let marker = "lint" ^ ": allow D11 " in
+    let rec mlis dir =
+      Sys.readdir dir |> Array.to_list |> List.sort compare
+      |> List.concat_map (fun e ->
+             let p = Filename.concat dir e in
+             if Sys.is_directory p then mlis p
+             else if Filename.check_suffix p ".mli" then [ p ]
+             else [])
+    in
+    let named = ref 0 in
+    List.iter
+      (fun mli ->
+        List.iter
+          (fun line ->
+            match Mortar_lint.Suppress.find_sub line marker 0 with
+            | None -> ()
+            | Some _ -> (
+              match String.split_on_char '"' line with
+              | before :: name :: _ ->
+                let file =
+                  String.trim before |> String.split_on_char ' ' |> List.rev |> List.hd
+                in
+                let text =
+                  try read_file (Filename.concat root file) with Sys_error _ -> ""
+                in
+                incr named;
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s names an existing test: %s %S" mli file name)
+                  true
+                  (Mortar_lint.Suppress.find_sub text ("\"" ^ name ^ "\"") 0 <> None)
+              | _ -> Alcotest.failf "%s: D11 allow without a quoted test name: %s" mli line))
+          (String.split_on_char '\n' (read_file mli)))
+      (mlis lib);
+    Alcotest.(check bool) "the tree carries D11 allows" true (!named > 0)
+  end
+
 (* Stale-suppression hygiene at the driver level: an allow comment that
    shields nothing is reported (S2), a malformed one is reported (S1)
    — never silently ignored. The marker is concatenated so this test
@@ -204,4 +300,8 @@ let tests =
     Alcotest.test_case "typed negatives silent" `Quick test_typed_negatives_silent;
     Alcotest.test_case "stale and malformed suppressions reported" `Quick
       test_stale_and_malformed_reported;
+    Alcotest.test_case "D11 stale allow reported" `Quick test_d11_stale_allow;
+    Alcotest.test_case "D11 skipped on an incomplete build" `Quick
+      test_d11_skips_incomplete_build;
+    Alcotest.test_case "D11 allows name existing tests" `Quick test_d11_allows_name_tests;
   ]
