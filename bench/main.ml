@@ -1,41 +1,35 @@
-(* The benchmark harness.
+(* The benchmark harness. Three modes, all in this executable:
 
-   Two layers, both in this executable:
+   - `--micro` (the default): Bechamel micro-benchmarks, one per figure
+     of the paper's evaluation, timing the computational kernel that the
+     figure's experiment stresses (tree planning for Fig 17, TS-list
+     merging for Figs 9/10, the routing decision for Fig 12, ...), plus
+     the simulator's own per-event kernels (the engine queue at depth,
+     the cross-shard batch merge).
 
-   1. Bechamel micro-benchmarks — one per figure of the paper's
-      evaluation, timing the computational kernel that the figure's
-      experiment stresses (tree planning for Fig 17, TS-list merging for
-      Figs 9/10, the routing decision for Fig 12, ...), plus the
-      simulator's own per-event kernels (the engine queue at depth, the
-      cross-shard batch merge).
+   - `--smoke`: run every micro kernel once, untimed (`dune runtest`).
 
-   2. The figure-regeneration experiments themselves
-      (Mortar_experiments) — every table and figure of the evaluation
-      section, printed as text tables. Quick mode (the default here) uses
-      scaled-down configurations; pass `--full` for paper-scale runs.
+   - `--scale`: a short fig14-style aggregation round per host count of
+     a ladder (240/680 with `--quick`, else 680/2000/10000/100000;
+     `--hosts N,N,..` picks the rungs), the one tool for the 100k-1M
+     rungs that perfbench/ does not reach. `--shards N` sets the domain
+     count. Each rung is one JSON line in `--out` (default
+     `results/BENCH_SCALE.jsonl`), shaped as a `results/BENCH.jsonl` row
+     minus `"pr"`: adding `"pr"` is all it takes to append it there.
 
-   Plus a third, scale-oriented layer:
-
-   3. `--scale` builds 680/2000/10000/100000-host topologies and, for
-      each, times topology construction, TS-list inserts, transport
-      sends, and a short fig14-style aggregation round (on the sharded
-      deployment; `--shards N` sets the domain count), writing the
-      numbers as machine-readable JSON (default
-      `results/BENCH_SCALE.json`; committed runs are appended as rows of
-      `results/BENCH.jsonl`). The `"pr": 7` rows there are the evidence
-      trail for the multicore sharded engine: the 10000-host round must
-      beat 3 s of wall time at 8 domains, and the 100000-host round must
-      complete at full completeness.
+   `--history FILE` checks the rows of an append-only history such as
+   `results/BENCH.jsonl`. It runs before any mode, and without a mode
+   flag it is the whole run. The figure tables come from
+   `mortar_cli experiments`, not from here.
 
    Usage:
-     dune exec bench/main.exe                # micro + quick experiments
-     dune exec bench/main.exe -- --micro     # micro-benchmarks only
-     dune exec bench/main.exe -- --figures   # quick experiments only
-     dune exec bench/main.exe -- --full      # micro + full-scale experiments
-     dune exec bench/main.exe -- --smoke     # run each kernel once (used by `dune runtest`)
+     dune exec bench/main.exe [-- --micro]
+     dune exec bench/main.exe -- --smoke
+     dune exec bench/main.exe -- --history FILE
      dune exec bench/main.exe -- --scale [--quick] [--shards N] [--hosts N,N,..]
-                                         [--out FILE.json]
+                                         [--out FILE.jsonl] [--history FILE]
 *)
+
 
 open Bechamel
 open Toolkit
@@ -316,85 +310,56 @@ let run_micro () =
         analysis)
     tests
 
-let run_figures ~quick =
-  Printf.printf "\n=== figure regeneration (%s mode) ===\n"
-    (if quick then "quick" else "full");
-  Mortar_experiments.Registry.ensure ();
-  Mortar_experiments.Common.run_all ~quick
 
 (* ------------------------------------------------------------------ *)
-(* --scale: wall-clock cost of the simulator's three hot layers at
-   paper scale and beyond. All timings go through Bench_clock (the one
-   wall-clock module the D1 lint allow-lists); these are coarse-grained
-   totals over thousands of operations, not Bechamel territory. *)
+(* The one row checker, for `--history` and for `--scale`'s output read
+   back from disk: every non-blank line of [path] must parse as JSON and
+   carry each of [keys] as a member, where "a.b" names member [b] of
+   member [a]. A bad row prints "<path> row <n> <what>" on stderr and
+   exits 1. Returns the number of rows. *)
+
+let check_rows path keys =
+  let bad row what =
+    Printf.eprintf "%s row %d %s\n" path row what;
+    exit 1
+  in
+  let has j key =
+    List.fold_left
+      (fun j k -> Option.bind j (Obs_json.member k))
+      (Some j) (String.split_on_char '.' key)
+    |> Option.is_some
+  in
+  let ic = open_in path in
+  let rows = ref 0 in
+  (try
+     while true do
+       let line = input_line ic in
+       if String.trim line <> "" then begin
+         incr rows;
+         match Obs_json.parse line with
+         | Error e -> bad !rows ("invalid JSON " ^ e)
+         | Ok j ->
+           List.iter (fun key -> if not (has j key) then bad !rows ("missing key " ^ key)) keys
+       end
+     done
+   with End_of_file -> ());
+  close_in ic;
+  !rows
+
+(* ------------------------------------------------------------------ *)
+(* --scale: wall-clock cost of the aggregation round at paper scale and
+   beyond. Timings go through Bench_clock (the one wall-clock module the
+   D1 lint allow-lists). *)
 
 module Scale = struct
   module Topology = Mortar_net.Topology
-  module Transport = Mortar_net.Transport
-  module Engine = Mortar_sim.Engine
   module D = Mortar_emul.Deployment
   module Score = Mortar_experiments.Score
-
-  type row = {
-    hosts : int;
-    routers : int;
-    shards : int;
-    topo_build_s : float;
-    ts_insert_ns : float;
-    transport_send_ns : float;
-    agg_virtual_s : float;
-    agg_wall_s : float;
-    agg_results : int;
-    agg_completeness : float;
-  }
 
   let time f =
     let t0 = Bench_clock.now () in
     let v = f () in
     (v, Bench_clock.now () -. t0)
-
-  (* TS-list cost at a bf-[fanout] aggregation node: summaries from
-     [fanout] children land on each of a rotation of windows (the
-     exact-match fast path), with periodic eviction. Per-insert ns. *)
-  let bench_ts_inserts ~inserts =
-    let op = Mortar_core.Op.compile Mortar_core.Op.Sum in
-    let ts = Mortar_core.Ts_list.create ~op () in
-    let slots = 8 in
-    let (), wall =
-      time (fun () ->
-          for i = 0 to inserts - 1 do
-            let index = Mortar_core.Index.of_slot ~slide:1.0 (i mod slots) in
-            Mortar_core.Ts_list.insert ts ~now:0.0 ~deadline:1.0
-              (Mortar_core.Summary.make ~index ~value:(Mortar_core.Value.Float 1.0)
-                 ~count:1 ());
-            if (i + 1) mod (slots * 64) = 0 then
-              ignore (Mortar_core.Ts_list.force_pop ts ~now:2.0)
-          done)
-    in
-    wall *. 1e9 /. float_of_int inserts
-
-  (* Transport send+deliver cost across random host pairs. Per-send ns,
-     including the engine's delivery events. *)
-  let bench_transport topo ~sends =
-    let rng = Rng.create 11 in
-    let engine = Engine.create () in
-    let transport = Transport.create engine topo ~rng:(Rng.split rng) () in
-    let n = Topology.hosts topo in
-    let sink = ref 0 in
-    for h = 0 to n - 1 do
-      Transport.register transport h (fun ~src:_ () -> incr sink)
-    done;
-    let (), wall =
-      time (fun () ->
-          for i = 0 to sends - 1 do
-            let src = Rng.int rng n and dst = Rng.int rng n in
-            let kind = if i land 7 = 0 then "heartbeat" else "data" in
-            Transport.send transport ~src ~dst ~size:64 ~kind ()
-          done;
-          Engine.run engine)
-    in
-    assert (!sink > 0);
-    wall *. 1e9 /. float_of_int sends
 
   (* A short fig14-style aggregation round: every host feeds a 1 Hz
      sensor into a syncless sum over tumbling 1 s windows, aggregated
@@ -446,77 +411,54 @@ module Scale = struct
     let completeness =
       match steady with [] -> 0.0 | _ -> Score.mean (Score.best score) ~denom:hosts steady
     in
-    (wall, !results, completeness)
+    (d, wall, !results, completeness)
 
-  let measure ~quick ~shards hosts =
-    let rng = Rng.create 7 in
-    let topo, topo_build_s = time (fun () -> Topology.transit_stub rng ~hosts ()) in
-    let inserts = if quick then 20_000 else 200_000 in
-    let ts_insert_ns = bench_ts_inserts ~inserts in
-    let sends = if quick then hosts * 4 else hosts * 16 in
-    let transport_send_ns = bench_transport topo ~sends in
-    let agg_virtual_s = if quick then 6.0 else 12.0 in
-    let agg_wall_s, agg_results, agg_completeness =
-      bench_agg_round ~seed:42 ~hosts ~domains:shards ~virtual_s:agg_virtual_s
+  let seed = 42
+
+  (* `git rev-parse --short=12 HEAD`, or "unknown" where that fails, as
+     perfbench/run.py records it. *)
+  let git_rev () =
+    match Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" with
+    | exception Unix.Unix_error _ -> "unknown"
+    | ic -> (
+      let rev = try String.trim (input_line ic) with End_of_file -> "" in
+      match (Unix.close_process_in ic, rev) with
+      | Unix.WEXITED 0, rev when rev <> "" -> rev
+      | _ -> "unknown")
+
+  (* Every key a fresh row carries, checked when the file is read back. *)
+  let row_keys =
+    [ "bench"; "quick"; "hosts"; "routers"; "domains"; "shards"; "agg_round.virtual_s";
+      "agg_round.wall_s"; "agg_round.results"; "agg_round.completeness"; "heap_kb_per_host";
+      "seed"; "nproc"; "ocaml"; "git_rev" ]
+
+  (* One rung as a BENCH.jsonl row minus "pr", with perfbench's metadata:
+     [domains] is the execution width (`--shards`), [shards] the
+     deployment's logical stub shards. [heap_kb_per_host] is the process's
+     peak major heap so far over this rung's hosts: exact on an ascending
+     ladder (the default), an upper bound for a rung after a larger one. *)
+  let row ~quick ~domains ~nproc ~rev hosts =
+    let virtual_s = if quick then 6.0 else 12.0 in
+    let d, wall_s, results, completeness = bench_agg_round ~seed ~hosts ~domains ~virtual_s in
+    let routers = Topology.routers (D.topology d) and shards = D.shard_count d in
+    let heap_kb_per_host =
+      float_of_int ((Gc.quick_stat ()).Gc.top_heap_words * (Sys.word_size / 8))
+      /. 1024.0 /. float_of_int hosts
     in
-    {
-      hosts;
-      routers = Topology.routers topo;
-      shards;
-      topo_build_s;
-      ts_insert_ns;
-      transport_send_ns;
-      agg_virtual_s;
-      agg_wall_s;
-      agg_results;
-      agg_completeness;
-    }
+    Printf.printf
+      "%6d hosts (%d routers, %d shards): agg %.1fvs in %.2fs wall (%d results, %.1f%% \
+       complete, %.1f KiB/host)\n\
+       %!"
+      hosts routers shards virtual_s wall_s results (100.0 *. completeness) heap_kb_per_host;
+    Printf.sprintf
+      "{\"bench\": \"scale\", \"quick\": %b, \"hosts\": %d, \"routers\": %d, \"domains\": %d, \
+       \"shards\": %d, \"agg_round\": {\"virtual_s\": %.1f, \"wall_s\": %.3f, \"results\": %d, \
+       \"completeness\": %.4f}, \"heap_kb_per_host\": %.1f, \"seed\": %d, \"nproc\": %d, \
+       \"ocaml\": %S, \"git_rev\": %S}"
+      quick hosts routers domains shards virtual_s wall_s results completeness heap_kb_per_host
+      seed nproc Sys.ocaml_version rev
 
-  let json_of_rows ~quick rows =
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n";
-    Buffer.add_string b (Printf.sprintf "  \"bench\": \"scale\",\n");
-    Buffer.add_string b (Printf.sprintf "  \"quick\": %b,\n" quick);
-    Buffer.add_string b "  \"scales\": [\n";
-    List.iteri
-      (fun i r ->
-        Buffer.add_string b
-          (Printf.sprintf
-             "    {\"hosts\": %d, \"routers\": %d, \"shards\": %d, \"topology_build_s\": \
-              %.6f,\n\
-             \     \"ts_insert_ns\": %.1f, \"transport_send_ns\": %.1f,\n\
-             \     \"agg_round\": {\"virtual_s\": %.1f, \"wall_s\": %.3f, \"results\": \
-              %d, \"completeness\": %.4f}}%s\n"
-             r.hosts r.routers r.shards r.topo_build_s r.ts_insert_ns r.transport_send_ns
-             r.agg_virtual_s r.agg_wall_s r.agg_results r.agg_completeness
-             (if i = List.length rows - 1 then "" else ",")))
-      rows;
-    Buffer.add_string b "  ]\n}\n";
-    Buffer.contents b
-
-  (* Well-formedness plus schema: the file must parse, and every object
-     must carry, as its own members, the fields downstream tooling reads. *)
-  let validate s =
-    let json =
-      match Obs_json.parse s with Ok j -> j | Error e -> failwith ("bench JSON invalid " ^ e)
-    in
-    let field j key =
-      match Obs_json.member key j with
-      | Some v -> v
-      | None -> failwith ("bench JSON missing key " ^ key)
-    in
-    let require j keys = List.iter (fun k -> ignore (field j k)) keys in
-    require json [ "bench"; "quick" ];
-    match field json "scales" with
-    | Obs_json.Arr rows ->
-      List.iter
-        (fun r ->
-          require r [ "hosts"; "routers"; "shards"; "topology_build_s" ];
-          require (field r "agg_round") [ "wall_s"; "completeness" ])
-        rows
-    | _ -> failwith "bench JSON: scales is not an array"
-
-  let run ~quick ~shards ~hosts ~out =
+  let run ~quick ~domains ~hosts ~out =
     (* The agg rounds allocate short-lived events and summaries at a high
        rate; a roomier minor heap and a lazier major GC cut wall time
        noticeably at the 10k/100k points without affecting results. *)
@@ -526,54 +468,29 @@ module Scale = struct
       | Some hs -> hs
       | None -> if quick then [ 240; 680 ] else [ 680; 2000; 10_000; 100_000 ]
     in
-    Printf.printf
-      "=== scale bench (%s, %d shard domains): topology / ts-list / transport / \
-       aggregation ===\n\
-       %!"
+    Printf.printf "=== scale bench (%s, %d domains): aggregation round ===\n%!"
       (if quick then "quick" else "full")
-      shards;
-    let rows =
-      List.map
-        (fun hosts ->
-          let r = measure ~quick ~shards hosts in
-          Printf.printf
-            "%6d hosts (%d routers, %d shards): topo %.3fs  ts-insert %.0fns  send \
-             %.0fns  agg %.1fvs in %.2fs wall (%d results, %.1f%% complete)\n\
-             %!"
-            r.hosts r.routers r.shards r.topo_build_s r.ts_insert_ns r.transport_send_ns
-            r.agg_virtual_s r.agg_wall_s r.agg_results (100.0 *. r.agg_completeness);
-          r)
-        host_counts
-    in
-    let json = json_of_rows ~quick rows in
-    validate json;
+      domains;
     (match Filename.dirname out with
     | "." | "" -> ()
     | dir -> if not (Sys.file_exists dir) then Unix.mkdir dir 0o755);
+    let nproc = Mortar_par.Par.recommended_domains () and rev = git_rev () in
     let oc = open_out out in
-    output_string oc json;
+    List.iter
+      (fun hosts ->
+        output_string oc (row ~quick ~domains ~nproc ~rev hosts);
+        output_char oc '\n';
+        flush oc)
+      host_counts;
     close_out oc;
-    (* Read back and re-validate: CI treats an unparseable results file
-       as a failure, not just a curiosity. *)
-    let ic = open_in out in
-    let len = in_channel_length ic in
-    let contents = really_input_string ic len in
-    close_in ic;
-    validate contents;
-    Printf.printf "wrote %s (%d bytes, JSON ok)\n%!" out (String.length contents)
+    (* Read back and check: CI treats an unreadable results file as a
+       failure, not just a curiosity. *)
+    Printf.printf "wrote %s (%d rows ok)\n%!" out (check_rows out row_keys)
 end
 
 let () =
   let args = Array.to_list Sys.argv in
   let has f = List.mem f args in
-  let arg_value flag default =
-    let rec find = function
-      | a :: b :: _ when a = flag -> b
-      | _ :: rest -> find rest
-      | [] -> default
-    in
-    find args
-  in
   let arg_opt flag =
     let rec find = function
       | a :: b :: _ when a = flag -> Some b
@@ -592,55 +509,26 @@ let () =
     Obs.enabled := true;
     Obs.Reg.clear Obs.default
   end;
-  (* --history FILE: validate the append-only benchmark history
-     (results/BENCH.jsonl) — every line must be well-formed JSON carrying
-     the keys downstream tooling groups by. Runs before (and composes
-     with) any timing mode, so `--scale --quick --history ...` gates both
-     the fresh results file and the accumulated history. *)
+  (* --history FILE: check the append-only benchmark history
+     (results/BENCH.jsonl) for the keys downstream tooling groups by.
+     Runs before any mode; without a mode flag it is the whole run. *)
+  let history = arg_opt "--history" in
   Option.iter
     (fun path ->
-      let bad row what =
-        Printf.eprintf "%s row %d %s\n" path row what;
-        exit 1
-      in
-      let ic = open_in path in
-      let rows = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           if String.trim line <> "" then begin
-             incr rows;
-             match Obs_json.parse line with
-             | Error e -> bad !rows ("invalid JSON " ^ e)
-             | Ok j ->
-               List.iter
-                 (fun key ->
-                   if Option.is_none (Obs_json.member key j) then
-                     bad !rows ("missing key " ^ key))
-                 [ "pr"; "bench"; "hosts" ]
-           end
-         done
-       with End_of_file -> ());
-      close_in ic;
-      Printf.printf "history %s: %d rows ok\n%!" path !rows)
-    (arg_opt "--history");
+      let rows = check_rows path [ "pr"; "bench"; "hosts" ] in
+      Printf.printf "history %s: %d rows ok\n%!" path rows)
+    history;
   if has "--smoke" then run_smoke ()
   else if has "--scale" then
-    let shards = max 1 (int_of_string (arg_value "--shards" "1")) in
+    let domains = max 1 (int_of_string (Option.value (arg_opt "--shards") ~default:"1")) in
     (* --hosts 680,10000 overrides the built-in host-count ladder. *)
     let hosts =
       Option.map
         (fun s -> List.map int_of_string (String.split_on_char ',' s))
         (arg_opt "--hosts")
     in
-    Scale.run ~quick:(has "--quick") ~shards ~hosts
-      ~out:(arg_value "--out" "results/BENCH_SCALE.json")
-  else begin
-    let micro_only = has "--micro" in
-    let figures_only = has "--figures" in
-    let full = has "--full" in
-    if not figures_only then run_micro ();
-    if not micro_only then run_figures ~quick:(not full)
-  end;
+    Scale.run ~quick:(has "--quick") ~domains ~hosts
+      ~out:(Option.value (arg_opt "--out") ~default:"results/BENCH_SCALE.jsonl")
+  else if has "--micro" || history = None then run_micro ();
   Option.iter (fun p -> Obs.write_lines p (Obs.Reg.metrics_lines Obs.default)) metrics_out;
   Option.iter (fun p -> Obs.write_lines p (Obs.Reg.trace_lines Obs.default)) trace_out

@@ -63,44 +63,11 @@ let experiments_cmd =
   let quick =
     Arg.(value & flag & info [ "quick" ] ~doc:"Scaled-down configurations (fast).")
   in
-  let list_flag =
-    Arg.(
-      value & flag
-      & info [ "list" ] ~doc:"List registered experiments (id and description) and exit.")
-  in
-  let planner =
-    Arg.(
-      value
-      & opt (some (enum [ ("naive", `Naive); ("shared", `Shared) ])) None
-      & info [ "planner" ] ~docv:"MODE"
-          ~doc:
-            "Restrict the mlq experiment to one planning mode: $(b,naive) (a private tree \
-             set per query) or $(b,shared) (the multi-query planner). Default: run both \
-             and compare.")
-  in
-  let queries =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "queries" ] ~docv:"N"
-          ~doc:"Run the mlq experiment at a single concurrent-query count instead of its \
-                built-in ladder.")
-  in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
-  let run quick shards metrics_out trace_out list_flag planner queries ids =
+  let run quick shards metrics_out trace_out ids =
     setup_registry ();
     set_shards shards;
-    Mortar_experiments.Mlq.planner_override := planner;
-    Mortar_experiments.Mlq.queries_override := queries;
-    if list_flag then begin
-      List.iter
-        (fun (e : Mortar_experiments.Common.experiment) ->
-          Printf.printf "%-10s %s\n" e.id e.title)
-        (Mortar_experiments.Common.all ());
-      `Ok ()
-    end
-    else
-      match ids with
+    match ids with
     | [] ->
       with_obs ~metrics_out ~trace_out (fun () ->
           Mortar_experiments.Common.run_all ~quick);
@@ -130,8 +97,7 @@ let experiments_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ quick $ shards_arg $ metrics_out_arg $ trace_out_arg $ list_flag
-       $ planner $ queries $ ids))
+        (const run $ quick $ shards_arg $ metrics_out_arg $ trace_out_arg $ ids))
 
 let list_cmd =
   let run () =

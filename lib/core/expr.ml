@@ -71,29 +71,6 @@ let apply transforms payload =
     (fun acc tr -> match acc with None -> None | Some p -> step p tr)
     (Some payload) transforms
 
-let binop_str = function Add -> "+" | Sub -> "-" | Mul -> "*" | Div -> "/" | Mod -> "%"
-
-let cmp_str = function Eq -> "==" | Ne -> "!=" | Lt -> "<" | Le -> "<=" | Gt -> ">" | Ge -> ">="
-
-let rec pp ppf = function
-  | Const v -> Value.pp ppf v
-  | Field f -> Format.pp_print_string ppf f
-  | Binop (op, a, b) -> Format.fprintf ppf "(%a %s %a)" pp a (binop_str op) pp b
-  | Cmp (c, a, b) -> Format.fprintf ppf "(%a %s %a)" pp a (cmp_str c) pp b
-  | And (a, b) -> Format.fprintf ppf "(%a && %a)" pp a pp b
-  | Or (a, b) -> Format.fprintf ppf "(%a || %a)" pp a pp b
-  | Not a -> Format.fprintf ppf "!%a" pp a
-  | Neg a -> Format.fprintf ppf "-%a" pp a
-
-let pp_transform ppf = function
-  | Select e -> Format.fprintf ppf "select(%a)" pp e
-  | Map fields ->
-    Format.fprintf ppf "map(%a)"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ")
-         (fun ppf (name, e) -> Format.fprintf ppf "%s=%a" name pp e))
-      fields
-
 let rec wire_size = function
   | Const v -> 1 + Value.wire_size v
   | Field f -> 1 + String.length f

@@ -551,12 +551,3 @@ let query_metas program ~root ~total_nodes ?(degree = 4) ?(track_provenance = fa
 
 let statement_name = function
   | Derived_stream { name; _ } | Query_def { name; _ } -> name
-
-let pp_statement ppf = function
-  | Derived_stream { name; source; pre } ->
-    Format.fprintf ppf "%s = derived(%s; %a)" name source
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf "; ") Expr.pp_transform)
-      pre
-  | Query_def { name; source; op; window; mode; _ } ->
-    Format.fprintf ppf "%s = %a over %s %a %s" name Op.pp_spec op source Window.pp window
-      (match mode with Query.Syncless -> "syncless" | Query.Timestamp -> "timestamp")

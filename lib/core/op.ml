@@ -329,24 +329,6 @@ let spec_name = function
   | Sketch_agms _ -> "agms"
   | Sketch_hll _ -> "hll"
 
-let pp_spec ppf spec =
-  match spec with
-  | Top_k { k; key } -> Format.fprintf ppf "topk(k=%d, key=%s)" k key
-  | Union { cap } -> Format.fprintf ppf "union(cap=%d)" cap
-  | Histogram { lo; hi; bins } -> Format.fprintf ppf "histogram(%g, %g, %d)" lo hi bins
-  | Quantile { q; lo; hi; bins } ->
-    Format.fprintf ppf "quantile(q=%g, %g, %g, %d)" q lo hi bins
-  | Custom { name; args } ->
-    Format.fprintf ppf "%s(%a)" name
-      (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.fprintf ppf ", ") Value.pp)
-      args
-  | Sketch_count_min { depth; width; seed } ->
-    Format.fprintf ppf "cm(depth=%d, width=%d, seed=%d)" depth width seed
-  | Sketch_agms { rows; cols; seed } ->
-    Format.fprintf ppf "agms(rows=%d, cols=%d, seed=%d)" rows cols seed
-  | Sketch_hll { b; seed } -> Format.fprintf ppf "hll(b=%d, seed=%d)" b seed
-  | other -> Format.pp_print_string ppf (spec_name other)
-
 let spec_wire_size spec =
   match spec with
   | Custom { name; args } ->

@@ -73,8 +73,6 @@ val registered : string -> bool
 
 val spec_name : spec -> string (* lint: allow D11 oracle: test/test_core_data.ml "op remove inverse" *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 val spec_wire_size : spec -> int
 
 val state_wire_size : spec -> int option

@@ -93,23 +93,23 @@ type remote_result = {
 type counter =
   | Results | Results_forwarded | Results_fwd_received | Received | Late | Dropped
   | Ts_inserts | Type_faults | Reconciliations | Ctl_acked | Ctl_retransmits | Ctl_abandoned
-  | Installs | Tree_repairs | Repairs | Reparent_edges | Adoptions | Fast_resyncs
-  | Warmup_buffered | Warmup_replayed | Warmup_drops | Partners_swept | Crashes
+  | Installs | Repairs | Reparent_edges | Adoptions | Fast_resyncs | Warmup_buffered
+  | Warmup_replayed | Warmup_drops | Partners_swept | Crashes
 
 let counters =
   [| Results; Results_forwarded; Results_fwd_received; Received; Late; Dropped; Ts_inserts;
      Type_faults; Reconciliations; Ctl_acked; Ctl_retransmits; Ctl_abandoned; Installs;
-     Tree_repairs; Repairs; Reparent_edges; Adoptions; Fast_resyncs; Warmup_buffered;
-     Warmup_replayed; Warmup_drops; Partners_swept; Crashes |]
+     Repairs; Reparent_edges; Adoptions; Fast_resyncs; Warmup_buffered; Warmup_replayed;
+     Warmup_drops; Partners_swept; Crashes |]
 
 (* The counter's index in a peer's [counts]: its position in [counters]. *)
 let slot = function
   | Results -> 0 | Results_forwarded -> 1 | Results_fwd_received -> 2 | Received -> 3
   | Late -> 4 | Dropped -> 5 | Ts_inserts -> 6 | Type_faults -> 7 | Reconciliations -> 8
   | Ctl_acked -> 9 | Ctl_retransmits -> 10 | Ctl_abandoned -> 11 | Installs -> 12
-  | Tree_repairs -> 13 | Repairs -> 14 | Reparent_edges -> 15 | Adoptions -> 16
-  | Fast_resyncs -> 17 | Warmup_buffered -> 18 | Warmup_replayed -> 19 | Warmup_drops -> 20
-  | Partners_swept -> 21 | Crashes -> 22
+  | Repairs -> 13 | Reparent_edges -> 14 | Adoptions -> 15 | Fast_resyncs -> 16
+  | Warmup_buffered -> 17 | Warmup_replayed -> 18 | Warmup_drops -> 19 | Partners_swept -> 20
+  | Crashes -> 21
 
 let () = Array.iteri (fun i c -> assert (slot c = i)) counters
 
@@ -127,7 +127,6 @@ let counter_name = function
   | Ctl_retransmits -> "peer.ctl_retransmits"
   | Ctl_abandoned -> "peer.ctl_abandoned"
   | Installs -> "peer.installs"
-  | Tree_repairs -> "peer.tree_repairs"
   | Repairs -> "peer.repairs"
   | Reparent_edges -> "peer.reparent_edges"
   | Adoptions -> "peer.adoptions"
@@ -1150,19 +1149,6 @@ let install_query t (meta : Query.meta) treeset =
         send_ctl t ~dst:chunk.entry
           (Msg.Install { meta; members = chunk.members; edges = chunk.edges; age = 0.0 }))
     chunks
-
-let replan_query t ~name treeset =
-  match Lazy_tbl.find_opt t.plans name with
-  | None -> invalid_arg "Peer.replan_query: no plan for this query (not the injector)"
-  | Some (meta, _) ->
-    (* §3.2: large changes in network coordinates require query
-       re-deployment. A higher sequence number supersedes the old plan on
-       every peer; stragglers catch up through reconciliation. *)
-    let meta = { meta with Query.seqno = meta.Query.seqno + 1 } in
-    bump t Tree_repairs;
-    if !Obs.enabled then
-      Obs.trace ~t:(now_local t) (Obs.Tree_repair { node = t.rt.self; query = name });
-    install_query t meta treeset
 
 let remove_query t ~name =
   match Lazy_tbl.find_opt t.plans name with

@@ -135,7 +135,6 @@ type counter =
   | Ctl_retransmits  (** Control retransmissions sent. *)
   | Ctl_abandoned  (** Control messages whose retry budget ran out. *)
   | Installs  (** Query instances (re)installed locally. *)
-  | Tree_repairs  (** Re-deployments issued by {!replan_query}. *)
   | Repairs  (** Orphanings closed by a confirmed-live parent. *)
   | Reparent_edges  (** Individual per-tree adoption decisions. *)
   | Adoptions  (** Repairing orphans adopted as children. *)
@@ -221,12 +220,6 @@ val install_query : t -> Query.meta -> Mortar_overlay.Treeset.t -> unit
 val remove_query : t -> name:string -> unit
 (** Multicast removal down the primary tree; requires the full plan (only
     the injector has it). *)
-
-val replan_query : t -> name:string -> Mortar_overlay.Treeset.t -> unit (* lint: allow D11 test-only, deletion deferred: test/test_peer.ml "replan query" *)
-(** Re-deploy an installed query over a fresh tree set (e.g. after network
-    coordinates drift, §3.2): the same metadata is re-issued with a higher
-    sequence number, superseding the old plan everywhere; peers that miss
-    the multicast converge through reconciliation. Injector only. *)
 
 val installed : t -> string list
 

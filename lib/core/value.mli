@@ -35,7 +35,7 @@ val to_int : t -> int
 val to_bool : t -> bool
 
 val to_string : t -> string
-(** Only [Str]; use {!pp} for display. *)
+(** Only [Str]; use {!show} for display. *)
 
 val to_list : t -> t list
 
@@ -53,7 +53,5 @@ val compare : t -> t -> int
 
 val wire_size : t -> int
 (** Estimated serialized size in bytes, used for bandwidth accounting. *)
-
-val pp : Format.formatter -> t -> unit
 
 val show : t -> string

@@ -17,7 +17,3 @@ let is_time = function Time _ -> true | Tuples _ -> false
 let slide_seconds = function
   | Time { slide; _ } -> slide
   | Tuples _ -> invalid_arg "Window.slide_seconds: tuple window"
-
-let pp ppf = function
-  | Time { range; slide } -> Format.fprintf ppf "time(range=%gs, slide=%gs)" range slide
-  | Tuples { range; slide } -> Format.fprintf ppf "tuples(range=%d, slide=%d)" range slide

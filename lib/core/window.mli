@@ -24,5 +24,3 @@ val is_time : t -> bool
 val slide_seconds : t -> float (* lint: allow D11 oracle: test/test_core_data.ml "window validation" *)
 (** The slide for time windows. @raise Invalid_argument for tuple
     windows. *)
-
-val pp : Format.formatter -> t -> unit

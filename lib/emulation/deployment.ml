@@ -491,9 +491,8 @@ let schedule_faults t events = List.iter (schedule_fault t) events
    caller's [rng] — the deployment RNG is untouched, so attaching the
    schedule never perturbs planning or sensor phases — and the returned
    list is a plain value the caller can inspect, replay or log. *)
-let composed_churn t ~rng ~from ~until ?(protect = []) ?(churn_period = 12.0)
-    ?(churn_kills = 2) ?(down_min = 6.0) ?(down_max = 16.0) ?(burst_period = 45.0)
-    ?(burst_len = 12.0) ?(kill_period = 70.0) ?(kill_fraction = 0.4) ?(kill_len = 12.0) () =
+let composed_churn t ~rng ~from ~until ~protect ~churn_period ~churn_kills ~down_min ~down_max
+    ~burst_period ~burst_len ~kill_period ~kill_fraction ~kill_len () =
   let pool =
     List.filter (fun h -> not (List.mem h protect)) (all_hosts t) |> Array.of_list
   in

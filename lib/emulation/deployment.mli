@@ -171,16 +171,16 @@ val composed_churn :
   rng:Mortar_util.Rng.t ->
   from:float ->
   until:float ->
-  ?protect:int list ->
-  ?churn_period:float ->
-  ?churn_kills:int ->
-  ?down_min:float ->
-  ?down_max:float ->
-  ?burst_period:float ->
-  ?burst_len:float ->
-  ?kill_period:float ->
-  ?kill_fraction:float ->
-  ?kill_len:float ->
+  protect:int list ->
+  churn_period:float ->
+  churn_kills:int ->
+  down_min:float ->
+  down_max:float ->
+  burst_period:float ->
+  burst_len:float ->
+  kill_period:float ->
+  kill_fraction:float ->
+  kill_len:float ->
   unit ->
   fault_event list
 (** Generate (but do not install) a composed chaos schedule on

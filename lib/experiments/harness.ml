@@ -32,7 +32,7 @@ let query_name = "peer-count"
 
 let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) ?(degree = 4)
     ?style ?(window = 1.0) ?(mode = Query.Syncless) ?(aggregate = true)
-    ?(track_provenance = false) ?offsets ?skews ?config ?(install_at = 1.0) () =
+    ?(track_provenance = false) ?offsets ?skews ?config () =
   let rng = Mortar_util.Rng.create (seed * 7919) in
   let topo = Mortar_net.Topology.transit_stub rng ~transits ~stubs ~hosts () in
   let d = D.create_sharded ~seed ?config ?offsets ?skews topo in
@@ -68,7 +68,7 @@ let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) 
              age = r.age;
              prov = (if track_provenance then r.prov else []);
            }));
-  D.at d install_at (fun () -> Peer.install_query (D.peer d 0) meta treeset);
+  D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   t
 
 let deployment t = t.d

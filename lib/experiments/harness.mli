@@ -37,7 +37,6 @@ val create :
   ?offsets:float array ->
   ?skews:float array ->
   ?config:Mortar_core.Peer.config ->
-  ?install_at:float ->
   unit ->
   t
 (** Defaults follow §7: 680 hosts over 34 stubs / 8 transits, bf 16, four

@@ -38,10 +38,6 @@ module Place = Mortar_plan.Place
 module Registry = Mortar_plan.Registry
 module Rng = Mortar_util.Rng
 
-(* CLI overrides (bin/mortar_cli: --planner, --queries). *)
-let planner_override : [ `Naive | `Shared ] option ref = ref None
-let queries_override : int option ref = ref None
-
 type params = {
   hosts : int;
   transits : int;
@@ -448,23 +444,8 @@ let run_churn ~replan ~q p =
 
 let run ~quick =
   let p = params ~quick in
-  let ladder =
-    match !queries_override with Some q -> [ q ] | None -> p.ladder
-  in
-  let modes =
-    match !planner_override with
-    | Some `Naive -> [ `Naive ]
-    | Some `Shared -> [ `Shared ]
-    | None -> [ `Naive; `Shared ]
-  in
   let rows =
-    List.map
-      (fun q ->
-        let get mode =
-          if List.mem mode modes then Some (run_point ~mode ~q p) else None
-        in
-        (q, get `Naive, get `Shared))
-      ladder
+    List.map (fun q -> (q, run_point ~mode:`Naive ~q p, run_point ~mode:`Shared ~q p)) p.ladder
   in
   Common.table
     ~columns:
@@ -473,49 +454,44 @@ let run ~quick =
     (fun () ->
       List.map
         (fun (q, naive, shared) ->
-          let cell f = function Some pt -> f pt | None -> "-" in
           let saving =
-            match (naive, shared) with
-            | Some n, Some s when n.mbps > 0.0 -> Common.cell_pct (1.0 -. (s.mbps /. n.mbps))
-            | _ -> "-"
+            if naive.mbps > 0.0 then Common.cell_pct (1.0 -. (shared.mbps /. naive.mbps))
+            else "-"
           in
           [
             string_of_int q;
-            cell (fun pt -> string_of_int pt.physical) shared;
-            cell (fun pt -> Common.cell_f pt.mbps) naive;
-            cell (fun pt -> Common.cell_f pt.mbps) shared;
+            string_of_int shared.physical;
+            Common.cell_f naive.mbps;
+            Common.cell_f shared.mbps;
             saving;
-            cell (fun pt -> Common.cell_pct pt.compl) naive;
-            cell (fun pt -> Common.cell_pct pt.compl) shared;
+            Common.cell_pct naive.compl;
+            Common.cell_pct shared.compl;
           ])
         rows);
   (* Churn phase: incremental re-plan vs no-replan control. *)
-  if List.mem `Shared modes then begin
-    let q = match !queries_override with Some q -> q | None -> p.churn_q in
-    let on = run_churn ~replan:true ~q p in
-    let off = run_churn ~replan:false ~q p in
-    Printf.printf "\nchurn phase (stub kill at %gs, %d queries, completeness vs survivors):\n"
-      p.kill_at q;
-    Common.table
-      ~columns:[ "replan"; "pre"; "degraded"; "post"; "replans" ]
-      (fun () ->
-        let row label (r : churn_row) =
-          [
-            label;
-            Common.cell_pct r.pre;
-            Common.cell_pct r.degraded;
-            Common.cell_pct r.post;
-            string_of_int r.replans;
-          ]
-        in
-        [ row "on" on; row "off" off ])
-  end;
+  let on = run_churn ~replan:true ~q:p.churn_q p in
+  let off = run_churn ~replan:false ~q:p.churn_q p in
+  Printf.printf "\nchurn phase (stub kill at %gs, %d queries, completeness vs survivors):\n"
+    p.kill_at p.churn_q;
+  Common.table
+    ~columns:[ "replan"; "pre"; "degraded"; "post"; "replans" ]
+    (fun () ->
+      let row label (r : churn_row) =
+        [
+          label;
+          Common.cell_pct r.pre;
+          Common.cell_pct r.degraded;
+          Common.cell_pct r.post;
+          string_of_int r.replans;
+        ]
+      in
+      [ row "on" on; row "off" off ]);
   (* The CI gate greps this exact line. *)
   (match List.rev rows with
-  | (_, Some naive, Some shared) :: _ ->
+  | (_, naive, shared) :: _ ->
     let ok = shared.mbps < naive.mbps && shared.compl >= naive.compl -. 0.01 in
     Printf.printf "mlq gate: %s\n" (if ok then "ok" else "FAIL")
-  | _ -> ())
+  | [] -> ())
 
 let experiment =
   {

@@ -66,8 +66,6 @@ let add t scope eff =
   t.conditions := !(t.conditions) @ [ { cid; scope; eff } ];
   cid
 
-let cut t ~src ~dst = add t { a = set_of t src; b = set_of t dst; sym = false } Cut
-
 let partition t ~a ~b = add t { a = set_of t a; b = set_of t b; sym = true } Cut
 
 let isolate t members =
@@ -87,8 +85,6 @@ let jitter t ?(sym = false) ?(prob = 1.0) ~src ~dst ~extra () =
   add t { a = set_of t src; b = set_of t dst; sym } (Delay { extra; prob })
 
 let clear t cid = t.conditions := List.filter (fun c -> c.cid <> cid) !(t.conditions)
-
-let clear_all t = t.conditions := []
 
 let active t = List.length !(t.conditions)
 

@@ -55,11 +55,8 @@ val shard_view : t -> rng:Mortar_util.Rng.t -> t
     Host-set arguments are lists of host indices. [sym] (default [false])
     applies the condition to both directions of the pair. *)
 
-val cut : t -> src:int list -> dst:int list -> id (* lint: allow D11 test-only, deletion deferred: test/test_faults.ml "cut and heal" *)
-(** Drop every message from a host in [src] to a host in [dst]. *)
-
 val partition : t -> a:int list -> b:int list -> id
-(** Bidirectional {!cut}: no message crosses between [a] and [b] in either
+(** Cut [a] from [b]: no message crosses between them in either
     direction until {!clear}ed. *)
 
 val isolate : t -> int list -> id
@@ -93,8 +90,6 @@ val jitter : t -> ?sym:bool -> ?prob:float -> src:int list -> dst:int list -> ex
 
 val clear : t -> id -> unit
 (** Remove a condition; unknown or already-cleared ids are a no-op. *)
-
-val clear_all : t -> unit (* lint: allow D11 test-only, deletion deferred: test/test_faults.ml "loss rates" *)
 
 val active : t -> int (* lint: allow D11 oracle: test/test_faults.ml "isolate" *)
 (** Number of currently active conditions. *)

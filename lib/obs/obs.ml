@@ -26,7 +26,6 @@ type event =
   | Tuple_recv of { src : int; dst : int; kind : string }
   | Tuple_drop of { src : int; dst : int; kind : string; reason : string }
   | Ts_merge of { node : int; query : string }
-  | Tree_repair of { node : int; query : string }
   | Orphaned of { node : int; query : string }
   | Reparent of {
       node : int;
@@ -329,7 +328,6 @@ module Reg = struct
       ( "tuple_drop",
         [ field_i "src" src; field_i "dst" dst; field_s "kind" kind; field_s "reason" reason ] )
     | Ts_merge { node; query } -> ("ts_merge", [ field_i "node" node; field_s "query" query ])
-    | Tree_repair { node; query } -> ("tree_repair", [ field_i "node" node; field_s "query" query ])
     | Orphaned { node; query } -> ("orphaned", [ field_i "node" node; field_s "query" query ])
     | Reparent { node; query; tree; from_parent; to_parent; donor } ->
       ( "reparent",

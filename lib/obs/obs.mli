@@ -47,8 +47,6 @@ type event =
           or ["routing"] (no live route toward the root). *)
   | Ts_merge of { node : int; query : string }
       (** A summary inserted/merged into a TS list. *)
-  | Tree_repair of { node : int; query : string }
-      (** Query re-deployment superseding the old plan (§3.2). *)
   | Orphaned of { node : int; query : string }
       (** The failure detector found every union parent dead — the node is
           blackholed until repair finds a live donor. *)

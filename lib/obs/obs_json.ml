@@ -267,10 +267,6 @@ let event_of_line line =
       let* node = int_field j "node" in
       let* query = str_field j "query" in
       Ok (Obs.Ts_merge { node; query })
-    | "tree_repair" ->
-      let* node = int_field j "node" in
-      let* query = str_field j "query" in
-      Ok (Obs.Tree_repair { node; query })
     | "orphaned" ->
       let* node = int_field j "node" in
       let* query = str_field j "query" in

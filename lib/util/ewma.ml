@@ -14,14 +14,6 @@ let update t x =
   | None -> t.current <- Some x
   | Some v -> t.current <- Some (((1.0 -. t.alpha) *. v) +. (t.alpha *. x))
 
-let update_max t x =
-  t.count <- t.count + 1;
-  match t.current with
-  | None -> t.current <- Some x
-  | Some v ->
-    if x >= v then t.current <- Some x
-    else t.current <- Some (((1.0 -. t.alpha) *. v) +. (t.alpha *. x))
-
 let value t = t.current
 
 let value_or t default = Option.value t.current ~default

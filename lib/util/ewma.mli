@@ -13,11 +13,6 @@ val create : ?alpha:float -> unit -> t
 val update : t -> float -> unit
 (** Fold in a sample. The first sample initialises the average. *)
 
-val update_max : t -> float -> unit (* lint: allow D11 test-only, deletion deferred: test/test_util.ml "ewma update_max jumps" *)
-(** Fold in a sample, but jump directly to the sample when it exceeds the
-    current average (an EWMA "of the maximum": rises fast, decays slowly).
-    This is how Mortar tracks the longest path delay. *)
-
 val value : t -> float option (* lint: allow D11 oracle: test/test_util.ml "ewma first sample" *)
 (** Current average, or [None] before any sample. *)
 

@@ -66,5 +66,3 @@ let pop_exn t =
   match pop t with
   | Some x -> x
   | None -> invalid_arg "Heap.pop_exn: empty heap"
-
-let clear t = t.size <- 0

@@ -22,5 +22,3 @@ val pop : 'a t -> 'a option
 
 val pop_exn : 'a t -> 'a
 (** @raise Invalid_argument on an empty heap. *)
-
-val clear : 'a t -> unit (* lint: allow D11 test-only, deletion deferred: test/test_util.ml "heap clear" *)

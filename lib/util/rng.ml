@@ -41,10 +41,6 @@ let gaussian t ~mu ~sigma =
   let r = sqrt (-2.0 *. log u1) in
   mu +. (sigma *. r *. cos (2.0 *. Float.pi *. u2))
 
-let exponential t ~rate =
-  let u = max (float_unit t) 1e-300 in
-  -.log u /. rate
-
 let pareto t ~xm ~alpha =
   let u = max (float_unit t) 1e-300 in
   xm /. (u ** (1.0 /. alpha))

@@ -34,9 +34,6 @@ val uniform : t -> float -> float -> float
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normal deviate via Box-Muller. *)
 
-val exponential : t -> rate:float -> float (* lint: allow D11 test-only, deletion deferred: test/test_util.ml "rng exponential positive" *)
-(** Exponential deviate with the given rate (mean [1. /. rate]). *)
-
 val pareto : t -> xm:float -> alpha:float -> float
 (** Pareto deviate with scale [xm] and shape [alpha]. *)
 

@@ -114,15 +114,10 @@ let test_msl_custom_positional_args () =
   | [ Msl.Query_def _ ] -> ()
   | _ -> Alcotest.fail "unexpected parse"
 
-let test_msl_pp () =
-  let program = Msl.parse {| q = sum(stream("s")) window time 2s 1s |} in
-  let s = Format.asprintf "%a" Msl.pp_statement (List.hd program) in
-  Alcotest.(check bool) "prints name" true (String.length s > 5);
-  Alcotest.(check string) "statement name" "q" (Msl.statement_name (List.hd program))
-
 let test_msl_negative_literal () =
   match Msl.parse {| q = select(stream("s"), rssi > -90.0) |} with
-  | [ Msl.Derived_stream { pre = [ Expr.Select _ ]; _ } ] -> ()
+  | [ (Msl.Derived_stream { pre = [ Expr.Select _ ]; _ } as s) ] ->
+    Alcotest.(check string) "statement name" "q" (Msl.statement_name s)
   | _ -> Alcotest.fail "negative literal in predicate"
 
 (* ------------------------------------------------------------------ *)
@@ -208,7 +203,6 @@ let tests =
     Alcotest.test_case "expr string compare" `Quick test_expr_string_compare;
     Alcotest.test_case "expr float/int mix" `Quick test_expr_float_int_mix;
     Alcotest.test_case "msl custom args" `Quick test_msl_custom_positional_args;
-    Alcotest.test_case "msl pp" `Quick test_msl_pp;
     Alcotest.test_case "msl negative literal" `Quick test_msl_negative_literal;
     QCheck_alcotest.to_alcotest prop_map_nodes_bijection;
     Alcotest.test_case "single-node tree" `Quick test_single_node_tree;

@@ -37,9 +37,8 @@ let test_cut_and_heal () =
   with_obs (fun () ->
       let f = make_faults () in
       Alcotest.(check bool) "clean table passes" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-      let id = Faults.cut f ~src:[ 0 ] ~dst:[ 1 ] in
+      let id = Faults.partition f ~a:[ 0 ] ~b:[ 1 ] in
       Alcotest.(check bool) "cut drops" true (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-      Alcotest.(check bool) "cut is directed" false (Faults.decide f ~src:1 ~dst:0).Faults.drop;
       Alcotest.(check bool) "other pair unaffected" false
         (Faults.decide f ~src:2 ~dst:3).Faults.drop;
       Faults.clear f id;
@@ -69,10 +68,10 @@ let test_isolate () =
 
 let test_loss_rates () =
   let f = make_faults () in
-  let _always = Faults.loss f ~src:[ 0 ] ~dst:[ 1 ] ~rate:1.0 () in
+  let always = Faults.loss f ~src:[ 0 ] ~dst:[ 1 ] ~rate:1.0 () in
   Alcotest.(check bool) "rate 1 drops" true (Faults.decide f ~src:0 ~dst:1).Faults.drop;
   Alcotest.(check bool) "asymmetric" false (Faults.decide f ~src:1 ~dst:0).Faults.drop;
-  Faults.clear_all f;
+  Faults.clear f always;
   let _half = Faults.loss f ~src:[ 0 ] ~dst:[ 1 ] ~rate:0.5 () in
   let dropped = ref 0 in
   for _ = 1 to 1000 do
@@ -87,14 +86,14 @@ let test_bursty_extremes () =
   let f = make_faults () in
   (* p_enter = 1: the chain leaves the good state on the first message and
      never returns; with loss_bad = 1 everything after drops. *)
-  let _id = Faults.bursty f ~src:[ 0 ] ~dst:[ 1 ] ~p_enter:1.0 ~p_exit:0.0 ~loss_bad:1.0 () in
+  let stuck = Faults.bursty f ~src:[ 0 ] ~dst:[ 1 ] ~p_enter:1.0 ~p_exit:0.0 ~loss_bad:1.0 () in
   for i = 1 to 20 do
     Alcotest.(check bool)
       (Printf.sprintf "msg %d dropped" i)
       true
       (Faults.decide f ~src:0 ~dst:1).Faults.drop
   done;
-  Faults.clear_all f;
+  Faults.clear f stuck;
   (* p_enter = 0 with loss_good = 0: the chain never leaves the good state
      and nothing drops. *)
   let _id = Faults.bursty f ~src:[ 0 ] ~dst:[ 1 ] ~p_enter:0.0 ~p_exit:1.0 ~loss_bad:1.0 () in
@@ -301,7 +300,7 @@ let test_ctl_budget_abandons () =
   let p0 = mk 0 and p1 = mk 1 in
   Transport.register tr 0 (fun ~src m -> Peer.receive p0 ~src m);
   Transport.register tr 1 (fun ~src m -> Peer.receive p1 ~src m);
-  ignore (Faults.cut f ~src:[ 0 ] ~dst:[ 1 ]);
+  ignore (Faults.partition f ~a:[ 0 ] ~b:[ 1 ]);
   let rng = Rng.create 41 in
   let treeset = Mortar_overlay.Treeset.random rng ~bf:2 ~d:1 ~root:0 ~nodes:[| 1 |] in
   let meta =

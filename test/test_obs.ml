@@ -151,21 +151,20 @@ let event_ordinal : Obs.event -> int = function
   | Obs.Tuple_recv _ -> 1
   | Obs.Tuple_drop _ -> 2
   | Obs.Ts_merge _ -> 3
-  | Obs.Tree_repair _ -> 4
-  | Obs.Orphaned _ -> 5
-  | Obs.Reparent _ -> 6
-  | Obs.Reconcile_round _ -> 7
-  | Obs.Query_install _ -> 8
-  | Obs.Window_close _ -> 9
-  | Obs.Node_down _ -> 10
-  | Obs.Node_up _ -> 11
-  | Obs.Crash _ -> 12
-  | Obs.Fault_start _ -> 13
-  | Obs.Fault_stop _ -> 14
-  | Obs.Result _ -> 15
-  | Obs.Mark _ -> 16
+  | Obs.Orphaned _ -> 4
+  | Obs.Reparent _ -> 5
+  | Obs.Reconcile_round _ -> 6
+  | Obs.Query_install _ -> 7
+  | Obs.Window_close _ -> 8
+  | Obs.Node_down _ -> 9
+  | Obs.Node_up _ -> 10
+  | Obs.Crash _ -> 11
+  | Obs.Fault_start _ -> 12
+  | Obs.Fault_stop _ -> 13
+  | Obs.Result _ -> 14
+  | Obs.Mark _ -> 15
 
-let event_constructors = 17
+let event_constructors = 16
 
 let test_trace_roundtrip () =
   let r = Obs.Reg.create () in
@@ -175,7 +174,6 @@ let test_trace_roundtrip () =
       (0.3, Obs.Tuple_recv { src = 2; dst = 1; kind = "heartbeat" });
       (0.5, Obs.Tuple_drop { src = 4; dst = -1; kind = "data"; reason = "routing" });
       (0.5, Obs.Ts_merge { node = 5; query = "q\"1" });
-      (0.625, Obs.Tree_repair { node = 6; query = "peer-count" });
       (0.75, Obs.Orphaned { node = 7; query = "peer-count" });
       ( 0.875,
         Obs.Reparent

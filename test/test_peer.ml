@@ -264,39 +264,6 @@ let test_reinstall_supersedes () =
       (Peer.query_seqno (D.peer d i) "q")
   done
 
-let test_replan_query () =
-  (* Re-deploy over a fresh tree set: every node ends up on the new seqno
-     and results keep flowing. *)
-  let d = deploy ~seed:53 ~hosts:16 () in
-  let hosts = D.hosts d in
-  let nodes = all_nodes hosts in
-  let ts1 = D.plan d ~bf:4 ~d:2 ~root:0 ~nodes () in
-  let ts2 = D.plan d ~bf:4 ~d:4 ~root:0 ~nodes () in
-  let meta =
-    Query.make_meta ~name:"rp" ~source:"ones" ~op:Op.Sum ~window:(Window.tumbling 1.0)
-      ~root:0 ~total_nodes:hosts ()
-  in
-  for i = 0 to hosts - 1 do
-    D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
-  done;
-  let results = collect d in
-  D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta ts1);
-  D.at d 20.0 (fun () -> Peer.replan_query (D.peer d 0) ~name:"rp" ts2);
-  D.run_until d 60.0;
-  for i = 0 to hosts - 1 do
-    Alcotest.(check (option int))
-      (Printf.sprintf "node %d on new plan" i)
-      (Some 2)
-      (Peer.query_seqno (D.peer d i) "rp")
-  done;
-  let late = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 45.0) !results in
-  Alcotest.(check bool) "results keep flowing after replan" true (late <> []);
-  let mean =
-    Mortar_util.Stats.mean
-      (Array.of_list (List.map (fun (r : Peer.result) -> r.completeness) late))
-  in
-  Alcotest.(check bool) (Printf.sprintf "complete after replan (%.2f)" mean) true (mean > 0.9)
-
 let test_by_index_striping () =
   (* Content-sensitive routing (§4): the same window takes the same tree
      everywhere, and results stay complete. *)
@@ -644,7 +611,6 @@ let tests =
     Alcotest.test_case "reinstall supersedes" `Quick test_reinstall_supersedes;
     Alcotest.test_case "by-index striping" `Slow test_by_index_striping;
     Alcotest.test_case "type faults survive" `Quick test_type_faults_survive;
-    Alcotest.test_case "replan query" `Slow test_replan_query;
     Alcotest.test_case "stats counters" `Quick test_stats_counters;
     Alcotest.test_case "host footprint" `Quick test_footprint;
     QCheck_alcotest.to_alcotest prop_partner_set_matches_oracle;

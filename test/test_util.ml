@@ -77,12 +77,6 @@ let test_rng_sample_distinct () =
   let distinct = Array.to_list sorted |> List.sort_uniq compare in
   Alcotest.(check int) "all distinct" 10 (List.length distinct)
 
-let test_rng_exponential_positive () =
-  let rng = Rng.create 11 in
-  for _ = 1 to 1000 do
-    Alcotest.(check bool) "positive" true (Rng.exponential rng ~rate:2.0 >= 0.0)
-  done
-
 let test_rng_pareto_above_xm () =
   let rng = Rng.create 11 in
   for _ = 1 to 1000 do
@@ -117,12 +111,6 @@ let test_heap_peek_stable () =
   Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
   Alcotest.(check int) "length unchanged" 3 (Heap.length h)
 
-let test_heap_clear () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 3; 1; 2 ];
-  Heap.clear h;
-  Alcotest.(check bool) "cleared" true (Heap.is_empty h)
-
 let prop_heap_ordering =
   QCheck.Test.make ~name:"heap pops in nondecreasing order" ~count:200
     QCheck.(list int)
@@ -150,14 +138,6 @@ let test_ewma_converges () =
     Ewma.update e 4.0
   done;
   Alcotest.(check bool) "converged" true (abs_float (Ewma.value_or e nan -. 4.0) < 1e-6)
-
-let test_ewma_update_max_jumps () =
-  let e = Ewma.create () in
-  Ewma.update_max e 1.0;
-  Ewma.update_max e 10.0;
-  check_float "jumps to max" 10.0 (Ewma.value_or e nan);
-  Ewma.update_max e 5.0;
-  Alcotest.(check bool) "decays slowly" true (Ewma.value_or e nan > 9.0)
 
 let test_ewma_samples_counted () =
   let e = Ewma.create () in
@@ -322,16 +302,13 @@ let tests =
     Alcotest.test_case "rng gaussian moments" `Quick test_rng_gaussian_moments;
     Alcotest.test_case "rng shuffle permutation" `Quick test_rng_shuffle_permutation;
     Alcotest.test_case "rng sample distinct" `Quick test_rng_sample_distinct;
-    Alcotest.test_case "rng exponential positive" `Quick test_rng_exponential_positive;
     Alcotest.test_case "rng pareto above xm" `Quick test_rng_pareto_above_xm;
     Alcotest.test_case "heap sorts" `Quick test_heap_sorts;
     Alcotest.test_case "heap empty" `Quick test_heap_empty;
     Alcotest.test_case "heap peek stable" `Quick test_heap_peek_stable;
-    Alcotest.test_case "heap clear" `Quick test_heap_clear;
     QCheck_alcotest.to_alcotest prop_heap_ordering;
     Alcotest.test_case "ewma first sample" `Quick test_ewma_first_sample;
     Alcotest.test_case "ewma converges" `Quick test_ewma_converges;
-    Alcotest.test_case "ewma update_max jumps" `Quick test_ewma_update_max_jumps;
     Alcotest.test_case "ewma samples counted" `Quick test_ewma_samples_counted;
     Alcotest.test_case "stats mean/std" `Quick test_stats_mean_std;
     Alcotest.test_case "stats percentiles" `Quick test_stats_percentiles;
