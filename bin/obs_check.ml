@@ -1,6 +1,6 @@
 (* obs_check: gate a metrics dump against a checked-in baseline.
 
-   Usage: obs_check CURRENT BASELINE [--abs X] [--rel Y] [--allow-extra]
+   Usage: obs_check CURRENT BASELINE [--abs X] [--rel Y]
 
    Both files are JSON-lines metrics dumps as written by --metrics-out.
    Every metric present in the baseline must exist in the current dump
@@ -8,8 +8,8 @@
    rel * |base|. Counters and gauges compare their value; histograms
    compare count, sum, overflow and every bucket count (bucket edges
    must match exactly). Metrics present in the current dump but not in
-   the baseline fail unless --allow-extra is given, so a renamed metric
-   cannot silently drop out of the gate. *)
+   the baseline fail too, so a renamed metric cannot silently drop out
+   of the gate. *)
 
 open Cmdliner
 module Obs = Mortar_obs.Obs
@@ -86,7 +86,7 @@ let check_metric v ~abs_tol ~rel_tol ~scope ~name base cur =
     in
     fail v "%s/%s: kind changed (baseline %s, current %s)" scope name (kind base) (kind cur)
 
-let run current baseline abs_tol rel_tol allow_extra =
+let run current baseline abs_tol rel_tol =
   match (load current, load baseline) with
   | exception Failure msg ->
     prerr_endline msg;
@@ -102,13 +102,11 @@ let run current baseline abs_tol rel_tol allow_extra =
         | None -> fail v "%s/%s: missing from current dump" scope name
         | Some cm -> check_metric v ~abs_tol ~rel_tol ~scope ~name bm cm)
       base;
-    if not allow_extra then
-      List.iter
-        (fun ((scope, name), _) ->
-          if List.assoc_opt (scope, name) base = None then
-            fail v "%s/%s: not in baseline (pass --allow-extra or update the baseline)"
-              scope name)
-        cur;
+    List.iter
+      (fun ((scope, name), _) ->
+        if List.assoc_opt (scope, name) base = None then
+          fail v "%s/%s: not in baseline (update the baseline)" scope name)
+      cur;
     if v.failures = 0 then begin
       Printf.printf "obs_check OK: %d comparison(s) across %d baseline metric(s)\n"
         v.compared (List.length base);
@@ -144,14 +142,9 @@ let cmd =
       & info [ "rel" ] ~docv:"Y"
           ~doc:"Relative tolerance per compared number (fraction of the baseline).")
   in
-  let allow_extra =
-    Arg.(
-      value & flag
-      & info [ "allow-extra" ] ~doc:"Do not fail on metrics absent from the baseline.")
-  in
   Cmd.v
     (Cmd.info "obs_check" ~version:"1.0.0"
        ~doc:"Diff a metrics dump against a baseline with abs/rel tolerances.")
-    Term.(const run $ current $ baseline $ abs_tol $ rel_tol $ allow_extra)
+    Term.(const run $ current $ baseline $ abs_tol $ rel_tol)
 
 let () = exit (Cmd.eval' cmd)

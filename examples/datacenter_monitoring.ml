@@ -77,6 +77,6 @@ let () =
 
   D.run_until d 60.0;
   print_endline ">>> a rack disconnects (15% of machines)";
-  ignore (D.fail_random d ~fraction:0.15 ~protect:[ 0 ] ());
+  ignore (D.fail_random d ~fraction:0.15);
   D.run_until d 120.0;
   Printf.printf "done; %d machines still connected\n" (List.length (D.up_hosts d))

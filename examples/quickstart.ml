@@ -53,6 +53,6 @@ let () =
   (* Disconnect a fifth of the peers and keep going: the query routes
      around them and the count tracks the live population. *)
   print_endline "disconnecting 20% of the peers...";
-  ignore (D.fail_random d ~fraction:0.2 ~protect:[ 0 ] ());
+  ignore (D.fail_random d ~fraction:0.2);
   D.run_until d 60.0;
   Printf.printf "done; %d peers still connected\n" (List.length (D.up_hosts d))

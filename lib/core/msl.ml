@@ -534,7 +534,7 @@ let parse source_text =
   done;
   List.rev !statements
 
-let query_metas program ~root ~total_nodes ?(degree = 4) ?(track_provenance = false) () =
+let query_metas program ~root ~total_nodes () =
   List.filter_map
     (function
       | Derived_stream _ -> None
@@ -543,8 +543,8 @@ let query_metas program ~root ~total_nodes ?(degree = 4) ?(track_provenance = fa
           match nodes with All -> total_nodes | Nodes l -> List.length l
         in
         let meta =
-          Query.make_meta ~name ~source ~pre ~op ~window ~mode ~striping ~root ~degree
-            ~total_nodes:total ~track_provenance ()
+          Query.make_meta ~name ~source ~pre ~op ~window ~mode ~striping ~root
+            ~total_nodes:total ()
         in
         Some (meta, nodes))
     program

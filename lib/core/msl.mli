@@ -72,8 +72,6 @@ val query_metas :
   program ->
   root:int ->
   total_nodes:int ->
-  ?degree:int ->
-  ?track_provenance:bool ->
   unit ->
   (Query.meta * node_spec) list
 (** Turn the program's query definitions into installable metadata, in

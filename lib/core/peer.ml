@@ -24,19 +24,9 @@ type runtime = {
 
 type config = {
   hb_period : float;
-  hb_timeout_factor : float;
-  reconcile_every : int;
-  min_timeout : float;
-  timeout_slack : float;
-  install_chunks : int;
-  boundary_period : float;
-  emitted_horizon : int;
   level_wait : float; (* eviction-time budget per level of headroom *)
   quiet_guard : float; (* deadline extension while merges keep arriving *)
   ctl_retries : int; (* retransmit budget per reliable control message *)
-  ctl_timeout : float; (* base retransmission timeout floor, seconds *)
-  ctl_backoff : float; (* timeout multiplier per attempt *)
-  ctl_jitter : float; (* uniform fraction added to each timeout *)
   self_heal : bool; (* failure-driven tree repair + crash-rejoin warm-up *)
   warmup_buffer : int; (* summaries buffered for an uninstalled query *)
 }
@@ -44,28 +34,52 @@ type config = {
 let default_config =
   {
     hb_period = 2.0;
-    hb_timeout_factor = 3.0;
-    reconcile_every = 3;
-    min_timeout = 0.25;
-    timeout_slack = 0.4;
-    install_chunks = 16;
-    boundary_period = 1.0;
-    emitted_horizon = 64;
     level_wait = 1.0;
     quiet_guard = 0.6;
     (* Off by default: the paper's deployment is fire-and-forget end to
        end, and the figure reproductions must keep that message pattern.
        Robustness-focused runs opt in (see DESIGN.md "Fault model"). *)
     ctl_retries = 0;
-    ctl_timeout = 0.5;
-    ctl_backoff = 2.0;
-    ctl_jitter = 0.25;
     (* Off by default for the same reason: repair mutates views and ships
        extra install metadata, which would shift every seeded figure. The
        soak/robustness runs opt in. *)
     self_heal = false;
     warmup_buffer = 0;
   }
+
+(* Protocol constants (§7): no run varies them. *)
+
+(* A neighbor is dead after this many heartbeat periods of silence. *)
+let hb_timeout_factor = 3.0
+
+(* Digest on every k-th heartbeat; 3 in §7.1. *)
+let reconcile_every = 3
+
+(* Floor on TS eviction timeouts, seconds. *)
+let min_timeout = 0.25
+
+(* Added to [netDist - age] in the eviction deadline, seconds. *)
+let timeout_slack = 0.4
+
+(* Parallel install components; 16 in §7.1. *)
+let install_chunks = 16
+
+(* Stall detection period for tuple windows, seconds. *)
+let boundary_period = 1.0
+
+(* Evicted-slot memory, in slots. *)
+let emitted_horizon = 64
+
+(* Floor on the control retransmission timeout, seconds; the effective
+   base is [max ctl_timeout (4 * latency_to dst)]. *)
+let ctl_timeout = 0.5
+
+(* RTO multiplier per attempt (exponential backoff). *)
+let ctl_backoff = 2.0
+
+(* Uniform fraction added to each RTO so retry bursts desynchronise
+   across peers. *)
+let ctl_jitter = 0.25
 
 type result = {
   query : string;
@@ -138,22 +152,13 @@ let counter_name = function
   | Crashes -> "peer.crashes"
 
 type stats = {
-  results_emitted : int;
-  tuples_received : int;
   tuples_late : int;
   tuples_dropped : int;
   reconciliations : int;
-  type_faults : int; (** Tuples dropped because an operator or transform
-                         raised {!Value.Type_error} on them. *)
-  ctl_acked : int;
   ctl_retransmits : int;
   ctl_abandoned : int;
   repairs : int;
-  reparent_edges : int;
-  warmup_buffered : int;
-  warmup_replayed : int;
   warmup_dropped : int;
-  partners_swept : int;
 }
 
 type raw = { basis : float; payload : Value.t; prov : (int * int) list }
@@ -237,7 +242,6 @@ type t = {
   pending_views : (string, float) Lazy_tbl.t; (* name -> last request local time *)
   warmup : (string, warmup_entry Queue.t) Lazy_tbl.t; (* name -> buffered data *)
   fast_resync : (string, float) Lazy_tbl.t; (* name -> last warm-up resync time *)
-  mutable warmup_len : int; (* entries across all queries, <= cfg.warmup_buffer *)
   ctl_pending : (int, pending_ctl) Lazy_tbl.t; (* token -> unacked ctl msg *)
   seen_ctl : (int * int, unit) Lazy_tbl.t; (* (src, token) already processed *)
   seen_ctl_order : (int * int) Queue.t; (* FIFO pruning for seen_ctl *)
@@ -356,14 +360,11 @@ let rec ctl_attempt t p =
   if p.ctl_attempts > 1 then bump t Ctl_retransmits;
   send_msg t ~dst:p.ctl_dst (Msg.Reliable { token = p.ctl_token; inner = aged_payload t p });
   (* RTO: a floor covering several round trips to this destination, then
-     doubled (by default) per attempt, with uniform jitter so retry storms
+     doubled per attempt, with uniform jitter so retry storms
      desynchronise. *)
-  let base = max t.cfg.ctl_timeout (4.0 *. t.rt.latency_to p.ctl_dst) in
-  let rto = base *. (t.cfg.ctl_backoff ** float_of_int (p.ctl_attempts - 1)) in
-  let rto =
-    if t.cfg.ctl_jitter > 0.0 then rto *. (1.0 +. Rng.float t.ctl_rng t.cfg.ctl_jitter)
-    else rto
-  in
+  let base = max ctl_timeout (4.0 *. t.rt.latency_to p.ctl_dst) in
+  let rto = base *. (ctl_backoff ** float_of_int (p.ctl_attempts - 1)) in
+  let rto = rto *. (1.0 +. Rng.float t.ctl_rng ctl_jitter) in
   p.ctl_timer <- t.rt.set_timer ~after:rto (fun () -> ctl_expire t p)
 
 and ctl_expire t p =
@@ -465,7 +466,7 @@ and mark_emitted t inst (s : Summary.t) =
     (* Prune by age, not slot distance: under clock offset (timestamp
        mode) slot labels from different nodes are far apart, and a
        distance-based watermark would discard every slower cluster. *)
-    let horizon = float_of_int t.cfg.emitted_horizon *. slide in
+    let horizon = float_of_int emitted_horizon *. slide in
     Fmap.remove_stale inst.emitted ~now:b ~horizon
   | Window.Tuples _ -> ());
   if s.index.Index.te > inst.emitted_te then inst.emitted_te <- s.index.Index.te
@@ -635,9 +636,9 @@ and ts_insert t inst (s : Summary.t) =
     match (inst.meta.Query.window, inst.meta.Query.mode) with
     | Window.Time _, Query.Syncless when t.rt.self = inst.meta.Query.root ->
       max
-        (b +. t.cfg.min_timeout)
-        (s.Summary.index.Index.te +. max nd inst.netdist_hi +. t.cfg.timeout_slack)
-    | _ -> b +. max t.cfg.min_timeout (nd -. s.age +. t.cfg.timeout_slack)
+        (b +. min_timeout)
+        (s.Summary.index.Index.te +. max nd inst.netdist_hi +. timeout_slack)
+    | _ -> b +. max min_timeout (nd -. s.age +. timeout_slack)
   in
   Ts_list.insert inst.ts ~now:b ~deadline s;
   bump t Ts_inserts;
@@ -766,7 +767,7 @@ and boundary_check t inst =
     end);
   inst.raw_seen <- false;
   inst.boundary_timer <-
-    t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst)
+    t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst)
 
 and inject t ~stream ?true_slot payload =
   (* Sorted instance order: a tuple-window emit fired from here sends
@@ -871,24 +872,15 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
         (* Full: drop the oldest entry — the freshest summaries are the
            ones still inside their windows when the install lands. *)
         ignore (Queue.pop q);
-        t.warmup_len <- t.warmup_len - 1;
         bump t Warmup_drops
       end;
       Queue.push
         { wu_src = src; wu_seqno = seqno; wu_tree = tree; wu_summary = summary;
           wu_visited = visited; wu_path = path; wu_ttl = ttl_down; wu_at = local }
         q;
-      t.warmup_len <- t.warmup_len + 1;
       bump t Warmup_buffered
     end
   end
-
-let drop_warmup t name =
-  match Lazy_tbl.find_opt t.warmup name with
-  | None -> ()
-  | Some q ->
-    t.warmup_len <- t.warmup_len - Queue.length q;
-    Lazy_tbl.remove t.warmup name
 
 let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
   bump t Received;
@@ -950,7 +942,6 @@ let replay_warmup t name =
     let local = now_local t in
     Queue.iter
       (fun e ->
-        t.warmup_len <- t.warmup_len - 1;
         bump t Warmup_replayed;
         let summary =
           { e.wu_summary with Summary.age = e.wu_summary.Summary.age +. (local -. e.wu_at) }
@@ -983,7 +974,7 @@ let remove_local t ~name ~seqno =
     Lazy_tbl.replace t.removed name seqno;
     invalidate_digest t
   end;
-  drop_warmup t name
+  Lazy_tbl.remove t.warmup name
 
 let install_local t (meta : Query.meta) view ~install_age =
   let removed_seqno = Option.value (Lazy_tbl.find_opt t.removed meta.name) ~default:min_int in
@@ -1017,7 +1008,7 @@ let install_local t (meta : Query.meta) view ~install_age =
         |> List.fold_left max 0
       in
       let hard_cap =
-        let budget = t.cfg.min_timeout +. (float_of_int headroom *. t.cfg.level_wait) in
+        let budget = min_timeout +. (float_of_int headroom *. t.cfg.level_wait) in
         match meta.mode with
         | Query.Syncless -> budget
         | Query.Timestamp ->
@@ -1070,7 +1061,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst)
       | Window.Tuples _ ->
         inst.boundary_timer <-
-          t.rt.set_timer ~after:t.cfg.boundary_period (fun () -> boundary_check t inst));
+          t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst));
       (* Crash-rejoin warm-up: summaries that arrived while this query was
          uninstalled re-enter the striping rotation now. *)
       Lazy_tbl.remove t.fast_resync meta.name;
@@ -1139,7 +1130,7 @@ let install_query t (meta : Query.meta) treeset =
     invalid_arg "Peer.install_query: meta.root is not this peer";
   Lazy_tbl.replace t.plans meta.Query.name (meta, Some treeset);
   let chunks =
-    Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:t.cfg.install_chunks
+    Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:install_chunks
   in
   List.iter
     (fun (chunk : Query.chunk) ->
@@ -1174,7 +1165,7 @@ let request_view t ~name ~root =
   let local = now_local t in
   let recently =
     match Lazy_tbl.find_opt t.pending_views name with
-    | Some at -> local -. at < float_of_int t.cfg.reconcile_every *. t.cfg.hb_period
+    | Some at -> local -. at < float_of_int reconcile_every *. t.cfg.hb_period
     | None -> false
   in
   if not recently then begin
@@ -1207,7 +1198,7 @@ let apply_remote_sets t ~installed ~removed =
 let maybe_reconcile t ~src ~remote_digest =
   if remote_digest <> digest t then begin
     let local = now_local t in
-    let min_gap = float_of_int t.cfg.reconcile_every *. t.cfg.hb_period in
+    let min_gap = float_of_int reconcile_every *. t.cfg.hb_period in
     if Partner_set.reconcile_due t.partners src ~now:local ~min_gap then begin
       bump t Reconciliations;
       if !Obs.enabled then
@@ -1326,7 +1317,7 @@ let repair_instance t name inst =
    no RNG draws — and iteration collects into a sorted list first (D3). *)
 let sweep_idle t =
   let local = now_local t in
-  let horizon = 4.0 *. t.cfg.hb_timeout_factor *. t.cfg.hb_period in
+  let horizon = 4.0 *. hb_timeout_factor *. t.cfg.hb_period in
   let swept = Partner_set.sweep t.partners ~now:local ~horizon in
   add t Partners_swept swept;
   let sweep_gate tbl =
@@ -1347,7 +1338,7 @@ let sweep_idle t =
    target gets the same immutable payload. *)
 let rec heartbeat_tick t =
   t.hb_counter <- t.hb_counter + 1;
-  let with_digest = t.hb_counter mod t.cfg.reconcile_every = 0 in
+  let with_digest = t.hb_counter mod reconcile_every = 0 in
   let hb = Msg.Heartbeat { digest = (if with_digest then Some (digest t) else None) } in
   Partner_set.iter_targets (fun dst -> send_msg t ~dst hb) t.partners;
   if t.cfg.self_heal then
@@ -1422,7 +1413,7 @@ let rec receive t ~src payload =
     | Some v -> install_local t meta v ~install_age:(age +. t.rt.latency_to src)
     | None ->
       Lazy_tbl.replace t.not_mine meta.Query.name meta.Query.seqno;
-      drop_warmup t meta.Query.name)
+      Lazy_tbl.remove t.warmup meta.Query.name)
   | Msg.Result_fwd { query; slot; value; count; age } ->
     bump t Results_fwd_received;
     List.iter
@@ -1458,12 +1449,11 @@ let create ?(config = default_config) rt =
       instances = Hashtbl.create 8;
       removed = Lazy_tbl.create 8;
       not_mine = Lazy_tbl.create 8;
-      partners = Partner_set.create ~timeout:(config.hb_timeout_factor *. config.hb_period);
+      partners = Partner_set.create ~timeout:(hb_timeout_factor *. config.hb_period);
       plans = Lazy_tbl.create 4;
       pending_views = Lazy_tbl.create 8;
       warmup = Lazy_tbl.create 8;
       fast_resync = Lazy_tbl.create 8;
-      warmup_len = 0;
       ctl_pending = Lazy_tbl.create 16;
       seen_ctl = Lazy_tbl.create 64;
       seen_ctl_order = Queue.create ();
@@ -1521,7 +1511,6 @@ let crash t =
   Lazy_tbl.reset t.pending_views;
   Lazy_tbl.reset t.warmup;
   Lazy_tbl.reset t.fast_resync;
-  t.warmup_len <- 0;
   if t.cfg.self_heal && !Obs.enabled then
     Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
   Lazy_tbl.iter (fun _ p -> t.rt.cancel_timer p.ctl_timer) t.ctl_pending;
@@ -1535,21 +1524,13 @@ let crash t =
 let stats t =
   let c = count t in
   {
-    results_emitted = c Results;
-    tuples_received = c Received;
     tuples_late = c Late;
     tuples_dropped = c Dropped;
     reconciliations = c Reconciliations;
-    type_faults = c Type_faults;
-    ctl_acked = c Ctl_acked;
     ctl_retransmits = c Ctl_retransmits;
     ctl_abandoned = c Ctl_abandoned;
     repairs = c Repairs;
-    reparent_edges = c Reparent_edges;
-    warmup_buffered = c Warmup_buffered;
-    warmup_replayed = c Warmup_replayed;
     warmup_dropped = c Warmup_drops;
-    partners_swept = c Partners_swept;
   }
 
 let ts_length t ~query =

@@ -53,18 +53,11 @@ type runtime = {
 
 type config = {
   hb_period : float; (** Heartbeat period; 2 s in §7.2.2. *)
-  hb_timeout_factor : float; (** Neighbor dead after this many periods. *)
-  reconcile_every : int; (** Digest on every k-th heartbeat; 3 in §7.1. *)
-  min_timeout : float; (** Floor on TS eviction timeouts. *)
-  timeout_slack : float; (** Added to [netDist - age]. *)
-  install_chunks : int; (** Parallel install components; 16 in §7.1. *)
-  boundary_period : float; (** Stall detection period for tuple windows. *)
-  emitted_horizon : int; (** Evicted-slot memory, in slots. *)
   level_wait : float;
       (** Eviction-time budget per level of headroom: a node at level [l]
           of a height-[h] tree may hold a window for at most
-          [min_timeout + (h - l) * level_wait], laddering evictions from
-          the leaves to the root. *)
+          [min_timeout + (h - l) * level_wait] (with [min_timeout] =
+          0.25 s), laddering evictions from the leaves to the root. *)
   quiet_guard : float;
       (** Each merge extends the entry deadline to at least now + guard
           (bounded by the headroom cap): eviction waits for per-window
@@ -78,13 +71,6 @@ type config = {
           paper's behaviour, keeping the figure reproductions'
           message pattern intact; set it positive to enable the reliable
           control plane. *)
-  ctl_timeout : float;
-      (** Floor on the retransmission timeout; the effective base is
-          [max ctl_timeout (4 * latency_to dst)]. *)
-  ctl_backoff : float; (** RTO multiplier per attempt (exponential backoff). *)
-  ctl_jitter : float;
-      (** Uniform fraction added to each RTO so retry bursts
-          desynchronise across peers. *)
   self_heal : bool;
       (** Enables the self-healing data plane (DESIGN.md "Self-healing &
           recovery"): installs ship repair metadata (grandparent + sibling
@@ -100,6 +86,11 @@ type config = {
           are counted as drops but still trigger the fast resync when
           [self_heal] is on. *)
 }
+(** The settings that runs vary. The protocol's fixed parameters (§7:
+    3-period neighbor timeout, a digest every third heartbeat, 16
+    install chunks, the eviction-timeout floor and slack, the control
+    plane's RTO floor, backoff and jitter) are constants of the
+    implementation. *)
 
 val default_config : config
 
@@ -153,21 +144,13 @@ val counter_name : counter -> string
 
 (** Some of the {!counter}s, by field. *)
 type stats = {
-  results_emitted : int;
-  tuples_received : int;
   tuples_late : int;
   tuples_dropped : int;
   reconciliations : int;
-  type_faults : int;
-  ctl_acked : int;
   ctl_retransmits : int;
   ctl_abandoned : int;
   repairs : int;
-  reparent_edges : int;
-  warmup_buffered : int;
-  warmup_replayed : int;
   warmup_dropped : int;
-  partners_swept : int;
 }
 
 type t

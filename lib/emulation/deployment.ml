@@ -373,13 +373,9 @@ let up_hosts t =
   in
   loop (hosts t - 1) []
 
-let fail_random t ~fraction ?(protect = []) () =
+let fail_random t ~fraction =
   let n = hosts t in
-  let protected_set = Hashtbl.create (List.length protect) in
-  List.iter (fun p -> Hashtbl.replace protected_set p ()) protect;
-  let candidates =
-    Array.of_list (List.filter (fun i -> not (Hashtbl.mem protected_set i)) (List.init n Fun.id))
-  in
+  let candidates = Array.init (n - 1) (fun i -> i + 1) in
   let k = int_of_float (fraction *. float_of_int n) in
   let k = min k (Array.length candidates) in
   let victims = Rng.sample t.rng candidates k in
@@ -557,9 +553,15 @@ let composed_churn t ~rng ~from ~until ~protect ~churn_period ~churn_kills ~down
     List.rev !events
   end
 
-let converge_coordinates t ?(rounds = 12) ?(samples = 8) () =
+(* Vivaldi rounds before planning (the paper runs "at least ten", §7.3)
+   and peers sampled per host per round. *)
+let vivaldi_rounds = 12
+
+let vivaldi_samples = 8
+
+let converge_coordinates t () =
   let system = Mortar_coords.Vivaldi.create t.topo ~rng:(Rng.split t.rng) () in
-  Mortar_coords.Vivaldi.converge system ~rounds ~samples;
+  Mortar_coords.Vivaldi.converge system ~rounds:vivaldi_rounds ~samples:vivaldi_samples;
   t.vivaldi <- Some system
 
 let coordinates t =
@@ -574,8 +576,8 @@ let plan t ?style ?(bf = 16) ?(d = 4) ~root ~nodes () =
 let plan_random t ?(bf = 16) ?(d = 4) ~root ~nodes () =
   Mortar_overlay.Treeset.random t.rng ~bf ~d ~root ~nodes
 
-let inject t ~node ~stream ?true_slot value =
-  Peer.inject t.peers.(node) ~stream ?true_slot value
+let inject t ~node ~stream value =
+  Peer.inject t.peers.(node) ~stream value
 
 let sensor t ~node ~stream ~period ?(jitter = 0.0) ?truth_slide value =
   assert (period > 0.0);

@@ -100,9 +100,9 @@ val set_up : t -> int -> bool -> unit
 
 val up_hosts : t -> int list
 
-val fail_random : t -> fraction:float -> ?protect:int list -> unit -> int list
-(** Disconnect a uniformly random fraction of hosts (never those in
-    [protect]); returns the failed set. *)
+val fail_random : t -> fraction:float -> int list
+(** Disconnect a uniformly random fraction of hosts (never host 0, the
+    root and injector of every run); returns the failed set. *)
 
 val reconnect_all : t -> unit
 
@@ -198,8 +198,9 @@ val composed_churn :
 
 (** {1 Planning} *)
 
-val converge_coordinates : t -> ?rounds:int -> ?samples:int -> unit -> unit
-(** Run Vivaldi (§3.1); must be called before {!plan}. *)
+val converge_coordinates : t -> unit -> unit
+(** Run 12 rounds of Vivaldi (§3.1), 8 samples per host each; must be
+    called before {!plan}. *)
 
 val coordinates : t -> Mortar_util.Vec.t array
 
@@ -235,4 +236,4 @@ val sensor :
     [node]. When [truth_slide] is given, tuples carry their ground-truth
     window slot for true-completeness measurement (§5). *)
 
-val inject : t -> node:int -> stream:string -> ?true_slot:int -> Mortar_core.Value.t -> unit
+val inject : t -> node:int -> stream:string -> Mortar_core.Value.t -> unit

@@ -24,7 +24,7 @@ let one_run ~quick ~failure =
     Query.make_meta ~name:"install-test" ~source:"ones" ~op:Mortar_core.Op.Sum
       ~window:(Mortar_core.Window.tumbling 1.0) ~root:0 ~total_nodes:hosts ()
   in
-  D.at d 0.5 (fun () -> ignore (D.fail_random d ~fraction:failure ~protect:[ 0 ] ()));
+  D.at d 0.5 (fun () -> ignore (D.fail_random d ~fraction:failure));
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   D.at d 30.0 (fun () -> D.reconnect_all d);
   (* Sample installed coverage every second. *)

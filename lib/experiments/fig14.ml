@@ -44,14 +44,14 @@ let run ~quick =
                 Common.cell_f (Harness.mean_path_length h t0 t1);
                 Common.cell_f (Harness.mean_max_path_length h t0 t1);
                 Common.cell_f (Harness.mean_latency h t0 t1);
-                Common.cell_f (Harness.data_mbps h t0 t1);
+                Common.cell_f (Harness.mbps (Harness.deployment h) t0 t1);
                 Common.cell_f (Harness.kind_mbps h ~kind:"heartbeat" t0 t1);
               ]
           end)
         (List.init (int_of_float stop / 10) Fun.id));
   (* Summary vs the paper's headline numbers. *)
   let steady0, steady1 = (30.0, 60.0) in
-  let total = Harness.data_mbps h steady0 steady1 in
+  let total = Harness.mbps (Harness.deployment h) steady0 steady1 in
   let hb = Harness.kind_mbps h ~kind:"heartbeat" steady0 steady1 in
   Printf.printf
     "\nsteady state: load %.2f Mbps (heartbeats %.2f), latency %.2f s, path length %.2f (max %.2f)\n"
@@ -93,7 +93,7 @@ let run ~quick =
      merging. *)
   let h2 = Harness.create ~seed:17 ~hosts ~aggregate:false () in
   Harness.run_until h2 60.0;
-  let no_agg = Harness.data_mbps h2 30.0 60.0 in
+  let no_agg = Harness.mbps (Harness.deployment h2) 30.0 60.0 in
   Printf.printf "no-aggregation load: %.2f Mbps (%.1fx the aggregated load)\n" no_agg
     (no_agg /. total)
 

@@ -108,7 +108,7 @@ let union_bound t =
        (Mortar_overlay.Treeset.trees t.treeset)
        ~dead:(fun node -> not (Hashtbl.mem up_set node)))
 
-let fail_fraction t fraction = D.fail_random t.d ~fraction ~protect:[ 0 ] ()
+let fail_fraction t fraction = D.fail_random t.d ~fraction
 
 let reconnect t victims = List.iter (fun v -> D.set_up t.d v true) victims
 
@@ -178,8 +178,9 @@ let kind_mbps t ~kind t0 t1 =
   let bytes = bytes_between (D.bytes_series t.d ~kind) t0 t1 in
   bytes *. 8.0 /. (t1 -. t0) /. 1e6
 
-let data_mbps t t0 t1 =
-  List.fold_left (fun acc kind -> acc +. kind_mbps t ~kind t0 t1) 0.0 (D.kinds t.d)
+let mbps d t0 t1 =
+  let bytes kind = bytes_between (D.bytes_series d ~kind) t0 t1 in
+  List.fold_left (fun acc kind -> acc +. bytes kind) 0.0 (D.kinds d) *. 8.0 /. (t1 -. t0) /. 1e6
 
 let mean_completeness t t0 t1 ~denominator =
   let rows = results_between t t0 t1 in

@@ -85,7 +85,7 @@ val uninstalled_live_hosts : t -> int list
 (** Live non-root hosts (sorted) that do not have the query installed —
     crash-rejoiners still waiting on reconciliation or fast resync. *)
 
-val data_mbps : t -> float -> float -> float
+val mbps : Mortar_emul.Deployment.t -> float -> float -> float
 (** Mean total network load (megabits per second across all links) between
     two sim times, all traffic kinds. *)
 

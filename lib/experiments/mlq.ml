@@ -220,14 +220,6 @@ let completeness (sink : sink) specs ~denom ~lo ~hi =
     /. float_of_int (List.length specs)
   end
 
-let mbps d lo hi =
-  let bytes kind =
-    match D.bytes_series d ~kind with
-    | None -> 0.0
-    | Some s -> Mortar_sim.Series.sum_between s lo hi
-  in
-  List.fold_left (fun acc k -> acc +. bytes k) 0.0 (D.kinds d) *. 8.0 /. (hi -. lo) /. 1e6
-
 (* ------------------------------------------------------------------ *)
 (* One deployment running one mode at one query count.                 *)
 
@@ -238,22 +230,8 @@ type setup = {
   reg : Registry.t option; (* Some in shared mode *)
 }
 
-let apply_install st at_time = function
-  | Registry.Install { phys; root; meta; treeset; subscribers }
-  | Registry.Replan { phys; root; meta; treeset; subscribers; _ } ->
-    D.at st.d at_time (fun () ->
-        Peer.install_query (D.peer st.d root) meta treeset;
-        Peer.set_result_forwards (D.peer st.d root) ~query:phys subscribers)
-  | Registry.Update_fanout { phys; root; subscribers } ->
-    D.at st.d at_time (fun () ->
-        Peer.set_result_forwards (D.peer st.d root) ~query:phys subscribers)
-  | Registry.Remove { phys; root } ->
-    D.at st.d at_time (fun () ->
-        Peer.set_result_forwards (D.peer st.d root) ~query:phys [];
-        if Peer.plan_cached (D.peer st.d root) ~name:phys then
-          Peer.remove_query (D.peer st.d root) ~name:phys)
-
-(* Fires synchronously from inside an engine callback (re-plan path). *)
+(* Applies one registry action at once: from inside an engine callback on
+   the re-plan path, or as the event [apply_install] schedules. *)
 let apply_now st = function
   | Registry.Install { phys; root; meta; treeset; subscribers }
   | Registry.Replan { phys; root; meta; treeset; subscribers; _ } ->
@@ -265,6 +243,8 @@ let apply_now st = function
     Peer.set_result_forwards (D.peer st.d root) ~query:phys [];
     if Peer.plan_cached (D.peer st.d root) ~name:phys then
       Peer.remove_query (D.peer st.d root) ~name:phys
+
+let apply_install st at_time a = D.at st.d at_time (fun () -> apply_now st a)
 
 let setup ~mode ~q p =
   let seed = 4242 + q in
@@ -359,7 +339,7 @@ let run_point ~mode ~q p =
   let st = setup ~mode ~q p in
   D.run_until st.d p.run_end;
   {
-    mbps = mbps st.d p.steady_lo p.steady_hi;
+    mbps = Harness.mbps st.d p.steady_lo p.steady_hi;
     compl =
       completeness st.sink st.specs
         ~denom:(fun s -> Array.length s.Spec.publishers)

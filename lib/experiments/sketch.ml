@@ -271,14 +271,6 @@ let setup ~mode p =
 
 (* ------------------------------------------------------------------ *)
 
-let mbps d lo hi =
-  let bytes kind =
-    match D.bytes_series d ~kind with
-    | None -> 0.0
-    | Some s -> Mortar_sim.Series.sum_between s lo hi
-  in
-  List.fold_left (fun acc k -> acc +. bytes k) 0.0 (D.kinds d) *. 8.0 /. (hi -. lo) /. 1e6
-
 (* A window is due at the end of its slot and its results reach the
    root about 4 s later, after the eviction ladder has drained, so
    windows due after [run_end - drain] are still in flight when the run
@@ -369,8 +361,8 @@ let run ~quick =
     mean_of slots (fun sl ->
         Option.map (fun r -> get r /. float_of_int (max 1 (q sl))) (Hashtbl.find_opt tbl sl))
   in
-  let xbw = mbps x.d p.steady_lo p.steady_hi in
-  let sbw = mbps s.d p.steady_lo p.steady_hi in
+  let xbw = Harness.mbps x.d p.steady_lo p.steady_hi in
+  let sbw = Harness.mbps s.d p.steady_lo p.steady_hi in
   let xcompl = Score.mean xq ~denom:p.hosts slots in
   let scompl = Score.mean (Score.best (s.score "shll")) ~denom:p.hosts slots in
   Common.table

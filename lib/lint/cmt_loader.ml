@@ -9,8 +9,8 @@
    kind in a canonical order. [load] unmarshals one and hands back the
    typed AST plus the source path recorded at compile time (relative to
    the build root, e.g. "lib/sim/engine.ml") — which is how typed
-   findings line up with the source files, suppression comments and
-   the baseline.
+   findings line up with the source files and their suppression
+   comments.
 
    Loading is best-effort by design: a missing or stale artifact (wrong
    compiler magic, interrupted build) degrades the run to the syntactic

@@ -1,5 +1,5 @@
-(* File discovery, parsing, the analysis phases, suppression and
-   baseline filtering, reporting.
+(* File discovery, parsing, the analysis phases, suppression filtering,
+   reporting.
 
    Phase 1 (syntactic, D1-D6 and D10): directories given to [run] are scanned
    recursively for [.ml] files, skipping build products and the
@@ -13,7 +13,7 @@
    [.<lib>.objs/byte/] next to the sources in the build tree — and the
    typed rules run over each module's typedtree. Typed findings are
    attributed to the source path the compiler recorded, so inline allow
-   comments and the baseline work identically for both phases. When no
+   comments work identically for both phases. When no
    artifacts are found the typed pass degrades to a no-op and
    [typed_modules] reports 0, which callers can surface ("typed pass
    skipped: build first").
@@ -26,11 +26,10 @@
    reference set would be incomplete, so the phase is skipped and
    [units_without_cmt] says why.
 
-   Suppression hygiene: every allow comment and baseline entry is
-   usage-tracked across all phases; the ones shielding nothing are
-   reported as stale warnings (S2 allow comments, S3 baseline entries),
-   and comments carrying the lint marker that fail to parse are
-   reported as malformed (S1) instead of being silently ignored. Allow
+   Suppression hygiene: every allow comment is usage-tracked across all
+   phases; the ones shielding nothing are reported as stale (S2), and
+   comments carrying the lint marker that fail to parse are reported as
+   malformed (S1) instead of being silently ignored. Allow
    comments for D7-D9 and D11 are only judged stale in files the pass
    for their rule actually covered. *)
 
@@ -95,9 +94,8 @@ type universe = {
 }
 
 type report = {
-  findings : Diag.t list; (* unsuppressed, not in baseline: these fail the build *)
-  baselined : Diag.t list; (* present but grandfathered by the baseline file *)
-  stale : Diag.t list; (* S1 malformed / S2 stale allow comments, S3 stale baseline *)
+  findings : Diag.t list; (* unsuppressed: these fail the build *)
+  stale : Diag.t list; (* S1 malformed / S2 stale allow comments: these fail it too *)
   errors : string list; (* unreadable / unparseable files *)
   typed_modules : int; (* modules the typed pass covered (0 = no cmts found) *)
   units_without_cmt : int; (* > 0: D11 was skipped, its reference set would be partial *)
@@ -110,7 +108,7 @@ type file_supp = {
   mutable typed_seen : bool; (* did the typed pass cover this file? *)
 }
 
-let run ?baseline_file ?cmt_paths ?universe ?(source_root = ".") ~paths () =
+let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
   let files, interfaces =
     List.partition (fun f -> Filename.check_suffix f ".ml") (expand paths)
   in
@@ -129,9 +127,6 @@ let run ?baseline_file ?cmt_paths ?universe ?(source_root = ".") ~paths () =
   let parsed = List.rev parsed in
   let env = Rules.empty_env () in
   List.iter (fun (_, _, ast) -> Rules.collect_types env ast) parsed;
-  let baseline =
-    match baseline_file with None -> [] | Some f -> Suppress.load_baseline f
-  in
   (* Suppression tables, one per canonical source path. *)
   let supps : (string, file_supp) Hashtbl.t = Hashtbl.create 64 in
   let supp_of ~display text =
@@ -259,11 +254,6 @@ let run ?baseline_file ?cmt_paths ?universe ?(source_root = ".") ~paths () =
         in
         (0, dead, errors))
   in
-  let d11_ran = universe <> None && units_without_cmt = 0 in
-  (* ---- baseline partition ---------------------------------------- *)
-  let grandfathered, fresh =
-    List.partition (Suppress.baselined baseline) (syntactic @ typed @ dead)
-  in
   (* ---- suppression hygiene --------------------------------------- *)
   let typed_codes = [ "D7"; "D8"; "D9"; "D11" ] in
   let stale = ref [] in
@@ -303,28 +293,8 @@ let run ?baseline_file ?cmt_paths ?universe ?(source_root = ".") ~paths () =
             :: !stale)
         (Suppress.stale_entries fs.supp ~checkable))
     all_supps;
-  let typed_ran = loaded <> [] in
-  List.iter
-    (fun (e : Suppress.baseline_entry) ->
-      stale :=
-        {
-          Diag.code = "S3";
-          file = (match baseline_file with Some f -> f | None -> "lint.baseline");
-          line = 0;
-          col = 0;
-          message =
-            Printf.sprintf
-              "stale baseline entry '%s %s:%d': no such finding — ratchet the baseline \
-               down"
-              e.Suppress.b_code e.Suppress.b_file e.Suppress.b_line;
-        }
-        :: !stale)
-    (Suppress.stale_baseline baseline
-       ~checkable:(fun code ->
-         if code = "D11" then d11_ran else typed_ran || not (List.mem code typed_codes)));
   {
-    findings = List.sort Diag.order fresh;
-    baselined = List.sort Diag.order grandfathered;
+    findings = List.sort Diag.order (syntactic @ typed @ dead);
     stale = List.sort Diag.order !stale;
     errors = List.rev errors;
     typed_modules = List.length loaded;

@@ -1,4 +1,4 @@
-(* Inline suppressions and the checked-in baseline.
+(* Inline suppressions: the one way to silence a finding.
 
    A finding of code C on line L is suppressed when the source carries
    an allow comment on line L itself or on line L-1 (comment-above
@@ -14,14 +14,7 @@
    actually shield a finding, so the driver can report the ones that no
    longer match anything (stale suppressions) and comments that carry
    the "lint:" marker but do not parse (malformed — reported, never
-   silently ignored).
-
-   The baseline file holds one finding per line as [CODE FILE:LINE];
-   blank lines and [#] comments are ignored. Baselined findings are
-   reported separately and do not fail the build — the mechanism exists
-   so the lint can be adopted on a tree with known debt, then ratcheted
-   down to an empty file. Baseline entries are usage-tracked the same
-   way, so entries that outlive their finding are reported as stale. *)
+   silently ignored). *)
 
 type entry = {
   e_line : int;
@@ -125,58 +118,3 @@ let stale_entries (t : t) ~checkable =
     t.entries
 
 let malformed (t : t) = t.malformed
-
-(* ------------------------------------------------------------------ *)
-(* Baseline.                                                           *)
-
-type baseline_entry = {
-  b_code : string;
-  b_file : string;
-  b_line : int;
-  mutable b_used : bool;
-}
-
-type baseline = baseline_entry list
-
-let parse_baseline_line line =
-  let line = String.trim line in
-  if line = "" || line.[0] = '#' then None
-  else
-    match split_ws line with
-    | [ code; loc ] when is_code code -> (
-      match String.rindex_opt loc ':' with
-      | Some i -> (
-        let file = String.sub loc 0 i in
-        let ln = String.sub loc (i + 1) (String.length loc - i - 1) in
-        match int_of_string_opt ln with
-        | Some n -> Some { b_code = code; b_file = file; b_line = n; b_used = false }
-        | None -> None)
-      | None -> None)
-    | _ -> None
-
-let load_baseline path : baseline =
-  if not (Sys.file_exists path) then []
-  else begin
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    String.split_on_char '\n' text |> List.filter_map parse_baseline_line
-  end
-
-let baselined (b : baseline) (d : Diag.t) =
-  let hit = ref false in
-  List.iter
-    (fun e ->
-      if e.b_code = d.Diag.code && e.b_file = d.Diag.file && e.b_line = d.Diag.line then begin
-        hit := true;
-        e.b_used <- true
-      end)
-    b;
-  !hit
-
-let stale_baseline (b : baseline) ~checkable =
-  List.filter (fun e -> checkable e.b_code && not e.b_used) b
-
-let baseline_entry (d : Diag.t) =
-  Printf.sprintf "%s %s:%d" d.Diag.code d.Diag.file d.Diag.line

@@ -228,7 +228,7 @@ let series_of t ~kind =
    exactly — the loss draw happens only when both endpoints are up, and
    [Faults.decide] only when the loss draw passes — so seeded replays
    consume the RNG in the same order whether or not Obs is enabled. *)
-let[@lint.hot] send t ~src ~dst ~size ?(kind = "data") payload =
+let[@lint.hot] send t ~src ~dst ~size ~kind payload =
   t.sent <- t.sent + 1;
   if not (t.up.(src) && t.up.(dst)) then begin
     if !Obs.enabled then begin

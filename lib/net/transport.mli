@@ -79,11 +79,11 @@ val send :
   src:Topology.host ->
   dst:Topology.host ->
   size:int ->
-  ?kind:string ->
+  kind:string ->
   'a ->
   unit
-(** Fire-and-forget send of [size] bytes. [kind] tags bandwidth accounting
-    (default ["data"]). The fault table, if any, is consulted once per
+(** Fire-and-forget send of [size] bytes. [kind] tags bandwidth accounting.
+    The fault table, if any, is consulted once per
     send. Sending to self delivers after a zero-latency hop on the next
     event. *)
 

@@ -24,19 +24,16 @@ let tree_cost topo tr =
    other operator keeps the flat scalar-summary defaults, so planning of
    pre-sketch workloads is bit-for-bit unchanged. *)
 let op_bytes ~default op =
-  match op with
+  match Mortar_core.Op.state_wire_size op with
+  | Some cap -> float_of_int cap
   | None -> default
-  | Some op -> (
-    match Mortar_core.Op.state_wire_size op with
-    | Some cap -> float_of_int cap
-    | None -> default)
 
-let treeset_cost m ?op topo ~window ts =
+let treeset_cost m ~op topo ~window ts =
   let trees = Treeset.trees ts in
   let sum = Array.fold_left (fun acc tr -> acc +. tree_cost topo tr) 0.0 trees in
   op_bytes ~default:m.tuple_bytes op /. window *. sum /. float_of_int (Array.length trees)
 
-let fanout_cost m ?op topo ~window ~root subscribers =
+let fanout_cost m ~op topo ~window ~root subscribers =
   let bytes = op_bytes ~default:m.result_bytes op in
   List.fold_left
     (fun acc s ->

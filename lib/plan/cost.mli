@@ -26,22 +26,21 @@ val default : model
 
 val treeset_cost :
   model ->
-  ?op:Mortar_core.Op.spec ->
+  op:Mortar_core.Op.spec ->
   Mortar_net.Topology.t ->
   window:float ->
   Mortar_overlay.Treeset.t ->
   float
 (** Mean per-tree sum of [edge latency x summary bytes / window] — the
     in-network bandwidth-latency product of running this tree set, in
-    byte-seconds per second. Summary bytes default to [tuple_bytes];
-    when [op] is given and has a fixed-size partial
-    ({!Mortar_core.Op.state_wire_size}), its serialized cap is charged
-    instead — sketch queries pay their true fixed bytes, everything
-    else is unchanged. *)
+    byte-seconds per second. Summary bytes are [tuple_bytes], except
+    when [op] has a fixed-size partial
+    ({!Mortar_core.Op.state_wire_size}): then its serialized cap is
+    charged — sketch queries pay their true fixed bytes. *)
 
 val fanout_cost :
   model ->
-  ?op:Mortar_core.Op.spec ->
+  op:Mortar_core.Op.spec ->
   Mortar_net.Topology.t ->
   window:float ->
   root:int ->

@@ -35,24 +35,18 @@ type runtime = {
   rng : Rng.t;
 }
 
-type config = {
-  publish_period : float;
-  lease : float;
-  ping_period : float;
-  leaf_maintenance : float;
-  route_maintenance : float;
-  ping_timeout : float;
-}
+(* Timer settings of §7.2.3, in seconds. *)
+let publish_period = 5.0
 
-let default_config =
-  {
-    publish_period = 5.0;
-    lease = 30.0;
-    ping_period = 20.0;
-    leaf_maintenance = 10.0;
-    route_maintenance = 60.0;
-    ping_timeout = 25.0;
-  }
+let lease = 30.0 (* child partials expire this long after their update *)
+
+let ping_period = 20.0
+
+let leaf_maintenance = 10.0
+
+let route_maintenance = 60.0
+
+let ping_timeout = 25.0 (* silence after which a neighbor is declared dead *)
 
 type cached = { value : float; count : int; expires : float }
 
@@ -64,7 +58,6 @@ type attribute = {
 
 type t = {
   rt : runtime;
-  cfg : config;
   state : Routing_state.t;
   attrs : (string, attribute) Hashtbl.t;
   id_to_host : (int64, int) Hashtbl.t;
@@ -75,10 +68,9 @@ type t = {
 
 let id_of_host host = Id.hash_host host
 
-let create ?(config = default_config) rt =
+let create rt =
   {
     rt;
-    cfg = config;
     state = Routing_state.create ~self:(id_of_host rt.self) ~leaf_radius:8;
     attrs = Hashtbl.create 4;
     id_to_host = Hashtbl.create 64;
@@ -150,7 +142,7 @@ let push_up t query =
 let rec publish_tick t query =
   push_up t query;
   let a = attribute t query in
-  a.publish_timer <- t.rt.set_timer ~after:t.cfg.publish_period (fun () -> publish_tick t query)
+  a.publish_timer <- t.rt.set_timer ~after:publish_period (fun () -> publish_tick t query)
 
 let set_local t ~query v =
   let a = attribute t query in
@@ -159,7 +151,7 @@ let set_local t ~query v =
     (* Desynchronise publishers. *)
     a.publish_timer <-
       t.rt.set_timer
-        ~after:(Rng.float t.rt.rng t.cfg.publish_period)
+        ~after:(Rng.float t.rt.rng publish_period)
         (fun () -> publish_tick t query)
 
 (* ------------------------------------------------------------------ *)
@@ -169,7 +161,7 @@ let ping_leaves t =
   let check id =
     (* Expire neighbors that have not answered within the timeout. *)
     (match Hashtbl.find_opt t.last_heard (Id.to_int64 id) with
-    | Some heard when now t -. heard > t.cfg.ping_timeout -> declare_dead t id
+    | Some heard when now t -. heard > ping_timeout -> declare_dead t id
     | Some _ -> ()
     | None -> Hashtbl.replace t.last_heard (Id.to_int64 id) (now t));
     send_to_id t id ~kind:"control" Ping
@@ -235,19 +227,19 @@ let bootstrap t ~members =
   let jitter period = Rng.float t.rt.rng period in
   let rec ping_loop () =
     ping_leaves t;
-    ignore (t.rt.set_timer ~after:t.cfg.ping_period ping_loop)
+    ignore (t.rt.set_timer ~after:ping_period ping_loop)
   in
   let rec leaf_loop () =
     leaf_repair t;
-    ignore (t.rt.set_timer ~after:t.cfg.leaf_maintenance leaf_loop)
+    ignore (t.rt.set_timer ~after:leaf_maintenance leaf_loop)
   in
   let rec route_loop () =
     route_repair t;
-    ignore (t.rt.set_timer ~after:t.cfg.route_maintenance route_loop)
+    ignore (t.rt.set_timer ~after:route_maintenance route_loop)
   in
-  ignore (t.rt.set_timer ~after:(jitter t.cfg.ping_period) ping_loop);
-  ignore (t.rt.set_timer ~after:(jitter t.cfg.leaf_maintenance) leaf_loop);
-  ignore (t.rt.set_timer ~after:(jitter t.cfg.route_maintenance) route_loop)
+  ignore (t.rt.set_timer ~after:(jitter ping_period) ping_loop);
+  ignore (t.rt.set_timer ~after:(jitter leaf_maintenance) leaf_loop);
+  ignore (t.rt.set_timer ~after:(jitter route_maintenance) route_loop)
 
 (* ------------------------------------------------------------------ *)
 (* Messages.                                                            *)
@@ -281,7 +273,7 @@ let receive t ~src msg =
   | Update { query; child; value; count } ->
     let a = attribute t query in
     Hashtbl.replace a.children (Id.to_int64 child)
-      { value; count; expires = now t +. t.cfg.lease };
+      { value; count; expires = now t +. lease };
     (* Update-up: propagate immediately, no batching (§7.2.3). *)
     push_up t query
   | Probe { query; origin } -> (

@@ -47,18 +47,9 @@ type runtime = {
   rng : Mortar_util.Rng.t;
 }
 
-type config = {
-  publish_period : float;
-  lease : float;
-  ping_period : float;
-  leaf_maintenance : float;
-  route_maintenance : float;
-  ping_timeout : float;
-}
-
 type t
 
-val create : ?config:config -> runtime -> t
+val create : runtime -> t
 
 val bootstrap : t -> members:int list -> unit
 (** Seed routing state with the full membership — the paper's federated

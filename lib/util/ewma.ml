@@ -1,18 +1,18 @@
+(* Weight of each new sample: 10 %, the paper's §4.3 footnote. *)
+let alpha = 0.1
+
 type t = {
-  alpha : float;
   mutable current : float option;
   mutable count : int;
 }
 
-let create ?(alpha = 0.1) () =
-  assert (alpha > 0.0 && alpha <= 1.0);
-  { alpha; current = None; count = 0 }
+let create () = { current = None; count = 0 }
 
 let update t x =
   t.count <- t.count + 1;
   match t.current with
   | None -> t.current <- Some x
-  | Some v -> t.current <- Some (((1.0 -. t.alpha) *. v) +. (t.alpha *. x))
+  | Some v -> t.current <- Some (((1.0 -. alpha) *. v) +. (alpha *. x))
 
 let value t = t.current
 

@@ -6,9 +6,8 @@
 
 type t
 
-val create : ?alpha:float -> unit -> t
-(** [create ~alpha ()] makes an empty average; [alpha] defaults to [0.1] and
-    is the weight of each new sample. *)
+val create : unit -> t
+(** An empty average; each new sample weighs 10 %. *)
 
 val update : t -> float -> unit
 (** Fold in a sample. The first sample initialises the average. *)

@@ -164,7 +164,7 @@ let test_transport_full_loss () =
   let got = ref 0 in
   Mortar_net.Transport.register tr 1 (fun ~src:_ _ -> incr got);
   for _ = 1 to 50 do
-    Mortar_net.Transport.send tr ~src:0 ~dst:1 ~size:8 ()
+    Mortar_net.Transport.send tr ~src:0 ~dst:1 ~size:8 ~kind:"data" ()
   done;
   Mortar_sim.Engine.run engine;
   Alcotest.(check int) "all lost" 0 !got

@@ -20,7 +20,7 @@ let test_deployment_basics () =
 
 let test_deployment_failure_helpers () =
   let d = deploy () in
-  let victims = D.fail_random d ~fraction:0.25 ~protect:[ 0 ] () in
+  let victims = D.fail_random d ~fraction:0.25 in
   Alcotest.(check int) "a quarter failed" 6 (List.length victims);
   Alcotest.(check bool) "root protected" false (List.mem 0 victims);
   Alcotest.(check int) "up count" 18 (List.length (D.up_hosts d));
@@ -123,7 +123,7 @@ let test_harness_smoke () =
   Alcotest.(check bool) (Printf.sprintf "completeness high (%.2f)" c) true (c > 0.9);
   Alcotest.(check bool) "union bound full" true (Mortar_experiments.Harness.union_bound h = 32);
   Alcotest.(check bool) "bandwidth accounted" true
-    (Mortar_experiments.Harness.data_mbps h 15.0 30.0 > 0.0)
+    (Mortar_experiments.Harness.mbps (Mortar_experiments.Harness.deployment h) 15.0 30.0 > 0.0)
 
 let tests =
   [

@@ -95,7 +95,7 @@ let test_sum_with_failures () =
   let results = ref [] in
   Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
-  D.at d 30.0 (fun () -> ignore (D.fail_random d ~fraction:0.2 ~protect:[ 0 ] ()));
+  D.at d 30.0 (fun () -> ignore (D.fail_random d ~fraction:0.2));
   D.run_until d 90.0;
   let late =
     List.filter (fun (r : Peer.result) -> r.emitted_at_local > 60.0) !results
@@ -140,7 +140,7 @@ let test_reconciliation_install () =
   let n = D.hosts d in
   let nodes = Array.init (n - 1) (fun i -> i + 1) in
   let meta, treeset = count_query d ~name:"q5" ~nodes ~mode:Query.Syncless in
-  D.at d 0.5 (fun () -> ignore (D.fail_random d ~fraction:0.3 ~protect:[ 0 ] ()));
+  D.at d 0.5 (fun () -> ignore (D.fail_random d ~fraction:0.3));
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   D.at d 30.0 (fun () -> D.reconnect_all d);
   D.run_until d 90.0;
@@ -200,7 +200,7 @@ let test_random_failure_schedule () =
     if t < 70.0 then
       D.at d t (fun () ->
           if Mortar_util.Rng.bool schedule_rng then
-            ignore (D.fail_random d ~fraction:0.1 ~protect:[ 0 ] ())
+            ignore (D.fail_random d ~fraction:0.1)
           else D.reconnect_all d;
           churn (t +. 7.0))
   in

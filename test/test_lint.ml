@@ -60,23 +60,6 @@ let test_suppressions_silence () =
   Alcotest.(check int) "suppressed fixtures produce no findings" 0
     (List.length report.Driver.findings)
 
-(* The baseline mechanism: a finding listed in a baseline file is
-   reported as grandfathered, not live. *)
-let test_baseline_grandfathers () =
-  let tmp = Filename.temp_file "lint_baseline" ".txt" in
-  let live = Driver.run ~paths:[ "lint_fixtures/d1_pos.ml" ] () in
-  let oc = open_out tmp in
-  List.iter
-    (fun d -> output_string oc (Mortar_lint.Suppress.baseline_entry d ^ "\n"))
-    live.Driver.findings;
-  close_out oc;
-  let report = Driver.run ~baseline_file:tmp ~paths:[ "lint_fixtures/d1_pos.ml" ] () in
-  Sys.remove tmp;
-  Alcotest.(check int) "no live findings" 0 (List.length report.Driver.findings);
-  Alcotest.(check int) "all grandfathered"
-    (List.length live.Driver.findings)
-    (List.length report.Driver.baselined)
-
 (* Zero unsuppressed findings on the real tree — both phases. Tests run
    from _build/default/test, so the tree root is one level up and the
    .objs cmt dirs sit next to the sources; the @lint alias in the root
@@ -291,7 +274,6 @@ let tests =
     Alcotest.test_case "fixture golden" `Quick test_fixture_golden;
     Alcotest.test_case "all six rules fire" `Quick test_all_rules_fire;
     Alcotest.test_case "suppressions silence" `Quick test_suppressions_silence;
-    Alcotest.test_case "baseline grandfathers" `Quick test_baseline_grandfathers;
     Alcotest.test_case "real tree clean" `Quick test_real_tree_clean;
     Alcotest.test_case "typed fixture golden" `Quick test_typed_golden;
     Alcotest.test_case "all three typed rules fire" `Quick test_typed_rules_fire;

@@ -88,7 +88,7 @@ let test_transport_delivery_latency () =
   let engine, topo, transport = make_world () in
   let arrived = ref (-1.0) in
   Transport.register transport 1 (fun ~src:_ _m -> arrived := Engine.now engine);
-  Transport.send transport ~src:0 ~dst:1 ~size:100 "hello";
+  Transport.send transport ~src:0 ~dst:1 ~size:100 ~kind:"data" "hello";
   Engine.run engine;
   Alcotest.(check (float 1e-9)) "arrives after one-way latency" (Topology.latency topo 0 1)
     !arrived
@@ -98,11 +98,11 @@ let test_transport_down_drops () =
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   Transport.set_up transport 1 false;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   Engine.run engine;
   Alcotest.(check int) "down host receives nothing" 0 !got;
   Transport.set_up transport 1 true;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   Engine.run engine;
   Alcotest.(check int) "up again" 1 !got
 
@@ -111,7 +111,7 @@ let test_transport_down_source_drops () =
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   Transport.set_up transport 0 false;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   Engine.run engine;
   Alcotest.(check int) "disconnected source sends nothing" 0 !got
 
@@ -122,7 +122,7 @@ let test_transport_loss () =
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   for _ = 1 to 1000 do
-    Transport.send transport ~src:0 ~dst:1 ~size:10 "x"
+    Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x"
   done;
   Engine.run engine;
   Alcotest.(check bool)
@@ -146,10 +146,10 @@ let test_transport_bandwidth_accounting () =
 let test_transport_counts () =
   let engine, _, transport = make_world () in
   Transport.register transport 1 (fun ~src:_ _ -> ());
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   Engine.run engine;
   Transport.set_up transport 1 false;
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   Engine.run engine;
   Alcotest.(check int) "sent" 2 (Transport.messages_sent transport);
   Alcotest.(check int) "delivered" 1 (Transport.messages_delivered transport)
@@ -158,7 +158,7 @@ let test_transport_in_flight_loss_on_failure () =
   let engine, _, transport = make_world () in
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
-  Transport.send transport ~src:0 ~dst:1 ~size:10 "x";
+  Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   (* The destination goes down before the message lands. *)
   ignore (Engine.schedule engine ~after:0.0001 (fun () -> Transport.set_up transport 1 false));
   Engine.run engine;

@@ -310,7 +310,7 @@ let test_type_faults_survive () =
   Alcotest.(check bool) "results despite faults" true (List.length !results > 10);
   let total_faults =
     List.fold_left
-      (fun acc i -> acc + (Peer.stats (D.peer d i)).Peer.type_faults)
+      (fun acc i -> acc + Peer.count (D.peer d i) Peer.Type_faults)
       0
       (List.init hosts Fun.id)
   in
@@ -340,9 +340,9 @@ let test_stats_counters () =
       done;
       install d meta;
       D.run_until d 30.0;
-      let root_stats = Peer.stats (D.peer d 0) in
-      Alcotest.(check bool) "root emitted results" true (root_stats.Peer.results_emitted > 10);
-      Alcotest.(check bool) "root received tuples" true (root_stats.Peer.tuples_received > 10);
+      let root = D.peer d 0 in
+      Alcotest.(check bool) "root emitted results" true (Peer.count root Peer.Results > 10);
+      Alcotest.(check bool) "root received tuples" true (Peer.count root Peer.Received > 10);
       let leaf = hosts - 1 in
       let leaf_data_sends =
         List.length
@@ -535,13 +535,13 @@ let gen_partner_op =
            (1, return Crash);
          ]))
 
-(* Peer's constants at the default config: timeout = factor * period,
-   sweep horizon = 4 * factor * period, reconcile gap = every * period. *)
+(* Peer's constants at the default config: timeout = 3 periods, sweep
+   horizon = 4 * 3 periods, reconcile gap = a digest every 3rd period. *)
 let prop_partner_set_matches_oracle =
-  let cfg = Peer.default_config in
-  let timeout = cfg.Peer.hb_timeout_factor *. cfg.Peer.hb_period in
-  let horizon = 4.0 *. cfg.Peer.hb_timeout_factor *. cfg.Peer.hb_period in
-  let min_gap = float_of_int cfg.Peer.reconcile_every *. cfg.Peer.hb_period in
+  let period = Peer.default_config.Peer.hb_period in
+  let timeout = 3.0 *. period in
+  let horizon = 4.0 *. 3.0 *. period in
+  let min_gap = 3.0 *. period in
   QCheck.Test.make ~name:"partner set = Hashtbl + record oracle" ~count:400
     QCheck.(
       make ~print:(fun l -> String.concat "; " (List.map show_partner_op l))

@@ -133,8 +133,9 @@ let test_ewma_first_sample () =
   check_float "first sample" 10.0 (Ewma.value_or e nan)
 
 let test_ewma_converges () =
-  let e = Ewma.create ~alpha:0.5 () in
-  for _ = 1 to 50 do
+  let e = Ewma.create () in
+  Ewma.update e 0.0;
+  for _ = 1 to 200 do
     Ewma.update e 4.0
   done;
   Alcotest.(check bool) "converged" true (abs_float (Ewma.value_or e nan -. 4.0) < 1e-6)
