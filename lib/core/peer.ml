@@ -1406,7 +1406,16 @@ let rec receive t ~src payload =
           Some (Query.view_of_treeset ~repair_meta:t.cfg.self_heal treeset src)
         else None
       in
-      send_ctl t ~dst:src (Msg.View_reply { meta; view; age = 0.0 }))
+      (* The query's age, as an install chunk would carry it: the asker
+         anchors its syncless slot grid on it, and an age of 0 would put
+         a rejoining host's grid out of phase with everyone else's, so
+         one of its readings could land in two reported windows. *)
+      let age =
+        match Hashtbl.find_opt t.instances name with
+        | Some inst -> basis inst ~local:(now_local t)
+        | None -> 0.0
+      in
+      send_ctl t ~dst:src (Msg.View_reply { meta; view; age }))
   | Msg.View_reply { meta; view; age } -> (
     Lazy_tbl.remove t.pending_views meta.Query.name;
     match view with

@@ -21,6 +21,11 @@ module Peer = Mortar_core.Peer
 module Harness = Mortar_experiments.Harness
 module Sibling = Mortar_overlay.Sibling
 module Obs = Mortar_obs.Obs
+module Query = Mortar_core.Query
+module Window = Mortar_core.Window
+module Value = Mortar_core.Value
+module Op = Mortar_core.Op
+module Rng = Mortar_util.Rng
 
 let chaos_from = 10.0
 let chaos_until = 45.0
@@ -170,9 +175,51 @@ let test_repair_donors () =
        (fun (n, k) -> (n, match k with `Grand -> "grand" | `Sib -> "sib"))
        (Sibling.repair_donors ~self:2 ~grand:None ~siblings:[ 5; 9 ]))
 
+(* Restart regression: 240 hosts over 4 transits and 8 stubs, two bf-16
+   trees, self-healing with reliable control and warm-up buffering, under
+   composed churn (one crash every 2 s, bursty stub loss, a quarter of a
+   stub killed every 8 s). A restarted host asks the root for its view;
+   the reply must carry the query's age, or the host's slot grid is out
+   of phase with everyone else's and one of its readings lands in two
+   reported windows. Seed 37 reported four windows above 240 (up to 258)
+   while the reply carried age 0. *)
+let test_restart_rejoins_slot_grid () =
+  let seed = 37 and hosts = 240 in
+  let rng = Rng.create ((seed * 7919) + 3) in
+  let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts () in
+  let config =
+    { Peer.default_config with Peer.self_heal = true; ctl_retries = 2; warmup_buffer = 32 }
+  in
+  let d = D.create_sharded ~seed ~config topo in
+  D.converge_coordinates d ();
+  let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
+  let treeset = D.plan d ~bf:16 ~d:2 ~root:0 ~nodes () in
+  let meta =
+    Query.make_meta ~name:"churn" ~source:"cpu" ~op:Op.Sum ~window:(Window.tumbling 1.0)
+      ~root:0 ~degree:2 ~total_nodes:hosts ()
+  in
+  for h = 0 to hosts - 1 do
+    D.sensor d ~node:h ~stream:"cpu" ~period:1.0 (fun _ -> Value.Int 1)
+  done;
+  let results = ref 0 and over = ref [] in
+  Peer.on_result (D.peer d 0) (fun (r : Peer.result) ->
+      incr results;
+      if r.count > hosts then over := (r.slot, r.count) :: !over);
+  D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
+  D.schedule_faults d
+    (D.composed_churn d ~rng:(Rng.split rng) ~from:8.0 ~until:42.0 ~protect:[ 0 ]
+       ~churn_period:2.0 ~churn_kills:1 ~down_min:2.0 ~down_max:6.0 ~burst_period:5.0
+       ~burst_len:2.5 ~kill_period:8.0 ~kill_fraction:0.25 ~kill_len:3.0 ());
+  D.run_until d 48.0;
+  Alcotest.(check bool) "root reported windows" true (!results > 40);
+  Alcotest.(check (list (pair int int))) "no reported window above the host count" []
+    (List.rev !over)
+
 let tests =
   [
     Alcotest.test_case "repair donor ordering" `Quick test_repair_donors;
+    Alcotest.test_case "restart rejoins the query's slot grid" `Quick
+      test_restart_rejoins_slot_grid;
     QCheck_alcotest.to_alcotest prop_converges;
     QCheck_alcotest.to_alcotest prop_no_overcount;
     QCheck_alcotest.to_alcotest prop_deterministic;
