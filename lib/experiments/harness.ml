@@ -88,6 +88,11 @@ let results t =
 let results_between t t0 t1 =
   List.filter (fun r -> r.sim_time >= t0 && r.sim_time < t1) (results t)
 
+let overcounted_windows t =
+  let score = Score.create () in
+  List.iter (fun r -> ignore (Score.offer score ~at:r.sim_time ~slot:r.slot r.count)) (results t);
+  Score.overcounted score ~publishers:(D.hosts t.d)
+
 let provenance_results t =
   if not t.track_provenance then []
   else

@@ -61,6 +61,10 @@ val results : t -> recorded list (* lint: allow D11 oracle: test/test_obs.ml "ha
 
 val results_between : t -> float -> float -> recorded list (* lint: allow D11 oracle: test/test_emulation.ml "harness smoke" *)
 
+val overcounted_windows : t -> int list
+(** Reported slots, ascending, whose root result counted more hosts
+    than the deployment has: a host counted twice in one window. *)
+
 val provenance_results : t -> (float * (int * int) list) list
 (** (sim emit time, provenance) per result, when tracking was enabled. *)
 

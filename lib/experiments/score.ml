@@ -33,6 +33,8 @@ let best = get (fun c -> c.best)
 
 let total = get (fun c -> c.total)
 
+let overcounted t ~publishers = List.filter (fun s -> best t s > publishers) (slots t)
+
 let first_at t slot = Option.map (fun c -> c.first_at) (Hashtbl.find_opt t slot)
 
 let mean count ~denom slots =

@@ -12,7 +12,10 @@
       is duplicate-free.
 
     {!mean} averages either one over an explicit slot range in which a
-    slot that never received a result scores 0. *)
+    slot that never received a result scores 0. It clamps each slot at
+    its denominator, so a scorer fed reported counts also checks
+    {!overcounted}: a window that counted some host twice must fail a
+    gate, not read as complete. *)
 
 type t
 
@@ -34,6 +37,9 @@ val best : t -> int -> int
 
 val total : t -> int -> int
 (** Sum of all counts for the slot; 0 if absent. *)
+
+val overcounted : t -> publishers:int -> int list
+(** Slots, ascending, some single count of which exceeded [publishers]. *)
 
 val first_at : t -> int -> float option
 (** Earliest [at] offered for the slot. *)

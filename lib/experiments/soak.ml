@@ -11,11 +11,9 @@
    where the static plan actually blackholes hosts and repair has to do
    the work.
 
-   Completeness here is *true* completeness in the fig 9/10 sense: for
-   each true sensor window, the largest fraction of its tuples that
-   landed together in one reported result. Reported-window completeness
-   is useless under crash-rejoin (a reinstalled peer can misfile a window
-   boundary, merging two true windows into one >100% report).
+   Completeness here is scored per *true* sensor window, from result
+   provenance: the fraction of its tuples the root saw across all
+   reported results (see the scoring comment below).
 
    Machine-checked invariants:
 
@@ -31,7 +29,11 @@
      uninstalled hosts may only drain (reconciliation makes progress);
    - overcount: summing each true window's provenance across *all*
      results must never exceed the host count — repair and warm-up
-     replay must stay duplicate-safe under time-division indexing.
+     replay must stay duplicate-safe under time-division indexing;
+   - reported overcount: no single reported window may count more hosts
+     than exist. A host counted twice in one window carries no
+     provenance twice (a boundary tuple has none, a misfiled reading
+     keeps its true slot), so only this check sees it.
 
    The repair-on row is the gate (CI greps the "invariant violations:"
    line); the repair-off row is the control that shows the damage the
@@ -52,10 +54,12 @@ type outcome = {
   steady_viol : int;
   monotone_viol : int;
   overcount : int;
+  over_reported : int;
 }
 
 let violations o =
   o.blackhole + o.rejoin + o.floor_viol + o.steady_viol + o.monotone_viol + o.overcount
+  + o.over_reported
 
 (* Track open "bad state" episodes per host across epoch samples: record
    first sighting, count a violation once per episode when it outlives
@@ -200,6 +204,7 @@ let soak_row ~quick ~self_heal =
       steady_viol;
       monotone_viol = !monotone_viol;
       overcount;
+      over_reported = List.length (Harness.overcounted_windows h);
     },
     counters )
 
@@ -223,9 +228,10 @@ let run ~quick =
       [ row "on" on; row "off" off ]);
   let detail label o counters =
     Printf.printf
-      "repair=%s: blackhole=%d rejoin=%d floor=%d steady=%d monotone=%d overcount=%d | %s\n"
+      "repair=%s: blackhole=%d rejoin=%d floor=%d steady=%d monotone=%d overcount=%d \
+       reported_overcount=%d | %s\n"
       label o.blackhole o.rejoin o.floor_viol o.steady_viol o.monotone_viol o.overcount
-      counters
+      o.over_reported counters
   in
   detail "on" on on_counters;
   detail "off" off off_counters;

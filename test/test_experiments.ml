@@ -121,6 +121,11 @@ let test_score_cases () =
   Alcotest.(check (option (float 0.0))) "first_at" (Some 3.0) (Score.first_at sc 2);
   Alcotest.(check (option (float 0.0))) "absent first_at" None (Score.first_at sc 4);
   Alcotest.(check int) "absent best" 0 (Score.best sc 4);
+  (* A window counted above its publishers is listed, though [mean]
+     clamps it to a full window. *)
+  Alcotest.(check (list int)) "overcounted" [ 3 ] (Score.overcounted sc ~publishers:8);
+  Alcotest.(check (float 1e-9)) "clamped" 1.0 (Score.mean (Score.best sc) ~denom:8 [ 3 ]);
+  Alcotest.(check (list int)) "none at the cap" [] (Score.overcounted sc ~publishers:10);
   (* A window still in flight when the run stops must not be averaged
      away: the range whose last slot never arrived scores below the same
      range with that slot delivered. *)

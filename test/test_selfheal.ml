@@ -9,7 +9,9 @@
    - duplicate safety: summing any true window's provenance across all
      reported results never exceeds the host count — repair re-parenting
      and warm-up replay must not double-count under time-division
-     indexing;
+     indexing — and no single reported window counts more hosts than
+     exist (a rejoining host on a shifted slot grid is counted twice in
+     one window without over-summing any true window);
    - determinism: the repair decision stream (orphaned / reparent trace
      events) is byte-identical across same-seed reruns.
 
@@ -115,6 +117,12 @@ let prop_no_overcount =
             QCheck.Test.fail_reportf "true slot %d counted %d tuples from %d hosts" slot n
               hosts)
         total;
+      (match Harness.overcounted_windows h with
+      | [] -> ()
+      | slots ->
+        QCheck.Test.fail_reportf "reported windows %s counted more than %d hosts"
+          (String.concat ", " (List.map string_of_int slots))
+          hosts);
       true)
 
 let contains_sub s sub =
