@@ -16,14 +16,6 @@ let create ~timeout =
 
 let length t = t.n
 
-let reset t =
-  t.keys <- [||];
-  t.refs <- [||];
-  t.last_heard <- [||];
-  t.last_confirmed <- [||];
-  t.last_reconcile <- [||];
-  t.n <- 0
-
 let grow t =
   let cap = max 4 (2 * Array.length t.keys) in
   let ints a = let b = Array.make cap 0 in Array.blit a 0 b 0 t.n; b in

@@ -61,6 +61,3 @@ val iter_targets : (int -> unit) -> t -> unit
 val sweep : t -> now:float -> horizon:float -> int
 (** Remove zero-refcount entries silent for more than [horizon]
     ([now -. last_heard > horizon]); returns how many went. *)
-
-val reset : t -> unit
-(** Forget every partner and release the arrays (crash). *)

@@ -225,9 +225,9 @@ type warmup_entry = {
   wu_at : float; (* local arrival time *)
 }
 
-type t = {
-  rt : runtime;
-  cfg : config;
+(* Everything a process restart loses: {!crash} cancels its timers and
+   replaces it whole, so a table added here is reset by construction. *)
+type volatile = {
   (* [instances] is written on every host that hosts a query; every other
      table below stays empty on most hosts and is allocated on first
      write (DESIGN.md "Host memory layout"). *)
@@ -245,22 +245,54 @@ type t = {
   ctl_pending : (int, pending_ctl) Lazy_tbl.t; (* token -> unacked ctl msg *)
   seen_ctl : (int * int, unit) Lazy_tbl.t; (* (src, token) already processed *)
   seen_ctl_order : (int * int) Queue.t; (* FIFO pruning for seen_ctl *)
-  ctl_rng : Rng.t;
-      (* Dedicated stream for retry jitter: control-plane draws must not
-         perturb the main rng the data path (striping, routing) uses. *)
   result_fwds : (string, int list) Lazy_tbl.t;
       (* shared-tree fan-out: query -> subscriber hosts the root forwards
          finished results to (multi-query planner; root only) *)
-  mutable next_token : int;
-  mutable result_handlers : (result -> unit) list;
-  mutable remote_handlers : (remote_result -> unit) list;
   mutable hb_counter : int;
   mutable hb_timer : timer;
   mutable digest_cache : string option;
   mutable instances_sorted : (string * instance) list option;
       (* name-sorted cache of [instances]; rebuilt lazily after
          install/remove — [inject] walks it on every source tick *)
-  counts : int array; (* one slot per {!counter}; never reset, not even by {!crash} *)
+}
+
+let volatile cfg =
+  {
+    instances = Hashtbl.create 8;
+    removed = Lazy_tbl.create 8;
+    not_mine = Lazy_tbl.create 8;
+    partners = Partner_set.create ~timeout:(hb_timeout_factor *. cfg.hb_period);
+    plans = Lazy_tbl.create 4;
+    pending_views = Lazy_tbl.create 8;
+    warmup = Lazy_tbl.create 8;
+    fast_resync = Lazy_tbl.create 8;
+    ctl_pending = Lazy_tbl.create 16;
+    seen_ctl = Lazy_tbl.create 64;
+    seen_ctl_order = Queue.create ();
+    result_fwds = Lazy_tbl.create 4;
+    hb_counter = 0;
+    hb_timer = no_timer;
+    digest_cache = None;
+    instances_sorted = None;
+  }
+
+(* What survives a crash: the runtime and config, the handlers, the
+   control plane's jitter stream, and the counts. *)
+type t = {
+  rt : runtime;
+  cfg : config;
+  mutable v : volatile;
+  ctl_rng : Rng.t;
+      (* Dedicated stream for retry jitter: control-plane draws must not
+         perturb the main rng the data path (striping, routing) uses. *)
+  mutable next_token : int;
+      (* Tokens count up and survive {!crash}, so they never collide
+         across process restarts (a stale ack must not cancel a fresh
+         retransmission, and the receiver's dup table must not suppress a
+         fresh message). *)
+  mutable result_handlers : (result -> unit) list;
+  mutable remote_handlers : (remote_result -> unit) list;
+  counts : int array; (* one slot per {!counter} *)
 }
 
 let add t c n = t.counts.(slot c) <- t.counts.(slot c) + n
@@ -276,51 +308,70 @@ let basis inst ~local = local -. inst.t_ref_base
 (* ------------------------------------------------------------------ *)
 (* Digest over query-management state (§6.1).                          *)
 
-let digest t =
-  match t.digest_cache with
-  | Some d -> d
-  | None ->
-    let installed =
-      Hashtbl.fold (fun name inst acc -> (name, inst.meta.Query.seqno) :: acc) t.instances []
-      |> List.sort compare
-    in
-    let removed = Lazy_tbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare in
-    let buf = Buffer.create 128 in
-    List.iter (fun (n, s) -> Buffer.add_string buf (Printf.sprintf "i:%s#%d;" n s)) installed;
-    List.iter (fun (n, s) -> Buffer.add_string buf (Printf.sprintf "r:%s#%d;" n s)) removed;
-    let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-    t.digest_cache <- Some d;
-    d
-
-(* Every install/remove/crash path that mutates [instances] runs through
-   here (they must refresh the digest too), so one invalidation covers
-   both caches. *)
-let invalidate_digest t =
-  t.digest_cache <- None;
-  t.instances_sorted <- None
-
 let sorted_instances t =
-  match t.instances_sorted with
+  match t.v.instances_sorted with
   | Some l -> l
   | None ->
     let l =
-      Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.instances []
+      Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.v.instances []
       |> List.sort (fun (a, _) (b, _) -> String.compare a b)
     in
-    t.instances_sorted <- Some l;
+    t.v.instances_sorted <- Some l;
     l
+
+let installed_triples t =
+  List.map
+    (fun (name, inst) -> (name, inst.meta.Query.seqno, inst.meta.Query.root))
+    (sorted_instances t)
+
+let removed_pairs t =
+  Lazy_tbl.fold (fun name s acc -> (name, s) :: acc) t.v.removed [] |> List.sort compare
+
+let digest t =
+  match t.v.digest_cache with
+  | Some d -> d
+  | None ->
+    let buf = Buffer.create 128 in
+    List.iter
+      (fun (n, s, _) -> Buffer.add_string buf (Printf.sprintf "i:%s#%d;" n s))
+      (installed_triples t);
+    List.iter (fun (n, s) -> Buffer.add_string buf (Printf.sprintf "r:%s#%d;" n s)) (removed_pairs t);
+    let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+    t.v.digest_cache <- Some d;
+    d
+
+(* Every install/remove path that mutates [instances] runs through here
+   (they must refresh the digest too), so one invalidation covers both
+   caches. *)
+let invalidate_digest t =
+  t.v.digest_cache <- None;
+  t.v.instances_sorted <- None
+
+(* Whether [tbl] records [name] at [seqno] or later (a removal, or a
+   query known not to include us). *)
+let covers tbl name seqno =
+  match Lazy_tbl.find_opt tbl name with Some s -> s >= seqno | None -> false
+
+(* Rate-limited requests: stamps [key] and returns true unless it was
+   stamped less than [gap] ago. *)
+let gate tbl key ~now ~gap =
+  match Lazy_tbl.find_opt tbl key with
+  | Some at when now -. at < gap -> false
+  | _ ->
+    Lazy_tbl.replace tbl key now;
+    true
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeat partner bookkeeping.                                      *)
 
-let retain_partner t node = Partner_set.retain t.partners node ~now:(now_local t)
+let retain_partner t node = Partner_set.retain t.v.partners node ~now:(now_local t)
 
-let release_partner t node = Partner_set.release t.partners node
+let release_partner t node = Partner_set.release t.v.partners node
 
 (* Liveness belief from heartbeats (true for unknown nodes). *)
-let alive_neighbor t node = Partner_set.alive t.partners node ~now:(now_local t)
+let alive_neighbor t node = Partner_set.alive t.v.partners node ~now:(now_local t)
 
-let confirmed_alive t node = Partner_set.confirmed_alive t.partners node ~now:(now_local t)
+let confirmed_alive t node = Partner_set.confirmed_alive t.v.partners node ~now:(now_local t)
 
 (* ------------------------------------------------------------------ *)
 (* Sending helpers.                                                    *)
@@ -345,14 +396,10 @@ let aged_payload t p =
     | Msg.Install { meta; members; edges; age } ->
       Msg.Install { meta; members; edges; age = age +. elapsed }
     | Msg.View_reply { meta; view; age } -> Msg.View_reply { meta; view; age = age +. elapsed }
-    | Msg.Result_fwd { query; slot; value; count; age } ->
-      (* Result_fwd is fire-and-forget today and never rides the reliable
-         path, but it does carry an [age] — re-age it so wrapping it in
-         Reliable later cannot silently misalign receiver windows. *)
-      Msg.Result_fwd { query; slot; value; count; age = age +. elapsed }
     | ( Msg.Data _ | Msg.Heartbeat _ | Msg.Reconcile_request _ | Msg.Reconcile_reply _
-      | Msg.Remove _ | Msg.View_request _ | Msg.Adopt _ | Msg.Reliable _ | Msg.Ack _ ) as
-      other ->
+      | Msg.Remove _ | Msg.View_request _ | Msg.Adopt _ | Msg.Reliable _ | Msg.Ack _
+      | Msg.Result_fwd _ ) as other ->
+      (* Result_fwd carries an age too, but is always fire-and-forget. *)
       other
 
 let rec ctl_attempt t p =
@@ -369,11 +416,11 @@ let rec ctl_attempt t p =
 
 and ctl_expire t p =
   p.ctl_timer <- no_timer;
-  if Lazy_tbl.mem t.ctl_pending p.ctl_token then begin
+  if Lazy_tbl.mem t.v.ctl_pending p.ctl_token then begin
     if p.ctl_attempts > t.cfg.ctl_retries then begin
       (* Budget exhausted: give up and let reconciliation (§6.1) repair
          whatever state the destination missed. *)
-      Lazy_tbl.remove t.ctl_pending p.ctl_token;
+      Lazy_tbl.remove t.v.ctl_pending p.ctl_token;
       bump t Ctl_abandoned
     end
     else ctl_attempt t p
@@ -388,15 +435,15 @@ let send_ctl t ~dst payload =
       { ctl_dst = dst; ctl_payload = payload; ctl_token = token; ctl_born = now_local t;
         ctl_attempts = 0; ctl_timer = no_timer }
     in
-    Lazy_tbl.replace t.ctl_pending token p;
+    Lazy_tbl.replace t.v.ctl_pending token p;
     ctl_attempt t p
   end
 
 let ctl_ack t ~src ~token =
-  match Lazy_tbl.find_opt t.ctl_pending token with
+  match Lazy_tbl.find_opt t.v.ctl_pending token with
   | Some p when p.ctl_dst = src ->
     t.rt.cancel_timer p.ctl_timer;
-    Lazy_tbl.remove t.ctl_pending token;
+    Lazy_tbl.remove t.v.ctl_pending token;
     bump t Ctl_acked
   | _ -> () (* late, duplicate, or forged ack *)
 
@@ -407,24 +454,15 @@ let ctl_seen_cap = 1024
    would re-forward its whole chunk). *)
 let ctl_duplicate t ~src ~token =
   let k = (src, token) in
-  if Lazy_tbl.mem t.seen_ctl k then true
+  if Lazy_tbl.mem t.v.seen_ctl k then true
   else begin
-    Lazy_tbl.replace t.seen_ctl k ();
-    Queue.push k t.seen_ctl_order;
-    while Lazy_tbl.length t.seen_ctl > ctl_seen_cap do
-      Lazy_tbl.remove t.seen_ctl (Queue.pop t.seen_ctl_order)
+    Lazy_tbl.replace t.v.seen_ctl k ();
+    Queue.push k t.v.seen_ctl_order;
+    while Lazy_tbl.length t.v.seen_ctl > ctl_seen_cap do
+      Lazy_tbl.remove t.v.seen_ctl (Queue.pop t.v.seen_ctl_order)
     done;
     false
   end
-
-let installed_triples t =
-  Hashtbl.fold
-    (fun name inst acc -> (name, inst.meta.Query.seqno, inst.meta.Query.root) :: acc)
-    t.instances []
-  |> List.sort compare
-
-let removed_pairs t =
-  Lazy_tbl.fold (fun name s acc -> (name, s) :: acc) t.removed [] |> List.sort compare
 
 let slide_of (meta : Query.meta) =
   match meta.window with
@@ -585,7 +623,7 @@ and report_result t inst (s : Summary.t) =
      itself (multi-query planner), forward the finished result to each.
      Boundary-only results carry no data and are not forwarded. *)
   (if not s.boundary then
-     match Lazy_tbl.find_opt t.result_fwds meta.Query.name with
+     match Lazy_tbl.find_opt t.v.result_fwds meta.Query.name with
      | None -> ()
      | Some dsts ->
        List.iter
@@ -826,8 +864,7 @@ let relabel_for_mode t inst (s : Summary.t) =
       let center = b -. s.age in
       { s with Summary.index = Index.make ~tb:(center -. (d /. 2.0)) ~te:(center +. (d /. 2.0)) })
 
-let already_emitted t inst (s : Summary.t) =
-  ignore t;
+let already_emitted inst (s : Summary.t) =
   match inst.meta.Query.window with
   | Window.Time { slide; _ } ->
     let slot = Index.slot ~slide (s.index.Index.tb +. (slide /. 2.0)) in
@@ -839,21 +876,9 @@ let already_emitted t inst (s : Summary.t) =
    the management state immediately — the digest cadence alone leaves a
    rejoined peer dark for up to [reconcile_every] heartbeat periods. *)
 let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
-  let removed =
-    match Lazy_tbl.find_opt t.removed query with Some s -> s >= seqno | None -> false
-  in
-  let not_mine =
-    match Lazy_tbl.find_opt t.not_mine query with Some s -> s >= seqno | None -> false
-  in
-  if (not removed) && not not_mine then begin
+  if not (covers t.v.removed query seqno || covers t.v.not_mine query seqno) then begin
     let local = now_local t in
-    let recently =
-      match Lazy_tbl.find_opt t.fast_resync query with
-      | Some at -> local -. at < t.cfg.hb_period
-      | None -> false
-    in
-    if not recently then begin
-      Lazy_tbl.replace t.fast_resync query local;
+    if gate t.v.fast_resync query ~now:local ~gap:t.cfg.hb_period then begin
       bump t Fast_resyncs;
       send_msg t ~dst:src
         (Msg.Reconcile_request { installed = installed_triples t; removed = removed_pairs t })
@@ -861,11 +886,11 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
     if t.cfg.warmup_buffer <= 0 then bump t Warmup_drops
     else begin
       let q =
-        match Lazy_tbl.find_opt t.warmup query with
+        match Lazy_tbl.find_opt t.v.warmup query with
         | Some q -> q
         | None ->
           let q = Queue.create () in
-          Lazy_tbl.replace t.warmup query q;
+          Lazy_tbl.replace t.v.warmup query q;
           q
       in
       if Queue.length q >= t.cfg.warmup_buffer then begin
@@ -884,7 +909,7 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
 
 let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
   bump t Received;
-  match Hashtbl.find_opt t.instances query with
+  match Hashtbl.find_opt t.v.instances query with
   | None ->
     (* Not installed (yet); reconciliation will catch us up. With
        self-healing on, start that reconciliation now and hold the summary
@@ -918,7 +943,7 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
       in
       route_and_send t inst s ~path ~visited ~arrival_tree:tree ~ttl_down ()
     end
-    else if already_emitted t inst s then begin
+    else if already_emitted inst s then begin
       (* Late tuple: pass through toward the root without merging. *)
       bump t Late;
       if t.rt.self = inst.meta.Query.root then () (* window already reported *)
@@ -935,10 +960,10 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
    bumped by the buffering delay so syncless relabeling files each one
    into the window it was originally destined for. *)
 let replay_warmup t name =
-  match Lazy_tbl.find_opt t.warmup name with
+  match Lazy_tbl.find_opt t.v.warmup name with
   | None -> ()
   | Some q ->
-    Lazy_tbl.remove t.warmup name;
+    Lazy_tbl.remove t.v.warmup name;
     let local = now_local t in
     Queue.iter
       (fun e ->
@@ -953,44 +978,40 @@ let replay_warmup t name =
 (* ------------------------------------------------------------------ *)
 (* Install / remove.                                                   *)
 
+(* Only ever called on an instance that is then dropped. *)
 let cancel_instance_timers t inst =
-  t.rt.cancel_timer inst.eviction_timer;
-  t.rt.cancel_timer inst.slide_timer;
-  t.rt.cancel_timer inst.boundary_timer;
-  inst.eviction_timer <- no_timer;
-  inst.slide_timer <- no_timer;
-  inst.boundary_timer <- no_timer
+  List.iter t.rt.cancel_timer [ inst.eviction_timer; inst.slide_timer; inst.boundary_timer ]
 
 let remove_local t ~name ~seqno =
-  (match Hashtbl.find_opt t.instances name with
+  (match Hashtbl.find_opt t.v.instances name with
   | Some inst when inst.meta.Query.seqno <= seqno ->
     cancel_instance_timers t inst;
-    Hashtbl.remove t.instances name;
+    Hashtbl.remove t.v.instances name;
     List.iter (release_partner t) (Query.neighbors inst.view);
     invalidate_digest t
   | _ -> ());
-  let prev = Option.value (Lazy_tbl.find_opt t.removed name) ~default:min_int in
+  let prev = Option.value (Lazy_tbl.find_opt t.v.removed name) ~default:min_int in
   if seqno > prev then begin
-    Lazy_tbl.replace t.removed name seqno;
+    Lazy_tbl.replace t.v.removed name seqno;
     invalidate_digest t
   end;
-  Lazy_tbl.remove t.warmup name
+  Lazy_tbl.remove t.v.warmup name
 
 let install_local t (meta : Query.meta) view ~install_age =
-  let removed_seqno = Option.value (Lazy_tbl.find_opt t.removed meta.name) ~default:min_int in
+  let removed_seqno = Option.value (Lazy_tbl.find_opt t.v.removed meta.name) ~default:min_int in
   if meta.seqno <= removed_seqno then ()
   else begin
     let stale =
-      match Hashtbl.find_opt t.instances meta.name with
+      match Hashtbl.find_opt t.v.instances meta.name with
       | Some inst -> inst.meta.Query.seqno >= meta.seqno
       | None -> false
     in
     if not stale then begin
-      (match Hashtbl.find_opt t.instances meta.name with
+      (match Hashtbl.find_opt t.v.instances meta.name with
       | Some old ->
         cancel_instance_timers t old;
         List.iter (release_partner t) (Query.neighbors old.view);
-        Hashtbl.remove t.instances meta.name
+        Hashtbl.remove t.v.instances meta.name
       | None -> ());
       let local = now_local t in
       let t_ref_base =
@@ -1046,7 +1067,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           orphaned_since = None;
         }
       in
-      Hashtbl.replace t.instances meta.name inst;
+      Hashtbl.replace t.v.instances meta.name inst;
       List.iter (retain_partner t) (Query.neighbors view);
       invalidate_digest t;
       bump t Installs;
@@ -1064,7 +1085,7 @@ let install_local t (meta : Query.meta) view ~install_age =
           t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst));
       (* Crash-rejoin warm-up: summaries that arrived while this query was
          uninstalled re-enter the striping rotation now. *)
-      Lazy_tbl.remove t.fast_resync meta.name;
+      Lazy_tbl.remove t.v.fast_resync meta.name;
       replay_warmup t meta.name
     end
   end
@@ -1128,7 +1149,7 @@ let install_query t (meta : Query.meta) treeset =
     invalid_arg "Peer.install_query: peer is not the plan root";
   if meta.Query.root <> t.rt.self then
     invalid_arg "Peer.install_query: meta.root is not this peer";
-  Lazy_tbl.replace t.plans meta.Query.name (meta, Some treeset);
+  Lazy_tbl.replace t.v.plans meta.Query.name (meta, Some treeset);
   let chunks =
     Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:install_chunks
   in
@@ -1142,7 +1163,7 @@ let install_query t (meta : Query.meta) treeset =
     chunks
 
 let remove_query t ~name =
-  match Lazy_tbl.find_opt t.plans name with
+  match Lazy_tbl.find_opt t.v.plans name with
   | None | Some (_, None) ->
     invalid_arg "Peer.remove_query: no plan for this query (not the injector)"
   | Some (meta, Some treeset) ->
@@ -1153,8 +1174,8 @@ let remove_query t ~name =
        reinstall under the same name supersedes every straggler, but drop
        the tree set itself — the plan table must not leak the last
        sharer's tree (and its heartbeat-partner obligations) forever. *)
-    Lazy_tbl.replace t.plans name ({ meta with Query.seqno }, None);
-    Lazy_tbl.remove t.result_fwds name;
+    Lazy_tbl.replace t.v.plans name ({ meta with Query.seqno }, None);
+    Lazy_tbl.remove t.v.result_fwds name;
     remove_local t ~name ~seqno;
     List.iter (fun c -> send_ctl t ~dst:c (Msg.Remove { name; seqno })) children
 
@@ -1162,33 +1183,21 @@ let remove_query t ~name =
 (* Reconciliation (§6.1).                                              *)
 
 let request_view t ~name ~root =
-  let local = now_local t in
-  let recently =
-    match Lazy_tbl.find_opt t.pending_views name with
-    | Some at -> local -. at < float_of_int reconcile_every *. t.cfg.hb_period
-    | None -> false
-  in
-  if not recently then begin
-    Lazy_tbl.replace t.pending_views name local;
+  let gap = float_of_int reconcile_every *. t.cfg.hb_period in
+  if gate t.v.pending_views name ~now:(now_local t) ~gap then
     send_ctl t ~dst:root (Msg.View_request { name })
-  end
 
 let apply_remote_sets t ~installed ~removed =
   (* IC = theirs.installed - ours.installed - matching local removals. *)
   List.iter
     (fun (name, seqno, root) ->
-      let locally_removed =
-        match Lazy_tbl.find_opt t.removed name with Some s -> s >= seqno | None -> false
-      in
       let locally_installed =
-        match Hashtbl.find_opt t.instances name with
+        match Hashtbl.find_opt t.v.instances name with
         | Some inst -> inst.meta.Query.seqno >= seqno
         | None -> false
       in
-      let known_not_mine =
-        match Lazy_tbl.find_opt t.not_mine name with Some s -> s >= seqno | None -> false
-      in
-      if (not locally_removed) && (not locally_installed) && not known_not_mine then
+      if not (covers t.v.removed name seqno || locally_installed || covers t.v.not_mine name seqno)
+      then
         if root = t.rt.self then () (* we are the topology server; nothing to fetch *)
         else request_view t ~name ~root)
     installed;
@@ -1199,7 +1208,7 @@ let maybe_reconcile t ~src ~remote_digest =
   if remote_digest <> digest t then begin
     let local = now_local t in
     let min_gap = float_of_int reconcile_every *. t.cfg.hb_period in
-    if Partner_set.reconcile_due t.partners src ~now:local ~min_gap then begin
+    if Partner_set.reconcile_due t.v.partners src ~now:local ~min_gap then begin
       bump t Reconciliations;
       if !Obs.enabled then
         Obs.trace ~t:local (Obs.Reconcile_round { node = t.rt.self; partner = src });
@@ -1318,15 +1327,15 @@ let repair_instance t name inst =
 let sweep_idle t =
   let local = now_local t in
   let horizon = 4.0 *. hb_timeout_factor *. t.cfg.hb_period in
-  let swept = Partner_set.sweep t.partners ~now:local ~horizon in
+  let swept = Partner_set.sweep t.v.partners ~now:local ~horizon in
   add t Partners_swept swept;
   let sweep_gate tbl =
     Lazy_tbl.fold (fun k at acc -> if local -. at > horizon then k :: acc else acc) tbl []
     |> List.sort compare
     |> List.iter (Lazy_tbl.remove tbl)
   in
-  sweep_gate t.pending_views;
-  sweep_gate t.fast_resync
+  sweep_gate t.v.pending_views;
+  sweep_gate t.v.fast_resync
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeats.                                                         *)
@@ -1337,18 +1346,16 @@ let sweep_idle t =
    of some installed view", visited in ascending id order (D3). Every
    target gets the same immutable payload. *)
 let rec heartbeat_tick t =
-  t.hb_counter <- t.hb_counter + 1;
-  let with_digest = t.hb_counter mod reconcile_every = 0 in
+  t.v.hb_counter <- t.v.hb_counter + 1;
+  let with_digest = t.v.hb_counter mod reconcile_every = 0 in
   let hb = Msg.Heartbeat { digest = (if with_digest then Some (digest t) else None) } in
-  Partner_set.iter_targets (fun dst -> send_msg t ~dst hb) t.partners;
+  Partner_set.iter_targets (fun dst -> send_msg t ~dst hb) t.v.partners;
   if t.cfg.self_heal then
     (* Sorted instance order: repair decisions send messages, so the order
        across instances is simulation-visible (D3). *)
-    Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.instances []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.iter (fun (name, inst) -> repair_instance t name inst);
+    List.iter (fun (name, inst) -> repair_instance t name inst) (sorted_instances t);
   sweep_idle t;
-  t.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
+  t.v.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch.                                                   *)
@@ -1359,11 +1366,11 @@ let rec receive t ~src payload =
     (* An unsolicited heartbeat creates a partner entry, so that the
        sender's liveness is tracked symmetrically: one probe covers the
        create and both liveness stamps. *)
-    Partner_set.heartbeat t.partners src ~now:(now_local t)
+    Partner_set.heartbeat t.v.partners src ~now:(now_local t)
   | Msg.Reliable _ | Msg.Ack _ | Msg.Data _ | Msg.Reconcile_request _ | Msg.Reconcile_reply _
   | Msg.Install _ | Msg.Remove _ | Msg.View_request _ | Msg.View_reply _ | Msg.Result_fwd _
   | Msg.Adopt _ ->
-    Partner_set.heard t.partners src ~now:(now_local t));
+    Partner_set.heard t.v.partners src ~now:(now_local t));
   match payload with
   | Msg.Heartbeat { digest = Some d } -> maybe_reconcile t ~src ~remote_digest:d
   | Msg.Heartbeat { digest = None } -> ()
@@ -1385,7 +1392,7 @@ let rec receive t ~src payload =
     handle_install t meta members edges ~age
   | Msg.Remove { name; seqno } ->
     (* Forward down the primary tree before dropping the instance. *)
-    (match Hashtbl.find_opt t.instances name with
+    (match Hashtbl.find_opt t.v.instances name with
     | Some inst when inst.meta.Query.seqno <= seqno ->
       List.iter
         (fun c -> send_ctl t ~dst:c (Msg.Remove { name; seqno }))
@@ -1393,7 +1400,7 @@ let rec receive t ~src payload =
     | _ -> ());
     remove_local t ~name ~seqno
   | Msg.View_request { name } -> (
-    match Lazy_tbl.find_opt t.plans name with
+    match Lazy_tbl.find_opt t.v.plans name with
     | None -> ()
     | Some (meta, None) ->
       (* Removal tombstone: tell the asker the query no longer includes
@@ -1406,23 +1413,21 @@ let rec receive t ~src payload =
           Some (Query.view_of_treeset ~repair_meta:t.cfg.self_heal treeset src)
         else None
       in
-      (* The query's age, as an install chunk would carry it: the asker
-         anchors its syncless slot grid on it, and an age of 0 would put
-         a rejoining host's grid out of phase with everyone else's, so
-         one of its readings could land in two reported windows. *)
+      (* The query's age, as an install chunk carries it: with age 0 the
+         asker's slot grid is out of phase with everyone else's. *)
       let age =
-        match Hashtbl.find_opt t.instances name with
+        match Hashtbl.find_opt t.v.instances name with
         | Some inst -> basis inst ~local:(now_local t)
         | None -> 0.0
       in
       send_ctl t ~dst:src (Msg.View_reply { meta; view; age }))
   | Msg.View_reply { meta; view; age } -> (
-    Lazy_tbl.remove t.pending_views meta.Query.name;
+    Lazy_tbl.remove t.v.pending_views meta.Query.name;
     match view with
     | Some v -> install_local t meta v ~install_age:(age +. t.rt.latency_to src)
     | None ->
-      Lazy_tbl.replace t.not_mine meta.Query.name meta.Query.seqno;
-      Lazy_tbl.remove t.warmup meta.Query.name)
+      Lazy_tbl.replace t.v.not_mine meta.Query.name meta.Query.seqno;
+      Lazy_tbl.remove t.v.warmup meta.Query.name)
   | Msg.Result_fwd { query; slot; value; count; age } ->
     bump t Results_fwd_received;
     List.iter
@@ -1433,7 +1438,7 @@ let rec receive t ~src payload =
     (* A repairing orphan re-parented onto us: record it as a child so we
        heartbeat it and can descend into its subtree. Idempotent; ignored
        when the topology generations differ. *)
-    match Hashtbl.find_opt t.instances query with
+    match Hashtbl.find_opt t.v.instances query with
     | Some inst
       when inst.meta.Query.seqno = seqno
            && tree >= 0
@@ -1455,36 +1460,17 @@ let create ?(config = default_config) rt =
     {
       rt;
       cfg = config;
-      instances = Hashtbl.create 8;
-      removed = Lazy_tbl.create 8;
-      not_mine = Lazy_tbl.create 8;
-      partners = Partner_set.create ~timeout:(hb_timeout_factor *. config.hb_period);
-      plans = Lazy_tbl.create 4;
-      pending_views = Lazy_tbl.create 8;
-      warmup = Lazy_tbl.create 8;
-      fast_resync = Lazy_tbl.create 8;
-      ctl_pending = Lazy_tbl.create 16;
-      seen_ctl = Lazy_tbl.create 64;
-      seen_ctl_order = Queue.create ();
+      v = volatile config;
       ctl_rng = Rng.create (0x51ab5 + (7919 * rt.self));
-      (* Tokens count up and survive {!crash}, so they never collide
-         across process restarts (a stale ack must not cancel a fresh
-         retransmission, and the receiver's dup table must not suppress a
-         fresh message). *)
-      result_fwds = Lazy_tbl.create 4;
       next_token = 0;
       result_handlers = [];
       remote_handlers = [];
-      hb_counter = 0;
-      hb_timer = no_timer;
-      digest_cache = None;
-      instances_sorted = None;
       counts = Array.make (Array.length counters) 0;
     }
   in
   (* Desynchronise heartbeat phases across peers. *)
   let phase = Rng.float rt.rng config.hb_period in
-  t.hb_timer <- rt.set_timer ~after:phase (fun () -> heartbeat_tick t);
+  t.v.hb_timer <- rt.set_timer ~after:phase (fun () -> heartbeat_tick t);
   t
 
 let on_result t f = t.result_handlers <- f :: t.result_handlers
@@ -1493,42 +1479,32 @@ let on_remote_result t f = t.remote_handlers <- f :: t.remote_handlers
 
 let set_result_forwards t ~query dsts =
   let dsts = List.sort_uniq compare (List.filter (fun d -> d <> t.rt.self) dsts) in
-  if dsts = [] then Lazy_tbl.remove t.result_fwds query
-  else Lazy_tbl.replace t.result_fwds query dsts
+  if dsts = [] then Lazy_tbl.remove t.v.result_fwds query
+  else Lazy_tbl.replace t.v.result_fwds query dsts
 
 let plan_cached t ~name =
-  match Lazy_tbl.find_opt t.plans name with Some (_, Some _) -> true | _ -> false
+  match Lazy_tbl.find_opt t.v.plans name with Some (_, Some _) -> true | _ -> false
 
-let installed t =
-  Hashtbl.fold (fun name _ acc -> name :: acc) t.instances [] |> List.sort compare
+let installed t = List.map fst (sorted_instances t)
 
-let has_query t name = Hashtbl.mem t.instances name
+let has_query t name = Hashtbl.mem t.v.instances name
 
 let query_seqno t name =
-  Option.map (fun inst -> inst.meta.Query.seqno) (Hashtbl.find_opt t.instances name)
+  Option.map (fun inst -> inst.meta.Query.seqno) (Hashtbl.find_opt t.v.instances name)
 
 let crash t =
   bump t Crashes;
   if !Obs.enabled then Obs.trace ~t:(now_local t) (Obs.Crash { node = t.rt.self });
-  Hashtbl.iter (fun _ inst -> cancel_instance_timers t inst) t.instances;
-  Hashtbl.reset t.instances;
-  Lazy_tbl.reset t.removed;
-  Lazy_tbl.reset t.not_mine;
-  Partner_set.reset t.partners;
-  Lazy_tbl.reset t.plans;
-  Lazy_tbl.reset t.result_fwds;
-  Lazy_tbl.reset t.pending_views;
-  Lazy_tbl.reset t.warmup;
-  Lazy_tbl.reset t.fast_resync;
+  Hashtbl.iter (fun _ inst -> cancel_instance_timers t inst) t.v.instances;
+  Lazy_tbl.iter (fun _ p -> t.rt.cancel_timer p.ctl_timer) t.v.ctl_pending;
+  t.rt.cancel_timer t.v.hb_timer;
   if t.cfg.self_heal && !Obs.enabled then
     Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
-  Lazy_tbl.iter (fun _ p -> t.rt.cancel_timer p.ctl_timer) t.ctl_pending;
-  Lazy_tbl.reset t.ctl_pending;
-  Lazy_tbl.reset t.seen_ctl;
-  Queue.clear t.seen_ctl_order;
-  invalidate_digest t;
-  t.rt.cancel_timer t.hb_timer;
-  t.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
+  t.v <- volatile t.cfg
+
+let restart t =
+  t.rt.cancel_timer t.v.hb_timer;
+  t.v.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 let stats t =
   let c = count t in
@@ -1543,13 +1519,13 @@ let stats t =
   }
 
 let ts_length t ~query =
-  Option.map (fun inst -> Ts_list.length inst.ts) (Hashtbl.find_opt t.instances query)
+  Option.map (fun inst -> Ts_list.length inst.ts) (Hashtbl.find_opt t.v.instances query)
 
-let ctl_in_flight t = Lazy_tbl.length t.ctl_pending
+let ctl_in_flight t = Lazy_tbl.length t.v.ctl_pending
 
 let current_parents t ~query =
   Option.map
     (fun inst -> Array.copy inst.view.Query.parents)
-    (Hashtbl.find_opt t.instances query)
+    (Hashtbl.find_opt t.v.instances query)
 
-let partner_count t = Partner_set.length t.partners
+let partner_count t = Partner_set.length t.v.partners

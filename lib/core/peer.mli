@@ -134,7 +134,7 @@ type counter =
   | Warmup_replayed  (** Buffered summaries re-entered after install. *)
   | Warmup_drops  (** Warm-up arrivals lost (no or full buffer). *)
   | Partners_swept  (** Idle zero-refcount partner entries reclaimed. *)
-  | Crashes  (** Process restarts ({!crash}). *)
+  | Crashes  (** Process crashes ({!crash}). *)
 
 val counters : counter array
 (** Every counter, once each. *)
@@ -213,9 +213,18 @@ val query_seqno : t -> string -> int option (* lint: allow D11 oracle: test/test
 (** {1 Failure injection} *)
 
 val crash : t -> unit
-(** Lose all operator state, installed queries, and heartbeat state, as a
-    process restart would. Reconciliation re-installs queries over time
-    (§6). Cached removals survive only at the injector. *)
+(** The process dies: every armed timer (operator windows and evictions,
+    control retransmissions, the heartbeat) is cancelled and all
+    in-memory state is replaced by a fresh process's — installed
+    queries, removal seqnos, the injector's plans and result fan-out,
+    heartbeat partners, the control plane's pending and duplicate
+    tables. Only {!count}s, control tokens and the handlers survive.
+    Until {!restart} the peer does nothing on its own; the deployment
+    also takes it off the network. *)
+
+val restart : t -> unit
+(** Start the crashed process again: the heartbeat resumes one period
+    later. Reconciliation (§6) re-installs its queries over time. *)
 
 (** {1 Introspection} *)
 

@@ -434,14 +434,16 @@ let windowed t ~desc ~from ~until install =
       if !Obs.enabled then Obs.trace ~t:(now t) (Obs.Fault_stop { fault = desc });
       Option.iter (Faults.clear t.faults) !id)
 
-(* Take a node down at [at] and bring it back at [recover_at] as a fresh
-   process: all in-memory state is lost (Peer.crash) and reconciliation
-   has to re-install its queries. *)
-let crash_window t ~node ~at:down_at ~recover_at =
-  at t down_at (fun () -> set_up t node false);
-  at t recover_at (fun () ->
-      Peer.crash t.peers.(node);
-      set_up t node true)
+(* A crashed host is down: at [at] its process stops and loses all
+   in-memory state (Peer.crash); at [recover_at] it restarts empty and
+   reconciliation has to re-install its queries. [victims] is evaluated
+   when the crash fires. *)
+let crash_window t ~victims ~at:down_at ~recover_at =
+  let each nodes f up = List.iter (fun v -> f t.peers.(v); set_up t v up) nodes in
+  at t down_at (fun () ->
+      let nodes = victims () in
+      each nodes Peer.crash false;
+      at t recover_at (fun () -> each nodes Peer.restart true))
 
 let schedule_fault t = function
   | Partition { a; from; until } ->
@@ -461,22 +463,16 @@ let schedule_fault t = function
   | Link_jitter { src; dst; extra; prob; from; until } ->
     windowed t ~desc:"link_jitter" ~from ~until (fun () ->
         Faults.jitter t.faults ~prob ~src ~dst ~extra ())
-  | Crash_recover { node; at; recover_at } -> crash_window t ~node ~at ~recover_at
-  | Correlated_crash { stub; fraction; at = down_at; recover_at } ->
+  | Crash_recover { node; at; recover_at } ->
+    crash_window t ~victims:(fun () -> [ node ]) ~at ~recover_at
+  | Correlated_crash { stub; fraction; at; recover_at } ->
     (* Victims are drawn when the fault fires, from the deployment RNG,
        so the draw is deterministic in the event schedule. *)
-    at t down_at (fun () ->
+    crash_window t ~at ~recover_at ~victims:(fun () ->
         let candidates = Array.of_list (stub_hosts t stub) in
         let k = int_of_float (ceil (fraction *. float_of_int (Array.length candidates))) in
         let k = min k (Array.length candidates) in
-        let victims = Rng.sample t.rng candidates k in
-        Array.iter (fun v -> set_up t v false) victims;
-        at t recover_at (fun () ->
-            Array.iter
-              (fun v ->
-                Peer.crash t.peers.(v);
-                set_up t v true)
-              victims))
+        Array.to_list (Rng.sample t.rng candidates k))
 
 let schedule_faults t events = List.iter (schedule_fault t) events
 

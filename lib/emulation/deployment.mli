@@ -96,7 +96,9 @@ val at : t -> float -> (unit -> unit) -> unit
 (** {1 Failure injection} *)
 
 val set_up : t -> int -> bool -> unit
-(** Connect/disconnect a host ("last-mile" link failure, §7.2). *)
+(** Connect/disconnect a host ("last-mile" link failure, §7.2). A
+    disconnected host keeps its state and keeps running; a crash is a
+    {!Crash_recover}. *)
 
 val up_hosts : t -> int list
 
@@ -155,12 +157,14 @@ type fault_event =
       (** With probability [prob], uniform extra delay in [\[0, extra\]] —
           messages reorder naturally. *)
   | Crash_recover of { node : int; at : float; recover_at : float }
-      (** Node down at [at]; back at [recover_at] as a fresh process with
-          all in-memory state lost ({!Mortar_core.Peer.crash}). *)
+      (** Down means crashed: at [at] the node's process stops, its timers
+          are cancelled and all in-memory state is lost
+          ({!Mortar_core.Peer.crash}), and it leaves the network; at
+          [recover_at] it rejoins as a fresh process
+          ({!Mortar_core.Peer.restart}). *)
   | Correlated_crash of { stub : int; fraction : float; at : float; recover_at : float }
-      (** Crash a random [fraction] of one stub's hosts at once (drawn
-          from the deployment RNG when the event fires); all recover with
-          state loss at [recover_at]. *)
+      (** {!Crash_recover} of a random [fraction] of one stub's hosts at
+          once, drawn from the deployment RNG when the event fires. *)
 
 val schedule_faults : t -> fault_event list -> unit
 (** Install a scenario. May be called before or during a run; events in

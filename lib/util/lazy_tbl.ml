@@ -23,5 +23,3 @@ let remove t k = match t.tbl with None -> () | Some h -> Hashtbl.remove h k
 let iter f t = match t.tbl with None -> () | Some h -> Hashtbl.iter f h
 
 let fold f t init = match t.tbl with None -> init | Some h -> Hashtbl.fold f h init
-
-let reset t = t.tbl <- None

@@ -19,8 +19,7 @@ val create : int -> ('k, 'v) t
     allocates no table. *)
 
 val allocated : ('k, 'v) t -> bool (* lint: allow D11 oracle: test/test_util.ml "lazy_tbl = Hashtbl" *)
-(** Whether a write has created the underlying table since {!create} or
-    the last {!reset}. *)
+(** Whether a write has created the underlying table since {!create}. *)
 
 val length : ('k, 'v) t -> int
 
@@ -39,6 +38,3 @@ val iter : ('k -> 'v -> unit) -> ('k, 'v) t -> unit
 
 val fold : ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) t -> 'acc -> 'acc
 (** Hash order, as [Hashtbl.fold]: sort anything that escapes (lint D3). *)
-
-val reset : ('k, 'v) t -> unit
-(** Drop every binding and return to the unallocated state. *)

@@ -208,6 +208,38 @@ let test_partition_and_heal () =
   Alcotest.(check (list int)) "all peers have q1 post-heal" [] (missing Harness.query_name);
   Alcotest.(check (list int)) "all peers have q2 post-heal" [] (missing "q2")
 
+(* Down means crashed: from [at] to [recover_at] none of the host's
+   timers fires, so none of its counts moves and it sends nothing (a send
+   from a down host would show up as a "down" drop with it as source).
+   It rejoins after [recover_at]. *)
+let test_crash_silences_host () =
+  with_obs (fun () ->
+      let hosts = 32 and node = 5 and at = 12.0 and recover_at = 22.0 in
+      let config = { Peer.default_config with Peer.self_heal = true; ctl_retries = 2 } in
+      let h = Harness.create ~seed:43 ~hosts ~transits:4 ~stubs:6 ~bf:4 ~config () in
+      let d = Harness.deployment h in
+      let p = D.peer d node in
+      let snapshot () = Array.map (Peer.count p) Peer.counters in
+      let down = ref [||] and up = ref [||] in
+      (* Scheduled ahead of the fault, so it runs just before the restart. *)
+      D.at d recover_at (fun () -> up := snapshot ());
+      D.schedule_faults d [ D.Crash_recover { node; at; recover_at } ];
+      D.at d at (fun () -> down := snapshot ());
+      Harness.run_until h 60.0;
+      Alcotest.(check bool) "installed before the crash" true (Peer.count p Peer.Installs > 0);
+      Alcotest.(check int) "crashed once" 1 (Peer.count p Peer.Crashes);
+      Alcotest.(check (array int)) "no count moves while down" !down !up;
+      let sent_while_down =
+        List.filter
+          (function
+            | time, Obs.Tuple_drop { src; reason = "down"; _ } ->
+              src = node && time >= at && time < recover_at
+            | _ -> false)
+          (Obs.Reg.events Obs.default)
+      in
+      Alcotest.(check int) "no sends while down" 0 (List.length sent_while_down);
+      Alcotest.(check bool) "rejoined" true (Peer.has_query p Harness.query_name))
+
 (* ------------------------------------------------------------------ *)
 (* Reliable control plane. *)
 
@@ -326,6 +358,7 @@ let tests =
     QCheck_alcotest.to_alcotest prop_partition_separates;
     Alcotest.test_case "in-flight outlives sender" `Quick test_in_flight_outlives_sender;
     Alcotest.test_case "partition and heal scenario" `Slow test_partition_and_heal;
+    Alcotest.test_case "crashed host is silent until restart" `Quick test_crash_silences_host;
     Alcotest.test_case "retries improve installs" `Slow test_retries_improve_install_completeness;
     Alcotest.test_case "acks clear in-flight" `Quick test_ctl_ack_clears_in_flight;
     Alcotest.test_case "retry budget abandons" `Quick test_ctl_budget_abandons;

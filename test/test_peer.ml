@@ -225,7 +225,8 @@ let test_crash_recovery () =
   let lost = ref None in
   D.at d 20.0 (fun () ->
       Peer.crash (D.peer d 5);
-      lost := Some (Peer.has_query (D.peer d 5) "cr"));
+      lost := Some (Peer.has_query (D.peer d 5) "cr");
+      Peer.restart (D.peer d 5));
   D.run_until d 70.0;
   Alcotest.(check (option bool)) "lost at crash instant" (Some false) !lost;
   Alcotest.(check bool) "reconciliation reinstalls" true (Peer.has_query (D.peer d 5) "cr")
@@ -496,8 +497,6 @@ module Partner_oracle = struct
     List.length stale
 
   let length t = Hashtbl.length t.tbl
-
-  let crash t = Hashtbl.reset t.tbl
 end
 
 type partner_op =
@@ -507,7 +506,6 @@ type partner_op =
   | Heartbeat of int
   | Reconcile of int
   | Sweep
-  | Crash
 
 let show_partner_op (dt, op) =
   Printf.sprintf "+%g %s" dt
@@ -517,8 +515,7 @@ let show_partner_op (dt, op) =
     | Heard n -> Printf.sprintf "heard %d" n
     | Heartbeat n -> Printf.sprintf "heartbeat %d" n
     | Reconcile n -> Printf.sprintf "reconcile %d" n
-    | Sweep -> "sweep"
-    | Crash -> "crash")
+    | Sweep -> "sweep")
 
 let gen_partner_op =
   QCheck.Gen.(
@@ -532,7 +529,6 @@ let gen_partner_op =
            (3, map (fun n -> Heartbeat n) (int_bound 11));
            (2, map (fun n -> Reconcile n) (int_bound 11));
            (2, return Sweep);
-           (1, return Crash);
          ]))
 
 (* Peer's constants at the default config: timeout = 3 periods, sweep
@@ -576,10 +572,6 @@ let prop_partner_set_matches_oracle =
               = Partner_oracle.reconcile_due o n ~now ~min_gap
             | Sweep ->
               Partner_set.sweep ps ~now ~horizon = Partner_oracle.sweep o ~now ~horizon
-            | Crash ->
-              Partner_set.reset ps;
-              Partner_oracle.crash o;
-              true
           in
           let targets =
             let acc = ref [] in

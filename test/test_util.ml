@@ -204,10 +204,9 @@ let test_vec_unit_or () =
 
 (* Lazy_tbl against the Hashtbl it wraps: the same operation sequence
    gives the same bindings, length and (sorted) fold at every step, and
-   the wrapper is allocated exactly when a write happened since the last
-   reset. Keys come from a small range so hits, misses and overwrites
-   all occur. *)
-type tbl_op = Find of int | Replace of int * int | Remove of int | Reset
+   the wrapper is allocated exactly when a write has happened. Keys come
+   from a small range so hits, misses and overwrites all occur. *)
+type tbl_op = Find of int | Replace of int * int | Remove of int
 
 let gen_tbl_op =
   QCheck.Gen.(
@@ -216,14 +215,12 @@ let gen_tbl_op =
         (3, map (fun k -> Find k) (int_bound 9));
         (4, map2 (fun k v -> Replace (k, v)) (int_bound 9) (int_bound 100));
         (2, map (fun k -> Remove k) (int_bound 9));
-        (1, return Reset);
       ])
 
 let show_tbl_op = function
   | Find k -> Printf.sprintf "find %d" k
   | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
   | Remove k -> Printf.sprintf "remove %d" k
-  | Reset -> "reset"
 
 let prop_lazy_tbl_matches_hashtbl =
   QCheck.Test.make ~name:"lazy_tbl = Hashtbl" ~count:300
@@ -247,11 +244,6 @@ let prop_lazy_tbl_matches_hashtbl =
             | Remove k ->
               Lazy_tbl.remove lt k;
               Hashtbl.remove h k;
-              true
-            | Reset ->
-              Lazy_tbl.reset lt;
-              Hashtbl.reset h;
-              written := false;
               true
           in
           found
