@@ -92,9 +92,13 @@ let () =
   if report.units_without_cmt > 0 then
     Printf.printf "lint: D11 skipped — %d units without .cmt (run dune build @check)\n"
       report.units_without_cmt;
-  if report.typed_modules = 0 then
+  (* Typed passes read the .cmt files under linted directories; explicit
+     .ml arguments never get one, so an empty pass is news only when a
+     directory was given. *)
+  if report.typed_modules > 0 then
+    Printf.printf "lint: typed pass covered %d module(s)\n" report.typed_modules
+  else if List.exists Sys.is_directory paths then
     print_endline
       "lint: typed passes (D7-D9, D11) covered 0 modules — build first so .cmt artifacts \
-       exist"
-  else Printf.printf "lint: typed pass covered %d module(s)\n" report.typed_modules;
+       exist";
   if report.findings <> [] || report.stale <> [] then exit 1
