@@ -1502,6 +1502,8 @@ let crash t =
     Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
   t.v <- volatile t.cfg
 
+(* Cancel first: a host in two overlapping crash windows is restarted
+   twice, and must not end up with two heartbeat timers. *)
 let restart t =
   t.rt.cancel_timer t.v.hb_timer;
   t.v.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
