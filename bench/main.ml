@@ -488,6 +488,146 @@ module Scale = struct
     Printf.printf "wrote %s (%d rows ok)\n%!" out (check_rows out row_keys)
 end
 
+(* ------------------------------------------------------------------ *)
+(* --census: live words per host by part of the state, at the end of a
+   steady interval, for the two shapes of the repo's benchmark: one sum
+   over random bf-32 trees (agg) and 200 stub-local sum, Count-Min and
+   HLL queries planned by the registry (mlq). Each shape follows
+   perfbench/main.ml's recipe for the same seed; `--quick` takes its
+   tiny sizes. *)
+
+module Census = struct
+  module Topology = Mortar_net.Topology
+  module D = Mortar_emul.Deployment
+  module Op = Mortar_core.Op
+  module Value = Mortar_core.Value
+  module Spec = Mortar_plan.Spec
+  module Registry = Mortar_plan.Registry
+
+  let agg ~quick ~seed ~domains =
+    let hosts, transits, stubs = if quick then (300, 4, 8) else (10_000, 8, 34) in
+    let topo = Topology.transit_stub (Rng.create ((seed * 7919) + 1)) ~transits ~stubs ~hosts () in
+    let d = D.create_sharded ~seed ~domains topo in
+    let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
+    let treeset = D.plan_random d ~bf:32 ~d:4 ~root:0 ~nodes () in
+    let meta =
+      Mortar_core.Query.make_meta ~name:"agg" ~source:"cpu" ~op:Op.Sum
+        ~window:(Mortar_core.Window.tumbling 1.0) ~mode:Mortar_core.Query.Syncless ~root:0
+        ~degree:(Mortar_overlay.Treeset.degree treeset) ~total_nodes:hosts ()
+    in
+    for h = 0 to hosts - 1 do
+      D.sensor d ~node:h ~stream:"cpu" ~period:1.0 (fun _ -> Value.Int 1)
+    done;
+    D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
+    (d, 18.0)
+
+  (* perfbench's mlq specs: Zipf(1) shares of the queries over (stub,
+     stream) combos, largest remainder first. *)
+  let streams = [| "cpu"; "mem"; "net" |]
+
+  let op_of_stream ~sk_seed = function
+    | "cpu" -> Op.Sum
+    | "mem" -> Op.Sketch_count_min { depth = 4; width = 32; seed = sk_seed }
+    | _ -> Op.Sketch_hll { b = 11; seed = sk_seed }
+
+  let sensor_value ~seed stream h k =
+    match stream with
+    | "cpu" -> Value.Int 1
+    | "mem" -> Value.Int (Mortar_sketch.Hash.hash_int ~seed:(seed + h) k land 63)
+    | _ -> Value.Int ((seed * 1_000_003) + h)
+
+  let specs rng topo ~queries ~stubs ~sk_seed =
+    let by_stub = Array.make stubs [] in
+    for h = Topology.hosts topo - 1 downto 0 do
+      let s = Topology.stub_of topo h in
+      by_stub.(s) <- h :: by_stub.(s)
+    done;
+    let ranked =
+      Array.of_list (List.filter (fun s -> by_stub.(s) <> []) (List.init stubs Fun.id))
+    in
+    Rng.shuffle rng ranked;
+    let n = Array.length ranked * Array.length streams in
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      total := !total +. (1.0 /. float_of_int (i + 1))
+    done;
+    let share i = float_of_int queries /. float_of_int (i + 1) /. !total in
+    let counts = Array.init n (fun i -> int_of_float (share i)) in
+    let missing = queries - Array.fold_left ( + ) 0 counts in
+    List.init n (fun i -> (share i -. float_of_int counts.(i), i))
+    |> List.sort (fun (a, i) (b, j) -> if a = b then compare i j else compare b a)
+    |> List.iteri (fun k (_, i) -> if k < missing then counts.(i) <- counts.(i) + 1);
+    let next = ref 0 in
+    List.concat
+      (List.init n (fun i ->
+           let stream = streams.(i mod Array.length streams) in
+           let publishers = Array.of_list by_stub.(ranked.(i / Array.length streams)) in
+           List.init counts.(i) (fun _ ->
+               let name = Printf.sprintf "q%03d" !next in
+               incr next;
+               Spec.make ~name ~source:stream ~op:(op_of_stream ~sk_seed stream) ~window:1.0
+                 ~publishers ~subscriber:publishers.(Rng.int rng (Array.length publishers)))))
+
+  let mlq ~quick ~seed ~domains =
+    let hosts, transits, stubs, nq = if quick then (400, 4, 8, 12) else (10_000, 8, 34, 200) in
+    let rng = Rng.create ((seed * 7919) + 2) in
+    let topo = Topology.transit_stub rng ~transits ~stubs ~hosts () in
+    let sk_seed = 1 + (seed land 0xffff) in
+    let specs = specs (Rng.split rng) topo ~queries:nq ~stubs ~sk_seed in
+    let d = D.create_sharded ~seed ~domains topo in
+    D.converge_coordinates d ();
+    let ctx =
+      Mortar_plan.Place.ctx ~topo ~coords:(D.coordinates d) ~bf:16 ~degree:2 ~candidates:3 ~seed ()
+    in
+    let actions = Registry.add_batch (Registry.create ~ctx ()) specs in
+    let feeds = Hashtbl.create 4096 in
+    List.iter
+      (fun (s : Spec.t) -> Array.iter (fun h -> Hashtbl.replace feeds (s.source, h) ()) s.publishers)
+      specs;
+    Hashtbl.fold (fun k () acc -> k :: acc) feeds []
+    |> List.sort compare
+    |> List.iter (fun (stream, h) ->
+           D.sensor d ~node:h ~stream ~period:1.0 (sensor_value ~seed stream h));
+    let n = List.length actions in
+    List.iteri
+      (fun i a ->
+        match a with
+        | Registry.Install { phys; root; meta; treeset; subscribers } ->
+          D.at d (1.0 +. (2.0 *. float_of_int i /. float_of_int (max 1 n))) (fun () ->
+              Mortar_core.Peer.install_query (D.peer d root) meta treeset;
+              Mortar_core.Peer.set_result_forwards (D.peer d root) ~query:phys subscribers)
+        | Registry.Update_fanout _ | Registry.Remove _ | Registry.Replan _ ->
+          failwith "census mlq: unexpected registry action on a fresh batch")
+      actions;
+    (d, 14.0)
+
+  let run ~quick ~domains ~seed ~shapes =
+    List.iter
+      (fun shape ->
+        let build = match shape with "agg" -> agg | "mlq" -> mlq | s -> failwith ("unknown shape " ^ s) in
+        let d, until = build ~quick ~seed ~domains in
+        D.run_until d until;
+        let rows = D.census d in
+        let hosts = float_of_int (D.hosts d) in
+        let live = float_of_int (Gc.stat ()).Gc.live_words in
+        let per w = float_of_int w /. hosts in
+        Printf.printf "=== census %s-%s, seed %d, %.0f vs, %d hosts (words per host) ===\n" shape
+          (if quick then "tiny" else "10k") seed until (D.hosts d);
+        let peer_labels = List.map fst (Mortar_core.Peer.census_parts (D.peer d 0)) in
+        let peer_floats = ref 0 and deployment = ref 0 in
+        List.iter
+          (fun (r : Mortar_util.Census.row) ->
+            Printf.printf "%-46s %8.1f\n" r.label (per r.words);
+            deployment := !deployment + r.words;
+            if List.mem r.label peer_labels then
+              peer_floats := !peer_floats + r.boxed_float_words)
+          rows;
+        Printf.printf "%-46s %8.1f\n" "outside the deployment" (live /. hosts -. per !deployment);
+        Printf.printf "%-46s %8.1f\n" "total live (Gc.stat live words)" (live /. hosts);
+        Printf.printf "%-46s %8.1f\n%!" "boxed floats in peer state" (per !peer_floats))
+      shapes
+end
+
 let () =
   let args = Array.to_list Sys.argv in
   let has f = List.mem f args in
@@ -518,9 +658,14 @@ let () =
       let rows = check_rows path [ "pr"; "bench"; "hosts" ] in
       Printf.printf "history %s: %d rows ok\n%!" path rows)
     history;
+  let domains = max 1 (int_of_string (Option.value (arg_opt "--domains") ~default:"1")) in
   if has "--smoke" then run_smoke ()
+  else if has "--census" then
+    Census.run ~quick:(has "--quick") ~domains
+      ~seed:(int_of_string (Option.value (arg_opt "--seed") ~default:"100"))
+      ~shapes:
+        (String.split_on_char ',' (Option.value (arg_opt "--shapes") ~default:"agg,mlq"))
   else if has "--scale" then
-    let domains = max 1 (int_of_string (Option.value (arg_opt "--shards") ~default:"1")) in
     (* --hosts 680,10000 overrides the built-in host-count ladder. *)
     let hosts =
       Option.map

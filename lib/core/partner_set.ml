@@ -1,7 +1,6 @@
 let search = Mortar_util.Int_float_map.search
 
 type t = {
-  timeout : float;
   mutable keys : int array; (* ascending in [0, n) *)
   mutable refs : int array;
   mutable last_heard : float array;
@@ -10,8 +9,8 @@ type t = {
   mutable n : int;
 }
 
-let create ~timeout =
-  { timeout; keys = [||]; refs = [||]; last_heard = [||]; last_confirmed = [||];
+let create () =
+  { keys = [||]; refs = [||]; last_heard = [||]; last_confirmed = [||];
     last_reconcile = [||]; n = 0 }
 
 let length t = t.n
@@ -92,13 +91,13 @@ let reconcile_due t node ~now ~min_gap =
   end
   else false
 
-let[@lint.hot] alive t node ~now =
+let[@lint.hot] alive t node ~now ~timeout =
   let i = search t.keys t.n node in
-  i < 0 || now -. t.last_heard.(i) < t.timeout
+  i < 0 || now -. t.last_heard.(i) < timeout
 
-let[@lint.hot] confirmed_alive t node ~now =
+let[@lint.hot] confirmed_alive t node ~now ~timeout =
   let i = search t.keys t.n node in
-  i >= 0 && now -. t.last_confirmed.(i) < t.timeout
+  i >= 0 && now -. t.last_confirmed.(i) < timeout
 
 let iter_targets f t =
   for i = 0 to t.n - 1 do

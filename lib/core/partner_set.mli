@@ -19,10 +19,7 @@
 
 type t
 
-val create : timeout:float -> t
-(** [timeout] is the failure-detection window, in local seconds: a partner
-    is alive while [now -. last_heard < timeout] (resp. confirmed while
-    [now -. last_confirmed < timeout]). *)
+val create : unit -> t
 
 val length : t -> int
 (** Entries, whatever their refcount. *)
@@ -48,11 +45,13 @@ val reconcile_due : t -> int -> now:float -> min_gap:float -> bool
     stamped. An unknown node gets a zero-refcount entry first, with
     [last_heard = now]. *)
 
-val alive : t -> int -> now:float -> bool
-(** Liveness belief; [true] for unknown nodes. *)
+val alive : t -> int -> now:float -> timeout:float -> bool
+(** Liveness belief: heard from less than [timeout] (the failure-detection
+    window, local seconds) before [now]; [true] for unknown nodes. *)
 
-val confirmed_alive : t -> int -> now:float -> bool
-(** Heard from within the timeout; [false] for unknown nodes. *)
+val confirmed_alive : t -> int -> now:float -> timeout:float -> bool
+(** Heard from within the timeout since the last {!retain}; [false] for
+    unknown nodes. *)
 
 val iter_targets : (int -> unit) -> t -> unit
 (** The heartbeat targets — entries with a positive refcount — in

@@ -13,13 +13,12 @@ type timer = Mortar_sim.Engine.handle
 let no_timer = Mortar_sim.Engine.no_handle
 
 type runtime = {
-  self : int;
-  send : dst:int -> size:int -> kind:string -> Msg.payload -> unit;
-  local_time : unit -> float;
-  latency_to : int -> float;
-  set_timer : after:float -> (unit -> unit) -> timer;
+  send : src:int -> dst:int -> size:int -> kind:string -> Msg.payload -> unit;
+  local_time : int -> float;
+  latency : int -> int -> float;
+  set_timer : int -> after:float -> (unit -> unit) -> timer;
   cancel_timer : timer -> unit;
-  rng : Rng.t;
+  compile : Op.spec -> Op.impl;
 }
 
 type config = {
@@ -161,14 +160,10 @@ type stats = {
   warmup_dropped : int;
 }
 
-type raw = { basis : float; payload : Value.t; prov : (int * int) list }
-
-type instance = {
-  meta : Query.meta;
-  view : Query.node_view;
-  op : Op.impl;
-  ts : Ts_list.t;
-  netdist : Ewma.t;
+(* An instance's float state. A record of floats only is stored flat, so
+   a write stores the word in place instead of allocating a box (DESIGN.md
+   "Host memory layout", rule 3). *)
+type floats = {
   mutable netdist_hi : float;
       (* Conservative companion to [netdist] for eviction horizons: jumps
          to any larger observed age immediately, decays 30 % per fold,
@@ -177,22 +172,39 @@ type instance = {
          (the window is reported and later data suppressed), while
          over-waiting only delays a result. *)
   t_ref_base : float; (* basis time = local_time - t_ref_base *)
+  mutable emitted_te : float; (* eviction watermark (tuple windows) *)
+  mutable tw_last_te : float;
+  mutable age_max_period : float; (* max received age since the last fold *)
+  mutable orphaned_since : float;
+      (* local time the failure detector first saw every union parent dead,
+         [nan] while not orphaned; cleared once a repaired parent is
+         confirmed live (self-healing) *)
+}
+
+type instance = {
+  meta : Query.meta;
+  view : Query.node_view;
+  op : Op.impl; (* shared by every instance of the spec on this runtime *)
+  ts : Ts_list.t;
+  netdist : Ewma.t;
+  fl : floats;
   mutable stripe : int;
   emitted : Fmap.t; (* evicted local slot -> eviction basis time *)
-  mutable emitted_te : float; (* eviction watermark (tuple windows) *)
-  mutable raws : raw list; (* newest first; time windows *)
-  mutable tw_buffer : raw list; (* newest first; tuple windows, length <= range *)
+  (* Raw source tuples, oldest first, as columns (no boxed basis): the
+     current windows' for a time window, the last [range] for a tuple
+     window. *)
+  mutable raw_basis : float array;
+  mutable raw_payload : Value.t array;
+  mutable raw_prov : (int * int) list array;
   mutable tw_pending : int; (* raws since the last tuple-window emission *)
-  mutable tw_last_te : float;
   mutable raw_seen : bool; (* since the last boundary check *)
-  mutable age_max_period : float; (* max received age since the last fold *)
   mutable next_slot : int; (* next slide boundary to close (time windows) *)
   mutable eviction_timer : timer;
-  mutable slide_timer : timer;
-  mutable boundary_timer : timer;
-  mutable orphaned_since : float option;
-      (* local time the failure detector first saw every union parent dead;
-         cleared once a repaired parent is confirmed live (self-healing) *)
+  mutable tick_timer : timer; (* the slide (time) or boundary check (tuples) *)
+  (* The two timer callbacks, made once at install so arming a timer
+     allocates nothing. *)
+  mutable on_evict : unit -> unit;
+  mutable on_tick : unit -> unit;
 }
 
 (* One unacked reliable control message (§6-style install/remove/view
@@ -225,16 +237,13 @@ type warmup_entry = {
   wu_at : float; (* local arrival time *)
 }
 
-(* Everything a process restart loses: {!crash} cancels its timers and
-   replaces it whole, so a table added here is reset by construction. *)
-type volatile = {
-  (* [instances] is written on every host that hosts a query; every other
-     table below stays empty on most hosts and is allocated on first
-     write (DESIGN.md "Host memory layout"). *)
-  instances : (string, instance) Hashtbl.t;
+(* The tables that stay empty on most hosts for a whole run: one record,
+   made on the first write to any of them, each table in it allocated on
+   its own first write (DESIGN.md "Host memory layout"). No iteration
+   order over them escapes unsorted (lint D3). *)
+type cold = {
   removed : (string, int) Lazy_tbl.t; (* name -> latest removal seqno *)
   not_mine : (string, int) Lazy_tbl.t; (* queries we learned do not include us *)
-  partners : Partner_set.t;
   plans : (string, Query.meta * Mortar_overlay.Treeset.t option) Lazy_tbl.t;
       (* injector only; [None] is a removal tombstone — it keeps the
          seqno lineage for the name without retaining the tree set, so
@@ -248,38 +257,37 @@ type volatile = {
   result_fwds : (string, int list) Lazy_tbl.t;
       (* shared-tree fan-out: query -> subscriber hosts the root forwards
          finished results to (multi-query planner; root only) *)
+}
+
+(* Everything a process restart loses: {!crash} cancels its timers and
+   replaces it whole, so a table added here is reset by construction. *)
+type volatile = {
+  mutable instances : instance array;
+      (* sorted by name: lookups binary-search it, and [inject] and the
+         repair sweep walk it in that order *)
+  partners : Partner_set.t;
+  mutable cold : cold option;
   mutable hb_counter : int;
   mutable hb_timer : timer;
   mutable digest_cache : string option;
-  mutable instances_sorted : (string * instance) list option;
-      (* name-sorted cache of [instances]; rebuilt lazily after
-         install/remove — [inject] walks it on every source tick *)
 }
 
-let volatile cfg =
+let volatile () =
   {
-    instances = Hashtbl.create 8;
-    removed = Lazy_tbl.create 8;
-    not_mine = Lazy_tbl.create 8;
-    partners = Partner_set.create ~timeout:(hb_timeout_factor *. cfg.hb_period);
-    plans = Lazy_tbl.create 4;
-    pending_views = Lazy_tbl.create 8;
-    warmup = Lazy_tbl.create 8;
-    fast_resync = Lazy_tbl.create 8;
-    ctl_pending = Lazy_tbl.create 16;
-    seen_ctl = Lazy_tbl.create 64;
-    seen_ctl_order = Queue.create ();
-    result_fwds = Lazy_tbl.create 4;
+    instances = [||];
+    partners = Partner_set.create ();
+    cold = None;
     hb_counter = 0;
     hb_timer = no_timer;
     digest_cache = None;
-    instances_sorted = None;
   }
 
 (* What survives a crash: the runtime and config, the handlers, the
    control plane's jitter stream, and the counts. *)
 type t = {
-  rt : runtime;
+  self : int;
+  rt : runtime; (* shared by the hosts of one shard *)
+  rng : Rng.t;
   cfg : config;
   mutable v : volatile;
   ctl_rng : Rng.t;
@@ -301,31 +309,115 @@ let bump t c = add t c 1
 
 let count t c = t.counts.(slot c)
 
-let now_local t = t.rt.local_time ()
+let now_local t = t.rt.local_time t.self
 
-let basis inst ~local = local -. inst.t_ref_base
+let latency_to t dst = t.rt.latency t.self dst
+
+let set_timer t ~after f = t.rt.set_timer t.self ~after f
+
+let basis inst ~local = local -. inst.fl.t_ref_base
+
+(* The cold tables: reads of a table that was never written see an
+   empty one and allocate nothing. *)
+let cold t =
+  match t.v.cold with
+  | Some c -> c
+  | None ->
+    let c =
+      {
+        removed = Lazy_tbl.create 8;
+        not_mine = Lazy_tbl.create 8;
+        plans = Lazy_tbl.create 4;
+        pending_views = Lazy_tbl.create 8;
+        warmup = Lazy_tbl.create 8;
+        fast_resync = Lazy_tbl.create 8;
+        ctl_pending = Lazy_tbl.create 16;
+        seen_ctl = Lazy_tbl.create 64;
+        seen_ctl_order = Queue.create ();
+        result_fwds = Lazy_tbl.create 4;
+      }
+    in
+    t.v.cold <- Some c;
+    c
+
+let find_cold sel t k = match t.v.cold with None -> None | Some c -> Lazy_tbl.find_opt (sel c) k
+
+let mem_cold sel t k = match t.v.cold with None -> false | Some c -> Lazy_tbl.mem (sel c) k
+
+let remove_cold sel t k = match t.v.cold with None -> () | Some c -> Lazy_tbl.remove (sel c) k
+
+let replace_cold sel t k v = Lazy_tbl.replace (sel (cold t)) k v
+
+(* Hash order: sort anything that escapes (lint D3). *)
+let fold_cold sel t f acc =
+  match t.v.cold with None -> acc | Some c -> Lazy_tbl.fold f (sel c) acc
+
+let tbl_removed c = c.removed
+
+let tbl_not_mine c = c.not_mine
+
+let tbl_plans c = c.plans
+
+let tbl_pending_views c = c.pending_views
+
+let tbl_warmup c = c.warmup
+
+let tbl_fast_resync c = c.fast_resync
+
+let tbl_ctl_pending c = c.ctl_pending
+
+let tbl_result_fwds c = c.result_fwds
+
+(* [instances] is sorted by name: the index of [name], or [-(i + 1)]
+   for the insertion point [i]. *)
+let search_inst insts name =
+  let rec go lo hi =
+    if lo > hi then -(lo + 1)
+    else
+      let mid = (lo + hi) lsr 1 in
+      let c = String.compare insts.(mid).meta.Query.name name in
+      if c = 0 then mid else if c < 0 then go (mid + 1) hi else go lo (mid - 1)
+  in
+  go 0 (Array.length insts - 1)
+
+let find_inst t name =
+  let insts = t.v.instances in
+  let i = search_inst insts name in
+  if i >= 0 then Some insts.(i) else None
+
+(* Insert or replace [inst] under its name. *)
+let put_inst t inst =
+  let insts = t.v.instances in
+  let i = search_inst insts inst.meta.Query.name in
+  if i >= 0 then begin
+    let a = Array.copy insts in
+    a.(i) <- inst;
+    t.v.instances <- a
+  end
+  else begin
+    let i = -(i + 1) and n = Array.length insts in
+    t.v.instances <-
+      Array.init (n + 1) (fun j -> if j < i then insts.(j) else if j = i then inst else insts.(j - 1))
+  end
+
+let drop_inst t name =
+  let insts = t.v.instances in
+  let i = search_inst insts name in
+  if i >= 0 then begin
+    let n = Array.length insts in
+    t.v.instances <- Array.init (n - 1) (fun j -> if j < i then insts.(j) else insts.(j + 1))
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Digest over query-management state (§6.1).                          *)
 
-let sorted_instances t =
-  match t.v.instances_sorted with
-  | Some l -> l
-  | None ->
-    let l =
-      Hashtbl.fold (fun name inst acc -> (name, inst) :: acc) t.v.instances []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    in
-    t.v.instances_sorted <- Some l;
-    l
-
 let installed_triples t =
-  List.map
-    (fun (name, inst) -> (name, inst.meta.Query.seqno, inst.meta.Query.root))
-    (sorted_instances t)
+  Array.fold_right
+    (fun inst acc -> (inst.meta.Query.name, inst.meta.Query.seqno, inst.meta.Query.root) :: acc)
+    t.v.instances []
 
 let removed_pairs t =
-  Lazy_tbl.fold (fun name s acc -> (name, s) :: acc) t.v.removed [] |> List.sort compare
+  fold_cold tbl_removed t (fun name s acc -> (name, s) :: acc) [] |> List.sort compare
 
 let digest t =
   match t.v.digest_cache with
@@ -340,25 +432,22 @@ let digest t =
     t.v.digest_cache <- Some d;
     d
 
-(* Every install/remove path that mutates [instances] runs through here
-   (they must refresh the digest too), so one invalidation covers both
-   caches. *)
-let invalidate_digest t =
-  t.v.digest_cache <- None;
-  t.v.instances_sorted <- None
+(* Every install/remove path that mutates [instances] or [removed] runs
+   through here. *)
+let invalidate_digest t = t.v.digest_cache <- None
 
-(* Whether [tbl] records [name] at [seqno] or later (a removal, or a
-   query known not to include us). *)
-let covers tbl name seqno =
-  match Lazy_tbl.find_opt tbl name with Some s -> s >= seqno | None -> false
+(* Whether table [sel] records [name] at [seqno] or later (a removal, or
+   a query known not to include us). *)
+let covers t sel name seqno =
+  match find_cold sel t name with Some s -> s >= seqno | None -> false
 
-(* Rate-limited requests: stamps [key] and returns true unless it was
-   stamped less than [gap] ago. *)
-let gate tbl key ~now ~gap =
-  match Lazy_tbl.find_opt tbl key with
+(* Rate-limited requests: stamps [key] in table [sel] and returns true
+   unless it was stamped less than [gap] ago. *)
+let gate t sel key ~now ~gap =
+  match find_cold sel t key with
   | Some at when now -. at < gap -> false
   | _ ->
-    Lazy_tbl.replace tbl key now;
+    replace_cold sel t key now;
     true
 
 (* ------------------------------------------------------------------ *)
@@ -369,15 +458,19 @@ let retain_partner t node = Partner_set.retain t.v.partners node ~now:(now_local
 let release_partner t node = Partner_set.release t.v.partners node
 
 (* Liveness belief from heartbeats (true for unknown nodes). *)
-let alive_neighbor t node = Partner_set.alive t.v.partners node ~now:(now_local t)
+let alive_neighbor t node =
+  Partner_set.alive t.v.partners node ~now:(now_local t)
+    ~timeout:(hb_timeout_factor *. t.cfg.hb_period)
 
-let confirmed_alive t node = Partner_set.confirmed_alive t.v.partners node ~now:(now_local t)
+let confirmed_alive t node =
+  Partner_set.confirmed_alive t.v.partners node ~now:(now_local t)
+    ~timeout:(hb_timeout_factor *. t.cfg.hb_period)
 
 (* ------------------------------------------------------------------ *)
 (* Sending helpers.                                                    *)
 
 let send_msg t ~dst payload =
-  t.rt.send ~dst ~size:(Msg.wire_size payload) ~kind:(Msg.kind payload) payload
+  t.rt.send ~src:t.self ~dst ~size:(Msg.wire_size payload) ~kind:(Msg.kind payload) payload
 
 (* ------------------------------------------------------------------ *)
 (* Reliable control plane: Install/Remove/View traffic is acked per
@@ -409,25 +502,25 @@ let rec ctl_attempt t p =
   (* RTO: a floor covering several round trips to this destination, then
      doubled per attempt, with uniform jitter so retry storms
      desynchronise. *)
-  let base = max ctl_timeout (4.0 *. t.rt.latency_to p.ctl_dst) in
+  let base = max ctl_timeout (4.0 *. latency_to t p.ctl_dst) in
   let rto = base *. (ctl_backoff ** float_of_int (p.ctl_attempts - 1)) in
   let rto = rto *. (1.0 +. Rng.float t.ctl_rng ctl_jitter) in
-  p.ctl_timer <- t.rt.set_timer ~after:rto (fun () -> ctl_expire t p)
+  p.ctl_timer <- set_timer t ~after:rto (fun () -> ctl_expire t p)
 
 and ctl_expire t p =
   p.ctl_timer <- no_timer;
-  if Lazy_tbl.mem t.v.ctl_pending p.ctl_token then begin
+  if mem_cold tbl_ctl_pending t p.ctl_token then begin
     if p.ctl_attempts > t.cfg.ctl_retries then begin
       (* Budget exhausted: give up and let reconciliation (§6.1) repair
          whatever state the destination missed. *)
-      Lazy_tbl.remove t.v.ctl_pending p.ctl_token;
+      remove_cold tbl_ctl_pending t p.ctl_token;
       bump t Ctl_abandoned
     end
     else ctl_attempt t p
   end
 
 let send_ctl t ~dst payload =
-  if dst = t.rt.self || t.cfg.ctl_retries <= 0 then send_msg t ~dst payload
+  if dst = t.self || t.cfg.ctl_retries <= 0 then send_msg t ~dst payload
   else begin
     let token = t.next_token in
     t.next_token <- t.next_token + 1;
@@ -435,15 +528,15 @@ let send_ctl t ~dst payload =
       { ctl_dst = dst; ctl_payload = payload; ctl_token = token; ctl_born = now_local t;
         ctl_attempts = 0; ctl_timer = no_timer }
     in
-    Lazy_tbl.replace t.v.ctl_pending token p;
+    replace_cold tbl_ctl_pending t token p;
     ctl_attempt t p
   end
 
 let ctl_ack t ~src ~token =
-  match Lazy_tbl.find_opt t.v.ctl_pending token with
+  match find_cold tbl_ctl_pending t token with
   | Some p when p.ctl_dst = src ->
     t.rt.cancel_timer p.ctl_timer;
-    Lazy_tbl.remove t.v.ctl_pending token;
+    remove_cold tbl_ctl_pending t token;
     bump t Ctl_acked
   | _ -> () (* late, duplicate, or forged ack *)
 
@@ -453,13 +546,13 @@ let ctl_seen_cap = 1024
    re-processed (handlers are idempotent, but e.g. a duplicate Install
    would re-forward its whole chunk). *)
 let ctl_duplicate t ~src ~token =
-  let k = (src, token) in
-  if Lazy_tbl.mem t.v.seen_ctl k then true
+  let k = (src, token) and c = cold t in
+  if Lazy_tbl.mem c.seen_ctl k then true
   else begin
-    Lazy_tbl.replace t.v.seen_ctl k ();
-    Queue.push k t.v.seen_ctl_order;
-    while Lazy_tbl.length t.v.seen_ctl > ctl_seen_cap do
-      Lazy_tbl.remove t.v.seen_ctl (Queue.pop t.v.seen_ctl_order)
+    Lazy_tbl.replace c.seen_ctl k ();
+    Queue.push k c.seen_ctl_order;
+    while Lazy_tbl.length c.seen_ctl > ctl_seen_cap do
+      Lazy_tbl.remove c.seen_ctl (Queue.pop c.seen_ctl_order)
     done;
     false
   end
@@ -468,6 +561,35 @@ let slide_of (meta : Query.meta) =
   match meta.window with
   | Window.Time { slide; _ } -> slide
   | Window.Tuples _ -> invalid_arg "slide_of: tuple window"
+
+(* Raw columns: append one, or keep those whose index satisfies [keep]
+   (in order). Exactly sized: most instances hold one or two raws. *)
+let push_raw inst b payload prov =
+  let n = Array.length inst.raw_basis in
+  let grow a x = Array.init (n + 1) (fun i -> if i < n then a.(i) else x) in
+  inst.raw_basis <- Array.init (n + 1) (fun i -> if i < n then inst.raw_basis.(i) else b);
+  inst.raw_payload <- grow inst.raw_payload payload;
+  inst.raw_prov <- grow inst.raw_prov prov
+
+let keep_raws inst keep =
+  let n = Array.length inst.raw_basis in
+  let kept = ref 0 in
+  for i = 0 to n - 1 do
+    if keep i then incr kept
+  done;
+  if !kept < n then begin
+    let idx = Array.make !kept 0 and j = ref 0 in
+    for i = 0 to n - 1 do
+      if keep i then begin
+        idx.(!j) <- i;
+        incr j
+      end
+    done;
+    let rb = inst.raw_basis in
+    inst.raw_basis <- Array.init !kept (fun k -> rb.(idx.(k)));
+    inst.raw_payload <- Array.map (fun i -> inst.raw_payload.(i)) idx;
+    inst.raw_prov <- Array.map (fun i -> inst.raw_prov.(i)) idx
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The mutually recursive heart: source emission, TS eviction, routing,
@@ -485,7 +607,7 @@ let rec arm_eviction t inst =
   | Some deadline ->
     let b = basis inst ~local:(now_local t) in
     let delay = max 0.0 (deadline -. b) in
-    inst.eviction_timer <- t.rt.set_timer ~after:delay (fun () -> evict t inst)
+    inst.eviction_timer <- set_timer t ~after:delay inst.on_evict
 
 and evict t inst =
   inst.eviction_timer <- no_timer;
@@ -507,11 +629,11 @@ and mark_emitted t inst (s : Summary.t) =
     let horizon = float_of_int emitted_horizon *. slide in
     Fmap.remove_stale inst.emitted ~now:b ~horizon
   | Window.Tuples _ -> ());
-  if s.index.Index.te > inst.emitted_te then inst.emitted_te <- s.index.Index.te
+  if s.index.Index.te > inst.fl.emitted_te then inst.fl.emitted_te <- s.index.Index.te
 
 and dispatch_evicted t inst (s : Summary.t) =
   mark_emitted t inst s;
-  if t.rt.self = inst.meta.Query.root then report_result t inst s
+  if t.self = inst.meta.Query.root then report_result t inst s
   else begin
     (* The evicted summary is a freshly created tuple at this node: stripe
        it across the tree set and route from there. Round-robin is the
@@ -540,11 +662,11 @@ and dispatch_evicted t inst (s : Summary.t) =
 
 and route_and_send t inst (s : Summary.t) ?(path = []) ~visited ~arrival_tree ~ttl_down () =
   let path =
-    let with_self = t.rt.self :: List.filter (fun n -> n <> t.rt.self) path in
+    let with_self = t.self :: List.filter (fun n -> n <> t.self) path in
     List.filteri (fun i _ -> i < Routing.path_horizon) with_self
   in
   match
-    Routing.route ~avoid:path ~view:inst.view ~alive:(alive_neighbor t) ~rng:t.rt.rng
+    Routing.route ~avoid:path ~view:inst.view ~alive:(alive_neighbor t) ~rng:t.rng
       ~visited ~arrival_tree ~ttl_down ()
   with
   | Routing.Deliver_root -> report_result t inst s
@@ -553,7 +675,7 @@ and route_and_send t inst (s : Summary.t) ?(path = []) ~visited ~arrival_tree ~t
     if !Obs.enabled then begin
       (* dst = -1: the summary died here, no next hop existed. *)
       Obs.trace ~t:(now_local t)
-        (Obs.Tuple_drop { src = t.rt.self; dst = -1; kind = "data"; reason = "routing" })
+        (Obs.Tuple_drop { src = t.self; dst = -1; kind = "data"; reason = "routing" })
     end
   | Routing.Forward { dst; tree; descended } ->
     let ttl_down = if descended then ttl_down + 1 else ttl_down in
@@ -623,7 +745,7 @@ and report_result t inst (s : Summary.t) =
      itself (multi-query planner), forward the finished result to each.
      Boundary-only results carry no data and are not forwarded. *)
   (if not s.boundary then
-     match Lazy_tbl.find_opt t.v.result_fwds meta.Query.name with
+     match find_cold tbl_result_fwds t meta.Query.name with
      | None -> ()
      | Some dsts ->
        List.iter
@@ -672,30 +794,30 @@ and ts_insert t inst (s : Summary.t) =
   let nd = Ewma.value_or inst.netdist 0.0 in
   let deadline =
     match (inst.meta.Query.window, inst.meta.Query.mode) with
-    | Window.Time _, Query.Syncless when t.rt.self = inst.meta.Query.root ->
+    | Window.Time _, Query.Syncless when t.self = inst.meta.Query.root ->
       max
         (b +. min_timeout)
-        (s.Summary.index.Index.te +. max nd inst.netdist_hi +. timeout_slack)
+        (s.Summary.index.Index.te +. max nd inst.fl.netdist_hi +. timeout_slack)
     | _ -> b +. max min_timeout (nd -. s.age +. timeout_slack)
   in
   Ts_list.insert inst.ts ~now:b ~deadline s;
   bump t Ts_inserts;
   if !Obs.enabled then
-    Obs.trace ~t:(now_local t) (Obs.Ts_merge { node = t.rt.self; query = inst.meta.Query.name });
+    Obs.trace ~t:(now_local t) (Obs.Ts_merge { node = t.self; query = inst.meta.Query.name });
   arm_eviction t inst
 
 (* A summary created locally (source slide or tuple-window emission). *)
 and emit_local t inst (s : Summary.t) =
-  if inst.meta.Query.aggregate || t.rt.self = inst.meta.Query.root then ts_insert t inst s
+  if inst.meta.Query.aggregate || t.self = inst.meta.Query.root then ts_insert t inst s
   else dispatch_evicted t inst s
 
 
 and fold_netdist inst =
-  if inst.age_max_period > neg_infinity then begin
-    Ewma.update inst.netdist inst.age_max_period;
-    inst.netdist_hi <-
-      max (Ewma.value_or inst.netdist 0.0) (0.7 *. inst.netdist_hi);
-    inst.age_max_period <- neg_infinity
+  let fl = inst.fl in
+  if fl.age_max_period > neg_infinity then begin
+    Ewma.update inst.netdist fl.age_max_period;
+    fl.netdist_hi <- max (Ewma.value_or inst.netdist 0.0) (0.7 *. fl.netdist_hi);
+    fl.age_max_period <- neg_infinity
   end
 
 and close_slide t inst =
@@ -708,11 +830,14 @@ and close_slide t inst =
     let closing = inst.next_slot - 1 in
     let wend = float_of_int (closing + 1) *. slide in
     let wstart = wend -. range in
-    let in_window r = r.basis >= wstart -. 1e-9 && r.basis < wend -. 1e-9 in
-    let window_raws = List.filter in_window inst.raws in
-    (* Raws that can no longer appear in any future window are dropped. *)
-    let next_wstart = wstart +. slide in
-    inst.raws <- List.filter (fun r -> r.basis >= next_wstart -. 1e-9) inst.raws;
+    let rb = inst.raw_basis in
+    let in_window i = rb.(i) >= wstart -. 1e-9 && rb.(i) < wend -. 1e-9 in
+    (* The window's raws are folded newest first. *)
+    let window_raws = ref [] in
+    for i = 0 to Array.length rb - 1 do
+      if in_window i then window_raws := i :: !window_raws
+    done;
+    let window_raws = !window_raws in
     let index = Index.of_slot ~slide closing in
     let summary =
       match window_raws with
@@ -724,30 +849,32 @@ and close_slide t inst =
            offending tuple, keep the window (§2.2's non-blocking rule). *)
         let value =
           List.fold_left
-            (fun acc r ->
-              try inst.op.Op.merge acc (inst.op.Op.lift r.payload)
+            (fun acc i ->
+              try inst.op.Op.merge acc (inst.op.Op.lift inst.raw_payload.(i))
               with Value.Type_error _ ->
                 bump t Type_faults;
                 acc)
             inst.op.Op.init raws
         in
-        let newest_slide = List.filter (fun r -> r.basis >= wend -. slide -. 1e-9) raws in
+        let newest_slide = List.filter (fun i -> rb.(i) >= wend -. slide -. 1e-9) raws in
         let age_basis =
           match newest_slide with
           | [] -> (float_of_int closing +. 0.5) *. slide
           | rs ->
-            List.fold_left (fun acc r -> acc +. r.basis) 0.0 rs /. float_of_int (List.length rs)
+            List.fold_left (fun acc i -> acc +. rb.(i)) 0.0 rs /. float_of_int (List.length rs)
         in
         let prov =
-          List.fold_left (fun acc r -> Summary.merge_prov acc r.prov) [] raws
+          List.fold_left (fun acc i -> Summary.merge_prov acc inst.raw_prov.(i)) [] raws
         in
         Summary.make ~index ~value ~count:1 ~age:(b -. age_basis) ~prov ()
     in
+    (* Raws that can no longer appear in any future window are dropped. *)
+    let next_wstart = wstart +. slide in
+    keep_raws inst (fun i -> rb.(i) >= next_wstart -. 1e-9);
     emit_local t inst summary;
     inst.next_slot <- inst.next_slot + 1;
     let next_fire = float_of_int inst.next_slot *. slide in
-    inst.slide_timer <-
-      t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst)
+    inst.tick_timer <- set_timer t ~after:(max 0.001 (next_fire -. b)) inst.on_tick
 
 and emit_tuple_window t inst =
   match inst.meta.Query.window with
@@ -755,35 +882,33 @@ and emit_tuple_window t inst =
   | Window.Tuples { range; _ } ->
     let local = now_local t in
     let b = basis inst ~local in
-    let window_raws =
-      List.filteri (fun i _ -> i < range) inst.tw_buffer |> List.rev (* oldest first *)
-    in
-    (match window_raws with
-    | [] -> ()
-    | first :: _ ->
-      let last_basis =
-        List.fold_left (fun acc r -> max acc r.basis) first.basis window_raws
-      in
-      let tb = first.basis in
-      let te = max (tb +. 1e-6) (last_basis +. 1e-6) in
+    (* [inject] keeps at most [range] raws, oldest first. *)
+    let rb = inst.raw_basis in
+    let n = min range (Array.length rb) in
+    if n > 0 then begin
+      let first = Array.length rb - n in
+      let last_basis = ref rb.(first) and value = ref inst.op.Op.init in
+      let sum = ref 0.0 and prov = ref [] in
+      for i = first to Array.length rb - 1 do
+        last_basis := max !last_basis rb.(i);
+        (value :=
+           try inst.op.Op.merge !value (inst.op.Op.lift inst.raw_payload.(i))
+           with Value.Type_error _ ->
+             bump t Type_faults;
+             !value);
+        sum := !sum +. rb.(i);
+        prov := Summary.merge_prov !prov inst.raw_prov.(i)
+      done;
+      let tb = rb.(first) in
+      let te = max (tb +. 1e-6) (!last_basis +. 1e-6) in
       let index = Index.make ~tb ~te in
-      let value =
-        List.fold_left
-          (fun acc r ->
-            try inst.op.Op.merge acc (inst.op.Op.lift r.payload)
-            with Value.Type_error _ ->
-              bump t Type_faults;
-              acc)
-          inst.op.Op.init window_raws
+      let age_basis = !sum /. float_of_int n in
+      let summary =
+        Summary.make ~index ~value:!value ~count:1 ~age:(b -. age_basis) ~prov:!prov ()
       in
-      let age_basis =
-        List.fold_left (fun acc r -> acc +. r.basis) 0.0 window_raws
-        /. float_of_int (List.length window_raws)
-      in
-      let prov = List.fold_left (fun acc r -> Summary.merge_prov acc r.prov) [] window_raws in
-      let summary = Summary.make ~index ~value ~count:1 ~age:(b -. age_basis) ~prov () in
-      inst.tw_last_te <- te;
-      emit_local t inst summary);
+      inst.fl.tw_last_te <- te;
+      emit_local t inst summary
+    end;
     inst.tw_pending <- 0
 
 and boundary_check t inst =
@@ -791,28 +916,26 @@ and boundary_check t inst =
   (match inst.meta.Query.window with
   | Window.Time _ -> ()
   | Window.Tuples _ ->
-    if (not inst.raw_seen) && inst.tw_last_te > 0.0 then begin
+    if (not inst.raw_seen) && inst.fl.tw_last_te > 0.0 then begin
       let b = basis inst ~local:(now_local t) in
-      if b > inst.tw_last_te +. 1e-6 then begin
-        let index = Index.make ~tb:inst.tw_last_te ~te:b in
+      if b > inst.fl.tw_last_te +. 1e-6 then begin
+        let index = Index.make ~tb:inst.fl.tw_last_te ~te:b in
         let s =
           Summary.boundary ~index ~identity:inst.op.Op.init ~count:1
             ~age:(b -. ((index.Index.tb +. index.Index.te) /. 2.0))
         in
-        inst.tw_last_te <- b;
+        inst.fl.tw_last_te <- b;
         emit_local t inst s
       end
     end);
   inst.raw_seen <- false;
-  inst.boundary_timer <-
-    t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst)
+  inst.tick_timer <- set_timer t ~after:boundary_period inst.on_tick
 
 and inject t ~stream ?true_slot payload =
   (* Sorted instance order: a tuple-window emit fired from here sends
      messages, so the order across instances is simulation-visible. *)
-  sorted_instances t
-  |> List.iter
-    (fun (_, inst) ->
+  Array.iter
+    (fun inst ->
       if inst.meta.Query.source = stream then begin
         match
           (try Expr.apply inst.meta.Query.pre payload
@@ -824,17 +947,17 @@ and inject t ~stream ?true_slot payload =
         | Some payload ->
           let b = basis inst ~local:(now_local t) in
           let prov = match true_slot with Some s -> [ (s, 1) ] | None -> [] in
-          let r = { basis = b; payload; prov } in
+          push_raw inst b payload prov;
           inst.raw_seen <- true;
           (match inst.meta.Query.window with
-          | Window.Time _ -> inst.raws <- r :: inst.raws
+          | Window.Time _ -> ()
           | Window.Tuples { range; slide } ->
-            inst.tw_buffer <- r :: inst.tw_buffer;
-            if List.length inst.tw_buffer > range then
-              inst.tw_buffer <- List.filteri (fun i _ -> i < range) inst.tw_buffer;
+            let n = Array.length inst.raw_basis in
+            if n > range then keep_raws inst (fun i -> i >= n - range);
             inst.tw_pending <- inst.tw_pending + 1;
             if inst.tw_pending >= slide then emit_tuple_window t inst)
       end)
+    t.v.instances
 
 (* ------------------------------------------------------------------ *)
 (* Data arrival. Defined before install so a completed install can
@@ -869,16 +992,16 @@ let already_emitted inst (s : Summary.t) =
   | Window.Time { slide; _ } ->
     let slot = Index.slot ~slide (s.index.Index.tb +. (slide /. 2.0)) in
     Fmap.mem inst.emitted slot
-  | Window.Tuples _ -> s.index.Index.te <= inst.emitted_te
+  | Window.Tuples _ -> s.index.Index.te <= inst.fl.emitted_te
 
 (* Warm-up (crash-rejoin): a summary for a query we have not (re)installed
    is buffered instead of silently dropped, and the sender is asked for
    the management state immediately — the digest cadence alone leaves a
    rejoined peer dark for up to [reconcile_every] heartbeat periods. *)
 let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
-  if not (covers t.v.removed query seqno || covers t.v.not_mine query seqno) then begin
+  if not (covers t tbl_removed query seqno || covers t tbl_not_mine query seqno) then begin
     let local = now_local t in
-    if gate t.v.fast_resync query ~now:local ~gap:t.cfg.hb_period then begin
+    if gate t tbl_fast_resync query ~now:local ~gap:t.cfg.hb_period then begin
       bump t Fast_resyncs;
       send_msg t ~dst:src
         (Msg.Reconcile_request { installed = installed_triples t; removed = removed_pairs t })
@@ -886,11 +1009,11 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
     if t.cfg.warmup_buffer <= 0 then bump t Warmup_drops
     else begin
       let q =
-        match Lazy_tbl.find_opt t.v.warmup query with
+        match find_cold tbl_warmup t query with
         | Some q -> q
         | None ->
           let q = Queue.create () in
-          Lazy_tbl.replace t.v.warmup query q;
+          replace_cold tbl_warmup t query q;
           q
       in
       if Queue.length q >= t.cfg.warmup_buffer then begin
@@ -909,7 +1032,7 @@ let warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down 
 
 let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
   bump t Received;
-  match Hashtbl.find_opt t.v.instances query with
+  match find_inst t query with
   | None ->
     (* Not installed (yet); reconciliation will catch us up. With
        self-healing on, start that reconciliation now and hold the summary
@@ -917,7 +1040,7 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
     if t.cfg.self_heal then
       warmup_capture t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down
   | Some inst ->
-    let latency = t.rt.latency_to src in
+    let latency = latency_to t src in
     let s =
       { summary with
         Summary.age = summary.Summary.age +. latency;
@@ -934,9 +1057,10 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
        every age in the system, which bounds this estimate too. In
        timestamp mode the age is the timestamp-inferred delay, so offset
        inflates the estimate and with it every wait. *)
-    if s.Summary.age > inst.age_max_period then inst.age_max_period <- s.Summary.age;
-    if s.Summary.age > inst.netdist_hi then inst.netdist_hi <- s.Summary.age;
-    if inst.meta.Query.aggregate = false && t.rt.self <> inst.meta.Query.root then begin
+    let fl = inst.fl in
+    if s.Summary.age > fl.age_max_period then fl.age_max_period <- s.Summary.age;
+    if s.Summary.age > fl.netdist_hi then fl.netdist_hi <- s.Summary.age;
+    if inst.meta.Query.aggregate = false && t.self <> inst.meta.Query.root then begin
       (* No-aggregation baseline: pass everything through. *)
       let visited =
         Routing.update_visited visited ~tree ~level:inst.view.Query.levels.(tree)
@@ -946,7 +1070,7 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
     else if already_emitted inst s then begin
       (* Late tuple: pass through toward the root without merging. *)
       bump t Late;
-      if t.rt.self = inst.meta.Query.root then () (* window already reported *)
+      if t.self = inst.meta.Query.root then () (* window already reported *)
       else begin
         let visited =
           Routing.update_visited visited ~tree ~level:inst.view.Query.levels.(tree)
@@ -960,10 +1084,10 @@ let handle_data t ~src ~query ~seqno ~tree ~summary ~visited ~path ~ttl_down =
    bumped by the buffering delay so syncless relabeling files each one
    into the window it was originally destined for. *)
 let replay_warmup t name =
-  match Lazy_tbl.find_opt t.v.warmup name with
+  match find_cold tbl_warmup t name with
   | None -> ()
   | Some q ->
-    Lazy_tbl.remove t.v.warmup name;
+    remove_cold tbl_warmup t name;
     let local = now_local t in
     Queue.iter
       (fun e ->
@@ -980,38 +1104,39 @@ let replay_warmup t name =
 
 (* Only ever called on an instance that is then dropped. *)
 let cancel_instance_timers t inst =
-  List.iter t.rt.cancel_timer [ inst.eviction_timer; inst.slide_timer; inst.boundary_timer ]
+  t.rt.cancel_timer inst.eviction_timer;
+  t.rt.cancel_timer inst.tick_timer
 
 let remove_local t ~name ~seqno =
-  (match Hashtbl.find_opt t.v.instances name with
+  (match find_inst t name with
   | Some inst when inst.meta.Query.seqno <= seqno ->
     cancel_instance_timers t inst;
-    Hashtbl.remove t.v.instances name;
+    drop_inst t name;
     List.iter (release_partner t) (Query.neighbors inst.view);
     invalidate_digest t
   | _ -> ());
-  let prev = Option.value (Lazy_tbl.find_opt t.v.removed name) ~default:min_int in
+  let prev = Option.value (find_cold tbl_removed t name) ~default:min_int in
   if seqno > prev then begin
-    Lazy_tbl.replace t.v.removed name seqno;
+    replace_cold tbl_removed t name seqno;
     invalidate_digest t
   end;
-  Lazy_tbl.remove t.v.warmup name
+  remove_cold tbl_warmup t name
 
 let install_local t (meta : Query.meta) view ~install_age =
-  let removed_seqno = Option.value (Lazy_tbl.find_opt t.v.removed meta.name) ~default:min_int in
+  let removed_seqno = Option.value (find_cold tbl_removed t meta.name) ~default:min_int in
   if meta.seqno <= removed_seqno then ()
   else begin
     let stale =
-      match Hashtbl.find_opt t.v.instances meta.name with
+      match find_inst t meta.name with
       | Some inst -> inst.meta.Query.seqno >= meta.seqno
       | None -> false
     in
     if not stale then begin
-      (match Hashtbl.find_opt t.v.instances meta.name with
+      (match find_inst t meta.name with
       | Some old ->
         cancel_instance_timers t old;
         List.iter (release_partner t) (Query.neighbors old.view);
-        Hashtbl.remove t.v.instances meta.name
+        drop_inst t meta.name
       | None -> ());
       let local = now_local t in
       let t_ref_base =
@@ -1019,7 +1144,7 @@ let install_local t (meta : Query.meta) view ~install_age =
         | Query.Syncless -> local -. install_age
         | Query.Timestamp -> 0.0
       in
-      let op = Op.compile meta.op in
+      let op = t.rt.compile meta.op in
       (* A node's eviction budget scales with its headroom: the deepest
          subtree that can aggregate through it on any tree. This ladders
          evictions structurally — leaves go fast, the root waits longest —
@@ -1049,43 +1174,49 @@ let install_local t (meta : Query.meta) view ~install_age =
               ~extend_boundaries:(not (Window.is_time meta.window))
               ~quiet_guard:t.cfg.quiet_guard ~hard_cap ~op ();
           netdist = Ewma.create ();
-          netdist_hi = 0.0;
-          t_ref_base;
-          stripe = Rng.int t.rt.rng (max 1 meta.degree);
+          fl =
+            {
+              netdist_hi = 0.0;
+              t_ref_base;
+              emitted_te = neg_infinity;
+              tw_last_te = 0.0;
+              age_max_period = neg_infinity;
+              orphaned_since = nan;
+            };
+          stripe = Rng.int t.rng (max 1 meta.degree);
           emitted = Fmap.create ();
-          emitted_te = neg_infinity;
-          raws = [];
-          tw_buffer = [];
+          raw_basis = [||];
+          raw_payload = [||];
+          raw_prov = [||];
           tw_pending = 0;
-          tw_last_te = 0.0;
           raw_seen = false;
-          age_max_period = neg_infinity;
           next_slot = 0;
           eviction_timer = no_timer;
-          slide_timer = no_timer;
-          boundary_timer = no_timer;
-          orphaned_since = None;
+          tick_timer = no_timer;
+          on_evict = ignore;
+          on_tick = ignore;
         }
       in
-      Hashtbl.replace t.v.instances meta.name inst;
+      inst.on_evict <- (fun () -> evict t inst);
+      inst.on_tick <-
+        (if Window.is_time meta.window then fun () -> close_slide t inst
+         else fun () -> boundary_check t inst);
+      put_inst t inst;
       List.iter (retain_partner t) (Query.neighbors view);
       invalidate_digest t;
       bump t Installs;
       if !Obs.enabled then
-        Obs.trace ~t:local (Obs.Query_install { node = t.rt.self; query = meta.name });
+        Obs.trace ~t:local (Obs.Query_install { node = t.self; query = meta.name });
       (match meta.window with
       | Window.Time { slide; _ } ->
         let b = basis inst ~local in
         inst.next_slot <- Index.slot ~slide b + 1;
         let next_fire = float_of_int inst.next_slot *. slide in
-        inst.slide_timer <-
-          t.rt.set_timer ~after:(max 0.001 (next_fire -. b)) (fun () -> close_slide t inst)
-      | Window.Tuples _ ->
-        inst.boundary_timer <-
-          t.rt.set_timer ~after:boundary_period (fun () -> boundary_check t inst));
+        inst.tick_timer <- set_timer t ~after:(max 0.001 (next_fire -. b)) inst.on_tick
+      | Window.Tuples _ -> inst.tick_timer <- set_timer t ~after:boundary_period inst.on_tick);
       (* Crash-rejoin warm-up: summaries that arrived while this query was
          uninstalled re-enter the striping rotation now. *)
-      Lazy_tbl.remove t.v.fast_resync meta.name;
+      remove_cold tbl_fast_resync t meta.name;
       replay_warmup t meta.name
     end
   end
@@ -1097,7 +1228,7 @@ let forward_install t (meta : Query.meta) members edges ~age =
     (fun (c, p) ->
       Hashtbl.replace children p (c :: Option.value (Hashtbl.find_opt children p) ~default:[]))
     edges;
-  let my_children = Option.value (Hashtbl.find_opt children t.rt.self) ~default:[] in
+  let my_children = Option.value (Hashtbl.find_opt children t.self) ~default:[] in
   if my_children <> [] then begin
     (* Partition members/edges by owning child subtree in one pass each:
        per-child filters over the full lists are O(children * chunk) and
@@ -1139,23 +1270,23 @@ let forward_install t (meta : Query.meta) members edges ~age =
   end
 
 let handle_install t (meta : Query.meta) members edges ~age =
-  (match List.assoc_opt t.rt.self members with
+  (match List.assoc_opt t.self members with
   | Some view -> install_local t meta view ~install_age:age
   | None -> ());
   forward_install t meta members edges ~age
 
 let install_query t (meta : Query.meta) treeset =
-  if Mortar_overlay.Treeset.root treeset <> t.rt.self then
+  if Mortar_overlay.Treeset.root treeset <> t.self then
     invalid_arg "Peer.install_query: peer is not the plan root";
-  if meta.Query.root <> t.rt.self then
+  if meta.Query.root <> t.self then
     invalid_arg "Peer.install_query: meta.root is not this peer";
-  Lazy_tbl.replace t.v.plans meta.Query.name (meta, Some treeset);
+  replace_cold tbl_plans t meta.Query.name (meta, Some treeset);
   let chunks =
     Query.chunk_plan ~repair_meta:t.cfg.self_heal treeset ~chunks:install_chunks
   in
   List.iter
     (fun (chunk : Query.chunk) ->
-      if chunk.entry = t.rt.self then
+      if chunk.entry = t.self then
         handle_install t meta chunk.members chunk.edges ~age:0.0
       else
         send_ctl t ~dst:chunk.entry
@@ -1163,19 +1294,19 @@ let install_query t (meta : Query.meta) treeset =
     chunks
 
 let remove_query t ~name =
-  match Lazy_tbl.find_opt t.v.plans name with
+  match find_cold tbl_plans t name with
   | None | Some (_, None) ->
     invalid_arg "Peer.remove_query: no plan for this query (not the injector)"
   | Some (meta, Some treeset) ->
     let seqno = meta.Query.seqno + 1 in
     let primary = Mortar_overlay.Treeset.tree treeset 0 in
-    let children = Mortar_overlay.Tree.children primary t.rt.self in
+    let children = Mortar_overlay.Tree.children primary t.self in
     (* Tombstone, don't retain: keep the (bumped) seqno lineage so a later
        reinstall under the same name supersedes every straggler, but drop
        the tree set itself — the plan table must not leak the last
        sharer's tree (and its heartbeat-partner obligations) forever. *)
-    Lazy_tbl.replace t.v.plans name ({ meta with Query.seqno }, None);
-    Lazy_tbl.remove t.v.result_fwds name;
+    replace_cold tbl_plans t name ({ meta with Query.seqno }, None);
+    remove_cold tbl_result_fwds t name;
     remove_local t ~name ~seqno;
     List.iter (fun c -> send_ctl t ~dst:c (Msg.Remove { name; seqno })) children
 
@@ -1184,7 +1315,7 @@ let remove_query t ~name =
 
 let request_view t ~name ~root =
   let gap = float_of_int reconcile_every *. t.cfg.hb_period in
-  if gate t.v.pending_views name ~now:(now_local t) ~gap then
+  if gate t tbl_pending_views name ~now:(now_local t) ~gap then
     send_ctl t ~dst:root (Msg.View_request { name })
 
 let apply_remote_sets t ~installed ~removed =
@@ -1192,13 +1323,13 @@ let apply_remote_sets t ~installed ~removed =
   List.iter
     (fun (name, seqno, root) ->
       let locally_installed =
-        match Hashtbl.find_opt t.v.instances name with
+        match find_inst t name with
         | Some inst -> inst.meta.Query.seqno >= seqno
         | None -> false
       in
-      if not (covers t.v.removed name seqno || locally_installed || covers t.v.not_mine name seqno)
+      if not (covers t tbl_removed name seqno || locally_installed || covers t tbl_not_mine name seqno)
       then
-        if root = t.rt.self then () (* we are the topology server; nothing to fetch *)
+        if root = t.self then () (* we are the topology server; nothing to fetch *)
         else request_view t ~name ~root)
     installed;
   (* RC = ours.installed intersected with their removals. *)
@@ -1211,7 +1342,7 @@ let maybe_reconcile t ~src ~remote_digest =
     if Partner_set.reconcile_due t.v.partners src ~now:local ~min_gap then begin
       bump t Reconciliations;
       if !Obs.enabled then
-        Obs.trace ~t:local (Obs.Reconcile_round { node = t.rt.self; partner = src });
+        Obs.trace ~t:local (Obs.Reconcile_round { node = t.self; partner = src });
       send_msg t ~dst:src
         (Msg.Reconcile_request
            { installed = installed_triples t; removed = removed_pairs t })
@@ -1245,19 +1376,19 @@ let attempt_reparent t name inst =
     let before = Query.neighbors view in
     let changed = ref [] in
     for x = 0 to d - 1 do
-      match view.Query.parents.(x) with
-      | None -> ()
-      | Some old when alive_neighbor t old -> ()
-      | Some old -> (
+      let old = view.Query.parents.(x) in
+      if old = Query.no_parent || alive_neighbor t old then ()
+      else begin
         let donors =
-          Mortar_overlay.Sibling.repair_donors ~self:t.rt.self ~grand:view.Query.grands.(x)
+          Mortar_overlay.Sibling.repair_donors ~self:t.self ~grand:view.Query.grands.(x)
             ~siblings:view.Query.sibs.(x)
         in
         match List.find_opt (fun (c, _) -> c <> old && alive_neighbor t c) donors with
         | None -> ()
         | Some (c, kind) ->
-          view.Query.parents.(x) <- Some c;
-          changed := (x, old, c, kind) :: !changed)
+          view.Query.parents.(x) <- c;
+          changed := (x, old, c, kind) :: !changed
+      end
     done;
     match List.rev !changed with
     | [] -> ()
@@ -1275,7 +1406,7 @@ let attempt_reparent t name inst =
             Obs.trace ~t:(now_local t)
               (Obs.Reparent
                  {
-                   node = t.rt.self;
+                   node = t.self;
                    query = name;
                    tree = x;
                    from_parent = old;
@@ -1287,35 +1418,37 @@ let attempt_reparent t name inst =
 
 let repair_instance t name inst =
   let parents = inst.view.Query.parents in
-  let is_root = Array.for_all (fun p -> p = None) parents in
+  let is_root = Array.for_all (fun p -> p = Query.no_parent) parents in
   if not is_root then begin
     let local = now_local t in
     let orphaned =
-      Array.for_all (function None -> true | Some p -> not (alive_neighbor t p)) parents
+      Array.for_all (fun p -> p = Query.no_parent || not (alive_neighbor t p)) parents
     in
     let confirmed_parent =
-      Array.exists (function None -> false | Some p -> confirmed_alive t p) parents
+      Array.exists (fun p -> p <> Query.no_parent && confirmed_alive t p) parents
     in
-    match inst.orphaned_since with
-    | None when orphaned ->
-      inst.orphaned_since <- Some local;
+    let since = inst.fl.orphaned_since in
+    let orphaned_before = not (Float.is_nan since) in
+    if (not orphaned_before) && orphaned then begin
+      inst.fl.orphaned_since <- local;
       if !Obs.enabled then begin
-        Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 1.0;
-        Obs.trace ~t:local (Obs.Orphaned { node = t.rt.self; query = name })
+        Obs.set_gauge ~scope:(Obs.Node t.self) "peer.blackholed" 1.0;
+        Obs.trace ~t:local (Obs.Orphaned { node = t.self; query = name })
       end;
       attempt_reparent t name inst
-    | Some _ when orphaned -> attempt_reparent t name inst
-    | Some since when confirmed_parent ->
+    end
+    else if orphaned_before && orphaned then attempt_reparent t name inst
+    else if orphaned_before && confirmed_parent then begin
       (* A repaired (or recovered) parent has actually been heard from:
          the blackhole is closed. MTTR runs from first detection to this
          confirmation, not to the optimistic adoption. *)
-      inst.orphaned_since <- None;
+      inst.fl.orphaned_since <- nan;
       bump t Repairs;
       if !Obs.enabled then begin
-        Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
+        Obs.set_gauge ~scope:(Obs.Node t.self) "peer.blackholed" 0.0;
         Obs.observe ~buckets:mttr_buckets "peer.repair_mttr" (local -. since)
       end
-    | _ -> ()
+    end
   end
 
 (* Sweep state that only grows during long churn runs: heartbeat-partner
@@ -1329,13 +1462,13 @@ let sweep_idle t =
   let horizon = 4.0 *. hb_timeout_factor *. t.cfg.hb_period in
   let swept = Partner_set.sweep t.v.partners ~now:local ~horizon in
   add t Partners_swept swept;
-  let sweep_gate tbl =
-    Lazy_tbl.fold (fun k at acc -> if local -. at > horizon then k :: acc else acc) tbl []
+  let sweep_gate sel =
+    fold_cold sel t (fun k at acc -> if local -. at > horizon then k :: acc else acc) []
     |> List.sort compare
-    |> List.iter (Lazy_tbl.remove tbl)
+    |> List.iter (remove_cold sel t)
   in
-  sweep_gate t.v.pending_views;
-  sweep_gate t.v.fast_resync
+  sweep_gate tbl_pending_views;
+  sweep_gate tbl_fast_resync
 
 (* ------------------------------------------------------------------ *)
 (* Heartbeats.                                                         *)
@@ -1353,9 +1486,9 @@ let rec heartbeat_tick t =
   if t.cfg.self_heal then
     (* Sorted instance order: repair decisions send messages, so the order
        across instances is simulation-visible (D3). *)
-    List.iter (fun (name, inst) -> repair_instance t name inst) (sorted_instances t);
+    Array.iter (fun inst -> repair_instance t inst.meta.Query.name inst) t.v.instances;
   sweep_idle t;
-  t.v.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
+  t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch.                                                   *)
@@ -1388,11 +1521,11 @@ let rec receive t ~src payload =
       (Msg.Reconcile_reply { installed = installed_triples t; removed = removed_pairs t })
   | Msg.Reconcile_reply { installed; removed } -> apply_remote_sets t ~installed ~removed
   | Msg.Install { meta; members; edges; age } ->
-    let age = age +. t.rt.latency_to src in
+    let age = age +. latency_to t src in
     handle_install t meta members edges ~age
   | Msg.Remove { name; seqno } ->
     (* Forward down the primary tree before dropping the instance. *)
-    (match Hashtbl.find_opt t.v.instances name with
+    (match find_inst t name with
     | Some inst when inst.meta.Query.seqno <= seqno ->
       List.iter
         (fun c -> send_ctl t ~dst:c (Msg.Remove { name; seqno }))
@@ -1400,7 +1533,7 @@ let rec receive t ~src payload =
     | _ -> ());
     remove_local t ~name ~seqno
   | Msg.View_request { name } -> (
-    match Lazy_tbl.find_opt t.v.plans name with
+    match find_cold tbl_plans t name with
     | None -> ()
     | Some (meta, None) ->
       (* Removal tombstone: tell the asker the query no longer includes
@@ -1416,18 +1549,18 @@ let rec receive t ~src payload =
       (* The query's age, as an install chunk carries it: with age 0 the
          asker's slot grid is out of phase with everyone else's. *)
       let age =
-        match Hashtbl.find_opt t.v.instances name with
+        match find_inst t name with
         | Some inst -> basis inst ~local:(now_local t)
         | None -> 0.0
       in
       send_ctl t ~dst:src (Msg.View_reply { meta; view; age }))
   | Msg.View_reply { meta; view; age } -> (
-    Lazy_tbl.remove t.v.pending_views meta.Query.name;
+    remove_cold tbl_pending_views t meta.Query.name;
     match view with
-    | Some v -> install_local t meta v ~install_age:(age +. t.rt.latency_to src)
+    | Some v -> install_local t meta v ~install_age:(age +. latency_to t src)
     | None ->
-      Lazy_tbl.replace t.v.not_mine meta.Query.name meta.Query.seqno;
-      Lazy_tbl.remove t.v.warmup meta.Query.name)
+      replace_cold tbl_not_mine t meta.Query.name meta.Query.seqno;
+      remove_cold tbl_warmup t meta.Query.name)
   | Msg.Result_fwd { query; slot; value; count; age } ->
     bump t Results_fwd_received;
     List.iter
@@ -1438,7 +1571,7 @@ let rec receive t ~src payload =
     (* A repairing orphan re-parented onto us: record it as a child so we
        heartbeat it and can descend into its subtree. Idempotent; ignored
        when the topology generations differ. *)
-    match Hashtbl.find_opt t.v.instances query with
+    match find_inst t query with
     | Some inst
       when inst.meta.Query.seqno = seqno
            && tree >= 0
@@ -1455,13 +1588,15 @@ let rec receive t ~src payload =
 (* ------------------------------------------------------------------ *)
 (* Construction and introspection.                                     *)
 
-let create ?(config = default_config) rt =
+let create ?(config = default_config) rt ~self ~rng =
   let t =
     {
+      self;
       rt;
+      rng;
       cfg = config;
-      v = volatile config;
-      ctl_rng = Rng.create (0x51ab5 + (7919 * rt.self));
+      v = volatile ();
+      ctl_rng = Rng.create (0x51ab5 + (7919 * self));
       next_token = 0;
       result_handlers = [];
       remote_handlers = [];
@@ -1469,8 +1604,8 @@ let create ?(config = default_config) rt =
     }
   in
   (* Desynchronise heartbeat phases across peers. *)
-  let phase = Rng.float rt.rng config.hb_period in
-  t.v.hb_timer <- rt.set_timer ~after:phase (fun () -> heartbeat_tick t);
+  let phase = Rng.float rng config.hb_period in
+  t.v.hb_timer <- set_timer t ~after:phase (fun () -> heartbeat_tick t);
   t
 
 let on_result t f = t.result_handlers <- f :: t.result_handlers
@@ -1478,35 +1613,36 @@ let on_result t f = t.result_handlers <- f :: t.result_handlers
 let on_remote_result t f = t.remote_handlers <- f :: t.remote_handlers
 
 let set_result_forwards t ~query dsts =
-  let dsts = List.sort_uniq compare (List.filter (fun d -> d <> t.rt.self) dsts) in
-  if dsts = [] then Lazy_tbl.remove t.v.result_fwds query
-  else Lazy_tbl.replace t.v.result_fwds query dsts
+  let dsts = List.sort_uniq compare (List.filter (fun d -> d <> t.self) dsts) in
+  if dsts = [] then remove_cold tbl_result_fwds t query
+  else replace_cold tbl_result_fwds t query dsts
 
 let plan_cached t ~name =
-  match Lazy_tbl.find_opt t.v.plans name with Some (_, Some _) -> true | _ -> false
+  match find_cold tbl_plans t name with Some (_, Some _) -> true | _ -> false
 
-let installed t = List.map fst (sorted_instances t)
+let installed t = Array.fold_right (fun inst acc -> inst.meta.Query.name :: acc) t.v.instances []
 
-let has_query t name = Hashtbl.mem t.v.instances name
+let has_query t name = find_inst t name <> None
 
-let query_seqno t name =
-  Option.map (fun inst -> inst.meta.Query.seqno) (Hashtbl.find_opt t.v.instances name)
+let query_seqno t name = Option.map (fun inst -> inst.meta.Query.seqno) (find_inst t name)
 
 let crash t =
   bump t Crashes;
-  if !Obs.enabled then Obs.trace ~t:(now_local t) (Obs.Crash { node = t.rt.self });
-  Hashtbl.iter (fun _ inst -> cancel_instance_timers t inst) t.v.instances;
-  Lazy_tbl.iter (fun _ p -> t.rt.cancel_timer p.ctl_timer) t.v.ctl_pending;
+  if !Obs.enabled then Obs.trace ~t:(now_local t) (Obs.Crash { node = t.self });
+  Array.iter (cancel_instance_timers t) t.v.instances;
+  Option.iter
+    (fun c -> Lazy_tbl.iter (fun _ p -> t.rt.cancel_timer p.ctl_timer) c.ctl_pending)
+    t.v.cold;
   t.rt.cancel_timer t.v.hb_timer;
   if t.cfg.self_heal && !Obs.enabled then
-    Obs.set_gauge ~scope:(Obs.Node t.rt.self) "peer.blackholed" 0.0;
-  t.v <- volatile t.cfg
+    Obs.set_gauge ~scope:(Obs.Node t.self) "peer.blackholed" 0.0;
+  t.v <- volatile ()
 
 (* Cancel first: a host in two overlapping crash windows is restarted
    twice, and must not end up with two heartbeat timers. *)
 let restart t =
   t.rt.cancel_timer t.v.hb_timer;
-  t.v.hb_timer <- t.rt.set_timer ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
+  t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
 
 let stats t =
   let c = count t in
@@ -1521,13 +1657,27 @@ let stats t =
   }
 
 let ts_length t ~query =
-  Option.map (fun inst -> Ts_list.length inst.ts) (Hashtbl.find_opt t.v.instances query)
+  Option.map (fun inst -> Ts_list.length inst.ts) (find_inst t query)
 
-let ctl_in_flight t = Lazy_tbl.length t.v.ctl_pending
+let ctl_in_flight t = match t.v.cold with None -> 0 | Some c -> Lazy_tbl.length c.ctl_pending
 
 let current_parents t ~query =
-  Option.map
-    (fun inst -> Array.copy inst.view.Query.parents)
-    (Hashtbl.find_opt t.v.instances query)
+  Option.map (fun inst -> Array.copy inst.view.Query.parents) (find_inst t query)
 
 let partner_count t = Partner_set.length t.v.partners
+
+let census_parts t =
+  let insts = Array.to_list t.v.instances in
+  let each f = List.map (fun inst -> Obj.repr (f inst)) insts in
+  let v = t.v in
+  [ ("TS lists", each (fun i -> i.ts));
+    ("emitted maps", each (fun i -> i.emitted));
+    ("node views", each (fun i -> i.view));
+    ("compiled operators", each (fun i -> i.op));
+    ("instance records", each Fun.id);
+    ("partner set", [ Obj.repr v.partners ]);
+    ("instance storage", [ Obj.repr v.instances ]);
+    ("cold tables", [ Obj.repr v.cold ]);
+    ("volatile record", [ Obj.repr v ]);
+    ("peer record, runtime, RNGs, counts", [ Obj.repr t ]);
+    ("result handlers", [ Obj.repr t.result_handlers; Obj.repr t.remote_handlers ]) ]

@@ -36,20 +36,27 @@ type timer = Mortar_sim.Engine.handle
     itself. *)
 
 type runtime = {
-  self : int;
-  send : dst:int -> size:int -> kind:string -> Msg.payload -> unit;
-  local_time : unit -> float; (** The node's (possibly offset/skewed) clock. *)
-  latency_to : int -> float;
-      (** One-way latency estimate to a neighbor (UdpCC RTT/2 in the
-          prototype); used to account network delay into tuple ages. *)
-  set_timer : after:float -> (unit -> unit) -> timer; (** [after] is in local seconds. *)
+  send : src:int -> dst:int -> size:int -> kind:string -> Msg.payload -> unit;
+  local_time : int -> float; (** A host's (possibly offset/skewed) clock. *)
+  latency : int -> int -> float;
+      (** [latency src dst]: one-way latency estimate from a host to a
+          neighbor (UdpCC RTT/2 in the prototype); used to account network
+          delay into tuple ages. *)
+  set_timer : int -> after:float -> (unit -> unit) -> timer;
+      (** [set_timer host ~after f]: [after] is in the host's local
+          seconds. *)
   cancel_timer : timer -> unit;
       (** Drop an armed timer's callback. A no-op on a fired or cancelled
           timer and on {!Mortar_sim.Engine.no_handle}. The simulator
           passes [Engine.cancel] of the engine [set_timer] schedules
           on. *)
-  rng : Mortar_util.Rng.t;
+  compile : Op.spec -> Op.impl;
+      (** {!Op.compile}, or a cache of it: the hosts of one runtime share
+          each spec's compiled operator. *)
 }
+(** What a host needs from its environment. One runtime serves many
+    hosts (the simulator makes one per shard), so every function takes
+    the host id. *)
 
 type config = {
   hb_period : float; (** Heartbeat period; 2 s in §7.2.2. *)
@@ -155,7 +162,9 @@ type stats = {
 
 type t
 
-val create : ?config:config -> runtime -> t
+val create : ?config:config -> runtime -> self:int -> rng:Mortar_util.Rng.t -> t
+(** The peer of host [self]; [rng] is its own stream (striping, routing,
+    heartbeat phase). *)
 
 (** {1 Wiring} *)
 
@@ -238,7 +247,7 @@ val ts_length : t -> query:string -> int option
 val ctl_in_flight : t -> int (* lint: allow D11 oracle: test/test_faults.ml "acks clear in-flight" *)
 (** Reliable control messages currently awaiting an ack. *)
 
-val current_parents : t -> query:string -> int option array option
+val current_parents : t -> query:string -> int array option
 (** The instance's {e current} per-tree parents — the static plan's, as
     mutated by any repair adoptions. For the soak harness's ground-truth
     reachability check. *)
@@ -250,6 +259,13 @@ val plan_cached : t -> name:string -> bool
 (** Whether the injector still retains the full tree set for [name].
     [false] after {!remove_query} (only a seqno tombstone remains) — the
     regression guard for the plan-table leak. *)
+
+val census_parts : t -> (string * Obj.t list) list
+(** The host's state as labelled {!Mortar_util.Census} roots, leaves
+    first: each instance's TS list, evicted-window marks, view, compiled
+    operator and record, then the partner set, the instance storage, the
+    cold tables, the volatile record, the peer record with its runtime,
+    and last the result handlers (they reach the caller's state). *)
 
 val digest : t -> string (* lint: allow D11 oracle: test/test_peer.ml "digest agreement" *)
 (** Current MD5 digest over installed and removed query state (§6.1). *)

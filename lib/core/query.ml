@@ -40,8 +40,10 @@ let make_meta ~name ?(seqno = 1) ~source ?(pre = []) ~op ~window ?(mode = Syncle
     track_provenance;
   }
 
+let no_parent = -1
+
 type node_view = {
-  parents : int option array;
+  parents : int array;
   children : int list array;
   levels : int array;
   heights : int array;
@@ -49,13 +51,17 @@ type node_view = {
   sibs : int list array;
 }
 
-let view_of_treeset ?(repair_meta = false) ts node =
+let heights ts = Array.init (Treeset.degree ts) (fun i -> Tree.height (Treeset.tree ts i))
+
+let view_of_treeset ?(repair_meta = false) ?heights:hs ts node =
   let d = Treeset.degree ts in
   {
-    parents = Array.init d (fun i -> Treeset.parent ts ~tree:i node);
+    parents =
+      Array.init d (fun i ->
+          match Treeset.parent ts ~tree:i node with Some p -> p | None -> no_parent);
     children = Array.init d (fun i -> Treeset.children ts ~tree:i node);
     levels = Array.init d (fun i -> Treeset.level ts ~tree:i node);
-    heights = Array.init d (fun i -> Tree.height (Treeset.tree ts i));
+    heights = (match hs with Some h -> h | None -> heights ts);
     grands =
       (if repair_meta then Array.init d (fun i -> Treeset.grandparent ts ~tree:i node)
        else [||]);
@@ -66,7 +72,7 @@ let view_of_treeset ?(repair_meta = false) ts node =
 
 let neighbors view =
   let seen = Hashtbl.create 16 in
-  Array.iter (function Some p -> Hashtbl.replace seen p () | None -> ()) view.parents;
+  Array.iter (fun p -> if p <> no_parent then Hashtbl.replace seen p ()) view.parents;
   Array.iter (List.iter (fun c -> Hashtbl.replace seen c ())) view.children;
   Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
 
@@ -90,6 +96,8 @@ let chunk_plan ?repair_meta ts ~chunks =
     List.iter (fun c -> Queue.add c bfs) (Tree.children primary n)
   done;
   let ordered = Array.of_seq (Queue.to_seq order) in
+  (* One heights array for every view of the plan: it never changes. *)
+  let heights = heights ts in
   let n = Array.length ordered in
   let per = max 1 ((n + chunks - 1) / chunks) in
   let make_chunk start =
@@ -110,7 +118,7 @@ let chunk_plan ?repair_meta ts ~chunks =
     in
     let members =
       Array.to_list members_arr
-      |> List.map (fun m -> (m, view_of_treeset ?repair_meta ts m))
+      |> List.map (fun m -> (m, view_of_treeset ?repair_meta ~heights ts m))
     in
     { entry; members; edges }
   in

@@ -61,8 +61,11 @@ val make_meta :
   unit ->
   meta
 
+val no_parent : int
+(** [-1]: the root's entry in {!node_view.parents}. *)
+
 type node_view = {
-  parents : int option array; (** Per tree; [None] at the root. *)
+  parents : int array; (** Per tree; {!no_parent} at the root. *)
   children : int list array; (** Per tree. *)
   levels : int array; (** Per tree; root is 0. *)
   heights : int array; (** Per tree: the tree's total height. A node's
@@ -79,10 +82,13 @@ type node_view = {
           repair metadata was not requested. *)
 }
 
-val view_of_treeset : ?repair_meta:bool -> Mortar_overlay.Treeset.t -> int -> node_view
+val view_of_treeset :
+  ?repair_meta:bool -> ?heights:int array -> Mortar_overlay.Treeset.t -> int -> node_view
 (** [repair_meta] (default [false]) additionally records each tree's
     grandparent and sibling set, enabling failure-driven tree repair at the
-    cost of shipping the extra ids in the install ({!view_wire_size}). *)
+    cost of shipping the extra ids in the install ({!view_wire_size}).
+    [heights] is the tree set's per-tree heights when the caller already
+    has them: views built from one array share it (it is never written). *)
 
 val neighbors : node_view -> int list
 (** Distinct parents and children across trees (heartbeat partners). *)

@@ -35,9 +35,8 @@ let route ?(avoid = []) ~(view : Query.node_view) ~alive ~rng ~visited ~arrival_
   else begin
     let excluded n = List.mem n avoid in
     let parent_alive x =
-      match view.parents.(x) with
-      | Some p when alive p && not (excluded p) -> Some p
-      | _ -> None
+      let p = view.parents.(x) in
+      if p <> Query.no_parent && alive p && not (excluded p) then Some p else None
     in
     (* Stage 1: same tree. *)
     match parent_alive arrival_tree with
@@ -106,7 +105,7 @@ let stripe_tree (view : Query.node_view) ~counter =
     if remaining = 0 then None
     else begin
       let x = i mod degree in
-      if view.parents.(x) <> None then Some x else try_from (i + 1) (remaining - 1)
+      if view.parents.(x) <> Query.no_parent then Some x else try_from (i + 1) (remaining - 1)
     end
   in
   try_from counter degree

@@ -1,14 +1,20 @@
+(* An entry's float state: a record of floats only is stored flat, so
+   the writes on every merge allocate no box. *)
+type acc = {
+  mutable age_acc : float; (* sum over constituents of count * (age - arrival) *)
+  mutable hops_acc : float; (* sum over constituents of count * hops *)
+  mutable deadline : float;
+  mutable cap : float; (* absolute ceiling on deadline extensions *)
+}
+
 type entry = {
   mutable index : Index.t;
   mutable value : Value.t;
   mutable count : int;
   mutable boundary : bool;
   mutable prov : (int * int) list;
-  mutable age_acc : float; (* sum over constituents of count * (age - arrival) *)
-  mutable hops_acc : float; (* sum over constituents of count * hops *)
   mutable hops_max : int;
-  mutable deadline : float;
-  mutable cap : float; (* absolute ceiling on deadline extensions *)
+  f : acc; (* never shared between entries *)
 }
 
 (* Entries live in a sorted growable array (non-overlapping, ordered by
@@ -23,31 +29,36 @@ type entry = {
    minimum entry, a split, an eviction — trigger an O(n) rescan. The
    peer's eviction re-arm calls [next_deadline] after every insert, so it
    must not fold the whole structure. *)
+type limits = {
+  quiet_guard : float;
+  hard_cap : float;
+  mutable min_deadline : float;
+}
+
 type t = {
   op : Op.impl;
   extend_boundaries : bool;
-  quiet_guard : float;
-  hard_cap : float;
+  lim : limits; (* flat, like [acc] *)
   mutable arr : entry array;
   mutable len : int;
-  mutable min_deadline : float;
 }
 
 let eps = 1e-9
 
 let create ?(extend_boundaries = false) ?(quiet_guard = 0.6) ?(hard_cap = 6.0) ~op () =
-  { op; extend_boundaries; quiet_guard; hard_cap; arr = [||]; len = 0; min_deadline = infinity }
+  { op; extend_boundaries; lim = { quiet_guard; hard_cap; min_deadline = infinity }; arr = [||];
+    len = 0 }
 
 let length t = t.len
 
-let bump_min t d = if d < t.min_deadline then t.min_deadline <- d
+let bump_min t d = if d < t.lim.min_deadline then t.lim.min_deadline <- d
 
 let rescan_min t =
   let m = ref infinity in
   for i = 0 to t.len - 1 do
-    if t.arr.(i).deadline < !m then m := t.arr.(i).deadline
+    if t.arr.(i).f.deadline < !m then m := t.arr.(i).f.deadline
   done;
-  t.min_deadline <- !m
+  t.lim.min_deadline <- !m
 
 (* First slot whose entry's interval end lies past [tb] — the only entry
    that can overlap an interval starting at [tb], or the insert position.
@@ -72,7 +83,7 @@ let insert_at t i e =
   Array.blit t.arr i t.arr (i + 1) (t.len - i);
   t.arr.(i) <- e;
   t.len <- t.len + 1;
-  bump_min t e.deadline
+  bump_min t e.f.deadline
 
 let entry_of_summary t ~now ~deadline (s : Summary.t) =
   {
@@ -81,11 +92,14 @@ let entry_of_summary t ~now ~deadline (s : Summary.t) =
     count = s.count;
     boundary = s.boundary;
     prov = s.prov;
-    age_acc = float_of_int (max 1 s.count) *. (s.age -. now);
-    hops_acc = float_of_int (max 1 s.count) *. float_of_int s.hops;
     hops_max = s.hops_max;
-    deadline;
-    cap = now +. t.hard_cap;
+    f =
+      {
+        age_acc = float_of_int (max 1 s.count) *. (s.age -. now);
+        hops_acc = float_of_int (max 1 s.count) *. float_of_int s.hops;
+        deadline;
+        cap = now +. t.lim.hard_cap;
+      };
   }
 
 (* Merge summary [s] into entry [e] in place (indices assumed compatible;
@@ -95,8 +109,9 @@ let merge_into t e ~now (s : Summary.t) =
   e.count <- e.count + s.count;
   e.boundary <- e.boundary && s.boundary;
   e.prov <- Summary.merge_prov e.prov s.prov;
-  e.age_acc <- e.age_acc +. (float_of_int (max 1 s.count) *. (s.age -. now));
-  e.hops_acc <- e.hops_acc +. (float_of_int (max 1 s.count) *. float_of_int s.hops);
+  let f = e.f in
+  f.age_acc <- f.age_acc +. (float_of_int (max 1 s.count) *. (s.age -. now));
+  f.hops_acc <- f.hops_acc +. (float_of_int (max 1 s.count) *. float_of_int s.hops);
   e.hops_max <- max e.hops_max s.hops_max;
   (* Quiescence extension: while tuples keep merging, push the deadline out
      by the quiet guard (never beyond the cap). The first-arrival timeout of
@@ -105,21 +120,22 @@ let merge_into t e ~now (s : Summary.t) =
      waits ratchet without bound. Extending while the window is still
      "hot" — and only then — keeps eviction adaptive per window with a hard
      latency bound. *)
-  e.deadline <- min e.cap (max e.deadline (now +. t.quiet_guard))
+  f.deadline <- min f.cap (max f.deadline (now +. t.lim.quiet_guard))
 
 (* Merge plus the minimum-deadline bookkeeping: the deadline may move in
    either direction (down when the entry's initial deadline exceeded its
    cap), and moving the minimum entry up forces a rescan. *)
 let merge_entry t e ~now s =
-  let d_old = e.deadline in
+  let d_old = e.f.deadline in
   merge_into t e ~now s;
-  if e.deadline < t.min_deadline then t.min_deadline <- e.deadline
-  else if d_old <= t.min_deadline && e.deadline > d_old then rescan_min t
+  let d = e.f.deadline in
+  if d < t.lim.min_deadline then t.lim.min_deadline <- d
+  else if d_old <= t.lim.min_deadline && d > d_old then rescan_min t
 
 (* A copy of entry [e] shrunk to interval [idx], used for split residues.
    It keeps the full value/count/age bookkeeping of the original — §4.2:
    non-overlapping regions retain their initial values. *)
-let shrink e idx = { e with index = idx }
+let shrink e idx = { e with index = idx; f = { e.f with age_acc = e.f.age_acc } }
 
 let restrict_summary (s : Summary.t) idx = { s with Summary.index = idx }
 
@@ -230,14 +246,14 @@ let insert t ~now ~deadline s =
   if s.Summary.boundary && t.extend_boundaries && try_extend t s then ()
   else insert_rec t ~now ~deadline s
 
-let next_deadline t = if t.len = 0 then None else Some t.min_deadline
+let next_deadline t = if t.len = 0 then None else Some t.lim.min_deadline
 
 let to_summary ~now e =
   let weight = float_of_int (max 1 e.count) in
-  let age = (e.age_acc +. (weight *. now)) /. weight in
+  let age = (e.f.age_acc +. (weight *. now)) /. weight in
   (* Count-weighted mean constituent path length (the paper's path-length
      metric); rounding keeps it an integer hop count on the wire. *)
-  let hops = int_of_float (Float.round (e.hops_acc /. weight)) in
+  let hops = int_of_float (Float.round (e.f.hops_acc /. weight)) in
   Summary.make ~index:e.index ~value:e.value ~count:e.count ~boundary:e.boundary ~age
     ~hops ~hops_max:e.hops_max ~prov:e.prov ()
 
@@ -246,13 +262,13 @@ let pop_due t ~now =
      wakeup time the timer actually fired at: without it, a deadline a few
      ulps past [now] re-arms a zero-length timer forever. The cached
      minimum gates the scan: nothing due, nothing touched. *)
-  if t.len = 0 || t.min_deadline > now +. 1e-6 then []
+  if t.len = 0 || t.lim.min_deadline > now +. 1e-6 then []
   else begin
     let due = ref [] in
     let keep = ref 0 in
     for i = 0 to t.len - 1 do
       let e = t.arr.(i) in
-      if e.deadline <= now +. 1e-6 then due := e :: !due
+      if e.f.deadline <= now +. 1e-6 then due := e :: !due
       else begin
         t.arr.(!keep) <- e;
         incr keep
@@ -270,10 +286,10 @@ let force_pop t ~now =
   done;
   t.len <- 0;
   t.arr <- [||];
-  t.min_deadline <- infinity;
+  t.lim.min_deadline <- infinity;
   !out
 
 let entries t =
   List.init t.len (fun i ->
       let e = t.arr.(i) in
-      (e.index, e.value, e.count, e.deadline))
+      (e.index, e.value, e.count, e.f.deadline))

@@ -31,6 +31,22 @@ type sharded = {
   mutable ctl_sink : Obs.Reg.t;
 }
 
+(* Periodic sensors as columns, one row per attached sensor: a tick is
+   posted to the host's shard engine as (row, [tick]), where [tick] is
+   the one function the deployment allocates for all of them, so a tick
+   allocates no closure. *)
+type sensors = {
+  mutable node : int array;
+  mutable stream : string array;
+  mutable period : float array;
+  mutable jitter : float array;
+  mutable truth_slide : float array; (* [nan]: no ground-truth slot *)
+  mutable value : (int -> Mortar_core.Value.t) array;
+  mutable ticks : int array; (* readings injected so far *)
+  mutable jrng : Rng.t array; (* the row's jitter stream *)
+  mutable rows : int;
+}
+
 type t = {
   engine : Engine.t; (* control engine: fault windows, [at] callbacks *)
   topo : Topology.t;
@@ -47,26 +63,59 @@ type t = {
   (* Peer counts already in [Obs.default], host-major by [Peer.counters];
      allocated by the first enabled flush. *)
   mutable exported : int array;
+  sensors : sensors;
+  tick : int -> unit; (* fires sensor row [i] *)
 }
 
 let default_domains = ref 1
 
-let make_runtime ~engine ~transport ~topo ~clock ~rng self : Peer.runtime =
-  let local_time () = Clock.local_time clock ~now:(Engine.now engine) in
+(* One runtime per shard, shared by its hosts. Its operator cache is
+   the shard's own, so installs in parallel slices never share it. *)
+let make_runtime ~engine ~transport ~topo ~clocks : Peer.runtime =
+  let ops = Hashtbl.create 8 in
   {
-    Peer.self;
-    send =
-      (fun ~dst ~size ~kind payload -> Transport.send transport ~src:self ~dst ~size ~kind payload);
-    local_time;
-    latency_to = (fun dst -> Topology.latency topo self dst);
+    Peer.send = Transport.send transport;
+    local_time = (fun h -> Clock.local_time clocks.(h) ~now:(Engine.now engine));
+    latency = Topology.latency topo;
     set_timer =
-      (fun ~after f ->
+      (fun h ~after f ->
         (* [after] is local seconds; a fast clock (positive skew) fires its
            timers early in true time. *)
-        Engine.schedule engine ~after:(after /. (1.0 +. Clock.skew clock)) f);
+        Engine.schedule engine ~after:(after /. (1.0 +. Clock.skew clocks.(h))) f);
     cancel_timer = Engine.cancel engine;
-    rng;
+    compile =
+      (fun spec ->
+        match Hashtbl.find_opt ops spec with
+        | Some impl -> impl
+        | None ->
+          let impl = Mortar_core.Op.compile spec in
+          Hashtbl.add ops spec impl;
+          impl);
   }
+
+let sensor_rows () =
+  { node = [||]; stream = [||]; period = [||]; jitter = [||]; truth_slide = [||]; value = [||];
+    ticks = [||]; jrng = [||]; rows = 0 }
+
+let sensor_tick ~engine_of ~peers (s : sensors) =
+  let rec tick i =
+    let node = s.node.(i) in
+    let engine = engine_of node in
+    let k = s.ticks.(i) in
+    s.ticks.(i) <- k + 1;
+    let slide = s.truth_slide.(i) in
+    let true_slot =
+      if Float.is_nan slide then None
+      else Some (Mortar_core.Index.slot ~slide (Engine.now engine))
+    in
+    Peer.inject peers.(node) ~stream:s.stream.(i) ?true_slot (s.value.(i) k);
+    let jitter = s.jitter.(i) in
+    let delay =
+      s.period.(i) +. if jitter > 0.0 then Rng.uniform s.jrng.(i) (-.jitter) jitter else 0.0
+    in
+    Engine.post engine ~at:(Engine.now engine +. max 0.001 delay) tick i
+  in
+  tick
 
 let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?offsets ?skews
     ?domains topo =
@@ -95,14 +144,12 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let clocks =
     Array.init n (fun i -> Clock.create ~offset:(get offsets i) ~skew:(get skews i) ())
   in
+  let runtimes =
+    Array.init nshards (fun s ->
+        make_runtime ~engine:engines.(s) ~transport:transports.(s) ~topo ~clocks)
+  in
   let peers =
-    Array.init n (fun i ->
-        let s = shard_of.(i) in
-        let rt =
-          make_runtime ~engine:engines.(s) ~transport:transports.(s) ~topo ~clock:clocks.(i)
-            ~rng:(Rng.split rng) i
-        in
-        Peer.create ~config rt)
+    Array.init n (fun i -> Peer.create ~config runtimes.(shard_of.(i)) ~self:i ~rng:(Rng.split rng))
   in
   Array.iteri
     (fun i peer ->
@@ -139,8 +186,10 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
      still returns [default] off-slice once its run loop has exited. *)
   Obs.set_sink (fun () ->
       match Par.Ctx.get () with Some sid -> sh.regs.(sid) | None -> sh.ctl_sink);
+  let sensors = sensor_rows () in
   { engine; topo; transport = transports.(0); faults; clocks; peers; rng; vivaldi = None; sh;
-    exported = [||] }
+    exported = [||]; sensors;
+    tick = sensor_tick ~engine_of:(fun h -> engines.(shard_of.(h))) ~peers sensors }
 
 let topology t = t.topo
 
@@ -312,6 +361,30 @@ let run_until t target =
         end
       done);
   flush_obs t
+
+let census t =
+  let per_host = Array.map Peer.census_parts t.peers in
+  let label_roots label =
+    Array.fold_right
+      (fun parts acc -> List.assoc label parts @ acc)
+      per_host []
+  in
+  let peer_rows =
+    if Array.length per_host = 0 then []
+    else List.map (fun (label, _) -> (label, label_roots label)) per_host.(0)
+  in
+  let handlers, peer_rows = List.partition (fun (l, _) -> l = "result handlers") peer_rows in
+  let sh = t.sh in
+  let shards f = Array.to_list (Array.map (fun s -> Obj.repr (f s)) sh.shards) in
+  Mortar_util.Census.measure
+    (peer_rows
+    @ [ ("shard batches", [ Obj.repr sh.batches ]);
+        ("transport", shards (fun s -> s.s_transport));
+        ("engines (slab, queues, queued closures)", Obj.repr t.engine :: shards (fun s -> s.s_engine));
+        ("clocks", [ Obj.repr t.clocks ]);
+        ("topology", [ Obj.repr t.topo ]) ]
+    @ handlers
+    @ [ ("deployment rest", [ Obj.repr t ]) ])
 
 let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
 
@@ -584,15 +657,27 @@ let sensor t ~node ~stream ~period ?(jitter = 0.0) ?truth_slide value =
   let engine = engine_of_host t node in
   let jrng = if jitter > 0.0 then Rng.split t.rng else t.rng in
   let phase = Rng.float t.rng period in
-  let counter = ref 0 in
-  let rec tick () =
-    let k = !counter in
-    incr counter;
-    let true_slot =
-      Option.map (fun slide -> Mortar_core.Index.slot ~slide (Engine.now engine)) truth_slide
-    in
-    Peer.inject t.peers.(node) ~stream ?true_slot (value k);
-    let delay = period +. if jitter > 0.0 then Rng.uniform jrng (-.jitter) jitter else 0.0 in
-    ignore (Engine.schedule engine ~after:(max 0.001 delay) tick)
-  in
-  ignore (Engine.schedule engine ~after:phase tick)
+  let s = t.sensors in
+  let i = s.rows in
+  if i = Array.length s.node then begin
+    let cap = max 16 (2 * i) in
+    let grow a fill = Array.init cap (fun j -> if j < i then a.(j) else fill) in
+    s.node <- grow s.node 0;
+    s.stream <- grow s.stream "";
+    s.period <- grow s.period 0.0;
+    s.jitter <- grow s.jitter 0.0;
+    s.truth_slide <- grow s.truth_slide nan;
+    s.value <- grow s.value value;
+    s.ticks <- grow s.ticks 0;
+    s.jrng <- grow s.jrng jrng
+  end;
+  s.node.(i) <- node;
+  s.stream.(i) <- stream;
+  s.period.(i) <- period;
+  s.jitter.(i) <- jitter;
+  s.truth_slide.(i) <- Option.value truth_slide ~default:nan;
+  s.value.(i) <- value;
+  s.ticks.(i) <- 0;
+  s.jrng.(i) <- jrng;
+  s.rows <- i + 1;
+  Engine.post engine ~at:(Engine.now engine +. phase) t.tick i

@@ -93,6 +93,14 @@ val run_until : t -> float -> unit
 val at : t -> float -> (unit -> unit) -> unit
 (** Schedule an action at absolute virtual time. *)
 
+val census : t -> Mortar_util.Census.row list
+(** Live words of the deployment by part ({!Mortar_util.Census}): first
+    the per-host peer rows of {!Mortar_core.Peer.census_parts} summed
+    over hosts, then the shard batches, the transport instances, the
+    engines with the actions they hold queued, the clocks, the topology,
+    the peers' result handlers and the rest of the deployment. Call it
+    between runs. *)
+
 (** {1 Failure injection} *)
 
 val set_up : t -> int -> bool -> unit

@@ -142,9 +142,7 @@ let repaired_unreachable t =
     | None -> ()
     | Some ps ->
       Array.iter
-        (function
-          | Some p when forwards.(p) -> children.(p) <- h :: children.(p)
-          | _ -> ())
+        (fun p -> if p <> Mortar_core.Query.no_parent && forwards.(p) then children.(p) <- h :: children.(p))
         ps
   done;
   let reach = Array.make n false in

@@ -315,19 +315,18 @@ let test_ctl_budget_abandons () =
   let tr = Transport.create e topo ~rng:(Rng.create 3) () in
   let f = Faults.create ~hosts:2 ~rng:(Rng.create 4) () in
   Transport.set_faults tr f;
+  let rt =
+    {
+      Peer.send = Transport.send tr;
+      local_time = (fun _ -> Engine.now e);
+      latency = (fun _ _ -> 0.005);
+      set_timer = (fun _ ~after fn -> Engine.schedule e ~after fn);
+      cancel_timer = Engine.cancel e;
+      compile = Mortar_core.Op.compile;
+    }
+  in
   let mk self =
-    Peer.create
-      ~config:{ Peer.default_config with Peer.ctl_retries = 4 }
-      {
-        Peer.self;
-        send = (fun ~dst ~size ~kind p -> Transport.send tr ~src:self ~dst ~size ~kind p);
-        local_time = (fun () -> Engine.now e);
-        latency_to = (fun _ -> 0.005);
-        set_timer =
-          (fun ~after fn -> Engine.schedule e ~after fn);
-        cancel_timer = Engine.cancel e;
-        rng = Rng.create 7;
-      }
+    Peer.create ~config:{ Peer.default_config with Peer.ctl_retries = 4 } rt ~self ~rng:(Rng.create 7)
   in
   let p0 = mk 0 and p1 = mk 1 in
   Transport.register tr 0 (fun ~src m -> Peer.receive p0 ~src m);

@@ -370,16 +370,15 @@ let lone_peer () =
   let e = Engine.create () in
   let rt =
     {
-      Peer.self = 0;
-      send = (fun ~dst:_ ~size:_ ~kind:_ _ -> ());
-      local_time = (fun () -> Engine.now e);
-      latency_to = (fun _ -> 0.01);
-      set_timer = (fun ~after f -> Engine.schedule e ~after f);
+      Peer.send = (fun ~src:_ ~dst:_ ~size:_ ~kind:_ _ -> ());
+      local_time = (fun _ -> Engine.now e);
+      latency = (fun _ _ -> 0.01);
+      set_timer = (fun _ ~after f -> Engine.schedule e ~after f);
       cancel_timer = Engine.cancel e;
-      rng = Mortar_util.Rng.create 5;
+      compile = Op.compile;
     }
   in
-  (Peer.create rt, e)
+  (Peer.create rt ~self:0 ~rng:(Mortar_util.Rng.create 5), e)
 
 (* Upper bounds on reachable words (64-bit, OCaml 5.1). An idle peer
    measures 224 words and a one-instance root after 10 s 843, with each
@@ -543,7 +542,7 @@ let prop_partner_set_matches_oracle =
       make ~print:(fun l -> String.concat "; " (List.map show_partner_op l))
         Gen.(list_size (int_bound 80) gen_partner_op))
     (fun ops ->
-      let ps = Partner_set.create ~timeout and o = Partner_oracle.create ~timeout in
+      let ps = Partner_set.create () and o = Partner_oracle.create ~timeout in
       let now = ref 0.0 in
       List.for_all
         (fun (dt, op) ->
@@ -583,8 +582,8 @@ let prop_partner_set_matches_oracle =
           && Partner_set.length ps = Partner_oracle.length o
           && List.for_all
                (fun n ->
-                 Partner_set.alive ps n ~now = Partner_oracle.alive o n ~now
-                 && Partner_set.confirmed_alive ps n ~now
+                 Partner_set.alive ps n ~now ~timeout = Partner_oracle.alive o n ~now
+                 && Partner_set.confirmed_alive ps n ~now ~timeout
                     = Partner_oracle.confirmed_alive o n ~now)
                (List.init 13 Fun.id))
         ops)

@@ -20,15 +20,14 @@ let test_view_of_treeset () =
   Alcotest.(check int) "parents per tree" 3 (Array.length v.Query.parents);
   Array.iteri
     (fun k p ->
-      match p with
-      | Some parent ->
-        Alcotest.(check (option int)) "parent matches treeset" (Some parent)
-          (Treeset.parent ts ~tree:k 17)
-      | None -> Alcotest.fail "non-root has parents")
+      if p = Query.no_parent then Alcotest.fail "non-root has parents"
+      else
+        Alcotest.(check (option int)) "parent matches treeset" (Some p)
+          (Treeset.parent ts ~tree:k 17))
     v.Query.parents;
   let vr = Query.view_of_treeset ts 0 in
   Array.iter
-    (fun p -> Alcotest.(check bool) "root has no parent" true (p = None))
+    (fun p -> Alcotest.(check bool) "root has no parent" true (p = Query.no_parent))
     vr.Query.parents;
   Array.iteri
     (fun k h ->
@@ -84,9 +83,9 @@ let test_neighbors () =
   let v = Query.view_of_treeset ts 9 in
   let neighbors = Query.neighbors v in
   Array.iter
-    (function
-      | Some p -> Alcotest.(check bool) "parents included" true (List.mem p neighbors)
-      | None -> ())
+    (fun p ->
+      if p <> Query.no_parent then
+        Alcotest.(check bool) "parents included" true (List.mem p neighbors))
     v.Query.parents;
   Array.iter
     (List.iter (fun c -> Alcotest.(check bool) "children included" true (List.mem c neighbors)))

@@ -10,7 +10,7 @@ let rng = Mortar_util.Rng.create 55
    tree 1: level 3, parent 11, children [22]     (heights 4 both) *)
 let view : Query.node_view =
   {
-    Query.parents = [| Some 10; Some 11 |];
+    Query.parents = [| 10; 11 |];
     children = [| [ 20; 21 ]; [ 22 ] |];
     levels = [| 2; 3 |];
     heights = [| 4; 4 |];
@@ -20,7 +20,7 @@ let view : Query.node_view =
 
 let root_view : Query.node_view =
   {
-    Query.parents = [| None; None |];
+    Query.parents = [| Query.no_parent; Query.no_parent |];
     children = [| [ 1 ]; [ 2 ] |];
     levels = [| 0; 0 |];
     heights = [| 4; 4 |];
