@@ -48,6 +48,7 @@ type 'm t = {
   mins : float array; (* per batch: earliest time, [infinity] when empty *)
   scratch : scratch array; (* per destination *)
   mutable parity : int; (* the batch set posts go to *)
+  mutable blank : 'm option; (* the first payload ever posted *)
 }
 
 let create ~shards =
@@ -62,6 +63,7 @@ let create ~shards =
       Array.init shards (fun _ ->
           { ktimes = [||]; keys = [||]; tmp_times = [||]; tmp_keys = [||] });
     parity = 0;
+    blank = None;
   }
 
 let[@inline] index t ~parity ~src_shard ~dst_shard =
@@ -97,6 +99,7 @@ let append b ~src ~dst ~kind payload =
 let[@inline][@lint.hot] post t ~src_shard ~dst_shard ~time ~src ~dst ~kind payload =
   let i = index t ~parity:t.parity ~src_shard ~dst_shard in
   let b = t.batches.(i) in
+  (match t.blank with None -> t.blank <- Some payload | Some _ -> ());
   let pos = append b ~src ~dst ~kind payload in
   b.times.(pos) <- time;
   if time < t.mins.(i) then t.mins.(i) <- time
@@ -194,12 +197,15 @@ let[@lint.hot] drain t ~dst_shard f =
       let key = ky.(k) in
       f t.batches.(index t ~parity:p ~src_shard:(key lsr 32) ~dst_shard) (key land 0xffff_ffff)
     done;
-    (* Overwrite delivered payloads with the batch's first, so a drained
-       batch keeps at most one message reachable until its next posts. *)
+    (* Overwrite delivered payloads with the first payload ever posted,
+       so a drained batch keeps no message of its own reachable: the
+       batches outlive their traffic (one per ordered shard pair and
+       parity), and each kept one until its next post. *)
+    let blank = match t.blank with Some m -> m | None -> assert false in
     for s = 0 to t.shards - 1 do
       let i = index t ~parity:p ~src_shard:s ~dst_shard in
       let b = t.batches.(i) in
-      if b.len > 1 then Array.fill b.payloads 1 (b.len - 1) b.payloads.(0);
+      Array.fill b.payloads 0 b.len blank;
       b.len <- 0;
       t.mins.(i) <- infinity
     done
