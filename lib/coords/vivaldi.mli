@@ -10,9 +10,6 @@
 
     Coordinates predict one-way latency by Euclidean distance (seconds). *)
 
-type node
-(** Per-node Vivaldi state. *)
-
 type system
 (** A set of Vivaldi nodes converging against a topology. *)
 

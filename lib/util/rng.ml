@@ -1,21 +1,28 @@
-type t = { mutable state : int64 }
+(* The 64-bit state in 8 bytes: reading and writing it through the
+   bytes primitives keeps it unboxed, so a draw allocates nothing, and a
+   generator costs three words instead of a record and a boxed [int64]. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_le t 0 s;
+  t
 
-let mix64 z =
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let s = Int64.add (Bytes.get_int64_le t 0) golden_gamma in
+  Bytes.set_int64_le t 0 s;
+  mix64 s
 
-let split t =
-  let s = bits64 t in
-  { state = s }
+let split t = of_state (bits64 t)
 
 let int t bound =
   assert (bound > 0);
@@ -23,7 +30,7 @@ let int t bound =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
   r mod bound
 
-let float_unit t =
+let[@inline] float_unit t =
   (* 53 random bits into [0, 1). *)
   let r = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int r /. 9007199254740992.0
@@ -34,7 +41,7 @@ let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let uniform t lo hi = lo +. (float_unit t *. (hi -. lo))
 
-let gaussian t ~mu ~sigma =
+let[@inline] gaussian t ~mu ~sigma =
   (* Box-Muller; guard against log 0. *)
   let u1 = max (float_unit t) 1e-300 in
   let u2 = float_unit t in

@@ -290,6 +290,64 @@ let test_vivaldi_predicts_neighbors () =
   Alcotest.(check bool) "close pairs closer in coordinate space" true
     (mean !close < mean !far)
 
+(* The vector form of Vivaldi that the flat in-place one replaced: one
+   record per node and fresh vectors per sample. *)
+module Vivaldi_vectors = struct
+  type node = { mutable coord : Vec.t; mutable error : float }
+
+  let observe n ~rng ~remote ~remote_error ~rtt =
+    let w =
+      let denom = n.error +. remote_error in
+      if denom <= 0.0 then 0.5 else n.error /. denom
+    in
+    let predicted = Vec.dist n.coord remote in
+    let sample_error = if rtt > 0.0 then abs_float (predicted -. rtt) /. rtt else 0.0 in
+    n.error <- (sample_error *. 0.25 *. w) +. (n.error *. (1.0 -. (0.25 *. w)));
+    if n.error > 1.0 then n.error <- 1.0;
+    let delta = 0.25 *. w in
+    let direction =
+      let d = Vec.sub n.coord remote in
+      let random_unit =
+        let v = Array.init (Vec.dim n.coord) (fun _ -> Rng.gaussian rng ~mu:0.0 ~sigma:1.0) in
+        Vec.unit_or v ~fallback:(Array.init (Vec.dim n.coord) (fun i -> if i = 0 then 1.0 else 0.0))
+      in
+      Vec.unit_or d ~fallback:random_unit
+    in
+    let force = delta *. (rtt -. predicted) in
+    n.coord <- Vec.add n.coord (Vec.scale force direction)
+
+  let converge topo ~rng ~rounds ~samples =
+    let n = Mortar_net.Topology.hosts topo in
+    let nodes =
+      Array.init n (fun _ ->
+          { coord = Array.init 3 (fun _ -> Rng.uniform rng (-0.001) 0.001); error = 1.0 })
+    in
+    for _ = 1 to rounds do
+      Array.iteri
+        (fun i node ->
+          for _ = 1 to samples do
+            let j = Rng.int rng n in
+            if j <> i then
+              observe node ~rng ~remote:nodes.(j).coord ~remote_error:nodes.(j).error
+                ~rtt:(Mortar_net.Topology.latency topo i j)
+          done)
+        nodes
+    done;
+    Array.map (fun nd -> nd.coord) nodes
+end
+
+let test_vivaldi_bit_identical () =
+  let topo = Mortar_net.Topology.transit_stub (Rng.create 5) ~transits:8 ~stubs:34 ~hosts:2000 () in
+  let expected = Vivaldi_vectors.converge topo ~rng:(Rng.create 31) ~rounds:12 ~samples:8 in
+  let s = Vivaldi.create topo ~rng:(Rng.create 31) () in
+  Vivaldi.converge s ~rounds:12 ~samples:8;
+  let bits c = Array.map Int64.bits_of_float c in
+  Array.iteri
+    (fun h c ->
+      if bits c <> bits expected.(h) then
+        Alcotest.failf "host %d: coordinate differs from the vector form" h)
+    (Vivaldi.coordinates s)
+
 let tests =
   [
     Alcotest.test_case "kmeans recovers blobs" `Quick test_kmeans_recovers_blobs;
@@ -303,6 +361,7 @@ let tests =
     Alcotest.test_case "vivaldi converges" `Quick test_vivaldi_converges;
     Alcotest.test_case "vivaldi coordinates move" `Quick test_vivaldi_error_estimates_shrink;
     Alcotest.test_case "vivaldi predicts neighbors" `Quick test_vivaldi_predicts_neighbors;
+    Alcotest.test_case "vivaldi in place = vector form" `Quick test_vivaldi_bit_identical;
     QCheck_alcotest.to_alcotest prop_kmeans_matches_oracle;
     Alcotest.test_case "kmeans re-seed = Vec oracle" `Quick test_kmeans_reseed_matches_oracle;
   ]
