@@ -12,10 +12,15 @@
    - `--scale`: a short fig14-style aggregation round per host count of
      a ladder (240/680 with `--quick`, else 680/2000/10000/100000;
      `--hosts N,N,..` picks the rungs), the one tool for the 100k-1M
-     rungs that perfbench/ does not reach. `--shards N` sets the domain
+     rungs that perfbench/ does not reach. `--domains N` sets the domain
      count. Each rung is one JSON line in `--out` (default
      `results/BENCH_SCALE.jsonl`), shaped as a `results/BENCH.jsonl` row
      minus `"pr"`: adding `"pr"` is all it takes to append it there.
+
+   - `--census`: live words per host by part of the state (peer rows,
+     shard batches, transport, engines, ...) at the end of a steady
+     interval, for the benchmark's agg and mlq shapes (`--shapes agg,mlq`,
+     `--seed N`, default 100; `--quick` for their tiny sizes).
 
    `--history FILE` checks the rows of an append-only history such as
    `results/BENCH.jsonl`. It runs before any mode, and without a mode
@@ -26,8 +31,10 @@
      dune exec bench/main.exe [-- --micro]
      dune exec bench/main.exe -- --smoke
      dune exec bench/main.exe -- --history FILE
-     dune exec bench/main.exe -- --scale [--quick] [--shards N] [--hosts N,N,..]
+     dune exec bench/main.exe -- --scale [--quick] [--domains N] [--hosts N,N,..]
                                          [--out FILE.jsonl] [--history FILE]
+     dune exec bench/main.exe -- --census [--quick] [--shapes agg,mlq] [--seed N]
+                                          [--domains N]
 *)
 
 
@@ -433,7 +440,7 @@ module Scale = struct
       "seed"; "nproc"; "ocaml"; "git_rev" ]
 
   (* One rung as a BENCH.jsonl row minus "pr", with perfbench's metadata:
-     [domains] is the execution width (`--shards`), [shards] the
+     [domains] is the execution width (`--domains`), [shards] the
      deployment's logical stub shards. [heap_kb_per_host] is the process's
      peak major heap so far over this rung's hosts: exact on an ascending
      ladder (the default), an upper bound for a rung after a larger one. *)

@@ -35,16 +35,16 @@ let trace_out_arg =
 (* Execution width of the sharded simulation runtime. Output is
    byte-identical for every value (the logical decomposition is fixed by
    the topology); this only sets how many domains run shard slices. *)
-let shards_arg =
+let domains_arg =
   Arg.(
     value
     & opt int 1
-    & info [ "shards" ] ~docv:"N"
+    & info [ "domains" ] ~docv:"N"
         ~doc:
           "Run the simulation on $(docv) domains (OCaml 5 only; 1 = sequential). Results \
            are byte-identical for any N.")
 
-let set_shards n = Mortar_emul.Deployment.default_domains := max 1 n
+let set_domains n = Mortar_emul.Deployment.default_domains := max 1 n
 
 let with_obs ~metrics_out ~trace_out f =
   if metrics_out <> None || trace_out <> None then begin
@@ -64,9 +64,9 @@ let experiments_cmd =
     Arg.(value & flag & info [ "quick" ] ~doc:"Scaled-down configurations (fast).")
   in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
-  let run quick shards metrics_out trace_out ids =
+  let run quick domains metrics_out trace_out ids =
     setup_registry ();
-    set_shards shards;
+    set_domains domains;
     match ids with
     | [] ->
       with_obs ~metrics_out ~trace_out (fun () ->
@@ -97,7 +97,7 @@ let experiments_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ quick $ shards_arg $ metrics_out_arg $ trace_out_arg $ ids))
+        (const run $ quick $ domains_arg $ metrics_out_arg $ trace_out_arg $ ids))
 
 let list_cmd =
   let run () =
@@ -128,9 +128,9 @@ let run_cmd =
   let sensor_rate =
     Arg.(value & opt float 1.0 & info [ "rate" ] ~doc:"Sensor tuples per second per node.")
   in
-  let run file hosts duration sensor_rate shards metrics_out trace_out =
+  let run file hosts duration sensor_rate domains metrics_out trace_out =
     Mortar_wifi.Wifi.register_trilat ();
-    set_shards shards;
+    set_domains domains;
     let text =
       let ic = open_in file in
       let n = in_channel_length ic in
@@ -204,7 +204,7 @@ let run_cmd =
   Cmd.v info
     Term.(
       ret
-        (const run $ file $ hosts $ duration $ sensor_rate $ shards_arg $ metrics_out_arg
+        (const run $ file $ hosts $ duration $ sensor_rate $ domains_arg $ metrics_out_arg
        $ trace_out_arg))
 
 let main =

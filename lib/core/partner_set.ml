@@ -91,11 +91,11 @@ let reconcile_due t node ~now ~min_gap =
   end
   else false
 
-let[@lint.hot] alive t node ~now ~timeout =
+let[@lint.hot][@inline] alive t node ~now ~timeout =
   let i = search t.keys t.n node in
   i < 0 || now -. t.last_heard.(i) < timeout
 
-let[@lint.hot] confirmed_alive t node ~now ~timeout =
+let[@lint.hot][@inline] confirmed_alive t node ~now ~timeout =
   let i = search t.keys t.n node in
   i >= 0 && now -. t.last_confirmed.(i) < timeout
 

@@ -238,8 +238,8 @@ let now t =
    the next call).
 
    The epoch structure depends only on event times and the topology's
-   lookahead — never on [domains] — which is what makes `--shards N`
-   byte-identical to `--shards 1`. *)
+   lookahead — never on [domains] — which is what makes `--domains N`
+   byte-identical to `--domains 1`. *)
 
 let min_next_shard sh =
   Array.fold_left

@@ -40,7 +40,7 @@ val create_sharded :
 
 val default_domains : int ref
 (** Execution width used by {!create_sharded} when [?domains] is not
-    given; the CLI's [--shards] flag sets it. Default [1]. *)
+    given; the CLI's [--domains] flag sets it. Default [1]. *)
 
 val shard_count : t -> int
 (** Logical shards: populated stub domains of the topology. *)

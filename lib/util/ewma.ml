@@ -17,6 +17,6 @@ let update t x =
 
 let value t = if Float.equal t.samples 0.0 then None else Some t.current
 
-let value_or t default = if Float.equal t.samples 0.0 then default else t.current
+let[@inline] value_or t default = if Float.equal t.samples 0.0 then default else t.current
 
 let samples t = int_of_float t.samples

@@ -125,6 +125,64 @@ let test_harness_smoke () =
   Alcotest.(check bool) "bandwidth accounted" true
     (Mortar_experiments.Harness.mbps (Mortar_experiments.Harness.deployment h) 15.0 30.0 > 0.0)
 
+(* Live-state budget: a 400-host deployment in 8 stubs carrying one sum
+   and one HLL query over every host, censused at 12 s. The budgets are
+   about 10 % above the measured words per host (64-bit, OCaml 5.1):
+   TS lists 127.1, evicted-window marks 75.7, views 44.0, compiled
+   operators 0.7, instance records 78.1, partner set 66.4, instance
+   storage 3.0, cold tables 49.0 (the two roots' plans), volatile record
+   15.0, peer record 41.4, and 698.1 for everything the deployment
+   reaches. *)
+let census_budgets =
+  [ ("TS lists", 140); ("emitted maps", 83); ("node views", 48); ("compiled operators", 2);
+    ("instance records", 86); ("partner set", 73); ("instance storage", 4); ("cold tables", 54);
+    ("volatile record", 17); ("peer record, runtime, RNGs, counts", 46) ]
+
+let total_budget = 768
+
+let test_census_budget () =
+  let hosts = 400 in
+  let topo = Mortar_net.Topology.transit_stub (Rng.create 7) ~transits:4 ~stubs:8 ~hosts () in
+  let d = D.create_sharded ~seed:7 topo in
+  let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
+  let query ~name ~root ~source ~op =
+    let treeset = D.plan_random d ~bf:16 ~d:2 ~root ~nodes:(Array.of_list (List.filter (( <> ) root) (0 :: Array.to_list nodes))) () in
+    let meta =
+      Mortar_core.Query.make_meta ~name ~source ~op ~window:(Mortar_core.Window.tumbling 1.0)
+        ~root ~degree:2 ~total_nodes:hosts ()
+    in
+    D.at d 1.0 (fun () -> Peer.install_query (D.peer d root) meta treeset)
+  in
+  query ~name:"sum" ~root:0 ~source:"cpu" ~op:Mortar_core.Op.Sum;
+  query ~name:"hll" ~root:1 ~source:"net" ~op:(Mortar_core.Op.Sketch_hll { b = 11; seed = 3 });
+  for h = 0 to hosts - 1 do
+    D.sensor d ~node:h ~stream:"cpu" ~period:1.0 (fun _ -> Value.Int 1);
+    D.sensor d ~node:h ~stream:"net" ~period:1.0 (fun _ -> Value.Int h)
+  done;
+  D.run_until d 12.0;
+  let rows = D.census d in
+  let per w = w / hosts in
+  let row label = List.find (fun (r : Mortar_util.Census.row) -> r.label = label) rows in
+  List.iter
+    (fun (label, budget) ->
+      let w = per (row label).words in
+      Alcotest.(check bool) (Printf.sprintf "%s: %d words per host <= %d" label w budget) true
+        (w <= budget))
+    census_budgets;
+  let total = per (List.fold_left (fun acc (r : Mortar_util.Census.row) -> acc + r.words) 0 rows) in
+  Alcotest.(check bool) (Printf.sprintf "total %d words per host <= %d" total total_budget) true
+    (total <= total_budget);
+  let floats =
+    List.fold_left
+      (fun acc (label, _) -> acc + (row label).boxed_float_words)
+      0 census_budgets
+  in
+  (* Only shared blocks may hold one: the config's three floats and the
+     queries' windows, a few words for the whole deployment. One boxed
+     float per host would add 800. *)
+  Alcotest.(check bool) (Printf.sprintf "%d boxed float words in peer state <= 16" floats) true
+    (floats <= 16)
+
 let tests =
   [
     Alcotest.test_case "deployment basics" `Quick test_deployment_basics;
@@ -135,4 +193,5 @@ let tests =
     Alcotest.test_case "msg wire sizes" `Quick test_msg_wire_sizes_monotone;
     Alcotest.test_case "install size scales" `Quick test_install_message_size_scales_with_chunk;
     Alcotest.test_case "harness smoke" `Slow test_harness_smoke;
+    Alcotest.test_case "live-state budget" `Quick test_census_budget;
   ]

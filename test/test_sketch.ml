@@ -9,7 +9,7 @@
      sketches (Count-Min, AGMS), within the advertised error for HLL;
    - serialization is a pure function of the cell contents, so equal
      sketches are byte-identical however they were built (this is what
-     makes the --shards 1 vs --shards 4 contract hold for sketch
+     makes the --domains 1 vs --domains 4 contract hold for sketch
      queries — see Test_parallel);
    - the codec rejects truncated, oversized and mistagged inputs
      instead of constructing a corrupt sketch;
