@@ -26,22 +26,14 @@ let build ~hosts ~seed =
   let topo = Mortar_net.Topology.transit_stub rng ~transits:8 ~stubs:34 ~hosts () in
   let engine = Engine.create () in
   let transport = Transport.create engine topo ~rng:(Mortar_util.Rng.split rng) () in
-  let nodes =
-    Array.init hosts (fun i ->
-        let rt : Sdims.runtime =
-          {
-            Sdims.self = i;
-            send =
-              (fun ~dst ~size ~kind msg ->
-                Transport.send transport ~src:i ~dst ~size ~kind msg);
-            local_time = (fun () -> Engine.now engine);
-            set_timer =
-              (fun ~after f -> Engine.schedule engine ~after f);
-            rng = Mortar_util.Rng.split rng;
-          }
-        in
-        Sdims.create rt)
+  let rt : Sdims.runtime =
+    {
+      Sdims.send = Transport.send transport;
+      local_time = (fun _ -> Engine.now engine);
+      set_timer = (fun _ ~after f -> Engine.schedule engine ~after f);
+    }
   in
+  let nodes = Array.init hosts (fun i -> Sdims.create rt ~self:i ~rng:(Mortar_util.Rng.split rng)) in
   Array.iteri
     (fun i node -> Transport.register transport i (fun ~src m -> Sdims.receive node ~src m))
     nodes;

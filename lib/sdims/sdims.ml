@@ -28,11 +28,9 @@ type timer = Mortar_sim.Engine.handle
 let no_timer = Mortar_sim.Engine.no_handle
 
 type runtime = {
-  self : int;
-  send : dst:int -> size:int -> kind:string -> msg -> unit;
-  local_time : unit -> float;
-  set_timer : after:float -> (unit -> unit) -> timer;
-  rng : Rng.t;
+  send : src:int -> dst:int -> size:int -> kind:string -> msg -> unit;
+  local_time : int -> float;
+  set_timer : int -> after:float -> (unit -> unit) -> timer;
 }
 
 (* Timer settings of §7.2.3, in seconds. *)
@@ -57,7 +55,9 @@ type attribute = {
 }
 
 type t = {
-  rt : runtime;
+  self : int;
+  rt : runtime; (* shared by every node *)
+  rng : Rng.t;
   state : Routing_state.t;
   attrs : (string, attribute) Hashtbl.t;
   id_to_host : (int64, int) Hashtbl.t;
@@ -68,10 +68,12 @@ type t = {
 
 let id_of_host host = Id.hash_host host
 
-let create rt =
+let create rt ~self ~rng =
   {
+    self;
     rt;
-    state = Routing_state.create ~self:(id_of_host rt.self) ~leaf_radius:8;
+    rng;
+    state = Routing_state.create ~self:(id_of_host self) ~leaf_radius:8;
     attrs = Hashtbl.create 4;
     id_to_host = Hashtbl.create 64;
     members = [];
@@ -79,12 +81,12 @@ let create rt =
     probe_handlers = [];
   }
 
-let now t = t.rt.local_time ()
+let now t = t.rt.local_time t.self
 
 let host_of t id = Hashtbl.find_opt t.id_to_host (Id.to_int64 id)
 
 let learn t host =
-  if host <> t.rt.self then begin
+  if host <> t.self then begin
     let id = id_of_host host in
     Hashtbl.replace t.id_to_host (Id.to_int64 id) host;
     Routing_state.add t.state id
@@ -92,7 +94,7 @@ let learn t host =
 
 let send_to_id t id ~kind msg =
   match host_of t id with
-  | Some dst -> t.rt.send ~dst ~size:(msg_size msg) ~kind msg
+  | Some dst -> t.rt.send ~src:t.self ~dst ~size:(msg_size msg) ~kind msg
   | None -> ()
 
 let declare_dead t id =
@@ -142,7 +144,7 @@ let push_up t query =
 let rec publish_tick t query =
   push_up t query;
   let a = attribute t query in
-  a.publish_timer <- t.rt.set_timer ~after:publish_period (fun () -> publish_tick t query)
+  a.publish_timer <- t.rt.set_timer t.self ~after:publish_period (fun () -> publish_tick t query)
 
 let set_local t ~query v =
   let a = attribute t query in
@@ -150,8 +152,8 @@ let set_local t ~query v =
   if a.publish_timer = no_timer then
     (* Desynchronise publishers. *)
     a.publish_timer <-
-      t.rt.set_timer
-        ~after:(Rng.float t.rt.rng publish_period)
+      t.rt.set_timer t.self
+        ~after:(Rng.float t.rng publish_period)
         (fun () -> publish_tick t query)
 
 (* ------------------------------------------------------------------ *)
@@ -179,7 +181,7 @@ let ping_leaves t =
   let n = List.length known in
   if n > 0 then
     for _ = 1 to min 6 n do
-      check (List.nth known (Rng.int t.rt.rng n))
+      check (List.nth known (Rng.int t.rng n))
     done
 
 let leaf_repair t =
@@ -190,17 +192,17 @@ let leaf_repair t =
     match t.members with
     | [] -> ()
     | members -> (
-      let candidates = List.filter (fun h -> h <> t.rt.self) members in
+      let candidates = List.filter (fun h -> h <> t.self) members in
       match candidates with
       | [] -> ()
       | _ ->
-        let dst = Rng.pick_list t.rt.rng candidates in
-        t.rt.send ~dst ~size:(msg_size Leafset_request) ~kind:"control" Leafset_request))
+        let dst = Rng.pick_list t.rng candidates in
+        t.rt.send ~src:t.self ~dst ~size:(msg_size Leafset_request) ~kind:"control" Leafset_request))
   | leaves -> (
-    let id = Rng.pick_list t.rt.rng leaves in
+    let id = Rng.pick_list t.rng leaves in
     match host_of t id with
     | Some dst ->
-      t.rt.send ~dst ~size:(msg_size Leafset_request) ~kind:"control" Leafset_request
+      t.rt.send ~src:t.self ~dst ~size:(msg_size Leafset_request) ~kind:"control" Leafset_request
     | None -> ())
 
 let route_repair t =
@@ -212,8 +214,8 @@ let route_repair t =
   | members ->
     let sample_size = min 8 (List.length members) in
     for _ = 1 to sample_size do
-      let host = Rng.pick_list t.rt.rng members in
-      if host <> t.rt.self then begin
+      let host = Rng.pick_list t.rng members in
+      if host <> t.self then begin
         let id = id_of_host host in
         (* Only re-add nodes not currently believed dead: believed-dead
            nodes return via Pong / leaf replies. *)
@@ -224,22 +226,22 @@ let route_repair t =
 let bootstrap t ~members =
   t.members <- members;
   List.iter (learn t) members;
-  let jitter period = Rng.float t.rt.rng period in
+  let jitter period = Rng.float t.rng period in
   let rec ping_loop () =
     ping_leaves t;
-    ignore (t.rt.set_timer ~after:ping_period ping_loop)
+    ignore (t.rt.set_timer t.self ~after:ping_period ping_loop)
   in
   let rec leaf_loop () =
     leaf_repair t;
-    ignore (t.rt.set_timer ~after:leaf_maintenance leaf_loop)
+    ignore (t.rt.set_timer t.self ~after:leaf_maintenance leaf_loop)
   in
   let rec route_loop () =
     route_repair t;
-    ignore (t.rt.set_timer ~after:route_maintenance route_loop)
+    ignore (t.rt.set_timer t.self ~after:route_maintenance route_loop)
   in
-  ignore (t.rt.set_timer ~after:(jitter ping_period) ping_loop);
-  ignore (t.rt.set_timer ~after:(jitter leaf_maintenance) leaf_loop);
-  ignore (t.rt.set_timer ~after:(jitter route_maintenance) route_loop)
+  ignore (t.rt.set_timer t.self ~after:(jitter ping_period) ping_loop);
+  ignore (t.rt.set_timer t.self ~after:(jitter leaf_maintenance) leaf_loop);
+  ignore (t.rt.set_timer t.self ~after:(jitter route_maintenance) route_loop)
 
 (* ------------------------------------------------------------------ *)
 (* Messages.                                                            *)
@@ -253,19 +255,19 @@ let probe t ~query =
     (* We are the root ourselves. *)
     let value, count = aggregate t query in
     List.iter (fun f -> f ~query ~value ~count) t.probe_handlers
-  | Some hop -> send_to_id t hop ~kind:"control" (Probe { query; origin = t.rt.self })
+  | Some hop -> send_to_id t hop ~kind:"control" (Probe { query; origin = t.self })
 
 let receive t ~src msg =
   learn t src;
   Hashtbl.replace t.last_heard (Id.to_int64 (id_of_host src)) (now t);
   match msg with
-  | Ping -> t.rt.send ~dst:src ~size:(msg_size Pong) ~kind:"control" Pong
+  | Ping -> t.rt.send ~src:t.self ~dst:src ~size:(msg_size Pong) ~kind:"control" Pong
   | Pong -> ()
   | Leafset_request ->
     let members =
       List.filter_map (fun id -> host_of t id) (Routing_state.leaves t.state)
     in
-    t.rt.send ~dst:src
+    t.rt.send ~src:t.self ~dst:src
       ~size:(msg_size (Leafset_reply { members }))
       ~kind:"control"
       (Leafset_reply { members })
@@ -281,7 +283,7 @@ let receive t ~src msg =
     match Routing_state.next_hop t.state key with
     | None ->
       let value, count = aggregate t query in
-      t.rt.send ~dst:origin
+      t.rt.send ~src:t.self ~dst:origin
         ~size:(msg_size (Probe_reply { query; value; count }))
         ~kind:"control"
         (Probe_reply { query; value; count })

@@ -40,16 +40,18 @@ type timer = Mortar_sim.Engine.handle
     {!Mortar_sim.Engine.no_handle} stands for "none armed". *)
 
 type runtime = {
-  self : int;
-  send : dst:int -> size:int -> kind:string -> msg -> unit;
-  local_time : unit -> float;
-  set_timer : after:float -> (unit -> unit) -> timer;
-  rng : Mortar_util.Rng.t;
+  send : src:int -> dst:int -> size:int -> kind:string -> msg -> unit;
+  local_time : int -> float; (** A node's clock. *)
+  set_timer : int -> after:float -> (unit -> unit) -> timer;
+      (** [set_timer node ~after f]. *)
 }
+(** The environment, shared by every node: each function takes the node's
+    host id, as {!Mortar_core.Peer.runtime}'s do. *)
 
 type t
 
-val create : runtime -> t
+val create : runtime -> self:int -> rng:Mortar_util.Rng.t -> t
+(** The node of host [self], drawing from its own [rng]. *)
 
 val bootstrap : t -> members:int list -> unit
 (** Seed routing state with the full membership — the paper's federated

@@ -116,20 +116,14 @@ let build_world ~hosts =
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts () in
   let engine = Engine.create () in
   let transport = Transport.create engine topo ~rng:(Rng.split rng) () in
-  let nodes =
-    Array.init hosts (fun i ->
-        let rt : Sdims.runtime =
-          {
-            Sdims.self = i;
-            send = (fun ~dst ~size ~kind m -> Transport.send transport ~src:i ~dst ~size ~kind m);
-            local_time = (fun () -> Engine.now engine);
-            set_timer =
-              (fun ~after f -> Engine.schedule engine ~after f);
-            rng = Rng.split rng;
-          }
-        in
-        Sdims.create rt)
+  let rt : Sdims.runtime =
+    {
+      Sdims.send = Transport.send transport;
+      local_time = (fun _ -> Engine.now engine);
+      set_timer = (fun _ ~after f -> Engine.schedule engine ~after f);
+    }
   in
+  let nodes = Array.init hosts (fun i -> Sdims.create rt ~self:i ~rng:(Rng.split rng)) in
   Array.iteri (fun i n -> Transport.register transport i (fun ~src m -> Sdims.receive n ~src m)) nodes;
   let members = List.init hosts Fun.id in
   Array.iter (fun n -> Sdims.bootstrap n ~members) nodes;
