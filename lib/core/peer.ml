@@ -1638,8 +1638,8 @@ let crash t =
     Obs.set_gauge ~scope:(Obs.Node t.self) "peer.blackholed" 0.0;
   t.v <- volatile ()
 
-(* Cancel first: a host in two overlapping crash windows is restarted
-   twice, and must not end up with two heartbeat timers. *)
+(* Cancel first: a restart of a process that was never crashed must not
+   leave it two heartbeat timers. *)
 let restart t =
   t.rt.cancel_timer t.v.hb_timer;
   t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)

@@ -65,6 +65,7 @@ type t = {
   mutable exported : int array;
   sensors : sensors;
   tick : int -> unit; (* fires sensor row [i] *)
+  crash_windows : int array; (* per host: crash windows open now *)
 }
 
 let default_domains = ref 1
@@ -188,7 +189,7 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
       match Par.Ctx.get () with Some sid -> sh.regs.(sid) | None -> sh.ctl_sink);
   let sensors = sensor_rows () in
   { engine; topo; transport = transports.(0); faults; clocks; peers; rng; vivaldi = None; sh;
-    exported = [||]; sensors;
+    exported = [||]; sensors; crash_windows = Array.make n 0;
     tick = sensor_tick ~engine_of:(fun h -> engines.(shard_of.(h))) ~peers sensors }
 
 let topology t = t.topo
@@ -510,13 +511,31 @@ let windowed t ~desc ~from ~until install =
 (* A crashed host is down: at [at] its process stops and loses all
    in-memory state (Peer.crash); at [recover_at] it restarts empty and
    reconciliation has to re-install its queries. [victims] is evaluated
-   when the crash fires. *)
+   when the crash fires. Windows of one host may overlap (independent
+   churn draws, a correlated kill of a stub): the host is down while any
+   of them is open, so it crashes when the first opens and restarts when
+   the last closes. *)
 let crash_window t ~victims ~at:down_at ~recover_at =
-  let each nodes f up = List.iter (fun v -> f t.peers.(v); set_up t v up) nodes in
+  let open_ = t.crash_windows in
   at t down_at (fun () ->
       let nodes = victims () in
-      each nodes Peer.crash false;
-      at t recover_at (fun () -> each nodes Peer.restart true))
+      List.iter
+        (fun v ->
+          open_.(v) <- open_.(v) + 1;
+          if open_.(v) = 1 then begin
+            Peer.crash t.peers.(v);
+            set_up t v false
+          end)
+        nodes;
+      at t recover_at (fun () ->
+          List.iter
+            (fun v ->
+              open_.(v) <- open_.(v) - 1;
+              if open_.(v) = 0 then begin
+                Peer.restart t.peers.(v);
+                set_up t v true
+              end)
+            nodes))
 
 let schedule_fault t = function
   | Partition { a; from; until } ->

@@ -169,7 +169,9 @@ type fault_event =
           are cancelled and all in-memory state is lost
           ({!Mortar_core.Peer.crash}), and it leaves the network; at
           [recover_at] it rejoins as a fresh process
-          ({!Mortar_core.Peer.restart}). *)
+          ({!Mortar_core.Peer.restart}). A node in several overlapping
+          windows crashes once, when the first opens, and rejoins when
+          the last closes. *)
   | Correlated_crash of { stub : int; fraction : float; at : float; recover_at : float }
       (** {!Crash_recover} of a random [fraction] of one stub's hosts at
           once, drawn from the deployment RNG when the event fires. *)

@@ -240,6 +240,38 @@ let test_crash_silences_host () =
       Alcotest.(check int) "no sends while down" 0 (List.length sent_while_down);
       Alcotest.(check bool) "rejoined" true (Peer.has_query p Harness.query_name))
 
+(* Two overlapping crash windows on one host: it crashes once, when the
+   first opens, and stays down and silent until the later one closes. *)
+let test_overlapping_crashes () =
+  with_obs (fun () ->
+      let hosts = 32 and node = 5 and at = 12.0 and at2 = 17.0 in
+      let recover_at = 22.0 and recover_at2 = 32.0 in
+      let config = { Peer.default_config with Peer.self_heal = true; ctl_retries = 2 } in
+      let h = Harness.create ~seed:43 ~hosts ~transits:4 ~stubs:6 ~bf:4 ~config () in
+      let d = Harness.deployment h in
+      let p = D.peer d node in
+      let snapshot () = Array.map (Peer.count p) Peer.counters in
+      let down = ref [||] and up = ref [||] and up_between = ref true in
+      D.at d recover_at2 (fun () -> up := snapshot ());
+      D.schedule_faults d
+        [ D.Crash_recover { node; at; recover_at }; D.Crash_recover { node; at = at2; recover_at = recover_at2 } ];
+      D.at d at (fun () -> down := snapshot ());
+      D.at d 25.0 (fun () -> up_between := List.mem node (D.up_hosts d));
+      Harness.run_until h 60.0;
+      Alcotest.(check int) "crashed once" 1 (Peer.count p Peer.Crashes);
+      Alcotest.(check bool) "down after the first window closes" false !up_between;
+      Alcotest.(check (array int)) "no count moves while down" !down !up;
+      let sent_while_down =
+        List.filter
+          (function
+            | time, Obs.Tuple_drop { src; reason = "down"; _ } ->
+              src = node && time >= at && time < recover_at2
+            | _ -> false)
+          (Obs.Reg.events Obs.default)
+      in
+      Alcotest.(check int) "no sends while down" 0 (List.length sent_while_down);
+      Alcotest.(check bool) "rejoined" true (Peer.has_query p Harness.query_name))
+
 (* ------------------------------------------------------------------ *)
 (* Reliable control plane. *)
 
@@ -358,6 +390,7 @@ let tests =
     Alcotest.test_case "in-flight outlives sender" `Quick test_in_flight_outlives_sender;
     Alcotest.test_case "partition and heal scenario" `Slow test_partition_and_heal;
     Alcotest.test_case "crashed host is silent until restart" `Quick test_crash_silences_host;
+    Alcotest.test_case "overlapping crash windows" `Quick test_overlapping_crashes;
     Alcotest.test_case "retries improve installs" `Slow test_retries_improve_install_completeness;
     Alcotest.test_case "acks clear in-flight" `Quick test_ctl_ack_clears_in_flight;
     Alcotest.test_case "retry budget abandons" `Quick test_ctl_budget_abandons;
