@@ -19,8 +19,8 @@
 
    - `--census`: live words per host by part of the state (peer rows,
      shard batches, transport, engines, ...) at the end of a steady
-     interval, for the benchmark's agg and mlq shapes (`--shapes agg,mlq`,
-     `--seed N`, default 100; `--quick` for their tiny sizes).
+     interval of seed 100, for the benchmark's agg and mlq shapes
+     (`--quick` for their tiny sizes).
 
    `--history FILE` checks the rows of an append-only history such as
    `results/BENCH.jsonl`. It runs before any mode, and without a mode
@@ -33,8 +33,7 @@
      dune exec bench/main.exe -- --history FILE
      dune exec bench/main.exe -- --scale [--quick] [--domains N] [--hosts N,N,..]
                                          [--out FILE.jsonl] [--history FILE]
-     dune exec bench/main.exe -- --census [--quick] [--shapes agg,mlq] [--seed N]
-                                          [--domains N]
+     dune exec bench/main.exe -- --census [--quick] [--domains N]
 *)
 
 
@@ -608,10 +607,11 @@ module Census = struct
       actions;
     (d, 14.0)
 
-  let run ~quick ~domains ~seed ~shapes =
+  let seed = 100
+
+  let run ~quick ~domains =
     List.iter
-      (fun shape ->
-        let build = match shape with "agg" -> agg | "mlq" -> mlq | s -> failwith ("unknown shape " ^ s) in
+      (fun (shape, build) ->
         let d, until = build ~quick ~seed ~domains in
         D.run_until d until;
         let rows = D.census d in
@@ -632,7 +632,7 @@ module Census = struct
         Printf.printf "%-46s %8.1f\n" "outside the deployment" (live /. hosts -. per !deployment);
         Printf.printf "%-46s %8.1f\n" "total live (Gc.stat live words)" (live /. hosts);
         Printf.printf "%-46s %8.1f\n%!" "boxed floats in peer state" (per !peer_floats))
-      shapes
+      [ ("agg", agg); ("mlq", mlq) ]
 end
 
 let () =
@@ -667,11 +667,7 @@ let () =
     history;
   let domains = max 1 (int_of_string (Option.value (arg_opt "--domains") ~default:"1")) in
   if has "--smoke" then run_smoke ()
-  else if has "--census" then
-    Census.run ~quick:(has "--quick") ~domains
-      ~seed:(int_of_string (Option.value (arg_opt "--seed") ~default:"100"))
-      ~shapes:
-        (String.split_on_char ',' (Option.value (arg_opt "--shapes") ~default:"agg,mlq"))
+  else if has "--census" then Census.run ~quick:(has "--quick") ~domains
   else if has "--scale" then
     (* --hosts 680,10000 overrides the built-in host-count ladder. *)
     let hosts =

@@ -269,7 +269,7 @@ type volatile = {
   mutable cold : cold option;
   mutable hb_counter : int;
   mutable hb_timer : timer;
-  mutable digest_cache : string option;
+  mutable digest_cache : string; (* [""] when stale; a digest is 32 hex digits *)
 }
 
 let volatile () =
@@ -279,7 +279,7 @@ let volatile () =
     cold = None;
     hb_counter = 0;
     hb_timer = no_timer;
-    digest_cache = None;
+    digest_cache = "";
   }
 
 (* What survives a crash: the runtime and config, the handlers, the
@@ -420,21 +420,21 @@ let removed_pairs t =
   fold_cold tbl_removed t (fun name s acc -> (name, s) :: acc) [] |> List.sort compare
 
 let digest t =
-  match t.v.digest_cache with
-  | Some d -> d
-  | None ->
+  if String.length t.v.digest_cache > 0 then t.v.digest_cache
+  else begin
     let buf = Buffer.create 128 in
     List.iter
       (fun (n, s, _) -> Buffer.add_string buf (Printf.sprintf "i:%s#%d;" n s))
       (installed_triples t);
     List.iter (fun (n, s) -> Buffer.add_string buf (Printf.sprintf "r:%s#%d;" n s)) (removed_pairs t);
     let d = Digest.to_hex (Digest.string (Buffer.contents buf)) in
-    t.v.digest_cache <- Some d;
+    t.v.digest_cache <- d;
     d
+  end
 
 (* Every install/remove path that mutates [instances] or [removed] runs
    through here. *)
-let invalidate_digest t = t.v.digest_cache <- None
+let invalidate_digest t = t.v.digest_cache <- ""
 
 (* Whether table [sel] records [name] at [seqno] or later (a removal, or
    a query known not to include us). *)
