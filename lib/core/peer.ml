@@ -566,8 +566,12 @@ let slide_of (meta : Query.meta) =
    (in order). Exactly sized: most instances hold one or two raws. *)
 let push_raw inst b payload prov =
   let n = Array.length inst.raw_basis in
-  let grow a x = Array.init (n + 1) (fun i -> if i < n then a.(i) else x) in
-  inst.raw_basis <- Array.init (n + 1) (fun i -> if i < n then inst.raw_basis.(i) else b);
+  let grow a x =
+    let a' = Array.make (n + 1) x in
+    Array.blit a 0 a' 0 n;
+    a'
+  in
+  inst.raw_basis <- grow inst.raw_basis b;
   inst.raw_payload <- grow inst.raw_payload payload;
   inst.raw_prov <- grow inst.raw_prov prov
 
@@ -577,18 +581,26 @@ let keep_raws inst keep =
   for i = 0 to n - 1 do
     if keep i then incr kept
   done;
-  if !kept < n then begin
-    let idx = Array.make !kept 0 and j = ref 0 in
+  if !kept = 0 then begin
+    inst.raw_basis <- [||];
+    inst.raw_payload <- [||];
+    inst.raw_prov <- [||]
+  end
+  else if !kept < n then begin
+    let rb = Array.make !kept 0.0 in
+    let rv = Array.make !kept Value.Null and rp = Array.make !kept [] in
+    let j = ref 0 in
     for i = 0 to n - 1 do
       if keep i then begin
-        idx.(!j) <- i;
+        rb.(!j) <- inst.raw_basis.(i);
+        rv.(!j) <- inst.raw_payload.(i);
+        rp.(!j) <- inst.raw_prov.(i);
         incr j
       end
     done;
-    let rb = inst.raw_basis in
-    inst.raw_basis <- Array.init !kept (fun k -> rb.(idx.(k)));
-    inst.raw_payload <- Array.map (fun i -> inst.raw_payload.(i)) idx;
-    inst.raw_prov <- Array.map (fun i -> inst.raw_prov.(i)) idx
+    inst.raw_basis <- rb;
+    inst.raw_payload <- rv;
+    inst.raw_prov <- rp
   end
 
 (* ------------------------------------------------------------------ *)
@@ -602,12 +614,13 @@ let keep_raws inst keep =
    seeded experiment tables — so the timer is always refreshed. *)
 let rec arm_eviction t inst =
   t.rt.cancel_timer inst.eviction_timer;
-  match Ts_list.next_deadline inst.ts with
-  | None -> inst.eviction_timer <- no_timer
-  | Some deadline ->
+  let deadline = Ts_list.next_deadline inst.ts in
+  if Float.equal deadline infinity then inst.eviction_timer <- no_timer
+  else begin
     let b = basis inst ~local:(now_local t) in
     let delay = max 0.0 (deadline -. b) in
     inst.eviction_timer <- set_timer t ~after:delay inst.on_evict
+  end
 
 and evict t inst =
   inst.eviction_timer <- no_timer;

@@ -34,23 +34,24 @@ let route ?(avoid = []) ~(view : Query.node_view) ~alive ~rng ~visited ~arrival_
   if is_root then Deliver_root
   else begin
     let excluded n = List.mem n avoid in
+    (* Tree [x]'s parent when it is usable, else [Query.no_parent]. *)
     let parent_alive x =
       let p = view.parents.(x) in
-      if p <> Query.no_parent && alive p && not (excluded p) then Some p else None
+      if p <> Query.no_parent && alive p && not (excluded p) then p else Query.no_parent
     in
     (* Stage 1: same tree. *)
-    match parent_alive arrival_tree with
-    | Some p -> Forward { dst = p; tree = arrival_tree; descended = false }
-    | None -> (
+    let p = parent_alive arrival_tree in
+    if p <> Query.no_parent then Forward { dst = p; tree = arrival_tree; descended = false }
+    else begin
       let ol x = view.levels.(x) in
       let eligible constraint_level =
         let rec collect x acc =
           if x < 0 then acc
           else begin
             let acc =
-              match parent_alive x with
-              | Some _ when ol x <= constraint_level x -> (x, ol x) :: acc
-              | _ -> acc
+              if parent_alive x <> Query.no_parent && ol x <= constraint_level x then
+                (x, ol x) :: acc
+              else acc
             in
             collect (x - 1) acc
           end
@@ -61,13 +62,11 @@ let route ?(avoid = []) ~(view : Query.node_view) ~alive ~rng ~visited ~arrival_
          position on its arrival tree. *)
       let tl_arrival = tl visited arrival_tree in
       match min_level_tree (eligible (fun _ -> tl_arrival)) with
-      | Some x ->
-        Forward { dst = Option.get (parent_alive x); tree = x; descended = false }
+      | Some x -> Forward { dst = parent_alive x; tree = x; descended = false }
       | None -> (
         (* Stage 3: flex — forward progress per-tree. *)
         match min_level_tree (eligible (fun x -> tl visited x)) with
-        | Some x ->
-          Forward { dst = Option.get (parent_alive x); tree = x; descended = false }
+        | Some x -> Forward { dst = parent_alive x; tree = x; descended = false }
         | None ->
           (* Stage 4: flex down. A uniform choice over all eligible
              children explores the pocket's boundary; restricting to the
@@ -96,7 +95,8 @@ let route ?(avoid = []) ~(view : Query.node_view) ~alive ~rng ~visited ~arrival_
             | _ ->
               let x, c = Mortar_util.Rng.pick_list rng candidates in
               Forward { dst = c; tree = x; descended = true }
-          end))
+          end)
+    end
   end
 
 let stripe_tree (view : Query.node_view) ~counter =

@@ -246,7 +246,7 @@ let insert t ~now ~deadline s =
   if s.Summary.boundary && t.extend_boundaries && try_extend t s then ()
   else insert_rec t ~now ~deadline s
 
-let next_deadline t = if t.len = 0 then None else Some t.lim.min_deadline
+let[@inline] next_deadline t = t.lim.min_deadline
 
 let to_summary ~now e =
   let weight = float_of_int (max 1 e.count) in

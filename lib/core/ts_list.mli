@@ -48,10 +48,10 @@ val insert : t -> now:float -> deadline:float -> Summary.t -> unit
     the absolute local eviction time to use if this summary opens a new
     entry. *)
 
-val next_deadline : t -> float option
-(** Earliest eviction deadline across entries; [None] when empty. O(1):
-    the minimum is maintained incrementally, so callers may re-arm timers
-    after every insert. *)
+val next_deadline : t -> float
+(** Earliest eviction deadline across entries; [infinity] when empty.
+    O(1) and allocation-free: the minimum is maintained incrementally, so
+    callers may re-arm timers after every insert. *)
 
 val pop_due : t -> now:float -> Summary.t list
 (** Remove and return (in interval order) all entries whose deadline has

@@ -34,25 +34,19 @@ let test_exact_match_keeps_first_deadline_modulo_guard () =
   let ts = make_ts ~quiet_guard:0.5 ~hard_cap:100.0 () in
   Ts_list.insert ts ~now:0.0 ~deadline:10.0 (summary ~tb:0.0 ~te:5.0 1.0);
   Ts_list.insert ts ~now:0.1 ~deadline:50.0 (summary ~tb:0.0 ~te:5.0 1.0);
-  match Ts_list.next_deadline ts with
-  | Some d -> Alcotest.(check bool) "deadline still ~10" true (d <= 10.0 +. 1e-9)
-  | None -> Alcotest.fail "expected a deadline"
+  Alcotest.(check bool) "deadline still ~10" true (Ts_list.next_deadline ts <= 10.0 +. 1e-9)
 
 let test_quiescence_extension () =
   let ts = make_ts ~quiet_guard:2.0 ~hard_cap:100.0 () in
   Ts_list.insert ts ~now:0.0 ~deadline:1.0 (summary ~tb:0.0 ~te:5.0 1.0);
   (* A merge at t=0.5 extends the deadline to 0.5 + 2.0 = 2.5. *)
   Ts_list.insert ts ~now:0.5 ~deadline:99.0 (summary ~tb:0.0 ~te:5.0 1.0);
-  (match Ts_list.next_deadline ts with
-  | Some d -> check_float "extended" 2.5 d
-  | None -> Alcotest.fail "expected a deadline");
+  check_float "extended" 2.5 (Ts_list.next_deadline ts);
   (* The hard cap bounds extensions. *)
   let capped = make_ts ~quiet_guard:50.0 ~hard_cap:3.0 () in
   Ts_list.insert capped ~now:0.0 ~deadline:1.0 (summary ~tb:0.0 ~te:5.0 1.0);
   Ts_list.insert capped ~now:0.5 ~deadline:99.0 (summary ~tb:0.0 ~te:5.0 1.0);
-  match Ts_list.next_deadline capped with
-  | Some d -> check_float "capped at creation + 3" 3.0 d
-  | None -> Alcotest.fail "expected a deadline"
+  check_float "capped at creation + 3" 3.0 (Ts_list.next_deadline capped)
 
 let test_disjoint_entries_sorted () =
   let ts = make_ts () in

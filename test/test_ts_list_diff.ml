@@ -153,11 +153,7 @@ module Reference = struct
     if s.Summary.boundary && t.extend_boundaries && try_extend t s then ()
     else insert_rec t ~now ~deadline s
 
-  let next_deadline t =
-    List.fold_left
-      (fun acc e ->
-        match acc with None -> Some e.deadline | Some d -> Some (min d e.deadline))
-      None t.entries
+  let next_deadline t = List.fold_left (fun acc e -> min acc e.deadline) infinity t.entries
 
   let to_summary ~now e =
     let weight = float_of_int (max 1 e.count) in
@@ -207,10 +203,8 @@ let check_state ~ctx arr_ts ref_ts =
     Alcotest.failf "%s: entries diverge (array %d entries, reference %d)" ctx
       (List.length ea) (List.length er);
   let da = Ts_list.next_deadline arr_ts and dr = Reference.next_deadline ref_ts in
-  if da <> dr then
-    Alcotest.failf "%s: next_deadline diverges (%s vs %s)" ctx
-      (match da with None -> "none" | Some d -> string_of_float d)
-      (match dr with None -> "none" | Some d -> string_of_float d)
+  if not (Float.equal da dr) then
+    Alcotest.failf "%s: next_deadline diverges (%g vs %g)" ctx da dr
 
 (* ------------------------------------------------------------------ *)
 (* Randomized workload.                                                 *)
