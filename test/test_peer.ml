@@ -381,13 +381,15 @@ let lone_peer () =
   (Peer.create rt ~self:0 ~rng:(Mortar_util.Rng.create 5), e)
 
 (* Upper bounds on reachable words (64-bit, OCaml 5.1). An idle peer
-   measures 224 words and a one-instance root after 10 s 843, with each
-   timer an immediate handle; with [option]-wrapped handle records they
-   measured 253 and 901, and with eagerly built cold tables, a hashed
-   partner table and closure-wrapped timers 538 and 1 307. The bounds
-   stay just above the [option]-wrapped figures, which leaves 32 and 62
-   words of slack: two eager empty [Hashtbl]s (22 words each) on the
-   idle peer still break the first. *)
+   measures 154 words and a one-instance root after 10 s 739, with the
+   runtime shared, no boxed float and the cold tables in one record made
+   on first write; with per-host runtime closures, boxed floats and ten
+   always-present lazy tables they measured 224 and 843, with
+   [option]-wrapped handle records 253 and 901, and with eagerly built
+   cold tables, a hashed partner table and closure-wrapped timers 538
+   and 1 307. The bounds stay just above the [option]-wrapped figures:
+   five eager empty [Hashtbl]s (22 words each) on the idle peer still
+   break the first. *)
 let idle_peer_words = 256
 
 let one_instance_words = 905
