@@ -385,20 +385,14 @@ let find_inst t name =
   let i = search_inst insts name in
   if i >= 0 then Some insts.(i) else None
 
-(* Insert or replace [inst] under its name. *)
-let put_inst t inst =
+(* Insert [inst]; no instance of its name is installed. *)
+let insert_inst t inst =
   let insts = t.v.instances in
-  let i = search_inst insts inst.meta.Query.name in
-  if i >= 0 then begin
-    let a = Array.copy insts in
-    a.(i) <- inst;
-    t.v.instances <- a
-  end
-  else begin
-    let i = -(i + 1) and n = Array.length insts in
-    t.v.instances <-
-      Array.init (n + 1) (fun j -> if j < i then insts.(j) else if j = i then inst else insts.(j - 1))
-  end
+  let i = -(search_inst insts inst.meta.Query.name + 1) in
+  assert (i >= 0);
+  t.v.instances <-
+    Array.init (Array.length insts + 1) (fun j ->
+        if j < i then insts.(j) else if j = i then inst else insts.(j - 1))
 
 let drop_inst t name =
   let insts = t.v.instances in
@@ -1214,7 +1208,7 @@ let install_local t (meta : Query.meta) view ~install_age =
       inst.on_tick <-
         (if Window.is_time meta.window then fun () -> close_slide t inst
          else fun () -> boundary_check t inst);
-      put_inst t inst;
+      insert_inst t inst;
       List.iter (retain_partner t) (Query.neighbors view);
       invalidate_digest t;
       bump t Installs;

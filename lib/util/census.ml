@@ -58,13 +58,14 @@ let walk ~stop seen roots =
   List.iter
     (fun o -> if Obj.is_block o && add seen (addr o) then stack := (Obj.repr 0, o) :: !stack)
     roots;
-  while !stack <> [] do
+  let rec drain () =
     match !stack with
     | [] -> ()
     | (parent, o) :: rest ->
       stack := rest;
       let tag = Obj.tag o and size = Obj.size o in
-      (* An infix pointer lands inside a closure block counted whole. *)
+      (* An infix pointer points into a closure block, which is counted
+         only when reached through its start. *)
       if tag <> Obj.infix_tag then begin
         words := !words + size + 1;
         if tag = Obj.double_tag then begin
@@ -78,8 +79,10 @@ let walk ~stop seen roots =
           for i = 0 to size - 1 do
             push o (Obj.field o i)
           done
-      end
-  done;
+      end;
+      drain ()
+  in
+  drain ();
   (!words, !floats)
 
 let measure rows =

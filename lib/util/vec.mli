@@ -11,9 +11,9 @@ val zero : int -> t (* lint: allow D11 oracle: test/test_cluster_coords.ml "kmea
 
 val dim : t -> int
 
-val add : t -> t -> t
+val add : t -> t -> t (* lint: allow D11 oracle: test/test_cluster_coords.ml "vivaldi in place = vector form" *)
 
-val sub : t -> t -> t
+val sub : t -> t -> t (* lint: allow D11 oracle: test/test_cluster_coords.ml "vivaldi in place = vector form" *)
 
 val scale : float -> t -> t
 
@@ -27,7 +27,7 @@ val dist : t -> t -> float
 
 val dist_sq : t -> t -> float
 
-val unit_or : t -> fallback:t -> t
+val unit_or : t -> fallback:t -> t (* lint: allow D11 oracle: test/test_cluster_coords.ml "vivaldi in place = vector form" *)
 (** Normalise to unit length, or return [fallback] for (near-)zero input. *)
 
 val centroid : t list -> t

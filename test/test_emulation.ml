@@ -144,9 +144,9 @@ let test_census_budget () =
   let hosts = 400 in
   let topo = Mortar_net.Topology.transit_stub (Rng.create 7) ~transits:4 ~stubs:8 ~hosts () in
   let d = D.create_sharded ~seed:7 topo in
-  let nodes = Array.init (hosts - 1) (fun i -> i + 1) in
   let query ~name ~root ~source ~op =
-    let treeset = D.plan_random d ~bf:16 ~d:2 ~root ~nodes:(Array.of_list (List.filter (( <> ) root) (0 :: Array.to_list nodes))) () in
+    let nodes = Array.of_list (List.filter (( <> ) root) (List.init hosts Fun.id)) in
+    let treeset = D.plan_random d ~bf:16 ~d:2 ~root ~nodes () in
     let meta =
       Mortar_core.Query.make_meta ~name ~source ~op ~window:(Mortar_core.Window.tumbling 1.0)
         ~root ~degree:2 ~total_nodes:hosts ()
