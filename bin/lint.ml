@@ -8,9 +8,10 @@
    Parsetree of every .ml, the typed rules (D7-D9) over every compiler
    .cmt artifact found under the same roots (or under
    _build/default/<root> when invoked from the repo root), and the
-   dead-export rule (D11), which checks each .cmti under those roots
-   against the references of every .cmt in the build root — build
-   first (dune build @check writes the .cmt of every executable). Exit
+   dead-code rules (D11 for vals, D12 for constructors and record
+   fields), which check each .cmti under those roots against the uses in
+   every .cmt of the build root — build first (dune build @check writes
+   the .cmt of every executable). Exit
    status: 0 clean, 1 findings or stale suppressions, 2 errors.
 
    Findings are suppressed inline with an allow comment (the marker
@@ -48,7 +49,7 @@ let () =
       paths
     |> List.filter Sys.file_exists
   in
-  (* D11 counts callers across the whole build root, found the same
+  (* D11 and D12 count users across the whole build root, found the same
      way: the working directory inside dune, _build/default outside. *)
   let universe =
     let build_root = Filename.concat "_build" "default" in
@@ -90,7 +91,7 @@ let () =
   if report.findings <> [] then
     Printf.printf "lint: %d finding(s)\n" (List.length report.findings);
   if report.units_without_cmt > 0 then
-    Printf.printf "lint: D11 skipped — %d units without .cmt (run dune build @check)\n"
+    Printf.printf "lint: D11-D12 skipped — %d units without .cmt (run dune build @check)\n"
       report.units_without_cmt;
   (* Typed passes read the .cmt files under linted directories; explicit
      .ml arguments never get one, so an empty pass is news only when a
@@ -99,6 +100,6 @@ let () =
     Printf.printf "lint: typed pass covered %d module(s)\n" report.typed_modules
   else if List.exists Sys.is_directory paths then
     print_endline
-      "lint: typed passes (D7-D9, D11) covered 0 modules — build first so .cmt artifacts \
+      "lint: typed passes (D7-D9, D11-D12) covered 0 modules — build first so .cmt artifacts \
        exist";
   if report.findings <> [] || report.stale <> [] then exit 1

@@ -28,7 +28,10 @@ type t = {
   mutable reported : result list; (* newest first *)
 }
 
-let create ~op ~slide ?(bsort_capacity = 5000) () =
+(* The fixed reorder-buffer size of §5. *)
+let bsort_capacity = 5000
+
+let create ~op ~slide () =
   assert (slide > 0.0);
   {
     op = Op.compile op;

@@ -10,19 +10,18 @@
     series of Figures 9 and 10. *)
 
 type result = {
-  slot : int; (** Window index by source timestamps. *)
-  value : Mortar_core.Value.t; (** Finalized aggregate. *)
-  count : int; (** Tuples included. *)
+  slot : int; (** Window index by source timestamps. *) (* lint: allow D12 oracle: test/test_central_wifi.ml "processor windows" *)
+  value : Mortar_core.Value.t; (** Finalized aggregate. *) (* lint: allow D12 oracle: test/test_central_wifi.ml "processor on_result" *)
+  count : int; (** Tuples included. *) (* lint: allow D12 oracle: test/test_central_wifi.ml "processor windows" *)
   prov : (int * int) list; (** (true slot, tuples) when tracked. *)
   closed_at : float; (** Harness time the window was reported. *)
 }
 
 type t
 
-val create :
-  op:Mortar_core.Op.spec -> slide:float -> ?bsort_capacity:int -> unit -> t
-(** [slide] is the tumbling-window width in seconds; [bsort_capacity]
-    defaults to 5000 (§5). *)
+val create : op:Mortar_core.Op.spec -> slide:float -> unit -> t
+(** [slide] is the tumbling-window width in seconds; the reorder buffer
+    holds 5000 tuples (§5). *)
 
 val push : t -> now:float -> ts:float -> ?true_slot:int -> Mortar_core.Value.t -> unit
 (** One raw tuple: [ts] is the source's local timestamp, [now] the

@@ -4,7 +4,6 @@ module Rng = Mortar_util.Rng
 type result = {
   centroids : Vec.t array;
   assignment : int array;
-  inertia : float;
 }
 
 (* k-means++ : choose the first centroid uniformly, then each next centroid
@@ -56,13 +55,8 @@ let max_iter = 50
 let cluster rng ~k points =
   assert (k >= 1);
   let n = Array.length points in
-  if n = 0 then { centroids = [||]; assignment = [||]; inertia = 0.0 }
-  else if k >= n then
-    {
-      centroids = Array.copy points;
-      assignment = Array.init n (fun i -> i);
-      inertia = 0.0;
-    }
+  if n = 0 then { centroids = [||]; assignment = [||] }
+  else if k >= n then { centroids = Array.copy points; assignment = Array.init n (fun i -> i) }
   else begin
     let centroids = seed_plus_plus rng ~k points in
     let assignment = Array.make n (-1) in
@@ -127,12 +121,7 @@ let cluster rng ~k points =
         end
       done
     done;
-    let inertia =
-      let acc = ref 0.0 in
-      Array.iteri (fun i p -> acc := !acc +. Vec.dist_sq p centroids.(assignment.(i))) points;
-      !acc
-    in
-    { centroids; assignment; inertia }
+    { centroids; assignment }
   end
 
 let buckets result =
@@ -142,11 +131,6 @@ let buckets result =
     b.(c) <- i :: b.(c)
   done;
   b
-
-let members result c =
-  let acc = ref [] in
-  Array.iteri (fun i a -> if a = c then acc := i :: !acc) result.assignment;
-  List.rev !acc
 
 let medoid_of points idxs =
   match idxs with

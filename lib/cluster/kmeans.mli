@@ -2,13 +2,13 @@
 
     Mortar's physical dataflow planner recursively clusters network
     coordinates and places operators at cluster centroids (§3.1). The
-    planner asks for exactly [bf] clusters per recursion level, so plain
-    k-means is the workhorse; {!Xmeans} layers model selection on top. *)
+    planner asks for exactly [bf] clusters per recursion level (the
+    paper picks k per level by X-Means; see DESIGN's substitution
+    table), so plain k-means is all it needs. *)
 
 type result = {
   centroids : Mortar_util.Vec.t array;
   assignment : int array; (** [assignment.(i)] is the cluster of point [i]. *)
-  inertia : float; (** Sum of squared distances to assigned centroids. *)
 }
 
 val cluster : Mortar_util.Rng.t -> k:int -> Mortar_util.Vec.t array -> result
@@ -17,12 +17,9 @@ val cluster : Mortar_util.Rng.t -> k:int -> Mortar_util.Vec.t array -> result
     Requires [1 <= k]. When [k >= Array.length points], each point gets its
     own cluster. Empty clusters are re-seeded on the farthest point. *)
 
-val members : result -> int -> int list
-(** Point indices assigned to the given cluster. *)
-
 val buckets : result -> int list array
-(** [buckets r] is every cluster's {!members} at once, in one pass over
-    the assignment: [(buckets r).(c) = members r c]. *)
+(** [(buckets r).(c)] is the point indices assigned to cluster [c], in
+    increasing order; one pass over the assignment builds them all. *)
 
 val medoid_of : Mortar_util.Vec.t array -> int list -> int
 (** [medoid_of points idxs] is the member of [idxs] closest to the centroid

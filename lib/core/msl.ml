@@ -308,7 +308,6 @@ let kw_opt st args key ~default conv =
 (* Statements.                                                          *)
 
 type partial = {
-  name : string;
   source : [ `Stream of string | `Def of string ];
   kind : [ `Pre of Expr.transform | `Agg of Op.spec ];
 }
@@ -329,7 +328,7 @@ let parse_source st ~defined =
     `Def name
   | _ -> error st.last_line "expected a source (stream(...) or a prior name)"
 
-let parse_opcall st ~defined ~name =
+let parse_opcall st ~defined =
   let op_name = expect_ident st in
   expect_punct st "(";
   let source = parse_source st ~defined in
@@ -402,7 +401,7 @@ let parse_opcall st ~defined ~name =
       let constants = List.map (const_of st) (positional ()) in
       `Agg (Op.Custom { name = custom; args = constants })
   in
-  { name; source; kind }
+  { source; kind }
 
 let parse_clauses st =
   let window = ref None in
@@ -492,7 +491,7 @@ let parse source_text =
   while st.rest <> [] do
     let name = expect_ident st in
     expect_punct st "=";
-    let partial = parse_opcall st ~defined:(defined ()) ~name in
+    let partial = parse_opcall st ~defined:(defined ()) in
     let window, mode, striping, nodes = parse_clauses st in
     if List.mem name (defined ()) then error st.last_line "duplicate definition of %s" name;
     (* Resolve the source chain: a derived-stream source contributes its

@@ -20,7 +20,6 @@ type impl = {
   init : Value.t;
   lift : Value.t -> Value.t;
   merge : Value.t -> Value.t -> Value.t;
-  remove : (Value.t -> Value.t -> Value.t) option;
   finalize : Value.t -> Value.t;
 }
 
@@ -37,7 +36,6 @@ let sum_impl =
     init = Value.Float 0.0;
     lift = (fun v -> Value.Float (Value.to_float v));
     merge = (fun a b -> Value.Float (Value.to_float a +. Value.to_float b));
-    remove = Some (fun a b -> Value.Float (Value.to_float a -. Value.to_float b));
     finalize = id;
   }
 
@@ -46,7 +44,6 @@ let count_impl =
     init = Value.Int 0;
     lift = (fun _ -> Value.Int 1);
     merge = (fun a b -> Value.Int (Value.to_int a + Value.to_int b));
-    remove = Some (fun a b -> Value.Int (Value.to_int a - Value.to_int b));
     finalize = id;
   }
 
@@ -58,15 +55,13 @@ let avg_impl =
     init = make 0.0 0;
     lift = (fun v -> make (Value.to_float v) 1);
     merge = (fun a b -> make (sum a +. sum b) (count a + count b));
-    remove = Some (fun a b -> make (sum a -. sum b) (count a - count b));
     finalize =
       (fun v ->
         let c = count v in
         if c = 0 then Value.Null else Value.Float (sum v /. float_of_int c));
   }
 
-(* Min and Max use Null as the merge identity; they have no inverse, so
-   overlapping sliding windows recompute instead of retracting. *)
+(* Min and Max use Null as the merge identity. *)
 let extremum better =
   {
     init = Value.Null;
@@ -76,7 +71,6 @@ let extremum better =
         match (a, b) with
         | Value.Null, x | x, Value.Null -> x
         | a, b -> if better (Value.compare a b) then a else b);
-    remove = None;
     finalize = id;
   }
 
@@ -97,7 +91,6 @@ let top_k_impl ~k ~key =
     init = Value.List [];
     lift = (fun v -> Value.List [ v ]);
     merge = (fun a b -> Value.List (take_k (Value.to_list a @ Value.to_list b)));
-    remove = None;
     finalize = id;
   }
 
@@ -107,7 +100,6 @@ let union_impl ~cap =
     init = Value.List [];
     lift = (fun v -> Value.List [ v ]);
     merge = (fun a b -> Value.List (take (Value.to_list a @ Value.to_list b)));
-    remove = None;
     finalize = id;
   }
 
@@ -132,14 +124,6 @@ let entropy_impl =
           (List.fold_left
              (fun acc (cat, n) -> add acc cat (Value.to_int n))
              (counts a) (counts b)));
-    remove =
-      Some
-        (fun a b ->
-          Value.Record
-            (List.fold_left
-               (fun acc (cat, n) -> add acc cat (-Value.to_int n))
-               (counts a) (counts b)
-            |> List.filter (fun (_, n) -> Value.to_int n > 0)));
     finalize =
       (fun v ->
         let fields = counts v in
@@ -175,7 +159,6 @@ let histogram_impl ~lo ~hi ~bins =
         let i = bin_of (Value.to_float v) in
         Value.List (List.init bins (fun j -> Value.Int (if i = j then 1 else 0))));
     merge = (fun a b -> zip ( + ) (counts a) (counts b));
-    remove = Some (fun a b -> zip ( - ) (counts a) (counts b));
     finalize = id;
   }
 
@@ -232,12 +215,11 @@ let sketch_bytes = function
   | Value.Str s -> s
   | v -> Value.type_error "expected a packed sketch, got %s" (Value.show v)
 
-(* Merge, retract and lift run on the packed bytes themselves (the
-   [Sketch] kernels), so no grid or register array is built per partial;
-   only finalize decodes. A kernel failure — malformed bytes, mismatched
-   parameters, 32-bit overflow — faults the query. [sub] comes with the
-   operator's empty sketch, which a retraction from [Null] starts from. *)
-let sketch_ops ~singleton ~merge ~sub =
+(* Merge and lift run on the packed bytes themselves (the [Sketch]
+   kernels), so no grid or register array is built per partial; only
+   finalize decodes. A kernel failure — malformed bytes, mismatched
+   parameters, 32-bit overflow — faults the query. *)
+let sketch_ops ~singleton ~merge =
   let guard f = try Value.Str (f ()) with Failure msg -> sketch_fault msg in
   let lift v = guard (fun () -> singleton (sketch_key v)) in
   let merge_v a b =
@@ -245,17 +227,7 @@ let sketch_ops ~singleton ~merge ~sub =
     | Value.Null, x | x, Value.Null -> x
     | a, b -> guard (fun () -> merge (sketch_bytes a) (sketch_bytes b))
   in
-  let remove_v =
-    Option.map
-      (fun (sub, empty) a b ->
-        match (a, b) with
-        | x, Value.Null -> x
-        | a, b ->
-          guard (fun () ->
-              sub (match a with Value.Null -> empty () | a -> sketch_bytes a) (sketch_bytes b)))
-      sub
-  in
-  (lift, merge_v, remove_v)
+  (lift, merge_v)
 
 let sketch_decode of_string v =
   let s = sketch_bytes v in
@@ -263,36 +235,30 @@ let sketch_decode of_string v =
 
 let sketch_count_min_impl ~depth ~width ~seed =
   let module Cm = Sketch.Count_min in
-  let lift, merge, remove =
-    sketch_ops ~singleton:(Cm.singleton ~depth ~width ~seed) ~merge:Cm.merge_packed
-      ~sub:(Some (Cm.sub_packed, fun () -> Cm.to_string (Cm.create ~depth ~width ~seed)))
-  in
+  let lift, merge = sketch_ops ~singleton:(Cm.singleton ~depth ~width ~seed) ~merge:Cm.merge_packed in
   (* Finalize keeps the packed sketch: the subscriber owns the point
      queries (and the exact total via Count_min.total). *)
-  { init = Value.Null; lift; merge; remove; finalize = id }
+  { init = Value.Null; lift; merge; finalize = id }
 
 let sketch_agms_impl ~rows ~cols ~seed =
   let module Agms = Sketch.Agms in
-  let lift, merge, remove =
+  let lift, merge =
     sketch_ops ~singleton:(Agms.singleton ~rows ~cols ~seed) ~merge:Agms.merge_packed
-      ~sub:(Some (Agms.sub_packed, fun () -> Agms.to_string (Agms.create ~rows ~cols ~seed)))
   in
   let finalize = function
     | Value.Null -> Value.Float 0.0
     | v -> Value.Float (Agms.second_moment (sketch_decode Agms.of_string v))
   in
-  { init = Value.Null; lift; merge; remove; finalize }
+  { init = Value.Null; lift; merge; finalize }
 
 let sketch_hll_impl ~b ~seed =
   let module Hll = Sketch.Hll in
-  let lift, merge, remove =
-    sketch_ops ~singleton:(Hll.singleton ~b ~seed) ~merge:Hll.merge_packed ~sub:None
-  in
+  let lift, merge = sketch_ops ~singleton:(Hll.singleton ~b ~seed) ~merge:Hll.merge_packed in
   let finalize = function
     | Value.Null -> Value.Float 0.0
     | v -> Value.Float (Hll.estimate (sketch_decode Hll.of_string v))
   in
-  { init = Value.Null; lift; merge; remove; finalize }
+  { init = Value.Null; lift; merge; finalize }
 
 let compile = function
   | Sum -> sum_impl
@@ -312,22 +278,6 @@ let compile = function
   | Sketch_count_min { depth; width; seed } -> sketch_count_min_impl ~depth ~width ~seed
   | Sketch_agms { rows; cols; seed } -> sketch_agms_impl ~rows ~cols ~seed
   | Sketch_hll { b; seed } -> sketch_hll_impl ~b ~seed
-
-let spec_name = function
-  | Sum -> "sum"
-  | Count -> "count"
-  | Avg -> "avg"
-  | Min -> "min"
-  | Max -> "max"
-  | Top_k _ -> "topk"
-  | Union _ -> "union"
-  | Entropy -> "entropy"
-  | Histogram _ -> "histogram"
-  | Quantile _ -> "quantile"
-  | Custom { name; _ } -> name
-  | Sketch_count_min _ -> "cm"
-  | Sketch_agms _ -> "agms"
-  | Sketch_hll _ -> "hll"
 
 let spec_wire_size spec =
   match spec with

@@ -4,8 +4,10 @@
     time-division data partitioning, each user-defined operator only
     supplies a [merge] function (inject a tuple into the window — used both
     for merging {e across time} at sources and {e across space} at interior
-    nodes) and an optional [remove] (retract a tuple as it exits the
-    window). No duplicate-insensitive synopses are required (§2.2, §8).
+    nodes). No duplicate-insensitive synopses are required (§2.2, §8).
+    The paper also lets an operator retract a tuple as it leaves a
+    sliding window; here a sliding window is always recomputed from its
+    raw tuples at the source, so operators have no retraction.
 
     An operator works over partial values of type {!Value.t}:
 
@@ -13,9 +15,6 @@
     - [lift raw] turns one raw payload into a partial;
     - [merge a b] combines two partials — it must be associative and
       commutative, since summaries arrive in any order over any tree;
-    - [remove part lifted] retracts a previously lifted value (only used by
-      sliding windows with [range > slide]; operators without an inverse
-      leave it [None] and the source recomputes the window);
     - [finalize part] converts a partial to the user-visible result.
 
     {!spec} is the symbolic, wire-friendly form carried inside query
@@ -43,7 +42,7 @@ type spec =
   | Sketch_count_min of { depth : int; width : int; seed : int }
       (** Count-Min frequency sketch ({!Mortar_sketch.Count_min}): the
           result is the packed sketch itself; subscribers point-query it
-          and read the exact total. Linear — supports [remove]. *)
+          and read the exact total. *)
   | Sketch_agms of { rows : int; cols : int; seed : int }
       (** AGMS tug-of-war second-moment (self-join size) sketch
           ({!Mortar_sketch.Agms}); finalizes to the F2 estimate. *)
@@ -58,7 +57,6 @@ type impl = {
   init : Value.t;
   lift : Value.t -> Value.t;
   merge : Value.t -> Value.t -> Value.t;
-  remove : (Value.t -> Value.t -> Value.t) option;
   finalize : Value.t -> Value.t;
 }
 
@@ -70,8 +68,6 @@ val register : string -> (Value.t list -> impl) -> unit
     Stream Language. Re-registration replaces. *)
 
 val registered : string -> bool
-
-val spec_name : spec -> string (* lint: allow D11 oracle: test/test_core_data.ml "op remove inverse" *)
 
 val spec_wire_size : spec -> int
 

@@ -82,7 +82,6 @@ let ctl_jitter = 0.25
 
 type result = {
   query : string;
-  index : Index.t;
   slot : int;
   value : Value.t;
   count : int;
@@ -91,7 +90,6 @@ type result = {
   hops : int;
   hops_max : int;
   prov : (int * int) list;
-  emitted_at_local : float;
 }
 
 type remote_result = {
@@ -100,7 +98,6 @@ type remote_result = {
   r_value : Value.t;
   r_count : int;
   r_age : float;
-  r_from : int; (* the forwarding root *)
 }
 
 type counter =
@@ -710,7 +707,6 @@ and report_result t inst (s : Summary.t) =
   let r =
     {
       query = meta.Query.name;
-      index = s.index;
       slot = slide_slot;
       value;
       count = s.count;
@@ -719,7 +715,6 @@ and report_result t inst (s : Summary.t) =
       hops = s.hops;
       hops_max = s.hops_max;
       prov = s.prov;
-      emitted_at_local = now_local t;
     }
   in
   bump t Results;
@@ -1571,8 +1566,7 @@ let rec receive t ~src payload =
   | Msg.Result_fwd { query; slot; value; count; age } ->
     bump t Results_fwd_received;
     List.iter
-      (fun f ->
-        f { r_query = query; r_slot = slot; r_value = value; r_count = count; r_age = age; r_from = src })
+      (fun f -> f { r_query = query; r_slot = slot; r_value = value; r_count = count; r_age = age })
       t.remote_handlers
   | Msg.Adopt { query; seqno; tree } -> (
     (* A repairing orphan re-parented onto us: record it as a child so we

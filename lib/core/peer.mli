@@ -103,7 +103,6 @@ val default_config : config
 
 type result = {
   query : string;
-  index : Index.t; (** In the root's local basis. *)
   slot : int; (** Local window slot for time windows; [-1] for tuple windows. *)
   value : Value.t; (** Finalized operator output. *)
   count : int; (** Participants included (completeness numerator). *)
@@ -112,7 +111,6 @@ type result = {
   hops : int; (** Count-weighted mean constituent overlay path. *)
   hops_max : int; (** Longest constituent overlay path. *)
   prov : (int * int) list; (** True-window provenance when tracked. *)
-  emitted_at_local : float;
 }
 
 (** Per-host event counts, one always-live slot each: {!stats} and
@@ -187,7 +185,6 @@ type remote_result = {
   r_value : Value.t;
   r_count : int;
   r_age : float;
-  r_from : int; (** The forwarding root. *)
 }
 
 val on_remote_result : t -> (remote_result -> unit) -> unit

@@ -18,12 +18,10 @@ type meta = {
   degree : int;
   total_nodes : int;
   aggregate : bool;
-  track_provenance : bool;
 }
 
 let make_meta ~name ?(seqno = 1) ~source ?(pre = []) ~op ~window ?(mode = Syncless)
-    ?(striping = Round_robin) ~root ?(degree = 4) ~total_nodes ?(aggregate = true)
-    ?(track_provenance = false) () =
+    ?(striping = Round_robin) ~root ?(degree = 4) ~total_nodes ?(aggregate = true) () =
   {
     name;
     seqno;
@@ -37,7 +35,6 @@ let make_meta ~name ?(seqno = 1) ~source ?(pre = []) ~op ~window ?(mode = Syncle
     degree;
     total_nodes;
     aggregate;
-    track_provenance;
   }
 
 let no_parent = -1

@@ -40,8 +40,6 @@ type meta = {
   aggregate : bool;
       (** When false, interior nodes forward summaries without merging —
           the "no aggregation" baseline of §7.2.2. *)
-  track_provenance : bool;
-      (** Carry true-window provenance for the evaluation harness (§5). *)
 }
 
 val make_meta :
@@ -57,7 +55,6 @@ val make_meta :
   ?degree:int ->
   total_nodes:int ->
   ?aggregate:bool ->
-  ?track_provenance:bool ->
   unit ->
   meta
 

@@ -4,7 +4,7 @@ type acc = {
   mutable age_acc : float; (* sum over constituents of count * (age - arrival) *)
   mutable hops_acc : float; (* sum over constituents of count * hops *)
   mutable deadline : float;
-  mutable cap : float; (* absolute ceiling on deadline extensions *)
+  cap : float; (* absolute ceiling on deadline extensions *)
 }
 
 type entry = {

@@ -11,7 +11,6 @@ module Obs = Mortar_obs.Obs
 module Par = Mortar_par.Par
 
 type shard = {
-  sid : int;
   s_engine : Engine.t;
   s_transport : Mortar_core.Msg.payload Transport.t;
 }
@@ -167,7 +166,7 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
     transports;
   let regs = Array.init nshards (fun _ -> Obs.Reg.create ()) in
   let shards =
-    Array.init nshards (fun sid -> { sid; s_engine = engines.(sid); s_transport = transports.(sid) })
+    Array.init nshards (fun sid -> { s_engine = engines.(sid); s_transport = transports.(sid) })
   in
   let sh =
     {
@@ -481,9 +480,7 @@ let complement t members =
   List.filter (fun h -> not (Hashtbl.mem inside h)) (all_hosts t)
 
 type fault_event =
-  | Partition of { a : int list; from : float; until : float }
   | Partition_stub of { stub : int; from : float; until : float }
-  | Link_loss of { src : int list; dst : int list; rate : float; sym : bool; from : float; until : float }
   | Bursty_loss of {
       src : int list;
       dst : int list;
@@ -494,7 +491,6 @@ type fault_event =
       from : float;
       until : float;
     }
-  | Link_jitter of { src : int list; dst : int list; extra : float; prob : float; from : float; until : float }
   | Crash_recover of { node : int; at : float; recover_at : float }
   | Correlated_crash of { stub : int; fraction : float; at : float; recover_at : float }
 
@@ -538,23 +534,14 @@ let crash_window t ~victims ~at:down_at ~recover_at =
             nodes))
 
 let schedule_fault t = function
-  | Partition { a; from; until } ->
-    windowed t ~desc:"partition" ~from ~until (fun () ->
-        Faults.partition t.faults ~a ~b:(complement t a))
   | Partition_stub { stub; from; until } ->
     windowed t
       ~desc:(Printf.sprintf "partition_stub:%d" stub)
       ~from ~until
       (fun () -> Faults.isolate t.faults (stub_hosts t stub))
-  | Link_loss { src; dst; rate; sym; from; until } ->
-    windowed t ~desc:"link_loss" ~from ~until (fun () ->
-        Faults.loss t.faults ~sym ~src ~dst ~rate ())
   | Bursty_loss { src; dst; p_enter; p_exit; loss_bad; loss_good; from; until } ->
     windowed t ~desc:"bursty_loss" ~from ~until (fun () ->
         Faults.bursty t.faults ~loss_good ~src ~dst ~p_enter ~p_exit ~loss_bad ())
-  | Link_jitter { src; dst; extra; prob; from; until } ->
-    windowed t ~desc:"link_jitter" ~from ~until (fun () ->
-        Faults.jitter t.faults ~prob ~src ~dst ~extra ())
   | Crash_recover { node; at; recover_at } ->
     crash_window t ~victims:(fun () -> [ node ]) ~at ~recover_at
   | Correlated_crash { stub; fraction; at; recover_at } ->

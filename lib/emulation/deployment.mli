@@ -131,19 +131,10 @@ val stub_hosts : t -> int -> int list
 (** Hosts homed in one stub domain of the topology. *)
 
 type fault_event =
-  | Partition of { a : int list; from : float; until : float }
-      (** Cut the hosts in [a] off from everyone else, both directions. *)
   | Partition_stub of { stub : int; from : float; until : float }
-      (** {!Partition} of a whole stub domain: the stub loses its transit
-          uplink, heals at [until]. *)
-  | Link_loss of {
-      src : int list;
-      dst : int list;
-      rate : float;
-      sym : bool;
-      from : float;
-      until : float;
-    }  (** I.i.d. loss on src→dst (and dst→src when [sym]). *)
+      (** Cut a whole stub domain off from every other host, both
+          directions: the stub loses its transit uplink, heals at
+          [until]. *)
   | Bursty_loss of {
       src : int list;
       dst : int list;
@@ -154,16 +145,6 @@ type fault_event =
       from : float;
       until : float;
     }  (** Gilbert–Elliott bursty loss per (src, dst) pair. *)
-  | Link_jitter of {
-      src : int list;
-      dst : int list;
-      extra : float;
-      prob : float;
-      from : float;
-      until : float;
-    }
-      (** With probability [prob], uniform extra delay in [\[0, extra\]] —
-          messages reorder naturally. *)
   | Crash_recover of { node : int; at : float; recover_at : float }
       (** Down means crashed: at [at] the node's process stops, its timers
           are cancelled and all in-memory state is lost

@@ -33,8 +33,7 @@ let run ~quick =
           Printf.sprintf "%.0f%%" (100.0 *. p)
           :: List.map
                (fun scheme ->
-                 let r = C.run_trials ~seed:11 ~n ~bf:32 ~trials ~link_failure:p scheme in
-                 Printf.sprintf "%.1f" r.C.mean)
+                 Printf.sprintf "%.1f" (C.run_trials ~seed:11 ~n ~bf:32 ~trials ~link_failure:p scheme))
                schemes)
         failure_levels)
 

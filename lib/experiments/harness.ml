@@ -9,7 +9,6 @@ type recorded = {
   sim_time : float;
   slot : int;
   count : int;
-  value : float;
   hops : int;
   hops_max : int;
   age : float;
@@ -23,7 +22,6 @@ type recorded = {
 type t = {
   d : D.t;
   treeset : Mortar_overlay.Treeset.t;
-  window : float;
   reg : Obs.Reg.t;
   track_provenance : bool;
 }
@@ -41,10 +39,9 @@ let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) 
   let treeset = D.plan d ?style ~bf ~d:degree ~root:0 ~nodes () in
   let meta =
     Query.make_meta ~name:query_name ~source:"ones" ~op:Mortar_core.Op.Sum
-      ~window:(Window.tumbling window) ~mode ~root:0 ~degree ~total_nodes:hosts ~aggregate
-      ~track_provenance ()
+      ~window:(Window.tumbling window) ~mode ~root:0 ~degree ~total_nodes:hosts ~aggregate ()
   in
-  let t = { d; treeset; window; reg = Obs.Reg.create (); track_provenance } in
+  let t = { d; treeset; reg = Obs.Reg.create (); track_provenance } in
   for i = 0 to hosts - 1 do
     D.sensor d ~node:i ~stream:"ones" ~period:1.0
       ?truth_slide:(if track_provenance then Some window else None)
@@ -80,8 +77,8 @@ let run_until t time = D.run_until t.d time
 let results t =
   List.filter_map
     (function
-      | sim_time, Obs.Result { slot; count; value; hops; hops_max; age; _ } ->
-        Some { sim_time; slot; count; value; hops; hops_max; age }
+      | sim_time, Obs.Result { slot; count; hops; hops_max; age; _ } ->
+        Some { sim_time; slot; count; hops; hops_max; age }
       | _ -> None)
     (Obs.Reg.events t.reg)
 

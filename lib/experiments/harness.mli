@@ -14,7 +14,6 @@ type recorded = {
   sim_time : float;
   slot : int;
   count : int;
-  value : float;
   hops : int; (** Count-weighted mean constituent path. *)
   hops_max : int; (** Longest constituent path. *)
   age : float;

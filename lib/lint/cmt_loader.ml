@@ -1,5 +1,5 @@
 (* Discovery and loading of compiler [.cmt]/[.cmti] artifacts for the
-   typed rules (D7-D9, D11).
+   typed rules (D7-D9, D11-D12).
 
    Dune drops one [.cmt] per compiled module under
    [<dir>/.<lib>.objs/byte/] (and [.<exe>.eobjs/byte/] for

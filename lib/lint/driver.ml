@@ -6,7 +6,8 @@
    deliberately-broken lint fixtures; files given explicitly are always
    linted (that is how the fixture tests exercise the rules). The
    [.mli] files found the same way are not parsed, but their allow
-   comments join the suppression tables (D11 findings sit in them).
+   comments join the suppression tables (D11 and D12 findings sit in
+   them).
 
    Phase 2 (typed, D7-D9): the same roots (or [cmt_paths], when given)
    are scanned for compiler [.cmt] artifacts — dune keeps them under
@@ -18,20 +19,20 @@
    [typed_modules] reports 0, which callers can surface ("typed pass
    skipped: build first").
 
-   Phase 3 (D11, dead exports, only when a [universe] is given): every
-   [val] in an interface ([.cmti]) under the typed roots is checked
-   against the value references of every [.cmt] in the universe — the
-   whole build tree, so units outside the lint roots count as callers.
-   If any unit in the universe was compiled without its [.cmt] the
-   reference set would be incomplete, so the phase is skipped and
-   [units_without_cmt] says why.
+   Phase 3 (D11-D12, dead code, only when a [universe] is given): every
+   [val], variant constructor and record field of an interface
+   ([.cmti]) under the typed roots is checked against the uses in every
+   [.cmt] of the universe — the whole build tree, so units outside the
+   lint roots count as users. If any unit in the universe was compiled
+   without its [.cmt] the use set would be incomplete, so the phase is
+   skipped and [units_without_cmt] says why.
 
    Suppression hygiene: every allow comment is usage-tracked across all
    phases; the ones shielding nothing are reported as stale (S2), and
    comments carrying the lint marker that fail to parse are reported as
    malformed (S1) instead of being silently ignored. Allow
-   comments for D7-D9 and D11 are only judged stale in files the pass
-   for their rule actually covered. *)
+   comments for D7-D9 and D11-D12 are only judged stale in files the
+   pass for their rule actually covered. *)
 
 let skip_dirs = [ "_build"; ".git"; "lint_fixtures" ]
 
@@ -87,7 +88,7 @@ let canonical path =
   in
   strip path
 
-(* Where D11 looks for callers. *)
+(* Where D11 and D12 look for users. *)
 type universe = {
   roots : string list; (* every [.cmt] under these is a potential caller *)
   test_dir : string; (* callers whose source lies under this directory are tests *)
@@ -98,7 +99,7 @@ type report = {
   stale : Diag.t list; (* S1 malformed / S2 stale allow comments: these fail it too *)
   errors : string list; (* unreadable / unparseable files *)
   typed_modules : int; (* modules the typed pass covered (0 = no cmts found) *)
-  units_without_cmt : int; (* > 0: D11 was skipped, its reference set would be partial *)
+  units_without_cmt : int; (* > 0: D11-D12 were skipped, their use set would be partial *)
 }
 
 (* Per-source-file suppression state shared by both phases. *)
@@ -214,7 +215,7 @@ let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
           diags)
       loaded
   in
-  (* ---- phase 3: dead exports over the whole build ---------------- *)
+  (* ---- phase 3: dead code over the whole build ------------------- *)
   let units_without_cmt, dead, errors =
     match universe with
     | None -> (0, [], errors)
@@ -246,16 +247,19 @@ let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
           (fun (i : Cmt_loader.interface) -> (supp_of_source i.intf_source).typed_seen <- true)
           intfs;
         let is_test = String.starts_with ~prefix:(u.test_dir ^ "/") in
+        let sigs =
+          List.map (fun (i : Cmt_loader.interface) -> (i.intf_modname, i.signature)) intfs
+        in
         let dead =
-          Typed_rules.dead_exports refs ~is_test
-            (List.map (fun (i : Cmt_loader.interface) -> (i.intf_modname, i.signature)) intfs)
+          Typed_rules.dead_exports refs ~is_test sigs
+          @ Typed_rules.dead_type_parts refs ~is_test sigs
           |> List.filter (fun (d : Diag.t) ->
                  not (Suppress.allows (supp_of_source d.file).supp ~line:d.line ~code:d.code))
         in
         (0, dead, errors))
   in
   (* ---- suppression hygiene --------------------------------------- *)
-  let typed_codes = [ "D7"; "D8"; "D9"; "D11" ] in
+  let typed_codes = [ "D7"; "D8"; "D9"; "D11"; "D12" ] in
   let stale = ref [] in
   let all_supps =
     Hashtbl.fold (fun _ fs acc -> fs :: acc) supps []

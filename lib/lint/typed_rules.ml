@@ -1,4 +1,4 @@
-(* The typed mortar-lint rules (D7-D9, D11), run over compiler [.cmt]
+(* The typed mortar-lint rules (D7-D9, D11-D12), run over compiler [.cmt]
    artifacts with [Tast_iterator] — unlike D1-D6 and D10 these see resolved
    paths and inferred types, so they can reason about mutability,
    constructor coverage and callers instead of surface syntax.
@@ -43,7 +43,15 @@
        outside the lint roots count; a record label or constructor of
        the same name is not a reference.
 
-   All four degrade gracefully where artifacts are missing: no cmt,
+   D12 dead constructor or field. A variant constructor of an exported
+       type that no expression outside test code builds (matching it in
+       a pattern is not a use), or a record field of one that nothing
+       reads ([r.f] or a record pattern; building a record and keeping a
+       field in [{ r with ... }] are not reads). Same universe, alias
+       resolution, test scope and allow path as D11; a re-export
+       ([type t = M.t = A | B]) resolves to the original type.
+
+   All five degrade gracefully where artifacts are missing: no cmt,
    no typed findings (the syntactic D1-D6 and D10 pass still runs). On 4.14
    the parallel runtime is the sequential fallback but exposes the
    same [Par.Pool] paths, so D7 analyzes identical call sites. *)
@@ -457,9 +465,12 @@ type refs = {
   mutable modules : (string list * string) list;
       (* modules used whole (functor argument, [include], packing): every
          export under them counts as referenced *)
+  mutable built : ((string list * string) * string) list; (* D12: (type path, constructor) *)
+  mutable read : ((string list * string) * string) list; (* D12: (type path, label) *)
 }
 
-let empty_refs () = { aliases = Hashtbl.create 256; values = []; modules = [] }
+let empty_refs () =
+  { aliases = Hashtbl.create 256; values = []; modules = []; built = []; read = [] }
 
 let rec strip_constraints (me : module_expr) =
   match me.mod_desc with Tmod_constraint (m, _, _, _) -> strip_constraints m | _ -> me
@@ -467,18 +478,28 @@ let rec strip_constraints (me : module_expr) =
 let alias_target me =
   match (strip_constraints me).mod_desc with Tmod_ident (p, _) -> Some p | _ -> None
 
-let rec flatten locals (p : Path.t) =
+(* [self]: the unit a local head (a type or module of this unit) belongs
+   to; without it a local path is not a reference to anything exported. *)
+let rec flatten ?self locals (p : Path.t) =
   match p with
   | Path.Pident id -> (
     match Hashtbl.find_opt locals (Ident.unique_name id) with
-    | Some target -> flatten locals target
-    | None -> if Ident.global id then Some [ Ident.name id ] else None)
-  | Path.Pdot (q, s) -> Option.map (fun parts -> parts @ [ s ]) (flatten locals q)
+    | Some target -> flatten ?self locals target
+    | None ->
+      if Ident.global id then Some [ Ident.name id ]
+      else Option.map (fun m -> [ m; Ident.name id ]) self)
+  | Path.Pdot (q, s) -> Option.map (fun parts -> parts @ [ s ]) (flatten ?self locals q)
   | _ -> None
 
 let collect_refs refs ~modname ~source (str : structure) =
   let locals = Hashtbl.create 16 and values = ref [] and modules = ref [] in
+  let built = ref [] and read = ref [] in
   let add_local id p = Hashtbl.replace locals (Ident.unique_name id) p in
+  let use acc ty name =
+    match Types.get_desc ty with
+    | Types.Tconstr (p, _, _) -> acc := (p, name) :: !acc
+    | _ -> ()
+  in
   let module_binding it (mb : module_binding) =
     match (mb.mb_id, alias_target mb.mb_expr) with
     | Some id, Some p -> add_local id p
@@ -490,7 +511,21 @@ let collect_refs refs ~modname ~source (str : structure) =
     | Texp_letmodule (Some id, _, _, me, body) when alias_target me <> None ->
       add_local id (Option.get (alias_target me));
       it.Tast_iterator.expr it body
-    | _ -> Tast_iterator.default_iterator.expr it e
+    | _ ->
+      (match e.exp_desc with
+      | Texp_construct (_, cd, _) -> use built cd.Types.cstr_res cd.cstr_name
+      | Texp_field (_, _, ld) -> use read ld.Types.lbl_res ld.lbl_name
+      | _ -> ());
+      Tast_iterator.default_iterator.expr it e
+  in
+  (* A record pattern reads its labels; a constructor pattern builds nothing. *)
+  let pat : type k. Tast_iterator.iterator -> k general_pattern -> unit =
+   fun it p ->
+    (match p.pat_desc with
+    | Tpat_record (fields, _) ->
+      List.iter (fun (_, (ld : Types.label_description), _) -> use read ld.lbl_res ld.lbl_name) fields
+    | _ -> ());
+    Tast_iterator.default_iterator.pat it p
   in
   let module_expr it (me : module_expr) =
     match me.mod_desc with
@@ -503,7 +538,7 @@ let collect_refs refs ~modname ~source (str : structure) =
     | _ -> Tast_iterator.default_iterator.open_declaration it od
   in
   let it =
-    { Tast_iterator.default_iterator with module_binding; expr; module_expr; open_declaration }
+    { Tast_iterator.default_iterator with module_binding; expr; pat; module_expr; open_declaration }
   in
   it.structure it str;
   (* Aliases other units can reach: [Unit.M] and [Unit.Sub.M]. *)
@@ -532,7 +567,17 @@ let collect_refs refs ~modname ~source (str : structure) =
       acc ps
   in
   refs.values <- resolve refs.values !values;
-  refs.modules <- resolve refs.modules !modules
+  refs.modules <- resolve refs.modules !modules;
+  let resolve_typed acc uses =
+    List.fold_left
+      (fun acc (p, name) ->
+        match flatten ~self:modname locals p with
+        | Some parts -> ((parts, name), source) :: acc
+        | None -> acc)
+      acc uses
+  in
+  refs.built <- resolve_typed refs.built !built;
+  refs.read <- resolve_typed refs.read !read
 
 (* Rewrite alias prefixes until the head is the defining unit:
    ["Mortar_core"; "Peer"; "digest"] -> ["Mortar_core__Peer"; "digest"]. *)
@@ -569,18 +614,42 @@ let exports ~modname (sg : signature) =
   in
   items modname short sg
 
+(* Uses split by scope: [prod] holds the keys some non-test unit uses,
+   [tests] maps a key to each test source that uses it. *)
+let tally ~is_test key_of uses (prod, tests) =
+  List.iter
+    (fun (parts, source) ->
+      let key = key_of parts in
+      if is_test source then Hashtbl.add tests key source else Hashtbl.replace prod key ())
+    uses
+
+(* A finding unless production code uses one of [keys]; [never] and
+   [test_only] name the missing use. *)
+let verdict ~code ~loc (prod, tests) keys ~never ~test_only =
+  if List.exists (Hashtbl.mem prod) keys then None
+  else
+    let message =
+      match List.concat_map (Hashtbl.find_all tests) keys |> List.sort_uniq compare with
+      | [] -> never
+      | users ->
+        Printf.sprintf
+          "%s only from test code (%s); delete it with the tests that exercise it, or allow \
+           it inline naming the test that uses it as an oracle"
+          test_only (String.concat ", " users)
+    in
+    Some (Diag.make ~code ~loc ~message)
+
 (* D11: an exported value that no other compilation unit refers to, or
    that only test code ([is_test] on the referencing unit's source)
    refers to. [interfaces] are (modname, signature) pairs. *)
 let dead_exports refs ~is_test interfaces =
-  let prod = Hashtbl.create 4096 and tests = Hashtbl.create 1024 in
+  let uses = (Hashtbl.create 4096, Hashtbl.create 1024) in
   (* A unit cannot name itself, so every resolved path is another unit's. *)
-  let record ~whole (parts, source) =
-    let key = (if whole then "module " else "") ^ String.concat "." (canonical refs.aliases parts) in
-    if is_test source then Hashtbl.add tests key source else Hashtbl.replace prod key ()
+  let key_of ~whole parts =
+    (if whole then "module " else "") ^ String.concat "." (canonical refs.aliases parts)
   in
-  List.iter (record ~whole:false) refs.values;
-  List.iter (record ~whole:true) refs.modules;
+  tally ~is_test (key_of ~whole:false) refs.values uses;
+  tally ~is_test (key_of ~whole:true) refs.modules uses;
   (* The export's own key, then a "module P" key per enclosing module. *)
   let keys key =
     let parts = String.split_on_char '.' key in
@@ -593,23 +662,88 @@ let dead_exports refs ~is_test interfaces =
     (fun (modname, sg) ->
       List.filter_map
         (fun (key, name, loc) ->
-          let keys = keys key in
-          if List.exists (Hashtbl.mem prod) keys then None
-          else
-            let message =
-              match List.concat_map (Hashtbl.find_all tests) keys |> List.sort_uniq compare with
-              | [] ->
-                Printf.sprintf
-                  "exported value '%s' is not referenced outside its module; drop it from \
-                   the interface (and delete it if the module does not use it either)"
-                  name
-              | users ->
-                Printf.sprintf
-                  "exported value '%s' is referenced only from test code (%s); delete it \
-                   with the tests that exercise it, or allow it inline naming the test \
-                   that uses it as an oracle"
-                  name (String.concat ", " users)
-            in
-            Some (Diag.make ~code:"D11" ~loc ~message))
+          verdict ~code:"D11" ~loc uses (keys key)
+            ~never:
+              (Printf.sprintf
+                 "exported value '%s' is not referenced outside its module; drop it from the \
+                  interface (and delete it if the module does not use it either)"
+                 name)
+            ~test_only:(Printf.sprintf "exported value '%s' is referenced" name))
         (exports ~modname sg))
     interfaces
+
+(* ---- D12 --------------------------------------------------------- *)
+
+(* The constructors ([`Built]) and record labels ([`Read]) of the types
+   one interface declares, nested module signatures included, keyed
+   "Unit.type.name". A re-export ([type t = M.t = A | B]) declares
+   nothing of its own: it lands in [reexports], type key -> original. *)
+let type_parts ~reexports ~modname (sg : signature) =
+  let rec items key name (sg : signature) =
+    List.concat_map
+      (fun (item : signature_item) ->
+        match item.sig_desc with
+        | Tsig_type (_, decls) -> List.concat_map (decl key name) decls
+        | Tsig_module { md_id = Some id; md_type = { mty_desc = Tmty_signature sg; _ }; _ } ->
+          let m = Ident.name id in
+          items (key ^ "." ^ m) (name ^ "." ^ m) sg
+        | _ -> [])
+      sg.sig_items
+  and decl key name (d : type_declaration) =
+    let key = key ^ "." ^ d.typ_name.txt and name = name ^ "." ^ d.typ_name.txt in
+    let part kind n loc = (kind, key ^ "." ^ n, name ^ "." ^ n, loc) in
+    match (d.typ_manifest, d.typ_kind) with
+    | Some ct, (Ttype_variant _ | Ttype_record _) ->
+      (match Types.get_desc ct.ctyp_type with
+      | Types.Tconstr (p, _, _) ->
+        Option.iter (Hashtbl.replace reexports key)
+          (flatten ~self:modname (Hashtbl.create 1) p)
+      | _ -> ());
+      []
+    | _, Ttype_variant cds ->
+      List.map (fun (cd : constructor_declaration) -> part `Built cd.cd_name.txt cd.cd_loc) cds
+    | _, Ttype_record lds ->
+      List.map (fun (ld : label_declaration) -> part `Read ld.ld_name.txt ld.ld_loc) lds
+    | _ -> []
+  in
+  items modname (Option.value (short_of_modname modname) ~default:modname) sg
+
+(* D12: a constructor of an exported type that no expression outside
+   test code builds (patterns only take values apart), or a label of
+   one that nothing reads ([r.l] or a record pattern; building a record
+   and keeping a field in [{ r with ... }] are not reads). *)
+let dead_type_parts refs ~is_test interfaces =
+  let reexports = Hashtbl.create 16 in
+  let parts = List.concat_map (fun (modname, sg) -> type_parts ~reexports ~modname sg) interfaces in
+  (* The canonical "Unit.type.name" key of a use, through re-exports. *)
+  let rec original fuel ty =
+    let ty = canonical refs.aliases ty in
+    match Hashtbl.find_opt reexports (String.concat "." ty) with
+    | Some target when fuel > 0 -> original (fuel - 1) target
+    | _ -> ty
+  in
+  let key_of (ty, name) = String.concat "." (original 32 ty @ [ name ]) in
+  let built = (Hashtbl.create 1024, Hashtbl.create 256)
+  and read = (Hashtbl.create 2048, Hashtbl.create 512) in
+  tally ~is_test key_of refs.built built;
+  tally ~is_test key_of refs.read read;
+  List.filter_map
+    (fun (kind, key, name, loc) ->
+      match kind with
+      | `Built ->
+        verdict ~code:"D12" ~loc built [ key ]
+          ~never:
+            (Printf.sprintf
+               "exported constructor '%s' is never built (a pattern is not a use); delete it \
+                with the match arms that handle it"
+               name)
+          ~test_only:(Printf.sprintf "exported constructor '%s' is built" name)
+      | `Read ->
+        verdict ~code:"D12" ~loc read [ key ]
+          ~never:
+            (Printf.sprintf
+               "exported record field '%s' is never read (building a record or copying it \
+                with 'with' is not a read); delete it"
+               name)
+          ~test_only:(Printf.sprintf "exported record field '%s' is read" name))
+    parts

@@ -246,43 +246,36 @@ let[@lint.hot] send t ~src ~dst ~size ~kind payload =
         (Obs.Tuple_drop { src; dst; kind; reason = "loss" })
     end
   end
+  else if (match t.faults with None -> false | Some f -> Faults.decide f ~src ~dst) then begin
+    if !Obs.enabled then begin
+      Obs.incr "transport.dropped.fault";
+      Obs.trace
+        ~t:(Engine.now t.engine)
+        (Obs.Tuple_drop { src; dst; kind; reason = "fault" })
+    end
+  end
   else begin
-    let verdict =
-      match t.faults with
-      | None -> Faults.pass
-      | Some f -> Faults.decide f ~src ~dst
-    in
-    if verdict.Faults.drop then begin
-      if !Obs.enabled then begin
-        Obs.incr "transport.dropped.fault";
-        Obs.trace
-          ~t:(Engine.now t.engine)
-          (Obs.Tuple_drop { src; dst; kind; reason = "fault" })
-      end
-    end
-    else begin
-      let hops = max 1 (Topology.hops t.topo src dst) in
-      Mortar_sim.Series.incr (series_of t ~kind) ~time:(Engine.now t.engine)
-        (float_of_int (size * hops));
-      if !Obs.enabled then begin
-        Obs.incr ("transport.sent." ^ kind);
-        Obs.trace
-          ~t:(Engine.now t.engine)
-          (Obs.Tuple_send { src; dst; kind; size })
-      end;
-      let delay = Topology.latency t.topo src dst +. verdict.Faults.extra_delay in
-      match t.remote with
-      | Some r when r.shard_of dst <> r.shard ->
-        (* Cross-shard: post the message to the shared batches rather
-           than this engine. The lookahead bound guarantees the delivery
-           time is still in the destination shard's future, and the merge
-           gives it a canonical total order. *)
-        Shard.post r.batches ~src_shard:r.shard ~dst_shard:(r.shard_of dst)
-          ~time:(Engine.now t.engine +. delay) ~src ~dst ~kind payload
-      | _ ->
-        let delay = if delay < 0.0 then 0.0 else delay in
-        schedule_delivery t ~at:(Engine.now t.engine +. delay) ~src ~dst ~kind payload
-    end
+    let hops = max 1 (Topology.hops t.topo src dst) in
+    Mortar_sim.Series.incr (series_of t ~kind) ~time:(Engine.now t.engine)
+      (float_of_int (size * hops));
+    if !Obs.enabled then begin
+      Obs.incr ("transport.sent." ^ kind);
+      Obs.trace
+        ~t:(Engine.now t.engine)
+        (Obs.Tuple_send { src; dst; kind; size })
+    end;
+    let delay = Topology.latency t.topo src dst in
+    match t.remote with
+    | Some r when r.shard_of dst <> r.shard ->
+      (* Cross-shard: post the message to the shared batches rather
+         than this engine. The lookahead bound guarantees the delivery
+         time is still in the destination shard's future, and the merge
+         gives it a canonical total order. *)
+      Shard.post r.batches ~src_shard:r.shard ~dst_shard:(r.shard_of dst)
+        ~time:(Engine.now t.engine +. delay) ~src ~dst ~kind payload
+    | _ ->
+      let delay = if delay < 0.0 then 0.0 else delay in
+      schedule_delivery t ~at:(Engine.now t.engine +. delay) ~src ~dst ~kind payload
   end
 
 let bytes_series t ~kind = Hashtbl.find_opt t.by_kind kind
@@ -291,8 +284,7 @@ let total_bytes_of_kind t ~kind =
   match Hashtbl.find_opt t.by_kind kind with
   | None -> 0.0
   | Some s ->
-    List.fold_left (fun acc (r : Mortar_sim.Series.row) -> acc +. r.sum) 0.0
-      (Mortar_sim.Series.rows s)
+    List.fold_left ( +. ) 0.0 (Mortar_sim.Series.rows s)
 
 let kinds t = Hashtbl.fold (fun k _ acc -> k :: acc) t.by_kind [] |> List.sort compare
 

@@ -6,8 +6,8 @@
     time, or if the {e destination} is down at delivery time — an
     in-flight datagram outlives its sender's crash, as a real packet
     would. An optional uniform loss rate models residual packet loss, and
-    an attached {!Faults} table adds link-level partitions, asymmetric and
-    bursty loss, and delay jitter per (src, dst) pair.
+    an attached {!Faults} table adds link-level cuts and bursty loss per
+    (src, dst) pair.
 
     Bandwidth accounting follows the paper's "total network load" metric:
     each delivered-or-dropped-in-flight message contributes

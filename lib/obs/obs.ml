@@ -110,14 +110,14 @@ type metric = Counter of int ref | Gauge of float ref | Hist of hist_state
 module Reg = struct
   type t = {
     metrics : (scope * string, metric) Hashtbl.t;
-    trace_cap : int;
     mutable trace_rev : (float * event) list; (* newest first *)
     mutable trace_len : int;
     mutable dropped : int;
   }
 
-  let create ?(trace_cap = 262_144) () =
-    { metrics = Hashtbl.create 64; trace_cap; trace_rev = []; trace_len = 0; dropped = 0 }
+  let trace_cap = 262_144
+
+  let create () = { metrics = Hashtbl.create 64; trace_rev = []; trace_len = 0; dropped = 0 }
 
   let clear t =
     Hashtbl.reset t.metrics;
@@ -163,7 +163,7 @@ module Reg = struct
       Hashtbl.replace t.metrics (scope, name) (Hist h)
 
   let trace t ~t:stamp ev =
-    if t.trace_len >= t.trace_cap then t.dropped <- t.dropped + 1
+    if t.trace_len >= trace_cap then t.dropped <- t.dropped + 1
     else begin
       t.trace_rev <- (stamp, ev) :: t.trace_rev;
       t.trace_len <- t.trace_len + 1

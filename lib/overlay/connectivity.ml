@@ -126,8 +126,6 @@ let union_reachable trees ~dead =
   let ok = reachable_union trees edge_sets ~dead:dead_tbl in
   Array.to_list (Tree.nodes trees.(0)) |> List.filter ok
 
-type trial_result = { mean : float; stddev : float }
-
 let run_trials ~seed ~n ~bf ~trials ~link_failure scheme =
   let rng = Rng.create seed in
   let d = degree_of scheme in
@@ -147,4 +145,4 @@ let run_trials ~seed ~n ~bf ~trials ~link_failure scheme =
         end;
         pct)
   in
-  { mean = Mortar_util.Stats.mean samples; stddev = Mortar_util.Stats.stddev samples }
+  Mortar_util.Stats.mean samples

@@ -45,8 +45,6 @@ val union_reachable : Tree.t array -> dead:(int -> bool) -> int list
     dynamic striping can deliver, used by experiments to normalise
     measured completeness. *)
 
-type trial_result = { mean : float; stddev : float }
-
 val run_trials :
   seed:int ->
   n:int ->
@@ -54,6 +52,6 @@ val run_trials :
   trials:int ->
   link_failure:float ->
   scheme ->
-  trial_result
+  float
 (** Fresh random trees per trial over [n] nodes with branching factor
-    [bf]; returns completeness (percent) across trials. *)
+    [bf]; returns the mean completeness (percent) across trials. *)

@@ -2,17 +2,18 @@ module Topology = Mortar_net.Topology
 module Treeset = Mortar_overlay.Treeset
 module Tree = Mortar_overlay.Tree
 
-type model = {
-  tuple_bytes : float;
-  result_bytes : float;
-  op_budget : int;
-}
+type model = { op_budget : int }
 
-(* tuple_bytes tracks Msg.Data carrying a scalar summary; result_bytes a
-   Result_fwd. Four interior operator slots per host keeps hundreds of
-   physical queries from piling their merge work onto a few well-placed
-   hosts at 10k-host scale. *)
-let default = { tuple_bytes = 96.0; result_bytes = 64.0; op_budget = 4 }
+(* Four interior operator slots per host keeps hundreds of physical
+   queries from piling their merge work onto a few well-placed hosts at
+   10k-host scale. *)
+let default = { op_budget = 4 }
+
+(* The estimated wire size of a Msg.Data carrying a scalar summary, and
+   of a Result_fwd. *)
+let tuple_bytes = 96.0
+
+let result_bytes = 64.0
 
 let tree_cost topo tr =
   List.fold_left
@@ -28,13 +29,13 @@ let op_bytes ~default op =
   | Some cap -> float_of_int cap
   | None -> default
 
-let treeset_cost m ~op topo ~window ts =
+let treeset_cost ~op topo ~window ts =
   let trees = Treeset.trees ts in
   let sum = Array.fold_left (fun acc tr -> acc +. tree_cost topo tr) 0.0 trees in
-  op_bytes ~default:m.tuple_bytes op /. window *. sum /. float_of_int (Array.length trees)
+  op_bytes ~default:tuple_bytes op /. window *. sum /. float_of_int (Array.length trees)
 
-let fanout_cost m ~op topo ~window ~root subscribers =
-  let bytes = op_bytes ~default:m.result_bytes op in
+let fanout_cost ~op topo ~window ~root subscribers =
+  let bytes = op_bytes ~default:result_bytes op in
   List.fold_left
     (fun acc s ->
       if s = root then acc else acc +. (bytes /. window *. Topology.latency topo root s))

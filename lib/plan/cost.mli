@@ -16,16 +16,11 @@
     {!op_budget} caps the slots the greedy placement may consume per
     host (Benoit et al.'s per-node CPU constraint, discretised). *)
 
-type model = {
-  tuple_bytes : float;  (** Estimated summary wire size on tree edges. *)
-  result_bytes : float;  (** Estimated result wire size on fan-out links. *)
-  op_budget : int;  (** Operator slots per host (interior roles). *)
-}
+type model = { op_budget : int  (** Operator slots per host (interior roles). *) }
 
 val default : model
 
 val treeset_cost :
-  model ->
   op:Mortar_core.Op.spec ->
   Mortar_net.Topology.t ->
   window:float ->
@@ -33,13 +28,12 @@ val treeset_cost :
   float
 (** Mean per-tree sum of [edge latency x summary bytes / window] — the
     in-network bandwidth-latency product of running this tree set, in
-    byte-seconds per second. Summary bytes are [tuple_bytes], except
-    when [op] has a fixed-size partial
+    byte-seconds per second. Summary bytes are 96 (a scalar summary's
+    [Msg.Data]), except when [op] has a fixed-size partial
     ({!Mortar_core.Op.state_wire_size}): then its serialized cap is
     charged — sketch queries pay their true fixed bytes. *)
 
 val fanout_cost :
-  model ->
   op:Mortar_core.Op.spec ->
   Mortar_net.Topology.t ->
   window:float ->
@@ -47,8 +41,9 @@ val fanout_cost :
   int list ->
   float
 (** Cost of delivering one result per window from [root] to each
-    subscriber in the list ([root] itself is free). [op] refines the
-    per-result bytes exactly as in {!treeset_cost}. *)
+    subscriber in the list ([root] itself is free), at 64 bytes per
+    result (a [Result_fwd]). [op] refines the per-result bytes exactly as
+    in {!treeset_cost}. *)
 
 val interior_load : Mortar_overlay.Treeset.t -> int list
 (** The hosts charged one operator slot by this tree set (sorted). *)

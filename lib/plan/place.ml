@@ -20,13 +20,6 @@ type placement = {
   cost : float;
 }
 
-type t = {
-  placements : placement list;
-  total_cost : float;
-  evals : int;
-  budget_overflows : int;
-}
-
 type ctx = {
   topo : Topology.t;
   coords : Mortar_util.Vec.t array;
@@ -36,12 +29,11 @@ type ctx = {
   candidates : int;
   seed : int;
   mutable n_evals : int;
-  mutable n_overflows : int;
 }
 
 let ctx ~topo ~coords ?(model = Cost.default) ?(bf = 16) ?(degree = 2) ?(candidates = 3)
     ?(seed = 0) () =
-  { topo; coords; model; bf; degree; candidates; seed; n_evals = 0; n_overflows = 0 }
+  { topo; coords; model; bf; degree; candidates; seed; n_evals = 0 }
 
 let group_specs specs =
   let tbl = Hashtbl.create 32 in
@@ -148,8 +140,8 @@ let place_group ctx ~usage ?force_root g =
         ctx.n_evals <- ctx.n_evals + 1;
         let ts = build_treeset ctx g root in
         let cost =
-          Cost.treeset_cost ctx.model ~op:g.op ctx.topo ~window:g.window ts
-          +. Cost.fanout_cost ctx.model ~op:g.op ctx.topo ~window:g.window ~root subs
+          Cost.treeset_cost ~op:g.op ctx.topo ~window:g.window ts
+          +. Cost.fanout_cost ~op:g.op ctx.topo ~window:g.window ~root subs
         in
         (cost, root, ts))
       cands
@@ -159,9 +151,7 @@ let place_group ctx ~usage ?force_root g =
   let cost, root, treeset =
     match List.find_opt (fun (_, _, ts) -> feasible ctx ~usage ts) scored with
     | Some c -> c
-    | None ->
-      ctx.n_overflows <- ctx.n_overflows + 1;
-      List.hd scored
+    | None -> List.hd scored
   in
   { group = g; root; treeset; cost }
 
@@ -175,8 +165,8 @@ let discharge usage p =
       if v <= 0 then Hashtbl.remove usage h else Hashtbl.replace usage h v)
     (Cost.interior_load p.treeset)
 
-let plan ctx ?(usage = []) specs =
-  let evals0 = ctx.n_evals and overflows0 = ctx.n_overflows in
+let plan ctx ~usage specs =
+  let evals0 = ctx.n_evals in
   let use = Hashtbl.create 64 in
   List.iter (fun (h, c) -> Hashtbl.replace use h c) usage;
   let placements =
@@ -187,11 +177,5 @@ let plan ctx ?(usage = []) specs =
         p)
       (group_specs specs)
   in
-  let evals = ctx.n_evals - evals0 in
-  if !Obs.enabled then Obs.incr ~by:evals "planner.evals";
-  {
-    placements;
-    total_cost = List.fold_left (fun acc p -> acc +. p.cost) 0.0 placements;
-    evals;
-    budget_overflows = ctx.n_overflows - overflows0;
-  }
+  if !Obs.enabled then Obs.incr ~by:(ctx.n_evals - evals0) "planner.evals";
+  placements

@@ -31,17 +31,8 @@ type placement = {
   group : group;
   root : int;
   treeset : Mortar_overlay.Treeset.t;
+  (* lint: allow D12 oracle: test/test_plan.ml "score-once plan = re-scoring oracle" *)
   cost : float;  (** Tree-set cost + fan-out cost under the model. *)
-}
-
-type t = {
-  placements : placement list;  (** Key-sorted, one per sharing class. *)
-  total_cost : float;
-  evals : int;
-      (** Candidate tree sets built and costed, once per class. *)
-  budget_overflows : int;
-      (** Classes that found no budget-feasible candidate (best-effort
-          cheapest chosen instead). *)
 }
 
 type ctx
@@ -86,6 +77,8 @@ val charge : (int, int) Hashtbl.t -> placement -> unit
 
 val discharge : (int, int) Hashtbl.t -> placement -> unit
 
-val plan : ctx -> ?usage:(int * int) list -> Spec.t list -> t
-(** Greedy placement over all sharing classes in key order. [usage] seeds
-    pre-existing operator load. Emits the [planner.evals] counter when {!Mortar_obs.Obs.enabled}. *)
+val plan : ctx -> usage:(int * int) list -> Spec.t list -> placement list
+(** Greedy placement over all sharing classes in key order, one
+    placement per class, key-sorted. [usage] seeds pre-existing operator
+    load; a class with no budget-feasible candidate gets the cheapest
+    one. Emits the [planner.evals] counter when {!Mortar_obs.Obs.enabled}. *)

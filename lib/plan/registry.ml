@@ -6,7 +6,6 @@ type entry = { mutable placement : Place.placement }
 
 type t = {
   ctx : Place.ctx;
-  track_provenance : bool;
   entries : (string, entry) Hashtbl.t; (* canonical key -> entry *)
   by_name : (string, string) Hashtbl.t; (* logical name -> canonical key *)
   usage : (int, int) Hashtbl.t; (* host -> interior operator slots *)
@@ -35,10 +34,9 @@ type action =
       subscribers : int list;
     }
 
-let create ~ctx ?(track_provenance = false) () =
+let create ~ctx () =
   {
     ctx;
-    track_provenance;
     entries = Hashtbl.create 32;
     by_name = Hashtbl.create 64;
     usage = Hashtbl.create 64;
@@ -58,8 +56,7 @@ let meta_of t (p : Place.placement) =
     ~window:(Window.tumbling g.Place.window)
     ~root:p.Place.root
     ~degree:(Mortar_overlay.Treeset.degree p.Place.treeset)
-    ~total_nodes:(Array.length g.Place.publishers)
-    ~track_provenance:t.track_provenance ()
+    ~total_nodes:(Array.length g.Place.publishers) ()
 
 let sorted_entries t =
   Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.entries []
@@ -152,7 +149,7 @@ let add_batch t specs =
               treeset = p.Place.treeset;
               subscribers = Place.subscribers g;
             })
-        planned.Place.placements
+        planned
     end
   in
   obs_gauges t;

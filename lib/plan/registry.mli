@@ -43,7 +43,7 @@ type action =
           higher seqno) over surviving publishers. [root = old_root]
           whenever the old root survived. *)
 
-val create : ctx:Place.ctx -> ?track_provenance:bool -> unit -> t
+val create : ctx:Place.ctx -> unit -> t
 
 val add_batch : t -> Spec.t list -> action list
 (** Admit a batch of logical queries: new sharing classes are planned

@@ -7,30 +7,18 @@
 type t
 
 val create : bucket:float -> t
-(** [create ~bucket] accumulates samples into buckets of [bucket] seconds. *)
-
-val add : t -> time:float -> float -> unit (* lint: allow D11 oracle: test/test_sim.ml "series buckets" *)
-(** Record a sample at the given virtual time. *)
+(** [create ~bucket] sums values into buckets of [bucket] seconds. *)
 
 val incr : t -> time:float -> float -> unit
-(** Add to the bucket's running sum without counting a sample mean — use for
-    counters such as bytes transferred. [incr] and [add] may not be mixed on
-    one series. *)
+(** Add to the running sum of the bucket holding the given virtual time —
+    counters such as bytes transferred. *)
 
-type row = {
-  t_start : float;  (** Bucket left edge, seconds. *)
-  count : int;      (** Samples in the bucket. *)
-  sum : float;
-  mean : float;     (** [nan] for empty buckets. *)
-}
-
-val rows : t -> row list
-(** All buckets from time 0 through the last touched bucket, in order;
-    untouched buckets appear with [count = 0]. *)
+val rows : t -> float list
+(** The sum of every bucket from time 0 through the last touched bucket,
+    in order; untouched buckets read [0.]. *)
 
 val sum_between : t -> float -> float -> float
 
 val merge_into : dst:t -> t -> unit
-(** Add every bucket of the source series into [dst] (summing counts and
-    sums bucket-wise). Both series must share the same bucket width.
+(** Add every bucket of the source series into [dst], bucket-wise. Both series must share the same bucket width.
     Used to combine per-shard byte accounting into one view. *)

@@ -37,8 +37,6 @@ let second_moment (t : t) =
 
 let merge a b = Codec.grid_merge kind a b
 
-let sub a b = Codec.grid_sub kind a b
-
 (* Same wire discipline as {!Count_min}: 'A' rows:u8 cols:u16 seed:i64
    tag:u8, then the {!Codec} i32 grid. *)
 let max_bytes ~rows ~cols = Codec.max_bytes kind.layout ~n:(rows * cols)
@@ -48,8 +46,6 @@ let to_string t = Codec.grid_to_string kind t
 let of_string s = Codec.grid_of_string kind s
 
 let merge_packed a b = Codec.combine kind.layout Codec.Add a b
-
-let sub_packed a b = Codec.combine kind.layout Codec.Sub a b
 
 let singleton ~rows ~cols ~seed key =
   let o = Codec.grid_alloc kind ~rows ~cols ~seed ~nnz:rows in

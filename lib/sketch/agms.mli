@@ -6,11 +6,11 @@
     Each insert adds [±w] to one counter per row; a row's estimate is
     the sum of its squared counters (variance ~ 2·F2²/cols) and the
     sketch answers with the median across rows. Linear like Count-Min:
-    [merge] adds, [sub] retracts, both exact on the counters. *)
+    [merge] adds, exact on the counters. *)
 
 type t
 
-val create : rows:int -> cols:int -> seed:int -> t
+val create : rows:int -> cols:int -> seed:int -> t (* lint: allow D11 oracle: test/test_sketch.ml "singletons = create + add + to_string" *)
 (** Requires [0 < rows <= 255] and [0 < cols <= 65535]. *)
 
 val add : t -> key:int -> w:int -> unit (* lint: allow D11 oracle: test/test_sketch.ml "agms f2 accuracy" *)
@@ -21,9 +21,7 @@ val second_moment : t -> float
 val merge : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernel edge cases" *)
 (** Raises [Failure] on mismatched parameters. *)
 
-val sub : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernels cross both forms" *)
-
-val to_string : t -> string
+val to_string : t -> string (* lint: allow D11 oracle: test/test_sketch.ml "packed kernels cross both forms" *)
 
 val of_string : string -> t
 (** Raises [Failure] on malformed input. *)
@@ -32,9 +30,6 @@ val of_string : string -> t
 
 val merge_packed : string -> string -> string
 (** [to_string (merge (of_string a) (of_string b))]. *)
-
-val sub_packed : string -> string -> string
-(** [to_string (sub (of_string a) (of_string b))]. *)
 
 val singleton : rows:int -> cols:int -> seed:int -> int -> string
 (** The packed sketch of one insert of the key with weight 1. *)

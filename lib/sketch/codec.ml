@@ -152,9 +152,9 @@ let validate l s =
 
 let is_sparse l s = s.[l.header - 1] = '\001'
 
-type op = Add | Sub | Max
+type op = Add | Max
 
-let[@inline] apply op x y = match op with Add -> x + y | Sub -> x - y | Max -> if x >= y then x else y
+let[@inline] apply op x y = match op with Add -> x + y | Max -> if x >= y then x else y
 
 (* Both operands sparse: a merge-join over their (index, value) entries.
    Counts the result's non-zero cells, and writes them into [o] (from
@@ -298,14 +298,10 @@ let grid_create k ~rows ~cols ~seed =
   k.check ~rows ~cols ~seed;
   { rows; cols; seed; cells = Array.make (rows * cols) 0 }
 
-let zip k f a b =
+let grid_merge k a b =
   if not (Int.equal a.rows b.rows && Int.equal a.cols b.cols && Int.equal a.seed b.seed) then
     fail (k.layout.name ^ " merge across mismatched parameters");
-  { a with cells = Array.mapi (fun i x -> f x b.cells.(i)) a.cells }
-
-let grid_merge k a b = zip k ( + ) a b
-
-let grid_sub k a b = zip k ( - ) a b
+  { a with cells = Array.mapi (fun i x -> x + b.cells.(i)) a.cells }
 
 let grid_alloc k ~rows ~cols ~seed ~nnz =
   k.check ~rows ~cols ~seed;

@@ -69,7 +69,7 @@ val put_cell : layout -> Bytes.t -> k:int -> int -> int -> unit
     value [v]) into [o] from {!alloc}. Raises [Failure] when [v] does
     not fit a 32-bit cell. *)
 
-type op = Add | Sub | Max
+type op = Add | Max
 
 val combine : layout -> op -> string -> string -> string
 (** [combine l op a b] applies [op] cell-wise to two packed sketches and
@@ -99,8 +99,6 @@ val grid_create : grid_kind -> rows:int -> cols:int -> seed:int -> grid
 val grid_merge : grid_kind -> grid -> grid -> grid
 (** Cell-wise sum into a fresh grid; raises [Failure] on mismatched
     parameters. *)
-
-val grid_sub : grid_kind -> grid -> grid -> grid
 
 val grid_alloc : grid_kind -> rows:int -> cols:int -> seed:int -> nnz:int -> Bytes.t
 (** {!alloc} with the grid's parameter bytes written. *)

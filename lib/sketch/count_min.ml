@@ -32,8 +32,6 @@ let total (t : t) =
 
 let merge a b = Codec.grid_merge kind a b
 
-let sub a b = Codec.grid_sub kind a b
-
 (* Wire layout: 'C' depth:u8 width:u16 seed:i64 tag:u8, then the
    {!Codec} i32 grid — dense cells or sparse index/value pairs. *)
 let max_bytes ~depth ~width = Codec.max_bytes kind.layout ~n:(depth * width)
@@ -43,8 +41,6 @@ let to_string t = Codec.grid_to_string kind t
 let of_string s = Codec.grid_of_string kind s
 
 let merge_packed a b = Codec.combine kind.layout Codec.Add a b
-
-let sub_packed a b = Codec.combine kind.layout Codec.Sub a b
 
 (* One unit cell per row, each in its own row's index range, so the
    entries come out ascending and never collide. *)

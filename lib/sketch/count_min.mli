@@ -1,9 +1,8 @@
 (** Count-Min sketch (Cormode & Muthukrishnan): a [depth] × [width] grid
     of counters answering point frequency queries with one-sided error.
 
-    The partial is {e linear}: [merge] adds grids cell-wise and [sub]
-    retracts, so it composes with sliding-window eviction exactly like
-    Sum does. [query] overestimates by at most [e/width · N] with
+    The partial is {e linear}: [merge] adds grids cell-wise, exactly
+    like Sum. [query] overestimates by at most [e/width · N] with
     probability [1 - e^-depth] ([N] = total weight); [total] (the sum of
     one row) is the exact inserted weight, so one Count-Min partial
     answers both "how many tuples" and "how often did key k appear".
@@ -30,9 +29,6 @@ val merge : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed k
 (** Cell-wise sum into a fresh sketch. Commutative and associative.
     Raises [Failure] on mismatched parameters. *)
 
-val sub : t -> t -> t (* lint: allow D11 oracle: test/test_sketch.ml "packed kernel edge cases" *)
-(** Cell-wise difference ([merge]'s inverse) into a fresh sketch. *)
-
 val to_string : t -> string
 (** Fixed-layout codec: dense cells, or index/value pairs when the grid
     is sparse enough that they are smaller. The choice depends only on
@@ -51,9 +47,6 @@ val of_string : string -> t
 
 val merge_packed : string -> string -> string
 (** [to_string (merge (of_string a) (of_string b))]. *)
-
-val sub_packed : string -> string -> string
-(** [to_string (sub (of_string a) (of_string b))]. *)
 
 val singleton : depth:int -> width:int -> seed:int -> int -> string
 (** [singleton ~depth ~width ~seed key] is the packed sketch of one

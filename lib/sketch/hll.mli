@@ -6,8 +6,7 @@
     idempotent as well as commutative/associative — so an item observed
     along two paths of a striped multipath tree union counts once. That
     duplicate-insensitivity is what lets distinct-count queries skip the
-    time-division machinery entirely. There is no inverse ([sub]):
-    sliding windows recompute, exactly like Min/Max. *)
+    time-division machinery entirely. *)
 
 type t
 

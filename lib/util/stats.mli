@@ -6,7 +6,7 @@
 val mean : float array -> float
 (** Arithmetic mean; [nan] on an empty array. *)
 
-val stddev : float array -> float
+val stddev : float array -> float (* lint: allow D11 oracle: test/test_util.ml "rng gaussian moments" *)
 (** Sample standard deviation (n-1 denominator); [0.] for fewer than two
     samples. *)
 

@@ -1,6 +1,6 @@
 (** Small Euclidean vectors for network coordinates and clustering.
 
-    Vivaldi coordinates (paper §3.1, §7) and the k-means/X-Means planners
+    Vivaldi coordinates (paper §3.1, §7) and the k-means planner
     operate on low-dimensional points; the paper uses 3-dimensional
     coordinates (footnote 5). Vectors are immutable float arrays. *)
 

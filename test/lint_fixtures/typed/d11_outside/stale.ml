@@ -1,1 +1,3 @@
 let has_caller x = x
+
+type kind = Built_outside

@@ -41,7 +41,7 @@ let test_bsort_length () =
 (* Processor *)
 
 let test_processor_windows () =
-  let p = Processor.create ~op:Mortar_core.Op.Sum ~slide:5.0 ~bsort_capacity:100 () in
+  let p = Processor.create ~op:Mortar_core.Op.Sum ~slide:5.0 () in
   (* 3 tuples in window 0, 2 in window 1, in arrival order with slight
      disorder. *)
   List.iter
@@ -56,7 +56,7 @@ let test_processor_windows () =
   | rs -> Alcotest.fail (Printf.sprintf "expected 2 windows, got %d" (List.length rs))
 
 let test_processor_misassigns_under_offset () =
-  let p = Processor.create ~op:Mortar_core.Op.Sum ~slide:5.0 ~bsort_capacity:10 () in
+  let p = Processor.create ~op:Mortar_core.Op.Sum ~slide:5.0 () in
   (* Two sources, one with a +7 s clock offset: its tuples land in the
      wrong window even though they were created simultaneously. *)
   for k = 0 to 9 do

@@ -1,7 +1,6 @@
-(* Tests for k-means, X-Means, and Vivaldi coordinates. *)
+(* Tests for k-means and Vivaldi coordinates. *)
 
 module Kmeans = Mortar_cluster.Kmeans
-module Xmeans = Mortar_cluster.Xmeans
 module Vivaldi = Mortar_coords.Vivaldi
 module Rng = Mortar_util.Rng
 module Vec = Mortar_util.Vec
@@ -46,15 +45,13 @@ let test_kmeans_k_geq_n () =
   let points = [| [| 0.0 |]; [| 1.0 |] |] in
   let r = Kmeans.cluster rng ~k:5 points in
   Alcotest.(check int) "one cluster per point" 2 (Array.length r.Kmeans.centroids);
-  Alcotest.(check (float 1e-9)) "zero inertia" 0.0 r.Kmeans.inertia
+  Alcotest.(check (array int)) "each point is its own centroid" [| 0; 1 |] r.Kmeans.assignment
 
 let test_kmeans_members_partition () =
   let rng = Rng.create 24 in
   let points = blobs rng ~per_blob:20 in
   let r = Kmeans.cluster rng ~k:3 points in
-  let total =
-    List.fold_left (fun acc c -> acc + List.length (Kmeans.members r c)) 0 [ 0; 1; 2 ]
-  in
+  let total = Array.fold_left (fun acc m -> acc + List.length m) 0 (Kmeans.buckets r) in
   Alcotest.(check int) "members partition points" (Array.length points) total
 
 let test_kmeans_medoid () =
@@ -119,8 +116,8 @@ module Oracle = struct
 
   let cluster rng ~k ?(max_iter = 50) points =
     let n = Array.length points in
-    if n = 0 then ([||], [||], 0.0)
-    else if k >= n then (Array.copy points, Array.init n (fun i -> i), 0.0)
+    if n = 0 then ([||], [||])
+    else if k >= n then (Array.copy points, Array.init n (fun i -> i))
     else begin
       let centroids = seed_plus_plus rng ~k points in
       let assignment = Array.make n (-1) in
@@ -166,27 +163,22 @@ module Oracle = struct
             end)
           counts
       done;
-      let inertia =
-        let acc = ref 0.0 in
-        Array.iteri
-          (fun i p -> acc := !acc +. Vec.dist_sq p centroids.(assignment.(i)))
-          points;
-        !acc
-      in
-      (centroids, assignment, inertia)
+      (centroids, assignment)
     end
+
+  let members assignment c =
+    List.filter (fun i -> assignment.(i) = c) (List.init (Array.length assignment) Fun.id)
 end
 
 let bits = Array.map (Array.map Int64.bits_of_float)
 
 let same_as_oracle ~seed ~k points =
   let r = Kmeans.cluster (Rng.create seed) ~k points in
-  let centroids, assignment, inertia = Oracle.cluster (Rng.create seed) ~k points in
+  let centroids, assignment = Oracle.cluster (Rng.create seed) ~k points in
   r.Kmeans.assignment = assignment
   && bits r.Kmeans.centroids = bits centroids
-  && Int64.equal (Int64.bits_of_float r.Kmeans.inertia) (Int64.bits_of_float inertia)
   && Array.for_all2 ( = ) (Kmeans.buckets r)
-       (Array.init (Array.length r.Kmeans.centroids) (Kmeans.members r))
+       (Array.init (Array.length centroids) (Oracle.members assignment))
 
 (* Coordinates on a coarse grid repeat often, so k-means++ draws
    coincident seeds and Lloyd has to re-seed empty clusters. *)
@@ -226,27 +218,6 @@ let test_kmeans_reseed_matches_oracle () =
   done;
   Alcotest.(check bool) "empty-cluster re-seed exercised" true (!Oracle.reseeds > 0);
   Alcotest.(check bool) "n = 0" true (same_as_oracle ~seed:1 ~k:3 [||])
-
-let test_xmeans_finds_three () =
-  let rng = Rng.create 25 in
-  let points = blobs rng ~per_blob:50 in
-  let r = Xmeans.cluster rng ~k_min:1 ~k_max:10 points in
-  let k = Array.length r.Kmeans.centroids in
-  Alcotest.(check bool) (Printf.sprintf "k close to 3 (got %d)" k) true (k >= 3 && k <= 5)
-
-let test_xmeans_respects_kmax () =
-  let rng = Rng.create 26 in
-  let points = blobs rng ~per_blob:50 in
-  let r = Xmeans.cluster rng ~k_min:1 ~k_max:2 points in
-  Alcotest.(check bool) "k <= k_max" true (Array.length r.Kmeans.centroids <= 2)
-
-let test_xmeans_bic_prefers_better_fit () =
-  let rng = Rng.create 27 in
-  let points = blobs rng ~per_blob:50 in
-  let k1 = Kmeans.cluster rng ~k:1 points in
-  let k3 = Kmeans.cluster rng ~k:3 points in
-  Alcotest.(check bool) "bic(3 blobs as 3) > bic(as 1)" true
-    (Xmeans.bic points k3 > Xmeans.bic points k1)
 
 let test_vivaldi_converges () =
   let rng = Rng.create 28 in
@@ -355,9 +326,6 @@ let tests =
     Alcotest.test_case "kmeans k >= n" `Quick test_kmeans_k_geq_n;
     Alcotest.test_case "kmeans members partition" `Quick test_kmeans_members_partition;
     Alcotest.test_case "kmeans medoid" `Quick test_kmeans_medoid;
-    Alcotest.test_case "xmeans finds three blobs" `Quick test_xmeans_finds_three;
-    Alcotest.test_case "xmeans respects k_max" `Quick test_xmeans_respects_kmax;
-    Alcotest.test_case "xmeans bic ordering" `Quick test_xmeans_bic_prefers_better_fit;
     Alcotest.test_case "vivaldi converges" `Quick test_vivaldi_converges;
     Alcotest.test_case "vivaldi coordinates move" `Quick test_vivaldi_error_estimates_shrink;
     Alcotest.test_case "vivaldi predicts neighbors" `Quick test_vivaldi_predicts_neighbors;

@@ -67,21 +67,6 @@ let test_index_overlap () =
     check_float "inter tb" 5.0 i.Index.tb;
     check_float "inter te" 10.0 i.Index.te
 
-let test_index_split () =
-  let a = Index.make ~tb:0.0 ~te:10.0 and b = Index.make ~tb:5.0 ~te:15.0 in
-  match Index.split a b with
-  | None -> Alcotest.fail "expected split"
-  | Some s ->
-    (match s.Index.before with
-    | Some x ->
-      check_float "before tb" 0.0 x.Index.tb;
-      check_float "before te" 5.0 x.Index.te
-    | None -> Alcotest.fail "expected leading residue");
-    check_float "overlap tb" 5.0 s.Index.overlap.Index.tb;
-    (match s.Index.after with
-    | Some x -> check_float "after te" 15.0 x.Index.te
-    | None -> Alcotest.fail "expected trailing residue")
-
 let test_index_invalid () =
   Alcotest.check_raises "empty interval" (Invalid_argument "Index.make: tb must be < te")
     (fun () -> ignore (Index.make ~tb:1.0 ~te:1.0))
@@ -199,22 +184,6 @@ let test_op_union_cap () =
   let r = fold_lift impl [ Value.Int 1; Value.Int 2; Value.Int 3 ] in
   Alcotest.(check int) "capped" 2 (List.length (Value.to_list r))
 
-let test_op_remove_inverse () =
-  List.iter
-    (fun spec ->
-      let impl = Op.compile spec in
-      match impl.Op.remove with
-      | None -> Alcotest.fail "expected an inverse"
-      | Some remove ->
-        let lifted = impl.Op.lift (Value.Int 5) in
-        let acc = impl.Op.merge (impl.Op.merge impl.Op.init lifted) (impl.Op.lift (Value.Int 2)) in
-        let back = remove acc lifted in
-        Alcotest.(check bool)
-          (Printf.sprintf "merge then remove is identity for %s" (Op.spec_name spec))
-          true
-          (Value.equal (impl.Op.finalize back) (impl.Op.finalize (impl.Op.merge impl.Op.init (impl.Op.lift (Value.Int 2))))))
-    [ Op.Sum; Op.Count; Op.Avg ]
-
 let test_op_custom_registry () =
   Op.register "always-42"
     (fun _args ->
@@ -222,7 +191,6 @@ let test_op_custom_registry () =
         Op.init = Value.Int 0;
         lift = (fun _ -> Value.Int 0);
         merge = (fun _ _ -> Value.Int 0);
-        remove = None;
         finalize = (fun _ -> Value.Int 42);
       });
   Alcotest.(check bool) "registered" true (Op.registered "always-42");
@@ -239,9 +207,9 @@ let value_gen = QCheck.Gen.oneof [
     QCheck.Gen.map (fun f -> Value.Float f) (QCheck.Gen.float_range (-100.) 100.);
   ]
 
-let prop_merge_comm spec =
+let prop_merge_comm name spec =
   QCheck.Test.make
-    ~name:(Printf.sprintf "%s merge commutative" (Op.spec_name spec))
+    ~name:(name ^ " merge commutative")
     ~count:100
     (QCheck.make QCheck.Gen.(pair value_gen value_gen))
     (fun (a, b) ->
@@ -249,9 +217,9 @@ let prop_merge_comm spec =
       let la = impl.Op.lift a and lb = impl.Op.lift b in
       Value.equal (impl.Op.merge la lb) (impl.Op.merge lb la))
 
-let prop_merge_assoc spec =
+let prop_merge_assoc name spec =
   QCheck.Test.make
-    ~name:(Printf.sprintf "%s merge associative" (Op.spec_name spec))
+    ~name:(name ^ " merge associative")
     ~count:100
     (QCheck.make QCheck.Gen.(triple value_gen value_gen value_gen))
     (fun (a, b, c) ->
@@ -290,7 +258,6 @@ let tests =
     Alcotest.test_case "value wire size" `Quick test_value_wire_size;
     Alcotest.test_case "index slots" `Quick test_index_slots;
     Alcotest.test_case "index overlap" `Quick test_index_overlap;
-    Alcotest.test_case "index split" `Quick test_index_split;
     Alcotest.test_case "index invalid" `Quick test_index_invalid;
     Alcotest.test_case "window validation" `Quick test_window_validation;
     Alcotest.test_case "expr eval" `Quick test_expr_eval;
@@ -305,14 +272,13 @@ let tests =
     Alcotest.test_case "op histogram" `Quick test_op_histogram;
     Alcotest.test_case "op quantile" `Quick test_op_quantile;
     Alcotest.test_case "op union cap" `Quick test_op_union_cap;
-    Alcotest.test_case "op remove inverse" `Quick test_op_remove_inverse;
     Alcotest.test_case "op custom registry" `Quick test_op_custom_registry;
-    QCheck_alcotest.to_alcotest (prop_merge_comm Op.Sum);
-    QCheck_alcotest.to_alcotest (prop_merge_comm Op.Min);
-    QCheck_alcotest.to_alcotest (prop_merge_comm Op.Count);
-    QCheck_alcotest.to_alcotest (prop_merge_assoc Op.Sum);
-    QCheck_alcotest.to_alcotest (prop_merge_assoc Op.Max);
-    QCheck_alcotest.to_alcotest (prop_merge_assoc Op.Avg);
+    QCheck_alcotest.to_alcotest (prop_merge_comm "sum" Op.Sum);
+    QCheck_alcotest.to_alcotest (prop_merge_comm "min" Op.Min);
+    QCheck_alcotest.to_alcotest (prop_merge_comm "count" Op.Count);
+    QCheck_alcotest.to_alcotest (prop_merge_assoc "sum" Op.Sum);
+    QCheck_alcotest.to_alcotest (prop_merge_assoc "max" Op.Max);
+    QCheck_alcotest.to_alcotest (prop_merge_assoc "avg" Op.Avg);
     Alcotest.test_case "summary prov merge" `Quick test_summary_prov_merge;
     Alcotest.test_case "summary boundary" `Quick test_summary_boundary;
   ]

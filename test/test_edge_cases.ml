@@ -45,29 +45,6 @@ let test_value_show_readable () =
 (* ------------------------------------------------------------------ *)
 (* Index properties *)
 
-let prop_split_covers =
-  QCheck.Test.make ~name:"index split covers the union" ~count:300
-    QCheck.(quad (float_range 0. 50.) (float_range 0.1 10.) (float_range 0. 50.) (float_range 0.1 10.))
-    (fun (tb1, w1, tb2, w2) ->
-      let a = Index.make ~tb:tb1 ~te:(tb1 +. w1) in
-      let b = Index.make ~tb:tb2 ~te:(tb2 +. w2) in
-      match Index.split a b with
-      | None -> not (Index.overlaps a b)
-      | Some s ->
-        let lo = min a.Index.tb b.Index.tb and hi = max a.Index.te b.Index.te in
-        let pieces =
-          (match s.Index.before with Some x -> [ x ] | None -> [])
-          @ [ s.Index.overlap ]
-          @ (match s.Index.after with Some x -> [ x ] | None -> [])
-        in
-        (* Pieces tile [lo, hi) without gaps. *)
-        let sorted = List.sort Index.compare_by_start pieces in
-        let rec tiles cursor = function
-          | [] -> abs_float (cursor -. hi) < 1e-6
-          | p :: rest -> abs_float (p.Index.tb -. cursor) < 1e-6 && tiles p.Index.te rest
-        in
-        tiles lo sorted)
-
 let prop_slot_of_slot =
   QCheck.Test.make ~name:"slot(of_slot) is identity" ~count:200
     QCheck.(pair (int_range (-1000) 1000) (float_range 0.1 20.))
@@ -197,7 +174,6 @@ let tests =
     Alcotest.test_case "value null ordering" `Quick test_value_null_ordering;
     Alcotest.test_case "value list compare" `Quick test_value_list_compare;
     Alcotest.test_case "value show readable" `Quick test_value_show_readable;
-    QCheck_alcotest.to_alcotest prop_split_covers;
     QCheck_alcotest.to_alcotest prop_slot_of_slot;
     Alcotest.test_case "expr not/neg" `Quick test_expr_not_neg;
     Alcotest.test_case "expr string compare" `Quick test_expr_string_compare;

@@ -36,46 +36,44 @@ let with_obs f =
 let test_cut_and_heal () =
   with_obs (fun () ->
       let f = make_faults () in
-      Alcotest.(check bool) "clean table passes" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-      let id = Faults.partition f ~a:[ 0 ] ~b:[ 1 ] in
-      Alcotest.(check bool) "cut drops" true (Faults.decide f ~src:0 ~dst:1).Faults.drop;
+      Alcotest.(check bool) "clean table passes" false (Faults.decide f ~src:0 ~dst:1);
+      let id = Faults.isolate f [ 0 ] in
+      Alcotest.(check bool) "cut drops" true (Faults.decide f ~src:0 ~dst:1);
       Alcotest.(check bool) "other pair unaffected" false
-        (Faults.decide f ~src:2 ~dst:3).Faults.drop;
+        (Faults.decide f ~src:2 ~dst:3);
       Faults.clear f id;
-      Alcotest.(check bool) "healed" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
+      Alcotest.(check bool) "healed" false (Faults.decide f ~src:0 ~dst:1);
       Alcotest.(check int) "one cut drop counted" 1
         (Obs.Reg.counter_value Obs.default "faults.cut_drops");
       Faults.clear f id (* double-clear is a no-op *))
 
-let test_partition_symmetric () =
-  let f = make_faults () in
-  let _id = Faults.partition f ~a:[ 0; 1 ] ~b:[ 2; 3 ] in
-  Alcotest.(check bool) "a->b drops" true (Faults.decide f ~src:0 ~dst:3).Faults.drop;
-  Alcotest.(check bool) "b->a drops" true (Faults.decide f ~src:2 ~dst:1).Faults.drop;
-  Alcotest.(check bool) "within a passes" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-  Alcotest.(check bool) "within b passes" false (Faults.decide f ~src:3 ~dst:2).Faults.drop;
-  Alcotest.(check bool) "outsiders pass" false (Faults.decide f ~src:4 ~dst:5).Faults.drop
-
 let test_isolate () =
   let f = make_faults () in
   let id = Faults.isolate f [ 2; 3 ] in
-  Alcotest.(check bool) "in->out drops" true (Faults.decide f ~src:2 ~dst:7).Faults.drop;
-  Alcotest.(check bool) "out->in drops" true (Faults.decide f ~src:0 ~dst:3).Faults.drop;
-  Alcotest.(check bool) "inside passes" false (Faults.decide f ~src:2 ~dst:3).Faults.drop;
-  Alcotest.(check bool) "outside passes" false (Faults.decide f ~src:0 ~dst:1).Faults.drop;
+  Alcotest.(check bool) "in->out drops" true (Faults.decide f ~src:2 ~dst:7);
+  Alcotest.(check bool) "out->in drops" true (Faults.decide f ~src:0 ~dst:3);
+  Alcotest.(check bool) "in->out drops from either member" true (Faults.decide f ~src:3 ~dst:1);
+  Alcotest.(check bool) "out->in drops to either member" true (Faults.decide f ~src:6 ~dst:2);
+  Alcotest.(check bool) "inside passes" false (Faults.decide f ~src:2 ~dst:3);
+  Alcotest.(check bool) "inside passes both ways" false (Faults.decide f ~src:3 ~dst:2);
+  Alcotest.(check bool) "outside passes" false (Faults.decide f ~src:0 ~dst:1);
   Faults.clear f id;
   Alcotest.(check int) "no conditions left" 0 (Faults.active f)
 
+(* Stuck in the bad state (p_enter = 1, p_exit = 0), bursty loss is
+   i.i.d. at [loss_bad] on its one direction. *)
 let test_loss_rates () =
   let f = make_faults () in
-  let always = Faults.loss f ~src:[ 0 ] ~dst:[ 1 ] ~rate:1.0 () in
-  Alcotest.(check bool) "rate 1 drops" true (Faults.decide f ~src:0 ~dst:1).Faults.drop;
-  Alcotest.(check bool) "asymmetric" false (Faults.decide f ~src:1 ~dst:0).Faults.drop;
+  let always =
+    Faults.bursty f ~src:[ 0 ] ~dst:[ 1 ] ~p_enter:1.0 ~p_exit:0.0 ~loss_bad:1.0 ()
+  in
+  Alcotest.(check bool) "rate 1 drops" true (Faults.decide f ~src:0 ~dst:1);
+  Alcotest.(check bool) "asymmetric" false (Faults.decide f ~src:1 ~dst:0);
   Faults.clear f always;
-  let _half = Faults.loss f ~src:[ 0 ] ~dst:[ 1 ] ~rate:0.5 () in
+  let _half = Faults.bursty f ~src:[ 0 ] ~dst:[ 1 ] ~p_enter:1.0 ~p_exit:0.0 ~loss_bad:0.5 () in
   let dropped = ref 0 in
   for _ = 1 to 1000 do
-    if (Faults.decide f ~src:0 ~dst:1).Faults.drop then incr dropped
+    if Faults.decide f ~src:0 ~dst:1 then incr dropped
   done;
   Alcotest.(check bool)
     (Printf.sprintf "rate 0.5 drops about half (%d/1000)" !dropped)
@@ -91,7 +89,7 @@ let test_bursty_extremes () =
     Alcotest.(check bool)
       (Printf.sprintf "msg %d dropped" i)
       true
-      (Faults.decide f ~src:0 ~dst:1).Faults.drop
+      (Faults.decide f ~src:0 ~dst:1)
   done;
   Faults.clear f stuck;
   (* p_enter = 0 with loss_good = 0: the chain never leaves the good state
@@ -101,27 +99,13 @@ let test_bursty_extremes () =
     Alcotest.(check bool)
       (Printf.sprintf "msg %d passes" i)
       false
-      (Faults.decide f ~src:0 ~dst:1).Faults.drop
+      (Faults.decide f ~src:0 ~dst:1)
   done
 
-let test_jitter_delays () =
-  with_obs (fun () ->
-      let f = make_faults () in
-      let _id = Faults.jitter f ~src:[ 0 ] ~dst:[ 1 ] ~extra:0.5 () in
-      for _ = 1 to 20 do
-        let d = Faults.decide f ~src:0 ~dst:1 in
-        Alcotest.(check bool) "never drops" false d.Faults.drop;
-        Alcotest.(check bool) "delay in [0, 0.5]" true
-          (d.Faults.extra_delay >= 0.0 && d.Faults.extra_delay <= 0.5)
-      done;
-      Alcotest.(check int) "all counted" 20 (Obs.Reg.counter_value Obs.default "faults.delayed");
-      Alcotest.(check bool) "unscoped pair undelayed" true
-        (Float.equal (Faults.decide f ~src:2 ~dst:3).Faults.extra_delay 0.0))
-
-let prop_partition_separates =
-  (* Property: for any random split of the host set, a partition drops
-     exactly the cross pairs and passes all intra pairs. *)
-  QCheck.Test.make ~name:"partition drops exactly the cross pairs" ~count:50
+let prop_isolate_separates =
+  (* Property: for any random split of the host set, isolating one side
+     drops exactly the cross pairs and passes all intra pairs. *)
+  QCheck.Test.make ~name:"isolate drops exactly the cross pairs" ~count:50
     QCheck.(pair (int_range 2 24) (int_range 0 1000))
     (fun (hosts, seed) ->
       let rng = Rng.create seed in
@@ -129,15 +113,14 @@ let prop_partition_separates =
       (* Force both sides non-empty. *)
       side.(0) <- true;
       side.(hosts - 1) <- false;
-      let pick b = List.filter (fun h -> side.(h) = b) (List.init hosts Fun.id) in
       let f = Faults.create ~hosts ~rng:(Rng.split rng) () in
-      let _id = Faults.partition f ~a:(pick true) ~b:(pick false) in
+      let _id = Faults.isolate f (List.filter (fun h -> side.(h)) (List.init hosts Fun.id)) in
       let ok = ref true in
       for src = 0 to hosts - 1 do
         for dst = 0 to hosts - 1 do
           if src <> dst then begin
             let cross = side.(src) <> side.(dst) in
-            if (Faults.decide f ~src ~dst).Faults.drop <> cross then ok := false
+            if Faults.decide f ~src ~dst <> cross then ok := false
           end
         done
       done;
@@ -363,7 +346,7 @@ let test_ctl_budget_abandons () =
   let p0 = mk 0 and p1 = mk 1 in
   Transport.register tr 0 (fun ~src m -> Peer.receive p0 ~src m);
   Transport.register tr 1 (fun ~src m -> Peer.receive p1 ~src m);
-  ignore (Faults.partition f ~a:[ 0 ] ~b:[ 1 ]);
+  ignore (Faults.isolate f [ 1 ]);
   let rng = Rng.create 41 in
   let treeset = Mortar_overlay.Treeset.random rng ~bf:2 ~d:1 ~root:0 ~nodes:[| 1 |] in
   let meta =
@@ -381,12 +364,10 @@ let test_ctl_budget_abandons () =
 let tests =
   [
     Alcotest.test_case "cut and heal" `Quick test_cut_and_heal;
-    Alcotest.test_case "partition is symmetric" `Quick test_partition_symmetric;
     Alcotest.test_case "isolate" `Quick test_isolate;
     Alcotest.test_case "loss rates" `Quick test_loss_rates;
     Alcotest.test_case "bursty extremes" `Quick test_bursty_extremes;
-    Alcotest.test_case "jitter delays" `Quick test_jitter_delays;
-    QCheck_alcotest.to_alcotest prop_partition_separates;
+    QCheck_alcotest.to_alcotest prop_isolate_separates;
     Alcotest.test_case "in-flight outlives sender" `Quick test_in_flight_outlives_sender;
     Alcotest.test_case "partition and heal scenario" `Slow test_partition_and_heal;
     Alcotest.test_case "crashed host is silent until restart" `Quick test_crash_silences_host;

@@ -9,6 +9,11 @@ module Query = Mortar_core.Query
 module Value = Mortar_core.Value
 module Window = Mortar_core.Window
 
+(* Of results stamped with their emission time, the ones emitted after a
+   warm-up cutoff. *)
+let after cutoff results =
+  List.filter_map (fun (at, r) -> if at > cutoff then Some r else None) !results
+
 let make_deployment ?(seed = 7) ?(hosts = 64) ?config () =
   let rng = Mortar_util.Rng.create (seed * 131) in
   let topo = Mortar_net.Topology.transit_stub rng ~transits:4 ~stubs:8 ~hosts () in
@@ -36,13 +41,13 @@ let test_sum_all_nodes () =
     D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
   done;
   let results = ref [] in
-  Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
+  Peer.on_result (D.peer d 0) (fun r -> results := (D.now d, r) :: !results);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   D.run_until d 60.0;
   Alcotest.(check bool) "got results" true (List.length !results > 20);
   (* Steady state: drop the first half, check completeness and value. *)
   let steady =
-    List.filter (fun (r : Peer.result) -> r.emitted_at_local > 30.0) !results
+    after 30.0 results
   in
   Alcotest.(check bool) "steady results exist" true (steady <> []);
   (* Best-effort semantics: assert on the steady-state aggregate, allowing
@@ -93,12 +98,12 @@ let test_sum_with_failures () =
     D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
   done;
   let results = ref [] in
-  Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
+  Peer.on_result (D.peer d 0) (fun r -> results := (D.now d, r) :: !results);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   D.at d 30.0 (fun () -> ignore (D.fail_random d ~fraction:0.2));
   D.run_until d 90.0;
   let late =
-    List.filter (fun (r : Peer.result) -> r.emitted_at_local > 60.0) !results
+    after 60.0 results
   in
   Alcotest.(check bool) "late results exist" true (late <> []);
   (* The achievable bound is union-graph connectivity over live nodes
@@ -169,10 +174,10 @@ let test_with_packet_loss () =
       D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
     done;
     let results = ref [] in
-    Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
+    Peer.on_result (D.peer d 0) (fun r -> results := (D.now d, r) :: !results);
     D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
     D.run_until d 60.0;
-    List.filter (fun (r : Peer.result) -> r.emitted_at_local > 30.0) !results
+    after 30.0 results
     |> List.map (fun (r : Peer.result) -> r.completeness)
   in
   let samples = List.concat_map run [ 303; 304; 305 ] in
@@ -192,7 +197,7 @@ let test_random_failure_schedule () =
     D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
   done;
   let results = ref [] in
-  Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
+  Peer.on_result (D.peer d 0) (fun r -> results := (D.now d, r) :: !results);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   (* Random fail/reconnect events every 7 seconds. *)
   let schedule_rng = Mortar_util.Rng.create 909 in
@@ -210,8 +215,8 @@ let test_random_failure_schedule () =
   List.iter
     (fun (r : Peer.result) ->
       Alcotest.(check bool) "never over-counts" true (r.count <= n))
-    !results;
-  let late = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 90.0) !results in
+    (List.map snd !results);
+  let late = after 90.0 results in
   let mean =
     Mortar_util.Stats.mean
       (Array.of_list (List.map (fun (r : Peer.result) -> r.completeness) late))
@@ -235,10 +240,10 @@ let test_syncless_with_offsets () =
     D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Value.Int 1)
   done;
   let results = ref [] in
-  Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
+  Peer.on_result (D.peer d 0) (fun r -> results := (D.now d, r) :: !results);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   D.run_until d 60.0;
-  let steady = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 30.0) !results in
+  let steady = after 30.0 results in
   Alcotest.(check bool) "results flow" true (List.length steady > 10);
   let mean =
     Mortar_util.Stats.mean
@@ -311,10 +316,10 @@ let test_plan_via_union_query () =
   done;
   let results = ref [] in
   Peer.on_result (D.peer d 0) (fun (r : Peer.result) ->
-      if r.query = "planned-sum" then results := r :: !results);
+      if r.query = "planned-sum" then results := (D.now d, r) :: !results);
   D.at d 31.0 (fun () -> Peer.install_query (D.peer d 0) meta planned);
   D.run_until d 80.0;
-  let steady = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 60.0) !results in
+  let steady = after 60.0 results in
   let mean =
     Mortar_util.Stats.mean
       (Array.of_list (List.map (fun (r : Peer.result) -> r.completeness) steady))

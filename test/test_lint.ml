@@ -83,11 +83,13 @@ let test_real_tree_clean () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Typed rules (D7-D9, D11) over the compiled fixture libraries' cmts.  *)
+(* Typed rules (D7-D9, D11-D12) over the compiled fixture libraries'
+   cmts. *)
 
 let typed_cmt_dir = "lint_fixtures/typed/.lint_typed_fixtures.objs/byte"
 
-(* D11's callers: every fixture library, with d11_tests/ as test code. *)
+(* D11's and D12's users: every fixture library, with d11_tests/ as test
+   code. *)
 let fixture_universe roots =
   { Driver.roots; test_dir = "test/lint_fixtures/typed/d11_tests" }
 
@@ -152,9 +154,9 @@ let test_typed_negatives_silent () =
       (Diag.render report.Driver.findings)
   end
 
-(* A D11 allow on an export that has since gained a production caller
-   is stale (S2): d11_outside/stale.mli allows [has_caller], which
-   outside_user.ml calls. *)
+(* A D11 or D12 allow on an export that has since gained a production
+   user is stale (S2): d11_outside/stale.mli allows [has_caller], which
+   outside_user.ml calls, and [Built_outside], which it builds. *)
 let test_d11_stale_allow () =
   let dir = "lint_fixtures/typed/d11_outside/.lint_d11_outside.objs/byte" in
   if Sys.file_exists dir then begin
@@ -165,16 +167,19 @@ let test_d11_stale_allow () =
     in
     Alcotest.(check string) "the called export is not a finding" ""
       (Diag.render report.Driver.findings);
-    Alcotest.(check (list string)) "the allow on it is stale"
-      [ "test/lint_fixtures/typed/d11_outside/stale.mli:1 S2" ]
+    Alcotest.(check (list string)) "the allows on them are stale"
+      [
+        "test/lint_fixtures/typed/d11_outside/stale.mli:1 S2";
+        "test/lint_fixtures/typed/d11_outside/stale.mli:3 S2";
+      ]
       (List.map
          (fun (d : Diag.t) -> Printf.sprintf "%s:%d %s" d.file d.line d.code)
          report.Driver.stale)
   end
 
 (* A unit compiled without its .cmt (an executable after a plain [dune
-   build]) would hide its calls, so D11 reports nothing and judges no
-   D11 allow stale until the build is complete. *)
+   build]) would hide its uses, so D11 and D12 report nothing and judge
+   no allow of theirs stale until the build is complete. *)
 let test_d11_skips_incomplete_build () =
   if Sys.file_exists typed_cmt_dir then begin
     let tmp = Filename.concat (Filename.get_temp_dir_name ()) "lint_d11_guard" in
@@ -192,20 +197,21 @@ let test_d11_skips_incomplete_build () =
     Sys.remove cmx;
     List.iter Sys.rmdir [ native; Filename.dirname native; tmp ];
     Alcotest.(check int) "one unit without .cmt" 1 report.Driver.units_without_cmt;
-    let d11 = List.filter (fun (d : Diag.t) -> d.code = "D11") in
-    Alcotest.(check string) "no D11 findings" "" (Diag.render (d11 report.Driver.findings));
-    Alcotest.(check string) "no D11 allow judged" "" (Diag.render report.Driver.stale);
+    let dead = List.filter (fun (d : Diag.t) -> d.code = "D11" || d.code = "D12") in
+    Alcotest.(check string) "no D11 or D12 findings" ""
+      (Diag.render (dead report.Driver.findings));
+    Alcotest.(check string) "no D11 or D12 allow judged" "" (Diag.render report.Driver.stale);
     Alcotest.(check bool) "D7-D9 still ran" true
       (List.exists (fun (d : Diag.t) -> d.code = "D7") report.Driver.findings)
   end
 
-(* Every D11 allow in lib/ names its test as [<file> "<test name>"], and
-   that test exists. *)
+(* Every D11 and D12 allow in lib/ names its test as
+   [<file> "<test name>"], and that test exists. *)
 let test_d11_allows_name_tests () =
   let root = Filename.concat (Sys.getcwd ()) ".." in
   let lib = Filename.concat root "lib" in
   if Sys.file_exists lib then begin
-    let marker = "lint" ^ ": allow D11 " in
+    let markers = List.map (fun code -> "lint" ^ ": allow " ^ code ^ " ") [ "D11"; "D12" ] in
     let rec mlis dir =
       Sys.readdir dir |> Array.to_list |> List.sort compare
       |> List.concat_map (fun e ->
@@ -219,9 +225,8 @@ let test_d11_allows_name_tests () =
       (fun mli ->
         List.iter
           (fun line ->
-            match Mortar_lint.Suppress.find_sub line marker 0 with
-            | None -> ()
-            | Some _ -> (
+            if List.exists (fun m -> Mortar_lint.Suppress.find_sub line m 0 <> None) markers
+            then (
               match String.split_on_char '"' line with
               | before :: name :: _ ->
                 let file =
@@ -235,10 +240,10 @@ let test_d11_allows_name_tests () =
                   (Printf.sprintf "%s names an existing test: %s %S" mli file name)
                   true
                   (Mortar_lint.Suppress.find_sub text ("\"" ^ name ^ "\"") 0 <> None)
-              | _ -> Alcotest.failf "%s: D11 allow without a quoted test name: %s" mli line))
+              | _ -> Alcotest.failf "%s: allow without a quoted test name: %s" mli line))
           (String.split_on_char '\n' (read_file mli)))
       (mlis lib);
-    Alcotest.(check bool) "the tree carries D11 allows" true (!named > 0)
+    Alcotest.(check bool) "the tree carries D11 and D12 allows" true (!named > 0)
   end
 
 (* Stale-suppression hygiene at the driver level: an allow comment that

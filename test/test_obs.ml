@@ -93,11 +93,11 @@ let test_gating () =
         (List.length (Obs.Reg.events Obs.default)))
 
 let test_trace_cap () =
-  let r = Obs.Reg.create ~trace_cap:3 () in
-  for i = 1 to 5 do
+  let r = Obs.Reg.create () and cap = 262_144 in
+  for i = 1 to cap + 2 do
     Obs.Reg.trace r ~t:(float_of_int i) (Obs.Node_down { node = i })
   done;
-  Alcotest.(check int) "capped at trace_cap" 3 (List.length (Obs.Reg.events r));
+  Alcotest.(check int) "capped at trace_cap" cap (List.length (Obs.Reg.events r));
   Alcotest.(check int) "drops counted" 2 (Obs.Reg.trace_dropped r);
   (* Truncation surfaces in the dump as a synthetic counter. *)
   let lines = Obs.Reg.metrics_lines r in

@@ -178,7 +178,7 @@ let test_treeset_views () =
 let test_connectivity_scheme_ordering () =
   (* At a fixed failure level: striping <= single+eps, mirroring(2) >=
      single, dynamic(4) >= mirroring(2), optimal-ish. *)
-  let run scheme = (C.run_trials ~seed:3 ~n:1000 ~bf:32 ~trials:30 ~link_failure:0.2 scheme).C.mean in
+  let run scheme = C.run_trials ~seed:3 ~n:1000 ~bf:32 ~trials:30 ~link_failure:0.2 scheme in
   let single = run C.Single_tree in
   let striping = run (C.Static_striping 4) in
   let mirror2 = run (C.Mirroring 2) in
@@ -192,8 +192,8 @@ let test_connectivity_scheme_ordering () =
 let test_connectivity_no_failures_perfect () =
   List.iter
     (fun scheme ->
-      let r = C.run_trials ~seed:4 ~n:500 ~bf:8 ~trials:5 ~link_failure:0.0 scheme in
-      Alcotest.(check (float 1e-6)) "100% with no failures" 100.0 r.C.mean)
+      Alcotest.(check (float 1e-6)) "100% with no failures" 100.0
+        (C.run_trials ~seed:4 ~n:500 ~bf:8 ~trials:5 ~link_failure:0.0 scheme))
     [ C.Single_tree; C.Static_striping 2; C.Mirroring 3; C.Dynamic_striping 4 ]
 
 let test_union_reachable () =

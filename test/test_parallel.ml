@@ -187,6 +187,14 @@ type capture = {
   results : (float * int) list;
 }
 
+(* Gilbert–Elliott loss between host sets [a] and [b], both directions. *)
+let bursty_both ~a ~b ~from ~until =
+  List.map
+    (fun (src, dst) ->
+      D.Bursty_loss
+        { src; dst; p_enter = 0.3; p_exit = 0.3; loss_bad = 0.8; loss_good = 0.0; from; until })
+    [ (a, b); (b, a) ]
+
 (* Run one seeded scenario at the given domain count with observability
    on, calling [run_until] at each of [stops] in turn, and hand the
    deployment and the root's results to [k] before the registry is
@@ -224,12 +232,9 @@ let with_scenario ~domains ?(stops = [ 11.0 ]) input k =
       D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
       if input = `Faults then
         D.schedule_faults d
-          [
-            D.Partition_stub { stub = 2; from = 3.0; until = 6.0 };
-            D.Link_loss
-              { src = [ 1; 2; 3 ]; dst = [ 0 ]; rate = 0.5; sym = true; from = 2.0; until = 9.0 };
-            D.Crash_recover { node = 5; at = 4.0; recover_at = 7.0 };
-          ];
+          (D.Partition_stub { stub = 2; from = 3.0; until = 6.0 }
+          :: D.Crash_recover { node = 5; at = 4.0; recover_at = 7.0 }
+          :: bursty_both ~a:[ 1; 2; 3 ] ~b:[ 0 ] ~from:2.0 ~until:9.0);
       List.iter (D.run_until d) stops;
       k d (List.rev !results))
 
@@ -324,11 +329,8 @@ let run_sketch_scenario ~domains () =
       results := (r.slot, r.count, Digest.to_hex (Digest.string packed)) :: !results);
   D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
   D.schedule_faults d
-    [
-      D.Link_loss
-        { src = [ 1; 2; 3 ]; dst = [ 0 ]; rate = 0.5; sym = true; from = 2.0; until = 6.0 };
-      D.Crash_recover { node = 5; at = 3.0; recover_at = 6.0 };
-    ];
+    (D.Crash_recover { node = 5; at = 3.0; recover_at = 6.0 }
+    :: bursty_both ~a:[ 1; 2; 3 ] ~b:[ 0 ] ~from:2.0 ~until:6.0);
   D.run_until d 9.0;
   List.rev !results
 

@@ -23,10 +23,15 @@ let install d meta =
   let treeset = D.plan d ~bf:4 ~d:4 ~root:0 ~nodes () in
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset)
 
+(* The root's results stamped with the time they were emitted, and the
+   ones emitted after a warm-up cutoff. *)
 let collect d =
   let results = ref [] in
-  Peer.on_result (D.peer d 0) (fun r -> results := r :: !results);
+  Peer.on_result (D.peer d 0) (fun r -> results := (D.now d, r) :: !results);
   results
+
+let after cutoff results =
+  List.filter_map (fun (at, r) -> if at > cutoff then Some r else None) !results
 
 let test_timestamp_mode_synced_clocks () =
   (* With perfect clocks, timestamp mode delivers full completeness. *)
@@ -42,7 +47,7 @@ let test_timestamp_mode_synced_clocks () =
   let results = collect d in
   install d meta;
   D.run_until d 60.0;
-  let steady = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 30.0) !results in
+  let steady = after 30.0 results in
   let mean =
     Mortar_util.Stats.mean
       (Array.of_list (List.map (fun (r : Peer.result) -> r.completeness) steady))
@@ -63,7 +68,7 @@ let test_avg_operator_in_network () =
   let results = collect d in
   install d meta;
   D.run_until d 60.0;
-  let steady = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 30.0) !results in
+  let steady = after 30.0 results in
   let expected = float_of_int (hosts - 1) /. 2.0 in
   List.iter
     (fun (r : Peer.result) ->
@@ -85,8 +90,7 @@ let test_min_max_in_network () =
   install d meta;
   D.run_until d 40.0;
   let full =
-    List.filter (fun (r : Peer.result) -> r.completeness > 0.99 && r.emitted_at_local > 20.0)
-      !results
+    List.filter (fun (r : Peer.result) -> r.completeness > 0.99) (after 20.0 results)
   in
   Alcotest.(check bool) "has complete windows" true (full <> []);
   List.iter
@@ -109,8 +113,7 @@ let test_sliding_window_overlap () =
   install d meta;
   D.run_until d 40.0;
   let steady =
-    List.filter (fun (r : Peer.result) -> r.completeness > 0.99 && r.emitted_at_local > 20.0)
-      !results
+    List.filter (fun (r : Peer.result) -> r.completeness > 0.99) (after 20.0 results)
   in
   Alcotest.(check bool) "has complete windows" true (steady <> []);
   List.iter
@@ -142,7 +145,7 @@ let test_tuple_window () =
     (fun (r : Peer.result) ->
       let v = Value.to_float r.value in
       Alcotest.(check bool) "multiple of ~4 per contributor" true (v >= 4.0))
-    (List.filter (fun (r : Peer.result) -> r.emitted_at_local > 20.0) !results)
+    (after 20.0 results)
 
 let test_query_composition () =
   (* A second query (max over 5s) subscribes to the first query's output
@@ -167,8 +170,7 @@ let test_query_composition () =
   D.at d 1.5 (fun () -> Peer.install_query (D.peer d 0) outer single);
   D.run_until d 60.0;
   let outer_results =
-    List.filter (fun (r : Peer.result) -> r.query = "outer" && r.emitted_at_local > 30.0)
-      !results
+    List.filter (fun (r : Peer.result) -> r.query = "outer") (after 30.0 results)
   in
   Alcotest.(check bool) "outer results exist" true (outer_results <> []);
   List.iter
@@ -205,8 +207,7 @@ let test_pre_transform_select () =
   install d meta;
   D.run_until d 40.0;
   let full =
-    List.filter (fun (r : Peer.result) -> r.completeness > 0.99 && r.emitted_at_local > 20.0)
-      !results
+    List.filter (fun (r : Peer.result) -> r.completeness > 0.99) (after 20.0 results)
   in
   Alcotest.(check bool) "has complete windows" true (full <> []);
   List.iter
@@ -280,7 +281,7 @@ let test_by_index_striping () =
   let results = collect d in
   install d meta;
   D.run_until d 50.0;
-  let steady = List.filter (fun (r : Peer.result) -> r.emitted_at_local > 25.0) !results in
+  let steady = after 25.0 results in
   let mean =
     Mortar_util.Stats.mean
       (Array.of_list (List.map (fun (r : Peer.result) -> r.completeness) steady))

@@ -93,12 +93,6 @@ let prop_cm_query_bounds =
       Cm.total t = List.length keys
       && Hashtbl.fold (fun k c ok -> ok && Cm.query t ~key:k >= c) exact true)
 
-let prop_cm_remove_inverse =
-  QCheck.Test.make ~name:"cm sub undoes merge (bytes)" ~count:100 pair_gen
-    (fun (ka, kb) ->
-      let a = cm_of ka and b = cm_of kb in
-      String.equal (Cm.to_string (Cm.sub (Cm.merge a b) b)) (Cm.to_string a))
-
 (* ------------------------------------------------------------------ *)
 (* Accuracy at the advertised error, deterministic seeds. *)
 
@@ -195,17 +189,6 @@ let test_op_merge_order_bytes () =
   Alcotest.(check bool) "null left id" true (Value.equal (impl.Op.merge impl.Op.init fwd) fwd);
   Alcotest.(check bool) "null right id" true (Value.equal (impl.Op.merge fwd impl.Op.init) fwd)
 
-let test_op_remove () =
-  let impl = Op.compile (Op.Sketch_agms { rows = 3; cols = 16; seed = 5 }) in
-  let remove = Option.get impl.Op.remove in
-  let a = impl.Op.lift (Value.Int 1) in
-  let ab = impl.Op.merge a (impl.Op.lift (Value.Int 2)) in
-  let back = remove ab (impl.Op.lift (Value.Int 2)) in
-  Alcotest.(check bool) "remove undoes merge" true (Value.equal back a);
-  (* HLL is max-merged: no retraction. *)
-  let hll = Op.compile (Op.Sketch_hll { b = 9; seed = 5 }) in
-  Alcotest.(check bool) "hll has no remove" true (hll.Op.remove = None)
-
 let test_op_faults () =
   let impl = Op.compile (Op.Sketch_count_min { depth = 4; width = 32; seed = 5 }) in
   let bad () = ignore (impl.Op.merge (impl.Op.lift (Value.Int 1)) (Value.Str "garbage")) in
@@ -234,11 +217,7 @@ let test_state_wire_size () =
 
 let cm_merge a b = Cm.to_string (Cm.merge (Cm.of_string a) (Cm.of_string b))
 
-let cm_sub a b = Cm.to_string (Cm.sub (Cm.of_string a) (Cm.of_string b))
-
 let agms_merge a b = Agms.to_string (Agms.merge (Agms.of_string a) (Agms.of_string b))
-
-let agms_sub a b = Agms.to_string (Agms.sub (Agms.of_string a) (Agms.of_string b))
 
 let hll_merge a b = Hll.to_string (Hll.merge (Hll.of_string a) (Hll.of_string b))
 
@@ -332,9 +311,7 @@ let prop_packed name gen kernel oracle =
 let packed_tests =
   [
     prop_packed "cm merge_packed" cm_wire Cm.merge_packed cm_merge;
-    prop_packed "cm sub_packed" cm_wire Cm.sub_packed cm_sub;
     prop_packed "agms merge_packed" agms_wire Agms.merge_packed agms_merge;
-    prop_packed "agms sub_packed" agms_wire Agms.sub_packed agms_sub;
   ]
   @ List.map
       (fun b -> prop_packed (Printf.sprintf "hll b=%d merge_packed" b) (hll_wire b) Hll.merge_packed hll_merge)
@@ -358,7 +335,7 @@ let test_packed_switches () =
       (List.length (List.sort_uniq Char.compare !forms))
   in
   sweep "cm" grid_form ~upto:60 ~step:2 (fun ks -> Cm.to_string (cm_of ks)) Cm.merge_packed cm_merge;
-  sweep "agms" grid_form ~upto:60 ~step:2 (fun ks -> Agms.to_string (agms_of ks)) Agms.sub_packed agms_sub;
+  sweep "agms" grid_form ~upto:60 ~step:2 (fun ks -> Agms.to_string (agms_of ks)) Agms.merge_packed agms_merge;
   List.iter
     (fun b ->
       sweep (Printf.sprintf "hll b=%d" b) hll_form ~upto:(1 lsl b) ~step:(max 1 ((1 lsl b) / 64))
@@ -418,10 +395,10 @@ let test_packed_edges () =
     Cm.to_string t
   in
   let cm32 = cm ~width:32 ~seed:11 [ 1; 2 ] and cm64 = cm ~width:64 ~seed:11 [ 1 ] in
-  let cm_seed = cm ~width:32 ~seed:12 [ 1 ] and empty = cm ~width:32 ~seed:11 [] in
+  let cm_seed = cm ~width:32 ~seed:12 [ 1 ] in
   let h9 = Hll.to_string (hll_of ~b:9 [ 1; 2 ]) and h10 = Hll.to_string (hll_of ~b:10 [ 1; 2 ]) in
   check "cm width mismatch" (fun () -> Cm.merge_packed cm32 cm64) (fun () -> cm_merge cm32 cm64);
-  check "cm seed mismatch" (fun () -> Cm.sub_packed cm32 cm_seed) (fun () -> cm_sub cm32 cm_seed);
+  check "cm seed mismatch" (fun () -> Cm.merge_packed cm32 cm_seed) (fun () -> cm_merge cm32 cm_seed);
   check "hll precision mismatch" (fun () -> Hll.merge_packed h9 h10) (fun () -> hll_merge h9 h10);
   check "cross-family" (fun () -> Agms.merge_packed cm32 cm32) (fun () -> agms_merge cm32 cm32);
   (* A cell pushed past 32 bits faults instead of wrapping. *)
@@ -429,20 +406,11 @@ let test_packed_edges () =
   Cm.add big ~key:0 ~w:0x7FFFFFFF;
   let big = Cm.to_string big in
   check "i32 overflow" (fun () -> Cm.merge_packed big big) (fun () -> cm_merge big big);
-  Alcotest.(check string) "x - x is the empty sketch" empty (Cm.sub_packed cm32 cm32);
-  (* Op level: Null is the identity, and a retraction from Null starts
-     at the operator's own empty sketch. *)
+  (* Op level: Null is the identity. *)
   let impl = Op.compile (Op.Sketch_count_min { depth = 4; width = 32; seed = 11 }) in
-  let remove = Option.get impl.Op.remove in
   let x = Value.Str cm32 in
   Alcotest.(check bool) "null merge left" true (Value.equal (impl.Op.merge Value.Null x) x);
-  Alcotest.(check bool) "null merge right" true (Value.equal (impl.Op.merge x Value.Null) x);
-  Alcotest.(check bool) "remove null" true (Value.equal (remove x Value.Null) x);
-  Alcotest.(check bool) "null minus x" true
-    (Value.equal (remove Value.Null x) (Value.Str (cm_sub empty cm32)));
-  match remove Value.Null (Value.Str cm64) with
-  | _ -> Alcotest.fail "retraction across parameters accepted"
-  | exception Value.Type_error _ -> ()
+  Alcotest.(check bool) "null merge right" true (Value.equal (impl.Op.merge x Value.Null) x)
 
 (* ------------------------------------------------------------------ *)
 (* Fuzzing: arbitrary bytes, truncations, extensions and single-byte
@@ -486,8 +454,8 @@ let prop_fuzz name valid kernels =
 
 let fuzz_tests =
   [
-    prop_fuzz "cm" cm_wire [ (Cm.merge_packed, cm_merge); (Cm.sub_packed, cm_sub) ];
-    prop_fuzz "agms" agms_wire [ (Agms.merge_packed, agms_merge); (Agms.sub_packed, agms_sub) ];
+    prop_fuzz "cm" cm_wire [ (Cm.merge_packed, cm_merge) ];
+    prop_fuzz "agms" agms_wire [ (Agms.merge_packed, agms_merge) ];
     prop_fuzz "hll" (hll_wire 9) [ (Hll.merge_packed, hll_merge) ];
   ]
 
@@ -517,7 +485,6 @@ let prop_fuzz_op =
       let only_type_errors f = match f () with _ -> () | exception Value.Type_error _ -> () in
       only_type_errors (fun () -> impl.Op.lift a);
       only_type_errors (fun () -> impl.Op.merge a b);
-      only_type_errors (fun () -> Option.iter (fun remove -> ignore (remove a b)) impl.Op.remove);
       only_type_errors (fun () -> impl.Op.finalize a);
       true)
 
@@ -528,7 +495,6 @@ let tests =
     QCheck_alcotest.to_alcotest (prop_union "cm" cm_of Cm.to_string Cm.merge);
     QCheck_alcotest.to_alcotest (prop_roundtrip "cm" cm_of Cm.to_string Cm.of_string);
     QCheck_alcotest.to_alcotest prop_cm_query_bounds;
-    QCheck_alcotest.to_alcotest prop_cm_remove_inverse;
     QCheck_alcotest.to_alcotest (prop_comm "agms" agms_of Agms.to_string Agms.merge);
     QCheck_alcotest.to_alcotest (prop_assoc "agms" agms_of Agms.to_string Agms.merge);
     QCheck_alcotest.to_alcotest (prop_union "agms" agms_of Agms.to_string Agms.merge);
@@ -545,7 +511,6 @@ let tests =
     Alcotest.test_case "wire size within planner cap" `Quick test_wire_caps;
     Alcotest.test_case "op-level hll" `Quick test_op_hll;
     Alcotest.test_case "op merge order byte-identical" `Quick test_op_merge_order_bytes;
-    Alcotest.test_case "op remove (linear sketches)" `Quick test_op_remove;
     Alcotest.test_case "op faults are type errors" `Quick test_op_faults;
     Alcotest.test_case "state wire size caps" `Quick test_state_wire_size;
     Alcotest.test_case "packed kernels cross both forms" `Quick test_packed_switches;
