@@ -60,6 +60,17 @@ let test_isolate () =
   Faults.clear f id;
   Alcotest.(check int) "no conditions left" 0 (Faults.active f)
 
+(* An isolated group is a two-sided partition: [a] against the rest [b],
+   cut in both directions, each side still whole. *)
+let test_partition_symmetric () =
+  let f = make_faults () in
+  let _id = Faults.isolate f [ 0; 1 ] in
+  Alcotest.(check bool) "a->b drops" true (Faults.decide f ~src:0 ~dst:3);
+  Alcotest.(check bool) "b->a drops" true (Faults.decide f ~src:2 ~dst:1);
+  Alcotest.(check bool) "within a passes" false (Faults.decide f ~src:0 ~dst:1);
+  Alcotest.(check bool) "within b passes" false (Faults.decide f ~src:3 ~dst:2);
+  Alcotest.(check bool) "b members pass among themselves" false (Faults.decide f ~src:4 ~dst:5)
+
 (* Stuck in the bad state (p_enter = 1, p_exit = 0), bursty loss is
    i.i.d. at [loss_bad] on its one direction. *)
 let test_loss_rates () =
@@ -364,6 +375,7 @@ let test_ctl_budget_abandons () =
 let tests =
   [
     Alcotest.test_case "cut and heal" `Quick test_cut_and_heal;
+    Alcotest.test_case "partition is symmetric" `Quick test_partition_symmetric;
     Alcotest.test_case "isolate" `Quick test_isolate;
     Alcotest.test_case "loss rates" `Quick test_loss_rates;
     Alcotest.test_case "bursty extremes" `Quick test_bursty_extremes;
