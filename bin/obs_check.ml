@@ -16,15 +16,13 @@ module Obs = Mortar_obs.Obs
 module J = Mortar_obs.Obs_json
 
 let read_lines path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line -> go (if String.trim line = "" then acc else line :: acc)
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
+  In_channel.with_open_text path (fun ic ->
+      let rec go acc =
+        match In_channel.input_line ic with
+        | Some line -> go (if String.trim line = "" then acc else line :: acc)
+        | None -> List.rev acc
+      in
+      go [])
 
 let load path =
   List.map

@@ -75,12 +75,11 @@ let central_point ~quick ~scale =
   let clocks =
     Array.init hosts (fun i -> Clock.create ~offset:offsets.(i) ~skew:skews.(i) ())
   in
-  let processor =
-    Mortar_central.Processor.create ~op:Mortar_core.Op.Sum ~slide:window ()
-  in
   let emitted = ref [] in
-  Mortar_central.Processor.on_result processor (fun r ->
-      emitted := (r.Mortar_central.Processor.closed_at, r.Mortar_central.Processor.prov) :: !emitted);
+  let processor =
+    Mortar_central.Processor.create ~slide:window ~on_result:(fun r ->
+        emitted := (r.Mortar_central.Processor.closed_at, r.Mortar_central.Processor.prov) :: !emitted)
+  in
   (* Every node ships each raw tuple straight to host 0, stamped with its
      local clock; delivery takes the one-way topology latency. *)
   for i = 0 to hosts - 1 do
@@ -95,7 +94,7 @@ let central_point ~quick ~scale =
              ignore
                (Engine.schedule engine ~after:latency (fun () ->
                     Mortar_central.Processor.push processor ~now:(Engine.now engine) ~ts
-                      ~true_slot (Mortar_core.Value.Int 1)));
+                      ~true_slot));
              tick (at +. 1.0)))
     in
     tick phase

@@ -3,27 +3,23 @@ module Peer = Mortar_core.Peer
 module Query = Mortar_core.Query
 module Value = Mortar_core.Value
 module Window = Mortar_core.Window
-module Obs = Mortar_obs.Obs
 
 type recorded = {
   sim_time : float;
   slot : int;
   count : int;
-  hops : int;
-  hops_max : int;
+  hops : int; (* count-weighted mean constituent path *)
+  hops_max : int; (* longest constituent path *)
   age : float;
+  prov : (int * int) list; (* [] unless the sensors carry true slots *)
 }
 
-(* Results live in a private observability registry (always on,
-   independent of the global [Obs.enabled] gate): every figure number is
-   derived from [Result] trace events and query-scoped metrics rather
-   than ad-hoc accumulators, so what an experiment reports is exactly
-   what an external metrics dump would show. *)
+(* Every figure number is derived from the one list of root results the
+   harness records, so no second bookkeeping path can drift from it. *)
 type t = {
   d : D.t;
   treeset : Mortar_overlay.Treeset.t;
-  reg : Obs.Reg.t;
-  track_provenance : bool;
+  mutable recorded : recorded list; (* newest first *)
 }
 
 let query_name = "peer-count"
@@ -41,46 +37,32 @@ let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) 
     Query.make_meta ~name:query_name ~source:"ones" ~op:Mortar_core.Op.Sum
       ~window:(Window.tumbling window) ~mode ~root:0 ~degree ~total_nodes:hosts ~aggregate ()
   in
-  let t = { d; treeset; reg = Obs.Reg.create (); track_provenance } in
+  let t = { d; treeset; recorded = [] } in
   for i = 0 to hosts - 1 do
     D.sensor d ~node:i ~stream:"ones" ~period:1.0
       ?truth_slide:(if track_provenance then Some window else None)
       (fun _ -> Value.Int 1)
   done;
-  let scope = Obs.Query query_name in
   Peer.on_result (D.peer d 0) (fun (r : Peer.result) ->
-      let value = match r.value with Value.Null -> 0.0 | v -> Value.to_float v in
-      Obs.Reg.incr t.reg ~scope "results";
-      Obs.Reg.observe t.reg ~scope "result_age" r.age;
-      Obs.Reg.observe t.reg ~scope "result_count" (float_of_int r.count);
-      Obs.Reg.trace t.reg ~t:(D.now d)
-        (Obs.Result
-           {
-             query = query_name;
-             slot = r.slot;
-             count = r.count;
-             value;
-             hops = r.hops;
-             hops_max = r.hops_max;
-             age = r.age;
-             prov = (if track_provenance then r.prov else []);
-           }));
+      t.recorded <-
+        {
+          sim_time = D.now d;
+          slot = r.slot;
+          count = r.count;
+          hops = r.hops;
+          hops_max = r.hops_max;
+          age = r.age;
+          prov = r.prov;
+        }
+        :: t.recorded);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   t
 
 let deployment t = t.d
 
-let registry t = t.reg
-
 let run_until t time = D.run_until t.d time
 
-let results t =
-  List.filter_map
-    (function
-      | sim_time, Obs.Result { slot; count; hops; hops_max; age; _ } ->
-        Some { sim_time; slot; count; hops; hops_max; age }
-      | _ -> None)
-    (Obs.Reg.events t.reg)
+let results t = List.rev t.recorded
 
 let results_between t t0 t1 =
   List.filter (fun r -> r.sim_time >= t0 && r.sim_time < t1) (results t)
@@ -90,14 +72,7 @@ let overcounted_windows t =
   List.iter (fun r -> ignore (Score.offer score ~at:r.sim_time ~slot:r.slot r.count)) (results t);
   Score.overcounted score ~publishers:(D.hosts t.d)
 
-let provenance_results t =
-  if not t.track_provenance then []
-  else
-    List.filter_map
-      (function
-        | at, Obs.Result { prov; _ } -> Some (at, prov)
-        | _ -> None)
-      (Obs.Reg.events t.reg)
+let provenance_results t = List.map (fun r -> (r.sim_time, r.prov)) (results t)
 
 let live_hosts t = List.length (D.up_hosts t.d)
 

@@ -7,17 +7,10 @@
 
     This module builds that deployment — transit-stub topology, Vivaldi,
     network-aware plan, query install, sensors — and records every root
-    result against true simulation time, with bandwidth taken from the
-    transport's per-kind accounting. *)
-
-type recorded = {
-  sim_time : float;
-  slot : int;
-  count : int;
-  hops : int; (** Count-weighted mean constituent path. *)
-  hops_max : int; (** Longest constituent path. *)
-  age : float;
-}
+    result against true simulation time in one list, oldest first, with
+    its provenance (empty unless tracking is on). Every figure accessor below
+    reads that list; bandwidth comes from the transport's per-kind
+    accounting. *)
 
 type t
 
@@ -44,28 +37,17 @@ val create :
 
 val deployment : t -> Mortar_emul.Deployment.t
 
-val registry : t -> Mortar_obs.Obs.Reg.t (* lint: allow D11 oracle: test/test_obs.ml "harness figures from registry" *)
-(** The harness's private metrics registry (always live, independent of
-    the global [Obs.enabled] gate). Every root result is recorded here as
-    an [Obs.Result] trace event plus query-scoped metrics ([results]
-    counter, [result_age] / [result_count] histograms); the figure
-    accessors below are all derived from it. *)
-
-val query_name : string (* lint: allow D11 oracle: test/test_obs.ml "harness figures from registry" *)
+val query_name : string (* lint: allow D11 oracle: test/test_faults.ml "crashed host is silent until restart" *)
 
 val run_until : t -> float -> unit
-
-val results : t -> recorded list (* lint: allow D11 oracle: test/test_obs.ml "harness figures from registry" *)
-(** All root results so far, oldest first. *)
-
-val results_between : t -> float -> float -> recorded list (* lint: allow D11 oracle: test/test_emulation.ml "harness smoke" *)
 
 val overcounted_windows : t -> int list
 (** Reported slots, ascending, whose root result counted more hosts
     than the deployment has: a host counted twice in one window. *)
 
 val provenance_results : t -> (float * (int * int) list) list
-(** (sim emit time, provenance) per result, when tracking was enabled. *)
+(** (sim emit time, provenance) per result, oldest first; the provenance
+    is empty unless [create] had [~track_provenance:true]. *)
 
 val live_hosts : t -> int
 

@@ -33,23 +33,7 @@ let to_string d = Printf.sprintf "%s:%d:%d: [%s] %s" d.file d.line d.col d.code 
 
 let render diags = String.concat "\n" (List.map to_string diags)
 
-let json_string s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
-
 let to_json d =
+  let json_string = Mortar_obs.Obs.json_string in
   Printf.sprintf "{\"code\":%s,\"file\":%s,\"line\":%d,\"col\":%d,\"message\":%s}"
     (json_string d.code) (json_string d.file) d.line d.col (json_string d.message)

@@ -10,17 +10,6 @@ let scope_to_string = function
   | Node i -> "node:" ^ string_of_int i
   | Query q -> "query:" ^ q
 
-let scope_of_string s =
-  match String.index_opt s ':' with
-  | None -> if String.equal s "global" then Some Global else None
-  | Some i -> (
-    let tag = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    match tag with
-    | "node" -> Option.map (fun n -> Node n) (int_of_string_opt rest)
-    | "query" -> Some (Query rest)
-    | _ -> None)
-
 type event =
   | Tuple_send of { src : int; dst : int; kind : string; size : int }
   | Tuple_recv of { src : int; dst : int; kind : string }
@@ -55,18 +44,10 @@ type event =
     }
   | Mark of { name : string; detail : string }
 
-type hist = {
-  h_buckets : float array;
-  h_counts : int array;
-  h_overflow : int;
-  h_sum : float;
-  h_count : int;
-}
-
 let default_buckets = [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0 |]
 
 (* ------------------------------------------------------------------ *)
-(* JSON emission helpers (shared with Obs_json via the mli).           *)
+(* JSON emission helpers (exported for obs_check and the lint report). *)
 
 let json_string s =
   let b = Buffer.create (String.length s + 2) in
@@ -168,66 +149,6 @@ module Reg = struct
       t.trace_rev <- (stamp, ev) :: t.trace_rev;
       t.trace_len <- t.trace_len + 1
     end
-
-  let counter_value t ?(scope = Global) name =
-    match Hashtbl.find_opt t.metrics (scope, name) with Some (Counter r) -> !r | _ -> 0
-
-  let snapshot h =
-    {
-      h_buckets = Array.copy h.edges;
-      h_counts = Array.copy h.counts;
-      h_overflow = h.overflow;
-      h_sum = h.sum;
-      h_count = h.count;
-    }
-
-  let histogram t ?(scope = Global) name =
-    match Hashtbl.find_opt t.metrics (scope, name) with
-    | Some (Hist h) -> Some (snapshot h)
-    | _ -> None
-
-  let counter_total t name =
-    (* Commutative integer sum: hash order cannot leak into the result. *)
-    Hashtbl.fold
-      (fun (_, n) m acc ->
-        match m with Counter r when String.equal n name -> acc + !r | _ -> acc)
-      t.metrics 0
-
-  let histogram_total t name =
-    let matching =
-      Hashtbl.fold
-        (fun (scope, n) m acc ->
-          match m with Hist h when String.equal n name -> (scope, h) :: acc | _ -> acc)
-        t.metrics []
-      |> List.sort (fun (a, _) (b, _) -> compare (scope_to_string a) (scope_to_string b))
-    in
-    match matching with
-    | [] -> None
-    | (_, first) :: _ ->
-      let acc =
-        {
-          edges = Array.copy first.edges;
-          counts = Array.make (Array.length first.edges) 0;
-          overflow = 0;
-          sum = 0.0;
-          count = 0;
-        }
-      in
-      List.iter
-        (fun (_, h) ->
-          if Array.length h.edges <> Array.length acc.edges
-             || not (Array.for_all2 (fun a b -> Float.equal a b) h.edges acc.edges)
-          then invalid_arg ("Obs: histogram_total over differing buckets for " ^ name);
-          Array.iteri (fun i c -> acc.counts.(i) <- acc.counts.(i) + c) h.counts;
-          acc.overflow <- acc.overflow + h.overflow;
-          acc.sum <- acc.sum +. h.sum;
-          acc.count <- acc.count + h.count)
-        matching;
-      Some (snapshot acc)
-
-  let events t = List.rev t.trace_rev
-
-  let trace_dropped t = t.dropped
 
   let drain_trace t =
     let evs = List.rev t.trace_rev in
@@ -398,10 +319,9 @@ let observe ?scope ?buckets name v =
 let trace ~t ev = if !enabled then Reg.trace (!sink ()) ~t ev
 
 let write_lines path lines =
-  let oc = open_out path in
-  List.iter
-    (fun l ->
-      output_string oc l;
-      output_char oc '\n')
-    lines;
-  close_out oc
+  Out_channel.with_open_text path (fun oc ->
+      List.iter
+        (fun l ->
+          output_string oc l;
+          output_char oc '\n')
+        lines)

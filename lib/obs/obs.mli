@@ -21,18 +21,14 @@
     Dump formats are JSON lines (one object per line), emitted in
     sorted [(scope, name)] order and with a fixed float rendering, so a
     seeded run's dump is stable byte-for-byte; {!Mortar_obs.Obs_json}
-    parses them back. *)
+    parses them back. The dumps are the one read path: a registry has
+    no accessor for a single counter or histogram, so tests, tools and
+    users all read the same lines. *)
 
 type scope =
   | Global
   | Node of int  (** a simulated host *)
   | Query of string  (** a query name, or any string label (e.g. a scheme) *)
-
-val scope_to_string : scope -> string (* lint: allow D11 oracle: test/test_obs.ml "scope strings" *)
-(** ["global"], ["node:17"], ["query:peer-count"]. *)
-
-val scope_of_string : string -> scope option (* lint: allow D11 oracle: test/test_obs.ml "scope strings" *)
-(** Inverse of {!scope_to_string}. *)
 
 (** The event taxonomy (see DESIGN.md "Observability"). Events carry the
     ids needed to reconstruct what happened; rates and distributions
@@ -85,17 +81,6 @@ type event =
   | Mark of { name : string; detail : string }
       (** Free-form annotation (experiment phase boundaries etc). *)
 
-(** Immutable histogram snapshot. [h_buckets] are ascending upper edges;
-    an observation [v] lands in the first bucket with [v <= edge], or in
-    [h_overflow] past the last edge. *)
-type hist = {
-  h_buckets : float array; (* lint: allow D12 oracle: test/test_obs.ml "histogram bucket edges" *)
-  h_counts : int array; (* lint: allow D12 oracle: test/test_obs.ml "histogram bucket edges" *)
-  h_overflow : int; (* lint: allow D12 oracle: test/test_obs.ml "histogram bucket edges" *)
-  h_sum : float; (* lint: allow D12 oracle: test/test_obs.ml "histogram bucket edges" *)
-  h_count : int; (* lint: allow D12 oracle: test/test_obs.ml "histogram bucket edges" *)
-}
-
 module Reg : sig
   type t
 
@@ -108,34 +93,11 @@ module Reg : sig
   (** {2 Writing} *)
 
   val incr : t -> ?scope:scope -> ?by:int -> string -> unit
-  val set_gauge : t -> ?scope:scope -> string -> float -> unit (* lint: allow D11 oracle: test/test_obs.ml "metrics sink round-trip" *)
-
-  val observe : t -> ?scope:scope -> ?buckets:float array -> string -> float -> unit
-  (** [buckets] is honoured on the first observation of a [(scope,
-      name)] and ignored afterwards (fixed-bucket histograms). *)
 
   val trace : t -> t:float -> event -> unit
   (** [~t] is the event's simulation-time stamp. *)
 
-  (** {2 Reading} *)
-
-  val counter_value : t -> ?scope:scope -> string -> int (* lint: allow D11 oracle: test/test_obs.ml "scope merging" *)
-  (** 0 when absent. *)
-
-  val histogram : t -> ?scope:scope -> string -> hist option (* lint: allow D11 oracle: test/test_obs.ml "harness figures from registry" *)
-
-  val counter_total : t -> string -> int (* lint: allow D11 oracle: test/test_obs.ml "scope merging" *)
-  (** Scope merging: the sum of [name]'s counters over every scope. *)
-
-  val histogram_total : t -> string -> hist option (* lint: allow D11 oracle: test/test_obs.ml "scope merging" *)
-  (** Scope merging for histograms: element-wise sum over every scope
-      holding [name]. Raises [Invalid_argument] if bucket edges differ
-      across scopes. *)
-
-  val events : t -> (float * event) list
-  (** Oldest first. *)
-
-  val trace_dropped : t -> int (* lint: allow D11 oracle: test/test_obs.ml "trace cap" *)
+  (** {2 Shard folding} *)
 
   val drain_trace : t -> (float * event) list
   (** Oldest first, and empties the trace (the dropped count stays). The
@@ -152,9 +114,12 @@ module Reg : sig
   (** {2 JSON-lines dumps} *)
 
   val metrics_lines : t -> string list
-  (** One JSON object per metric, sorted by [(scope, name)]. A non-zero
-      {!trace_dropped} shows up as a synthetic [obs.trace_dropped]
-      counter so truncation is never silent. *)
+  (** One JSON object per metric, sorted by [(scope, name)]: a counter's
+      value, a gauge's value, and a histogram's edges, bucket counts,
+      overflow, sum and count. Scopes render as ["global"], ["node:17"]
+      and ["query:peer-count"]. Events dropped past the trace cap show
+      up as a synthetic [obs.trace_dropped] counter so truncation is
+      never silent. *)
 
   val trace_lines : t -> string list
   (** One JSON object per event, in record order. *)
@@ -184,13 +149,20 @@ val set_sink : (unit -> Reg.t) -> unit
 val incr : ?scope:scope -> ?by:int -> string -> unit
 val set_gauge : ?scope:scope -> string -> float -> unit
 val observe : ?scope:scope -> ?buckets:float array -> string -> float -> unit
+(** [buckets] is honoured on the first observation of a [(scope, name)]
+    and ignored afterwards (fixed-bucket histograms). *)
+
 val trace : t:float -> event -> unit
 
 val write_lines : string -> string list -> unit
 (** Write lines to a file, one per line (the [--metrics-out] /
     [--trace-out] sinks). *)
 
-(** {1 Internal (shared with Obs_json)} *)
+(** {1 JSON rendering (shared with obs_check and the lint's JSON report)} *)
+
+val json_string : string -> string
+(** A JSON string literal: quotes, backslashes and control characters
+    escaped, other bytes verbatim. *)
 
 val json_float : float -> string
 (** Shortest-round-trip float rendering; non-finite values become

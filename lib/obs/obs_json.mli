@@ -3,7 +3,8 @@
     Just enough to read back what {!Obs.Reg.metrics_lines} and
     {!Obs.Reg.trace_lines} emit: objects, arrays, strings with the
     escapes the emitter produces, numbers, booleans and null. Used by
-    the sink round-trip tests and by [bin/obs_check.exe]. *)
+    [bin/obs_check.exe] and by the tests, which read every registry
+    through its dumps. *)
 
 type t =
   | Null

@@ -155,43 +155,6 @@ let add_batch t specs =
   obs_gauges t;
   install_actions @ join_actions
 
-let remove t ~name =
-  match Hashtbl.find_opt t.by_name name with
-  | None -> invalid_arg ("Registry.remove: unknown logical query " ^ name)
-  | Some key ->
-    Hashtbl.remove t.by_name name;
-    let e = Hashtbl.find t.entries key in
-    let p = e.placement in
-    let g = p.Place.group in
-    let remaining =
-      List.filter (fun (s : Spec.t) -> s.Spec.name <> name) g.Place.specs
-    in
-    if remaining = [] then begin
-      Hashtbl.remove t.entries key;
-      Place.discharge t.usage p;
-      (* The peer-level removal ({!Mortar_core.Peer.remove_query})
-         multicasts its tombstone at [installed seqno + 1], and our
-         counter still sits at the installed seqno. Burn one number so a
-         re-admitted class installs strictly above every member's
-         recorded removal instead of being dropped as stale. *)
-      ignore (next_seqno t g.Place.phys);
-      if !Obs.enabled then Obs.incr "planner.removes";
-      obs_gauges t;
-      [ Remove { phys = g.Place.phys; root = p.Place.root } ]
-    end
-    else begin
-      let merged = { g with Place.specs = remaining } in
-      e.placement <- { p with Place.group = merged };
-      obs_gauges t;
-      let before = Place.subscribers g and after = Place.subscribers merged in
-      if before = after then []
-      else
-        [
-          Update_fanout
-            { phys = g.Place.phys; root = p.Place.root; subscribers = after };
-        ]
-    end
-
 let handle_loss t ~dead =
   let dead = List.sort_uniq compare dead in
   let is_dead h = List.mem h dead in
@@ -214,8 +177,12 @@ let handle_loss t ~dead =
           List.iter (fun (s : Spec.t) -> Hashtbl.remove t.by_name s.Spec.name) live_specs;
           Hashtbl.remove t.entries key;
           Place.discharge t.usage p;
-          (* Keep the seqno lineage ahead of the peer-level removal
-             multicast; see [remove]. *)
+          (* The peer-level removal ({!Mortar_core.Peer.remove_query})
+             multicasts its tombstone at [installed seqno + 1], and our
+             counter still sits at the installed seqno. Burn one number
+             so a re-admitted class installs strictly above every
+             member's recorded removal instead of being dropped as
+             stale. *)
           ignore (next_seqno t g.Place.phys);
           if !Obs.enabled then Obs.incr "planner.removes";
           [ Remove { phys = g.Place.phys; root = p.Place.root } ]

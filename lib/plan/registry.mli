@@ -1,11 +1,13 @@
 (** The multi-query plan registry: refcounted shared trees.
 
-    Install/remove of logical queries goes through here. The registry
-    maps every logical {!Spec.t} to its sharing class, keeps one physical
-    placement per class with the list of logical queries riding on it
-    (the refcount), and emits the {e physical} actions the caller applies
-    to the deployment ({!Mortar_core.Peer.install_query} at the root,
-    result fan-out registration, removal when the last sharer leaves).
+    Admission and retirement of logical queries go through here. The
+    registry maps every logical {!Spec.t} to its sharing class, keeps one
+    physical placement per class with the list of logical queries riding
+    on it (the refcount), and emits the {e physical} actions the caller
+    applies to the deployment ({!Mortar_core.Peer.install_query} at the
+    root, result fan-out registration, removal when the last sharer
+    leaves). A logical query leaves only through {!handle_loss}: when its
+    subscriber dies, or when its class has no surviving publisher.
 
     It also owns churn-driven re-planning: when the caller's failure
     detector reports sustained node loss, {!handle_loss} re-plans only
@@ -29,8 +31,9 @@ type action =
       (** Sharing changed (a logical query joined or left a surviving
           class): refresh the root's fan-out list only. *)
   | Remove of { phys : string; root : int }
-      (** The last logical query sharing the class was removed: issue the
-          physical removal at [root] and clear its fan-out. *)
+      (** The class was retired (no live subscriber or no surviving
+          publisher): issue the physical removal at [root] and clear its
+          fan-out. *)
   | Replan of {
       phys : string;
       old_root : int;
@@ -52,11 +55,6 @@ val add_batch : t -> Spec.t list -> action list
     refcount. Actions come out in canonical key order.
     @raise Invalid_argument on a duplicate logical name. *)
 
-val remove : t -> name:string -> action list (* lint: allow D11 oracle: test/test_plan.ml "refcount lifecycle reclaims state" *)
-(** Remove one logical query. Emits nothing while other queries still
-    share the physical tree set; {!action-Remove} when the refcount hits
-    zero. @raise Invalid_argument for an unknown name. *)
-
 val handle_loss : t -> dead:int list -> action list
 (** Incremental re-plan after sustained node loss: classes with no dead
     member keep their placement untouched; affected classes are re-sited
@@ -66,8 +64,6 @@ val handle_loss : t -> dead:int list -> action list
     appear in an emitted fan-out list, and a rejoining host must
     re-subscribe through {!add_batch}; a class left with no live
     subscriber is retired even when publishers survive. *)
-
-val logical_count : t -> int (* lint: allow D11 oracle: test/test_plan.ml "refcount lifecycle reclaims state" *)
 
 val physical_count : t -> int
 

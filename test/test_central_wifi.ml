@@ -40,30 +40,41 @@ let test_bsort_length () =
 (* ------------------------------------------------------------------ *)
 (* Processor *)
 
+(* A processor whose reported windows accumulate in a list, oldest
+   first. *)
+let processor ~slide =
+  let got = ref [] in
+  let p = Processor.create ~slide ~on_result:(fun r -> got := r :: !got) in
+  (p, fun () -> List.rev !got)
+
 let test_processor_windows () =
-  let p = Processor.create ~op:Mortar_core.Op.Sum ~slide:5.0 () in
+  let p, results = processor ~slide:5.0 in
   (* 3 tuples in window 0, 2 in window 1, in arrival order with slight
-     disorder. *)
+     disorder. Clocks are exact, so each tuple's true slot is its
+     timestamp's: a window's provenance is its slot and count. *)
   List.iter
-    (fun ts -> Processor.push p ~now:ts ~ts (Value.Int 1))
+    (fun ts -> Processor.push p ~now:ts ~ts ~true_slot:(Mortar_core.Index.slot ~slide:5.0 ts))
     [ 1.0; 3.0; 2.0; 6.0; 8.0 ];
   Processor.drain p ~now:10.0;
-  match Processor.results p with
+  match results () with
   | [ r0; r1 ] ->
-    Alcotest.(check int) "window 0 slot" 0 r0.Processor.slot;
-    Alcotest.(check int) "window 0 count" 3 r0.Processor.count;
-    Alcotest.(check int) "window 1 count" 2 r1.Processor.count
+    Alcotest.(check (list (pair int int))) "window 0 slot and count" [ (0, 3) ] r0.Processor.prov;
+    Alcotest.(check (list (pair int int))) "window 1 count" [ (1, 2) ] r1.Processor.prov;
+    (* Five tuples never fill the 5000-tuple buffer: both windows close
+       at the drain. *)
+    Alcotest.(check (list (float 0.0))) "closed at drain" [ 10.0; 10.0 ]
+      [ r0.Processor.closed_at; r1.Processor.closed_at ]
   | rs -> Alcotest.fail (Printf.sprintf "expected 2 windows, got %d" (List.length rs))
 
 let test_processor_misassigns_under_offset () =
-  let p = Processor.create ~op:Mortar_core.Op.Sum ~slide:5.0 () in
+  let p, results = processor ~slide:5.0 in
   (* Two sources, one with a +7 s clock offset: its tuples land in the
      wrong window even though they were created simultaneously. *)
   for k = 0 to 9 do
     let t = float_of_int k in
     let true_slot = Mortar_core.Index.slot ~slide:5.0 t in
-    Processor.push p ~now:t ~ts:t ~true_slot (Value.Int 1);
-    Processor.push p ~now:t ~ts:(t +. 7.0) ~true_slot (Value.Int 1)
+    Processor.push p ~now:t ~ts:t ~true_slot;
+    Processor.push p ~now:t ~ts:(t +. 7.0) ~true_slot
   done;
   Processor.drain p ~now:20.0;
   (* No single reported window contains all 10 tuples of true slot 0. *)
@@ -72,21 +83,10 @@ let test_processor_misassigns_under_offset () =
       (fun acc r ->
         let n = Option.value (List.assoc_opt 0 r.Processor.prov) ~default:0 in
         max acc n)
-      0 (Processor.results p)
+      0 (results ())
   in
   Alcotest.(check bool) "true window split" true (best < 10);
   Alcotest.(check bool) "but some grouping" true (best >= 5)
-
-let test_processor_on_result () =
-  let p = Processor.create ~op:Mortar_core.Op.Avg ~slide:1.0 () in
-  let got = ref [] in
-  Processor.on_result p (fun r -> got := r :: !got);
-  Processor.push p ~now:0.0 ~ts:0.5 (Value.Int 4);
-  Processor.push p ~now:0.0 ~ts:0.6 (Value.Int 6);
-  Processor.drain p ~now:1.0;
-  match !got with
-  | [ r ] -> Alcotest.(check (float 1e-9)) "avg" 5.0 (Value.to_float r.Processor.value)
-  | _ -> Alcotest.fail "expected one result"
 
 (* ------------------------------------------------------------------ *)
 (* Wifi *)
@@ -204,7 +204,6 @@ let tests =
     Alcotest.test_case "processor windows" `Quick test_processor_windows;
     Alcotest.test_case "processor misassigns under offset" `Quick
       test_processor_misassigns_under_offset;
-    Alcotest.test_case "processor on_result" `Quick test_processor_on_result;
     Alcotest.test_case "building layout" `Quick test_building_layout;
     Alcotest.test_case "walk stays in building" `Quick test_walk_stays_in_building;
     Alcotest.test_case "walk descends floors" `Quick test_walk_descends_floors;

@@ -116,9 +116,14 @@ let test_install_message_size_scales_with_chunk () =
 
 let test_harness_smoke () =
   let h = Mortar_experiments.Harness.create ~hosts:32 ~transits:4 ~stubs:6 ~bf:4 () in
+  let d = Mortar_experiments.Harness.deployment h in
+  (* Count the root results in [15, 30) the way a user would: a second
+     handler on the root beside the harness's own. *)
+  let rows = ref 0 in
+  Mortar_core.Peer.on_result (D.peer d 0) (fun _ ->
+      if D.now d >= 15.0 && D.now d < 30.0 then incr rows);
   Mortar_experiments.Harness.run_until h 30.0;
-  let rows = Mortar_experiments.Harness.results_between h 15.0 30.0 in
-  Alcotest.(check bool) "results recorded" true (List.length rows > 5);
+  Alcotest.(check bool) "results recorded" true (!rows > 5);
   let c = Mortar_experiments.Harness.mean_completeness h 15.0 30.0 ~denominator:32 in
   Alcotest.(check bool) (Printf.sprintf "completeness high (%.2f)" c) true (c > 0.9);
   Alcotest.(check bool) "union bound full" true (Mortar_experiments.Harness.union_bound h = 32);

@@ -43,8 +43,7 @@ let test_cut_and_heal () =
         (Faults.decide f ~src:2 ~dst:3);
       Faults.clear f id;
       Alcotest.(check bool) "healed" false (Faults.decide f ~src:0 ~dst:1);
-      Alcotest.(check int) "one cut drop counted" 1
-        (Obs.Reg.counter_value Obs.default "faults.cut_drops");
+      Alcotest.(check int) "one cut drop counted" 1 (Dump.counters Obs.default "faults.cut_drops");
       Faults.clear f id (* double-clear is a no-op *))
 
 let test_isolate () =
@@ -229,7 +228,7 @@ let test_crash_silences_host () =
             | time, Obs.Tuple_drop { src; reason = "down"; _ } ->
               src = node && time >= at && time < recover_at
             | _ -> false)
-          (Obs.Reg.events Obs.default)
+          (Dump.events Obs.default)
       in
       Alcotest.(check int) "no sends while down" 0 (List.length sent_while_down);
       Alcotest.(check bool) "rejoined" true (Peer.has_query p Harness.query_name))
@@ -261,7 +260,7 @@ let test_overlapping_crashes () =
             | time, Obs.Tuple_drop { src; reason = "down"; _ } ->
               src = node && time >= at && time < recover_at2
             | _ -> false)
-          (Obs.Reg.events Obs.default)
+          (Dump.events Obs.default)
       in
       Alcotest.(check int) "no sends while down" 0 (List.length sent_while_down);
       Alcotest.(check bool) "rejoined" true (Peer.has_query p Harness.query_name))

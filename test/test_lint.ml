@@ -205,6 +205,14 @@ let test_d11_skips_incomplete_build () =
       (List.exists (fun (d : Diag.t) -> d.code = "D7") report.Driver.findings)
   end
 
+let rec mlis dir =
+  Sys.readdir dir |> Array.to_list |> List.sort compare
+  |> List.concat_map (fun e ->
+         let p = Filename.concat dir e in
+         if Sys.is_directory p then mlis p
+         else if Filename.check_suffix p ".mli" then [ p ]
+         else [])
+
 (* Every D11 and D12 allow in lib/ names its test as
    [<file> "<test name>"], and that test exists. *)
 let test_d11_allows_name_tests () =
@@ -212,14 +220,6 @@ let test_d11_allows_name_tests () =
   let lib = Filename.concat root "lib" in
   if Sys.file_exists lib then begin
     let markers = List.map (fun code -> "lint" ^ ": allow " ^ code ^ " ") [ "D11"; "D12" ] in
-    let rec mlis dir =
-      Sys.readdir dir |> Array.to_list |> List.sort compare
-      |> List.concat_map (fun e ->
-             let p = Filename.concat dir e in
-             if Sys.is_directory p then mlis p
-             else if Filename.check_suffix p ".mli" then [ p ]
-             else [])
-    in
     let named = ref 0 in
     List.iter
       (fun mli ->
@@ -244,6 +244,32 @@ let test_d11_allows_name_tests () =
           (String.split_on_char '\n' (read_file mli)))
       (mlis lib);
     Alcotest.(check bool) "the tree carries D11 and D12 allows" true (!named > 0)
+  end
+
+(* Exports kept only because a test reads them (D11/D12 oracle allows)
+   may not grow back: the ceiling is the count the tree carries, so a
+   new one has to replace an old one. *)
+let oracle_allow_ceiling = 55
+
+let test_oracle_allow_ceiling () =
+  let lib = Filename.concat (Filename.concat (Sys.getcwd ()) "..") "lib" in
+  if Sys.file_exists lib then begin
+    let markers =
+      List.map (fun code -> "lint" ^ ": allow " ^ code ^ " oracle") [ "D11"; "D12" ]
+    in
+    let oracle line =
+      List.exists (fun m -> Mortar_lint.Suppress.find_sub line m 0 <> None) markers
+    in
+    let count =
+      List.fold_left
+        (fun acc mli ->
+          acc + List.length (List.filter oracle (String.split_on_char '\n' (read_file mli))))
+        0 (mlis lib)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d oracle allows in lib/**/*.mli, at most %d" count oracle_allow_ceiling)
+      true
+      (count > 0 && count <= oracle_allow_ceiling)
   end
 
 (* Stale-suppression hygiene at the driver level: an allow comment that
@@ -291,4 +317,5 @@ let tests =
     Alcotest.test_case "D11 skipped on an incomplete build" `Quick
       test_d11_skips_incomplete_build;
     Alcotest.test_case "D11 allows name existing tests" `Quick test_d11_allows_name_tests;
+    Alcotest.test_case "oracle allows stay under their ceiling" `Quick test_oracle_allow_ceiling;
   ]

@@ -273,6 +273,7 @@ let test_counter_export_exact () =
     (fun domains ->
       with_scenario ~domains ~stops:[ 2.5; 4.0; 4.0; 7.3; 11.0 ] `Faults (fun d _ ->
           let lines = Obs.Reg.metrics_lines Obs.default in
+          let exported = Dump.counters Obs.default in
           let zeros = ref 0 and counted = ref 0 in
           for h = 0 to D.hosts d - 1 do
             Array.iter
@@ -280,8 +281,7 @@ let test_counter_export_exact () =
                 let name = Peer.counter_name c in
                 let own = Peer.count (D.peer d h) c in
                 let what = Printf.sprintf "domains %d, host %d, %s" domains h name in
-                Alcotest.(check int) what own
-                  (Obs.Reg.counter_value Obs.default ~scope:(Obs.Node h) name);
+                Alcotest.(check int) what own (exported ~scope:(Printf.sprintf "node:%d" h) name);
                 if own = 0 then begin
                   incr zeros;
                   let prefix =

@@ -352,7 +352,7 @@ let test_stats_counters () =
              (function
                | _, Obs.Tuple_send { src; kind = "data"; _ } -> src = leaf
                | _ -> false)
-             (Obs.Reg.events Obs.default))
+             (Dump.events Obs.default))
       in
       Alcotest.(check bool)
         (Printf.sprintf "leaves sent tuples (%d)" leaf_data_sends)

@@ -262,8 +262,13 @@ let test_score_once_equivalent =
        prop_score_once_equivalent)
 
 (* ------------------------------------------------------------------ *)
-(* Registry lifecycle: install -> share -> remove -> remove reclaims
-   everything (the plan/tree refcount leak regression).                *)
+(* Registry lifecycle: install -> share -> retire -> retire reclaims
+   everything (the plan/tree refcount leak regression). A logical query
+   is retired when its subscriber dies; subscribers outside the
+   publisher set are never the root, so retiring them touches neither
+   the placement nor the publishers.                                   *)
+
+let logical_count reg = List.length (Registry.mapping reg)
 
 let apply d = function
   | Registry.Install { phys; root; meta; treeset; subscribers }
@@ -285,8 +290,8 @@ let test_refcount_lifecycle () =
   let ctx = Place.ctx ~topo ~coords:(D.coordinates d) ~bf:4 ~degree:2 ~seed:5 () in
   let reg = Registry.create ~ctx () in
   let pubs = Array.init 24 (fun i -> i) in
-  let qa = mk ~name:"qa" ~publishers:pubs ~subscriber:2 () in
-  let qb = mk ~name:"qb" ~publishers:pubs ~subscriber:9 () in
+  let qa = mk ~name:"qa" ~publishers:pubs ~subscriber:30 () in
+  let qb = mk ~name:"qb" ~publishers:pubs ~subscriber:41 () in
   for n = 0 to hosts - 1 do
     D.sensor d ~node:n ~stream:"cpu" ~period:1.0 (fun _ -> Value.Int 1)
   done;
@@ -303,33 +308,33 @@ let test_refcount_lifecycle () =
   (match acts_b with
   | [ Registry.Update_fanout { phys = p; subscribers; _ } ] ->
     Alcotest.(check string) "join refreshes the same physical query" phys p;
-    Alcotest.(check (list int)) "fan-out covers both subscribers" [ 2; 9 ] subscribers
+    Alcotest.(check (list int)) "fan-out covers both subscribers" [ 30; 41 ] subscribers
   | _ -> Alcotest.fail "expected a fan-out refresh, not a new install");
   D.at d 2.0 (fun () -> List.iter (apply d) acts_b);
   D.run_until d 8.0;
-  Alcotest.(check int) "two logical, one physical" 2 (Registry.logical_count reg);
+  Alcotest.(check int) "two logical, one physical" 2 (logical_count reg);
   Alcotest.(check int) "one physical class" 1 (Registry.physical_count reg);
   Alcotest.(check bool) "installed at the root" true (Peer.has_query (D.peer d root) phys);
   Alcotest.(check bool) "plan retained while live" true
     (Peer.plan_cached (D.peer d root) ~name:phys);
-  (* First removal: still shared, nothing physical happens. *)
-  (match Registry.remove reg ~name:"qa" with
+  (* First retirement: still shared, nothing physical happens. *)
+  (match Registry.handle_loss reg ~dead:[ 30 ] with
   | [ Registry.Update_fanout { subscribers; _ } ] ->
-    Alcotest.(check (list int)) "fan-out shrinks" [ 9 ] subscribers
+    Alcotest.(check (list int)) "fan-out shrinks" [ 41 ] subscribers
   | acts -> List.iter (apply d) acts; Alcotest.fail "expected only a fan-out refresh");
-  Peer.set_result_forwards (D.peer d root) ~query:phys [ 9 ];
+  Peer.set_result_forwards (D.peer d root) ~query:phys [ 41 ];
   D.run_until d 10.0;
   Alcotest.(check bool) "still installed while shared" true
     (Peer.has_query (D.peer d root) phys);
-  (* Last removal: the physical query goes, and after the idle-partner
+  (* Last retirement: the physical query goes, and after the idle-partner
      sweep horizon every peer's state is reclaimed. *)
-  (match Registry.remove reg ~name:"qb" with
+  (match Registry.handle_loss reg ~dead:[ 41 ] with
   | [ Registry.Remove { phys = p; root = r } ] ->
     Alcotest.(check string) "removes the physical query" phys p;
     Peer.set_result_forwards (D.peer d r) ~query:phys [];
     Peer.remove_query (D.peer d r) ~name:phys
   | _ -> Alcotest.fail "expected the physical removal");
-  Alcotest.(check int) "registry empty" 0 (Registry.logical_count reg);
+  Alcotest.(check int) "registry empty" 0 (logical_count reg);
   (* Horizon: 4 * hb_timeout_factor * hb_period = 24 s of idle time. *)
   D.run_until d 40.0;
   for n = 0 to hosts - 1 do
@@ -346,7 +351,7 @@ let test_refcount_lifecycle () =
   done;
   Alcotest.(check int) "heartbeat-partner tables fully swept" 0 !partners
 
-(* Remove the last sharer, then re-admit the same sharing class: the
+(* Retire the last sharer, then re-admit the same sharing class: the
    fresh install's seqno must supersede the removal tombstones the
    peer-level removal multicast left behind at every member. *)
 let test_readmission_after_remove () =
@@ -361,7 +366,7 @@ let test_readmission_after_remove () =
   for n = 0 to hosts - 1 do
     D.sensor d ~node:n ~stream:"cpu" ~period:1.0 (fun _ -> Value.Int 1)
   done;
-  let qa = mk ~name:"qa" ~publishers:pubs ~subscriber:2 () in
+  let qa = mk ~name:"qa" ~publishers:pubs ~subscriber:30 () in
   let acts = Registry.add_batch reg [ qa ] in
   let phys, root =
     match acts with
@@ -371,13 +376,13 @@ let test_readmission_after_remove () =
   D.at d 1.0 (fun () -> List.iter (apply d) acts);
   D.run_until d 6.0;
   Alcotest.(check bool) "installed at the root" true (Peer.has_query (D.peer d root) phys);
-  D.at d 6.5 (fun () -> List.iter (apply d) (Registry.remove reg ~name:"qa"));
+  D.at d 6.5 (fun () -> List.iter (apply d) (Registry.handle_loss reg ~dead:[ 30 ]));
   D.run_until d 10.0;
   Alcotest.(check bool) "removed at the root" false (Peer.has_query (D.peer d root) phys);
   (* Re-admit the class under a new logical name. The removal multicast
      travelled at seqno 2 (install was 1), so the re-install must carry
      a strictly larger seqno or every member drops it as stale. *)
-  let qb = mk ~name:"qb" ~publishers:pubs ~subscriber:9 () in
+  let qb = mk ~name:"qb" ~publishers:pubs ~subscriber:41 () in
   let acts = Registry.add_batch reg [ qb ] in
   let root2 =
     match acts with
@@ -407,7 +412,7 @@ let test_duplicate_in_batch () =
   Alcotest.check_raises "duplicate within one batch rejected"
     (Invalid_argument "Registry.add_batch: duplicate logical query dup") (fun () ->
       ignore (Registry.add_batch reg [ a; b ]));
-  Alcotest.(check int) "nothing admitted" 0 (Registry.logical_count reg)
+  Alcotest.(check int) "nothing admitted" 0 (logical_count reg)
 
 (* handle_loss must never leave a dead host on a fan-out list: logical
    queries whose subscriber died are retired, surviving sharers keep the
@@ -426,13 +431,13 @@ let test_loss_drops_dead_subscribers () =
   | [ Registry.Update_fanout { subscribers; _ } ] ->
     Alcotest.(check (list int)) "dead subscriber dropped from fan-out" [ 3 ] subscribers
   | _ -> Alcotest.fail "expected only a fan-out refresh");
-  Alcotest.(check int) "dead subscriber's query retired" 1 (Registry.logical_count reg);
+  Alcotest.(check int) "dead subscriber's query retired" 1 (logical_count reg);
   (* Kill the last consumer (a publisher too): retire the class rather
      than re-plan it for nobody. *)
   (match Registry.handle_loss reg ~dead:[ 3 ] with
   | [ Registry.Remove _ ] -> ()
   | _ -> Alcotest.fail "expected the class retired once no consumer is left");
-  Alcotest.(check int) "registry empty" 0 (Registry.logical_count reg);
+  Alcotest.(check int) "registry empty" 0 (logical_count reg);
   Alcotest.(check int) "no physical classes left" 0 (Registry.physical_count reg);
   (* Publisher loss and a dead subscriber together: the survivors are
      re-planned and the dead host is absent from the Replan fan-out. *)
@@ -445,7 +450,7 @@ let test_loss_drops_dead_subscribers () =
     Alcotest.(check (list int)) "replan fan-out excludes the dead host" [ 7 ] subscribers
   | _ -> Alcotest.fail "expected a re-plan of the surviving class");
   Alcotest.(check int) "dead subscriber's query retired on re-plan" 1
-    (Registry.logical_count reg2)
+    (logical_count reg2)
 
 (* ------------------------------------------------------------------ *)
 (* Shared sub-aggregates never overcount (provenance), and the sharded
