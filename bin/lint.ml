@@ -1,18 +1,17 @@
 (* mortar-lint: determinism & correctness static analysis.
 
-   Usage: lint [OPTIONS] [PATH ...]
+   Usage: lint [OPTIONS] [DIR ...]
 
-   PATHs default to the four source roots. Directories are scanned
-   recursively (skipping _build and the lint fixtures); files are linted
-   as given. Three phases run: the syntactic rules (D1-D6, D10) over the
-   Parsetree of every .ml, the typed rules (D7-D9) over every compiler
-   .cmt artifact found under the same roots (or under
-   _build/default/<root> when invoked from the repo root), and the
-   dead-code rules (D11 for vals, D12 for constructors and record
-   fields), which check each .cmti under those roots against the uses in
-   every .cmt of the build root — build first (dune build @check writes
-   the .cmt of every executable). Exit
-   status: 0 clean, 1 findings or stale suppressions, 2 errors.
+   DIRs default to the four source roots. Lint reads the compiler .cmt
+   artifacts under each DIR (or under _build/default/DIR when invoked
+   from the repo root), so build first: dune build @check writes the
+   .cmt of every executable too. Two phases run: every rule but D11-D12
+   over each module's typed tree, then the dead-code rules (D11 for
+   vals, D12 for constructors and record fields), which check each
+   .cmti under the DIRs against the uses in every .cmt of the build
+   root. Exit status: 0 clean, 1 findings or stale suppressions, 2
+   errors (a DIR that is not a directory, no .cmt under the DIRs, an
+   unreadable artifact).
 
    Findings are suppressed inline with an allow comment (the marker
    "lint:" followed by the word "allow" and the rule codes, plus a
@@ -20,7 +19,7 @@
    suppresses a finding. An allow comment that shields nothing, or one
    that does not parse, fails the run like a finding. *)
 
-let usage = "usage: lint [--json FILE|-] [--github] [PATH ...]"
+let usage = "usage: lint [--json FILE|-] [--github] [DIR ...]"
 
 let () =
   let json = ref None in
@@ -40,6 +39,13 @@ let () =
   let paths =
     match List.rev !paths with [] -> [ "lib"; "bin"; "bench"; "test" ] | ps -> ps
   in
+  List.iter
+    (fun p ->
+      if not (Sys.file_exists p && Sys.is_directory p) then begin
+        Printf.eprintf "lint: %s is not a directory\n%s\n" p usage;
+        exit 2
+      end)
+    paths;
   (* Where to look for cmts: the paths themselves (the dune @lint alias
      runs inside _build/default, where .objs dirs sit next to sources)
      plus _build/default/<path> for manual runs from the repo root. *)
@@ -61,6 +67,11 @@ let () =
   let report = Mortar_lint.Driver.run ~cmt_paths ~universe ~paths () in
   List.iter (fun e -> Printf.eprintf "lint: %s\n" e) report.errors;
   if report.errors <> [] then exit 2;
+  if report.typed_modules = 0 then begin
+    Printf.eprintf "lint: no .cmt under %s — build first (dune build @check)\n"
+      (String.concat " " paths);
+    exit 2
+  end;
   (match !json with
   | None -> ()
   | Some dest ->
@@ -93,13 +104,5 @@ let () =
   if report.units_without_cmt > 0 then
     Printf.printf "lint: D11-D12 skipped — %d units without .cmt (run dune build @check)\n"
       report.units_without_cmt;
-  (* Typed passes read the .cmt files under linted directories; explicit
-     .ml arguments never get one, so an empty pass is news only when a
-     directory was given. *)
-  if report.typed_modules > 0 then
-    Printf.printf "lint: typed pass covered %d module(s)\n" report.typed_modules
-  else if List.exists Sys.is_directory paths then
-    print_endline
-      "lint: typed passes (D7-D9, D11-D12) covered 0 modules — build first so .cmt artifacts \
-       exist";
+  Printf.printf "lint: covered %d module(s)\n" report.typed_modules;
   if report.findings <> [] || report.stale <> [] then exit 1

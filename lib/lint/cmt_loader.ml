@@ -1,21 +1,19 @@
-(* Discovery and loading of compiler [.cmt]/[.cmti] artifacts for the
-   typed rules (D7-D9, D11-D12).
+(* Discovery and loading of compiler [.cmt]/[.cmti] artifacts, the
+   input of every lint rule. [scan] is lint's one directory walker: it
+   also finds the [.mli] files whose allow comments the driver tracks.
 
    Dune drops one [.cmt] per compiled module under
    [<dir>/.<lib>.objs/byte/] (and [.<exe>.eobjs/byte/] for
    executables), with a [.cmti] beside it when the module has an
-   interface; given the same roots as the source scan, [scan] walks
-   into those dot-directories and returns every artifact of the asked
-   kind in a canonical order. [load] unmarshals one and hands back the
-   typed AST plus the source path recorded at compile time (relative to
-   the build root, e.g. "lib/sim/engine.ml") — which is how typed
-   findings line up with the source files and their suppression
-   comments.
+   interface; [scan] walks into those dot-directories and returns every
+   file of the asked kinds in a canonical order. [load] unmarshals one
+   and hands back the typed AST plus the source path recorded at
+   compile time (relative to the build root, e.g. "lib/sim/engine.ml")
+   — which is how findings line up with the source files and their
+   suppression comments.
 
-   Loading is best-effort by design: a missing or stale artifact (wrong
-   compiler magic, interrupted build) degrades the run to the syntactic
-   rules for that module instead of failing it, and the driver reports
-   how many modules the typed pass actually covered. *)
+   A module without an artifact is not linted; an unreadable one (wrong
+   compiler magic, interrupted build) is an error the driver reports. *)
 
 let skip_dirs = [ "_build"; ".git"; "lint_fixtures" ]
 
@@ -59,15 +57,24 @@ let units_without_cmt paths =
 
 type loaded = {
   source : string; (* source path as recorded by the compiler *)
+  file : string; (* where that source's text is: see [beside] *)
   modname : string; (* compilation unit, e.g. "Mortar_sim__Shard" *)
   structure : Typedtree.structure;
 }
 
 type interface = {
   intf_source : string; (* e.g. "lib/sim/engine.mli" *)
+  intf_file : string;
   intf_modname : string;
   signature : Typedtree.signature;
 }
+
+(* The copy of [source] that dune compiled into [artifact]: it sits in
+   the directory that holds [.<lib>.objs/byte/], whatever the working
+   directory of the run. *)
+let beside artifact source =
+  let dir = Filename.dirname (Filename.dirname (Filename.dirname artifact)) in
+  Filename.concat dir (Filename.basename source)
 
 type outcome =
   | Ok_impl of loaded
@@ -85,7 +92,14 @@ let load path =
   | info -> (
     let modname = info.Cmt_format.cmt_modname in
     match (info.Cmt_format.cmt_annots, info.Cmt_format.cmt_sourcefile) with
-    | Cmt_format.Implementation structure, Some source -> Ok_impl { source; modname; structure }
+    | Cmt_format.Implementation structure, Some source ->
+      Ok_impl { source; file = beside path source; modname; structure }
     | Cmt_format.Interface signature, Some intf_source ->
-      Ok_intf { intf_source; intf_modname = modname; signature }
+      Ok_intf
+        {
+          intf_source;
+          intf_file = beside path intf_source;
+          intf_modname = modname;
+          signature;
+        }
     | _ -> Not_impl)

@@ -1,40 +1,30 @@
-(* File discovery, parsing, the analysis phases, suppression filtering,
+(* Artifact discovery, the analysis phases, suppression filtering,
    reporting.
 
-   Phase 1 (syntactic, D1-D6 and D10): directories given to [run] are scanned
-   recursively for [.ml] files, skipping build products and the
-   deliberately-broken lint fixtures; files given explicitly are always
-   linted (that is how the fixture tests exercise the rules). The
-   [.mli] files found the same way are not parsed, but their allow
-   comments join the suppression tables (D11 and D12 findings sit in
-   them).
-
-   Phase 2 (typed, D7-D9): the same roots (or [cmt_paths], when given)
+   Phase 1 (every rule but D11-D12): [cmt_paths] (default: [paths])
    are scanned for compiler [.cmt] artifacts — dune keeps them under
    [.<lib>.objs/byte/] next to the sources in the build tree — and the
-   typed rules run over each module's typedtree. Typed findings are
-   attributed to the source path the compiler recorded, so inline allow
-   comments work identically for both phases. When no
-   artifacts are found the typed pass degrades to a no-op and
-   [typed_modules] reports 0, which callers can surface ("typed pass
-   skipped: build first").
+   rules run over each module's typedtree. Findings are attributed to
+   the source path the compiler recorded, and a module's allow comments
+   are read from the source copy dune compiled, next to its [.objs]
+   directory. A tree without artifacts yields no finding and
+   [typed_modules] reports 0, which callers surface ("build first").
 
-   Phase 3 (D11-D12, dead code, only when a [universe] is given): every
+   Phase 2 (D11-D12, dead code, only when a [universe] is given): every
    [val], variant constructor and record field of an interface
-   ([.cmti]) under the typed roots is checked against the uses in every
+   ([.cmti]) under [cmt_paths] is checked against the uses in every
    [.cmt] of the universe — the whole build tree, so units outside the
    lint roots count as users. If any unit in the universe was compiled
    without its [.cmt] the use set would be incomplete, so the phase is
    skipped and [units_without_cmt] says why.
 
-   Suppression hygiene: every allow comment is usage-tracked across all
-   phases; the ones shielding nothing are reported as stale (S2), and
-   comments carrying the lint marker that fail to parse are reported as
-   malformed (S1) instead of being silently ignored. Allow
-   comments for D7-D9 and D11-D12 are only judged stale in files the
-   pass for their rule actually covered. *)
-
-let skip_dirs = [ "_build"; ".git"; "lint_fixtures" ]
+   Suppression hygiene: every allow comment is usage-tracked; the ones
+   shielding nothing are reported as stale (S2), and comments carrying
+   the lint marker that fail to parse are reported as malformed (S1)
+   instead of being silently ignored. An allow comment is judged stale
+   only in a file some phase covered. The [.mli] files under [paths]
+   join the tables even when phase 2 does not run, so a malformed
+   comment in one is still reported. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -43,41 +33,19 @@ let read_file path =
   close_in ic;
   s
 
-let rec scan acc path =
-  if Sys.is_directory path then
-    Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.fold_left
-         (fun acc entry ->
-           if List.mem entry skip_dirs then acc
-           else scan acc (Filename.concat path entry))
-         acc
-  else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then
-    path :: acc
-  else acc
-
-let expand paths =
-  List.fold_left
-    (fun acc p -> if Sys.is_directory p then scan acc p else p :: acc)
-    [] paths
-  |> List.sort_uniq compare
-
-let parse_impl path text =
-  let lexbuf = Lexing.from_string text in
-  Location.init lexbuf path;
-  Parse.implementation lexbuf
-
 (* The bench timing harness is the only module allowed on the wall clock. *)
 let wallclock_allowed path = Filename.basename path = "bench_clock.ml"
 
 (* lib/par is the sanctioned parallel runtime: the one place raw
    Domain/Atomic/Mutex/Condition use is deliberate (and shadowed by a
-   sequential fallback on OCaml 4). The typed D7 rule skips it for the
-   same reason: the pool internals ARE the shared state being fenced. *)
+   sequential fallback on OCaml 4). D7 skips it for the same reason:
+   the pool internals ARE the shared state being fenced. *)
 let multicore_allowed path = Filename.basename (Filename.dirname path) = "par"
 
-(* Key used to correlate a source file across the two phases: the
-   syntactic scan may reach it as "../lib/x.ml" while the compiler
-   recorded "lib/x.ml" — strip leading ./ and ../ segments. *)
+(* Key used to correlate an [.mli] found under [paths] with the path
+   the compiler recorded: the scan may reach it as "../lib/x.mli" while
+   the compiler recorded "lib/x.mli" — strip leading ./ and ../
+   segments. *)
 let canonical path =
   let rec strip p =
     if String.length p >= 2 && String.sub p 0 2 = "./" then
@@ -97,8 +65,8 @@ type universe = {
 type report = {
   findings : Diag.t list; (* unsuppressed: these fail the build *)
   stale : Diag.t list; (* S1 malformed / S2 stale allow comments: these fail it too *)
-  errors : string list; (* unreadable / unparseable files *)
-  typed_modules : int; (* modules the typed pass covered (0 = no cmts found) *)
+  errors : string list; (* unreadable files and artifacts *)
+  typed_modules : int; (* modules the rules covered (0 = no cmts found) *)
   units_without_cmt : int; (* > 0: D11-D12 were skipped, their use set would be partial *)
 }
 
@@ -106,83 +74,41 @@ type report = {
 type file_supp = {
   display : string; (* path as first seen, for reporting *)
   supp : Suppress.t;
-  mutable typed_seen : bool; (* did the typed pass cover this file? *)
+  mutable covered : bool; (* did a phase lint this file? *)
 }
 
-let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
-  let files, interfaces =
-    List.partition (fun f -> Filename.check_suffix f ".ml") (expand paths)
-  in
-  let parsed, errors =
-    List.fold_left
-      (fun (ok, errs) file ->
-        match read_file file with
-        | exception Sys_error e -> (ok, Printf.sprintf "%s: %s" file e :: errs)
-        | text -> (
-          match parse_impl file text with
-          | ast -> ((file, text, ast) :: ok, errs)
-          | exception exn ->
-            (ok, Printf.sprintf "%s: parse error: %s" file (Printexc.to_string exn) :: errs)))
-      ([], []) files
-  in
-  let parsed = List.rev parsed in
-  let env = Rules.empty_env () in
-  List.iter (fun (_, _, ast) -> Rules.collect_types env ast) parsed;
+let run ?cmt_paths ?universe ~paths () =
   (* Suppression tables, one per canonical source path. *)
   let supps : (string, file_supp) Hashtbl.t = Hashtbl.create 64 in
-  let supp_of ~display text =
+  (* [display] is the source path for reports and the table key; its
+     text is read from [file]. A source that is not there (a generated
+     one, such as dune's module aliases) carries no suppressions. *)
+  let supp_of ~display file =
     let key = canonical display in
     match Hashtbl.find_opt supps key with
     | Some fs -> fs
     | None ->
-      let fs = { display; supp = Suppress.of_source text; typed_seen = false } in
+      let text = if Sys.file_exists file then read_file file else "" in
+      let fs = { display; supp = Suppress.of_source text; covered = false } in
       Hashtbl.add supps key fs;
       fs
   in
-  (* Recorded source paths resolve as recorded, then relative to
-     [source_root]. Generated sources (e.g. dune's module aliases)
-     resolve to nothing and simply carry no suppressions. *)
-  let supp_of_source source =
-    let text =
-      List.find_map
-        (fun p -> if Sys.file_exists p then Some (read_file p) else None)
-        [ source; Filename.concat source_root source ]
-    in
-    supp_of ~display:source (Option.value text ~default:"")
-  in
-  let errors =
-    List.fold_left
-      (fun errs file ->
-        match read_file file with
-        | text ->
-          ignore (supp_of ~display:file text);
-          errs
-        | exception Sys_error e -> Printf.sprintf "%s: %s" file e :: errs)
-      errors interfaces
-  in
-  (* ---- phase 1: syntactic rules ---------------------------------- *)
-  let syntactic =
-    List.concat_map
-      (fun (file, text, ast) ->
-        let fs = supp_of ~display:file text in
-        Rules.run_rules env ~allow_wallclock:(wallclock_allowed file)
-          ~allow_multicore:(multicore_allowed file) ast
-        |> List.filter (fun (d : Diag.t) ->
-               not (Suppress.allows fs.supp ~line:d.line ~code:d.code)))
-      parsed
-  in
-  (* ---- phase 2: typed rules over cmt artifacts -------------------- *)
+  List.iter
+    (fun mli -> ignore (supp_of ~display:mli mli))
+    (Cmt_loader.scan ~exts:[ ".mli" ] paths);
+  (* ---- phase 1: the rules over cmt artifacts --------------------- *)
+  let errors = ref [] in
   let cmt_roots = match cmt_paths with Some ps -> ps | None -> paths in
-  let cmts = Cmt_loader.scan cmt_roots in
-  let tenv = Typed_rules.empty_tenv () in
-  let loaded, errors =
-    List.fold_left
-      (fun (ok, errs) path ->
+  let loaded =
+    List.filter_map
+      (fun path ->
         match Cmt_loader.load path with
-        | Cmt_loader.Ok_impl l -> (l :: ok, errs)
-        | Cmt_loader.Ok_intf _ | Cmt_loader.Not_impl -> (ok, errs)
-        | Cmt_loader.Unreadable e -> (ok, e :: errs))
-      ([], errors) cmts
+        | Cmt_loader.Ok_impl l -> Some l
+        | Cmt_loader.Ok_intf _ | Cmt_loader.Not_impl -> None
+        | Cmt_loader.Unreadable e ->
+          errors := e :: !errors;
+          None)
+      (Cmt_loader.scan cmt_roots)
   in
   (* Canonical analysis order, deduped by source (a module rebuilt into
      several contexts still has one source of truth). *)
@@ -196,70 +122,69 @@ let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
              true
            end)
   in
+  let tenv = Typed_rules.empty_tenv () in
   List.iter
     (fun (l : Cmt_loader.loaded) ->
       Typed_rules.collect_types tenv ~modname:l.modname l.structure)
     loaded;
   Typed_rules.close_tenv tenv;
-  let typed =
+  let findings =
     List.concat_map
       (fun (l : Cmt_loader.loaded) ->
         let diags =
-          Typed_rules.run_rules tenv ~allow_multicore:(multicore_allowed l.source)
-            l.structure
+          Typed_rules.run_rules tenv ~modname:l.modname
+            ~allow_wallclock:(wallclock_allowed l.source)
+            ~allow_multicore:(multicore_allowed l.source) l.structure
         in
-        let fs = supp_of_source l.source in
-        fs.typed_seen <- true;
+        let fs = supp_of ~display:l.source l.file in
+        fs.covered <- true;
         List.filter
           (fun (d : Diag.t) -> not (Suppress.allows fs.supp ~line:d.line ~code:d.code))
           diags)
       loaded
   in
-  (* ---- phase 3: dead code over the whole build ------------------- *)
-  let units_without_cmt, dead, errors =
+  (* ---- phase 2: dead code over the whole build ------------------- *)
+  let units_without_cmt, dead =
     match universe with
-    | None -> (0, [], errors)
+    | None -> (0, [])
     | Some u -> (
       match Cmt_loader.units_without_cmt u.roots with
-      | n when n > 0 -> (n, [], errors)
+      | n when n > 0 -> (n, [])
       | _ ->
         let refs = Typed_rules.empty_refs () in
-        let intfs, errors =
-          List.fold_left
-            (fun (intfs, errs) path ->
+        let intfs =
+          List.filter_map
+            (fun path ->
               match Cmt_loader.load path with
               | Cmt_loader.Ok_impl l ->
                 Typed_rules.collect_refs refs ~modname:l.modname ~source:l.source
                   l.structure;
-                (intfs, errs)
-              | Cmt_loader.Ok_intf i -> (i :: intfs, errs)
-              | Cmt_loader.Not_impl -> (intfs, errs)
-              | Cmt_loader.Unreadable e -> (intfs, e :: errs))
-            ([], errors)
+                None
+              | Cmt_loader.Ok_intf i -> Some i
+              | Cmt_loader.Not_impl -> None
+              | Cmt_loader.Unreadable e ->
+                errors := e :: !errors;
+                None)
             (Cmt_loader.scan u.roots @ Cmt_loader.scan ~exts:[ ".cmti" ] cmt_roots)
-        in
-        let intfs =
-          List.sort_uniq
-            (fun (a : Cmt_loader.interface) b -> compare a.intf_source b.intf_source)
-            intfs
+          |> List.sort_uniq (fun (a : Cmt_loader.interface) b ->
+                 compare a.intf_source b.intf_source)
         in
         List.iter
-          (fun (i : Cmt_loader.interface) -> (supp_of_source i.intf_source).typed_seen <- true)
+          (fun (i : Cmt_loader.interface) ->
+            (supp_of ~display:i.intf_source i.intf_file).covered <- true)
           intfs;
         let is_test = String.starts_with ~prefix:(u.test_dir ^ "/") in
         let sigs =
           List.map (fun (i : Cmt_loader.interface) -> (i.intf_modname, i.signature)) intfs
         in
-        let dead =
+        ( 0,
           Typed_rules.dead_exports refs ~is_test sigs
           @ Typed_rules.dead_type_parts refs ~is_test sigs
           |> List.filter (fun (d : Diag.t) ->
-                 not (Suppress.allows (supp_of_source d.file).supp ~line:d.line ~code:d.code))
-        in
-        (0, dead, errors))
+                 not (Suppress.allows (supp_of ~display:d.file d.file).supp ~line:d.line
+                        ~code:d.code)) ))
   in
   (* ---- suppression hygiene --------------------------------------- *)
-  let typed_codes = [ "D7"; "D8"; "D9"; "D11"; "D12" ] in
   let stale = ref [] in
   let all_supps =
     Hashtbl.fold (fun _ fs acc -> fs :: acc) supps []
@@ -267,7 +192,6 @@ let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
   in
   List.iter
     (fun fs ->
-      let checkable code = fs.typed_seen || not (List.mem code typed_codes) in
       List.iter
         (fun (line, what) ->
           stale :=
@@ -295,12 +219,12 @@ let run ?cmt_paths ?universe ?(source_root = ".") ~paths () =
                   code;
             }
             :: !stale)
-        (Suppress.stale_entries fs.supp ~checkable))
+        (Suppress.stale_entries fs.supp ~checkable:(fun _ -> fs.covered)))
     all_supps;
   {
-    findings = List.sort Diag.order (syntactic @ typed @ dead);
+    findings = List.sort Diag.order (findings @ dead);
     stale = List.sort Diag.order !stale;
-    errors = List.rev errors;
+    errors = List.rev !errors;
     typed_modules = List.length loaded;
     units_without_cmt;
   }

@@ -7,8 +7,7 @@
    may be listed in one comment; the code list is the leading run of
    D<digits> tokens (the reason never re-opens it, so prose mentioning a
    rule by name does not widen the suppression). The codes in use are
-   D1-D6 and D10 (syntactic) and D7-D9 and D11-D12 (typed); multi-digit
-   codes such as D10 parse like any other.
+   D1-D12; multi-digit codes such as D10 parse like any other.
 
    Every parsed comment is tracked: [allows] marks the codes that
    actually shield a finding, so the driver can report the ones that no
@@ -106,8 +105,8 @@ let allows (t : t) ~line ~code =
   !hit
 
 (* (line, code) pairs that never shielded a finding, for the given set
-   of checkable codes (when the typed passes did not run, D7-D9 and
-   D11-D12 allows cannot be judged and must be excluded by the caller). *)
+   of checkable codes (an allow for a rule that did not run over the
+   file cannot be judged, and the caller excludes it). *)
 let stale_entries (t : t) ~checkable =
   List.concat_map
     (fun e ->

@@ -1,7 +1,40 @@
-(* The typed mortar-lint rules (D7-D9, D11-D12), run over compiler [.cmt]
-   artifacts with [Tast_iterator] — unlike D1-D6 and D10 these see resolved
-   paths and inferred types, so they can reason about mutability,
-   constructor coverage and callers instead of surface syntax.
+(* The mortar-lint rules, run over compiler [.cmt] artifacts with one
+   [Tast_iterator] pass per module: every rule sees resolved paths and
+   inferred types. A path is matched as the typer resolved it, with
+   local module aliases followed and the [Stdlib.] prefix dropped, so
+   [open Unix] then [gettimeofday ()], [module R = Random] then
+   [R.int 6] and [Stdlib.Sys.time ()] are the calls they spell, and a
+   local function that happens to be called [getenv] is not.
+
+   D1  wall-clock reads (Unix.gettimeofday / Unix.time / Sys.time)
+       anywhere but the allow-listed bench timing module. Simulated
+       components must take time from Sim.Clock; a single stray
+       gettimeofday breaks byte-identical seeded replay.
+   D2  the global Random module (including Random.State and especially
+       Random.self_init). All randomness must flow through the seeded
+       splitmix Util.Rng so a run is a pure function of its seed.
+   D3  hash-order escaping into an ordered data structure, two forms:
+       (a) Hashtbl.fold / Hashtbl.iter (or Lazy_tbl.fold / iter, the
+       Hashtbl wrapper in lib/util) whose callback builds a list (a
+       [::] cons anywhere in the callback, whatever the argument's
+       label or position);
+       (b) Hashtbl.to_seq / to_seq_keys / to_seq_values materialized
+       through List.of_seq or Array.of_seq, directly or through a
+       [|>] / [@@] pipe (including with Seq combinators in between).
+       Either form is fine under a List/Array sort application.
+   D4  catch-all [try ... with _ ->] (or [with e ->]) handlers, which swallow
+       Out_of_memory, Stack_overflow and genuine bugs alike.
+   D5  polymorphic compare/(=)/(<>) with an operand that is a
+       float-bearing record: a record literal setting a float field, a
+       projection of a float field, or a value whose type is a record
+       type declaring one. Polymorphic comparison of floats breaks under
+       NaN and under representation changes.
+   D6  raw multicore primitives (Domain, Domain.DLS, Atomic, Mutex,
+       Condition, Semaphore) outside the sanctioned parallel runtime
+       (lib/par). Shared mutable state touched from a stray
+       Domain.spawn bypasses the epoch barrier that makes the sharded
+       simulation deterministic; everything else must go through
+       Par.Pool / Par.Ctx, whose fallback build is sequential.
 
    D7  cross-shard mutable escape. A value of mutable type — [ref],
        [array], [Bytes.t], [Hashtbl.t], [Buffer.t], [Queue.t],
@@ -34,6 +67,12 @@
        disabled-by-default flag (a condition reading [...enabled]),
        which are sanctioned cold paths.
 
+   D10 environment reads (Sys.getenv, Sys.getenv_opt, Unix.getenv) in
+       every linted tree. An environment variable is a hidden knob: a
+       run's behaviour (or its output) then depends on more than its
+       command line and seed. Configuration flows through flags and
+       config records.
+
    D11 dead export. A [val] in an interface that no other compilation
        unit refers to (drop it from the interface, and delete it if its
        module does not use it either), or that only test code refers
@@ -51,26 +90,31 @@
        resolution, test scope and allow path as D11; a re-export
        ([type t = M.t = A | B]) resolves to the original type.
 
-   All five degrade gracefully where artifacts are missing: no cmt,
-   no typed findings (the syntactic D1-D6 and D10 pass still runs). On 4.14
-   the parallel runtime is the sequential fallback but exposes the
-   same [Par.Pool] paths, so D7 analyzes identical call sites. *)
+   A module without a [.cmt] is not linted at all: on 4.14 that is
+   lib/par's multicore backend, on 5.x its sequential fallback (dune
+   compiles one of the two). Both expose the same [Par.Pool] paths, so
+   D7 analyzes identical call sites on either. *)
 
 open Typedtree
 
 (* ------------------------------------------------------------------ *)
-(* Phase 1: mutability environment, collected over every loaded cmt.   *)
+(* Phase 1: type environment, collected over every loaded cmt.         *)
 
 type tenv = {
   mut_types : (string, unit) Hashtbl.t;
   (* keys for a mutable type [ty] declared in unit [U] (short name [S]):
      "U.ty", "S.ty", and bare "ty" unless the name is the conventional
      "t" (too generic to key globally — "S.t" still matches). *)
+  float_types : (string, unit) Hashtbl.t;
+  (* D5: float-bearing record types by [type_key] of their full path,
+     nested modules included: a bare name would confuse [Tree.node],
+     an int, with an unrelated float-bearing [node] record. *)
   mutable aliases : (string list * Types.type_expr) list;
   (* abbreviations pending resolution: keys, manifest *)
 }
 
-let empty_tenv () = { mut_types = Hashtbl.create 64; aliases = [] }
+let empty_tenv () =
+  { mut_types = Hashtbl.create 64; float_types = Hashtbl.create 64; aliases = [] }
 
 (* "Mortar_sim__Shard" -> Some "Shard" *)
 let short_of_modname m =
@@ -137,8 +181,36 @@ let type_head ty =
   | Types.Ttuple _ -> "tuple"
   | _ -> "value"
 
+(* "Mortar_sim__Shard" -> ["Mortar_sim"; "Shard"] *)
+let split_units parts =
+  List.concat_map
+    (fun s -> match Lint_util.rsplit2 s "__" with Some (a, b) -> [ a; b ] | None -> [ s ])
+    parts
+
+(* D5's key for a type: its full path with dune's "__" unit names
+   split, so [Mortar_sim__Shard.t] and [Mortar_sim.Shard.t] agree. *)
+let type_key parts = String.concat "." (split_units parts)
+
+(* D5: a float, or an option, array, list, ref or tuple holding one. *)
+let rec type_is_floatish ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (path, args, _) -> (
+    match (Path.last path, args) with
+    | "float", [] -> true
+    | ("option" | "array" | "list" | "ref"), [ a ] -> type_is_floatish a
+    | _ -> false)
+  | Types.Ttuple ts -> List.exists type_is_floatish ts
+  | Types.Tpoly (t, _) -> type_is_floatish t (* a label's declared type *)
+  | _ -> false
+
 let collect_types env ~modname (str : structure) =
-  let add_mutable ty = List.iter (fun k -> Hashtbl.replace env.mut_types k ()) (keys_for ~modname ty) in
+  let scope = ref [ modname ] (* enclosing modules, innermost first *) in
+  let module_binding it (mb : module_binding) =
+    let outer = !scope in
+    Option.iter (fun id -> scope := Ident.name id :: outer) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding it mb;
+    scope := outer
+  in
   let structure_item it (x : structure_item) =
     (match x.str_desc with
     | Tstr_type (_, decls) ->
@@ -148,7 +220,9 @@ let collect_types env ~modname (str : structure) =
           match d.typ_kind with
           | Ttype_record labels ->
             if List.exists (fun l -> l.ld_mutable = Asttypes.Mutable) labels then
-              add_mutable name
+              List.iter (fun k -> Hashtbl.replace env.mut_types k ()) (keys_for ~modname name);
+            if List.exists (fun l -> type_is_floatish l.ld_type.ctyp_type) labels then
+              Hashtbl.replace env.float_types (type_key (List.rev (name :: !scope))) ()
           | Ttype_abstract | Ttype_variant _ | Ttype_open -> (
             match d.typ_manifest with
             | Some ct ->
@@ -158,7 +232,7 @@ let collect_types env ~modname (str : structure) =
     | _ -> ());
     Tast_iterator.default_iterator.structure_item it x
   in
-  let it = { Tast_iterator.default_iterator with structure_item } in
+  let it = { Tast_iterator.default_iterator with module_binding; structure_item } in
   it.structure it str
 
 (* Resolve alias chains (type t = foo ref; type u = t) to a fixpoint. *)
@@ -181,10 +255,31 @@ let close_tenv env =
 (* ------------------------------------------------------------------ *)
 (* Shared helpers for the rule pass.                                   *)
 
-let path_parts p =
-  Path.name p |> String.split_on_char '.'
-  |> List.concat_map (fun s ->
-         match Lint_util.rsplit2 s "__" with Some (a, b) -> [ a; b ] | None -> [ s ])
+let path_parts p = split_units (String.split_on_char '.' (Path.name p))
+
+let rec strip_constraints (me : module_expr) =
+  match me.mod_desc with Tmod_constraint (m, _, _, _) -> strip_constraints m | _ -> me
+
+let alias_target me =
+  match (strip_constraints me).mod_desc with Tmod_ident (p, _) -> Some p | _ -> None
+
+(* Follow local module aliases ([module D = ...], [let module D = ...
+   in]), keyed by the alias's unique ident name. [self]: the unit a
+   local head (a type or module of this unit) belongs to; without it a
+   local path is not a reference to anything exported. *)
+let rec flatten ?self locals (p : Path.t) =
+  match p with
+  | Path.Pident id -> (
+    match Hashtbl.find_opt locals (Ident.unique_name id) with
+    | Some target -> flatten ?self locals target
+    | None ->
+      if Ident.global id then Some [ Ident.name id ]
+      else Option.map (fun m -> [ m; Ident.name id ]) self)
+  | Path.Pdot (q, s) -> Option.map (fun parts -> parts @ [ s ]) (flatten ?self locals q)
+  | _ -> None
+
+let add_alias locals id me =
+  Option.iter (Hashtbl.replace locals (Ident.unique_name id)) (alias_target me)
 
 let last_part p =
   let parts = path_parts p in
@@ -234,11 +329,202 @@ let pat_is_exception : type k. k general_pattern -> bool =
 
 type ctx = {
   env : tenv;
-  allow_multicore : bool; (* lib/par: D7 does not apply inside the runtime *)
+  modname : string; (* the unit being linted *)
+  allow_wallclock : bool; (* the bench clock module may read the wall clock *)
+  allow_multicore : bool; (* lib/par: D6 and D7 do not apply inside the runtime *)
+  locals : (string, Path.t) Hashtbl.t; (* module aliases bound so far in this unit *)
+  mutable sorted_depth : int; (* > 0 while under a sort application *)
   mutable out : Diag.t list;
 }
 
 let add ctx ~code ~loc message = ctx.out <- Diag.make ~code ~loc ~message :: ctx.out
+
+(* Does [e] or any sub-expression satisfy [p]? *)
+let exists_sub p (e : expression) =
+  let found = ref false in
+  let expr it (x : expression) =
+    if p x then found := true;
+    Tast_iterator.default_iterator.expr it x
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it e;
+  !found
+
+(* Apply [f] to each direct sub-expression of [e]. *)
+let iter_children f (e : expression) =
+  let it = { Tast_iterator.default_iterator with expr = (fun _ x -> f x) } in
+  Tast_iterator.default_iterator.expr it e
+
+(* ---- D1-D6, D10 -------------------------------------------------- *)
+
+(* The value an identifier names, every alias undone and the Stdlib
+   prefix dropped: ["Random"; "int"] for [R.int] after [module R =
+   Random], ["Sys"; "time"] for [Stdlib.Sys.time]. A value bound in the
+   unit itself names nothing. *)
+let ident ctx (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> (
+    match Option.map split_units (flatten ctx.locals p) with
+    | Some ("Stdlib" :: parts) -> Some parts
+    | parts -> parts)
+  | _ -> None
+
+let rev_ident ctx e = Option.map List.rev (ident ctx e)
+
+let check_ident ctx (e : expression) =
+  match ident ctx e with
+  | None -> ()
+  | Some parts -> (
+    let name = String.concat "." parts in
+    match parts with
+    | ([ "Unix"; ("gettimeofday" | "time") ] | [ "Sys"; "time" ]) when not ctx.allow_wallclock
+      ->
+      add ctx ~code:"D1" ~loc:e.exp_loc
+        (Printf.sprintf
+           "wall-clock read '%s' breaks deterministic replay; use the simulated clock, or \
+            Bench_clock in the bench harness"
+           name)
+    | "Random" :: _ :: _ ->
+      let extra =
+        if List.nth parts (List.length parts - 1) = "self_init" then
+          " (self_init makes runs irreproducible by construction)"
+        else ""
+      in
+      add ctx ~code:"D2" ~loc:e.exp_loc
+        (Printf.sprintf
+           "global randomness '%s'%s; all randomness must flow through the seeded Util.Rng"
+           name extra)
+    | ("Domain" | "Atomic" | "Mutex" | "Condition" | "Semaphore") :: _ :: _
+      when not ctx.allow_multicore ->
+      add ctx ~code:"D6" ~loc:e.exp_loc
+        (Printf.sprintf
+           "raw multicore primitive '%s' outside lib/par; shared state crossing domains \
+            bypasses the deterministic epoch barrier — use Par.Pool / Par.Ctx"
+           name)
+    | [ "Sys"; ("getenv" | "getenv_opt") ] | [ "Unix"; "getenv" ] ->
+      add ctx ~code:"D10" ~loc:e.exp_loc
+        (Printf.sprintf
+           "environment read '%s' is a hidden knob; pass configuration through flags or \
+            config records"
+           name)
+    | _ -> ())
+
+let is_sort_fn ctx e =
+  match ident ctx e with
+  | Some [ ("List" | "ListLabels" | "Array" | "ArrayLabels"); f ] ->
+    List.mem f [ "sort"; "sort_uniq"; "stable_sort"; "fast_sort" ]
+  | _ -> false
+
+(* [List.sort cmp] partially applied, or the bare sort identifier. *)
+let is_sort_app ctx e =
+  is_sort_fn ctx e || (match e.exp_desc with Texp_apply (f, _) -> is_sort_fn ctx f | _ -> false)
+
+(* D3: Hashtbl.fold/iter under any module path (MoreLabels.Hashtbl
+   too), and the same calls on Util.Lazy_tbl. *)
+let hashtbl_iter_fold ctx e =
+  match rev_ident ctx e with
+  | Some ((("fold" | "iter") as which) :: (("Hashtbl" | "Lazy_tbl") as m) :: _) ->
+    Some (m ^ "." ^ which)
+  | _ -> None
+
+let is_of_seq ctx e =
+  match rev_ident ctx e with
+  | Some ("of_seq" :: (("List" | "Array") as m) :: _) -> Some m
+  | _ -> None
+
+let contains_hashtbl_to_seq ctx =
+  exists_sub (fun x ->
+      match rev_ident ctx x with
+      | Some (("to_seq" | "to_seq_keys" | "to_seq_values") :: "Hashtbl" :: _) -> true
+      | _ -> false)
+
+(* A list cons anywhere: [x :: acc], [acc := x :: !acc] and [[x]] alike. *)
+let builds_list =
+  exists_sub (fun x ->
+      match x.exp_desc with Texp_construct (_, cd, _) -> cd.Types.cstr_name = "::" | _ -> false)
+
+let is_fun (e : expression) = match e.exp_desc with Texp_function _ -> true | _ -> false
+
+let check_d3 ctx (e : expression) f args =
+  (* Form (a): a fold/iter callback that conses, whatever the
+     argument's label or position. *)
+  (match hashtbl_iter_fold ctx f with
+  | Some which when List.exists (fun cb -> is_fun cb && builds_list cb) args ->
+    add ctx ~code:"D3" ~loc:e.exp_loc
+      (Printf.sprintf
+         "%s builds a list in hash order; sort the escaping result (e.g. '|> List.sort \
+          compare') or keep it commutative"
+         which)
+  | _ -> ());
+  (* Form (b): to_seq materialized into a list/array. The typer turns
+     [x |> f] into [f x], so a [|> Seq.map ... |> List.of_seq] chain is
+     one application here, and the pipe shows only in [f] coming after
+     its argument. *)
+  match is_of_seq ctx f with
+  | Some m when List.exists (contains_hashtbl_to_seq ctx) args ->
+    let piped =
+      List.exists
+        (fun (a : expression) -> a.exp_loc.loc_start.pos_cnum < f.exp_loc.loc_start.pos_cnum)
+        args
+    in
+    add ctx ~code:"D3" ~loc:e.exp_loc
+      (Printf.sprintf
+         "Hashtbl.to_seq materialized via %sof_seq escapes hash order; sort the result or \
+          keep it a transient sequence"
+         (if piped then "" else m ^ "."))
+  | _ -> ()
+
+(* D5 evidence from the operand's shape: a float field projected, or a
+   record literal setting one. *)
+let float_shape (e : expression) =
+  match e.exp_desc with
+  | Texp_field (_, _, ld) when type_is_floatish ld.Types.lbl_arg ->
+    Some (Printf.sprintf "float field '%s'" ld.lbl_name)
+  | Texp_record { fields; _ }
+    when Array.exists
+           (function
+             | (ld : Types.label_description), Overridden _ -> type_is_floatish ld.lbl_arg
+             | _, Kept _ -> false)
+           fields ->
+    Some "record literal with a float field"
+  | _ -> None
+
+(* D5 evidence from the operand's type: a float-bearing record. *)
+let float_record ctx (e : expression) =
+  match Types.get_desc e.exp_type with
+  | Types.Tconstr (p, _, _) -> (
+    match flatten ~self:ctx.modname ctx.locals p with
+    | Some parts when Hashtbl.mem ctx.env.float_types (type_key parts) ->
+      Some (Printf.sprintf "value of float-bearing record type '%s'" (Path.last p))
+    | _ -> None)
+  | _ -> None
+
+let check_d5 ctx (e : expression) f args =
+  match (ident ctx f, args) with
+  | Some [ ("compare" | "=" | "<>") as op ], [ a; b ] -> (
+    let why =
+      match List.find_map float_shape [ a; b ] with
+      | Some why -> Some why
+      | None -> List.find_map (float_record ctx) [ a; b ]
+    in
+    match why with
+    | Some why ->
+      add ctx ~code:"D5" ~loc:e.exp_loc
+        (Printf.sprintf
+           "polymorphic '%s' applied to %s; NaN and representation changes break it — use \
+            Float.compare or an explicit comparator"
+           op why)
+    | None -> ())
+  | _ -> ()
+
+let check_d4 ctx cases =
+  List.iter
+    (fun c ->
+      if pat_is_catch_all c.c_lhs then
+        add ctx ~code:"D4" ~loc:c.c_lhs.pat_loc
+          "catch-all exception handler swallows Out_of_memory/Stack_overflow and real bugs; \
+           match the specific exceptions instead")
+    cases
 
 (* ---- D7 ---------------------------------------------------------- *)
 
@@ -296,14 +582,9 @@ let check_closure ctx (closure : expression) =
       List.iter
         (fun (_, a) -> match a with Some a -> walk ~sanctioned:fn_sanctions a | None -> ())
         args
-    | _ -> iter_children ~sanctioned:false e
-  and iter_children ~sanctioned e =
-    (* Generic recursion into sub-expressions via the iterator, with the
-       sanction flag dropped (it only survives projection chains). *)
-    ignore sanctioned;
-    let expr _it (x : expression) = walk ~sanctioned:false x in
-    let it = { Tast_iterator.default_iterator with expr } in
-    Tast_iterator.default_iterator.expr it e
+    | _ ->
+      (* The sanction only survives projection chains. *)
+      iter_children (walk ~sanctioned:false) e
   in
   match closure.exp_desc with
   | Texp_function { cases; _ } ->
@@ -318,17 +599,9 @@ let check_closure ctx (closure : expression) =
 
 (* A condition that reads a [...enabled]-style flag guards a sanctioned
    cold branch (observability is off by default on the hot path). *)
-let guard_is_cold (cond : expression) =
-  let found = ref false in
-  let expr it (x : expression) =
-    (match x.exp_desc with
-    | Texp_ident (p, _, _) when last_part p = "enabled" -> found := true
-    | _ -> ());
-    Tast_iterator.default_iterator.expr it x
-  in
-  let it = { Tast_iterator.default_iterator with expr } in
-  it.expr it cond;
-  !found
+let guard_is_cold =
+  exists_sub (fun x ->
+      match x.exp_desc with Texp_ident (p, _, _) -> last_part p = "enabled" | _ -> false)
 
 let is_float_type ty =
   match Types.get_desc ty with
@@ -371,16 +644,12 @@ let check_hot ctx ~fname (body : expression) =
       if List.exists (fun (a : expression) -> is_float_type a.exp_type) args then
         flag e.exp_loc "boxed-float allocation (float argument to a constructor)";
       children e
-    | Texp_ifthenelse (cond, then_, else_) when guard_is_cold cond ->
+    | Texp_ifthenelse (cond, _cold, else_) when guard_is_cold cond ->
       (* The guarded branch is the sanctioned cold path; the else branch
          stays hot. *)
-      ignore then_;
-      (match else_ with Some e2 -> walk ~top:false e2 | None -> ())
+      Option.iter (walk ~top:false) else_
     | _ -> children e
-  and children e =
-    let expr _it (x : expression) = walk ~top:false x in
-    let it = { Tast_iterator.default_iterator with expr } in
-    Tast_iterator.default_iterator.expr it e
+  and children e = iter_children (walk ~top:false) e
   in
   walk ~top:true body
 
@@ -394,7 +663,7 @@ let binding_name (vb : value_binding) =
 
 (* ---- the per-file pass ------------------------------------------- *)
 
-let check_d8 ctx ~loc ty cases =
+let check_d8 ctx ty cases =
   match protocol_type ty with
   | None -> ()
   | Some proto ->
@@ -407,34 +676,62 @@ let check_d8 ctx ~loc ty cases =
                 new protocol variant cannot be silently dropped (or justify the wildcard \
                 inline)"
                proto))
-      cases;
-    ignore loc
+      cases
 
-let run_rules env ~allow_multicore (str : structure) =
-  let ctx = { env; allow_multicore; out = [] } in
+let run_rules env ~modname ~allow_wallclock ~allow_multicore (str : structure) =
+  let ctx =
+    {
+      env;
+      modname;
+      allow_wallclock;
+      allow_multicore;
+      locals = Hashtbl.create 16;
+      sorted_depth = 0;
+      out = [];
+    }
+  in
   let expr it (e : expression) =
-    (match e.exp_desc with
-    | Texp_apply (fn, args) when not ctx.allow_multicore -> (
-      match fn.exp_desc with
-      | Texp_ident (p, _, _) when is_par_entry p ->
-        List.iter
-          (fun (_, a) ->
-            match a with
-            | Some (arg : expression) -> (
-              match arg.exp_desc with
-              | Texp_function _ -> check_closure ctx arg
-              | _ -> ())
-            | None -> ())
-          args
-      | _ -> ())
-    | Texp_match (scrut, cases, _) -> check_d8 ctx ~loc:e.exp_loc scrut.exp_type cases
-    | Texp_function { cases = c :: _ :: _ as cases; _ } ->
-      (* [function]-style dispatch over the protocol type. Only multi-case
-         functions count: a single var pattern is a plain parameter
-         ([fun payload -> ...]), not a dispatch with a wildcard arm. *)
-      check_d8 ctx ~loc:e.exp_loc c.c_lhs.pat_type cases
-    | _ -> ());
-    Tast_iterator.default_iterator.expr it e
+    let under_sort =
+      match e.exp_desc with
+      | Texp_ident _ ->
+        check_ident ctx e;
+        false
+      | Texp_try (_, cases) ->
+        check_d4 ctx cases;
+        false
+      | Texp_apply (fn, args) ->
+        let args = List.filter_map snd args in
+        if ctx.sorted_depth = 0 then check_d3 ctx e fn args;
+        check_d5 ctx e fn args;
+        (* D7: closures handed to the parallel runtime. *)
+        (match fn.exp_desc with
+        | Texp_ident (p, _, _) when is_par_entry p && not ctx.allow_multicore ->
+          List.iter (fun a -> if is_fun a then check_closure ctx a) args
+        | _ -> ());
+        (* [List.sort cmp xs], and [xs |> List.sort cmp] as the typer
+           has it: [(List.sort cmp) xs]. *)
+        is_sort_app ctx fn
+      | Texp_match (scrut, cases, _) ->
+        check_d8 ctx scrut.exp_type cases;
+        false
+      | Texp_function { cases = c :: _ :: _ as cases; _ } ->
+        (* [function]-style dispatch over the protocol type. Only multi-case
+           functions count: a single var pattern is a plain parameter
+           ([fun payload -> ...]), not a dispatch with a wildcard arm. *)
+        check_d8 ctx c.c_lhs.pat_type cases;
+        false
+      | Texp_letmodule (Some id, _, _, me, _) ->
+        add_alias ctx.locals id me;
+        false
+      | _ -> false
+    in
+    if under_sort then ctx.sorted_depth <- ctx.sorted_depth + 1;
+    Tast_iterator.default_iterator.expr it e;
+    if under_sort then ctx.sorted_depth <- ctx.sorted_depth - 1
+  in
+  let module_binding it (mb : module_binding) =
+    Option.iter (fun id -> add_alias ctx.locals id mb.mb_expr) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding it mb
   in
   let structure_item it (x : structure_item) =
     (match x.str_desc with
@@ -446,7 +743,7 @@ let run_rules env ~allow_multicore (str : structure) =
     | _ -> ());
     Tast_iterator.default_iterator.structure_item it x
   in
-  let it = { Tast_iterator.default_iterator with expr; structure_item } in
+  let it = { Tast_iterator.default_iterator with expr; module_binding; structure_item } in
   it.structure it str;
   List.rev ctx.out
 
@@ -472,29 +769,9 @@ type refs = {
 let empty_refs () =
   { aliases = Hashtbl.create 256; values = []; modules = []; built = []; read = [] }
 
-let rec strip_constraints (me : module_expr) =
-  match me.mod_desc with Tmod_constraint (m, _, _, _) -> strip_constraints m | _ -> me
-
-let alias_target me =
-  match (strip_constraints me).mod_desc with Tmod_ident (p, _) -> Some p | _ -> None
-
-(* [self]: the unit a local head (a type or module of this unit) belongs
-   to; without it a local path is not a reference to anything exported. *)
-let rec flatten ?self locals (p : Path.t) =
-  match p with
-  | Path.Pident id -> (
-    match Hashtbl.find_opt locals (Ident.unique_name id) with
-    | Some target -> flatten ?self locals target
-    | None ->
-      if Ident.global id then Some [ Ident.name id ]
-      else Option.map (fun m -> [ m; Ident.name id ]) self)
-  | Path.Pdot (q, s) -> Option.map (fun parts -> parts @ [ s ]) (flatten ?self locals q)
-  | _ -> None
-
 let collect_refs refs ~modname ~source (str : structure) =
   let locals = Hashtbl.create 16 and values = ref [] and modules = ref [] in
   let built = ref [] and read = ref [] in
-  let add_local id p = Hashtbl.replace locals (Ident.unique_name id) p in
   let use acc ty name =
     match Types.get_desc ty with
     | Types.Tconstr (p, _, _) -> acc := (p, name) :: !acc
@@ -502,14 +779,14 @@ let collect_refs refs ~modname ~source (str : structure) =
   in
   let module_binding it (mb : module_binding) =
     match (mb.mb_id, alias_target mb.mb_expr) with
-    | Some id, Some p -> add_local id p
+    | Some id, Some _ -> add_alias locals id mb.mb_expr
     | _ -> Tast_iterator.default_iterator.module_binding it mb
   in
   let expr it (e : expression) =
     match e.exp_desc with
     | Texp_ident (p, _, _) -> values := p :: !values
     | Texp_letmodule (Some id, _, _, me, body) when alias_target me <> None ->
-      add_local id (Option.get (alias_target me));
+      add_alias locals id me;
       it.Tast_iterator.expr it body
     | _ ->
       (match e.exp_desc with

@@ -167,9 +167,9 @@ let make engine topo ~loss ~rng ~faults ~handlers ~up ~remote =
   in
   t
 
-let create engine topo ?(loss = 0.0) ?faults ~rng () =
+let create engine topo ?faults ~rng () =
   let n = Topology.hosts topo in
-  make engine topo ~loss ~rng ~faults ~handlers:(Array.make n None) ~up:(Array.make n true)
+  make engine topo ~loss:0.0 ~rng ~faults ~handlers:(Array.make n None) ~up:(Array.make n true)
     ~remote:None
 
 let create_sharded ~engines ~shard_of ~rngs ~batches topo ?(loss = 0.0) () =

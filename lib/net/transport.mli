@@ -5,9 +5,9 @@
     topology; a message is dropped if either endpoint is down at send
     time, or if the {e destination} is down at delivery time — an
     in-flight datagram outlives its sender's crash, as a real packet
-    would. An optional uniform loss rate models residual packet loss, and
-    an attached {!Faults} table adds link-level cuts and bursty loss per
-    (src, dst) pair.
+    would. An optional uniform loss rate (on sharded instances) models
+    residual packet loss, and an attached {!Faults} table adds
+    link-level cuts and bursty loss per (src, dst) pair.
 
     Bandwidth accounting follows the paper's "total network load" metric:
     each delivered-or-dropped-in-flight message contributes
@@ -23,15 +23,9 @@ val bucket_width : float
 (** Width in virtual seconds of every bandwidth-series bucket ([1.]). *)
 
 val create :
-  Mortar_sim.Engine.t ->
-  Topology.t ->
-  ?loss:float ->
-  ?faults:Faults.t ->
-  rng:Mortar_util.Rng.t ->
-  unit ->
-  'a t
-(** [loss] is a per-message drop probability (default [0.]); [faults]
-    attaches a fault table consulted on every send. *)
+  Mortar_sim.Engine.t -> Topology.t -> ?faults:Faults.t -> rng:Mortar_util.Rng.t -> unit -> 'a t
+(** A lossless single-engine transport; [faults] attaches a fault table
+    consulted on every send. *)
 
 val create_sharded :
   engines:Mortar_sim.Engine.t array ->
@@ -42,7 +36,8 @@ val create_sharded :
   ?loss:float ->
   unit ->
   'a t array
-(** One transport instance per logical shard, sharing a single
+(** [loss] is a per-message drop probability (default [0.]). One
+    transport instance per logical shard, sharing a single
     liveness/handler store (indexed by host; each slot is only ever
     touched from its owner shard's domain, or from the control thread at
     an epoch barrier). Instance [s] runs on

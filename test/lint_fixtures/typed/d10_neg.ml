@@ -2,6 +2,8 @@
    function from another module is not an environment read, and a
    deliberate read can be suppressed with a reason. *)
 
+type config = { verbose : bool }
+
 let verbose ~config = config.verbose
 
 let getenv tbl key = Hashtbl.find_opt tbl key

@@ -5,3 +5,6 @@ let verbose () = Sys.getenv_opt "VERBOSE" <> None
 let home () = Sys.getenv "HOME"
 
 let shell () = Unix.getenv "SHELL"
+
+(* The qualified Stdlib path is the same read. *)
+let flag () = Stdlib.Sys.getenv_opt "X"

@@ -6,10 +6,10 @@ let values tbl =
   let acc = ref [] in
   Hashtbl.iter (fun _ v -> acc := v :: !acc) tbl;
   !acc
-
 (* Labeled callbacks (MoreLabels style) escape hash order just the same. *)
+open MoreLabels
 let keys_labeled tbl = Hashtbl.fold ~f:(fun ~key ~data:() acc -> key :: acc) ~init:[] tbl
-
+open Stdlib
 (* to_seq materialized into a list or array: direct, piped, and piped
    through Seq combinators. *)
 let dump tbl = List.of_seq (Hashtbl.to_seq tbl)

@@ -13,3 +13,8 @@ let is_zero s = s = { mean = 0.0; n = 0 }
 let order_ok a b = Float.compare a.mean b.mean
 
 let same_n a b = a.n = b.n
+
+(* A float-bearing record of another unit, reached through an alias. *)
+module N = D5_neg
+
+let same_reading (a : N.reading) b = a = b

@@ -118,7 +118,10 @@ let test_transport_down_source_drops () =
 let test_transport_loss () =
   let topo = make_topo () in
   let engine = Engine.create () in
-  let transport = Transport.create engine topo ~loss:0.5 ~rng:(Rng.create 5) () in
+  let transport =
+    (Transport.create_sharded ~engines:[| engine |] ~shard_of:(fun _ -> 0)
+       ~rngs:[| Rng.create 5 |] ~batches:(Mortar_sim.Shard.create ~shards:1) topo ~loss:0.5 ()).(0)
+  in
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   for _ = 1 to 1000 do
