@@ -10,8 +10,8 @@
 
 open Cmdliner
 module Obs = Mortar_obs.Obs
-
-let setup_registry () = Mortar_experiments.Registry.ensure ()
+module Common = Mortar_experiments.Common
+module Registry = Mortar_experiments.Registry
 
 (* ------------------------------------------------------------------ *)
 (* Observability sinks, shared by `experiments` and `run`: when either
@@ -65,31 +65,19 @@ let experiments_cmd =
   in
   let ids = Arg.(value & pos_all string [] & info [] ~docv:"ID") in
   let run quick domains metrics_out trace_out ids =
-    setup_registry ();
     set_domains domains;
-    match ids with
-    | [] ->
+    let missing = List.filter (fun id -> Option.is_none (Registry.find id)) ids in
+    if missing <> [] then `Error (false, "unknown experiment(s): " ^ String.concat ", " missing)
+    else begin
+      let selected = if ids = [] then Registry.all else List.filter_map Registry.find ids in
       with_obs ~metrics_out ~trace_out (fun () ->
-          Mortar_experiments.Common.run_all ~quick);
+          List.iter
+            (fun (e : Common.experiment) ->
+              Common.header e;
+              e.run ~quick)
+            selected);
       `Ok ()
-    | ids ->
-      let missing =
-        List.filter (fun id -> Mortar_experiments.Common.find id = None) ids
-      in
-      if missing <> [] then
-        `Error (false, "unknown experiment(s): " ^ String.concat ", " missing)
-      else begin
-        with_obs ~metrics_out ~trace_out (fun () ->
-            List.iter
-              (fun id ->
-                match Mortar_experiments.Common.find id with
-                | Some e ->
-                  Mortar_experiments.Common.header e;
-                  e.Mortar_experiments.Common.run ~quick
-                | None -> ())
-              ids);
-        `Ok ()
-      end
+    end
   in
   let info =
     Cmd.info "experiments" ~doc:"Reproduce the paper's figures (tables on stdout)."
@@ -101,11 +89,7 @@ let experiments_cmd =
 
 let list_cmd =
   let run () =
-    setup_registry ();
-    List.iter
-      (fun (e : Mortar_experiments.Common.experiment) ->
-        Printf.printf "%-8s %s\n" e.id e.title)
-      (Mortar_experiments.Common.all ())
+    List.iter (fun (e : Common.experiment) -> Printf.printf "%-8s %s\n" e.id e.title) Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List reproduction experiments.") Term.(const run $ const ())
 

@@ -10,24 +10,13 @@ module Rng = Mortar_util.Rng
 module Obs = Mortar_obs.Obs
 module Par = Mortar_par.Par
 
+(* One logical shard: a populated stub domain of the topology, with its
+   own event engine, transport instance and private Obs registry (the
+   one its slices write to during [run_until]). *)
 type shard = {
-  s_engine : Engine.t;
-  s_transport : Mortar_core.Msg.payload Transport.t;
-}
-
-type sharded = {
-  shards : shard array; (* one per populated stub domain of the topology *)
-  batches : Mortar_core.Msg.payload Shard.t; (* cross-shard messages in flight *)
-  lookahead : float; (* min cross-stub latency; infinity when <= 1 stub *)
-  domains : int; (* execution width; never affects output *)
-  shard_of : int array; (* host -> logical shard *)
-  regs : Obs.Reg.t array; (* per-shard private Obs registries *)
-  ctl_reg : Obs.Reg.t; (* control-thread writes during an epoch loop *)
-  (* Where off-slice Obs writes go: [ctl_reg] inside [run_until] so each
-     flush only has to merge-sort the events of that run (the default
-     trace stays untouched and already ordered), [Obs.default] the rest
-     of the time. *)
-  mutable ctl_sink : Obs.Reg.t;
+  engine : Engine.t;
+  transport : Mortar_core.Msg.payload Transport.t;
+  reg : Obs.Reg.t;
 }
 
 (* Periodic sensors as columns, one row per attached sensor: a tick is
@@ -49,16 +38,20 @@ type sensors = {
 type t = {
   engine : Engine.t; (* control engine: fault windows, [at] callbacks *)
   topo : Topology.t;
-  (* Shard 0's instance: liveness and handlers are shared across the
-     per-shard instances, so [set_up] and [up_hosts] go through this
-     one. *)
-  transport : Mortar_core.Msg.payload Transport.t;
   faults : Faults.t;
   clocks : Clock.t array;
   peers : Peer.t array;
   rng : Rng.t;
   mutable vivaldi : Mortar_coords.Vivaldi.system option;
-  sh : sharded;
+  shards : shard array;
+  batches : Mortar_core.Msg.payload Shard.t; (* cross-shard messages in flight *)
+  lookahead : float; (* min cross-stub latency; infinity when <= 1 stub *)
+  domains : int; (* execution width; never affects output *)
+  shard_of : int array; (* host -> logical shard *)
+  (* Control-thread Obs writes during [run_until], kept apart from
+     [Obs.default] so each flush only merge-sorts the events of that run
+     (the default trace stays untouched and already ordered). *)
+  ctl_reg : Obs.Reg.t;
   (* Peer counts already in [Obs.default], host-major by [Peer.counters];
      allocated by the first enabled flush. *)
   mutable exported : int array;
@@ -136,9 +129,15 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
   let t_root = Rng.split rng in
   let t_rngs = Array.init nshards (fun _ -> Rng.split t_root) in
   let batches = Shard.create ~shards:nshards in
+  (* The fault table gets its own root stream, so attaching faults never
+     shifts the transport/peer/planner streams of a seeded run. The root
+     table only installs and heals conditions; each shard decides through
+     a private view. *)
+  let fmaster = Rng.create (seed lxor 0x5f3759df) in
+  let faults = Faults.create ~hosts:n ~rng:fmaster () in
+  let views = Array.init nshards (fun _ -> Faults.shard_view faults ~rng:(Rng.split fmaster)) in
   let transports =
-    Transport.create_sharded ~engines ~shard_of:(fun h -> shard_of.(h)) ~rngs:t_rngs ~batches
-      topo ~loss ()
+    Transport.create_sharded ~engines ~shard_of ~rngs:t_rngs ~faults:views ~batches topo ~loss ()
   in
   let get arr i = match arr with Some a -> a.(i) | None -> 0.0 in
   let clocks =
@@ -155,40 +154,14 @@ let create_sharded ?(seed = 42) ?(config = Peer.default_config) ?(loss = 0.0) ?o
     (fun i peer ->
       Transport.register transports.(shard_of.(i)) i (fun ~src m -> Peer.receive peer ~src m))
     peers;
-  (* The fault table gets its own root stream, so attaching faults never
-     shifts the transport/peer/planner streams of a seeded run. The root
-     table only installs and heals conditions; each shard decides through
-     a private view. *)
-  let fmaster = Rng.create (seed lxor 0x5f3759df) in
-  let faults = Faults.create ~hosts:n ~rng:fmaster () in
-  Array.iter
-    (fun tr -> Transport.set_faults tr (Faults.shard_view faults ~rng:(Rng.split fmaster)))
-    transports;
-  let regs = Array.init nshards (fun _ -> Obs.Reg.create ()) in
   let shards =
-    Array.init nshards (fun sid -> { s_engine = engines.(sid); s_transport = transports.(sid) })
+    Array.init nshards (fun s ->
+        { engine = engines.(s); transport = transports.(s); reg = Obs.Reg.create () })
   in
-  let sh =
-    {
-      shards;
-      batches;
-      lookahead;
-      domains;
-      shard_of;
-      regs;
-      ctl_reg = Obs.Reg.create ();
-      ctl_sink = Obs.default;
-    }
-  in
-  (* Route Obs writes from inside a shard slice to that shard's private
-     registry; everything else (control events, setup) hits [ctl_sink].
-     Installed per deployment, but safe across several: a stale resolver
-     still returns [default] off-slice once its run loop has exited. *)
-  Obs.set_sink (fun () ->
-      match Par.Ctx.get () with Some sid -> sh.regs.(sid) | None -> sh.ctl_sink);
   let sensors = sensor_rows () in
-  { engine; topo; transport = transports.(0); faults; clocks; peers; rng; vivaldi = None; sh;
-    exported = [||]; sensors; crash_windows = Array.make n 0;
+  { engine; topo; faults; clocks; peers; rng; vivaldi = None; shards; batches; lookahead;
+    domains; shard_of; ctl_reg = Obs.Reg.create (); exported = [||]; sensors;
+    crash_windows = Array.make n 0;
     tick = sensor_tick ~engine_of:(fun h -> engines.(shard_of.(h))) ~peers sensors }
 
 let topology t = t.topo
@@ -204,7 +177,7 @@ let rng t = t.rng
    everywhere else it is the control engine's. *)
 let now t =
   match Par.Ctx.get () with
-  | Some sid -> Engine.now t.sh.shards.(sid).s_engine
+  | Some sid -> Engine.now t.shards.(sid).engine
   | None -> Engine.now t.engine
 
 (* ------------------------------------------------------------------ *)
@@ -241,24 +214,24 @@ let now t =
    lookahead — never on [domains] — which is what makes `--domains N`
    byte-identical to `--domains 1`. *)
 
-let min_next_shard sh =
+let min_next_shard t =
   Array.fold_left
-    (fun acc s -> Float.min acc (Engine.next_time s.s_engine))
-    (Shard.pending_min sh.batches) sh.shards
+    (fun acc (s : shard) -> Float.min acc (Engine.next_time s.engine))
+    (Shard.pending_min t.batches) t.shards
 
-let merge_serially sh = Array.iter (fun s -> Transport.merge_inbox s.s_transport) sh.shards
+let merge_serially t = Array.iter (fun s -> Transport.merge_inbox s.transport) t.shards
 
 (* Run [f] over every shard, possibly on several domains, with the
    domain-local context naming the shard so Obs writes and [now] resolve
    to the right stream. Each shard first merges its pending cross-shard
    messages. The pool barrier gives the control thread a happens-before
    edge over every shard mutation. *)
-let par_shards sh pool f =
-  Par.Pool.run pool ~n:(Array.length sh.shards) (fun i ->
+let par_shards shards pool f =
+  Par.Pool.run pool ~n:(Array.length shards) (fun i ->
       Par.Ctx.set (Some i);
       (* lint: allow D7 worker i only touches shards.(i); its merge reads only the pending batch set, which no source posts to until the next flip at the barrier *)
-      let s = sh.shards.(i) in
-      Transport.merge_inbox s.s_transport;
+      let s = shards.(i) in
+      Transport.merge_inbox s.transport;
       f s;
       Par.Ctx.set None)
 
@@ -293,17 +266,16 @@ let export_counts t =
 
 let flush_obs t =
   if !Obs.enabled then begin
-    let sh = t.sh in
     export_counts t;
     let tagged = ref [] in
     List.iteri
       (fun i (time, ev) -> tagged := (time, -1, i, ev) :: !tagged)
-      (Obs.Reg.drain_trace sh.ctl_reg);
+      (Obs.Reg.drain_trace t.ctl_reg);
     Array.iteri
-      (fun s r ->
+      (fun s sh ->
         List.iteri (fun i (time, ev) -> tagged := (time, s, i, ev) :: !tagged)
-          (Obs.Reg.drain_trace r))
-      sh.regs;
+          (Obs.Reg.drain_trace sh.reg))
+      t.shards;
     let sorted =
       List.sort
         (fun (t1, s1, i1, _) (t2, s2, i2, _) ->
@@ -315,45 +287,47 @@ let flush_obs t =
         !tagged
     in
     List.iter (fun (time, _, _, ev) -> Obs.Reg.trace Obs.default ~t:time ev) sorted;
-    Obs.Reg.fold_into ~into:Obs.default sh.ctl_reg;
-    Array.iter (fun r -> Obs.Reg.fold_into ~into:Obs.default r) sh.regs
+    Obs.Reg.fold_into ~into:Obs.default t.ctl_reg;
+    Array.iter (fun s -> Obs.Reg.fold_into ~into:Obs.default s.reg) t.shards
   end
 
+(* Obs writes during the run go to the writing shard's registry from
+   inside its slice, and to [ctl_reg] from the control thread; the sink
+   is this run's alone, so another deployment built in the same process
+   never receives them. *)
 let run_until t target =
-  let sh = t.sh in
-  let pool = Par.Pool.create ~domains:(min sh.domains (Array.length sh.shards)) in
-  sh.ctl_sink <- sh.ctl_reg;
+  let pool = Par.Pool.create ~domains:(min t.domains (Array.length t.shards)) in
+  let sink () = match Par.Ctx.get () with Some s -> t.shards.(s).reg | None -> t.ctl_reg in
   Fun.protect
-    ~finally:(fun () ->
-      sh.ctl_sink <- Obs.default;
-      Par.Pool.shutdown pool)
+    ~finally:(fun () -> Par.Pool.shutdown pool)
     (fun () ->
+      Obs.with_sink sink @@ fun () ->
       let continue_ = ref true in
       while !continue_ do
-        let ns = min_next_shard sh in
+        let ns = min_next_shard t in
         let nc = Engine.next_time t.engine in
         if Float.min ns nc > target then begin
           (* Nothing left at or before [target]: advance every clock. *)
-          par_shards sh pool (fun s -> Engine.run ~until:target s.s_engine);
+          par_shards t.shards pool (fun s -> Engine.run ~until:target s.engine);
           Engine.run ~until:target t.engine;
           continue_ := false
         end
         else begin
-          let bound = Float.min (ns +. sh.lookahead) nc in
+          let bound = Float.min (ns +. t.lookahead) nc in
           if bound > target then begin
             (* The whole remaining window fits in one epoch: every event
                at or before [target] precedes [bound], and anything sent
                lands past [target]. Finish inclusively. *)
-            par_shards sh pool (fun s -> Engine.run ~until:target s.s_engine);
-            Shard.flip sh.batches;
-            merge_serially sh;
+            par_shards t.shards pool (fun s -> Engine.run ~until:target s.engine);
+            Shard.flip t.batches;
+            merge_serially t;
             Engine.run ~until:target t.engine;
             continue_ := false
           end
           else begin
-            par_shards sh pool (fun s -> Engine.run_before s.s_engine bound);
-            Shard.flip sh.batches;
-            if nc <= bound then merge_serially sh;
+            par_shards t.shards pool (fun s -> Engine.run_before s.engine bound);
+            Shard.flip t.batches;
+            if nc <= bound then merge_serially t;
             (* Fires control events at exactly [bound] (if [nc = bound])
                and keeps the control clock abreast of the shards. *)
             Engine.run ~until:bound t.engine
@@ -374,13 +348,13 @@ let census t =
     else List.map (fun (label, _) -> (label, label_roots label)) per_host.(0)
   in
   let handlers, peer_rows = List.partition (fun (l, _) -> l = "result handlers") peer_rows in
-  let sh = t.sh in
-  let shards f = Array.to_list (Array.map (fun s -> Obj.repr (f s)) sh.shards) in
+  let shards f = Array.to_list (Array.map (fun s -> Obj.repr (f s)) t.shards) in
   Mortar_util.Census.measure
     (peer_rows
-    @ [ ("shard batches", [ Obj.repr sh.batches ]);
-        ("transport", shards (fun s -> s.s_transport));
-        ("engines (slab, queues, queued closures)", Obj.repr t.engine :: shards (fun s -> s.s_engine));
+    @ [ ("shard batches", [ Obj.repr t.batches ]);
+        ("transport", shards (fun s -> s.transport));
+        ("engines (slab, queues, queued closures)",
+         Obj.repr t.engine :: shards (fun (s : shard) -> s.engine));
         ("clocks", [ Obj.repr t.clocks ]);
         ("topology", [ Obj.repr t.topo ]) ]
     @ handlers
@@ -388,23 +362,23 @@ let census t =
 
 let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
 
-let shard_count t = Array.length t.sh.shards
+let shard_count t = Array.length t.shards
 
-let lookahead t = t.sh.lookahead
+let lookahead t = t.lookahead
 
-let engine_of_host t i = t.sh.shards.(t.sh.shard_of.(i)).s_engine
+let shard_of_host t i = t.shards.(t.shard_of.(i))
 
 (* Aggregate transport accessors: the per-shard instances each hold
    their own counters and bandwidth series, so the deployment-level
    totals sum (or bucket-merge) across them. *)
 
-let fold_transports t f acc = Array.fold_left (fun acc s -> f acc s.s_transport) acc t.sh.shards
+let fold_transports t f acc = Array.fold_left (fun acc s -> f acc s.transport) acc t.shards
 
 (* Deliveries (including drained cross-shard ones) run on the
    destination's instance, so the observer goes on every one. With
    [domains > 1] it fires concurrently from several domains — keep
    observers effect-free or confine them to one host's traffic. *)
-let on_deliver t f = Array.iter (fun s -> Transport.on_deliver s.s_transport f) t.sh.shards
+let on_deliver t f = Array.iter (fun s -> Transport.on_deliver s.transport f) t.shards
 
 let messages_sent t = fold_transports t (fun acc tr -> acc + Transport.messages_sent tr) 0
 
@@ -412,7 +386,9 @@ let messages_delivered t =
   fold_transports t (fun acc tr -> acc + Transport.messages_delivered tr) 0
 
 let events_fired t =
-  Array.fold_left (fun acc s -> acc + Engine.fired s.s_engine) (Engine.fired t.engine) t.sh.shards
+  Array.fold_left
+    (fun acc (s : shard) -> acc + Engine.fired s.engine)
+    (Engine.fired t.engine) t.shards
 
 let total_bytes t = fold_transports t (fun acc tr -> acc +. Transport.total_bytes tr) 0.0
 
@@ -433,17 +409,18 @@ let bytes_series t ~kind =
         Some dst)
     None
 
+(* Liveness is one array shared by every shard's instance; the host's
+   own shard instance reads and writes it. *)
+let is_up t node = Transport.is_up (shard_of_host t node).transport node
+
 let set_up t node up =
-  if !Obs.enabled && Transport.is_up t.transport node <> up then
+  if !Obs.enabled && is_up t node <> up then
     Obs.trace ~t:(Engine.now t.engine)
       (if up then Obs.Node_up { node } else Obs.Node_down { node });
-  Transport.set_up t.transport node up
+  Transport.set_up (shard_of_host t node).transport node up
 
 let up_hosts t =
-  let rec loop i acc =
-    if i < 0 then acc
-    else loop (i - 1) (if Transport.is_up t.transport i then i :: acc else acc)
-  in
+  let rec loop i acc = if i < 0 then acc else loop (i - 1) (if is_up t i then i :: acc else acc) in
   loop (hosts t - 1) []
 
 let fail_random t ~fraction =
@@ -660,7 +637,7 @@ let sensor t ~node ~stream ~period ?(jitter = 0.0) ?truth_slide value =
      the deployment RNG across domains: a jittered sensor splits a
      private stream up front (sequential, so it is a pure function of the
      attachment order, not of the domain count). *)
-  let engine = engine_of_host t node in
+  let engine = (shard_of_host t node).engine in
   let jrng = if jitter > 0.0 then Rng.split t.rng else t.rng in
   let phase = Rng.float t.rng period in
   let s = t.sensors in

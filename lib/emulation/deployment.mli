@@ -23,10 +23,10 @@ val create_sharded :
   t
 (** The deployment's one constructor. Hosts are partitioned into one
     logical shard per populated stub domain of the topology, each with
-    its own event engine and transport instance, synchronized by a
-    lookahead epoch loop ({!Mortar_net.Topology.lookahead}) with
-    cross-shard messages merged before each epoch in the canonical
-    (time, src_shard, seq) order. [domains] (default {!default_domains})
+    its own event engine, transport instance and Obs registry,
+    synchronized by a lookahead epoch loop
+    ({!Mortar_net.Topology.lookahead}) with cross-shard messages merged
+    before each epoch in the canonical (time, src_shard, seq) order. [domains] (default {!default_domains})
     sets how many OS-level domains execute shard slices — it scales
     wall-clock only; the logical decomposition, and therefore every
     metric, trace and result, is byte-identical for any [domains],
@@ -36,7 +36,8 @@ val create_sharded :
     [offsets]/[skews] (seconds / dimensionless, indexed by host) default
     to perfectly synchronized clocks. Transport loss draws and fault
     randomness use per-shard streams, so they too are independent of
-    [domains]. *)
+    [domains]. Construction makes no Obs routing change: deployments may
+    coexist in one process (see {!run_until}). *)
 
 val default_domains : int ref
 (** Execution width used by {!create_sharded} when [?domains] is not
@@ -88,7 +89,13 @@ val now : t -> float
 (** True simulation time. *)
 
 val run_until : t -> float -> unit
-(** Advance virtual time. *)
+(** Advance virtual time. While it runs, the module-level {!Mortar_obs.Obs}
+    writes go to this deployment's registries (a shard's own inside its
+    slices, a control one otherwise; {!Mortar_obs.Obs.with_sink}); they
+    are folded into {!Mortar_obs.Obs.default} in canonical order when it
+    returns, and the previous routing is restored even if it raises.
+    Other deployments in the process neither receive them nor route
+    them. *)
 
 val at : t -> float -> (unit -> unit) -> unit
 (** Schedule an action at absolute virtual time. *)

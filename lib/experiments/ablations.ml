@@ -124,8 +124,8 @@ let run_ladder ~quick =
           (2.0, "slack: higher latency, diminishing returns");
         ])
 
-let register () =
-  Common.register
+let experiments =
+  [
     {
       Common.id = "ablation:siblings";
       title = "Sibling derivation: rotations vs cluster shuffle (union bound)";
@@ -134,7 +134,6 @@ let register () =
          full trees, collapsing path diversity; the cluster shuffle restores it";
       run = run_siblings;
     };
-  Common.register
     {
       Common.id = "ablation:guard";
       title = "Quiescence extension of TS-list deadlines";
@@ -143,7 +142,6 @@ let register () =
          extending deadlines while merges continue recovers completeness";
       run = run_guard;
     };
-  Common.register
     {
       Common.id = "ablation:ladder";
       title = "Headroom-scaled eviction caps (level ladder)";
@@ -151,4 +149,5 @@ let register () =
         "reproduction finding: eviction budgets must grow with a node's headroom or \
          every level races the root's deadline";
       run = run_ladder;
-    }
+    };
+  ]

@@ -136,5 +136,3 @@ let experiment =
        leaves subtrees dark";
     run;
   }
-
-let register () = Common.register experiment

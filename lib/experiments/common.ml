@@ -5,38 +5,18 @@ type experiment = {
   run : quick:bool -> unit;
 }
 
-let registry : experiment list ref = ref []
-
-let register e = registry := !registry @ [ e ]
-
-let all () = !registry
-
-let find id = List.find_opt (fun e -> e.id = id) !registry
-
 let header e =
   Printf.printf "\n=== %s: %s ===\n" e.id e.title;
   Printf.printf "paper: %s\n" e.paper_claim
 
-let run_all ~quick =
-  List.iter
-    (fun e ->
-      header e;
-      e.run ~quick)
-    (all ())
-
 let table ~columns rows_thunk =
   let rows = rows_thunk () in
-  let all_rows = columns :: rows in
   let widths =
     List.fold_left
-      (fun acc row ->
-        List.mapi
-          (fun i cell -> max (List.nth acc i) (String.length cell))
-          (List.map (fun c -> c) row))
+      (fun acc row -> List.mapi (fun i cell -> max (List.nth acc i) (String.length cell)) row)
       (List.map String.length columns)
       rows
   in
-  ignore all_rows;
   let print_row row =
     List.iteri
       (fun i cell ->

@@ -1,8 +1,8 @@
 (** Shared infrastructure for the paper-reproduction experiments.
 
     Each [Fig*] module reproduces one figure from the paper's evaluation
-    and registers itself here; the bench harness and the CLI both drive
-    experiments through this registry. Experiments print aligned text
+    as an {!experiment}; [Registry.all] lists them in figure order, and
+    the CLI lists and runs that list. Experiments print aligned text
     tables (one row per plotted point) so their output can be diffed
     against EXPERIMENTS.md. *)
 
@@ -14,15 +14,6 @@ type experiment = {
       (** [quick] runs a scaled-down configuration (fewer nodes/trials,
           shorter simulations) for smoke-testing and benches. *)
 }
-
-val register : experiment -> unit
-
-val all : unit -> experiment list
-(** In registration order. *)
-
-val find : string -> experiment option
-
-val run_all : quick:bool -> unit
 
 (** {1 Output helpers} *)
 

@@ -46,5 +46,3 @@ let experiment =
        bandwidth; dynamic striping D=4 stays near optimal";
     run;
   }
-
-let register () = Common.register experiment

@@ -162,7 +162,3 @@ let experiment_10 =
        processor nearly constant (fixed 5k-tuple buffer)";
     run = run_latency;
   }
-
-let register () =
-  Common.register experiment_09;
-  Common.register experiment_10

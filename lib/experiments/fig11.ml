@@ -69,5 +69,3 @@ let experiment =
        before reconnect at 30 s, then reconciliation completes the install";
     run;
   }
-
-let register () = Common.register experiment

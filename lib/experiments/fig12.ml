@@ -54,5 +54,3 @@ let experiment =
        tree degrades steeply";
     run;
   }
-
-let register () = Common.register experiment

@@ -64,5 +64,3 @@ let experiment =
        (sibling construction constrains possible children)";
     run;
   }
-
-let register () = Common.register experiment

@@ -106,5 +106,3 @@ let experiment =
        40% failures); 12.5 Mbps steady (3.4 heartbeats); 2x load without aggregation";
     run;
   }
-
-let register () = Common.register experiment

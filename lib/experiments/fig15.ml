@@ -77,5 +77,3 @@ let experiment =
        10 s epoch; path length as in the rolling-failure run";
     run;
   }
-
-let register () = Common.register experiment

@@ -78,6 +78,7 @@ let run ~quick =
   (* Completeness series from the probe log, and bandwidth per bucket. *)
   let probes = List.of_seq (Queue.to_seq w.probe_log) in
   let bucket = 20.0 in
+  let live = List.length (List.filter (Transport.is_up w.transport) (List.init hosts Fun.id)) in
   Common.table ~columns:[ "t"; "completeness"; "live"; "load(Mbps)" ] (fun () ->
       List.filter_map
         (fun k ->
@@ -102,7 +103,6 @@ let run ~quick =
                 0.0
                 (Transport.kinds w.transport)
             in
-            let live = Transport.up_count w.transport in
             Some
               [
                 Printf.sprintf "%.0f" t0;
@@ -141,5 +141,3 @@ let experiment =
        spikes on disconnection waves; 5.3x Mortar's load at 1/5 the result rate";
     run;
   }
-
-let register () = Common.register experiment

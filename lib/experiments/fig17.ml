@@ -71,5 +71,3 @@ let experiment =
        preserve most of the benefit across branching factors";
     run;
   }
-
-let register () = Common.register experiment

@@ -164,5 +164,3 @@ let experiment =
        load vs bf=188";
     run;
   }
-
-let register () = Common.register experiment

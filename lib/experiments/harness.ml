@@ -4,22 +4,13 @@ module Query = Mortar_core.Query
 module Value = Mortar_core.Value
 module Window = Mortar_core.Window
 
-type recorded = {
-  sim_time : float;
-  slot : int;
-  count : int;
-  hops : int; (* count-weighted mean constituent path *)
-  hops_max : int; (* longest constituent path *)
-  age : float;
-  prov : (int * int) list; (* [] unless the sensors carry true slots *)
-}
-
 (* Every figure number is derived from the one list of root results the
-   harness records, so no second bookkeeping path can drift from it. *)
+   harness records, each with the true simulation time it arrived at, so
+   no second bookkeeping path can drift from it. *)
 type t = {
   d : D.t;
   treeset : Mortar_overlay.Treeset.t;
-  mutable recorded : recorded list; (* newest first *)
+  mutable recorded : (float * Peer.result) list; (* newest first *)
 }
 
 let query_name = "peer-count"
@@ -43,18 +34,7 @@ let create ?(seed = 42) ?(hosts = 680) ?(transits = 8) ?(stubs = 34) ?(bf = 16) 
       ?truth_slide:(if track_provenance then Some window else None)
       (fun _ -> Value.Int 1)
   done;
-  Peer.on_result (D.peer d 0) (fun (r : Peer.result) ->
-      t.recorded <-
-        {
-          sim_time = D.now d;
-          slot = r.slot;
-          count = r.count;
-          hops = r.hops;
-          hops_max = r.hops_max;
-          age = r.age;
-          prov = r.prov;
-        }
-        :: t.recorded);
+  Peer.on_result (D.peer d 0) (fun r -> t.recorded <- (D.now d, r) :: t.recorded);
   D.at d 1.0 (fun () -> Peer.install_query (D.peer d 0) meta treeset);
   t
 
@@ -64,15 +44,20 @@ let run_until t time = D.run_until t.d time
 
 let results t = List.rev t.recorded
 
+(* The results that arrived in [\[t0, t1)]. *)
 let results_between t t0 t1 =
-  List.filter (fun r -> r.sim_time >= t0 && r.sim_time < t1) (results t)
+  List.filter_map
+    (fun (at, r) -> if at >= t0 && at < t1 then Some r else None)
+    (results t)
 
 let overcounted_windows t =
   let score = Score.create () in
-  List.iter (fun r -> ignore (Score.offer score ~at:r.sim_time ~slot:r.slot r.count)) (results t);
+  List.iter
+    (fun (at, (r : Peer.result)) -> ignore (Score.offer score ~at ~slot:r.slot r.count))
+    (results t);
   Score.overcounted score ~publishers:(D.hosts t.d)
 
-let provenance_results t = List.map (fun r -> (r.sim_time, r.prov)) (results t)
+let provenance_results t = List.map (fun (at, (r : Peer.result)) -> (at, r.prov)) (results t)
 
 let live_hosts t = List.length (D.up_hosts t.d)
 
@@ -162,17 +147,19 @@ let mean_completeness t t0 t1 ~denominator =
   match rows with
   | [] -> nan
   | _ ->
-    let total = List.fold_left (fun acc r -> acc + r.count) 0 rows in
+    let total = List.fold_left (fun acc (r : Peer.result) -> acc + r.count) 0 rows in
     float_of_int total /. float_of_int (List.length rows * max 1 denominator)
 
 let mean_path_length t t0 t1 =
   let rows = results_between t t0 t1 in
-  Mortar_util.Stats.mean (Array.of_list (List.map (fun r -> float_of_int r.hops) rows))
+  Mortar_util.Stats.mean
+    (Array.of_list (List.map (fun (r : Peer.result) -> float_of_int r.hops) rows))
 
 let mean_max_path_length t t0 t1 =
   let rows = results_between t t0 t1 in
-  Mortar_util.Stats.mean (Array.of_list (List.map (fun r -> float_of_int r.hops_max) rows))
+  Mortar_util.Stats.mean
+    (Array.of_list (List.map (fun (r : Peer.result) -> float_of_int r.hops_max) rows))
 
 let mean_latency t t0 t1 =
   let rows = results_between t t0 t1 in
-  Mortar_util.Stats.mean (Array.of_list (List.map (fun r -> r.age) rows))
+  Mortar_util.Stats.mean (Array.of_list (List.map (fun (r : Peer.result) -> r.age) rows))

@@ -503,5 +503,3 @@ let experiment =
        restores completeness over survivors after a stub loss";
     run;
   }
-
-let register () = Common.register experiment

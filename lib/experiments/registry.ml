@@ -1,23 +1,20 @@
-(* Registers every experiment in figure order. Idempotent. *)
+(* Every experiment, in figure order: the list the CLI lists and runs. *)
 
-let registered = ref false
+let all =
+  [
+    Fig01.experiment;
+    Fig09_10.experiment_09;
+    Fig09_10.experiment_10;
+    Fig11.experiment;
+    Fig12.experiment;
+    Fig13.experiment;
+    Fig14.experiment;
+    Fig15.experiment;
+    Fig16.experiment;
+    Fig17.experiment;
+    Fig18.experiment;
+  ]
+  @ Ablations.experiments
+  @ [ Churn.experiment; Soak.experiment; Mlq.experiment; Sketch.experiment ]
 
-let ensure () =
-  if not !registered then begin
-    registered := true;
-    Fig01.register ();
-    Fig09_10.register ();
-    Fig11.register ();
-    Fig12.register ();
-    Fig13.register ();
-    Fig14.register ();
-    Fig15.register ();
-    Fig16.register ();
-    Fig17.register ();
-    Fig18.register ();
-    Ablations.register ();
-    Churn.register ();
-    Soak.register ();
-    Mlq.register ();
-    Sketch.register ()
-  end
+let find id = List.find_opt (fun (e : Common.experiment) -> String.equal e.id id) all

@@ -428,5 +428,3 @@ let experiment =
        its delivered answers, churn included";
     run;
   }
-
-let register () = Common.register experiment

@@ -250,5 +250,3 @@ let experiment =
        after the chaos window; the static plan (repair off) demonstrably degrades";
     run;
   }
-
-let register () = Common.register experiment

@@ -100,17 +100,16 @@ open Typedtree
 (* ------------------------------------------------------------------ *)
 (* Phase 1: type environment, collected over every loaded cmt.         *)
 
+(* D5 and D7 key a type by [type_key] of its full path, nested modules
+   included: a bare name would confuse [Tree.node], an int, with an
+   unrelated float-bearing [node] record, or one unit's immutable [cell]
+   with another's mutable one. *)
 type tenv = {
-  mut_types : (string, unit) Hashtbl.t;
-  (* keys for a mutable type [ty] declared in unit [U] (short name [S]):
-     "U.ty", "S.ty", and bare "ty" unless the name is the conventional
-     "t" (too generic to key globally — "S.t" still matches). *)
-  float_types : (string, unit) Hashtbl.t;
-  (* D5: float-bearing record types by [type_key] of their full path,
-     nested modules included: a bare name would confuse [Tree.node],
-     an int, with an unrelated float-bearing [node] record. *)
-  mutable aliases : (string list * Types.type_expr) list;
-  (* abbreviations pending resolution: keys, manifest *)
+  mut_types : (string, unit) Hashtbl.t; (* D7: records declaring a mutable field *)
+  float_types : (string, unit) Hashtbl.t; (* D5: records declaring a float field *)
+  mutable aliases : (string * string * (string, Path.t) Hashtbl.t * Types.type_expr) list;
+  (* D7 abbreviations pending resolution: key, declaring unit, its module
+     aliases, manifest *)
 }
 
 let empty_tenv () =
@@ -122,138 +121,15 @@ let short_of_modname m =
   | Some (_, s) when s <> "" -> Some s
   | None | Some _ -> None
 
-let keys_for ~modname ty =
-  let ks = [ modname ^ "." ^ ty ] in
-  let ks = match short_of_modname modname with Some s -> (s ^ "." ^ ty) :: ks | None -> ks in
-  if ty <> "t" then ty :: ks else ks
-
-(* Lookup keys for a resolved type path: the full dotted name, the
-   "Parent.last" pair (with the parent's "__" prefix stripped), and the
-   bare last component. *)
-let lookup_keys path =
-  let name = Path.name path in
-  let parts = String.split_on_char '.' name in
-  let last = List.nth parts (List.length parts - 1) in
-  let parent = match List.rev parts with _ :: p :: _ -> Some p | _ -> None in
-  let keys = [ name ] in
-  let keys =
-    match parent with
-    | None -> keys
-    | Some p ->
-      let keys = (p ^ "." ^ last) :: keys in
-      (match short_of_modname p with Some s -> (s ^ "." ^ last) :: keys | None -> keys)
-  in
-  (last :: keys, last, parent)
-
-let parent_short parent =
-  match parent with
-  | None -> None
-  | Some p -> ( match short_of_modname p with Some s -> Some s | None -> Some p)
-
-let mutable_stdlib_containers = [ "Hashtbl"; "Buffer"; "Queue"; "Stack"; "Atomic"; "Bytes" ]
-
-let rec type_is_mutable env ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (path, args, _) -> (
-    let keys, last, parent = lookup_keys path in
-    match last with
-    | "ref" | "array" | "bytes" -> true
-    | "option" | "list" -> (
-      match args with [ a ] -> type_is_mutable env a | _ -> false)
-    | _ ->
-      (match parent_short parent with
-      | Some p when last = "t" && List.mem p mutable_stdlib_containers -> true
-      | _ -> List.exists (Hashtbl.mem env.mut_types) keys))
-  | Types.Ttuple ts -> List.exists (type_is_mutable env) ts
-  | _ -> false
-
-(* Human-readable type head for messages: last two path components. *)
-let type_head ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (path, _, _) -> (
-    let name = Path.name path in
-    let parts = String.split_on_char '.' name in
-    match List.rev parts with
-    | last :: parent :: _ ->
-      let parent = match short_of_modname parent with Some s -> s | None -> parent in
-      parent ^ "." ^ last
-    | _ -> name)
-  | Types.Ttuple _ -> "tuple"
-  | _ -> "value"
-
 (* "Mortar_sim__Shard" -> ["Mortar_sim"; "Shard"] *)
 let split_units parts =
   List.concat_map
     (fun s -> match Lint_util.rsplit2 s "__" with Some (a, b) -> [ a; b ] | None -> [ s ])
     parts
 
-(* D5's key for a type: its full path with dune's "__" unit names
-   split, so [Mortar_sim__Shard.t] and [Mortar_sim.Shard.t] agree. *)
+(* A type's key: its full path with dune's "__" unit names split, so
+   [Mortar_sim__Shard.t] and [Mortar_sim.Shard.t] agree. *)
 let type_key parts = String.concat "." (split_units parts)
-
-(* D5: a float, or an option, array, list, ref or tuple holding one. *)
-let rec type_is_floatish ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (path, args, _) -> (
-    match (Path.last path, args) with
-    | "float", [] -> true
-    | ("option" | "array" | "list" | "ref"), [ a ] -> type_is_floatish a
-    | _ -> false)
-  | Types.Ttuple ts -> List.exists type_is_floatish ts
-  | Types.Tpoly (t, _) -> type_is_floatish t (* a label's declared type *)
-  | _ -> false
-
-let collect_types env ~modname (str : structure) =
-  let scope = ref [ modname ] (* enclosing modules, innermost first *) in
-  let module_binding it (mb : module_binding) =
-    let outer = !scope in
-    Option.iter (fun id -> scope := Ident.name id :: outer) mb.mb_id;
-    Tast_iterator.default_iterator.module_binding it mb;
-    scope := outer
-  in
-  let structure_item it (x : structure_item) =
-    (match x.str_desc with
-    | Tstr_type (_, decls) ->
-      List.iter
-        (fun (d : type_declaration) ->
-          let name = d.typ_name.Location.txt in
-          match d.typ_kind with
-          | Ttype_record labels ->
-            if List.exists (fun l -> l.ld_mutable = Asttypes.Mutable) labels then
-              List.iter (fun k -> Hashtbl.replace env.mut_types k ()) (keys_for ~modname name);
-            if List.exists (fun l -> type_is_floatish l.ld_type.ctyp_type) labels then
-              Hashtbl.replace env.float_types (type_key (List.rev (name :: !scope))) ()
-          | Ttype_abstract | Ttype_variant _ | Ttype_open -> (
-            match d.typ_manifest with
-            | Some ct ->
-              env.aliases <- (keys_for ~modname name, ct.ctyp_type) :: env.aliases
-            | None -> ()))
-        decls
-    | _ -> ());
-    Tast_iterator.default_iterator.structure_item it x
-  in
-  let it = { Tast_iterator.default_iterator with module_binding; structure_item } in
-  it.structure it str
-
-(* Resolve alias chains (type t = foo ref; type u = t) to a fixpoint. *)
-let close_tenv env =
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    let pending, resolved =
-      List.partition (fun (_, manifest) -> not (type_is_mutable env manifest)) env.aliases
-    in
-    if resolved <> [] then begin
-      List.iter
-        (fun (keys, _) -> List.iter (fun k -> Hashtbl.replace env.mut_types k ()) keys)
-        resolved;
-      env.aliases <- pending;
-      changed := true
-    end
-  done
-
-(* ------------------------------------------------------------------ *)
-(* Shared helpers for the rule pass.                                   *)
 
 let path_parts p = split_units (String.split_on_char '.' (Path.name p))
 
@@ -280,6 +156,108 @@ let rec flatten ?self locals (p : Path.t) =
 
 let add_alias locals id me =
   Option.iter (Hashtbl.replace locals (Ident.unique_name id)) (alias_target me)
+
+let mutable_stdlib_containers = [ "Hashtbl"; "Buffer"; "Queue"; "Stack"; "Atomic"; "Bytes" ]
+
+(* D7: is a value of type [ty], seen in unit [self] with its module
+   aliases [locals], mutable? *)
+let rec type_is_mutable env ~self locals ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (path, args, _) -> (
+    match (Path.last path, args) with
+    | ("ref" | "array" | "bytes"), _ -> true
+    | ("option" | "list"), [ a ] -> type_is_mutable env ~self locals a
+    | _ -> (
+      match Option.map split_units (flatten ~self locals path) with
+      | None -> false
+      | Some parts -> (
+        match List.rev parts with
+        | "t" :: m :: _ when List.mem m mutable_stdlib_containers -> true
+        | _ -> Hashtbl.mem env.mut_types (type_key parts))))
+  | Types.Ttuple ts -> List.exists (type_is_mutable env ~self locals) ts
+  | _ -> false
+
+(* Human-readable type head for messages: last two path components. *)
+let type_head ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (path, _, _) -> (
+    let name = Path.name path in
+    let parts = String.split_on_char '.' name in
+    match List.rev parts with
+    | last :: parent :: _ ->
+      let parent = match short_of_modname parent with Some s -> s | None -> parent in
+      parent ^ "." ^ last
+    | _ -> name)
+  | Types.Ttuple _ -> "tuple"
+  | _ -> "value"
+
+(* D5: a float, or an option, array, list, ref or tuple holding one. *)
+let rec type_is_floatish ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (path, args, _) -> (
+    match (Path.last path, args) with
+    | "float", [] -> true
+    | ("option" | "array" | "list" | "ref"), [ a ] -> type_is_floatish a
+    | _ -> false)
+  | Types.Ttuple ts -> List.exists type_is_floatish ts
+  | Types.Tpoly (t, _) -> type_is_floatish t (* a label's declared type *)
+  | _ -> false
+
+let collect_types env ~modname (str : structure) =
+  let scope = ref [ modname ] (* enclosing modules, innermost first *) in
+  let locals = Hashtbl.create 16 in
+  let module_binding it (mb : module_binding) =
+    let outer = !scope in
+    Option.iter
+      (fun id ->
+        add_alias locals id mb.mb_expr;
+        scope := Ident.name id :: outer)
+      mb.mb_id;
+    Tast_iterator.default_iterator.module_binding it mb;
+    scope := outer
+  in
+  let structure_item it (x : structure_item) =
+    (match x.str_desc with
+    | Tstr_type (_, decls) ->
+      List.iter
+        (fun (d : type_declaration) ->
+          let key = type_key (List.rev (d.typ_name.Location.txt :: !scope)) in
+          match d.typ_kind with
+          | Ttype_record labels ->
+            if List.exists (fun l -> l.ld_mutable = Asttypes.Mutable) labels then
+              Hashtbl.replace env.mut_types key ();
+            if List.exists (fun l -> type_is_floatish l.ld_type.ctyp_type) labels then
+              Hashtbl.replace env.float_types key ()
+          | Ttype_abstract | Ttype_variant _ | Ttype_open -> (
+            match d.typ_manifest with
+            | Some ct -> env.aliases <- (key, modname, locals, ct.ctyp_type) :: env.aliases
+            | None -> ()))
+        decls
+    | _ -> ());
+    Tast_iterator.default_iterator.structure_item it x
+  in
+  let it = { Tast_iterator.default_iterator with module_binding; structure_item } in
+  it.structure it str
+
+(* Resolve alias chains (type t = foo ref; type u = t) to a fixpoint. *)
+let close_tenv env =
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    let resolved, pending =
+      List.partition
+        (fun (_, self, locals, manifest) -> type_is_mutable env ~self locals manifest)
+        env.aliases
+    in
+    if resolved <> [] then begin
+      List.iter (fun (key, _, _, _) -> Hashtbl.replace env.mut_types key ()) resolved;
+      env.aliases <- pending;
+      changed := true
+    end
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Shared helpers for the rule pass.                                   *)
 
 let last_part p =
   let parts = path_parts p in
@@ -563,7 +541,8 @@ let check_closure ctx (closure : expression) =
         match p with
         | Path.Pident id when Hashtbl.mem bound (Ident.unique_name id) -> ()
         | _ ->
-          if type_is_mutable ctx.env e.exp_type && not (Hashtbl.mem reported (Path.name p))
+          if type_is_mutable ctx.env ~self:ctx.modname ctx.locals e.exp_type
+             && not (Hashtbl.mem reported (Path.name p))
           then begin
             Hashtbl.replace reported (Path.name p) ();
             add ctx ~code:"D7" ~loc:e.exp_loc

@@ -12,17 +12,27 @@ let bucket_width = 1.0
    Messages in flight live in struct-of-arrays columns ([fl_*]) indexed
    by slot, with free slots chained through [fl_dst]. Each is queued with
    {!Engine.post} as the pair (slot, [deliver]), where [deliver] is the
-   one closure this instance allocates, so a send allocates nothing. *)
+   one closure this instance allocates, so a send allocates nothing.
+
+   Every instance serves the hosts of one logical shard ([create] builds
+   the one shard of a single-engine world). A send whose destination
+   maps to another shard is posted to the shared batches instead of
+   scheduled locally. [up], [handlers], [shard_of] and [batches] are
+   shared by the sibling instances of one world (indexed by host, each
+   slot touched only by its owner shard), so [up] is the one liveness
+   record. *)
 type 'a t = {
   engine : Engine.t;
   topo : Topology.t;
   loss : float;
   rng : Mortar_util.Rng.t;
-  mutable faults : Faults.t option;
+  faults : Faults.t; (* this shard's view *)
   handlers : (src:Topology.host -> 'a -> unit) option array;
   mutable observers : (src:Topology.host -> dst:Topology.host -> kind:string -> unit) array;
   up : bool array;
-  mutable up_alive : int; (* invariant: number of [true] slots in [up] *)
+  shard : int;
+  shard_of : int array; (* host -> logical shard *)
+  batches : 'a Shard.t; (* cross-shard messages in flight *)
   by_kind : (string, Mortar_sim.Series.t) Hashtbl.t;
   (* Two-slot memo for [series_of]: steady-state traffic interleaves two
      kinds (data and heartbeat), so a single-slot cache thrashed on
@@ -31,7 +41,6 @@ type 'a t = {
   mutable kind_cache2 : (string * Mortar_sim.Series.t) option;
   mutable sent : int;
   mutable delivered : int;
-  remote : 'a cross option; (* [None]: a standalone instance *)
   mutable fl_src : int array;
   mutable fl_dst : int array; (* the next free slot while free *)
   mutable fl_kind : string array;
@@ -40,17 +49,6 @@ type 'a t = {
   mutable fl_free : int; (* -1 when empty *)
   deliver : int -> unit; (* [deliver_slot] on this instance *)
   inbox : 'a Shard.batch -> int -> unit; (* [schedule_delivery] of a merged message *)
-}
-
-(* A sharded instance serves the hosts of one logical shard. A send whose
-   destination maps to another shard is posted to the shared batches
-   instead of scheduled locally; [up]/[handlers] are shared across all
-   sibling instances (indexed by host, each slot touched only by its
-   owner shard). *)
-and 'a cross = {
-  shard : int;
-  shard_of : Topology.host -> int;
-  batches : 'a Shard.t;
 }
 
 (* Delivery-time half of [send]: runs on the destination shard's
@@ -129,10 +127,9 @@ let claim t ~src ~dst ~kind payload =
 let[@inline][@lint.hot] schedule_delivery t ~at ~src ~dst ~kind payload =
   Engine.post t.engine ~at t.deliver (claim t ~src ~dst ~kind payload)
 
-(* Both constructors build through here. The per-host arrays are
-   parameters so sibling shard instances share them without allocating
-   throwaway copies. *)
-let make engine topo ~loss ~rng ~faults ~handlers ~up ~remote =
+(* One shard's instance; the per-host arrays and the batches are
+   parameters so sibling instances share them. *)
+let make engine topo ~loss ~rng ~faults ~handlers ~up ~shard ~shard_of ~batches =
   let rec t =
     {
       engine;
@@ -143,15 +140,14 @@ let make engine topo ~loss ~rng ~faults ~handlers ~up ~remote =
       handlers;
       observers = [||];
       up;
-      (* On sharded instances meaningful only on instance 0: the
-         deployment routes every [set_up] through it. *)
-      up_alive = Array.length up;
+      shard;
+      shard_of;
+      batches;
       by_kind = Hashtbl.create 8;
       kind_cache = None;
       kind_cache2 = None;
       sent = 0;
       delivered = 0;
-      remote;
       fl_src = [||];
       fl_dst = [||];
       fl_kind = [||];
@@ -167,43 +163,35 @@ let make engine topo ~loss ~rng ~faults ~handlers ~up ~remote =
   in
   t
 
-let create engine topo ?faults ~rng () =
-  let n = Topology.hosts topo in
-  make engine topo ~loss:0.0 ~rng ~faults ~handlers:(Array.make n None) ~up:(Array.make n true)
-    ~remote:None
-
-let create_sharded ~engines ~shard_of ~rngs ~batches topo ?(loss = 0.0) () =
+let create_sharded ~engines ~shard_of ~rngs ~faults ~batches topo ?(loss = 0.0) () =
   let n = Topology.hosts topo in
   let handlers = Array.make n None and up = Array.make n true in
   Array.mapi
     (fun shard engine ->
-      make engine topo ~loss ~rng:rngs.(shard) ~faults:None ~handlers ~up
-        ~remote:(Some { shard; shard_of; batches }))
+      make engine topo ~loss ~rng:rngs.(shard) ~faults:faults.(shard) ~handlers ~up ~shard
+        ~shard_of ~batches)
     engines
+
+(* Without [faults], a private empty table: nothing can install a
+   condition on it, so it never draws from [rng]. *)
+let create engine topo ?faults ~rng () =
+  let n = Topology.hosts topo in
+  let faults = match faults with Some f -> f | None -> Faults.create ~hosts:n ~rng () in
+  (create_sharded ~engines:[| engine |] ~shard_of:(Array.make n 0) ~rngs:[| rng |]
+     ~faults:[| faults |] ~batches:(Shard.create ~shards:1) topo ()).(0)
 
 (* Schedule, in canonical order, every message other shards posted to
    this instance's shard in the previous epoch. *)
-let merge_inbox t =
-  match t.remote with
-  | Some r -> Shard.drain r.batches ~dst_shard:r.shard t.inbox
-  | None -> ()
+let merge_inbox t = Shard.drain t.batches ~dst_shard:t.shard t.inbox
 
 let register t host f = t.handlers.(host) <- Some f
 
 (* Prepend, matching the old list's newest-first observer order. *)
 let on_deliver t f = t.observers <- Array.append [| f |] t.observers
 
-let set_faults t faults = t.faults <- Some faults
-
-let set_up t host b =
-  if t.up.(host) <> b then begin
-    t.up.(host) <- b;
-    t.up_alive <- (if b then t.up_alive + 1 else t.up_alive - 1)
-  end
+let set_up t host b = t.up.(host) <- b
 
 let is_up t host = t.up.(host)
-
-let up_count t = t.up_alive
 
 (* The byte series of [kind], created on first use. A hit in either memo
    slot allocates nothing; a miss moves slot 1 down and fills it. *)
@@ -246,7 +234,7 @@ let[@lint.hot] send t ~src ~dst ~size ~kind payload =
         (Obs.Tuple_drop { src; dst; kind; reason = "loss" })
     end
   end
-  else if (match t.faults with None -> false | Some f -> Faults.decide f ~src ~dst) then begin
+  else if Faults.decide t.faults ~src ~dst then begin
     if !Obs.enabled then begin
       Obs.incr "transport.dropped.fault";
       Obs.trace
@@ -265,15 +253,15 @@ let[@lint.hot] send t ~src ~dst ~size ~kind payload =
         (Obs.Tuple_send { src; dst; kind; size })
     end;
     let delay = Topology.latency t.topo src dst in
-    match t.remote with
-    | Some r when r.shard_of dst <> r.shard ->
+    let dst_shard = t.shard_of.(dst) in
+    if dst_shard <> t.shard then
       (* Cross-shard: post the message to the shared batches rather
          than this engine. The lookahead bound guarantees the delivery
          time is still in the destination shard's future, and the merge
          gives it a canonical total order. *)
-      Shard.post r.batches ~src_shard:r.shard ~dst_shard:(r.shard_of dst)
-        ~time:(Engine.now t.engine +. delay) ~src ~dst ~kind payload
-    | _ ->
+      Shard.post t.batches ~src_shard:t.shard ~dst_shard ~time:(Engine.now t.engine +. delay)
+        ~src ~dst ~kind payload
+    else
       let delay = if delay < 0.0 then 0.0 else delay in
       schedule_delivery t ~at:(Engine.now t.engine +. delay) ~src ~dst ~kind payload
   end

@@ -6,8 +6,13 @@
     time, or if the {e destination} is down at delivery time — an
     in-flight datagram outlives its sender's crash, as a real packet
     would. An optional uniform loss rate (on sharded instances) models
-    residual packet loss, and an attached {!Faults} table adds
+    residual packet loss, and each instance's {!Faults} table adds
     link-level cuts and bursty loss per (src, dst) pair.
+
+    Every instance serves the hosts of one logical shard of a world:
+    {!create} builds a world of one shard, {!create_sharded} one
+    instance per shard. The instances of one world share a single
+    liveness and handler store, indexed by host.
 
     Bandwidth accounting follows the paper's "total network load" metric:
     each delivered-or-dropped-in-flight message contributes
@@ -24,38 +29,38 @@ val bucket_width : float
 
 val create :
   Mortar_sim.Engine.t -> Topology.t -> ?faults:Faults.t -> rng:Mortar_util.Rng.t -> unit -> 'a t
-(** A lossless single-engine transport; [faults] attaches a fault table
-    consulted on every send. *)
+(** A lossless world of one shard on one engine; [faults] is the fault
+    table consulted on every send (default: an empty one). *)
 
 val create_sharded :
   engines:Mortar_sim.Engine.t array ->
-  shard_of:(Topology.host -> int) ->
+  shard_of:int array ->
   rngs:Mortar_util.Rng.t array ->
+  faults:Faults.t array ->
   batches:'a Mortar_sim.Shard.t ->
   Topology.t ->
   ?loss:float ->
   unit ->
   'a t array
 (** [loss] is a per-message drop probability (default [0.]). One
-    transport instance per logical shard, sharing a single
-    liveness/handler store (indexed by host; each slot is only ever
-    touched from its owner shard's domain, or from the control thread at
-    an epoch barrier). Instance [s] runs on
-    [engines.(s)] and draws from [rngs.(s)]; a message that survives the
+    instance per logical shard, sharing a single liveness/handler store
+    (indexed by host; each slot is only ever touched from its owner
+    shard's domain, or from the control thread at an epoch barrier).
+    [shard_of] maps each host to its shard. Instance [s] runs on
+    [engines.(s)], draws from [rngs.(s)] and decides faults through
+    [faults.(s)] (a {!Faults.shard_view}); a message that survives the
     send-side checks (liveness, loss, faults, accounting) and whose
     destination lives on another shard is posted to [batches] with its
     absolute delivery time instead of being scheduled locally, and
-    {!merge_inbox} on the destination's instance schedules it. Route
-    every {!set_up} through instance [0] so its {!up_count} tracks the
-    shared array; {!register} on the owning instance. Fault tables are
-    attached per instance ({!Faults.shard_view}). *)
+    {!merge_inbox} on the destination's instance schedules it.
+    {!register} on the owning instance; {!set_up} and {!is_up} read and
+    write the shared store through any instance. *)
 
 val merge_inbox : _ t -> unit
 (** Schedule on this instance's engine, in the canonical
     (time, src_shard, seq) order, every message the other shards posted
     to its shard before the last {!Mortar_sim.Shard.flip}, and clear
-    them ({!Mortar_sim.Shard.drain}). A no-op on a standalone
-    instance. *)
+    them ({!Mortar_sim.Shard.drain}). *)
 
 val register : 'a t -> Topology.host -> (src:Topology.host -> 'a -> unit) -> unit
 (** Install the delivery handler for a host; replaces any previous one. *)
@@ -66,9 +71,6 @@ val on_deliver :
     measurement only (tests assert e.g. that no message crosses an
     active partition). *)
 
-val set_faults : _ t -> Faults.t -> unit
-(** Attach (or replace) the fault table. *)
-
 val send :
   'a t ->
   src:Topology.host ->
@@ -78,18 +80,17 @@ val send :
   'a ->
   unit
 (** Fire-and-forget send of [size] bytes. [kind] tags bandwidth accounting.
-    The fault table, if any, is consulted once per
+    The fault table is consulted once per
     send. Sending to self delivers after a zero-latency hop on the next
     event. *)
 
 val set_up : _ t -> Topology.host -> bool -> unit
-(** Mark a host reachable/unreachable. Messages in flight towards a host
-    that goes down are lost; messages in flight {e from} it are not. *)
+(** Mark a host reachable/unreachable, for every instance of the world.
+    Messages in flight towards a host that goes down are lost; messages
+    in flight {e from} it are not. *)
 
 val is_up : _ t -> Topology.host -> bool
 (** Hosts start up. *)
-
-val up_count : _ t -> int
 
 val bytes_series : _ t -> kind:string -> Mortar_sim.Series.t option
 (** Link-bytes series for one traffic kind, if any traffic was sent. *)

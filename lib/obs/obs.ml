@@ -299,15 +299,16 @@ let enabled = ref false
 
 let default = Reg.create ()
 
-(* Where the module-level wrappers write. The resolver indirection lets
-   the sharded runtime route instrumentation to a per-shard registry
-   (keyed off a domain-local context) while everything else keeps
-   hitting [default]. Installed by each deployment; never called
-   concurrently with itself (each resolver invocation is on the domain
-   doing the write). *)
+(* Where the module-level wrappers write: [default], except while a
+   {!with_sink} body runs. The sharded runtime's resolver routes each
+   write to the writing shard's registry (keyed off a domain-local
+   context); it is called on the domain doing the write. *)
 let sink : (unit -> Reg.t) ref = ref (fun () -> default)
 
-let set_sink f = sink := f
+let with_sink resolver f =
+  let prev = !sink in
+  sink := resolver;
+  Fun.protect ~finally:(fun () -> sink := prev) f
 
 let incr ?scope ?by name = if !enabled then Reg.incr (!sink ()) ?scope ?by name
 

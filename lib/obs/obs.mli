@@ -137,14 +137,17 @@ val enabled : bool ref
 
 val default : Reg.t
 
-val set_sink : (unit -> Reg.t) -> unit
-(** Route the module-level wrappers below through a resolver instead of
-    straight to {!default}. The sharded simulation runtime installs a
-    resolver that returns the current shard's private registry when
-    called from inside a shard's event slice (via a domain-local
-    context) and {!default} otherwise, so per-shard instrumentation
-    never races across domains. The resolver must be cheap — it runs on
-    every enabled write. *)
+val with_sink : (unit -> Reg.t) -> (unit -> 'a) -> 'a
+(** [with_sink resolver f] runs [f] with the module-level wrappers below
+    writing to [resolver ()] instead of {!default}, and restores the
+    previous routing when [f] returns or raises. The sharded simulation
+    runtime wraps each run in one: its resolver returns the current
+    shard's private registry when called from inside that shard's event
+    slice (via a domain-local context) and the run's control registry
+    otherwise, so per-shard instrumentation never races across domains
+    and several deployments in one process never see each other's
+    registries. The resolver must be cheap — it runs on every enabled
+    write. *)
 
 val incr : ?scope:scope -> ?by:int -> string -> unit
 val set_gauge : ?scope:scope -> string -> float -> unit

@@ -12,3 +12,6 @@ type counter = { mutable hits : int }
 
 let leak_record pool (c : counter) =
   Par.Pool.run pool ~n:4 (fun _ -> c.hits <- c.hits + 1)
+
+(* Another unit's mutable record, found by its full path. *)
+let leak_cell pool (c : D7_cell_a.cell) = Par.Pool.run pool ~n:4 (fun _ -> D7_cell_a.bump c)

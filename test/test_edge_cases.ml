@@ -138,8 +138,10 @@ let test_transport_full_loss () =
   let topo = Mortar_net.Topology.star ~link_delay:0.001 ~hosts:4 in
   let engine = Mortar_sim.Engine.create () in
   let tr =
-    (Mortar_net.Transport.create_sharded ~engines:[| engine |] ~shard_of:(fun _ -> 0)
-       ~rngs:[| Rng.create 1 |] ~batches:(Mortar_sim.Shard.create ~shards:1) topo ~loss:1.0 ()).(0)
+    (Mortar_net.Transport.create_sharded ~engines:[| engine |] ~shard_of:(Array.make 4 0)
+       ~rngs:[| Rng.create 1 |]
+       ~faults:[| Mortar_net.Faults.create ~hosts:4 ~rng:(Rng.create 2) () |]
+       ~batches:(Mortar_sim.Shard.create ~shards:1) topo ~loss:1.0 ()).(0)
   in
   let got = ref 0 in
   Mortar_net.Transport.register tr 1 (fun ~src:_ _ -> incr got);

@@ -337,9 +337,8 @@ let test_ctl_budget_abandons () =
      abandoned — the sender does not retry forever. *)
   let e = Engine.create () in
   let topo = Topology.star ~link_delay:0.005 ~hosts:2 in
-  let tr = Transport.create e topo ~rng:(Rng.create 3) () in
   let f = Faults.create ~hosts:2 ~rng:(Rng.create 4) () in
-  Transport.set_faults tr f;
+  let tr = Transport.create e topo ~faults:f ~rng:(Rng.create 3) () in
   let rt =
     {
       Peer.send = Transport.send tr;

@@ -119,8 +119,11 @@ let test_transport_loss () =
   let topo = make_topo () in
   let engine = Engine.create () in
   let transport =
-    (Transport.create_sharded ~engines:[| engine |] ~shard_of:(fun _ -> 0)
-       ~rngs:[| Rng.create 5 |] ~batches:(Mortar_sim.Shard.create ~shards:1) topo ~loss:0.5 ()).(0)
+    (Transport.create_sharded ~engines:[| engine |]
+       ~shard_of:(Array.make (Topology.hosts topo) 0)
+       ~rngs:[| Rng.create 5 |]
+       ~faults:[| Mortar_net.Faults.create ~hosts:(Topology.hosts topo) ~rng:(Rng.create 6) () |]
+       ~batches:(Mortar_sim.Shard.create ~shards:1) topo ~loss:0.5 ()).(0)
   in
   let got = ref 0 in
   Transport.register transport 1 (fun ~src:_ _ -> incr got);

@@ -143,14 +143,15 @@ let test_run_before_strict () =
    it. *)
 let test_cross_shard_alloc () =
   let topo = Topology.transit_stub (Rng.create 5) ~transits:1 ~stubs:2 ~hosts:8 () in
-  let shard_of h = Topology.stub_of topo h in
-  let host_in stub = List.find (fun h -> shard_of h = stub) (List.init 8 Fun.id) in
+  let shard_of = Array.init 8 (Topology.stub_of topo) in
+  let host_in stub = List.find (fun h -> shard_of.(h) = stub) (List.init 8 Fun.id) in
   let a = host_in 0 and b = host_in 1 in
   let engines = Array.init 2 (fun _ -> Engine.create ()) in
   let batches = Shard.create ~shards:2 in
   let trs =
     Mortar_net.Transport.create_sharded ~engines ~shard_of
       ~rngs:(Array.init 2 (fun i -> Rng.create i))
+      ~faults:(Array.init 2 (fun i -> Mortar_net.Faults.create ~hosts:8 ~rng:(Rng.create i) ()))
       ~batches topo ()
   in
   let got = ref 0 in
@@ -383,6 +384,60 @@ let test_control_barrier_merge_first () =
   D.run_until d (at_b +. 0.0005);
   Alcotest.(check (list string)) "install before tick" [ "install"; "tick" ] (List.rev !log)
 
+(* Several deployments may coexist in one process: each [run_until]
+   routes Obs writes to its own shards and control registry, whatever
+   was built since. [counting ~stubs] builds a fig01-style count over
+   one shard per stub; [test_coexisting ~stubs_a ~stubs_b] builds A,
+   then B, then runs A, and the dump of A's run must equal that of the
+   same A built and run alone. *)
+let counting ~stubs =
+  let hosts = 32 in
+  let topo = Topology.transit_stub (Rng.create 31) ~hosts ~transits:2 ~stubs () in
+  let d = D.create_sharded ~seed:31 topo in
+  let treeset = D.plan_random d ~bf:4 ~root:0 ~nodes:(Array.init (hosts - 1) succ) () in
+  let meta =
+    Mortar_core.Query.make_meta ~name:"coexist" ~source:"ones" ~op:Mortar_core.Op.Sum
+      ~window:(Mortar_core.Window.tumbling 1.0) ~root:0 ~total_nodes:hosts ()
+  in
+  for i = 0 to hosts - 1 do
+    D.sensor d ~node:i ~stream:"ones" ~period:1.0 (fun _ -> Mortar_core.Value.Int 1)
+  done;
+  D.at d 1.0 (fun () -> Mortar_core.Peer.install_query (D.peer d 0) meta treeset);
+  d
+
+(* The dump of [run (build ())], without the setup's own writes. *)
+let dump_of build run =
+  let saved = !Obs.enabled in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.enabled := saved;
+      Obs.Reg.clear Obs.default)
+    (fun () ->
+      Obs.enabled := true;
+      let built = build () in
+      Obs.Reg.clear Obs.default;
+      run built;
+      ( Obs.Reg.metrics_lines Obs.default,
+        Obs.Reg.trace_lines Obs.default,
+        Dump.counters Obs.default "transport.delivered" ))
+
+let test_coexisting ~stubs_a ~stubs_b () =
+  let run a = D.run_until a 8.0 in
+  let alone_metrics, alone_trace, _ = dump_of (fun () -> counting ~stubs:stubs_a) run in
+  let metrics, trace, delivered =
+    dump_of
+      (fun () ->
+        let a = counting ~stubs:stubs_a in
+        let b = counting ~stubs:stubs_b in
+        Alcotest.(check (pair int int)) "one shard per stub" (stubs_a, stubs_b)
+          (D.shard_count a, D.shard_count b);
+        a)
+      run
+  in
+  Alcotest.(check (list string)) "A's metrics lines" alone_metrics metrics;
+  Alcotest.(check (list string)) "A's trace lines" alone_trace trace;
+  Alcotest.(check bool) "A's shards delivered and traced" true (delivered > 0 && trace <> [])
+
 let tests =
   [
     Alcotest.test_case "stamped canonical order" `Quick test_stamped_order;
@@ -402,4 +457,8 @@ let tests =
       test_control_barrier_merge_first;
     Alcotest.test_case "peer counters export exactly across flushes" `Quick
       test_counter_export_exact;
+    Alcotest.test_case "run A beside B: 8 then 2 stubs" `Quick
+      (test_coexisting ~stubs_a:8 ~stubs_b:2);
+    Alcotest.test_case "run A beside B: 4 stubs each" `Quick
+      (test_coexisting ~stubs_a:4 ~stubs_b:4);
   ]
