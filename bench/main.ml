@@ -181,14 +181,14 @@ let bench_fig15_engine_round () =
   Staged.stage (fun () ->
       let e = Mortar_sim.Engine.create () in
       for i = 1 to 100 do
-        ignore (Mortar_sim.Engine.schedule e ~after:(float_of_int i *. 0.001) (fun () -> ()))
+        ignore (Mortar_sim.Engine.post e ~at:(float_of_int i *. 0.001) ignore i)
       done;
       Mortar_sim.Engine.run e)
 
 (* The engine at a realistic depth: ~2k pending events (a 10k-host
-   shard's timers and in-flight messages). One run schedules an event
-   and cancels it, schedules another, and pops until one fires, so the
-   depth holds steady while every queue operation is exercised. *)
+   shard's timers and in-flight messages). One run posts an event and
+   cancels it, posts another, and pops until one fires, so the depth
+   holds steady while every queue operation is exercised. *)
 let bench_engine_depth () =
   let e = Mortar_sim.Engine.create () in
   let k = ref 0 in
@@ -196,12 +196,15 @@ let bench_engine_depth () =
     incr k;
     float_of_int (!k * 7919 mod 2000) *. 0.001
   in
+  let post () =
+    Mortar_sim.Engine.post e ~at:(Mortar_sim.Engine.now e +. delay ()) ignore 0
+  in
   for _ = 1 to 2000 do
-    ignore (Mortar_sim.Engine.schedule e ~after:(delay ()) ignore)
+    ignore (post ())
   done;
   Staged.stage (fun () ->
-      Mortar_sim.Engine.cancel e (Mortar_sim.Engine.schedule e ~after:(delay ()) ignore);
-      ignore (Mortar_sim.Engine.schedule e ~after:(delay ()) ignore);
+      Mortar_sim.Engine.cancel e (post ());
+      ignore (post ());
       ignore (Mortar_sim.Engine.step e))
 
 (* One epoch's cross-shard merge at agg-10k's shard count: every one of

@@ -16,7 +16,7 @@ type runtime = {
   send : src:int -> dst:int -> size:int -> kind:string -> Msg.payload -> unit;
   local_time : int -> float;
   latency : int -> int -> float;
-  set_timer : int -> after:float -> (unit -> unit) -> timer;
+  set_timer : int -> after:float -> (int -> unit) -> timer;
   cancel_timer : timer -> unit;
   compile : Op.spec -> Op.impl;
 }
@@ -198,10 +198,10 @@ type instance = {
   mutable next_slot : int; (* next slide boundary to close (time windows) *)
   mutable eviction_timer : timer;
   mutable tick_timer : timer; (* the slide (time) or boundary check (tuples) *)
-  (* The two timer callbacks, made once at install so arming a timer
+  (* The two timer handlers, made once at install so arming a timer
      allocates nothing. *)
-  mutable on_evict : unit -> unit;
-  mutable on_tick : unit -> unit;
+  mutable on_evict : int -> unit;
+  mutable on_tick : int -> unit;
 }
 
 (* One unacked reliable control message (§6-style install/remove/view
@@ -298,6 +298,7 @@ type t = {
   mutable result_handlers : (result -> unit) list;
   mutable remote_handlers : (remote_result -> unit) list;
   counts : int array; (* one slot per {!counter} *)
+  heartbeat : int -> unit; (* the heartbeat timer's handler, made once *)
 }
 
 let add t c n = t.counts.(slot c) <- t.counts.(slot c) + n
@@ -496,7 +497,7 @@ let rec ctl_attempt t p =
   let base = max ctl_timeout (4.0 *. latency_to t p.ctl_dst) in
   let rto = base *. (ctl_backoff ** float_of_int (p.ctl_attempts - 1)) in
   let rto = rto *. (1.0 +. Rng.float t.ctl_rng ctl_jitter) in
-  p.ctl_timer <- set_timer t ~after:rto (fun () -> ctl_expire t p)
+  p.ctl_timer <- set_timer t ~after:rto (fun _ -> ctl_expire t p)
 
 and ctl_expire t p =
   p.ctl_timer <- no_timer;
@@ -1199,10 +1200,10 @@ let install_local t (meta : Query.meta) view ~install_age =
           on_tick = ignore;
         }
       in
-      inst.on_evict <- (fun () -> evict t inst);
+      inst.on_evict <- (fun _ -> evict t inst);
       inst.on_tick <-
-        (if Window.is_time meta.window then fun () -> close_slide t inst
-         else fun () -> boundary_check t inst);
+        (if Window.is_time meta.window then fun _ -> close_slide t inst
+         else fun _ -> boundary_check t inst);
       insert_inst t inst;
       List.iter (retain_partner t) (Query.neighbors view);
       invalidate_digest t;
@@ -1480,7 +1481,7 @@ let sweep_idle t =
    through [update_partner_refs] — so [refcount > 0] is exactly "neighbor
    of some installed view", visited in ascending id order (D3). Every
    target gets the same immutable payload. *)
-let rec heartbeat_tick t =
+let heartbeat_tick t =
   t.v.hb_counter <- t.v.hb_counter + 1;
   let with_digest = t.v.hb_counter mod reconcile_every = 0 in
   let hb = Msg.Heartbeat { digest = (if with_digest then Some (digest t) else None) } in
@@ -1490,7 +1491,7 @@ let rec heartbeat_tick t =
        across instances is simulation-visible (D3). *)
     Array.iter (fun inst -> repair_instance t inst.meta.Query.name inst) t.v.instances;
   sweep_idle t;
-  t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
+  t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period t.heartbeat
 
 (* ------------------------------------------------------------------ *)
 (* Message dispatch.                                                   *)
@@ -1590,7 +1591,7 @@ let rec receive t ~src payload =
 (* Construction and introspection.                                     *)
 
 let create ?(config = default_config) rt ~self ~rng =
-  let t =
+  let rec t =
     {
       self;
       rt;
@@ -1602,11 +1603,12 @@ let create ?(config = default_config) rt ~self ~rng =
       result_handlers = [];
       remote_handlers = [];
       counts = Array.make (Array.length counters) 0;
+      heartbeat = (fun _ -> heartbeat_tick t);
     }
   in
   (* Desynchronise heartbeat phases across peers. *)
   let phase = Rng.float rng config.hb_period in
-  t.v.hb_timer <- set_timer t ~after:phase (fun () -> heartbeat_tick t);
+  t.v.hb_timer <- set_timer t ~after:phase t.heartbeat;
   t
 
 let on_result t f = t.result_handlers <- f :: t.result_handlers
@@ -1643,7 +1645,7 @@ let crash t =
    leave it two heartbeat timers. *)
 let restart t =
   t.rt.cancel_timer t.v.hb_timer;
-  t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period (fun () -> heartbeat_tick t)
+  t.v.hb_timer <- set_timer t ~after:t.cfg.hb_period t.heartbeat
 
 let stats t =
   let c = count t in

@@ -28,7 +28,7 @@
     point of §5. *)
 
 type timer = Mortar_sim.Engine.handle
-(** A scheduled callback: the engine's own handle, an immediate int, so
+(** An armed timer: the engine's own handle, an immediate int, so
     arming a timer allocates no wrapper (timers are re-armed after every
     TS-list insert). The peer keeps each armed timer in a plain field and
     uses {!Mortar_sim.Engine.no_handle} for "none armed"; it cancels
@@ -42,13 +42,16 @@ type runtime = {
       (** [latency src dst]: one-way latency estimate from a host to a
           neighbor (UdpCC RTT/2 in the prototype); used to account network
           delay into tuple ages. *)
-  set_timer : int -> after:float -> (unit -> unit) -> timer;
-      (** [set_timer host ~after f]: [after] is in the host's local
-          seconds. *)
+  set_timer : int -> after:float -> (int -> unit) -> timer;
+      (** [set_timer host ~after f] runs [f host] once [after] of the
+          host's local seconds have passed. The handler receives the host
+          id, so a peer passes handlers it made once (heartbeat, eviction,
+          slide) and arming a timer allocates nothing. The simulator
+          posts [f] with {!Mortar_sim.Engine.post}. *)
   cancel_timer : timer -> unit;
       (** Drop an armed timer's callback. A no-op on a fired or cancelled
           timer and on {!Mortar_sim.Engine.no_handle}. The simulator
-          passes [Engine.cancel] of the engine [set_timer] schedules
+          passes [Engine.cancel] of the engine [set_timer] posts
           on. *)
   compile : Op.spec -> Op.impl;
       (** {!Op.compile}, or a cache of it: the hosts of one runtime share

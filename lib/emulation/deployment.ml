@@ -73,8 +73,10 @@ let make_runtime ~engine ~transport ~topo ~clocks : Peer.runtime =
     set_timer =
       (fun h ~after f ->
         (* [after] is local seconds; a fast clock (positive skew) fires its
-           timers early in true time. *)
-        Engine.schedule engine ~after:(after /. (1.0 +. Clock.skew clocks.(h))) f);
+           timers early in true time. A negative delay lands on now
+           through [post]'s clamp. *)
+        let after = after /. (1.0 +. Clock.skew clocks.(h)) in
+        Engine.post engine ~at:(Engine.now engine +. after) f h);
     cancel_timer = Engine.cancel engine;
     compile =
       (fun spec ->
@@ -106,7 +108,7 @@ let sensor_tick ~engine_of ~peers (s : sensors) =
     let delay =
       s.period.(i) +. if jitter > 0.0 then Rng.uniform s.jrng.(i) (-.jitter) jitter else 0.0
     in
-    Engine.post engine ~at:(Engine.now engine +. max 0.001 delay) tick i
+    ignore (Engine.post engine ~at:(Engine.now engine +. max 0.001 delay) tick i)
   in
   tick
 
@@ -221,19 +223,18 @@ let min_next_shard t =
 
 let merge_serially t = Array.iter (fun s -> Transport.merge_inbox s.transport) t.shards
 
-(* Run [f] over every shard, possibly on several domains, with the
-   domain-local context naming the shard so Obs writes and [now] resolve
-   to the right stream. Each shard first merges its pending cross-shard
-   messages. The pool barrier gives the control thread a happens-before
-   edge over every shard mutation. *)
+(* Run [f] over every shard, possibly on several domains. The pool sets
+   the domain-local context to the shard's index around each slice, so
+   Obs writes and [now] resolve to the right stream, and re-raises a
+   slice's exception on this thread after its barrier. Each shard first
+   merges its pending cross-shard messages. The pool barrier gives the
+   control thread a happens-before edge over every shard mutation. *)
 let par_shards shards pool f =
   Par.Pool.run pool ~n:(Array.length shards) (fun i ->
-      Par.Ctx.set (Some i);
       (* lint: allow D7 worker i only touches shards.(i); its merge reads only the pending batch set, which no source posts to until the next flip at the barrier *)
       let s = shards.(i) in
       Transport.merge_inbox s.transport;
-      f s;
-      Par.Ctx.set None)
+      f s)
 
 (* Fold the per-shard (and control) Obs registries into the default one
    at the end of a run: counters and histograms add (order-insensitive),
@@ -360,7 +361,7 @@ let census t =
     @ handlers
     @ [ ("deployment rest", [ Obj.repr t ]) ])
 
-let at t time f = ignore (Engine.schedule_at t.engine ~at:time f)
+let at t time f = ignore (Engine.post t.engine ~at:time (fun _ -> f ()) 0)
 
 let shard_count t = Array.length t.shards
 
@@ -663,4 +664,4 @@ let sensor t ~node ~stream ~period ?(jitter = 0.0) ?truth_slide value =
   s.ticks.(i) <- 0;
   s.jrng.(i) <- jrng;
   s.rows <- i + 1;
-  Engine.post engine ~at:(Engine.now engine +. phase) t.tick i
+  ignore (Engine.post engine ~at:(Engine.now engine +. phase) t.tick i)

@@ -10,6 +10,10 @@
    - ablation:guard — the quiescence extension on TS-list deadlines. With
      it off (guard = 0), eviction rests solely on the paper's
      first-arrival timeout, and completeness decays as waits mis-estimate.
+     The table has one column per mode. Syncless reads 100 % at every
+     guard: the root's window-end horizon (DESIGN.md finding 4) covers
+     the drain the extension rescues. Timestamp mode has no such horizon,
+     so its column shows what the guard buys.
    - ablation:ladder — headroom-scaled eviction caps. A flat cap makes
      every level race the root's deadline. *)
 
@@ -91,20 +95,21 @@ live completeness of surviving nodes at 20%% failures:
 (* ------------------------------------------------------------------ *)
 (* Eviction-policy ablations on the live system. *)
 
-let completeness_with_config ~quick ~config =
+let completeness_with_config ?mode ~quick ~config () =
   (* Deep trees (bf 4) make the timing ablations visible: with bf 16 the
      trees are two levels tall and almost any policy keeps up. *)
   let hosts = if quick then 180 else 400 in
-  let h = Harness.create ~seed:77 ~hosts ~bf:4 ~config () in
+  let h = Harness.create ~seed:77 ~hosts ~bf:4 ?mode ~config () in
   Harness.run_until h 60.0;
   Harness.mean_completeness h 30.0 60.0 ~denominator:hosts
 
 let run_guard ~quick =
-  Common.table ~columns:[ "quiet-guard(s)"; "completeness" ] (fun () ->
+  Common.table ~columns:[ "quiet-guard(s)"; "syncless"; "timestamp" ] (fun () ->
       List.map
         (fun guard ->
           let config = { Peer.default_config with Peer.quiet_guard = guard } in
-          [ Common.cell_f guard; Common.cell_pct (completeness_with_config ~quick ~config) ])
+          let pct mode = Common.cell_pct (completeness_with_config ~mode ~quick ~config ()) in
+          [ Common.cell_f guard; pct Mortar_core.Query.Syncless; pct Mortar_core.Query.Timestamp ])
         [ 0.0; 0.2; 0.6; 1.0 ])
 
 let run_ladder ~quick =
@@ -114,7 +119,7 @@ let run_ladder ~quick =
           let config = { Peer.default_config with Peer.level_wait = lw } in
           [
             Common.cell_f lw;
-            Common.cell_pct (completeness_with_config ~quick ~config);
+            Common.cell_pct (completeness_with_config ~quick ~config ());
             note;
           ])
         [

@@ -86,16 +86,17 @@ let central_point ~quick ~scale =
     let phase = Mortar_util.Rng.float rng 1.0 in
     let rec tick at =
       ignore
-        (Engine.schedule_at engine ~at (fun () ->
+        (Engine.post engine ~at (fun _ ->
              let now = Engine.now engine in
              let ts = Clock.local_time clocks.(i) ~now in
              let true_slot = Mortar_core.Index.slot ~slide:window now in
              let latency = Mortar_net.Topology.latency topo i 0 in
-             ignore
-               (Engine.schedule engine ~after:latency (fun () ->
-                    Mortar_central.Processor.push processor ~now:(Engine.now engine) ~ts
-                      ~true_slot));
-             tick (at +. 1.0)))
+             let push _ =
+               Mortar_central.Processor.push processor ~now:(Engine.now engine) ~ts ~true_slot
+             in
+             ignore (Engine.post engine ~at:(now +. latency) push 0);
+             tick (at +. 1.0))
+           i)
     in
     tick phase
   done;

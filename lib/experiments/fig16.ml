@@ -30,7 +30,7 @@ let build ~hosts ~seed =
     {
       Sdims.send = Transport.send transport;
       local_time = (fun _ -> Engine.now engine);
-      set_timer = (fun _ ~after f -> Engine.schedule engine ~after f);
+      set_timer = (fun h ~after f -> Engine.post engine ~at:(Engine.now engine +. after) f h);
     }
   in
   let nodes = Array.init hosts (fun i -> Sdims.create rt ~self:i ~rng:(Mortar_util.Rng.split rng)) in
@@ -45,11 +45,11 @@ let build ~hosts ~seed =
      times less often than Mortar reports). *)
   Sdims.on_probe_reply nodes.(1) (fun ~query:_ ~value ~count:_ ->
       Queue.add (Engine.now engine, value) probe_log);
-  let rec probe_loop () =
+  let rec probe_loop _ =
     Sdims.probe nodes.(1) ~query:attribute;
-    ignore (Engine.schedule engine ~after:5.0 probe_loop)
+    ignore (Engine.post engine ~at:(Engine.now engine +. 5.0) probe_loop 1)
   in
-  ignore (Engine.schedule engine ~after:10.0 probe_loop);
+  ignore (Engine.post engine ~at:10.0 probe_loop 1);
   { engine; transport; nodes; probe_log }
 
 let run ~quick =
@@ -60,14 +60,14 @@ let run ~quick =
   let rng = Mortar_util.Rng.create 31337 in
   let schedule_failure start fraction =
     ignore
-      (Engine.schedule_at w.engine ~at:start (fun () ->
+      (Engine.post w.engine ~at:start (fun _ ->
            let candidates = Array.init (hosts - 2) (fun i -> i + 2) in
            let k = int_of_float (fraction *. float_of_int hosts) in
            let victims = Mortar_util.Rng.sample rng candidates (min k (hosts - 2)) in
            Array.iter (fun v -> Transport.set_up w.transport v false) victims;
-           ignore
-             (Engine.schedule_at w.engine ~at:(start +. down_time) (fun () ->
-                  Array.iter (fun v -> Transport.set_up w.transport v true) victims))))
+           let heal _ = Array.iter (fun v -> Transport.set_up w.transport v true) victims in
+           ignore (Engine.post w.engine ~at:(start +. down_time) heal 0))
+         0)
   in
   List.iteri
     (fun i fraction ->

@@ -1,5 +1,4 @@
 module Rng = Mortar_util.Rng
-module Obs = Mortar_obs.Obs
 
 type id = int
 
@@ -83,9 +82,7 @@ let drops t ~src ~dst c =
   in_scope c.scope ~src ~dst
   &&
   match c.eff with
-  | Cut ->
-    if !Obs.enabled then Obs.incr "faults.cut_drops";
-    true
+  | Cut -> true
   | Bursty { p_enter; p_exit; loss_good; loss_bad } ->
     let bad =
       match Hashtbl.find_opt t.bursty_state (c.cid, src, dst) with
@@ -102,11 +99,7 @@ let drops t ~src ~dst c =
      end
      else if Rng.float t.rng 1.0 < p_enter then bad := true);
     let rate = if !bad then loss_bad else loss_good in
-    if rate > 0.0 && Rng.float t.rng 1.0 < rate then begin
-      if !Obs.enabled then Obs.incr "faults.loss_drops";
-      true
-    end
-    else false
+    rate > 0.0 && Rng.float t.rng 1.0 < rate
 
 (* Conditions are evaluated in install order up to the first drop. *)
 let rec any_drops t ~src ~dst = function

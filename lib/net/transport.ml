@@ -51,6 +51,14 @@ type 'a t = {
   inbox : 'a Shard.batch -> int -> unit; (* [schedule_delivery] of a merged message *)
 }
 
+(* A dropped message: counted under [transport.dropped.<reason>] and
+   traced. *)
+let[@inline] drop t ~src ~dst ~kind reason =
+  if !Obs.enabled then begin
+    Obs.incr ("transport.dropped." ^ reason);
+    Obs.trace ~t:(Engine.now t.engine) (Obs.Tuple_drop { src; dst; kind; reason })
+  end
+
 (* Delivery-time half of [send]: runs on the destination shard's
    instance, so its counters are the ones that see the message. *)
 let[@lint.hot] deliver_msg t ~src ~dst ~kind payload =
@@ -72,12 +80,7 @@ let[@lint.hot] deliver_msg t ~src ~dst ~kind payload =
       f ~src payload
     | None -> ()
   end
-  else if !Obs.enabled then begin
-    Obs.incr "transport.dropped.down_at_delivery";
-    Obs.trace
-      ~t:(Engine.now t.engine)
-      (Obs.Tuple_drop { src; dst; kind; reason = "down_at_delivery" })
-  end
+  else drop t ~src ~dst ~kind "down_at_delivery"
 
 (* Free the slot before delivering: the handler may send, and its send
    may reuse the slot. Overwriting the payload keeps a delivered message
@@ -125,7 +128,7 @@ let claim t ~src ~dst ~kind payload =
 (* Queue a delivery on this instance's engine at absolute time [at].
    Inlined so [at] reaches the engine's queue unboxed. *)
 let[@inline][@lint.hot] schedule_delivery t ~at ~src ~dst ~kind payload =
-  Engine.post t.engine ~at t.deliver (claim t ~src ~dst ~kind payload)
+  ignore (Engine.post t.engine ~at t.deliver (claim t ~src ~dst ~kind payload))
 
 (* One shard's instance; the per-host arrays and the batches are
    parameters so sibling instances share them. *)
@@ -218,30 +221,10 @@ let series_of t ~kind =
    consume the RNG in the same order whether or not Obs is enabled. *)
 let[@lint.hot] send t ~src ~dst ~size ~kind payload =
   t.sent <- t.sent + 1;
-  if not (t.up.(src) && t.up.(dst)) then begin
-    if !Obs.enabled then begin
-      Obs.incr "transport.dropped.down";
-      Obs.trace
-        ~t:(Engine.now t.engine)
-        (Obs.Tuple_drop { src; dst; kind; reason = "down" })
-    end
-  end
-  else if not (Float.equal t.loss 0.0 || Mortar_util.Rng.float t.rng 1.0 >= t.loss) then begin
-    if !Obs.enabled then begin
-      Obs.incr "transport.dropped.loss";
-      Obs.trace
-        ~t:(Engine.now t.engine)
-        (Obs.Tuple_drop { src; dst; kind; reason = "loss" })
-    end
-  end
-  else if Faults.decide t.faults ~src ~dst then begin
-    if !Obs.enabled then begin
-      Obs.incr "transport.dropped.fault";
-      Obs.trace
-        ~t:(Engine.now t.engine)
-        (Obs.Tuple_drop { src; dst; kind; reason = "fault" })
-    end
-  end
+  if not (t.up.(src) && t.up.(dst)) then drop t ~src ~dst ~kind "down"
+  else if not (Float.equal t.loss 0.0 || Mortar_util.Rng.float t.rng 1.0 >= t.loss) then
+    drop t ~src ~dst ~kind "loss"
+  else if Faults.decide t.faults ~src ~dst then drop t ~src ~dst ~kind "fault"
   else begin
     let hops = max 1 (Topology.hops t.topo src dst) in
     Mortar_sim.Series.incr (series_of t ~kind) ~time:(Engine.now t.engine)

@@ -42,7 +42,6 @@ type event =
       age : float;
       prov : (int * int) list;
     }
-  | Mark of { name : string; detail : string }
 
 let default_buckets = [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0 |]
 
@@ -282,7 +281,6 @@ module Reg = struct
           field_f "age" age;
           Printf.sprintf "%s:%s" (json_string "prov") (prov_json prov);
         ] )
-    | Mark { name; detail } -> ("mark", [ field_s "name" name; field_s "detail" detail ])
 
   let event_line stamp ev =
     let name, fields = event_body ev in

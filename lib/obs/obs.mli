@@ -78,8 +78,6 @@ type event =
       age : float;
       prov : (int * int) list;
     }  (** A root result — the unit every figure is computed from. *)
-  | Mark of { name : string; detail : string }
-      (** Free-form annotation (experiment phase boundaries etc). *)
 
 module Reg : sig
   type t

@@ -316,10 +316,6 @@ let event_of_line line =
       let* age = num_field j "age" in
       let* prov = prov_field j in
       Ok (Obs.Result { query; slot; count; value; hops; hops_max; age; prov })
-    | "mark" ->
-      let* name = str_field j "name" in
-      let* detail = str_field j "detail" in
-      Ok (Obs.Mark { name; detail })
     | other -> Error ("unknown event " ^ other)
   in
   Ok (stamp, ev)

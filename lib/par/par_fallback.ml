@@ -26,9 +26,11 @@ module Pool = struct
 
   let size () = 1
 
+  (* Each item runs with the context naming it, cleared on every exit;
+     the first (lowest) item that raises ends the run. *)
   let run () ~n f =
     for i = 0 to n - 1 do
-      f i
+      Fun.protect ~finally:(fun () -> Ctx.set None) (fun () -> Ctx.set (Some i); f i)
     done
 
   let shutdown () = ()

@@ -30,7 +30,7 @@ let no_timer = Mortar_sim.Engine.no_handle
 type runtime = {
   send : src:int -> dst:int -> size:int -> kind:string -> msg -> unit;
   local_time : int -> float;
-  set_timer : int -> after:float -> (unit -> unit) -> timer;
+  set_timer : int -> after:float -> (int -> unit) -> timer;
 }
 
 (* Timer settings of §7.2.3, in seconds. *)
@@ -144,7 +144,7 @@ let push_up t query =
 let rec publish_tick t query =
   push_up t query;
   let a = attribute t query in
-  a.publish_timer <- t.rt.set_timer t.self ~after:publish_period (fun () -> publish_tick t query)
+  a.publish_timer <- t.rt.set_timer t.self ~after:publish_period (fun _ -> publish_tick t query)
 
 let set_local t ~query v =
   let a = attribute t query in
@@ -154,7 +154,7 @@ let set_local t ~query v =
     a.publish_timer <-
       t.rt.set_timer t.self
         ~after:(Rng.float t.rng publish_period)
-        (fun () -> publish_tick t query)
+        (fun _ -> publish_tick t query)
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance.                                                         *)
@@ -227,15 +227,15 @@ let bootstrap t ~members =
   t.members <- members;
   List.iter (learn t) members;
   let jitter period = Rng.float t.rng period in
-  let rec ping_loop () =
+  let rec ping_loop _ =
     ping_leaves t;
     ignore (t.rt.set_timer t.self ~after:ping_period ping_loop)
   in
-  let rec leaf_loop () =
+  let rec leaf_loop _ =
     leaf_repair t;
     ignore (t.rt.set_timer t.self ~after:leaf_maintenance leaf_loop)
   in
-  let rec route_loop () =
+  let rec route_loop _ =
     route_repair t;
     ignore (t.rt.set_timer t.self ~after:route_maintenance route_loop)
   in

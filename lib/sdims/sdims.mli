@@ -36,14 +36,15 @@ type msg =
   | Leafset_reply of { members : int list } (** Host indices. *)
 
 type timer = Mortar_sim.Engine.handle
-(** The engine's own handle for a scheduled callback, an immediate int;
+(** The engine's own handle for an armed timer, an immediate int;
     {!Mortar_sim.Engine.no_handle} stands for "none armed". *)
 
 type runtime = {
   send : src:int -> dst:int -> size:int -> kind:string -> msg -> unit;
   local_time : int -> float; (** A node's clock. *)
-  set_timer : int -> after:float -> (unit -> unit) -> timer;
-      (** [set_timer node ~after f]. *)
+  set_timer : int -> after:float -> (int -> unit) -> timer;
+      (** [set_timer node ~after f] runs [f node] after [after] seconds,
+          as {!Mortar_core.Peer.runtime}'s [set_timer] does. *)
 }
 (** The environment, shared by every node: each function takes the node's
     host id, as {!Mortar_core.Peer.runtime}'s do. *)

@@ -1,11 +1,11 @@
 module Obs = Mortar_obs.Obs
 
 (* Event storage. The heap ({!Event_heap}) holds only keys
-   [(time, seq, slot)]; each queued event's action sits once in a slab
-   indexed by slot: a thunk for [schedule]d events, or a function plus an
-   int argument for [post]ed ones (one preallocated function per caller,
-   so a post allocates nothing). A scheduled event keeps its [seq] in
-   [args]; free slots are chained through [args].
+   [(time, seq, slot)]; each queued event sits once in a slab indexed by
+   slot: its handler in [calls], the handler's int argument in [args]
+   and its sequence number in [seqs]. A caller passes one preallocated
+   handler and names its own state with the argument, so a post
+   allocates nothing. Free slots are chained through [args].
 
    A handle packs [seq lsl slot_bits lor slot]. Sequence numbers are
    never reused, so a handle whose event fired (or was cancelled and
@@ -14,10 +14,11 @@ module Obs = Mortar_obs.Obs
    stale handle could only match again after 2.7e11 more events on one
    engine.
 
-   Cancelling drops the action at once (the slot's thunk becomes [noop])
-   but leaves the key queued until it reaches the top, so [next_time],
-   and with it every epoch bound, does not depend on which events were
-   cancelled. [cancelled] counts such corpses so [pending] stays O(1). *)
+   Cancelling drops the handler at once (the slot's call becomes
+   [no_call]) but leaves the key queued until it reaches the top, so
+   [next_time], and with it every epoch bound, does not depend on which
+   events were cancelled. [cancelled] counts such corpses so [pending]
+   stays O(1). *)
 
 type handle = int
 
@@ -29,8 +30,6 @@ let seq_mask = max_int lsr slot_bits
 
 let no_handle = -1
 
-let noop () = ()
-
 let no_call (_ : int) = ()
 
 (* A float-only record is stored flat, so advancing the clock writes an
@@ -40,9 +39,9 @@ type clock = { mutable now : float }
 type t = {
   queue : Event_heap.t;
   clock : clock;
-  mutable thunks : (unit -> unit) array;
-  mutable calls : (int -> unit) array;
-  mutable args : int array; (* a post's argument, a schedule's seq; the next free slot while free *)
+  mutable calls : (int -> unit) array; (* [no_call] while free or cancelled *)
+  mutable args : int array; (* the handler's argument; the next free slot while free *)
+  mutable seqs : int array; (* the queued event's sequence number *)
   mutable free : int; (* head of the free-slot chain; -1 when empty *)
   mutable next_seq : int;
   mutable cancelled : int; (* cancelled events whose keys are still queued *)
@@ -53,9 +52,9 @@ let create () =
   {
     queue = Event_heap.create ();
     clock = { now = 0.0 };
-    thunks = [||];
     calls = [||];
     args = [||];
+    seqs = [||];
     free = -1;
     next_seq = 0;
     cancelled = 0;
@@ -75,69 +74,53 @@ let grow t =
     Array.blit a 0 b 0 cap;
     b
   in
-  t.thunks <- extend t.thunks noop;
   t.calls <- extend t.calls no_call;
   t.args <- extend t.args (-1);
+  t.seqs <- extend t.seqs 0;
   for s = ncap - 1 downto cap do
     t.args.(s) <- t.free;
     t.free <- s
   done
 
-let claim t thunk call arg =
+(* Claim a slot, store the event in it, and queue its key under the
+   next sequence number. Times in the past are clamped to now. Inlined
+   so [at] reaches the heap's float array without being boxed. *)
+let[@inline][@lint.hot] post t ~at f arg =
   if t.free < 0 then grow t;
   let slot = t.free in
   t.free <- t.args.(slot);
-  t.thunks.(slot) <- thunk;
-  t.calls.(slot) <- call;
+  t.calls.(slot) <- f;
   t.args.(slot) <- arg;
-  slot
-
-(* Queue [slot]'s key under the next sequence number, which it returns.
-   Times in the past are clamped to now. Inlined so [at] reaches the
-   heap's float array without being boxed. *)
-let[@inline] enqueue t ~at slot =
   let at = if at < t.clock.now then t.clock.now else at in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
+  t.seqs.(slot) <- seq;
   Event_heap.push t.queue at ~seq ~slot;
-  seq
-
-let[@inline] schedule_at t ~at f =
-  let slot = claim t f no_call 0 in
-  let seq = enqueue t ~at slot in
-  t.args.(slot) <- seq;
   ((seq land seq_mask) lsl slot_bits) lor slot
-
-let[@inline] schedule t ~after f =
-  let after = if after < 0.0 then 0.0 else after in
-  schedule_at t ~at:(t.clock.now +. after) f
-
-let[@inline][@lint.hot] post t ~at f arg = ignore (enqueue t ~at (claim t noop f arg))
 
 let cancel t h =
   let slot = h land slot_mask in
   if
     h >= 0
-    && slot < Array.length t.args
-    && t.thunks.(slot) != noop
-    && t.args.(slot) land seq_mask = h lsr slot_bits
+    && slot < Array.length t.calls
+    && t.calls.(slot) != no_call
+    && t.seqs.(slot) land seq_mask = h lsr slot_bits
   then begin
-    t.thunks.(slot) <- noop;
+    t.calls.(slot) <- no_call;
     t.cancelled <- t.cancelled + 1
   end
 
 (* Pop the earliest event, free its slot, and run it unless it was
-   cancelled; [true] when it fired. The slot is freed before the action
-   runs, so whatever the action schedules may reuse it. *)
+   cancelled; [true] when it fired. The slot is freed before the handler
+   runs, so whatever the handler posts may reuse it. *)
 let[@lint.hot] fire t =
   let time = Event_heap.top_time t.queue in
   let slot = Event_heap.pop t.queue in
-  let thunk = t.thunks.(slot) and call = t.calls.(slot) and arg = t.args.(slot) in
-  t.thunks.(slot) <- noop;
+  let call = t.calls.(slot) and arg = t.args.(slot) in
   t.calls.(slot) <- no_call;
   t.args.(slot) <- t.free;
   t.free <- slot;
-  if call == no_call && thunk == noop then begin
+  if call == no_call then begin
     t.cancelled <- t.cancelled - 1;
     false
   end
@@ -145,7 +128,7 @@ let[@lint.hot] fire t =
     t.clock.now <- time;
     t.fired <- t.fired + 1;
     if !Obs.enabled then Obs.incr "engine.events_fired";
-    if call == no_call then thunk () else call arg;
+    call arg;
     true
   end
 

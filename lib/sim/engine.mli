@@ -1,20 +1,22 @@
 (** Discrete-event simulation engine.
 
-    Virtual time is a float in seconds, starting at [0.]. Events scheduled
-    for the same instant fire in scheduling order (ties broken by a
+    Virtual time is a float in seconds, starting at [0.]. Events posted
+    for the same instant fire in posting order (ties broken by a
     monotonically increasing sequence number), which keeps runs
     deterministic. The engine underlies every experiment in the repository:
     it plays the role ModelNet + the ASyncCore event loop played in the
     paper's evaluation.
 
-    The engine knows nothing about nodes or networks; higher layers
+    Every event is one kind: a handler and its int argument, queued by
+    {!post} and cancellable through the {!handle} it returns. The engine
+    knows nothing about nodes or networks; higher layers
     ({!Mortar_net.Transport}, peers, failure schedules) are built from
-    [schedule] alone. *)
+    [post] alone. *)
 
 type t
 
 type handle [@@immediate]
-(** A cancellation token for a scheduled event: an int packing the
+(** A cancellation token for a queued event: an int packing the
     event's queue slot and sequence number, so it costs no allocation and
     goes stale once its event has left the queue. *)
 
@@ -27,24 +29,16 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time in seconds. *)
 
-val schedule : t -> after:float -> (unit -> unit) -> handle
-(** [schedule t ~after f] runs [f] at [now t +. after]. Negative delays are
-    clamped to zero. *)
-
-val schedule_at : t -> at:float -> (unit -> unit) -> handle
-(** [schedule_at t ~at f] runs [f] at absolute virtual time [at]; times in
-    the past are clamped to [now t]. *)
-
-val post : t -> at:float -> (int -> unit) -> int -> unit
-(** [post t ~at f arg] runs [f arg] at absolute time [at] (clamped to
-    [now t]), ordered with {!schedule}d events by the same
-    (time, scheduling order) rule. Allocation-free: the caller passes one
-    preallocated [f] and names its own state with [arg] (the transport
-    passes its in-flight message slot). Posted events cannot be
-    cancelled. *)
+val post : t -> at:float -> (int -> unit) -> int -> handle
+(** [post t ~at f arg] runs [f arg] at absolute virtual time [at]; times
+    in the past are clamped to [now t]. Allocation-free: the caller
+    passes one preallocated [f] and names its own state with [arg] (the
+    transport passes its in-flight message slot, a peer its host id).
+    The handle cancels the event; callers that never cancel ignore
+    it. *)
 
 val cancel : t -> handle -> unit
-(** [cancel t h] drops the event's action at once. Its queue entry stays
+(** [cancel t h] drops the event's handler at once. Its queue entry stays
     until it reaches the top, so {!next_time} still counts it. [h] must
     come from [t]. Cancelling a fired or cancelled event, or
     {!no_handle}, is a no-op. *)

@@ -120,7 +120,7 @@ let build_world ~hosts =
     {
       Sdims.send = Transport.send transport;
       local_time = (fun _ -> Engine.now engine);
-      set_timer = (fun _ ~after f -> Engine.schedule engine ~after f);
+      set_timer = (fun h ~after f -> Engine.post engine ~at:(Engine.now engine +. after) f h);
     }
   in
   let nodes = Array.init hosts (fun i -> Sdims.create rt ~self:i ~rng:(Rng.split rng)) in

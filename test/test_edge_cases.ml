@@ -153,11 +153,11 @@ let test_transport_full_loss () =
 
 let test_engine_schedule_at_past () =
   let e = Mortar_sim.Engine.create () in
-  ignore (Mortar_sim.Engine.schedule e ~after:5.0 (fun () -> ()));
+  ignore (Mortar_sim.Engine.post e ~at:5.0 ignore 0);
   Mortar_sim.Engine.run e;
   let fired_at = ref (-1.0) in
   ignore
-    (Mortar_sim.Engine.schedule_at e ~at:1.0 (fun () -> fired_at := Mortar_sim.Engine.now e));
+    (Mortar_sim.Engine.post e ~at:1.0 (fun _ -> fired_at := Mortar_sim.Engine.now e) 0);
   Mortar_sim.Engine.run e;
   Alcotest.(check (float 1e-9)) "clamped to now" 5.0 !fired_at
 

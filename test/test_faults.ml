@@ -21,7 +21,7 @@ let make_faults ?(hosts = 8) ?(seed = 5) () = Faults.create ~hosts ~rng:(Rng.cre
 (* Fault table unit tests. *)
 
 (* Run [f] with observability on and a fresh default registry, so the
-   global [faults.*] counters can be read back; restore on exit. *)
+   global counters can be read back; restore on exit. *)
 let with_obs f =
   let saved = !Obs.enabled in
   Fun.protect
@@ -36,14 +36,30 @@ let with_obs f =
 let test_cut_and_heal () =
   with_obs (fun () ->
       let f = make_faults () in
+      (* The transport counts the drops its fault table decides. *)
+      let e = Engine.create () in
+      let tr =
+        Transport.create e (Topology.star ~link_delay:0.005 ~hosts:8) ~faults:f
+          ~rng:(Rng.create 3) ()
+      in
+      let got = ref 0 in
+      Transport.register tr 1 (fun ~src:_ () -> incr got);
+      let send () =
+        Transport.send tr ~src:0 ~dst:1 ~size:1 ~kind:"data" ();
+        Engine.run e
+      in
       Alcotest.(check bool) "clean table passes" false (Faults.decide f ~src:0 ~dst:1);
       let id = Faults.isolate f [ 0 ] in
       Alcotest.(check bool) "cut drops" true (Faults.decide f ~src:0 ~dst:1);
       Alcotest.(check bool) "other pair unaffected" false
         (Faults.decide f ~src:2 ~dst:3);
+      send ();
       Faults.clear f id;
       Alcotest.(check bool) "healed" false (Faults.decide f ~src:0 ~dst:1);
-      Alcotest.(check int) "one cut drop counted" 1 (Dump.counters Obs.default "faults.cut_drops");
+      send ();
+      Alcotest.(check int) "only the healed send delivered" 1 !got;
+      Alcotest.(check int) "one cut drop counted" 1
+        (Dump.counters Obs.default "transport.dropped.fault");
       Faults.clear f id (* double-clear is a no-op *))
 
 let test_isolate () =
@@ -344,7 +360,7 @@ let test_ctl_budget_abandons () =
       Peer.send = Transport.send tr;
       local_time = (fun _ -> Engine.now e);
       latency = (fun _ _ -> 0.005);
-      set_timer = (fun _ ~after fn -> Engine.schedule e ~after fn);
+      set_timer = (fun h ~after fn -> Engine.post e ~at:(Engine.now e +. after) fn h);
       cancel_timer = Engine.cancel e;
       compile = Mortar_core.Op.compile;
     }

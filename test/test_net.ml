@@ -166,7 +166,7 @@ let test_transport_in_flight_loss_on_failure () =
   Transport.register transport 1 (fun ~src:_ _ -> incr got);
   Transport.send transport ~src:0 ~dst:1 ~size:10 ~kind:"data" "x";
   (* The destination goes down before the message lands. *)
-  ignore (Engine.schedule engine ~after:0.0001 (fun () -> Transport.set_up transport 1 false));
+  ignore (Engine.post engine ~at:0.0001 (fun h -> Transport.set_up transport h false) 1);
   Engine.run engine;
   Alcotest.(check int) "in-flight message lost" 0 !got
 

@@ -50,14 +50,14 @@ let test_gating () =
       Obs.enabled := false;
       Obs.incr "gated";
       Obs.observe "gated_h" 1.0;
-      Obs.trace ~t:0.0 (Obs.Mark { name = "m"; detail = "" });
+      Obs.trace ~t:0.0 (Obs.Node_down { node = 0 });
       Alcotest.(check int) "disabled incr is a no-op" 0 (Dump.counters Obs.default "gated");
       Alcotest.(check bool) "disabled observe is a no-op" true
         (Dump.histogram Obs.default "gated_h" = None);
       Alcotest.(check int) "disabled trace is a no-op" 0 (List.length (Dump.events Obs.default));
       Obs.enabled := true;
       Obs.incr "gated";
-      Obs.trace ~t:2.5 (Obs.Mark { name = "m"; detail = "" });
+      Obs.trace ~t:2.5 (Obs.Node_down { node = 0 });
       Alcotest.(check int) "enabled incr records" 1 (Dump.counters Obs.default "gated");
       Alcotest.(check int) "enabled trace records" 1 (List.length (Dump.events Obs.default)))
 
@@ -116,9 +116,8 @@ let event_ordinal : Obs.event -> int = function
   | Obs.Fault_start _ -> 12
   | Obs.Fault_stop _ -> 13
   | Obs.Result _ -> 14
-  | Obs.Mark _ -> 15
 
-let event_constructors = 16
+let event_constructors = 15
 
 let test_trace_roundtrip () =
   let r = Obs.Reg.create () in
@@ -145,7 +144,7 @@ let test_trace_roundtrip () =
       (1.5, Obs.Node_down { node = 11 });
       (1.75, Obs.Node_up { node = 11 });
       (1.875, Obs.Crash { node = 11 });
-      (1.9, Obs.Fault_start { fault = "partition_stub:3" });
+      (1.9, Obs.Fault_start { fault = "phase fail \"half\"" });
       (1.95, Obs.Fault_stop { fault = "partition_stub:3" });
       ( 2.0,
         Obs.Result
@@ -159,7 +158,6 @@ let test_trace_roundtrip () =
             age = 0.75;
             prov = [ (2, 20); (3, 4) ];
           } );
-      (3.0, Obs.Mark { name = "phase"; detail = "fail \"half\"" });
     ]
   in
   Alcotest.(check (list int)) "one sample per constructor"
@@ -200,7 +198,7 @@ let dump_lines =
                age = 0.75;
                prov = [ (2, 20); (3, 4) ];
              } );
-         (3.0, Obs.Mark { name = "phase"; detail = "tab\tand \\u" });
+         (3.0, Obs.Fault_start { fault = "tab\tand \\u" });
        ];
      Array.of_list (Obs.Reg.metrics_lines Obs.default @ Obs.Reg.trace_lines Obs.default))
 

@@ -119,7 +119,7 @@ let test_run_before_strict () =
   let e = Engine.create () in
   let fired = ref [] in
   List.iter
-    (fun t -> ignore (Engine.schedule e ~after:t (fun () -> fired := t :: !fired)))
+    (fun t -> ignore (Engine.post e ~at:t (fun _ -> fired := t :: !fired) 0))
     [ 1.0; 2.0; 3.0 ];
   Engine.run_before e 2.0;
   Alcotest.(check (list (float 0.0))) "only below the bound" [ 1.0 ] (List.rev !fired);
@@ -438,6 +438,38 @@ let test_coexisting ~stubs_a ~stubs_b () =
   Alcotest.(check (list string)) "A's trace lines" alone_trace trace;
   Alcotest.(check bool) "A's shards delivered and traced" true (delivered > 0 && trace <> [])
 
+(* A slice that raises: whichever domain runs the shard, the pool
+   catches the exception, still reaches its barrier and re-raises it on
+   the caller, the lowest shard's first, with the shard context
+   cleared. Sensors attached by a control event at 3 s first read at
+   exactly 3 s (a phase below 1e-300 rounds away), so every shard in
+   [raising] raises in the same epoch. *)
+let raising_run ~domains raising =
+  let hosts = 200 in
+  let topo = Topology.transit_stub (Rng.create 7) ~hosts ~transits:2 ~stubs:8 () in
+  let d = D.create_sharded ~seed:7 ~domains topo in
+  D.at d 3.0 (fun () ->
+      for i = 0 to hosts - 1 do
+        let s = Topology.stub_of topo i in
+        D.sensor d ~node:i ~stream:"x" ~period:1e-300 (fun _ ->
+            if List.mem s raising then failwith (Printf.sprintf "shard %d" s);
+            Mortar_core.Value.Int 1)
+      done);
+  match D.run_until d 5.0 with () -> "no exception" | exception Failure msg -> msg
+
+let test_raising_slice () =
+  let check ~domains raising expected =
+    for _ = 1 to 5 do
+      Alcotest.(check string) "lowest raising shard surfaces" expected
+        (raising_run ~domains raising);
+      Alcotest.(check (option int)) "shard context cleared" None (Mortar_par.Par.Ctx.get ())
+    done
+  in
+  check ~domains:2 (List.init 8 Fun.id) "shard 0";
+  check ~domains:2 [ 5; 2 ] "shard 2";
+  check ~domains:2 [ 6 ] "shard 6";
+  check ~domains:1 [ 5; 2 ] "shard 2"
+
 let tests =
   [
     Alcotest.test_case "stamped canonical order" `Quick test_stamped_order;
@@ -461,4 +493,5 @@ let tests =
       (test_coexisting ~stubs_a:8 ~stubs_b:2);
     Alcotest.test_case "run A beside B: 4 stubs each" `Quick
       (test_coexisting ~stubs_a:4 ~stubs_b:4);
+    Alcotest.test_case "raising slice surfaces on the caller" `Quick test_raising_slice;
   ]

@@ -374,7 +374,7 @@ let lone_peer () =
       Peer.send = (fun ~src:_ ~dst:_ ~size:_ ~kind:_ _ -> ());
       local_time = (fun _ -> Engine.now e);
       latency = (fun _ _ -> 0.01);
-      set_timer = (fun _ ~after f -> Engine.schedule e ~after f);
+      set_timer = (fun h ~after f -> Engine.post e ~at:(Engine.now e +. after) f h);
       cancel_timer = Engine.cancel e;
       compile = Op.compile;
     }

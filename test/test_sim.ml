@@ -6,12 +6,15 @@ module Series = Mortar_sim.Series
 
 let check_float = Alcotest.(check (float 1e-9))
 
+(* Queue [f] to run [after] seconds from now. *)
+let after e d f = Engine.post e ~at:(Engine.now e +. d) (fun _ -> f ()) 0
+
 let test_engine_ordering () =
   let e = Engine.create () in
   let log = ref [] in
-  ignore (Engine.schedule e ~after:2.0 (fun () -> log := 2 :: !log));
-  ignore (Engine.schedule e ~after:1.0 (fun () -> log := 1 :: !log));
-  ignore (Engine.schedule e ~after:3.0 (fun () -> log := 3 :: !log));
+  ignore (after e 2.0 (fun () -> log := 2 :: !log));
+  ignore (after e 1.0 (fun () -> log := 1 :: !log));
+  ignore (after e 3.0 (fun () -> log := 3 :: !log));
   Engine.run e;
   Alcotest.(check (list int)) "time order" [ 1; 2; 3 ] (List.rev !log)
 
@@ -19,7 +22,7 @@ let test_engine_tie_break_fifo () =
   let e = Engine.create () in
   let log = ref [] in
   for i = 1 to 5 do
-    ignore (Engine.schedule e ~after:1.0 (fun () -> log := i :: !log))
+    ignore (after e 1.0 (fun () -> log := i :: !log))
   done;
   Engine.run e;
   Alcotest.(check (list int)) "fifo at same instant" [ 1; 2; 3; 4; 5 ] (List.rev !log)
@@ -27,14 +30,14 @@ let test_engine_tie_break_fifo () =
 let test_engine_clock_advances () =
   let e = Engine.create () in
   let seen = ref 0.0 in
-  ignore (Engine.schedule e ~after:5.5 (fun () -> seen := Engine.now e));
+  ignore (after e 5.5 (fun () -> seen := Engine.now e));
   Engine.run e;
   check_float "time at event" 5.5 !seen
 
 let test_engine_cancel () =
   let e = Engine.create () in
   let fired = ref false in
-  let h = Engine.schedule e ~after:1.0 (fun () -> fired := true) in
+  let h = after e 1.0 (fun () -> fired := true) in
   Engine.cancel e h;
   Alcotest.(check int) "no longer pending" 0 (Engine.pending e);
   Engine.run e;
@@ -42,7 +45,7 @@ let test_engine_cancel () =
   (* The handle is stale once its event left the queue: cancelling it
      again must not hit the event that now reuses its slot. *)
   let later = ref false in
-  ignore (Engine.schedule e ~after:1.0 (fun () -> later := true));
+  ignore (after e 1.0 (fun () -> later := true));
   Engine.cancel e h;
   Engine.cancel e Engine.no_handle;
   Alcotest.(check int) "stale cancel is a no-op" 1 (Engine.pending e);
@@ -53,7 +56,7 @@ let test_engine_run_until () =
   let e = Engine.create () in
   let count = ref 0 in
   for i = 1 to 10 do
-    ignore (Engine.schedule e ~after:(float_of_int i) (fun () -> incr count))
+    ignore (after e (float_of_int i) (fun () -> incr count))
   done;
   Engine.run ~until:5.0 e;
   Alcotest.(check int) "five fired" 5 !count;
@@ -65,23 +68,23 @@ let test_engine_nested_schedule () =
   let e = Engine.create () in
   let times = ref [] in
   ignore
-    (Engine.schedule e ~after:1.0 (fun () ->
+    (after e 1.0 (fun () ->
          times := Engine.now e :: !times;
-         ignore (Engine.schedule e ~after:1.0 (fun () -> times := Engine.now e :: !times))));
+         ignore (after e 1.0 (fun () -> times := Engine.now e :: !times))));
   Engine.run e;
   Alcotest.(check (list (float 1e-9))) "nested" [ 1.0; 2.0 ] (List.rev !times)
 
 let test_engine_negative_delay_clamped () =
   let e = Engine.create () in
   let fired = ref false in
-  ignore (Engine.schedule e ~after:(-5.0) (fun () -> fired := true));
+  ignore (after e (-5.0) (fun () -> fired := true));
   Engine.run e;
   Alcotest.(check bool) "fires" true !fired;
   check_float "clock not negative" 0.0 (Engine.now e)
 
 let test_engine_pending_counts_cancellations () =
   let e = Engine.create () in
-  let handles = Array.init 10 (fun i -> Engine.schedule e ~after:(float_of_int (i + 1)) ignore) in
+  let handles = Array.init 10 (fun i -> Engine.post e ~at:(float_of_int (i + 1)) ignore i) in
   Alcotest.(check int) "all queued" 10 (Engine.pending e);
   Engine.cancel e handles.(3);
   Engine.cancel e handles.(7);
@@ -99,10 +102,10 @@ let test_engine_pending_counts_cancellations () =
    (time, seq) order, drops cancelled entries without touching the clock,
    and clamps past times to now, as the engine's contract says. Cancels
    name any handle ever issued, so they cover live, stale (fired or
-   popped), double and sentinel cancels. *)
+   popped), double and sentinel cancels. Every event is posted with one
+   shared handler and its id as the argument. *)
 type op =
-  | Sched of int (* delay in quarter seconds; negative clamps to now *)
-  | Post of int
+  | Post of int (* delay in quarter seconds; negative clamps to now *)
   | Cancel of int (* index into the handles issued so far; -1 = no_handle *)
   | Run_until of int
   | Run_before of int
@@ -110,7 +113,6 @@ type op =
   | Run_all
 
 let show_op = function
-  | Sched d -> Printf.sprintf "Sched %d" d
   | Post d -> Printf.sprintf "Post %d" d
   | Cancel i -> Printf.sprintf "Cancel %d" i
   | Run_until t -> Printf.sprintf "Run_until %d" t
@@ -162,8 +164,7 @@ let prop_engine_model =
     QCheck.Gen.(
       frequency
         [
-          (6, map (fun d -> Sched d) (int_range (-2) 12));
-          (3, map (fun d -> Post d) (int_range (-2) 12));
+          (9, map (fun d -> Post d) (int_range (-2) 12));
           (4, map (fun i -> Cancel i) (int_range (-1) 30));
           (2, map (fun t -> Run_until t) (int_bound 40));
           (2, map (fun t -> Run_before t) (int_bound 40));
@@ -182,20 +183,13 @@ let prop_engine_model =
       let on_post id = log := id :: !log in
       let quarter d = float_of_int d /. 4.0 in
       let apply = function
-        | Sched d ->
-          let id = !next_id in
-          incr next_id;
-          let h = Engine.schedule e ~after:(quarter d) (fun () -> log := id :: !log) in
-          let after = Float.max 0.0 (quarter d) in
-          let live = model_add m (m.m_now +. after) id in
-          handles := Array.append !handles [| h |];
-          lives := Array.append !lives [| live |];
-          true
         | Post d ->
           let id = !next_id in
           incr next_id;
-          Engine.post e ~at:(Engine.now e +. quarter d) on_post id;
-          ignore (model_add m (m.m_now +. quarter d) id);
+          let h = Engine.post e ~at:(Engine.now e +. quarter d) on_post id in
+          let live = model_add m (m.m_now +. quarter d) id in
+          handles := Array.append !handles [| h |];
+          lives := Array.append !lives [| live |];
           true
         | Cancel i ->
           if i < 0 then Engine.cancel e Engine.no_handle
