@@ -50,28 +50,31 @@ type node_view = {
 
 let heights ts = Array.init (Treeset.degree ts) (fun i -> Tree.height (Treeset.tree ts i))
 
+(* One lookup: every tree of the set numbers its members alike. *)
 let view_of_treeset ?(repair_meta = false) ?heights:hs ts node =
-  let d = Treeset.degree ts in
+  let trees = Treeset.trees ts in
+  let i = Tree.position trees.(0) node in
+  let per_tree f = Array.map f trees in
+  (* A position's parent position; -1 above the root. *)
+  let up tr i = if i < 0 then -1 else Tree.parent_position tr i in
+  let node_at tr i = if i < 0 then None else Some (Tree.node_at tr i) in
   {
-    parents =
-      Array.init d (fun i ->
-          match Treeset.parent ts ~tree:i node with Some p -> p | None -> no_parent);
-    children = Array.init d (fun i -> Treeset.children ts ~tree:i node);
-    levels = Array.init d (fun i -> Treeset.level ts ~tree:i node);
+    parents = per_tree (fun tr -> Option.value (node_at tr (up tr i)) ~default:no_parent);
+    children = per_tree (fun tr -> Tree.children_at tr i);
+    levels = per_tree (fun tr -> Tree.level_at tr i);
     heights = (match hs with Some h -> h | None -> heights ts);
-    grands =
-      (if repair_meta then Array.init d (fun i -> Treeset.grandparent ts ~tree:i node)
-       else [||]);
+    grands = (if repair_meta then per_tree (fun tr -> node_at tr (up tr (up tr i))) else [||]);
     sibs =
-      (if repair_meta then Array.init d (fun i -> Treeset.siblings ts ~tree:i node)
+      (if repair_meta then
+         per_tree (fun tr ->
+             let p = up tr i in
+             if p < 0 then [] else List.filter (( <> ) node) (Tree.children_at tr p))
        else [||]);
   }
 
 let neighbors view =
-  let seen = Hashtbl.create 16 in
-  Array.iter (fun p -> if p <> no_parent then Hashtbl.replace seen p ()) view.parents;
-  Array.iter (List.iter (fun c -> Hashtbl.replace seen c ())) view.children;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
+  let parents = List.filter (fun p -> p <> no_parent) (Array.to_list view.parents) in
+  List.sort_uniq compare (parents @ List.concat (Array.to_list view.children))
 
 type chunk = {
   entry : int;
@@ -97,20 +100,22 @@ let chunk_plan ?repair_meta ts ~chunks =
   let heights = heights ts in
   let n = Array.length ordered in
   let per = max 1 ((n + chunks - 1) / chunks) in
+  (* Each member's chunk, by position in the primary. *)
+  let chunk_of = Array.make n 0 in
+  Array.iteri (fun k m -> chunk_of.(Tree.position primary m) <- k / per) ordered;
   let make_chunk start =
     let stop = min n (start + per) in
     let members_arr = Array.sub ordered start (stop - start) in
-    let in_chunk = Hashtbl.create (Array.length members_arr) in
-    Array.iter (fun m -> Hashtbl.replace in_chunk m ()) members_arr;
     let entry = members_arr.(0) in
     let edges =
       Array.to_list members_arr
       |> List.filter_map (fun m ->
              if m = entry then None
              else begin
-               match Tree.parent primary m with
-               | Some p when Hashtbl.mem in_chunk p -> Some (m, p)
-               | _ -> Some (m, entry) (* orphan within the chunk: hang off the entry *)
+               let i = Tree.position primary m in
+               let p = Tree.parent_position primary i in
+               if p >= 0 && chunk_of.(p) = chunk_of.(i) then Some (m, Tree.node_at primary p)
+               else Some (m, entry) (* orphan within the chunk: hang off the entry *)
              end)
     in
     let members =

@@ -79,6 +79,13 @@ let run ~quick =
   let probes = List.of_seq (Queue.to_seq w.probe_log) in
   let bucket = 20.0 in
   let live = List.length (List.filter (Transport.is_up w.transport) (List.init hosts Fun.id)) in
+  (* Mean answered count over the hosts; "-" where no probe was answered,
+     as the live column prints before the last bucket. *)
+  let completeness_cell = function
+    | [] -> "-"
+    | answered ->
+      Common.cell_pct (Mortar_util.Stats.mean (Array.of_list answered) /. float_of_int hosts)
+  in
   Common.table ~columns:[ "t"; "completeness"; "live"; "load(Mbps)" ] (fun () ->
       List.filter_map
         (fun k ->
@@ -87,12 +94,6 @@ let run ~quick =
           else begin
             let window_probes =
               List.filter (fun (t, _) -> t >= t0 && t < t1) probes |> List.map snd
-            in
-            let completeness =
-              match window_probes with
-              | [] -> nan
-              | _ ->
-                Mortar_util.Stats.mean (Array.of_list window_probes) /. float_of_int hosts
             in
             let bytes =
               List.fold_left
@@ -106,7 +107,7 @@ let run ~quick =
             Some
               [
                 Printf.sprintf "%.0f" t0;
-                Common.cell_pct completeness;
+                completeness_cell window_probes;
                 (if t1 >= horizon then string_of_int live else "-");
                 Common.cell_f (bytes *. 8.0 /. bucket /. 1e6);
               ]
@@ -122,15 +123,10 @@ let run ~quick =
       0.0
       (Transport.kinds w.transport)
   in
-  let late_over =
-    let late = List.filter (fun (t, _) -> t > horizon -. 100.0) probes |> List.map snd in
-    match late with
-    | [] -> nan
-    | _ -> Mortar_util.Stats.mean (Array.of_list late) /. float_of_int hosts
-  in
+  let late = List.filter (fun (t, _) -> t > horizon -. 100.0) probes |> List.map snd in
   Printf.printf "\nsteady-state load before failures: %.2f Mbps; completeness at end of run: %s\n"
     (steady_bytes *. 8.0 /. 70.0 /. 1e6)
-    (Common.cell_pct late_over)
+    (completeness_cell late)
 
 let experiment =
   {

@@ -17,114 +17,91 @@ let degree_of = function
   | Single_tree -> 1
   | Static_striping d | Mirroring d | Dynamic_striping d -> d
 
-(* For each tree, the set of live (child, parent) links after failures. *)
-let fail_links rng tree ~link_failure =
-  List.filter (fun _ -> Rng.float rng 1.0 >= link_failure) (Tree.edges tree)
+(* Trees over one node set share positions (see {!Tree.position}), so
+   every per-node table below is an array indexed by position. *)
 
-(* Nodes that can reach the root within a single tree over live links:
-   propagate reachability down from the root over live edges. *)
-let reachable_single tree live_edges ~dead =
-  let live = Hashtbl.create 256 in
-  List.iter (fun (c, p) -> Hashtbl.replace live c p) live_edges;
-  let root = Tree.root tree in
-  let memo = Hashtbl.create 256 in
-  let rec ok n =
-    if n = root then not (Hashtbl.mem dead n)
-    else
-      match Hashtbl.find_opt memo n with
-      | Some r -> r
-      | None ->
-        let r =
-          (not (Hashtbl.mem dead n))
-          &&
-          match Hashtbl.find_opt live n with
-          | None -> false
-          | Some p -> ok p
-        in
-        Hashtbl.replace memo n r;
-        r
+(* Whether each member's link to its parent survives: one draw per
+   non-root member, in ascending id order. *)
+let fail_links rng tree ~link_failure =
+  let root = Tree.position tree (Tree.root tree) in
+  Array.init (Tree.size tree) (fun i -> i <> root && Rng.float rng 1.0 >= link_failure)
+
+(* Whether a member's path to the root in one tree is fully live. *)
+let reachable_single tree live =
+  let memo = Array.make (Tree.size tree) 0 (* 0 unknown, 1 reaches, 2 cut *) in
+  let rec ok i =
+    if memo.(i) = 0 then begin
+      let p = Tree.parent_position tree i in
+      memo.(i) <- (if p < 0 || (live.(i) && ok p) then 1 else 2)
+    end;
+    memo.(i) = 1
   in
   ok
 
-(* Union reachability: undirected BFS from the root over live links of all
-   trees, skipping dead nodes — the "walk the in-memory graph" of §2.1. *)
-let reachable_union trees live_edge_sets ~dead =
-  let adj = Hashtbl.create 1024 in
-  let add a b = Hashtbl.replace adj a (b :: Option.value (Hashtbl.find_opt adj a) ~default:[]) in
-  List.iter (fun edges -> List.iter (fun (c, p) -> add c p; add p c) edges) live_edge_sets;
-  let root = Tree.root trees.(0) in
-  let seen = Hashtbl.create 1024 in
-  if not (Hashtbl.mem dead root) then begin
-    let queue = Queue.create () in
-    Hashtbl.replace seen root ();
-    Queue.add root queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      List.iter
-        (fun v ->
-          if (not (Hashtbl.mem seen v)) && not (Hashtbl.mem dead v) then begin
-            Hashtbl.replace seen v ();
-            Queue.add v queue
-          end)
-        (Option.value (Hashtbl.find_opt adj u) ~default:[])
-    done
-  end;
-  fun n -> Hashtbl.mem seen n
+(* Union reachability: whether a member reaches the root over the live
+   links of all trees, skipping dead members — the "walk the in-memory
+   graph" of §2.1, as a union-find over positions. *)
+let reachable_union trees lives ~dead =
+  let uf = Array.init (Tree.size trees.(0)) Fun.id in
+  let rec find i =
+    let p = uf.(i) in
+    if p = i then i
+    else begin
+      let r = find p in
+      uf.(i) <- r;
+      r
+    end
+  in
+  Array.iteri
+    (fun k tree ->
+      Array.iteri
+        (fun i live ->
+          let p = Tree.parent_position tree i in
+          if live && p >= 0 && (not (dead i)) && not (dead p) then uf.(find i) <- find p)
+        lives.(k))
+    trees;
+  let root = Tree.position trees.(0) (Tree.root trees.(0)) in
+  fun i -> (not (dead root)) && find i = find root
 
-let measure rng ~trees ~dead ~link_failure scheme =
+let completeness rng ~trees ~link_failure scheme =
   let d = degree_of scheme in
   assert (d <= Array.length trees);
   let used = Array.sub trees 0 d in
-  let live_edge_sets =
-    Array.to_list (Array.map (fun t -> fail_links rng t ~link_failure) used)
-  in
-  let root = Tree.root used.(0) in
-  let population =
-    Array.to_list (Tree.nodes used.(0))
-    |> List.filter (fun n -> n <> root && not (Hashtbl.mem dead n))
-  in
-  if population = [] then 1.0
+  let lives = Array.map (fun t -> fail_links rng t ~link_failure) used in
+  let n = Tree.size used.(0) in
+  if n = 1 then 1.0
   else begin
-    let per_tree_ok =
-      List.map2
-        (fun tree edges -> reachable_single tree edges ~dead)
-        (Array.to_list used) live_edge_sets
-    in
-    let contribution n =
-      match scheme with
-      | Single_tree -> if (List.hd per_tree_ok) n then 1.0 else 0.0
-      | Static_striping _ ->
-        let live = List.length (List.filter (fun ok -> ok n) per_tree_ok) in
-        float_of_int live /. float_of_int d
-      | Mirroring _ -> if List.exists (fun ok -> ok n) per_tree_ok then 1.0 else 0.0
-      | Dynamic_striping _ ->
-        let ok = reachable_union used live_edge_sets ~dead in
-        if ok n then 1.0 else 0.0
-    in
-    (* Dynamic striping recomputes union reachability per node if done
-       naively; hoist it. *)
+    let count oks i = Array.fold_left (fun acc ok -> if ok i then acc + 1 else acc) 0 oks in
     let contribution =
       match scheme with
+      | Single_tree ->
+        let ok = reachable_single used.(0) lives.(0) in
+        fun i -> if ok i then 1.0 else 0.0
+      | Static_striping _ ->
+        let oks = Array.map2 reachable_single used lives in
+        fun i -> float_of_int (count oks i) /. float_of_int d
+      | Mirroring _ ->
+        let oks = Array.map2 reachable_single used lives in
+        fun i -> if count oks i > 0 then 1.0 else 0.0
       | Dynamic_striping _ ->
-        let ok = reachable_union used live_edge_sets ~dead in
-        fun n -> if ok n then 1.0 else 0.0
-      | _ -> contribution
+        let ok = reachable_union used lives ~dead:(fun _ -> false) in
+        fun i -> if ok i then 1.0 else 0.0
     in
-    let total = List.fold_left (fun acc n -> acc +. contribution n) 0.0 population in
-    total /. float_of_int (List.length population)
+    let root = Tree.position used.(0) (Tree.root used.(0)) in
+    let total = ref 0.0 in
+    for i = 0 to n - 1 do
+      if i <> root then total := !total +. contribution i
+    done;
+    !total /. float_of_int (n - 1)
   end
 
-let completeness rng ~trees ~link_failure scheme =
-  measure rng ~trees ~dead:(Hashtbl.create 1) ~link_failure scheme
-
 let union_reachable trees ~dead =
-  let dead_tbl = Hashtbl.create 64 in
-  Array.iter
-    (fun n -> if dead n then Hashtbl.replace dead_tbl n ())
-    (Tree.nodes trees.(0));
-  let edge_sets = Array.to_list (Array.map Tree.edges trees) in
-  let ok = reachable_union trees edge_sets ~dead:dead_tbl in
-  Array.to_list (Tree.nodes trees.(0)) |> List.filter ok
+  let t0 = trees.(0) in
+  let n = Tree.size t0 in
+  let dead_at = Array.init n (fun i -> dead (Tree.node_at t0 i)) in
+  let all_live = Array.make (Array.length trees) (Array.make n true) in
+  let ok = reachable_union trees all_live ~dead:(Array.get dead_at) in
+  Array.to_list (Tree.nodes t0) |> List.filter (fun m -> ok (Tree.position t0 m))
 
 let run_trials ~seed ~n ~bf ~trials ~link_failure scheme =
   let rng = Rng.create seed in

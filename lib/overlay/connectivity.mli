@@ -37,13 +37,15 @@ val completeness :
 (** One trial: fail each overlay link independently with probability
     [link_failure] (independently per tree — distinct physical paths), and
     return completeness in [\[0, 1\]] over non-root nodes. The scheme uses
-    the first [D] trees of [trees]. *)
+    the first [D] trees of [trees], which must span one node set (as a
+    {!Treeset} does). *)
 
 val union_reachable : Tree.t array -> dead:(int -> bool) -> int list
 (** Live nodes that can reach the root in the union graph of the trees'
     edges restricted to live nodes — the upper bound ("optimal") on what
     dynamic striping can deliver, used by experiments to normalise
-    measured completeness. *)
+    measured completeness. Root first, then ascending; the trees must span
+    one node set. *)
 
 val run_trials :
   seed:int ->

@@ -1,44 +1,32 @@
 module Rng = Mortar_util.Rng
 
-(* Positions are identified by the primary tree's node at that position;
-   [label] maps position -> node currently occupying it. Rotations swap
-   labels, leaving the shape untouched, so the final tree is read off by
-   relabelling the primary's edges. *)
+(* [label] maps a position of the primary to the node currently
+   occupying it. Rotations swap labels, leaving the shape untouched, so
+   the final tree is read off by relabelling the primary's edges. *)
 let derive rng primary =
-  let label = Hashtbl.create (Tree.size primary) in
-  let label_of p = Option.value (Hashtbl.find_opt label p) ~default:p in
-  let set_label p l = Hashtbl.replace label p l in
+  let label = Array.init (Tree.size primary) (Tree.node_at primary) in
   let rotate position =
-    match Tree.children primary position with
+    match Tree.children_at primary position with
     | [] -> ()
     | cs ->
-      let child = List.nth cs (Rng.int rng (List.length cs)) in
-      let lp = label_of position and lc = label_of child in
-      set_label position lc;
-      set_label child lp
+      let child = Tree.position primary (List.nth cs (Rng.int rng (List.length cs))) in
+      let lp = label.(position) in
+      label.(position) <- label.(child);
+      label.(child) <- lp
   in
-  List.iter
-    (fun p -> if not (Tree.is_leaf primary p) then rotate p)
-    (Tree.post_order primary);
+  List.iter (fun n -> rotate (Tree.position primary n)) (Tree.post_order primary);
   (* Rotating the root subtree may move another node into the root
      position, but every tree in the set must deliver to the same root
      operator — so pin the original root's label back, exchanging it with
      whatever landed there. *)
   let original_root = Tree.root primary in
-  let displaced = label_of original_root in
-  let edges =
-    List.map
-      (fun (c, p) ->
-        let relabel n =
-          let l = label_of n in
-          if l = displaced then original_root
-          else if l = original_root then displaced
-          else l
-        in
-        (relabel c, relabel p))
-      (Tree.edges primary)
+  let displaced = label.(Tree.position primary original_root) in
+  let relabel n =
+    let l = label.(Tree.position primary n) in
+    if l = displaced then original_root else if l = original_root then displaced else l
   in
-  Tree.of_parents ~root:original_root edges
+  Tree.of_parents ~root:original_root
+    (List.map (fun (c, p) -> (relabel c, relabel p)) (Tree.edges primary))
 
 let derive_many rng primary ~n = List.init n (fun _ -> derive rng primary)
 
@@ -69,13 +57,10 @@ let derive_many_cluster_shuffle rng ~bf primary ~n =
 
 let interior_overlap a b =
   let ia = Tree.internal_nodes a in
-  let ib = Tree.internal_nodes b in
   match ia with
   | [] -> 1.0
   | _ ->
-    let set_b = Hashtbl.create (List.length ib) in
-    List.iter (fun n -> Hashtbl.replace set_b n ()) ib;
-    let common = List.length (List.filter (Hashtbl.mem set_b) ia) in
+    let common = List.length (List.filter (fun n -> Tree.mem b n && not (Tree.is_leaf b n)) ia) in
     float_of_int common /. float_of_int (List.length ia)
 
 (* Repair donor ordering (self-healing). The candidate list is canonical —

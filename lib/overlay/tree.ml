@@ -1,40 +1,56 @@
 type node = int
 
+(* One sorted array of member ids; every other array is indexed by a
+   member's position in it. A position is therefore the member's rank
+   among the tree's ids, so trees over one node set number their members
+   alike, and walking positions in order walks the ids ascending. *)
 type t = {
   root : node;
-  parent : (node, node) Hashtbl.t; (* no binding for root *)
-  children : (node, node list) Hashtbl.t;
-  level : (node, int) Hashtbl.t;
+  members : node array; (* ascending *)
+  parent : int array; (* the parent's position; -1 at the root *)
+  children : node list array; (* ascending ids *)
+  level : int array;
   height : int; (* max level, fixed at construction *)
 }
 
+(* Binary search; -1 for non-members. *)
+let find (members : node array) n =
+  let lo = ref 0 and hi = ref (Array.length members) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if members.(mid) < n then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length members && members.(!lo) = n then !lo else -1
+
+let position t n =
+  let i = find t.members n in
+  if i < 0 then raise Not_found else i
+
+let node_at t i = t.members.(i)
+
+let parent_position t i = t.parent.(i)
+
+let children_at t i = t.children.(i)
+
+let level_at t i = t.level.(i)
+
 let root t = t.root
 
-let mem t n = n = t.root || Hashtbl.mem t.parent n
+let mem t n = find t.members n >= 0
 
 let parent t n =
-  match Hashtbl.find_opt t.parent n with
-  | Some p -> Some p
-  | None -> if n = t.root then None else raise Not_found
+  let p = t.parent.(position t n) in
+  if p < 0 then None else Some t.members.(p)
 
-let children t n =
-  if not (mem t n) then raise Not_found
-  else Option.value (Hashtbl.find_opt t.children n) ~default:[]
+let children t n = t.children.(position t n)
 
-let level t n =
-  match Hashtbl.find_opt t.level n with
-  | Some l -> l
-  | None -> raise Not_found
-
-(* Root first, then the remaining nodes in ascending order — never in
-   hash order (lint D3). *)
+(* Root first, then the remaining members in ascending order. *)
 let nodes t =
-  let rest =
-    Hashtbl.fold (fun child _ acc -> child :: acc) t.parent [] |> List.sort compare
-  in
-  Array.of_list (t.root :: rest)
+  let r = find t.members t.root in
+  Array.init (Array.length t.members) (fun i ->
+      if i = 0 then t.root else t.members.(if i <= r then i - 1 else i))
 
-let size t = 1 + Hashtbl.length t.parent
+let size t = Array.length t.members
 
 (* Precomputed at construction: [view_of_treeset] reads the height for
    every member during installs, and an O(n) fold here made chunk
@@ -46,50 +62,60 @@ let is_leaf t n = children t n = []
 let internal_nodes t =
   Array.to_list (nodes t) |> List.filter (fun n -> not (is_leaf t n))
 
-(* Compute levels via BFS from the root; also detects disconnection. *)
-let compute_levels ~root ~parent ~children =
-  let level = Hashtbl.create (Hashtbl.length parent + 1) in
-  Hashtbl.replace level root 0;
-  let queue = Queue.create () in
-  Queue.add root queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    let lu = Hashtbl.find level u in
-    List.iter
-      (fun v ->
-        Hashtbl.replace level v (lu + 1);
-        Queue.add v queue)
-      (Option.value (Hashtbl.find_opt children u) ~default:[])
-  done;
-  if Hashtbl.length level <> Hashtbl.length parent + 1 then
-    invalid_arg "Tree.of_parents: graph is not a single tree rooted at root";
-  level
-
 module Obs = Mortar_obs.Obs
 
 let of_parents ~root edge_list =
-  let parent = Hashtbl.create (List.length edge_list) in
-  let children = Hashtbl.create (List.length edge_list) in
+  let members =
+    Array.of_list (List.sort_uniq compare (root :: List.map fst edge_list))
+  in
+  let n = Array.length members in
+  (* Parent ids first, in edge-list order, so the first offending edge
+     names the error. *)
+  let parent_id = Array.make n (-1) in
+  let set = Array.make n false in
   List.iter
     (fun (child, par) ->
       if child = root then invalid_arg "Tree.of_parents: root given a parent";
-      if Hashtbl.mem parent child then invalid_arg "Tree.of_parents: node has two parents";
-      Hashtbl.replace parent child par;
-      Hashtbl.replace children par (child :: Option.value (Hashtbl.find_opt children par) ~default:[]))
+      let i = find members child in
+      if set.(i) then invalid_arg "Tree.of_parents: node has two parents";
+      set.(i) <- true;
+      parent_id.(i) <- par)
     edge_list;
-  (* Canonicalise sibling order so traversals do not depend on the edge
-     list's order — [map_nodes] rebuilds from [edges], which used to be
-     hash-ordered, and child order is simulation-visible (send order). *)
-  Hashtbl.filter_map_inplace (fun _ cs -> Some (List.sort compare cs)) children;
-  let level = compute_levels ~root ~parent ~children in
-  let height = Hashtbl.fold (fun _ l acc -> max l acc) level 0 in
-  let t = { root; parent; children; level; height } in
+  let disconnected () =
+    invalid_arg "Tree.of_parents: graph is not a single tree rooted at root"
+  in
+  let parent = Array.make n (-1) and children = Array.make n [] in
+  for i = n - 1 downto 0 do
+    if set.(i) then begin
+      let p = find members parent_id.(i) in
+      if p < 0 then disconnected ();
+      parent.(i) <- p;
+      (* Descending positions: each child list comes out ascending. *)
+      children.(p) <- members.(i) :: children.(p)
+    end
+  done;
+  (* A level is one more than the parent's; a chain longer than the tree
+     never reaches the root and is a cycle. *)
+  let level = Array.make n (-1) in
+  level.(find members root) <- 0;
+  let rec depth i steps =
+    if level.(i) < 0 then begin
+      if steps > n then disconnected ();
+      level.(i) <- depth parent.(i) (steps + 1) + 1
+    end;
+    level.(i)
+  in
+  let height = ref 0 in
+  for i = 0 to n - 1 do
+    height := max !height (depth i 0)
+  done;
+  let height = !height in
   if !Obs.enabled then begin
     Obs.incr "overlay.trees_built";
     Obs.observe ~buckets:[| 1.0; 2.0; 4.0; 8.0; 16.0; 32.0; 64.0 |] "overlay.tree_height"
       (float_of_int height)
   end;
-  t
+  { root; members; parent; children; level; height }
 
 let post_order t =
   let rec visit n acc =
@@ -106,11 +132,11 @@ let path_to_root t n =
   in
   up n []
 
+(* Ascending child order: the order [Connectivity.fail_links] draws in. *)
 let edges t =
-  Hashtbl.fold (fun child par acc -> (child, par) :: acc) t.parent []
-  |> List.sort compare
-
-let map_nodes t f =
-  let root = f t.root in
-  let edge_list = List.map (fun (c, p) -> (f c, f p)) (edges t) in
-  of_parents ~root edge_list
+  let acc = ref [] in
+  for i = Array.length t.members - 1 downto 0 do
+    let p = t.parent.(i) in
+    if p >= 0 then acc := (t.members.(i), t.members.(p)) :: !acc
+  done;
+  !acc

@@ -18,7 +18,7 @@ val of_parents : root:node -> (node * node) list -> t
 val root : t -> node
 
 val nodes : t -> node array
-(** All members, root included, in unspecified order. *)
+(** All members: the root first, then the rest in ascending order. *)
 
 val size : t -> int
 
@@ -28,10 +28,7 @@ val parent : t -> node -> node option
 (** [None] for the root. @raise Not_found for non-members. *)
 
 val children : t -> node -> node list
-(** Empty for leaves. @raise Not_found for non-members. *)
-
-val level : t -> node -> int
-(** Depth; the root is at level 0. @raise Not_found for non-members. *)
+(** Ascending; empty for leaves. @raise Not_found for non-members. *)
 
 val height : t -> int
 (** Maximum level. *)
@@ -48,7 +45,25 @@ val path_to_root : t -> node -> node list (* lint: allow D11 oracle: test/test_o
 (** The node itself first, then ancestors up to and including the root. *)
 
 val edges : t -> (node * node) list
-(** All [(child, parent)] pairs. *)
+(** All [(child, parent)] pairs, in ascending child order. *)
 
-val map_nodes : t -> (node -> node) -> t (* lint: allow D11 oracle: test/test_edge_cases.ml "map_nodes by bijection preserves structure" *)
-(** Relabel every node through a bijection. *)
+(** {2 Positions}
+
+    A member's position is its rank among the tree's member ids, in
+    [\[0, size t)]. Trees over one node set — every tree of a
+    {!Treeset} — therefore number their members alike: look a member up
+    once, then read any of the trees at that position. *)
+
+val position : t -> node -> int
+(** Binary search. @raise Not_found for non-members. *)
+
+val node_at : t -> int -> node
+
+val parent_position : t -> int -> int
+(** The parent's position; [-1] at the root. *)
+
+val children_at : t -> int -> node list
+(** The children's ids, ascending. *)
+
+val level_at : t -> int -> int
+(** Depth; the root is at level 0. *)

@@ -1,16 +1,11 @@
 type t = { all : Tree.t array }
 
-let same_node_set a b =
-  let sa = Array.to_list (Tree.nodes a) |> List.sort compare in
-  let sb = Array.to_list (Tree.nodes b) |> List.sort compare in
-  sa = sb
-
 let create ~primary ~siblings =
   List.iter
     (fun s ->
       if Tree.root s <> Tree.root primary then
         invalid_arg "Treeset.create: sibling root differs from primary";
-      if not (same_node_set primary s) then
+      if Tree.nodes s <> Tree.nodes primary then
         invalid_arg "Treeset.create: sibling node set differs from primary")
     siblings;
   { all = Array.of_list (primary :: siblings) }
@@ -42,35 +37,11 @@ let root t = Tree.root t.all.(0)
 
 let nodes t = Tree.nodes t.all.(0)
 
-let parent t ~tree n = Tree.parent t.all.(tree) n
-
-let children t ~tree n = Tree.children t.all.(tree) n
-
-let level t ~tree n = Tree.level t.all.(tree) n
-
-let grandparent t ~tree n =
-  match Tree.parent t.all.(tree) n with
-  | None -> None
-  | Some p -> Tree.parent t.all.(tree) p
-
-let siblings t ~tree n =
-  match Tree.parent t.all.(tree) n with
-  | None -> []
-  | Some p -> List.filter (fun c -> c <> n) (Tree.children t.all.(tree) p)
-
 let unique_children t n =
-  let seen = Hashtbl.create 16 in
-  Array.iter (fun tr -> List.iter (fun c -> Hashtbl.replace seen c ()) (Tree.children tr n)) t.all;
-  Hashtbl.fold (fun k () acc -> k :: acc) seen [] |> List.sort compare
+  let i = Tree.position t.all.(0) n in
+  List.sort_uniq compare (List.concat_map (fun tr -> Tree.children_at tr i) (Array.to_list t.all))
 
-let union_edges t =
-  let seen = Hashtbl.create 64 in
-  Array.iter (fun tr -> List.iter (fun e -> Hashtbl.replace seen e ()) (Tree.edges tr)) t.all;
-  Hashtbl.fold (fun e () acc -> e :: acc) seen [] |> List.sort compare
+let union_edges t = List.sort_uniq compare (List.concat_map Tree.edges (Array.to_list t.all))
 
 let interior_hosts t =
-  let seen = Hashtbl.create 32 in
-  Array.iter
-    (fun tr -> List.iter (fun n -> Hashtbl.replace seen n ()) (Tree.internal_nodes tr))
-    t.all;
-  Hashtbl.fold (fun n () acc -> n :: acc) seen [] |> List.sort compare
+  List.sort_uniq compare (List.concat_map Tree.internal_nodes (Array.to_list t.all))

@@ -1,9 +1,10 @@
 (** A query's physical dataflow: the primary tree plus derived siblings.
 
     Every tree in the set spans the same node set and shares the same root
-    (the query root operator). Peers consult the set for their parent,
-    children, and level on each tree — the inputs to the dynamic striping
-    routing policy (§3.3). *)
+    (the query root operator), so every tree numbers its members alike
+    ({!Tree.position}). Peers consult the set for their parent, children,
+    and level on each tree — the inputs to the dynamic striping routing
+    policy (§3.3). *)
 
 type t
 
@@ -41,22 +42,6 @@ val trees : t -> Tree.t array
 val root : t -> int
 
 val nodes : t -> int array
-
-val parent : t -> tree:int -> int -> int option
-
-val children : t -> tree:int -> int -> int list
-
-val level : t -> tree:int -> int -> int
-
-val grandparent : t -> tree:int -> int -> int option
-(** The parent's parent on one tree — the first repair donor a node falls
-    back to when its parent dies ({!Sibling.repair_donors}). [None] for the
-    root and its children. *)
-
-val siblings : t -> tree:int -> int -> int list
-(** The other children of the node's parent on one tree, in canonical
-    (ascending) order — the second class of repair donors. Empty for the
-    root. *)
 
 val unique_children : t -> int -> int list
 (** Distinct children across the set (the heartbeat fan-out of Fig 13). *)

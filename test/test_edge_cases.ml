@@ -100,18 +100,6 @@ let test_msl_negative_literal () =
 (* ------------------------------------------------------------------ *)
 (* Trees *)
 
-let prop_map_nodes_bijection =
-  QCheck.Test.make ~name:"map_nodes by bijection preserves structure" ~count:50
-    QCheck.(int_range 4 100)
-    (fun n ->
-      let rng = Rng.create (n * 3) in
-      let nodes = Array.init (n - 1) (fun i -> i + 1) in
-      let t = Mortar_overlay.Builder.random_tree rng ~bf:3 ~root:0 ~nodes in
-      let shifted = Tree.map_nodes t (fun x -> x + 1000) in
-      Tree.size shifted = n
-      && Tree.root shifted = 1000
-      && Tree.height shifted = Tree.height t)
-
 let test_single_node_tree () =
   let t = Tree.of_parents ~root:7 [] in
   Alcotest.(check int) "size 1" 1 (Tree.size t);
@@ -185,7 +173,6 @@ let tests =
     Alcotest.test_case "expr float/int mix" `Quick test_expr_float_int_mix;
     Alcotest.test_case "msl custom args" `Quick test_msl_custom_positional_args;
     Alcotest.test_case "msl negative literal" `Quick test_msl_negative_literal;
-    QCheck_alcotest.to_alcotest prop_map_nodes_bijection;
     Alcotest.test_case "single-node tree" `Quick test_single_node_tree;
     QCheck_alcotest.to_alcotest prop_cluster_shuffle_bf_bound;
     Alcotest.test_case "transport full loss" `Quick test_transport_full_loss;

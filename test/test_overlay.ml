@@ -17,7 +17,7 @@ let test_tree_basic () =
   Alcotest.(check (option int)) "parent of 3" (Some 1) (Tree.parent t 3);
   Alcotest.(check (option int)) "parent of root" None (Tree.parent t 0);
   Alcotest.(check (list int)) "children of 1" [ 3; 4 ] (List.sort compare (Tree.children t 1));
-  Alcotest.(check int) "level of 5" 2 (Tree.level t 5);
+  Alcotest.(check int) "level of 5" 2 (Tree.level_at t (Tree.position t 5));
   Alcotest.(check int) "height" 2 (Tree.height t);
   Alcotest.(check bool) "leaf" true (Tree.is_leaf t 4);
   Alcotest.(check bool) "not leaf" false (Tree.is_leaf t 1)
@@ -166,7 +166,13 @@ let test_treeset_validation () =
   let wrong = Builder.random_tree rng ~bf:4 ~root:1 ~nodes:other_nodes in
   Alcotest.check_raises "root mismatch"
     (Invalid_argument "Treeset.create: sibling root differs from primary") (fun () ->
-      ignore (Treeset.create ~primary ~siblings:[ wrong ]))
+      ignore (Treeset.create ~primary ~siblings:[ wrong ]));
+  (* Same root and size, one member swapped for a stranger. *)
+  let swapped = Array.map (fun n -> if n = 15 then 99 else n) nodes in
+  let stranger = Builder.random_tree rng ~bf:4 ~root:0 ~nodes:swapped in
+  Alcotest.check_raises "node set mismatch"
+    (Invalid_argument "Treeset.create: sibling node set differs from primary") (fun () ->
+      ignore (Treeset.create ~primary ~siblings:[ stranger ]))
 
 let test_treeset_views () =
   let rng = Rng.create 39 in
@@ -205,6 +211,126 @@ let test_union_reachable () =
   let without_root = C.union_reachable (Treeset.trees ts) ~dead:(fun n -> n = 0) in
   Alcotest.(check int) "nothing without root" 0 (List.length without_root)
 
+(* A random tree set: non-contiguous member ids, a root drawn from
+   anywhere among them (not necessarily the smallest id), 1-4 random trees
+   over the one node set. *)
+let tree_set_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 100_000 in
+    let* n = int_range 2 300 in
+    let* bf = int_range 1 8 in
+    let* d = int_range 1 4 in
+    return (seed, n, bf, d))
+
+let build_tree_set (seed, n, bf, d) =
+  let rng = Rng.create seed in
+  let ids = Array.init n (fun i -> (7 * i) + Rng.int rng 7) in
+  let r = Rng.int rng n in
+  let root = ids.(r) in
+  let nodes = Array.of_list (List.filter (fun x -> x <> root) (Array.to_list ids)) in
+  (rng, Array.init d (fun _ -> Builder.random_tree rng ~bf ~root ~nodes))
+
+let print_tree_set (seed, n, bf, d) = Printf.sprintf "seed=%d n=%d bf=%d d=%d" seed n bf d
+
+(* Members reached from the root over undirected [edges], skipping dead
+   members; nothing when the root is dead. *)
+let reference_bfs ~root ~dead edges =
+  let rec go seen = function
+    | [] -> seen
+    | u :: rest ->
+      let next =
+        List.filter_map
+          (fun (c, p) -> if c = u then Some p else if p = u then Some c else None)
+          edges
+        |> List.filter (fun v -> (not (dead v)) && not (List.mem v seen))
+        |> List.sort_uniq compare
+      in
+      go (seen @ next) (rest @ next)
+  in
+  if dead root then [] else go [ root ] [ root ]
+
+(* Reference Fig 1 trial, written from the node-keyed accessors: one
+   [Rng.float] per link in ascending child order, parent-chain walks for
+   the per-tree schemes and a BFS over [Tree.edges] for the union. *)
+let reference_completeness rng ~trees ~link_failure scheme =
+  let d =
+    match scheme with
+    | C.Single_tree -> 1
+    | C.Static_striping d | C.Mirroring d | C.Dynamic_striping d -> d
+  in
+  let used = Array.sub trees 0 d in
+  let live =
+    Array.map
+      (fun tr ->
+        List.filter_map
+          (fun (c, p) -> if Rng.float rng 1.0 >= link_failure then Some (c, p) else None)
+          (Tree.edges tr))
+      used
+  in
+  let root = Tree.root used.(0) in
+  let rec ok k n =
+    match Tree.parent used.(k) n with
+    | None -> true
+    | Some p -> List.mem_assoc n live.(k) && ok k p
+  in
+  let reached = reference_bfs ~root ~dead:(fun _ -> false) (Array.to_list live |> List.concat) in
+  let population = List.filter (fun n -> n <> root) (Array.to_list (Tree.nodes used.(0))) in
+  let contribution n =
+    let live_trees = List.length (List.filter (fun k -> ok k n) (List.init d Fun.id)) in
+    match scheme with
+    | C.Single_tree -> if ok 0 n then 1.0 else 0.0
+    | C.Static_striping _ -> float_of_int live_trees /. float_of_int d
+    | C.Mirroring _ -> if live_trees > 0 then 1.0 else 0.0
+    | C.Dynamic_striping _ -> if List.mem n reached then 1.0 else 0.0
+  in
+  if population = [] then 1.0
+  else
+    List.fold_left (fun acc n -> acc +. contribution n) 0.0 population
+    /. float_of_int (List.length population)
+
+let prop_connectivity_matches_reference =
+  QCheck.Test.make ~name:"connectivity kernel = reference" ~count:150
+    (QCheck.make ~print:print_tree_set tree_set_gen)
+    (fun ((seed, _, _, d) as input) ->
+      let rng, trees = build_tree_set input in
+      let link_failure = Rng.float rng 1.0 in
+      let schemes = [ C.Single_tree; C.Static_striping d; C.Mirroring d; C.Dynamic_striping d ] in
+      let same_trial scheme =
+        let a = Rng.create (seed + 1) and b = Rng.create (seed + 1) in
+        C.completeness a ~trees ~link_failure scheme
+        = reference_completeness b ~trees ~link_failure scheme
+        (* Both consumed the same draws. *)
+        && Rng.bits64 a = Rng.bits64 b
+      in
+      let dead_set =
+        List.filter (fun _ -> Rng.float rng 1.0 < 0.2) (Array.to_list (Tree.nodes trees.(0)))
+      in
+      let dead n = List.mem n dead_set in
+      let reached =
+        reference_bfs ~root:(Tree.root trees.(0)) ~dead
+          (List.concat_map Tree.edges (Array.to_list trees))
+      in
+      List.for_all same_trial schemes
+      && C.union_reachable trees ~dead
+         = List.filter (fun n -> List.mem n reached) (Array.to_list (Tree.nodes trees.(0))))
+
+let prop_of_parents_ignores_edge_order =
+  QCheck.Test.make ~name:"of_parents ignores edge order" ~count:100
+    (QCheck.make ~print:print_tree_set tree_set_gen)
+    (fun input ->
+      let rng, trees = build_tree_set input in
+      let t = trees.(0) in
+      let shuffled = Array.of_list (Tree.edges t) in
+      Rng.shuffle rng shuffled;
+      let u = Tree.of_parents ~root:(Tree.root t) (Array.to_list shuffled) in
+      Tree.edges u = Tree.edges t
+      && Tree.nodes u = Tree.nodes t
+      && Array.for_all
+           (fun n ->
+             let i = Tree.position t n in
+             Tree.children u n = Tree.children t n && Tree.level_at u i = Tree.level_at t i)
+           (Tree.nodes t))
+
 let prop_sibling_keeps_size =
   QCheck.Test.make ~name:"sibling derivation preserves size" ~count:30
     QCheck.(int_range 4 200)
@@ -237,4 +363,6 @@ let tests =
       test_connectivity_no_failures_perfect;
     Alcotest.test_case "union reachable" `Quick test_union_reachable;
     QCheck_alcotest.to_alcotest prop_sibling_keeps_size;
+    QCheck_alcotest.to_alcotest prop_connectivity_matches_reference;
+    QCheck_alcotest.to_alcotest prop_of_parents_ignores_edge_order;
   ]

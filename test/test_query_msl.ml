@@ -23,8 +23,31 @@ let test_view_of_treeset () =
       if p = Query.no_parent then Alcotest.fail "non-root has parents"
       else
         Alcotest.(check (option int)) "parent matches treeset" (Some p)
-          (Treeset.parent ts ~tree:k 17))
+          (Mortar_overlay.Tree.parent (Treeset.tree ts k) 17))
     v.Query.parents;
+  (* Every field, read through one position lookup, matches the node-keyed
+     accessors of each tree. *)
+  let module Tree = Mortar_overlay.Tree in
+  Array.iter
+    (fun n ->
+      let v = Query.view_of_treeset ~repair_meta:true ts n in
+      Array.iteri
+        (fun k tr ->
+          let parent = Tree.parent tr n in
+          Alcotest.(check (list int)) "children" (Tree.children tr n) v.Query.children.(k);
+          Alcotest.(check int) "level"
+            (List.length (Tree.path_to_root tr n) - 1)
+            v.Query.levels.(k);
+          Alcotest.(check (option int)) "grandparent"
+            (Option.bind parent (Tree.parent tr))
+            v.Query.grands.(k);
+          Alcotest.(check (list int)) "siblings"
+            (match parent with
+            | None -> []
+            | Some p -> List.filter (fun c -> c <> n) (Tree.children tr p))
+            v.Query.sibs.(k))
+        (Treeset.trees ts))
+    (Treeset.nodes ts);
   let vr = Query.view_of_treeset ts 0 in
   Array.iter
     (fun p -> Alcotest.(check bool) "root has no parent" true (p = Query.no_parent))
